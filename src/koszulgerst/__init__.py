@@ -9,9 +9,9 @@ from .bracket import (BarCochain, bar_circle_bracket, bar_cocycle_basis,
                       maurer_cartan_check, oracle_compare, restrict_along_iota)
 from .cohomology import (Cochain, CochainSpace, coboundary, cocycle_space,
                          cup_product, is_coboundary, same_class)
-from .errors import (CharacteristicTwo, DegreeUnderflow, DimensionMismatch,
-                     FieldMismatch, InconsistentBasis, InfiniteDimensional,
-                     InterreductionFailure, KoszulGerstError, MissingParameter,
+from .errors import (CharacteristicTwo, CochainError, DegreeUnderflow,
+                     DimensionMismatch, FieldMismatch, InconsistentBasis,
+                     InfiniteDimensional, KoszulGerstError, MissingParameter,
                      NoSolution, NonQuadraticRelation, NotConfluent, ParseError,
                      UnboundedComputation, UnknownPreset)
 from .fields import PrimeField, QQ, Rationals, field_from_name

@@ -418,9 +418,25 @@ COMMANDS = {
 }
 
 
+# flags whose value is a literal that may start with a minus sign, which
+# argparse would otherwise take for an option
+LITERAL_FLAGS = ("--cocycle", "--left", "--right", "--q")
+
+
+def _attach_literals(argv):
+    """Rewrite `--cocycle -3*a,...` as `--cocycle=-3*a,...`."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in LITERAL_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
     try:
         return COMMANDS[args.command](args)
     except KoszulGerstError as exc:

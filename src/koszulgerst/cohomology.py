@@ -12,7 +12,7 @@ separate same_class predicate.
 
 from typing import NamedTuple
 
-from .errors import UnboundedComputation
+from .errors import CochainError, UnboundedComputation
 from .linalg import Matrix, _rref, nullspace_basis, solve_affine_system
 from .quiver import PathVector
 
@@ -24,7 +24,7 @@ class Cochain:
 
     def __init__(self, kx, degree, values):
         if len(values) != kx.count(degree):
-            raise ValueError(f"expected {kx.count(degree)} values in degree {degree}")
+            raise CochainError(f"expected {kx.count(degree)} values in degree {degree}")
         self.kx = kx
         self.degree = degree
         normalized = []
@@ -33,7 +33,7 @@ class Cochain:
             o, t = kx.cobasis.o(degree, i)
             for path in val.terms:
                 if path.o != o or kx.quiver.path_target(path) != t:
-                    raise ValueError(
+                    raise CochainError(
                         f"value {val.format(kx.quiver)} at slot {i} is not pinned "
                         f"between the generator's vertices")
             normalized.append(val)
@@ -79,7 +79,7 @@ class Cochain:
     def internal_degree(self):
         degs = self.internal_degrees()
         if len(degs) > 1:
-            raise ValueError("cochain is not homogeneous")
+            raise CochainError("cochain is not homogeneous")
         return degs.pop() if degs else None
 
     def graded_piece(self, ell):
@@ -153,7 +153,7 @@ def _coords_of_cochain(kx, coords, eta):
         for w, c in val.terms.items():
             k = index.get((i, w))
             if k is None:
-                raise ValueError("cochain outside the coordinate slice")
+                raise CochainError("cochain outside the coordinate slice")
             vec[k] = c
     return vec
 
@@ -205,7 +205,7 @@ def _internal_degree_range(kx):
 def cocycle_space(kx, n, ell=None):
     """Bases of ker d* and im d* in degree n, per internal degree slice."""
     if n + 1 > kx.N:
-        raise ValueError(
+        raise CochainError(
             f"cocycles in degree {n} need resolution data through degree {n + 1}; "
             f"rebuild the complex with a larger N")
     ells = [ell] if ell is not None else _internal_degree_range(kx)

@@ -26,10 +26,6 @@ class NonQuadraticRelation(KoszulGerstError):
     pass
 
 
-class InterreductionFailure(KoszulGerstError):
-    pass
-
-
 class NotConfluent(KoszulGerstError):
     """A degree-3 overlap of the quadratic rewrite rules fails to resolve.
 
@@ -49,6 +45,11 @@ class DegreeUnderflow(KoszulGerstError):
 
 
 # -- cohomology / lifting ---------------------------------------------------
+
+class CochainError(KoszulGerstError, ValueError):
+    """A cochain breaks its contract (slot count, vertex pinning, grading,
+    coordinate slice) or needs resolution data the complex does not have."""
+
 
 class UnboundedComputation(KoszulGerstError):
     """An infinite-dimensional algebra needs an internal-degree bound."""

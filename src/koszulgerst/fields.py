@@ -1,9 +1,9 @@
 """Exact coefficient fields: the rationals and odd prime fields F_p.
 
-A field object knows how to do arithmetic on raw values (Fraction for Q,
-ints in [0, p) for F_p) and how to parse/format literals.  All higher-level
-structures carry one field and raw values; nothing here is ever floating
-point.
+A field object knows how to do arithmetic on raw values (Fraction or int
+for Q, ints in [0, p) for F_p) and how to parse/format literals.  All
+higher-level structures carry one field and raw values; nothing here is
+ever floating point.
 """
 
 from fractions import Fraction
@@ -33,8 +33,10 @@ class Rationals:
     def __call__(self, value):
         return Fraction(value)
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    # plain ints, not Fraction(0)/Fraction(1): Fraction compares and adds
+    # against an int take its fast path, and ints format the same
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b

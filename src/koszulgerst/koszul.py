@@ -8,14 +8,16 @@ inside kQ_n, with W_2 the relation span.  Each W_n is split into blocks by
 echelon form under the length-lex path order, so the output is canonical.
 
 The comultiplicative scalars c_{pq}(n,i,r) are the unique coefficients with
-    f^n_i = sum_{p,q} c_{pq}(n,i,r) f^r_p f^{n-r}_q      (product in kQ),
-computed by one exact solve per (n, r) batch; pairs whose product vanishes
-are dropped, so the stored scalars are canonical as well.
+    f^n_i = sum_{p,q} c_{pq}(n,i,r) f^r_p f^{n-r}_q      (product in kQ).
+Concatenation kQ_r (x)_{kQ_0} kQ_{n-r} -> kQ_n is an isomorphism, so they
+are read off the pivot coordinates of one reduced echelon form per degree
+and then re-expanded to check; zero scalars are dropped, so the stored
+scalars are canonical as well.
 """
 
 from .errors import InconsistentBasis
-from .linalg import Matrix, _rref, nullspace_basis, solve_many
-from .quiver import PathVector, free_multiply
+from .linalg import Matrix, _rref, nullspace_basis
+from .quiver import Path, PathVector, free_multiply
 
 
 class KoszulCobasis:
@@ -142,17 +144,50 @@ def _split_blocks(quiver, vectors, order_key):
 
 
 class ComultTable:
-    """Cache of the scalars c_{pq}(n, i, r), solved exactly in kQ_n."""
+    """Cache of the scalars c_{pq}(n, i, r), read off pivot coordinates.
+
+    One RREF of the generators f^r_p augmented by the identity gives pivot
+    words P^r_j and a transform T^r with, for every x in span(f^r),
+        x = sum_p (sum_j x[P^r_j] T^r[j][p]) f^r_p.
+    The coefficient of a word w in f^n_i is the coordinate of its split
+    (w[:r], w[r:]), so
+        c_{pq}(n, i, r) = sum coeff(w) T^r[j][p] T^{n-r}[l][q]
+    over the words w = P^r_j P^{n-r}_l of f^n_i.  Every row is re-expanded
+    and must give f^n_i back exactly; a miss, or linearly dependent
+    generators in one degree, raises InconsistentBasis.
+    """
 
     def __init__(self, quiver, cobasis, field):
         self.quiver = quiver
         self.cobasis = cobasis
         self.field = field
         self._cache = {}  # (n, r) -> list over i of {(p, q): coeff}
+        self._pivots = {}  # r -> {pivot word P^r_j: {p: T^r[j][p]}}
 
     def scalars(self, n, i, r):
         """The row set {(p, q): c_{pq}(n, i, r)}, zeros omitted."""
         return self._slice(n, r)[i]
+
+    def _pivot_transform(self, r):
+        got = self._pivots.get(r)
+        if got is not None:
+            return got
+        f, level = self.field, self.cobasis.elements[r]
+        col_of = {}
+        for vec in level:
+            for path in vec.terms:
+                col_of.setdefault(path, len(col_of))
+        width = len(col_of)
+        rows = [{**{col_of[path]: c for path, c in vec.terms.items()}, width + p: f.one}
+                for p, vec in enumerate(level)]
+        pivots = _rref(rows, width + len(level), f, naug=len(level))
+        if len(pivots) < len(level):
+            raise InconsistentBasis(f"degree-{r} generators are linearly dependent")
+        words = list(col_of)
+        got = {words[col]: {c - width: v for c, v in rows[j].items() if c >= width}
+               for j, col in enumerate(pivots)}
+        self._pivots[r] = got
+        return got
 
     def _slice(self, n, r):
         got = self._cache.get((n, r))
@@ -161,41 +196,41 @@ class ComultTable:
         if not (0 <= r <= n <= self.cobasis.max_degree):
             raise InconsistentBasis(f"comult slice ({n},{r}) out of range")
         q, f, cb = self.quiver, self.field, self.cobasis
-        cols = []  # (p, q_idx, product PathVector)
-        for p in range(cb.count(r)):
-            for qq in range(cb.count(n - r)):
-                prod = free_multiply(q, cb.f(r, p), cb.f(n - r, qq))
-                if not prod.is_zero():
-                    cols.append((p, qq, prod))
-        support = {}
-        for _, _, prod in cols:
-            for path in prod.terms:
-                support.setdefault(path, len(support))
-        targets = [cb.f(n, i) for i in range(cb.count(n))]
-        for t in targets:
-            for path in t.terms:
-                support.setdefault(path, len(support))
-        entries = {}
-        for j, (_, _, prod) in enumerate(cols):
-            for path, coeff in prod.terms.items():
-                entries[(support[path], j)] = coeff
-        A = Matrix(f, len(support), len(cols), entries)
-        rhs = []
-        for t in targets:
-            b = [f.zero] * len(support)
-            for path, coeff in t.terms.items():
-                b[support[path]] = coeff
-            rhs.append(b)
-        sols = solve_many(A, rhs) if cols or targets else []
+        left, right = self._pivot_transform(r), self._pivot_transform(n - r)
         rows = []
-        for i, sol in enumerate(sols):
-            if sol is None:
+        for i in range(cb.count(n)):
+            acc = {}
+            for w, coeff in cb.f(n, i).terms.items():
+                head = Path(w.o, w.arrows[:r])
+                t_left = left.get(head)
+                if t_left is None:
+                    continue
+                t_right = right.get(Path(q.path_target(head), w.arrows[r:]))
+                if t_right is None:
+                    continue
+                for p, cp in t_left.items():
+                    cp = f.mul(coeff, cp)
+                    for qq, cq in t_right.items():
+                        acc[(p, qq)] = f.add(acc.get((p, qq), f.zero), f.mul(cp, cq))
+            row = {pq: c for pq, c in sorted(acc.items()) if c != f.zero}
+            if self._expand(n, r, row) != cb.f(n, i).terms:
                 raise InconsistentBasis(
                     f"no comultiplicative scalars for f^{n}_{i} at split r={r}")
-            row = {}
-            for j, (p, qq, _) in enumerate(cols):
-                if sol[j] != f.zero:
-                    row[(p, qq)] = sol[j]
             rows.append(row)
         self._cache[(n, r)] = rows
         return rows
+
+    def _expand(self, n, r, row):
+        """sum c_pq f^r_p f^{n-r}_q in kQ_n, as a term dict without zeros."""
+        f, cb = self.field, self.cobasis
+        acc = {}
+        for (p, qq), c in row.items():
+            if cb.target(r, p) != cb.origin(n - r, qq):
+                continue  # generators are uniform, so the product is zero
+            right = cb.f(n - r, qq).terms
+            for u, cu in cb.f(r, p).terms.items():
+                cu = f.mul(c, cu)
+                for v, cv in right.items():
+                    w = Path(u.o, u.arrows + v.arrows)
+                    acc[w] = f.add(acc.get(w, f.zero), f.mul(cu, cv))
+        return {w: c for w, c in acc.items() if c != f.zero}

@@ -161,8 +161,9 @@ def solve_many(A, rhs_list):
     """Solve A x = b for several right-hand sides with one elimination.
 
     Returns a list of canonical particular solutions (None where
-    inconsistent).  Used for comultiplicative-scalar batches that share the
-    coefficient matrix.
+    inconsistent).  Nothing in the package calls it: the tests use it as
+    an independent reference for the comultiplicative scalars, which
+    ComultTable reads off pivot coordinates instead.
     """
     field = A.field
     k = len(rhs_list)

@@ -435,20 +435,20 @@ class KoszulComplex:
                     # (Delta ox 1): expand the left factor
                     for t in self.diagonal(dl, p):
                         key = (t.left_degree, dl - t.left_degree, u,
-                               t.left_index, self._vpath_mid(t, dl), t.right_index,
+                               t.left_index, self._vpath_mid(t), t.right_index,
                                w, q, v)
                         self._t2_add(lhs, key, f.mul(coeff, t.coeff))
                     # (1 ox Delta): expand the right factor
                     for t in self.diagonal(n - dl, q):
                         key = (dl, t.left_degree, u, p, w, t.left_index,
-                               self._vpath_mid(t, n - dl), t.right_index, v)
+                               self._vpath_mid(t), t.right_index, v)
                         self._t2_add(rhs, key, f.mul(coeff, t.coeff))
                 if lhs != rhs:
                     failures.append(("(Delta ox 1)Delta = (1 ox Delta)Delta", n, r,
                                      _t2_diff_witness(lhs, rhs)))
         checked.append("(Delta ox 1)Delta = (1 ox Delta)Delta")
 
-    def _vpath_mid(self, t, total):
+    def _vpath_mid(self, t):
         return self.quiver.vertex_path(self.cobasis.target(t.left_degree, t.left_index))
 
     def _check_counit(self, N, checked, failures):

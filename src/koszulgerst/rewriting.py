@@ -4,7 +4,9 @@ The relations are solved for their length-lex leading 2-paths, giving rules
 (leading pair) -> strictly smaller quadratic tail.  A diamond-lemma check on
 all degree-3 overlaps certifies confluence; success doubles as the Koszulity
 certificate (a quadratic Groebner basis), which the resolution construction
-assumes throughout.  Reduction is leftmost-first and memoised per path.
+assumes throughout.  Reduction is leftmost-first and memoised per path; the
+normal form of each word product u.v is memoised per (u, v) pair, and
+multiplication in Lambda is the bilinear extension of that memo.
 """
 
 from .errors import NotConfluent
@@ -19,6 +21,7 @@ class RewriteSystem:
         self.field = presentation.field
         self.rules = rules  # (arrow, arrow) -> PathVector tail, or zero vector
         self._nf_cache = {}
+        self._products = {}  # (u, v) -> normal form of the word product u.v
         self._words_by_len = None
         self._acyclic = None
 
@@ -31,9 +34,6 @@ class RewriteSystem:
             if (arrows[k], arrows[k + 1]) in self.rules:
                 return k
         return -1
-
-    def is_normal_path(self, path):
-        return self.reducible_at(path) < 0
 
     def nf_path(self, path):
         """Normal form of a single path as a PathVector."""
@@ -80,9 +80,35 @@ class RewriteSystem:
                     acc[rpath] = new
         return PathVector(f, acc)
 
+    def word_product(self, u, v):
+        """Normal form of the word product u.v (zero if not composable)."""
+        key = (u, v)
+        got = self._products.get(key)
+        if got is None:
+            uv = self.quiver.compose(u, v)
+            got = PathVector(self.field) if uv is None else self.nf_path(uv)
+            self._products[key] = got
+        return got
+
     def multiply(self, a, b):
-        """Product in Lambda: concatenate in kQ, then reduce."""
-        return self.normal_form(free_multiply(self.quiver, a, b))
+        """Product in Lambda, bilinear in the memoised word products.
+
+        Two single words with unit coefficients get the memo entry itself,
+        so a product must never be modified in place.
+        """
+        f = self.field
+        if len(a.terms) == 1 and len(b.terms) == 1:
+            (u, cu), = a.terms.items()
+            (v, cv), = b.terms.items()
+            if cu == f.one and cv == f.one:
+                return self.word_product(u, v)
+        acc = {}
+        for u, cu in a.terms.items():
+            for v, cv in b.terms.items():
+                c = f.mul(cu, cv)
+                for w, cw in self.word_product(u, v).terms.items():
+                    acc[w] = f.add(acc.get(w, f.zero), f.mul(c, cw))
+        return PathVector(f, acc)  # drops the terms that cancelled
 
     # -- normal-word enumeration ---------------------------------------------
 

@@ -180,3 +180,41 @@ def test_cli_usage_errors(capsys):
     assert main(["basis"]) == 2  # neither preset nor file
     assert main(["tables", "--preset", "family"]) == 2  # missing q
     capsys.readouterr()
+
+
+def test_cli_lift_cocycle_may_start_with_minus(capsys):
+    assert main(["lift", "--preset", "family", "--q", "1", "--degree", "1",
+                 "--cocycle", "-3*a,0,0", "-N", "3"]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
+
+
+def test_cli_mc_cocycle_may_start_with_minus(capsys):
+    assert main(["mc", "--preset", "family", "--q", "1", "--cocycle", "-a,0,0,0"]) == 0
+    assert "exact: PASS" in capsys.readouterr().out
+
+
+def test_cli_bracket_left_may_start_with_minus(capsys):
+    assert main(["bracket", "--preset", "family", "--q", "1",
+                 "--left-degree", "2", "--left", "-a,0,0,0",
+                 "--right-degree", "1", "--right", "a,0,0"]) == 0
+    assert "[left, right] = (-a, 0, 0, 0)" in capsys.readouterr().out
+
+
+def test_cli_bracket_right_may_start_with_minus(capsys):
+    assert main(["bracket", "--preset", "family", "--q", "1",
+                 "--left-degree", "2", "--left", "a,0,0,0",
+                 "--right-degree", "1", "--right", "-a,0,0"]) == 0
+    assert "[left, right] = (-a, 0, 0, 0)" in capsys.readouterr().out
+
+
+def test_cli_q_may_be_a_negative_fraction(capsys):
+    assert main(["basis", "--preset", "family", "--q", "-1/2", "-N", "2"]) == 0
+    assert "f^2_1 = a.b + 1/2*b.a" in capsys.readouterr().out
+
+
+def test_cli_unpinned_cochain_exits_2(capsys):
+    # c runs from vertex 1 to vertex 2, but eps^1_0 (the loop a) sits at 1
+    assert main(["lift", "--preset", "family", "--q", "1", "--degree", "1",
+                 "--cocycle", "c,0,0", "-N", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not pinned" in err
