@@ -22,7 +22,7 @@ from .lifting import (DerivationOperator, HomotopyLifting, closed_form_condition
 from .linalg import Matrix, nullspace_basis, rank, solve_affine_system
 from .presets import load_complex, load_presentation
 from .quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
-from .resolution import BarWordVector, BimoduleElement, DiagonalTerm, KoszulComplex
+from .resolution import BimoduleElement, DiagonalTerm, KoszulComplex
 from .rewriting import RewriteSystem, build_rewrite_system
 
 __version__ = "0.1.0"

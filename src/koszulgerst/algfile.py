@@ -119,11 +119,7 @@ def parse_value(quiver, field, params, text, lineno=None, allow_idempotents=True
             else:
                 coeff = field.parse(coeff_text)
         path = _parse_path(quiver, path_text, lineno, allow_idempotents)
-        total = field.add(acc.get(path, field.zero), field.mul(sign, coeff))
-        if total == field.zero:
-            acc.pop(path, None)
-        else:
-            acc[path] = total
+        acc[path] = field.add(acc.get(path, field.zero), field.mul(sign, coeff))
     return PathVector(field, acc)
 
 

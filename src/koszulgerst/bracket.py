@@ -192,13 +192,8 @@ def bar_cocycle_basis(kx, n):
             dF = bar_coboundary(F)
             for key, vec in dF.values.items():
                 for path, c in vec.terms.items():
-                    row = dst_index[(key, path)]
-                    cur = entries.get((row, col), f.zero)
-                    new = f.add(cur, c)
-                    if new == f.zero:
-                        entries.pop((row, col), None)
-                    else:
-                        entries[(row, col)] = new
+                    entry = (dst_index[(key, path)], col)
+                    entries[entry] = f.add(entries.get(entry, f.zero), c)
         A = Matrix(f, len(dst), len(src), entries)
         for vec in nullspace_basis(A):
             values = {}
@@ -243,12 +238,7 @@ def bar_circle_bracket(F, G):
     gf = bar_circle_product(G, F)
     out = dict(fg.values)
     for key, vec in gf.values.items():
-        cur = out.get(key, PathVector.zero(f))
-        new = cur - vec.scale(sign)
-        if new.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = new
+        out[key] = out.get(key, PathVector.zero(f)) - vec.scale(sign)
     return BarCochain(kx, m + n - 1, out)
 
 

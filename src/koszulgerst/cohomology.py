@@ -12,7 +12,7 @@ separate same_class predicate.
 
 from typing import NamedTuple
 
-from .errors import CochainError, UnboundedComputation
+from .errors import CochainError, DimensionMismatch, UnboundedComputation
 from .linalg import Matrix, _rref, nullspace_basis, solve_affine_system
 from .quiver import PathVector
 
@@ -47,13 +47,18 @@ class Cochain:
     def is_zero(self):
         return all(v.is_zero() for v in self.values)
 
+    def _check_same_space(self, other):
+        if self.degree != other.degree or self.kx is not other.kx:
+            raise DimensionMismatch(
+                "cannot combine cochains of different degrees or on different complexes")
+
     def __add__(self, other):
-        assert self.degree == other.degree and self.kx is other.kx
+        self._check_same_space(other)
         return Cochain(self.kx, self.degree,
                        [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other):
-        assert self.degree == other.degree and self.kx is other.kx
+        self._check_same_space(other)
         return Cochain(self.kx, self.degree,
                        [a - b for a, b in zip(self.values, other.values)])
 
@@ -140,8 +145,7 @@ def _cochain_from_coords(kx, n, coords, vec):
     f = kx.field
     values = [dict() for _ in range(kx.count(n))]
     for (i, w), c in zip(coords, vec):
-        if c != f.zero:
-            values[i][w] = f.add(values[i].get(w, f.zero), c)
+        values[i][w] = c
     return Cochain(kx, n, [PathVector(f, v) for v in values])
 
 
@@ -179,14 +183,8 @@ def _coboundary_matrix(kx, n, ell):
                 prod = kx.rs.multiply(PathVector.single(f, u), wvec)
                 prod = kx.rs.multiply(prod, PathVector.single(f, v))
                 for path, c in prod.terms.items():
-                    key = (r, path)
-                    row = dst_index[key]
-                    cur = entries.get((row, col), f.zero)
-                    new = f.add(cur, f.mul(coeff, c))
-                    if new == f.zero:
-                        entries.pop((row, col), None)
-                    else:
-                        entries[(row, col)] = new
+                    key = (dst_index[(r, path)], col)
+                    entries[key] = f.add(entries.get(key, f.zero), f.mul(coeff, c))
     return Matrix(f, len(dst), len(src), entries), src, dst
 
 

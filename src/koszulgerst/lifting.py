@@ -17,7 +17,7 @@ solve raises NoSolution rather than falling back.
 
 from typing import NamedTuple
 
-from .errors import NoSolution
+from .errors import CochainError, NoSolution
 from .linalg import Matrix, solve_affine_system
 from .quiver import PathVector
 from .resolution import BimoduleElement
@@ -104,30 +104,43 @@ def lifting_ansatz(kx, m, r, n, ell):
     return out
 
 
-def _bim_coords(elements):
-    index = {}
-    for x in elements:
-        for key in x.terms:
-            index.setdefault(key, len(index))
-    return index
+def _solve_images(kx, m, n, ell, target, what, nullspaces=None):
+    """psi(eps^m_r) in K_{m-n+1} for every r: the canonical solution in the
+    ansatz span of d psi(eps^m_r) = target(r).
 
-
-def _solve_bimodule_combination(kx, columns, target):
-    """Solve sum x_j columns[j] = target exactly; canonical solution.
-
-    Returns (coeff list, nullspace coeff lists) or None.
+    A zero cocycle (ell None) gets zero images without a solve.  With a
+    `nullspaces` dict, the homogeneous solutions of each solve are stored
+    under (m, r).
     """
     f = kx.field
-    index = _bim_coords(columns + [target])
-    entries = {}
-    for j, col in enumerate(columns):
-        for key, c in col.terms.items():
-            entries[(index[key], j)] = c
-    A = Matrix(f, len(index), len(columns), entries)
-    b = [f.zero] * len(index)
-    for key, c in target.terms.items():
-        b[index[key]] = c
-    return solve_affine_system(A, b)
+    k = m - n + 1
+    images = []
+    for r in range(kx.count(m)):
+        if ell is None:
+            images.append(BimoduleElement(f, k))
+            continue
+        rhs = target(r)
+        ansatz = lifting_ansatz(kx, m, r, n, ell)
+        columns = [kx.differential(BimoduleElement(f, k, {key: f.one})) for key in ansatz]
+        index = {}
+        for x in columns + [rhs]:
+            for key in x.terms:
+                index.setdefault(key, len(index))
+        entries = {(index[key], j): c
+                   for j, col in enumerate(columns) for key, c in col.terms.items()}
+        b = [f.zero] * len(index)
+        for key, c in rhs.terms.items():
+            b[index[key]] = c
+        sol = solve_affine_system(Matrix(f, len(index), len(columns), entries), b)
+        if sol is None:
+            raise NoSolution(
+                f"no {what} at degree {m}, generator {r}: input is not a "
+                f"cocycle or the resolution data is corrupted")
+        images.append(BimoduleElement(f, k, zip(ansatz, sol.particular)))
+        if nullspaces is not None:
+            nullspaces[(m, r)] = [BimoduleElement(f, k, zip(ansatz, vec))
+                                  for vec in sol.nullspace]
+    return images
 
 
 def solve_lifting(kx, eta, M, initial=None, collect_nullspaces=False):
@@ -138,9 +151,9 @@ def solve_lifting(kx, eta, M, initial=None, collect_nullspaces=False):
     """
     n = eta.degree
     if n == 0:
-        raise ValueError("liftings of degree-0 cochains are out of scope")
+        raise CochainError("liftings of degree-0 cochains are out of scope")
     if M > kx.N:
-        raise ValueError(
+        raise CochainError(
             f"lifting through degree {M} needs resolution data through degree {M}; "
             f"rebuild the complex with a larger N")
     if not eta.is_homogeneous():
@@ -148,55 +161,19 @@ def solve_lifting(kx, eta, M, initial=None, collect_nullspaces=False):
     ell = eta.internal_degree()
     f = kx.field
     sign_prev = f.one if (n - 1) % 2 == 0 else f.neg(f.one)
-    maps = {}
-    nullspaces = {}
-    if initial:
-        for m, images in initial.items():
-            maps[m] = list(images)
-    zero_cochain = eta.is_zero()
+    maps = {m: list(images) for m, images in (initial or {}).items()}
+    lifting = HomotopyLifting(kx, eta, maps)
+
+    def target(m, r):
+        # d psi_m = (eta ox 1 - 1 ox eta) Delta + (-1)^{n-1} psi_{m-1} d
+        prev = lifting.apply(kx._diff_eps(m, r))
+        return lifting_rhs(kx, eta, m, r) + prev.scale(sign_prev)
+
     for m in range(n, M + 1):
-        if m in maps:
-            continue
-        images = []
-        for r in range(kx.count(m)):
-            if zero_cochain:
-                images.append(BimoduleElement.zero(f, m - n + 1))
-                continue
-            target = lifting_rhs(kx, eta, m, r)
-            prev = maps.get(m - 1)
-            if m - 1 >= n and prev is not None:
-                d_eps = kx._diff_eps(m, r)
-                acc = BimoduleElement.zero(f, m - n)
-                for (u, j, v), coeff in d_eps.terms.items():
-                    img = prev[j]
-                    if not img.is_zero():
-                        acc = acc + kx.sandwich_words(u, img, v).scale(coeff)
-                target = target + acc.scale(sign_prev)
-            ansatz = lifting_ansatz(kx, m, r, n, ell)
-            columns = [kx.differential(
-                BimoduleElement(f, m - n + 1, {(u, j, v): f.one}))
-                for (u, j, v) in ansatz]
-            sol = _solve_bimodule_combination(kx, columns, target)
-            if sol is None:
-                raise NoSolution(
-                    f"no lifting at degree {m}, generator {r}: input is not a "
-                    f"cocycle or the resolution data is corrupted")
-            terms = {}
-            for (key, c) in zip(ansatz, sol.particular):
-                if c != f.zero:
-                    terms[key] = f.add(terms.get(key, f.zero), c)
-            images.append(BimoduleElement(f, m - n + 1, terms))
-            if collect_nullspaces:
-                nulls = []
-                for vec in sol.nullspace:
-                    nt = {}
-                    for key, c in zip(ansatz, vec):
-                        if c != f.zero:
-                            nt[key] = c
-                    nulls.append(BimoduleElement(f, m - n + 1, nt))
-                nullspaces[(m, r)] = nulls
-        maps[m] = images
-    return HomotopyLifting(kx, eta, maps, nullspaces)
+        if m not in maps:
+            maps[m] = _solve_images(kx, m, n, ell, lambda r: target(m, r), "lifting",
+                                    lifting.nullspaces if collect_nullspaces else None)
+    return lifting
 
 
 def lifting_residual(kx, eta, lifting, m, r):
@@ -442,33 +419,15 @@ def derivation_on_element(kx, gamma, vec):
 def derivation_lift(kx, gamma, M):
     """Solve the chain-map condition d gtilde_n = gtilde_{n-1} d degree by degree."""
     if gamma.degree != 1:
-        raise ValueError("derivation operators lift degree-1 cocycles")
+        raise CochainError("derivation operators lift degree-1 cocycles")
     if not gamma.is_homogeneous():
         raise NoSolution("derivation lift needs a homogeneous cocycle")
     ell = gamma.internal_degree()
-    f = kx.field
-    maps = {0: [BimoduleElement.zero(f, 0) for _ in range(kx.count(0))]}
+    maps = {0: [BimoduleElement(kx.field, 0) for _ in range(kx.count(0))]}
     op = DerivationOperator(kx, gamma, maps)
     for n in range(1, M + 1):
-        images = []
-        for r in range(kx.count(n)):
-            if gamma.is_zero():
-                images.append(BimoduleElement.zero(f, n))
-                continue
-            target = op.apply(kx._diff_eps(n, r))
-            ansatz = lifting_ansatz(kx, n, r, 1, ell)
-            columns = [kx.differential(BimoduleElement(f, n, {(u, j, v): f.one}))
-                       for (u, j, v) in ansatz]
-            sol = _solve_bimodule_combination(kx, columns, target)
-            if sol is None:
-                raise NoSolution(
-                    f"no derivation operator at degree {n}, generator {r}")
-            terms = {}
-            for key, c in zip(ansatz, sol.particular):
-                if c != f.zero:
-                    terms[key] = c
-            images.append(BimoduleElement(f, n, terms))
-        maps[n] = images
+        maps[n] = _solve_images(kx, n, 1, ell, lambda r: op.apply(kx._diff_eps(n, r)),
+                                "derivation operator")
     return op
 
 

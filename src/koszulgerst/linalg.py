@@ -1,4 +1,10 @@
-"""Exact dense/sparse linear solving over Q and F_p.
+"""Exact sparse vectors and linear solving over Q and F_p.
+
+Every element the package computes with (paths in kQ, elements of the
+resolution, bar words, tensor-square terms) is a SparseVector: a dict from
+hashable keys to nonzero raw field values.  Loops accumulate into a plain
+dict with field.add and hand it to the constructor, which is the one place
+zero coefficients are dropped.
 
 Everything downstream ("there exist scalars such that ...") reduces to the
 two entry points here: solve_affine_system and nullspace_basis.  Both are
@@ -9,7 +15,102 @@ right, the particular solution is the reduced-row-echelon canonical one
 
 from typing import NamedTuple
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, FieldMismatch
+
+
+class SparseVector:
+    """Exact linear combination of hashable keys (no zero coefficients)."""
+
+    __slots__ = ("field", "terms")
+
+    degree = None  # GradedVector stores one; vectors of different degrees never add
+
+    def __init__(self, field, terms=None):
+        self.field = field
+        # a plain loop, not a comprehension: most vectors built here hold one
+        # or two terms, and a comprehension's own frame then costs more
+        out = self.terms = {}
+        if terms:
+            zero = field.zero
+            for key, c in (terms.items() if isinstance(terms, dict) else terms):
+                if c != zero:
+                    out[key] = c
+
+    def _like(self, terms):
+        """A vector of the same class and degree with the given terms."""
+        return type(self)(self.field, terms)
+
+    @classmethod
+    def zero(cls, field):
+        return cls(field)
+
+    @classmethod
+    def single(cls, field, key, coeff=None):
+        return cls(field, {key: field.one if coeff is None else coeff})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise FieldMismatch("cannot add vectors over different fields")
+        if other.degree != self.degree:
+            raise DimensionMismatch(
+                f"cannot add vectors of degrees {self.degree} and {other.degree}")
+        add, zero = f.add, f.zero
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = add(out.get(key, zero), c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + other.scale(self.field.neg(self.field.one))
+
+    def __neg__(self):
+        return self.scale(self.field.neg(self.field.one))
+
+    def scale(self, coeff):
+        f = self.field
+        if coeff == f.zero:
+            return self._like(None)
+        mul = f.mul
+        return self._like({key: mul(c, coeff) for key, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseVector) and self.degree == other.degree
+                and (self.field is other.field or self.field == other.field)
+                and self.terms == other.terms)
+
+    def _format_sum(self, words):
+        """'w1 - w2 + c*w3' from (word, coefficient) pairs, in the given order."""
+        bits = []
+        for word, c in words:
+            cs = self.field.format(c)
+            if cs == "1":
+                bits.append(word)
+            elif cs == "-1":
+                bits.append(f"-{word}")
+            else:
+                bits.append(f"{cs}*{word}")
+        return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+
+
+class GradedVector(SparseVector):
+    """SparseVector in one homological degree (bar words, elements of K)."""
+
+    __slots__ = ("degree",)
+
+    def __init__(self, field, degree, terms=None):
+        SparseVector.__init__(self, field, terms)
+        self.degree = degree
+
+    def _like(self, terms):
+        return type(self)(self.field, self.degree, terms)
+
+    @classmethod
+    def zero(cls, field, degree):
+        return cls(field, degree)
 
 
 class Matrix:

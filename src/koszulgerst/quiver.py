@@ -9,6 +9,7 @@ algebra kQ; it knows nothing about relations, which live in rewriting.py.
 from typing import NamedTuple
 
 from .errors import NonQuadraticRelation, ParseError
+from .linalg import SparseVector
 
 
 class Path(NamedTuple):
@@ -85,68 +86,16 @@ class Quiver:
         return ".".join(self.arrow_names[a] for a in path.arrows)
 
 
-class PathVector:
+class PathVector(SparseVector):
     """Exact linear combination of paths in kQ (no zero coefficients)."""
 
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms=None):
-        self.field = field
-        self.terms = {}
-        if terms:
-            for path, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                if coeff != field.zero:
-                    self.terms[path] = coeff
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field)
-
-    @classmethod
-    def single(cls, field, path, coeff=None):
-        return cls(field, {path: field.one if coeff is None else coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.field != other.field:
-            from .errors import FieldMismatch
-            raise FieldMismatch("cannot add path vectors over different fields")
-        f = self.field
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            new = f.add(out.get(p, f.zero), c)
-            if new == f.zero:
-                out.pop(p, None)
-            else:
-                out[p] = new
-        return PathVector(f, out)
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
-
-    def __neg__(self):
-        return self.scale(self.field.neg(self.field.one))
-
-    def scale(self, coeff):
-        f = self.field
-        if coeff == f.zero:
-            return PathVector(f)
-        return PathVector(f, {p: f.mul(c, coeff) for p, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, PathVector) and self.field == other.field
-                and self.terms == other.terms)
+    __slots__ = ()
 
     def __hash__(self):
         return hash((self.field, frozenset(self.terms.items())))
 
     def lengths(self):
         return {len(p.arrows) for p in self.terms}
-
-    def is_homogeneous(self):
-        return len(self.lengths()) <= 1
 
     def is_uniform(self, quiver):
         pairs = {(p.o, quiver.path_target(p)) for p in self.terms}
@@ -159,20 +108,8 @@ class PathVector:
         return None
 
     def format(self, quiver):
-        if not self.terms:
-            return "0"
-        bits = []
-        for path in sorted(self.terms, key=lambda p: (len(p.arrows), p.arrows, p.o)):
-            c = self.terms[path]
-            cs = self.field.format(c)
-            word = quiver.format_path(path)
-            if cs == "1":
-                bits.append(word)
-            elif cs == "-1":
-                bits.append(f"-{word}")
-            else:
-                bits.append(f"{cs}*{word}")
-        return " + ".join(bits).replace("+ -", "- ")
+        paths = sorted(self.terms, key=lambda p: (len(p.arrows), p.arrows, p.o))
+        return self._format_sum((quiver.format_path(p), self.terms[p]) for p in paths)
 
 
 def free_multiply(quiver, a, b):
@@ -184,11 +121,7 @@ def free_multiply(quiver, a, b):
             pq = quiver.compose(p, q)
             if pq is None:
                 continue
-            new = f.add(out.get(pq, f.zero), f.mul(cp, cq))
-            if new == f.zero:
-                out.pop(pq, None)
-            else:
-                out[pq] = new
+            out[pq] = f.add(out.get(pq, f.zero), f.mul(cp, cq))
     return PathVector(f, out)
 
 

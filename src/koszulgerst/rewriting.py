@@ -51,11 +51,7 @@ class RewriteSystem:
             for tpath, tcoeff in tail.terms.items():
                 replaced = Path(path.o, arrows[:k] + tpath.arrows + arrows[k + 2:])
                 for rpath, rcoeff in self.nf_path(replaced).terms.items():
-                    new = f.add(acc.get(rpath, f.zero), f.mul(tcoeff, rcoeff))
-                    if new == f.zero:
-                        acc.pop(rpath, None)
-                    else:
-                        acc[rpath] = new
+                    acc[rpath] = f.add(acc.get(rpath, f.zero), f.mul(tcoeff, rcoeff))
             result = PathVector(f, acc)
         self._nf_cache[path] = result
         return result
@@ -66,18 +62,10 @@ class RewriteSystem:
         acc = {}
         for path, coeff in vec.terms.items():
             if self.reducible_at(path) < 0:
-                new = f.add(acc.get(path, f.zero), coeff)
-                if new == f.zero:
-                    acc.pop(path, None)
-                else:
-                    acc[path] = new
+                acc[path] = f.add(acc.get(path, f.zero), coeff)
                 continue
             for rpath, rcoeff in self.nf_path(path).terms.items():
-                new = f.add(acc.get(rpath, f.zero), f.mul(coeff, rcoeff))
-                if new == f.zero:
-                    acc.pop(rpath, None)
-                else:
-                    acc[rpath] = new
+                acc[rpath] = f.add(acc.get(rpath, f.zero), f.mul(coeff, rcoeff))
         return PathVector(f, acc)
 
     def word_product(self, u, v):

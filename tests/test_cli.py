@@ -218,3 +218,11 @@ def test_cli_unpinned_cochain_exits_2(capsys):
                  "--cocycle", "c,0,0", "-N", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not pinned" in err
+
+
+def test_cli_lift_of_degree_0_exits_2(capsys):
+    assert main(["lift", "--preset", "family", "--q", "1", "--degree", "0",
+                 "--cocycle", "e1,e2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "degree-0" in err
+    assert "Traceback" not in err

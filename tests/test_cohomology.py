@@ -31,6 +31,16 @@ def test_cochain_values_must_sit_between_generator_vertices(family8):
         Cochain(family8, 1, bad)
 
 
+def test_cochains_of_other_degree_or_complex_do_not_combine(family8, family8_f5):
+    from koszulgerst.errors import DimensionMismatch
+    eta = family_named_cocycles(family8)["etabar"]
+    with pytest.raises(DimensionMismatch):
+        eta + Cochain.zero(family8, 1)
+    with pytest.raises(DimensionMismatch):
+        eta - Cochain.zero(family8_f5, 2)
+    assert (eta - eta).is_zero()
+
+
 def test_table_vectors_lie_in_kernel(family8):
     for c in family_table1(family8):
         assert coboundary(c).is_zero()

@@ -125,3 +125,35 @@ def test_field_mismatch_on_vector_arithmetic():
     p = Path(0, ())
     with pytest.raises(FieldMismatch):
         PathVector.single(QQ, p) + PathVector.single(F5, p)
+
+
+def test_sparse_vector_constructor_drops_zeros():
+    from koszulgerst.linalg import GradedVector, SparseVector
+    v = SparseVector(F5, {"a": 1, "b": 0})
+    assert v.terms == {"a": 1}
+    assert (v + SparseVector(F5, {"a": 4})).is_zero()
+    assert (v - v).is_zero() and v.scale(0).is_zero()
+    assert -v == SparseVector(F5, {"a": 4})
+    w = GradedVector(QQ, 2, [("x", Fraction(1, 2)), ("y", 0)])
+    assert w.terms == {"x": Fraction(1, 2)} and w.scale(2).degree == 2
+    assert w != GradedVector(QQ, 3, w.terms)
+
+
+def test_degree_mismatch_on_graded_vectors():
+    from koszulgerst.linalg import GradedVector
+    from koszulgerst.quiver import Path
+    from koszulgerst.resolution import BimoduleElement
+    p = Path(0, ())
+    with pytest.raises(DimensionMismatch):
+        BimoduleElement(QQ, 1, {(p, 0, p): 1}) + BimoduleElement(QQ, 2, {(p, 0, p): 1})
+    with pytest.raises(DimensionMismatch):
+        GradedVector(QQ, 1, {(p, p): 1}) - GradedVector(QQ, 0, {(p,): 1})
+
+
+def test_field_mismatch_on_graded_vectors():
+    from koszulgerst.errors import FieldMismatch
+    from koszulgerst.quiver import Path
+    from koszulgerst.resolution import BimoduleElement
+    p = Path(0, ())
+    with pytest.raises(FieldMismatch):
+        BimoduleElement(QQ, 1, {(p, 0, p): 1}) + BimoduleElement(F5, 1, {(p, 0, p): 1})
