@@ -13,7 +13,7 @@ from .errors import (CharacteristicTwo, CochainError, DegreeUnderflow,
                      DimensionMismatch, FieldMismatch, InconsistentBasis,
                      InfiniteDimensional, KoszulGerstError, MissingParameter,
                      NoSolution, NonQuadraticRelation, NotConfluent, ParseError,
-                     UnboundedComputation, UnknownPreset)
+                     UnboundedComputation, UnknownPreset, UnsupportedField)
 from .fields import PrimeField, QQ, Rationals, field_from_name
 from .koszul import ComultTable, KoszulCobasis, build_koszul_basis
 from .lifting import (DerivationOperator, HomotopyLifting, closed_form_conditions,

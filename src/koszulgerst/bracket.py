@@ -15,7 +15,7 @@ comparisons happen in cohomology classes on the K side.
 from typing import NamedTuple
 
 from .cohomology import Cochain, is_coboundary, same_class
-from .errors import CharacteristicTwo, InfiniteDimensional
+from .errors import CharacteristicTwo, CochainError, InfiniteDimensional
 from .lifting import derivation_on_element, solve_lifting
 from .linalg import Matrix, nullspace_basis
 from .quiver import PathVector
@@ -62,7 +62,7 @@ def maurer_cartan_check(kx, eta, psi_eta):
     if kx.field.characteristic == 2:
         raise CharacteristicTwo("Maurer-Cartan needs characteristic != 2")
     if eta.degree != 2:
-        raise ValueError("Maurer-Cartan applies to 2-cochains")
+        raise CochainError("Maurer-Cartan applies to 2-cochains")
     values = []
     for r in range(kx.count(3)):
         dbar = -eta.evaluate(kx._diff_eps(3, r))
@@ -88,144 +88,132 @@ class BarCochain:
     def value(self, key):
         return self.values.get(key)
 
-    def evaluate_tuple(self, words):
-        """Value on a tuple of Lambda elements (PathVectors), multilinearly."""
-        f = self.kx.field
-        acc = PathVector.zero(f)
-        stack = [((), f.one)]
-        for vec in words:
-            stack = [(prefix + (path,), f.mul(coeff, c))
-                     for prefix, coeff in stack
-                     for path, c in vec.terms.items()]
-        for key, coeff in stack:
-            val = self.values.get(key)
-            if val is not None:
-                acc = acc + val.scale(coeff)
-        return acc
-
 
 def bar_tuples(kx, n):
-    """All composable n-tuples of basis words (idempotents included)."""
+    """All composable n-tuples of basis words (idempotents included).
+
+    Memoised per complex and returned as a tuple, so no caller can change
+    what the next one reads.
+    """
     if not kx.rs.is_finite_dimensional():
         raise InfiniteDimensional("bar enumeration needs a finite-dimensional algebra")
-    words = []
-    length = 0
-    while True:
-        level = kx.rs.basis_words(length)
-        if not level:
-            break
-        words.extend(level)
-        length += 1
-    out = [()]
-    q = kx.quiver
-    for _ in range(n):
-        nxt = []
-        for tup in out:
-            for w in words:
-                if tup and q.path_target(tup[-1]) != w.o:
-                    continue
-                nxt.append(tup + (w,))
-        out = nxt
-    return out
-
-
-def _bar_coords(kx, n, shift):
-    """[(tuple, value word)] with |value| = sum |w_i| + shift."""
-    coords = []
-    q = kx.quiver
-    for tup in bar_tuples(kx, n):
-        total = sum(len(w.arrows) for w in tup)
-        ell = total + shift
-        if ell < 0:
-            continue
-        o = tup[0].o
-        t = q.path_target(tup[-1])
-        for w in kx.rs.basis_words(ell, o=o, t=t):
-            coords.append((tup, w))
-    return coords
-
-
-def bar_coboundary(F):
-    """delta* F: the Hochschild differential on the reduced bar complex."""
-    kx = F.kx
-    f = kx.field
-    n = F.degree
-    out = {}
-    for tup in bar_tuples(kx, n + 1):
-        acc = PathVector.zero(f)
-        head = F.value(tup[1:])
-        if head is not None:
-            acc = acc + kx.rs.multiply(PathVector.single(f, tup[0]), head)
-        for i in range(n):
-            merged = kx.rs.multiply(PathVector.single(f, tup[i]),
-                                    PathVector.single(f, tup[i + 1]))
-            sign = f.neg(f.one) if (i + 1) % 2 else f.one
-            inner = F.evaluate_tuple(
-                tuple(PathVector.single(f, w) for w in tup[:i]) + (merged,)
-                + tuple(PathVector.single(f, w) for w in tup[i + 2:]))
-            acc = acc + inner.scale(sign)
-        tail = F.value(tup[:-1])
-        if tail is not None:
-            sign = f.neg(f.one) if (n + 1) % 2 else f.one
-            acc = acc + kx.rs.multiply(tail, PathVector.single(f, tup[-1])).scale(sign)
-        if not acc.is_zero():
-            out[tup] = acc
-    return BarCochain(kx, n + 1, out)
+    got = kx._bar_tuples.get(n)
+    if got is None:
+        if n == 0:
+            got = ((),)
+        elif n == 1:
+            words, length = [], 0
+            while level := kx.rs.basis_words(length):
+                words.extend(level)
+                length += 1
+            got = tuple((w,) for w in words)
+        else:
+            target = kx.quiver.path_target
+            words = bar_tuples(kx, 1)
+            got = tuple(tup + w for tup in bar_tuples(kx, n - 1)
+                        for w in words if target(tup[-1]) == w[0].o)
+        kx._bar_tuples[n] = got
+    return got
 
 
 def bar_cocycle_basis(kx, n):
-    """A basis of bar n-cocycles, enumerated per internal-degree shift."""
+    """A basis of bar n-cocycles, enumerated per internal-degree shift.
+
+    Columns are the coordinates (tup, w) of n-cochains with
+    |w| = sum |tup| + shift, rows the coordinates (T, path) of
+    (n+1)-cochains, both in tuple-then-word order.  One sweep over the
+    (n+1)-tuples T fills every delta* entry from the faces of T: the head
+    T[1:] (value T[0].w), the merges T[:i] + (p,) + T[i+2:] for each word p
+    of T[i].T[i+1] (value w, sign (-1)^{i+1}) and the tail T[:-1] (value
+    w.T[-1], sign (-1)^{n+1}).  The grading puts each entry in the block of
+    its column's shift; each block's kernel is one nullspace_basis.
+    """
+    if n < 1:
+        raise CochainError("bar cocycles start in degree 1")
     f = kx.field
-    max_len = 0
-    while kx.rs.basis_words(max_len + 1):
-        max_len += 1
+    rs = kx.rs
+    target = kx.quiver.path_target
+    ends = {}  # (origin, target) -> basis words, by length
+    for (w,) in bar_tuples(kx, 1):
+        ends.setdefault((w.o, target(w)), []).append(w)
+
+    def coords(degree):
+        for tup in bar_tuples(kx, degree):
+            total = sum(len(w.arrows) for w in tup)
+            for w in ends.get((tup[0].o, target(tup[-1])), ()):
+                yield tup, w, len(w.arrows) - total
+
+    src = {}  # shift -> [(tup, w)], the columns
+    by_tup = {}  # tup -> [(w, shift, column)]
+    for tup, w, shift in coords(n):
+        block = src.setdefault(shift, [])
+        by_tup.setdefault(tup, []).append((w, shift, len(block)))
+        block.append((tup, w))
+    rows, height = {}, dict.fromkeys(src, 0)
+    for T, path, shift in coords(n + 1):
+        if shift in height:
+            rows[(T, path)] = height[shift]
+            height[shift] += 1
+
+    entries = {shift: {} for shift in src}
+    minus = f.neg(f.one)
+    tail_sign = minus if (n + 1) % 2 else f.one
+    for T in bar_tuples(kx, n + 1):
+        hits = [(col, path, c) for col in by_tup.get(T[1:], ())
+                for path, c in rs.word_product(T[0], col[0]).terms.items()]
+        for i in range(n):
+            sign = minus if i % 2 == 0 else f.one
+            for p, c in rs.word_product(T[i], T[i + 1]).terms.items():
+                for col in by_tup.get(T[:i] + (p,) + T[i + 2:], ()):
+                    hits.append((col, col[0], f.mul(sign, c)))
+        for col in by_tup.get(T[:-1], ()):
+            for path, c in rs.word_product(col[0], T[-1]).terms.items():
+                hits.append((col, path, f.mul(tail_sign, c)))
+        for (_, shift, j), path, c in hits:
+            block = entries[shift]
+            key = (rows[(T, path)], j)
+            block[key] = f.add(block.get(key, f.zero), c)
+
     basis = []
-    for shift in range(-n * max_len, max_len + 1):
-        src = _bar_coords(kx, n, shift)
-        if not src:
-            continue
-        dst = _bar_coords(kx, n + 1, shift)
-        dst_index = {key: k for k, key in enumerate(dst)}
-        entries = {}
-        for col, (tup, w) in enumerate(src):
-            F = BarCochain(kx, n, {tup: PathVector.single(f, w)})
-            dF = bar_coboundary(F)
-            for key, vec in dF.values.items():
-                for path, c in vec.terms.items():
-                    entry = (dst_index[(key, path)], col)
-                    entries[entry] = f.add(entries.get(entry, f.zero), c)
-        A = Matrix(f, len(dst), len(src), entries)
-        for vec in nullspace_basis(A):
+    for shift in sorted(src):
+        cols = src[shift]
+        for vec in nullspace_basis(Matrix(f, height[shift], len(cols), entries[shift])):
             values = {}
-            for (tup, w), c in zip(src, vec):
+            for (tup, w), c in zip(cols, vec):
                 if c != f.zero:
-                    cur = values.get(tup, PathVector.zero(f))
-                    values[tup] = cur + PathVector.single(f, w).scale(c)
-            basis.append(BarCochain(kx, n, values))
+                    values.setdefault(tup, {})[w] = c
+            basis.append(BarCochain(kx, n, {tup: PathVector(f, terms)
+                                            for tup, terms in values.items()}))
     return basis
 
 
 def bar_circle_product(F, G):
-    """F o G = sum_j (-1)^{(n-1)(j-1)} F o_j G on the reduced bar complex."""
+    """F o G = sum_j (-1)^{(n-1)(j-1)} F o_j G on the reduced bar complex.
+
+    Read off the supports: F o_j G is nonzero on T only if G is nonzero on
+    T[j-1:j-1+n] with a term p, and F on T[:j-1] + (p,) + T[j-1+n:].
+    """
     kx = F.kx
     f = kx.field
+    target = kx.quiver.path_target
     m, n = F.degree, G.degree
-    deg = m + n - 1
+    through = {}  # word p -> [(key, coefficient of p in G(key))]
+    for key, vec in G.values.items():
+        for p, c in vec.terms.items():
+            through.setdefault(p, []).append((key, c))
     out = {}
-    for tup in bar_tuples(kx, deg):
-        acc = PathVector.zero(f)
+    for key, val in F.values.items():
         for j in range(1, m + 1):
-            inner = G.value(tup[j - 1:j - 1 + n])
-            if inner is None:
-                continue
             sign = f.one if ((n - 1) * (j - 1)) % 2 == 0 else f.neg(f.one)
-            args = (tuple(PathVector.single(f, w) for w in tup[:j - 1])
-                    + (inner,)
-                    + tuple(PathVector.single(f, w) for w in tup[j - 1 + n:]))
-            acc = acc + F.evaluate_tuple(args).scale(sign)
-        if not acc.is_zero():
-            out[tup] = acc
-    return BarCochain(kx, deg, out)
+            for inner, c in through.get(key[j - 1], ()):
+                tup = key[:j - 1] + inner + key[j:]
+                if any(target(a) != b.o for a, b in zip(tup, tup[1:])):
+                    continue
+                acc = out.setdefault(tup, {})
+                coeff = f.mul(sign, c)
+                for path, v in val.terms.items():
+                    acc[path] = f.add(acc.get(path, f.zero), f.mul(v, coeff))
+    return BarCochain(kx, m + n - 1, {tup: PathVector(f, acc) for tup, acc in out.items()})
 
 
 def bar_circle_bracket(F, G):
@@ -234,12 +222,14 @@ def bar_circle_bracket(F, G):
     f = kx.field
     m, n = F.degree, G.degree
     sign = f.one if ((m - 1) * (n - 1)) % 2 == 0 else f.neg(f.one)
-    fg = bar_circle_product(F, G)
-    gf = bar_circle_product(G, F)
-    out = dict(fg.values)
-    for key, vec in gf.values.items():
-        out[key] = out.get(key, PathVector.zero(f)) - vec.scale(sign)
-    return BarCochain(kx, m + n - 1, out)
+    out = {}
+    for product, s in ((bar_circle_product(F, G), f.one),
+                       (bar_circle_product(G, F), f.neg(sign))):
+        for key, vec in product.values.items():
+            acc = out.setdefault(key, {})
+            for path, c in vec.terms.items():
+                acc[path] = f.add(acc.get(path, f.zero), f.mul(c, s))
+    return BarCochain(kx, m + n - 1, {key: PathVector(f, acc) for key, acc in out.items()})
 
 
 def restrict_along_iota(kx, F):
@@ -249,13 +239,13 @@ def restrict_along_iota(kx, F):
     q = kx.quiver
     values = []
     for i in range(kx.count(n)):
-        acc = PathVector.zero(f)
+        acc = {}
         for path, coeff in kx.cobasis.f(n, i).terms.items():
-            key = tuple(q.arrow_path(a) for a in path.arrows)
-            val = F.value(key)
+            val = F.value(tuple(q.arrow_path(a) for a in path.arrows))
             if val is not None:
-                acc = acc + val.scale(coeff)
-        values.append(acc)
+                for p, c in val.terms.items():
+                    acc[p] = f.add(acc.get(p, f.zero), f.mul(c, coeff))
+        values.append(PathVector(f, acc))
     return Cochain(kx, n, values)
 
 

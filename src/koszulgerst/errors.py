@@ -20,6 +20,10 @@ class DimensionMismatch(KoszulGerstError):
     pass
 
 
+class UnsupportedField(KoszulGerstError, ValueError):
+    """F_p was asked for with p not prime, or too large for the residues."""
+
+
 # -- quadratic rewriting ----------------------------------------------------
 
 class NonQuadraticRelation(KoszulGerstError):

@@ -8,7 +8,7 @@ ever floating point.
 
 from fractions import Fraction
 
-from .errors import CharacteristicTwo, ParseError
+from .errors import CharacteristicTwo, ParseError, UnsupportedField
 
 
 def _is_prime(p):
@@ -85,12 +85,13 @@ class PrimeField:
     """
 
     def __init__(self, p):
+        # the size check comes first: trial division of a huge p would not end
+        if isinstance(p, int) and p >= 2**31:
+            raise UnsupportedField(f"{p} too large (F_p needs p < 2**31)")
         if not isinstance(p, int) or not _is_prime(p):
-            raise ValueError(f"{p!r} is not prime")
+            raise UnsupportedField(f"{p!r} is not prime")
         if p == 2:
             raise CharacteristicTwo("prime fields of characteristic 2 are not supported")
-        if p >= 2**31:
-            raise ValueError("prime too large")
         self.p = p
         self.characteristic = p
         self.name = f"F{p}"

@@ -46,37 +46,42 @@ class HomotopyLifting:
     def apply(self, x):
         """psi extended bimodule-linearly to an element of K_m."""
         kx = self.kx
+        f = kx.field
         m = x.degree
-        out = BimoduleElement.zero(kx.field, max(m - self.n + 1, 0))
+        out = {}
         for (u, i, v), coeff in x.terms.items():
             img = self.image(m, i)
             if img.is_zero():
                 continue
-            out = out + kx.sandwich_words(u, img, v).scale(coeff)
-        return out
+            for key, c in kx.sandwich_words(u, img, v).terms.items():
+                out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
+        return BimoduleElement(f, max(m - self.n + 1, 0), out)
 
 
 def lifting_rhs(kx, eta, m, r):
     """(eta ox 1 - 1 ox eta) Delta on eps^m_r, with the fixed Koszul sign."""
     n = eta.degree
     f = kx.field
-    out = BimoduleElement.zero(f, m - n)
     if m - n < 0:
-        return out
+        return BimoduleElement(f, m - n)
+    out = {}
+
+    def add(x, coeff):
+        for key, c in x.terms.items():
+            out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
+
     for (p, q), c in kx.c(m, r, n).items():
         lam = eta.values[p]
-        if lam.is_zero():
-            continue
-        out = out + kx.sandwich(lam, kx.eps(m - n, q),
-                                _vertex_unit(kx, kx.cobasis.target(m - n, q))).scale(c)
+        if not lam.is_zero():
+            add(kx.sandwich(lam, kx.eps(m - n, q),
+                            _vertex_unit(kx, kx.cobasis.target(m - n, q))), c)
     sign = f.one if (n * (m - n)) % 2 == 0 else f.neg(f.one)
     for (p, q), c in kx.c(m, r, m - n).items():
         lam = eta.values[q]
-        if lam.is_zero():
-            continue
-        out = out - kx.sandwich(_vertex_unit(kx, kx.cobasis.origin(m - n, p)),
-                                kx.eps(m - n, p), lam).scale(f.mul(sign, c))
-    return out
+        if not lam.is_zero():
+            add(kx.sandwich(_vertex_unit(kx, kx.cobasis.origin(m - n, p)),
+                            kx.eps(m - n, p), lam), f.neg(f.mul(sign, c)))
+    return BimoduleElement(f, m - n, out)
 
 
 def _vertex_unit(kx, v):
@@ -358,36 +363,27 @@ class DerivationOperator:
         """Leibniz extension to decorated elements of K_n."""
         kx = self.kx
         f = kx.field
-        out = BimoduleElement.zero(f, x.degree)
+        n = x.degree
+        out = {}
         for (u, i, v), coeff in x.terms.items():
-            gu = derivation_on_word(kx, self.gamma, u)
-            gv = derivation_on_word(kx, self.gamma, v)
-            out = out + _three_term(kx, u, i, v, gu, gv, self.image(x.degree, i)).scale(coeff)
-        return out
-
-
-def _three_term(kx, u, i, v, gu, gv, gtilde_eps):
-    f = kx.field
-    n = gtilde_eps.degree
-    uvec = PathVector.single(f, u)
-    vvec = PathVector.single(f, v)
-    eps = kx.eps(n, i)
-    acc = BimoduleElement.zero(f, n)
-    if not gu.is_zero():
-        acc = acc + kx.sandwich(gu, eps, vvec)
-    if not gtilde_eps.is_zero():
-        acc = acc + kx.sandwich(uvec, gtilde_eps, vvec)
-    if not gv.is_zero():
-        acc = acc + kx.sandwich(uvec, eps, gv)
-    return acc
+            # gamma(u) . eps . v + u . gtilde(eps) . v + u . eps . gamma(v)
+            uvec = PathVector.single(f, u)
+            vvec = PathVector.single(f, v)
+            eps = kx.eps(n, i)
+            for left, mid, right in ((derivation_on_word(kx, self.gamma, u), eps, vvec),
+                                     (uvec, self.image(n, i), vvec),
+                                     (uvec, eps, derivation_on_word(kx, self.gamma, v))):
+                if left.is_zero() or mid.is_zero() or right.is_zero():
+                    continue
+                for key, c in kx.sandwich(left, mid, right).terms.items():
+                    out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
+        return BimoduleElement(f, n, out)
 
 
 def derivation_on_word(kx, gamma, path):
     """gamma extended to Lambda as a derivation, on one normal word."""
     f = kx.field
-    if not path.arrows:
-        return PathVector.zero(f)
-    acc = PathVector.zero(f)
+    acc = {}
     q = kx.quiver
     for k, a in enumerate(path.arrows):
         val = gamma.values[a]
@@ -395,8 +391,9 @@ def derivation_on_word(kx, gamma, path):
             continue
         prefix = PathVector.single(f, _subpath(q, path, 0, k))
         suffix = PathVector.single(f, _subpath(q, path, k + 1, len(path.arrows)))
-        acc = acc + kx.rs.multiply(kx.rs.multiply(prefix, val), suffix)
-    return acc
+        for w, c in kx.rs.multiply(kx.rs.multiply(prefix, val), suffix).terms.items():
+            acc[w] = f.add(acc.get(w, f.zero), c)
+    return PathVector(f, acc)
 
 
 def _subpath(quiver, path, start, stop):
@@ -410,10 +407,11 @@ def _subpath(quiver, path, start, stop):
 
 def derivation_on_element(kx, gamma, vec):
     f = kx.field
-    acc = PathVector.zero(f)
+    acc = {}
     for path, coeff in vec.terms.items():
-        acc = acc + derivation_on_word(kx, gamma, path).scale(coeff)
-    return acc
+        for w, c in derivation_on_word(kx, gamma, path).terms.items():
+            acc[w] = f.add(acc.get(w, f.zero), f.mul(c, coeff))
+    return PathVector(f, acc)
 
 
 def derivation_lift(kx, gamma, M):

@@ -78,6 +78,7 @@ class KoszulComplex:
         self.comult = ComultTable(self.quiver, self.cobasis, self.field)
         self._diff_cache = {}
         self._diag_cache = {}
+        self._bar_tuples = {}  # n -> composable n-tuples of words (bracket.bar_tuples)
 
     # -- basic accessors ------------------------------------------------------
 

@@ -187,12 +187,13 @@ def test_criterion_8_bar_oracle(family8, record_criterion):
     start = time.time()
     r11 = oracle_compare(family8, 1, 1)
     r12 = oracle_compare(family8, 1, 2)
+    r22 = oracle_compare(family8, 2, 2)
     elapsed = time.time() - start
     ok = record_criterion(
         "criterion 8: bar-side brackets agree with lifting-side brackets "
-        "in degrees (1,1) and (1,2)",
-        r11.ok and r12.ok,
-        f"{len(r11.pairs)} + {len(r12.pairs)} pairs in {elapsed:.1f}s")
+        "in degrees (1,1), (1,2) and (2,2)",
+        r11.ok and r12.ok and r22.ok and len(r22.pairs) == 400,
+        f"{len(r11.pairs)} + {len(r12.pairs)} + {len(r22.pairs)} pairs in {elapsed:.1f}s")
     assert ok
 
 

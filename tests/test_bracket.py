@@ -7,14 +7,16 @@ from koszulgerst.bracket import (bar_circle_bracket, bar_circle_product,
                                  bracket_via_lifting, maurer_cartan_check,
                                  oracle_compare, restrict_along_iota, BarCochain)
 from koszulgerst.cohomology import Cochain, coboundary, same_class
-from koszulgerst.errors import CharacteristicTwo, InfiniteDimensional
+from koszulgerst.errors import CharacteristicTwo, CochainError, InfiniteDimensional
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.lifting import derivation_lift, solve_lifting
+from koszulgerst.linalg import Matrix, nullspace_basis
 from koszulgerst.presets import (family_deriv_eta, family_named_cocycles,
                                  family_psi_chi, family_psi_chibar, family_psi_eta,
                                  family_psi_etabar, family_table1, family_table2,
                                  family_table3, short_goldens)
 from koszulgerst.quiver import Path, PathVector
+from test_generic_algebra import zigzag_complex
 
 
 def golden_liftings(kx):
@@ -249,3 +251,181 @@ def test_slot_formula_for_length_one_pairs(family8):
                 expected_values.append(acc)
             got = bracket_via_lifting(family8, eta, theta, psi_eta, psi_theta)
             assert got.values == expected_values
+
+
+def test_maurer_cartan_rejects_other_degrees(family8):
+    eta = family_named_cocycles(family8)["eta"]
+    with pytest.raises(CochainError):
+        maurer_cartan_check(family8, eta, solve_lifting(family8, eta, 3))
+
+
+# -- independent references for the bar side -----------------------------------
+#
+# bar_cocycle_basis fills the delta* matrix in one sweep over (n+1)-tuples and
+# bar_circle_product reads F o G off the supports of F and G.  The references
+# below are the direct definitions: delta* F evaluated on every composable
+# (n+1)-tuple, the kernel built one coordinate column at a time, and F o G
+# evaluated on every composable tuple.
+
+
+def _evaluate_tuple(F, words):
+    """F on a tuple of Lambda elements (PathVectors), multilinearly."""
+    f = F.kx.field
+    stack = [((), f.one)]
+    for vec in words:
+        stack = [(prefix + (path,), f.mul(coeff, c))
+                 for prefix, coeff in stack for path, c in vec.terms.items()]
+    acc = PathVector.zero(f)
+    for key, coeff in stack:
+        val = F.value(key)
+        if val is not None:
+            acc = acc + val.scale(coeff)
+    return acc
+
+
+def _singles(f, words):
+    return tuple(PathVector.single(f, w) for w in words)
+
+
+def bar_coboundary(F):
+    """delta* F: the Hochschild differential on the reduced bar complex."""
+    kx = F.kx
+    f = kx.field
+    n = F.degree
+    minus = f.neg(f.one)
+    out = {}
+    for tup in bar_tuples(kx, n + 1):
+        acc = PathVector.zero(f)
+        head = F.value(tup[1:])
+        if head is not None:
+            acc = acc + kx.rs.multiply(PathVector.single(f, tup[0]), head)
+        for i in range(n):
+            merged = kx.rs.multiply(PathVector.single(f, tup[i]),
+                                    PathVector.single(f, tup[i + 1]))
+            inner = _evaluate_tuple(F, _singles(f, tup[:i]) + (merged,)
+                                    + _singles(f, tup[i + 2:]))
+            acc = acc + inner.scale(minus if (i + 1) % 2 else f.one)
+        tail = F.value(tup[:-1])
+        if tail is not None:
+            acc = acc + kx.rs.multiply(tail, PathVector.single(f, tup[-1])).scale(
+                minus if (n + 1) % 2 else f.one)
+        out[tup] = acc
+    return BarCochain(kx, n + 1, out)
+
+
+def _bar_coords(kx, n, shift):
+    """[(tuple, value word)] with |value| = sum |w_i| + shift."""
+    coords = []
+    for tup in bar_tuples(kx, n):
+        ell = sum(len(w.arrows) for w in tup) + shift
+        if ell >= 0:
+            coords.extend((tup, w) for w in kx.rs.basis_words(
+                ell, o=tup[0].o, t=kx.quiver.path_target(tup[-1])))
+    return coords
+
+
+def reference_bar_cocycle_basis(kx, n):
+    """The kernel of delta*, one bar_coboundary per source coordinate."""
+    f = kx.field
+    max_len = 0
+    while kx.rs.basis_words(max_len + 1):
+        max_len += 1
+    basis = []
+    for shift in range(-n * max_len, max_len + 1):
+        src = _bar_coords(kx, n, shift)
+        if not src:
+            continue
+        dst_index = {key: k for k, key in enumerate(_bar_coords(kx, n + 1, shift))}
+        entries = {}
+        for col, (tup, w) in enumerate(src):
+            dF = bar_coboundary(BarCochain(kx, n, {tup: PathVector.single(f, w)}))
+            for key, vec in dF.values.items():
+                for path, c in vec.terms.items():
+                    entry = (dst_index[(key, path)], col)
+                    entries[entry] = f.add(entries.get(entry, f.zero), c)
+        for vec in nullspace_basis(Matrix(f, len(dst_index), len(src), entries)):
+            values = {}
+            for (tup, w), c in zip(src, vec):
+                values[tup] = values.get(tup, PathVector.zero(f)) + PathVector.single(f, w, c)
+            basis.append(BarCochain(kx, n, values))
+    return basis
+
+
+def reference_circle_product(F, G):
+    """F o G evaluated on every composable (m+n-1)-tuple."""
+    kx = F.kx
+    f = kx.field
+    m, n = F.degree, G.degree
+    out = {}
+    for tup in bar_tuples(kx, m + n - 1):
+        acc = PathVector.zero(f)
+        for j in range(1, m + 1):
+            inner = G.value(tup[j - 1:j - 1 + n])
+            if inner is not None:
+                value = _evaluate_tuple(F, _singles(f, tup[:j - 1]) + (inner,)
+                                        + _singles(f, tup[j - 1 + n:]))
+                acc = acc + value.scale(f.one if ((n - 1) * (j - 1)) % 2 == 0
+                                        else f.neg(f.one))
+        out[tup] = acc
+    return BarCochain(kx, m + n - 1, out)
+
+
+def test_bar_cocycle_basis_matches_per_coordinate_reference(family8, family8_f5):
+    for kx in (family8, family8_f5, zigzag_complex()):
+        for n in (1, 2):
+            got = bar_cocycle_basis(kx, n)
+            ref = reference_bar_cocycle_basis(kx, n)
+            assert len(got) == len(ref)
+            for F, G in zip(got, ref):  # the same vectors in the same order
+                assert F.degree == G.degree == n
+                assert F.values == G.values
+
+
+def test_bar_cocycle_dimensions_and_degree_3_closure(family8):
+    bases = [bar_cocycle_basis(family8, n) for n in (1, 2, 3)]
+    assert [len(b) for b in bases] == [6, 20, 71]
+    assert len(bar_tuples(family8, 3)) == 107
+    for F in bases[2]:
+        assert bar_coboundary(F).values == {}
+
+
+def test_bar_cocycle_basis_rejects_degree_0(family8):
+    with pytest.raises(CochainError):
+        bar_cocycle_basis(family8, 0)
+
+
+def test_bar_tuples_memo_is_immutable_and_survives_the_oracle(family8):
+    before = {n: bar_tuples(family8, n) for n in (1, 2, 3)}
+    copies = {n: list(tuples) for n, tuples in before.items()}
+    assert oracle_compare(family8, 1, 2, max_pairs=5).ok
+    for n, tuples in before.items():
+        assert isinstance(tuples, tuple)
+        assert bar_tuples(family8, n) is tuples
+        assert list(tuples) == copies[n]
+
+
+def test_bar_circle_product_matches_tuple_enumeration(family8_f5):
+    for kx in (family8_f5, zigzag_complex()):
+        bases = {n: bar_cocycle_basis(kx, n) for n in (1, 2)}
+        for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for F in bases[m]:
+                for G in bases[n]:
+                    got = bar_circle_product(F, G)
+                    assert got.degree == m + n - 1
+                    assert got.values == reference_circle_product(F, G).values
+
+
+def test_bar_circle_product_skips_tuples_that_do_not_compose(family8):
+    # G(c) = a is not pinned to the ends of c, so inserting it into F(a, c)
+    # would ask for the tuple (c, c), which does not compose
+    f = QQ
+    a, c = Path(0, (0,)), Path(0, (2,))
+    F = BarCochain(family8, 2, {(a, c): PathVector.single(f, c)})
+    G = BarCochain(family8, 1, {(c,): PathVector.single(f, a)})
+    assert reference_circle_product(F, G).values == {}
+    assert bar_circle_product(F, G).values == {}
+
+
+def test_oracle_degree_1_3_over_prime_field(family8_f5):
+    report = oracle_compare(family8_f5, 1, 3)
+    assert report.ok and len(report.pairs) == 426

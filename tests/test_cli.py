@@ -226,3 +226,31 @@ def test_cli_lift_of_degree_0_exits_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "degree-0" in err
     assert "Traceback" not in err
+
+
+def test_cli_non_prime_field_exits_2(capsys):
+    assert main(["basis", "--preset", "family", "--q", "1", "--field", "F9", "-N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "9 is not prime" in err
+    assert "Traceback" not in err
+    # a prime past 2**31 is refused before any trial division
+    assert main(["basis", "--preset", "family", "--q", "1",
+                 "--field", f"F{2**127 - 1}", "-N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large" in err
+
+
+def test_cli_algebra_file_over_non_prime_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "family_f4.alg"
+    path.write_text(FAMILY_FILE.replace("field Q", "field F4"))
+    assert main(["basis", "--algebra", str(path), "-N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4 is not prime" in err
+    assert "Traceback" not in err
+
+
+def test_cli_bar_engine_of_degree_0_exits_2(capsys):
+    assert main(["bracket", "--preset", "family", "--q", "1", "--engine", "bar",
+                 "--left-degree", "0", "--right-degree", "1", "-N", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "degree 1" in err
