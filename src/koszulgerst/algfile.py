@@ -17,7 +17,7 @@ syntax extended with ``e<vertex>`` idempotent atoms and ``0``.
 
 import re
 
-from .errors import NonQuadraticRelation, ParseError
+from .errors import KoszulGerstError, NonQuadraticRelation, ParseError
 from .fields import field_from_name
 from .quiver import Path, PathVector, QuadraticPresentation, Quiver
 
@@ -40,7 +40,10 @@ def parse_presentation(text, field_override=None):
         if head == "field":
             if field is not None:
                 raise ParseError("duplicate field declaration", lineno)
-            field = field_from_name(rest)
+            try:
+                field = field_from_name(rest)
+            except KoszulGerstError as exc:
+                raise ParseError(str(exc), lineno) from exc
         elif head == "vertex":
             if not rest or " " in rest:
                 raise ParseError("vertex wants exactly one name", lineno)

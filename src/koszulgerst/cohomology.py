@@ -97,16 +97,16 @@ class Cochain:
 
     def evaluate(self, x):
         """Value on a bimodule element: u . eps_i . v  ->  u lambda_i v."""
-        kx = self.kx
-        f = kx.field
-        acc = PathVector.zero(f)
+        f = self.kx.field
+        word_product = self.kx.rs.word_product
+        acc = {}
         for (u, i, v), coeff in x.terms.items():
-            if self.values[i].is_zero():
-                continue
-            prod = kx.rs.multiply(PathVector.single(f, u), self.values[i])
-            prod = kx.rs.multiply(prod, PathVector.single(f, v))
-            acc = acc + prod.scale(coeff)
-        return acc
+            for w, cw in self.values[i].terms.items():
+                cw = f.mul(coeff, cw)
+                for uw, cu in word_product(u, w).terms.items():
+                    for p, cp in word_product(uw, v).terms.items():
+                        acc[p] = f.add(acc.get(p, f.zero), f.mul(cw, f.mul(cu, cp)))
+        return PathVector(f, acc)
 
     def format(self):
         return "(" + ", ".join(v.format(self.kx.quiver) for v in self.values) + ")"
@@ -174,17 +174,17 @@ def _coboundary_matrix(kx, n, ell):
     dst_index = {key: k for k, key in enumerate(dst)}
     f = kx.field
     entries = {}
+    word_product = kx.rs.word_product
     for col, (i, w) in enumerate(src):
-        wvec = PathVector.single(f, w)
         for r in range(kx.count(n + 1)):
             for (u, j, v), coeff in kx._diff_eps(n + 1, r).terms.items():
                 if j != i:
                     continue
-                prod = kx.rs.multiply(PathVector.single(f, u), wvec)
-                prod = kx.rs.multiply(prod, PathVector.single(f, v))
-                for path, c in prod.terms.items():
-                    key = (dst_index[(r, path)], col)
-                    entries[key] = f.add(entries.get(key, f.zero), f.mul(coeff, c))
+                for uw, cu in word_product(u, w).terms.items():
+                    for path, c in word_product(uw, v).terms.items():
+                        key = (dst_index[(r, path)], col)
+                        entries[key] = f.add(entries.get(key, f.zero),
+                                             f.mul(coeff, f.mul(cu, c)))
     return Matrix(f, len(dst), len(src), entries), src, dst
 
 
@@ -264,9 +264,9 @@ def cup_product(eta, theta):
     f = kx.field
     values = []
     for j in range(kx.count(n + m)):
-        acc = PathVector.zero(f)
+        acc = {}
         for (p, q), c in kx.c(n + m, j, n).items():
-            prod = kx.rs.multiply(eta.values[p], theta.values[q])
-            acc = acc + prod.scale(c)
-        values.append(acc)
+            for w, cw in kx.rs.multiply(eta.values[p], theta.values[q]).terms.items():
+                acc[w] = f.add(acc.get(w, f.zero), f.mul(cw, c))
+        values.append(PathVector(f, acc))
     return Cochain(kx, n + m, values)

@@ -116,12 +116,14 @@ def _intersect(field, span_u, span_v, order_key):
     A = Matrix(field, len(support), nu + nv, entries)
     vectors = []
     for ker in nullspace_basis(A):
-        acc = PathVector.zero(field)
+        acc = {}
         for j in range(nu):
             if ker[j] != field.zero:
-                acc = acc + span_u[j].scale(ker[j])
-        if not acc.is_zero():
-            vectors.append(acc)
+                for path, c in span_u[j].terms.items():
+                    acc[path] = field.add(acc.get(path, field.zero), field.mul(c, ker[j]))
+        vec = PathVector(field, acc)
+        if not vec.is_zero():
+            vectors.append(vec)
     return _echelonize_block(field, vectors, order_key) if vectors else []
 
 

@@ -18,7 +18,7 @@ solve raises NoSolution rather than falling back.
 from typing import NamedTuple
 
 from .errors import CochainError, NoSolution
-from .linalg import Matrix, solve_affine_system
+from .linalg import _nullspace_from_rref, _rref
 from .quiver import PathVector
 from .resolution import BimoduleElement
 
@@ -88,25 +88,77 @@ def _vertex_unit(kx, v):
     return PathVector.single(kx.field, kx.quiver.vertex_path(v))
 
 
-def lifting_ansatz(kx, m, r, n, ell):
-    """Candidate terms (u, j, v) with |u| + |v| = ell - 1 and matching vertices."""
+def lifting_ansatz(kx, k, ell, o, t):
+    """Candidate terms (u, j, v) of K_k with |u| + |v| = ell - 1, u from o and v to t."""
     if ell is None or ell < 1:
         return []
-    k = m - n + 1
-    o_r, t_r = kx.cobasis.o(m, r)
     out = []
     for j in range(kx.count(k)):
         o_j, t_j = kx.cobasis.o(k, j)
         for lu in range(ell):
             lv = ell - 1 - lu
-            us = kx.rs.basis_words(lu, o=o_r, t=o_j)
+            us = kx.rs.basis_words(lu, o=o, t=o_j)
             if not us:
                 continue
-            vs = kx.rs.basis_words(lv, o=t_j, t=t_r)
+            vs = kx.rs.basis_words(lv, o=t_j, t=t)
             for u in us:
                 for v in vs:
                     out.append((u, j, v))
     return out
+
+
+class _LiftingSystem(NamedTuple):
+    """d restricted to one ansatz span, eliminated once.
+
+    `index` numbers the keys of the ansatz columns' differentials (the
+    equations).  The RREF of [A | I] gives the pivot columns and a transform
+    T with T A reduced; T is stored by column, `transform[eq]` listing the
+    (i, T[i][eq]) entries.  For a right-hand side b, (T b)[i] with i < rank
+    is the canonical solution's value at ansatz column `pivots[i]`, and a
+    nonzero (T b)[i] with i >= rank means d x = b has no solution.
+    """
+
+    ansatz: list
+    index: dict
+    pivots: list
+    transform: list
+    nullspace: list  # canonical RREF kernel basis, as BimoduleElements
+
+
+def _lifting_system(kx, k, ell, o, t):
+    """The lifting system of the ansatz (k, ell, o, t), built once per complex.
+
+    It depends on neither the cocycle nor the generator being lifted, only
+    on the target degree, the internal degree and the vertex pair, so every
+    lifting and derivation operator solved on kx shares it.
+    """
+    key = (k, ell, o, t)
+    got = kx._lifting_systems.get(key)
+    if got is not None:
+        return got
+    f = kx.field
+    ansatz = lifting_ansatz(kx, k, ell, o, t)
+    ncols = len(ansatz)
+    index = {}
+    equations = []
+    for j, term in enumerate(ansatz):
+        for eq, c in kx.differential(BimoduleElement(f, k, {term: f.one})).terms.items():
+            row = index.get(eq)
+            if row is None:
+                row = index[eq] = len(equations)
+                equations.append({ncols + row: f.one})
+            equations[row][j] = c
+    pivots = _rref(equations, ncols + len(equations), f, naug=len(equations))
+    transform = [[] for _ in equations]
+    for i, row in enumerate(equations):
+        for col, c in row.items():
+            if col >= ncols:
+                transform[col - ncols].append((i, c))
+    nullspace = [BimoduleElement(f, k, zip(ansatz, vec))
+                 for vec in _nullspace_from_rref(equations, pivots, ncols, f)]
+    got = kx._lifting_systems[key] = _LiftingSystem(ansatz, index, pivots, transform,
+                                                    nullspace)
+    return got
 
 
 def _solve_images(kx, m, n, ell, target, what, nullspaces=None):
@@ -124,27 +176,26 @@ def _solve_images(kx, m, n, ell, target, what, nullspaces=None):
         if ell is None:
             images.append(BimoduleElement(f, k))
             continue
-        rhs = target(r)
-        ansatz = lifting_ansatz(kx, m, r, n, ell)
-        columns = [kx.differential(BimoduleElement(f, k, {key: f.one})) for key in ansatz]
-        index = {}
-        for x in columns + [rhs]:
-            for key in x.terms:
-                index.setdefault(key, len(index))
-        entries = {(index[key], j): c
-                   for j, col in enumerate(columns) for key, c in col.terms.items()}
-        b = [f.zero] * len(index)
-        for key, c in rhs.terms.items():
-            b[index[key]] = c
-        sol = solve_affine_system(Matrix(f, len(index), len(columns), entries), b)
-        if sol is None:
+        system = _lifting_system(kx, k, ell, *kx.cobasis.o(m, r))
+        index, transform = system.index, system.transform
+        tb = {}
+        for key, b in target(r).terms.items():
+            eq = index.get(key)
+            if eq is None:
+                tb = None
+                break
+            for i, c in transform[eq]:
+                tb[i] = f.add(tb.get(i, f.zero), f.mul(c, b))
+        rank = len(system.pivots)
+        if tb is None or any(i >= rank and c != f.zero for i, c in tb.items()):
             raise NoSolution(
                 f"no {what} at degree {m}, generator {r}: input is not a "
                 f"cocycle or the resolution data is corrupted")
-        images.append(BimoduleElement(f, k, zip(ansatz, sol.particular)))
+        images.append(BimoduleElement(
+            f, k, ((system.ansatz[col], tb[i])
+                   for i, col in enumerate(system.pivots) if i in tb)))
         if nullspaces is not None:
-            nullspaces[(m, r)] = [BimoduleElement(f, k, zip(ansatz, vec))
-                                  for vec in sol.nullspace]
+            nullspaces[(m, r)] = list(system.nullspace)
     return images
 
 
@@ -189,13 +240,13 @@ def lifting_residual(kx, eta, lifting, m, r):
     img = lifting.image(m, r)  # lives in K_{m-n+1}, degree >= 1 whenever m >= n
     first = (kx.differential(img) if not img.is_zero()
              else BimoduleElement.zero(f, m - n))
-    second = lifting.apply(kx._diff_eps(m, r)).scale(sign)
+    second = lifting.apply(kx._diff_eps(m, r))
     target = lifting_rhs(kx, eta, m, r)
-    res = BimoduleElement.zero(f, m - n)
-    for part, s in ((first, f.one), (second, f.neg(f.one)), (target, f.neg(f.one))):
-        if not part.is_zero():
-            res = res + part.scale(s)
-    return res
+    res = {}
+    for part, s in ((first, f.one), (second, f.neg(sign)), (target, f.neg(f.one))):
+        for key, c in part.terms.items():
+            res[key] = f.add(res.get(key, f.zero), f.mul(c, s))
+    return BimoduleElement(f, m - n, res)
 
 
 def verify_lifting(kx, eta, lifting, M):

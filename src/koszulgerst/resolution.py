@@ -79,6 +79,7 @@ class KoszulComplex:
         self._diff_cache = {}
         self._diag_cache = {}
         self._bar_tuples = {}  # n -> composable n-tuples of words (bracket.bar_tuples)
+        self._lifting_systems = {}  # (k, ell, o, t) -> lifting._LiftingSystem
 
     # -- basic accessors ------------------------------------------------------
 
@@ -110,8 +111,19 @@ class KoszulComplex:
         return BimoduleElement(f, x.degree, out)
 
     def sandwich_words(self, u, x, v):
-        f = self.field
-        return self.sandwich(PathVector.single(f, u), x, PathVector.single(f, v))
+        """u . x . v for normal words u, v."""
+        f, word_product = self.field, self.rs.word_product
+        out = {}
+        for (u0, i, v0), coeff in x.terms.items():
+            new_u = word_product(u, u0).terms
+            if not new_u:
+                continue
+            new_v = word_product(v0, v).terms
+            for up, uc in new_u.items():
+                for vp, vc in new_v.items():
+                    key = (up, i, vp)
+                    out[key] = f.add(out.get(key, f.zero), f.mul(coeff, f.mul(uc, vc)))
+        return BimoduleElement(f, x.degree, out)
 
     # -- differential ----------------------------------------------------------
 
@@ -148,11 +160,11 @@ class KoszulComplex:
         if x.degree != 0:
             raise DegreeUnderflow("augment only applies in degree 0")
         f = self.field
-        acc = PathVector.zero(f)
+        acc = {}
         for (u, i, v), coeff in x.terms.items():
-            acc = acc + self.rs.multiply(PathVector.single(f, u),
-                                         PathVector.single(f, v)).scale(coeff)
-        return acc
+            for w, c in self.rs.word_product(u, v).terms.items():
+                acc[w] = f.add(acc.get(w, f.zero), f.mul(c, coeff))
+        return PathVector(f, acc)
 
     # -- diagonal ----------------------------------------------------------------
 
@@ -198,8 +210,7 @@ class KoszulComplex:
         for word, coeff in bar.terms.items():
             for k in range(len(word) - 1):
                 sign = f.one if k % 2 == 0 else f.neg(f.one)
-                prod = self.rs.multiply(PathVector.single(f, word[k]),
-                                        PathVector.single(f, word[k + 1]))
+                prod = self.rs.word_product(word[k], word[k + 1])
                 for path, pc in prod.terms.items():
                     merged = word[:k] + (path,) + word[k + 2:]
                     out[merged] = f.add(out.get(merged, f.zero), f.mul(coeff, f.mul(sign, pc)))
@@ -259,8 +270,8 @@ class KoszulComplex:
         for (dl, u, p, w, q, v), coeff in self.diag_t2(n, r).terms.items():
             if dl >= 1:
                 for (u2, p2, v2), c2 in self._diff_eps(dl, p).terms.items():
-                    uu = self.rs.multiply(PathVector.single(f, u), PathVector.single(f, u2))
-                    ww = self.rs.multiply(PathVector.single(f, v2), PathVector.single(f, w))
+                    uu = self.rs.word_product(u, u2)
+                    ww = self.rs.word_product(v2, w)
                     for up, uc in uu.terms.items():
                         for wp, wc in ww.terms.items():
                             key = (dl - 1, up, p2, wp, q, v)
@@ -270,8 +281,8 @@ class KoszulComplex:
             if dr >= 1:
                 sign = f.one if dl % 2 == 0 else f.neg(f.one)
                 for (u2, q2, v2), c2 in self._diff_eps(dr, q).terms.items():
-                    ww = self.rs.multiply(PathVector.single(f, w), PathVector.single(f, u2))
-                    vv = self.rs.multiply(PathVector.single(f, v2), PathVector.single(f, v))
+                    ww = self.rs.word_product(w, u2)
+                    vv = self.rs.word_product(v2, v)
                     for wp, wc in ww.terms.items():
                         for vp, vc in vv.terms.items():
                             key = (dl, u, p, wp, q2, vp)
@@ -286,8 +297,8 @@ class KoszulComplex:
         out = {}
         for (u, i, v), coeff in x.terms.items():
             for (dl, u0, p, w, q, v0), c in self.diag_t2(x.degree, i).terms.items():
-                uu = self.rs.multiply(PathVector.single(f, u), PathVector.single(f, u0))
-                vv = self.rs.multiply(PathVector.single(f, v0), PathVector.single(f, v))
+                uu = self.rs.word_product(u, u0)
+                vv = self.rs.word_product(v0, v)
                 for up, uc in uu.terms.items():
                     for vp, vc in vv.terms.items():
                         key = (dl, up, p, w, q, vp)
@@ -323,21 +334,24 @@ class KoszulComplex:
 
     def _check_counit(self, N, checked, failures):
         f = self.field
+
+        def add(acc, x, coeff):
+            for key, c in x.terms.items():
+                acc[key] = f.add(acc.get(key, f.zero), f.mul(c, coeff))
+
         for n in range(0, N + 1):
             for r in range(self.count(n)):
-                left = BimoduleElement(f, n)
-                right = BimoduleElement(f, n)
+                left, right = {}, {}
                 for (dl, u, p, w, q, v), coeff in self.diag_t2(n, r).terms.items():
                     if dl == 0:
-                        word = self.rs.multiply(PathVector.single(f, u),
-                                                PathVector.single(f, w))
-                        left = left + self.sandwich(
-                            word, self.eps(n, q), PathVector.single(f, v)).scale(coeff)
+                        for uw, c in self.rs.word_product(u, w).terms.items():
+                            add(left, self.sandwich_words(uw, self.eps(n, q), v),
+                                f.mul(coeff, c))
                     if n - dl == 0:
-                        word = self.rs.multiply(PathVector.single(f, w),
-                                                PathVector.single(f, v))
-                        right = right + self.sandwich(
-                            PathVector.single(f, u), self.eps(n, p), word).scale(coeff)
+                        for wv, c in self.rs.word_product(w, v).terms.items():
+                            add(right, self.sandwich_words(u, self.eps(n, p), wv),
+                                f.mul(coeff, c))
+                left, right = BimoduleElement(f, n, left), BimoduleElement(f, n, right)
                 target = self.eps(n, r)
                 if left != target:
                     failures.append(("(mu ox 1)Delta = id", n, r, left.format(self.quiver)))

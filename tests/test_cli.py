@@ -249,6 +249,15 @@ def test_cli_algebra_file_over_non_prime_field_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_bad_field_line_reports_its_line(tmp_path, capsys):
+    path = tmp_path / "f4.alg"
+    path.write_text("field F4\nvertex 1\narrow x 1 1\nrelation x.x\n")
+    assert main(["basis", "--algebra", str(path), "-N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 1" in err and "4 is not prime" in err
+    assert "Traceback" not in err
+
+
 def test_cli_bar_engine_of_degree_0_exits_2(capsys):
     assert main(["bracket", "--preset", "family", "--q", "1", "--engine", "bar",
                  "--left-degree", "0", "--right-degree", "1", "-N", "4"]) == 2

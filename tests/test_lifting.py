@@ -2,19 +2,22 @@
 
 import pytest
 
-from koszulgerst.cohomology import Cochain, coboundary
+from koszulgerst import lifting
+from koszulgerst.cohomology import Cochain, coboundary, cocycle_space
 from koszulgerst.errors import NoSolution
 from koszulgerst.fields import QQ
 from koszulgerst.lifting import (closed_form_conditions, derivation_lift,
                                  derivation_on_word, solve_lifting,
                                  verify_derivation, verify_lifting)
+from koszulgerst.linalg import Matrix, solve_affine_system
 from koszulgerst.presets import (cochain, family_deriv_chi, family_deriv_eta,
                                  family_named_cocycles, family_psi_chi,
                                  family_psi_chibar, family_psi_eta,
                                  family_psi_etabar, family_table1, family_table2,
                                  load_complex, short_goldens)
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver
-from koszulgerst.resolution import KoszulComplex
+from koszulgerst.resolution import BimoduleElement, KoszulComplex
+from test_generic_algebra import zigzag_complex
 
 
 def test_short_golden_liftings_verify(short8):
@@ -207,3 +210,135 @@ def test_lifting_choice_independence_on_bracket_class(family8):
             assert same_class(got, reference)
             moved = True
     assert moved
+
+
+# -- the cached lifting systems against the per-generator solve -----------------
+
+
+def _reference_ansatz(kx, m, r, n, ell):
+    """Candidate terms (u, j, v) with |u| + |v| = ell - 1 and matching vertices."""
+    if ell is None or ell < 1:
+        return []
+    k = m - n + 1
+    o_r, t_r = kx.cobasis.o(m, r)
+    out = []
+    for j in range(kx.count(k)):
+        o_j, t_j = kx.cobasis.o(k, j)
+        for lu in range(ell):
+            us = kx.rs.basis_words(lu, o=o_r, t=o_j)
+            vs = kx.rs.basis_words(ell - 1 - lu, o=t_j, t=t_r)
+            out += [(u, j, v) for u in us for v in vs]
+    return out
+
+
+def _reference_solve_images(kx, m, n, ell, target, what, nullspaces=None):
+    """One ansatz, one column set and one affine solve per generator."""
+    f = kx.field
+    k = m - n + 1
+    images = []
+    for r in range(kx.count(m)):
+        if ell is None:
+            images.append(BimoduleElement(f, k))
+            continue
+        rhs = target(r)
+        ansatz = _reference_ansatz(kx, m, r, n, ell)
+        columns = [kx.differential(BimoduleElement(f, k, {key: f.one})) for key in ansatz]
+        index = {}
+        for x in columns + [rhs]:
+            for key in x.terms:
+                index.setdefault(key, len(index))
+        entries = {(index[key], j): c
+                   for j, col in enumerate(columns) for key, c in col.terms.items()}
+        b = [f.zero] * len(index)
+        for key, c in rhs.terms.items():
+            b[index[key]] = c
+        sol = solve_affine_system(Matrix(f, len(index), len(columns), entries), b)
+        if sol is None:
+            raise NoSolution(
+                f"no {what} at degree {m}, generator {r}: input is not a "
+                f"cocycle or the resolution data is corrupted")
+        images.append(BimoduleElement(f, k, zip(ansatz, sol.particular)))
+        if nullspaces is not None:
+            nullspaces[(m, r)] = [BimoduleElement(f, k, zip(ansatz, vec))
+                                  for vec in sol.nullspace]
+    return images
+
+
+def _in_order(maps):
+    """Images or nullspaces with every term, in dict order."""
+    return [(key, [list(x.terms.items()) for x in xs]) for key, xs in maps.items()]
+
+
+def _cached_and_reference(monkeypatch, solve):
+    cached = solve()
+    with monkeypatch.context() as patch:
+        patch.setattr(lifting, "_solve_images", _reference_solve_images)
+        reference = solve()
+    return cached, reference
+
+
+def _golden_cocycles(kx):
+    return family_table2(kx) + family_table1(kx)
+
+
+@pytest.mark.parametrize("fixture", ["family8", "family8_f5", "zigzag"])
+def test_cached_lifting_matches_per_generator_solve(fixture, request, monkeypatch):
+    if fixture == "zigzag":
+        kx = zigzag_complex()
+        cocycles = [cocycle_space(kx, 1).cocycles[0], cocycle_space(kx, 2).cocycles[0]]
+    else:
+        kx = request.getfixturevalue(fixture)
+        cocycles = _golden_cocycles(kx)
+    for eta in cocycles:
+        cached, reference = _cached_and_reference(
+            monkeypatch, lambda: solve_lifting(kx, eta, 4, collect_nullspaces=True))
+        assert _in_order(cached.maps) == _in_order(reference.maps)
+        assert _in_order(cached.nullspaces) == _in_order(reference.nullspaces)
+        assert verify_lifting(kx, eta, cached, 4) == []
+
+
+@pytest.mark.parametrize("fixture", ["family8", "family8_f5", "zigzag"])
+def test_cached_derivation_lift_matches_per_generator_solve(fixture, request, monkeypatch):
+    if fixture == "zigzag":
+        kx = zigzag_complex()
+        cocycles = cocycle_space(kx, 1).cocycles
+    else:
+        kx = request.getfixturevalue(fixture)
+        cocycles = family_table2(kx)
+    for gamma in cocycles:
+        cached, reference = _cached_and_reference(
+            monkeypatch, lambda: derivation_lift(kx, gamma, 4))
+        assert _in_order(cached.maps) == _in_order(reference.maps)
+
+
+def test_cached_solve_names_the_failing_generator(family8, monkeypatch):
+    bad = cochain(family8, 1, ["b", 0, 0])
+    errors = []
+    for solve_images in (lifting._solve_images, _reference_solve_images):
+        monkeypatch.setattr(lifting, "_solve_images", solve_images)
+        with pytest.raises(NoSolution, match=r"no lifting at degree \d+, generator \d+") as exc:
+            solve_lifting(family8, bad, 3)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+def test_lifting_systems_built_once_per_complex(monkeypatch):
+    kx = load_complex("family", QQ, 5, q=1)
+    assert kx._lifting_systems == {}
+    builds = []
+
+    def counted_ansatz(*args):
+        builds.append(args[1:])
+        return ansatz(*args)
+
+    ansatz = lifting.lifting_ansatz
+    monkeypatch.setattr(lifting, "lifting_ansatz", counted_ansatz)
+    eta, b = family_table2(kx)[0], family_table2(kx)[2]  # both internal degree 1
+    solve_lifting(kx, eta, 4)
+    systems = dict(kx._lifting_systems)
+    assert systems and len(builds) == len(systems)
+    solve_lifting(kx, b, 4)
+    derivation_lift(kx, eta, 4)
+    assert len(builds) == len(systems)
+    assert kx._lifting_systems.keys() == systems.keys()
+    assert all(kx._lifting_systems[key] is system for key, system in systems.items())

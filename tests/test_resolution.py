@@ -151,6 +151,19 @@ def test_differential_of_zero_and_linearity(family8, rng):
         assert lhs == rhs
 
 
+def test_sandwich_words_matches_sandwich(family8, rng):
+    # sandwich_words multiplies words directly; sandwich wraps them as vectors
+    f = family8.field
+    words = [w for ell in range(3) for w in family8.rs.basis_words(ell)]
+    for _ in range(40):
+        n = rng.randrange(0, 5)
+        x = family8._diff_eps(n + 1, rng.randrange(family8.count(n + 1)))
+        u, v = rng.choice(words), rng.choice(words)
+        got = family8.sandwich_words(u, x, v)
+        want = family8.sandwich(PathVector.single(f, u), x, PathVector.single(f, v))
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_augment_and_underflow(family8):
     x = family8.sandwich_words(Path(0, (1,)), family8.eps(0, 0), Path(0, (0,)))
     assert family8.augment(x) == PathVector.single(QQ, Path(0, (1, 0)))

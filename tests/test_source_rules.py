@@ -16,3 +16,51 @@ def test_no_assert_statements_in_the_package():
                   if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py")), "package source not found"
     assert found == []
+
+
+def _is_scale_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "scale")
+
+
+def quadratic_accumulations(tree):
+    """Lines of `x = x + <...>.scale(...)` or `x += <...>.scale(...)` in a loop."""
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and isinstance(node.value, ast.BinOp)
+                    and isinstance(node.value.op, ast.Add)
+                    and isinstance(node.value.left, ast.Name)
+                    and node.value.left.id == node.targets[0].id
+                    and _is_scale_call(node.value.right)):
+                found.add(node.lineno)
+            elif (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                  and isinstance(node.target, ast.Name) and _is_scale_call(node.value)):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_rule_spots_quadratic_accumulation():
+    tree = ast.parse("acc = zero\n"
+                     "for x, c in pairs:\n"
+                     "    acc = acc + x.scale(c)\n"
+                     "    other += x.scale(c)\n"
+                     "    acc = acc + x\n"
+                     "total = total + x.scale(c)\n")
+    assert quadratic_accumulations(tree) == [3, 4]
+
+
+def test_no_quadratic_accumulation_in_the_package():
+    # each `acc = acc + x.scale(c)` copies the whole accumulated dict and
+    # builds a throwaway vector per term; loops accumulate into a plain dict
+    # with field.add and hand it to the zero-dropping constructor instead
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [f"{module.name}:{line}" for line in quadratic_accumulations(tree)]
+    assert sorted(SRC.glob("*.py")), "package source not found"
+    assert found == []
