@@ -6,7 +6,8 @@
 * via the circle-product formula on the reduced bar complex, brute forced
   over all composable tuples of basis words (finite-dimensional algebras
   only); restriction along the embedding iota makes the two sides
-  comparable up to coboundary.
+  comparable up to coboundary.  A bar n-cochain is a GradedVector of
+  degree n keyed by (tuple of basis words, value word).
 
 The bar route never constructs a chain map from the bar complex down to K;
 comparisons happen in cohomology classes on the K side.
@@ -17,7 +18,7 @@ from typing import NamedTuple
 from .cohomology import Cochain, is_coboundary, same_class
 from .errors import CharacteristicTwo, CochainError, InfiniteDimensional
 from .lifting import derivation_on_element, solve_lifting
-from .linalg import Matrix, nullspace_basis
+from .linalg import GradedVector, Matrix, nullspace_basis
 from .quiver import PathVector
 
 
@@ -73,20 +74,6 @@ def maurer_cartan_check(kx, eta, psi_eta):
 
 
 # -- the reduced-bar-side oracle ----------------------------------------------
-
-
-class BarCochain:
-    """Degree-n bar cochain: values on composable n-tuples of basis words."""
-
-    __slots__ = ("kx", "degree", "values")
-
-    def __init__(self, kx, degree, values):
-        self.kx = kx
-        self.degree = degree
-        self.values = {key: v for key, v in values.items() if not v.is_zero()}
-
-    def value(self, key):
-        return self.values.get(key)
 
 
 def bar_tuples(kx, n):
@@ -178,58 +165,40 @@ def bar_cocycle_basis(kx, n):
     for shift in sorted(src):
         cols = src[shift]
         for vec in nullspace_basis(Matrix(f, height[shift], len(cols), entries[shift])):
-            values = {}
-            for (tup, w), c in zip(cols, vec):
-                if c != f.zero:
-                    values.setdefault(tup, {})[w] = c
-            basis.append(BarCochain(kx, n, {tup: PathVector(f, terms)
-                                            for tup, terms in values.items()}))
+            basis.append(GradedVector(f, n, zip(cols, vec)))
     return basis
 
 
-def bar_circle_product(F, G):
+def bar_circle_product(kx, F, G):
     """F o G = sum_j (-1)^{(n-1)(j-1)} F o_j G on the reduced bar complex.
 
-    Read off the supports: F o_j G is nonzero on T only if G is nonzero on
-    T[j-1:j-1+n] with a term p, and F on T[:j-1] + (p,) + T[j-1+n:].
+    Read off the supports: F o_j G has a term on T only if G has a term
+    (T[j-1:j-1+n], p) and F one on T[:j-1] + (p,) + T[j-1+n:].
     """
-    kx = F.kx
     f = kx.field
     target = kx.quiver.path_target
     m, n = F.degree, G.degree
-    through = {}  # word p -> [(key, coefficient of p in G(key))]
-    for key, vec in G.values.items():
-        for p, c in vec.terms.items():
-            through.setdefault(p, []).append((key, c))
+    through = {}  # word p -> [(tup, coefficient of (tup, p) in G)]
+    for (tup, p), c in G.terms.items():
+        through.setdefault(p, []).append((tup, c))
     out = {}
-    for key, val in F.values.items():
+    for (key, w), v in F.terms.items():
         for j in range(1, m + 1):
             sign = f.one if ((n - 1) * (j - 1)) % 2 == 0 else f.neg(f.one)
             for inner, c in through.get(key[j - 1], ()):
                 tup = key[:j - 1] + inner + key[j:]
                 if any(target(a) != b.o for a, b in zip(tup, tup[1:])):
                     continue
-                acc = out.setdefault(tup, {})
-                coeff = f.mul(sign, c)
-                for path, v in val.terms.items():
-                    acc[path] = f.add(acc.get(path, f.zero), f.mul(v, coeff))
-    return BarCochain(kx, m + n - 1, {tup: PathVector(f, acc) for tup, acc in out.items()})
+                out[(tup, w)] = f.add(out.get((tup, w), f.zero), f.mul(v, f.mul(sign, c)))
+    return GradedVector(f, m + n - 1, out)
 
 
-def bar_circle_bracket(F, G):
+def bar_circle_bracket(kx, F, G):
     """[F, G] = F o G - (-1)^{(m-1)(n-1)} G o F."""
-    kx = F.kx
     f = kx.field
     m, n = F.degree, G.degree
     sign = f.one if ((m - 1) * (n - 1)) % 2 == 0 else f.neg(f.one)
-    out = {}
-    for product, s in ((bar_circle_product(F, G), f.one),
-                       (bar_circle_product(G, F), f.neg(sign))):
-        for key, vec in product.values.items():
-            acc = out.setdefault(key, {})
-            for path, c in vec.terms.items():
-                acc[path] = f.add(acc.get(path, f.zero), f.mul(c, s))
-    return BarCochain(kx, m + n - 1, {key: PathVector(f, acc) for key, acc in out.items()})
+    return bar_circle_product(kx, F, G) - bar_circle_product(kx, G, F).scale(sign)
 
 
 def restrict_along_iota(kx, F):
@@ -237,16 +206,16 @@ def restrict_along_iota(kx, F):
     f = kx.field
     n = F.degree
     q = kx.quiver
-    values = []
+    words = {}  # a word of f^n_i as a tuple of arrows -> [(i, coefficient)]
     for i in range(kx.count(n)):
-        acc = {}
         for path, coeff in kx.cobasis.f(n, i).terms.items():
-            val = F.value(tuple(q.arrow_path(a) for a in path.arrows))
-            if val is not None:
-                for p, c in val.terms.items():
-                    acc[p] = f.add(acc.get(p, f.zero), f.mul(c, coeff))
-        values.append(PathVector(f, acc))
-    return Cochain(kx, n, values)
+            tup = tuple(q.arrow_path(a) for a in path.arrows)
+            words.setdefault(tup, []).append((i, coeff))
+    values = [{} for _ in range(kx.count(n))]
+    for (tup, p), c in F.terms.items():
+        for i, coeff in words.get(tup, ()):
+            values[i][p] = f.add(values[i].get(p, f.zero), f.mul(c, coeff))
+    return Cochain(kx, n, [PathVector(f, acc) for acc in values])
 
 
 class OraclePairResult(NamedTuple):
@@ -284,7 +253,7 @@ def oracle_compare(kx, n, m, max_pairs=None):
         for j, (G, theta) in enumerate(right_data):
             if max_pairs is not None and count >= max_pairs:
                 return OracleReport((n, m), pairs)
-            bar_side = restrict_along_iota(kx, bar_circle_bracket(F, G))
+            bar_side = restrict_along_iota(kx, bar_circle_bracket(kx, F, G))
             lift_side = bracket_via_lifting(kx, eta, theta,
                                             left_lifts[i], right_lifts[j])
             pairs.append(OraclePairResult(i, j, same_class(bar_side, lift_side)))

@@ -38,7 +38,6 @@ def build_parser():
         p.add_argument("--field", metavar="F", help="field override: Q or F<p>")
         p.add_argument("-N", type=int, default=default_n, metavar="DEGREE",
                        help="maximum homological degree")
-        p.add_argument("--internal-degree", type=int, default=None, metavar="L")
         p.add_argument("--format", choices=("text", "structured"), default="text")
 
     common(sub.add_parser("basis", help="generators f^n_i and their counts"))
@@ -49,7 +48,9 @@ def build_parser():
     p = sub.add_parser("resolution", help="differential, diagonal, embedding")
     common(p)
     p.add_argument("--verify", action="store_true")
-    common(sub.add_parser("cohomology", help="cocycle/coboundary bases and HH dims"))
+    p = sub.add_parser("cohomology", help="cocycle/coboundary bases and HH dims")
+    common(p)
+    p.add_argument("--internal-degree", type=int, default=None, metavar="L")
     p = sub.add_parser("cup", help="cup product of two cochains")
     common(p)
     p.add_argument("--left-degree", type=int, required=True)
@@ -185,6 +186,8 @@ def cmd_resolution(args):
 
 
 def cmd_cohomology(args):
+    if args.internal_degree is not None and args.internal_degree < 0:
+        raise KoszulGerstError("--internal-degree must be at least 0")
     kx = load_complex(args)
     doc = {"command": "cohomology", "spaces": []}
     lines = []

@@ -13,7 +13,7 @@ separate same_class predicate.
 from typing import NamedTuple
 
 from .errors import CochainError, DimensionMismatch, UnboundedComputation
-from .linalg import Matrix, _rref, nullspace_basis, solve_affine_system
+from .linalg import Matrix, SparseVector, echelon_basis, nullspace_basis, solve_affine_system
 from .quiver import PathVector
 
 
@@ -141,12 +141,13 @@ def _cochain_coords(kx, n, ell):
     return coords
 
 
-def _cochain_from_coords(kx, n, coords, vec):
-    f = kx.field
+def _cochain_from_coords(kx, n, coords, items):
+    """The cochain with coefficient c at coords[k] for each (k, c) in items."""
     values = [dict() for _ in range(kx.count(n))]
-    for (i, w), c in zip(coords, vec):
+    for k, c in items:
+        i, w = coords[k]
         values[i][w] = c
-    return Cochain(kx, n, [PathVector(f, v) for v in values])
+    return Cochain(kx, n, [PathVector(kx.field, v) for v in values])
 
 
 def _coords_of_cochain(kx, coords, eta):
@@ -211,22 +212,14 @@ def cocycle_space(kx, n, ell=None):
     for e in ells:
         A, src, _ = _coboundary_matrix(kx, n, e)
         for vec in nullspace_basis(A):
-            cocycles.append(_cochain_from_coords(kx, n, src, vec))
+            cocycles.append(_cochain_from_coords(kx, n, src, enumerate(vec)))
         if n >= 1 and e >= 1:
             B, _, bdst = _coboundary_matrix(kx, n - 1, e - 1)
-            image_rows = []
-            for col in range(B.cols):
-                basis_vec = [kx.field.zero] * B.cols
-                basis_vec[col] = kx.field.one
-                image_rows.append({r: v for r, v in enumerate(B.apply(basis_vec))
-                                   if v != kx.field.zero})
-            _rref(image_rows, B.rows, kx.field)
-            for row in image_rows:
-                if row:
-                    vec = [kx.field.zero] * len(bdst)
-                    for c, v in row.items():
-                        vec[c] = v
-                    coboundaries.append(_cochain_from_coords(kx, n, bdst, vec))
+            images = [{} for _ in range(B.cols)]  # the columns of B, by row
+            for (r, col), v in B.entries.items():
+                images[col][r] = v
+            for row in echelon_basis([SparseVector(kx.field, im) for im in images], None):
+                coboundaries.append(_cochain_from_coords(kx, n, bdst, row.terms.items()))
     return CochainSpace(n, tuple(ells), cocycles, coboundaries)
 
 
@@ -248,7 +241,7 @@ def is_coboundary(eta):
         sol = solve_affine_system(A, b)
         if sol is None:
             return None
-        witness = witness + _cochain_from_coords(kx, n - 1, src, sol.particular)
+        witness = witness + _cochain_from_coords(kx, n - 1, src, enumerate(sol.particular))
     return witness
 
 

@@ -55,9 +55,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return Fraction(a) / b
-
     def parse(self, text):
         try:
             return Fraction(text)
@@ -120,9 +117,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def parse(self, text):
         try:

@@ -16,7 +16,7 @@ scalars are canonical as well.
 """
 
 from .errors import InconsistentBasis
-from .linalg import Matrix, _rref, nullspace_basis
+from .linalg import Matrix, _rref, echelon_basis, nullspace_basis
 from .quiver import Path, PathVector, free_multiply
 
 
@@ -59,19 +59,6 @@ class KoszulCobasis:
         return self.pairs[n][i][1]
 
 
-def _echelonize_block(field, vectors, order_key):
-    """Reduced echelon basis of span(vectors), pivots on largest paths first."""
-    support = sorted({p for v in vectors for p in v.terms}, key=order_key)
-    col_of = {p: i for i, p in enumerate(support)}
-    rows = [{col_of[p]: c for p, c in v.terms.items()} for v in vectors]
-    _rref(rows, len(support), field)
-    out = []
-    for row in rows:
-        if row:
-            out.append(PathVector(field, {support[c]: v for c, v in row.items()}))
-    return out
-
-
 def build_koszul_basis(presentation, rs, N):
     """Construct the cobasis through degree N by the intersection recursion."""
     q = presentation.quiver
@@ -80,8 +67,7 @@ def build_koszul_basis(presentation, rs, N):
     levels = [[PathVector.single(f, q.vertex_path(v)) for v in range(q.num_vertices)],
               [PathVector.single(f, q.arrow_path(a)) for a in range(q.num_arrows)]]
     if N >= 2:
-        levels.append(_split_blocks(q, _echelonize_block(f, presentation.relations, key), key)
-                      if presentation.relations else [])
+        levels.append(_split_blocks(q, echelon_basis(presentation.relations, key), key))
     n = 3
     while n <= N:
         prev = levels[n - 1]
@@ -124,13 +110,11 @@ def _intersect(field, span_u, span_v, order_key):
         vec = PathVector(field, acc)
         if not vec.is_zero():
             vectors.append(vec)
-    return _echelonize_block(field, vectors, order_key) if vectors else []
+    return echelon_basis(vectors, order_key)
 
 
 def _split_blocks(quiver, vectors, order_key):
     """Split a graded subspace basis into uniform (o, t)-blocks, canonically."""
-    if not vectors:
-        return []
     blocks = {}
     for vec in vectors:
         parts = {}
@@ -141,7 +125,7 @@ def _split_blocks(quiver, vectors, order_key):
             blocks.setdefault(pair, []).append(PathVector(vec.field, terms))
     out = []
     for pair in sorted(blocks):
-        out.extend(_echelonize_block(vectors[0].field, blocks[pair], order_key))
+        out.extend(echelon_basis(blocks[pair], order_key))
     return out
 
 

@@ -33,10 +33,6 @@ class HomotopyLifting:
         self.maps = maps  # dict m -> list of BimoduleElement
         self.nullspaces = nullspaces or {}
 
-    @property
-    def max_degree(self):
-        return max(self.maps) if self.maps else self.n - 1
-
     def image(self, m, r):
         if m <= self.n - 1 or m not in self.maps:
             target = max(m - self.n + 1, 0)

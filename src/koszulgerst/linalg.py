@@ -7,10 +7,12 @@ dict with field.add and hand it to the constructor, which is the one place
 zero coefficients are dropped.
 
 Everything downstream ("there exist scalars such that ...") reduces to the
-two entry points here: solve_affine_system and nullspace_basis.  Both are
-deterministic: elimination is plain Gauss-Jordan scanning columns left to
-right, the particular solution is the reduced-row-echelon canonical one
-(free variables zero), and nullspace bases are the canonical RREF ones.
+entry points here: solve_affine_system, nullspace_basis, rank and
+echelon_basis.  All are deterministic: elimination is plain Gauss-Jordan
+scanning columns left to right, the particular solution is the
+reduced-row-echelon canonical one (free variables zero), nullspace bases are
+the canonical RREF ones, and an echelon basis is the canonical reduced
+echelon form of a span.
 """
 
 from typing import NamedTuple
@@ -216,6 +218,24 @@ def _nullspace_from_rref(rows, pivots, ncols, field):
                 vec[pc] = field.neg(v)
         basis.append(vec)
     return basis
+
+
+def echelon_basis(vectors, order_key):
+    """Reduced echelon basis of span(vectors), pivots first in order_key order.
+
+    The coordinates are the keys of the vectors sorted by order_key (as in
+    sorted), so each basis vector is monic on its pivot key and zero on
+    every other pivot key.  Zero rows are dropped; the basis vectors have
+    the class and degree of the first input vector.
+    """
+    if not vectors:
+        return []
+    support = sorted({key for v in vectors for key in v.terms}, key=order_key)
+    col_of = {key: i for i, key in enumerate(support)}
+    rows = [{col_of[key]: c for key, c in v.terms.items()} for v in vectors]
+    _rref(rows, len(support), vectors[0].field)
+    return [vectors[0]._like({support[c]: v for c, v in row.items()})
+            for row in rows if row]
 
 
 def rank(A):

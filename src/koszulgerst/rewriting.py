@@ -10,7 +10,7 @@ multiplication in Lambda is the bilinear extension of that memo.
 """
 
 from .errors import NotConfluent
-from .linalg import _rref
+from .linalg import echelon_basis
 from .quiver import Path, PathVector, free_multiply
 
 
@@ -121,6 +121,8 @@ class RewriteSystem:
 
     def basis_words(self, length, o=None, t=None):
         """Normal words of the given length, optionally filtered by vertices."""
+        if length < 0:
+            return []
         words = self._grow_words(length)
         q = self.quiver
         return [w for w in words
@@ -164,31 +166,6 @@ class RewriteSystem:
         self._acyclic = not any(color[a] == 0 and has_cycle(a) for a in range(n))
         return self._acyclic
 
-    def algebra_basis(self, max_len):
-        """Normal words of length <= max_len grouped by (length, o, t).
-
-        The flag is True iff no normal word of length max_len exists, in
-        which case the listing is the entire basis of Lambda.
-        """
-        grouped = []
-        for length in range(max_len + 1):
-            block = {}
-            for w in self._grow_words(length):
-                block.setdefault((w.o, self.quiver.path_target(w)), []).append(w)
-            grouped.append(block)
-        finite = not self._grow_words(max_len)
-        return grouped, finite
-
-    def dimension(self):
-        """dim of Lambda; only meaningful when finite dimensional."""
-        total, length = 0, 0
-        while True:
-            words = self._grow_words(length)
-            if not words:
-                return total
-            total += len(words)
-            length += 1
-
 
 def build_rewrite_system(presentation):
     """Interreduce the quadratic relations and certify confluence.
@@ -199,23 +176,12 @@ def build_rewrite_system(presentation):
     is then reduced along both routes (diamond lemma); any mismatch raises
     NotConfluent, since Koszulity is a standing hypothesis downstream.
     """
-    q = presentation.quiver
     f = presentation.field
-    # collect the degree-2 paths appearing anywhere, descending order
-    support = sorted({p for rel in presentation.relations for p in rel.terms},
-                     key=presentation.order_key)
-    col_of = {p: i for i, p in enumerate(support)}
-    rows = []
-    for rel in presentation.relations:
-        rows.append({col_of[p]: c for p, c in rel.terms.items()})
-    _rref(rows, len(support), f)
+    key = presentation.order_key
     rules = {}
-    for row in rows:
-        if not row:
-            continue  # dependent relation, already spanned
-        lead_col = min(row)
-        lead = support[lead_col]
-        tail_terms = {support[c]: f.neg(v) for c, v in row.items() if c != lead_col}
+    for row in echelon_basis(presentation.relations, key):
+        lead = min(row.terms, key=key)
+        tail_terms = {p: f.neg(c) for p, c in row.terms.items() if p != lead}
         rules[(lead.arrows[0], lead.arrows[1])] = PathVector(f, tail_terms)
     rs = RewriteSystem(presentation, rules)
     _check_confluence(rs)

@@ -263,3 +263,26 @@ def test_cli_bar_engine_of_degree_0_exits_2(capsys):
                  "--left-degree", "0", "--right-degree", "1", "-N", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "degree 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "family", "--q", "1", "-N", "3", "--internal-degree", "-1"],
+    ["--preset", "short", "--internal-degree", "-2"],
+])
+def test_cli_negative_internal_degree_exits_2(argv, capsys):
+    # a negative length used to index the word levels from the end
+    assert main(["cohomology", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--internal-degree" in err
+    assert "Traceback" not in err
+
+
+def test_cli_internal_degree_is_a_cohomology_flag(capsys):
+    assert main(["cohomology", "--preset", "short", "-N", "3", "--internal-degree", "1",
+                 "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [s["internal_degrees"] for s in doc["spaces"]] == [[1], [1], [1]]
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--preset", "short", "-N", "3", "--internal-degree", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --internal-degree" in capsys.readouterr().err

@@ -10,7 +10,8 @@ import pytest
 
 from koszulgerst.errors import InconsistentBasis
 from koszulgerst.fields import QQ
-from koszulgerst.koszul import ComultTable, KoszulCobasis, _echelonize_block, build_koszul_basis
+from koszulgerst.koszul import ComultTable, KoszulCobasis, build_koszul_basis
+from koszulgerst.linalg import echelon_basis
 from koszulgerst.presets import (family_cobasis, load_complex, load_presentation,
                                  short_cobasis)
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
@@ -52,8 +53,8 @@ def test_generic_intersection_matches_golden_tower(name, q):
     for n in range(7):
         assert generic.count(n) == golden.count(n)
         key = pres.order_key
-        canon_generic = _echelonize_block(QQ, generic.elements[n], key) if n else None
-        canon_golden = _echelonize_block(QQ, golden.elements[n], key) if n else None
+        canon_generic = echelon_basis(generic.elements[n], key) if n else None
+        canon_golden = echelon_basis(golden.elements[n], key) if n else None
         if n:
             as_set = lambda vs: {frozenset(v.terms.items()) for v in vs}
             assert as_set(canon_generic) == as_set(canon_golden)

@@ -6,7 +6,8 @@ import pytest
 
 from koszulgerst.errors import DimensionMismatch
 from koszulgerst.fields import QQ, PrimeField
-from koszulgerst.linalg import Matrix, nullspace_basis, rank, solve_affine_system
+from koszulgerst.linalg import (GradedVector, Matrix, SparseVector, echelon_basis,
+                                nullspace_basis, rank, solve_affine_system)
 
 F5 = PrimeField(5)
 
@@ -157,3 +158,46 @@ def test_field_mismatch_on_graded_vectors():
     p = Path(0, ())
     with pytest.raises(FieldMismatch):
         BimoduleElement(QQ, 1, {(p, 0, p): 1}) + BimoduleElement(F5, 1, {(p, 0, p): 1})
+
+
+def test_echelon_basis_of_nothing_is_empty():
+    assert echelon_basis([], None) == []
+    assert echelon_basis([SparseVector(QQ), SparseVector(QQ)], None) == []
+
+
+def test_echelon_basis_drops_dependent_rows():
+    v = SparseVector(QQ, {"a": 1, "b": 2})
+    basis = echelon_basis([v, SparseVector(QQ), v.scale(3)], None)
+    assert basis == [SparseVector(QQ, {"a": 1, "b": 2})]
+
+
+def test_echelon_basis_pivots_follow_the_order_key():
+    # keys in the order c < b < a: pivots on c, then b; each row is monic
+    # on its pivot and zero on the other pivot
+    order = {"c": 0, "b": 1, "a": 2}.__getitem__
+    vectors = [SparseVector(QQ, {"a": 1, "c": 2}), SparseVector(QQ, {"b": 3, "c": 1})]
+    basis = echelon_basis(vectors, order)
+    assert basis == [SparseVector(QQ, {"c": 1, "a": Fraction(1, 2)}),
+                     SparseVector(QQ, {"b": 1, "a": Fraction(-1, 6)})]
+    assert [min(v.terms, key=order) for v in basis] == ["c", "b"]
+    # the default key order puts the pivots on a, then b
+    assert [min(v.terms) for v in echelon_basis(vectors, None)] == ["a", "b"]
+
+
+def test_echelon_basis_keeps_class_and_degree():
+    vectors = [GradedVector(F5, 3, {("x", "y"): 2, ("y",): 1}),
+               GradedVector(F5, 3, {("y",): 4})]
+    basis = echelon_basis(vectors, None)
+    assert basis == [GradedVector(F5, 3, {("x", "y"): 1}), GradedVector(F5, 3, {("y",): 1})]
+    assert all(type(v) is GradedVector and v.degree == 3 for v in basis)
+
+
+def test_echelon_basis_size_is_the_rank(rng):
+    for field in (QQ, F5):
+        for _ in range(20):
+            rows = [[field(rng.randrange(-2, 3)) for _ in range(rng.randrange(1, 6))]
+                    for _ in range(rng.randrange(1, 6))]
+            vectors = [SparseVector(field, enumerate(row)) for row in rows]
+            width = max(len(row) for row in rows)
+            A = mat(field, [row + [field.zero] * (width - len(row)) for row in rows])
+            assert len(echelon_basis(vectors, None)) == rank(A)

@@ -136,32 +136,38 @@ def test_multiplication_associative_on_random_words(short8, family8, rng):
             assert left == right
 
 
-def test_algebra_basis_family(family8):
-    grouped, finite = family8.rs.algebra_basis(4)
-    assert finite
-    total = sum(len(ws) for block in grouped for ws in block.values())
-    assert total == 7
-    assert family8.rs.is_finite_dimensional()
-    assert family8.rs.dimension() == 7
-    names = {family8.quiver.format_path(w)
-             for block in grouped for ws in block.values() for w in ws}
-    assert names == {"e1", "e2", "a", "b", "c", "b.a", "b.c"}
+def _word_names(rs, max_len):
+    return [rs.quiver.format_path(w) for length in range(max_len + 1)
+            for w in rs.basis_words(length)]
 
 
-def test_algebra_basis_short_infinite(short8):
-    grouped, finite = short8.rs.algebra_basis(3)
-    assert not finite
-    assert not short8.rs.is_finite_dimensional()
-    words = {short8.quiver.format_path(w)
-             for block in grouped for ws in block.values() for w in ws}
-    assert {"y", "y.y", "y.y.y"} <= words
+def test_basis_words_family(family8):
+    rs = family8.rs
+    assert rs.is_finite_dimensional()
+    assert rs.basis_words(3) == [] and rs.basis_words(4) == []
+    names = _word_names(rs, 4)
+    assert len(names) == 7
+    assert set(names) == {"e1", "e2", "a", "b", "c", "b.a", "b.c"}
 
 
-def test_algebra_basis_vertex_only():
+def test_basis_words_short_infinite(short8):
+    rs = short8.rs
+    assert not rs.is_finite_dimensional()
+    assert rs.basis_words(3)
+    assert {"y", "y.y", "y.y.y"} <= set(_word_names(rs, 3))
+
+
+def test_basis_words_vertex_only():
     q = Quiver(["1"], [])
     pres = QuadraticPresentation(q, [], field=QQ)
     rs = build_rewrite_system(pres)
-    grouped, finite = rs.algebra_basis(1)
-    assert finite
-    assert grouped[0] == {(0, 0): [Path(0, ())]}
-    assert grouped[1] == {}
+    assert rs.is_finite_dimensional()
+    assert rs.basis_words(0) == rs.basis_words(0, o=0, t=0) == [Path(0, ())]
+    assert rs.basis_words(1) == []
+
+
+def test_basis_words_of_negative_length_are_empty(family8, short8):
+    # a negative length must not wrap around to the longest level grown so far
+    for rs in (family8.rs, short8.rs):
+        rs.basis_words(3)
+        assert rs.basis_words(-1) == [] and rs.basis_words(-2, o=0, t=0) == []

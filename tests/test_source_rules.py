@@ -64,3 +64,50 @@ def test_no_quadratic_accumulation_in_the_package():
         found += [f"{module.name}:{line}" for line in quadratic_accumulations(tree)]
     assert sorted(SRC.glob("*.py")), "package source not found"
     assert found == []
+
+
+def rref_callers(tree):
+    """Qualified names of the functions that call `_rref` ("" at module level)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_rref":
+                    found.add(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_rule_spots_rref_callers():
+    tree = ast.parse("x = _rref(rows, 2, f)\n"
+                     "class A:\n"
+                     "    def m(self):\n"
+                     "        def inner():\n"
+                     "            return linalg._rref(rows, 1, f)\n"
+                     "        return inner\n"
+                     "def g():\n"
+                     "    return rref(rows)\n")
+    assert rref_callers(tree) == ["", "A.m.inner"]
+
+
+def test_rref_is_called_only_by_linalg_and_the_two_transforms():
+    # a span's reduced echelon basis is linalg.echelon_basis; only the two
+    # [A | I] transforms (pivot words of f^r, lifting systems) eliminate by hand
+    allowed = {("koszul.py", "ComultTable._pivot_transform"),
+               ("lifting.py", "_lifting_system")}
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "linalg.py":
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [(module.name, scope) for scope in rref_callers(tree)]
+    assert sorted(SRC.glob("*.py")), "package source not found"
+    assert sorted(found) == sorted(allowed)
