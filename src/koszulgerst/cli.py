@@ -9,6 +9,7 @@ every requested check passed.
 
 import argparse
 import json
+import os
 import sys
 
 from . import algfile, presets
@@ -20,6 +21,8 @@ from .lifting import derivation_lift, solve_lifting, verify_lifting
 from .resolution import KoszulComplex
 
 DEFAULT_N = 4
+# 128 + SIGPIPE: the status a shell reports for a writer whose reader closed
+EXIT_BROKEN_PIPE = 141
 
 
 def build_parser():
@@ -441,10 +444,18 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
     try:
-        return COMMANDS[args.command](args)
+        status = COMMANDS[args.command](args)
+        # flush here, not at interpreter exit, so a closed pipe raises below
+        sys.stdout.flush()
+        return status
     except KoszulGerstError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed early (`| head`): send the rest of the buffered
+        # output to devnull so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exact coefficient fields: the rationals and odd prime fields F_p.
 
-A field object knows how to do arithmetic on raw values (Fraction or int
-for Q, ints in [0, p) for F_p) and how to parse/format literals.  All
-higher-level structures carry one field and raw values; nothing here is
+A field object knows how to do arithmetic on raw values and how to
+parse/format literals.  A Q value is an int when it is integral and a
+Fraction with denominator > 1 otherwise; an F_p value is an int in [0, p).
+All higher-level structures carry one field and raw values; nothing here is
 ever floating point.
 """
 
@@ -24,14 +25,27 @@ def _is_prime(p):
     return True
 
 
+def _norm(x):
+    """An integral Fraction as its int numerator; anything else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Rationals:
-    """Arbitrary-precision rationals, kept in lowest terms by Fraction."""
+    """Arbitrary-precision rationals, kept in lowest terms by Fraction.
+
+    Every value this class creates (``__call__``, ``parse``, ``inv``) is an
+    int when it is integral and a Fraction with denominator > 1 otherwise,
+    so that the common integral arithmetic takes the int fast path.  The
+    operations themselves do not normalise: a product such as 1/2 * 2 may
+    still be an integral Fraction, which compares, hashes and formats the
+    same as the int.
+    """
 
     characteristic = 0
     name = "Q"
 
     def __call__(self, value):
-        return Fraction(value)
+        return _norm(Fraction(value))
 
     # plain ints, not Fraction(0)/Fraction(1): Fraction compares and adds
     # against an int take its fast path, and ints format the same
@@ -53,11 +67,11 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _norm(1 / Fraction(a))
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            return _norm(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
 

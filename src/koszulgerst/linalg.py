@@ -133,29 +133,11 @@ class Matrix:
                 if v != field.zero:
                     self.entries[(r, c)] = v
 
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, n, n, {(i, i): field.one for i in range(n)})
-
-    @classmethod
-    def zero(cls, field, rows, cols):
-        return cls(field, rows, cols)
-
     def row_dicts(self):
         rows = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
-
-    def apply(self, vec):
-        """Matrix-vector product over the field."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length != cols")
-        f = self.field
-        out = [f.zero] * self.rows
-        for (r, c), v in self.entries.items():
-            out[r] = f.add(out[r], f.mul(v, vec[c]))
-        return out
 
 
 class AffineSolution(NamedTuple):

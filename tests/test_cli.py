@@ -1,11 +1,15 @@
 """Input files, presets, command dispatch, output stability, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import koszulgerst
 from koszulgerst.algfile import parse_presentation, serialize_presentation
-from koszulgerst.cli import main
+from koszulgerst.cli import EXIT_BROKEN_PIPE, main
 from koszulgerst.errors import (MissingParameter, NonQuadraticRelation, ParseError,
                                 UnknownPreset)
 from koszulgerst.fields import QQ
@@ -286,3 +290,45 @@ def test_cli_internal_degree_is_a_cohomology_flag(capsys):
         main(["basis", "--preset", "short", "-N", "3", "--internal-degree", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --internal-degree" in capsys.readouterr().err
+
+
+def _subprocess_env(unbuffered):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(koszulgerst.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+BASIS_ARGV = [sys.executable, "-m", "koszulgerst.cli", "basis", "--preset", "family", "--q", "1"]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_cli_reader_closing_early_is_not_a_traceback(unbuffered):
+    # about 200 kB of text: more than the pipe and stdout buffers hold, so the
+    # writer is still printing when the reader goes away (`| head -1`)
+    proc = subprocess.Popen(BASIS_ARGV + ["-N", "12"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_subprocess_env(unbuffered))
+    assert proc.stdout.readline() == b"degree 0: 2 generators\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert err == b""
+
+
+def test_cli_reader_gone_before_the_final_flush_is_not_a_traceback():
+    # a few hundred bytes stay in the stdout buffer until the end of the run,
+    # so the closed pipe shows only at the flush; at interpreter exit that
+    # would print "Exception ignored ... BrokenPipeError" and exit 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(BASIS_ARGV + ["-N", "3"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=_subprocess_env(False), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert proc.stderr == b""

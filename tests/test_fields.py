@@ -1,0 +1,85 @@
+"""Field values: the Q representation invariant and F_p residues."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from koszulgerst.errors import ParseError
+from koszulgerst.fields import QQ, PrimeField
+
+F5 = PrimeField(5)
+F7 = PrimeField(7)
+
+
+@pytest.mark.parametrize("value", [
+    QQ.parse("3"), QQ.parse("6/2"), QQ.parse("-4/2"), QQ.parse("0"), QQ.parse(" 12 "),
+    QQ(4), QQ(Fraction(8, 4)), QQ("-5"), QQ.inv(Fraction(1, 3)), QQ.inv(-1), QQ.inv(1),
+    QQ.zero, QQ.one,
+])
+def test_integral_rationals_are_ints(value):
+    assert type(value) is int
+
+
+@pytest.mark.parametrize("value, expected", [
+    (QQ.parse("1/2"), Fraction(1, 2)),
+    (QQ.inv(2), Fraction(1, 2)),
+    (QQ.parse("-3/6"), Fraction(-1, 2)),
+    (QQ(Fraction(4, 6)), Fraction(2, 3)),
+    (QQ.inv(Fraction(-3, 2)), Fraction(-2, 3)),
+])
+def test_non_integral_rationals_are_fractions(value, expected):
+    assert type(value) is Fraction and value.denominator > 1
+    assert value == expected
+
+
+def test_integral_values_keep_their_value():
+    assert QQ.parse("6/2") == 3 and QQ.parse("-4/2") == -2
+    assert QQ.inv(Fraction(1, 3)) == 3 and QQ.inv(Fraction(-1, 4)) == -4
+
+
+def test_rational_errors():
+    with pytest.raises(ParseError):
+        QQ.parse("1/0")
+    with pytest.raises(ParseError):
+        QQ.parse("x")
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0, 3))
+
+
+def test_prime_field_residues():
+    assert F5.parse("1/2") == 3 and F7.parse("1/2") == 4
+    assert F5.parse("6/2") == 3 and F7.parse("6/2") == 3
+    assert F5(Fraction(3, 1)) == 3 and F7(Fraction(3, 1)) == 3
+    assert F5(Fraction(-3, 1)) == 2 and F5(Fraction(1, 3)) == 2
+    for text in ("1/2", "6/2", "-4/2", "3"):
+        assert F5.parse(text) == F5(QQ.parse(text)) == F5(Fraction(text))
+
+
+rationals = st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 1, 1, 2, 3, 4, 6]))
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(rationals, rationals)
+def test_arithmetic_ignores_the_representation(x, y):
+    # QQ(x) is the normalised value (an int when integral), Fraction(x) the
+    # un-normalised one; every operation must agree on value and on text
+    pairs = [(QQ(x), QQ(y)), (Fraction(x), Fraction(y)), (QQ(x), Fraction(y)),
+             (Fraction(x), QQ(y))]
+    results = []
+    for a, b in pairs:
+        row = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)]
+        if b != 0:
+            row.append(QQ.inv(b))
+        results.append(row)
+    first = results[0]
+    for row in results[1:]:
+        assert row == first
+        assert [hash(v) for v in row] == [hash(v) for v in first]
+        assert [QQ.format(v) for v in row] == [QQ.format(v) for v in first]
+    assert QQ.format(QQ(x)) == QQ.format(Fraction(x)) == str(x)
+    for field in (F5, F7):
+        assert field(QQ(x)) == field(Fraction(x))

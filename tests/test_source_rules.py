@@ -111,3 +111,39 @@ def test_rref_is_called_only_by_linalg_and_the_two_transforms():
         found += [(module.name, scope) for scope in rref_callers(tree)]
     assert sorted(SRC.glob("*.py")), "package source not found"
     assert sorted(found) == sorted(allowed)
+
+
+def fraction_calls(tree):
+    """Lines of `Fraction(...)` or `<module>.Fraction(...)` calls."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Fraction":
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_rule_spots_fraction_calls():
+    tree = ast.parse("from fractions import Fraction\n"
+                     "x = Fraction(1)\n"
+                     "y = fractions.Fraction(2, 3)\n"
+                     "isinstance(x, Fraction)\n"
+                     "z = field(Fraction)\n"
+                     "def f():\n"
+                     "    return [Fraction(t) for t in ts]\n")
+    assert fraction_calls(tree) == [2, 3, 7]
+
+
+def test_fraction_is_called_only_in_fields():
+    # fields.Rationals hands out integral values as ints (its _norm); a
+    # Fraction made anywhere else could carry denominator 1 past that
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "fields.py":
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [f"{module.name}:{line}" for line in fraction_calls(tree)]
+    assert sorted(SRC.glob("*.py")), "package source not found"
+    assert found == []
