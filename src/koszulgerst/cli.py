@@ -92,8 +92,12 @@ def load_complex(args, min_n=1):
         q = f.parse(args.q) if args.q is not None else None
         return presets.load_complex(args.preset, f, N, q=q)
     if args.algebra:
-        with open(args.algebra, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.algebra, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise KoszulGerstError(f"cannot read algebra file {args.algebra}: {reason}") from exc
         pres = algfile.parse_presentation(text, field_override=field)
         return KoszulComplex(pres, N)
     raise KoszulGerstError("pass --preset or --algebra")

@@ -355,7 +355,7 @@ def closed_form_conditions(kx, mode, eta, lifting, m_max):
                         m, r, f"unexpected{shape}", part.is_zero(),
                         part.format(kx.quiver)))
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise CochainError(f"unknown mode {mode!r}")
     report = ClosedFormReport(mode, checks, vacuous)
     if report.all_hold and mode == "idempotent":
         zero = HomotopyLifting(kx, eta, {m: [BimoduleElement.zero(f, m - n + 1)
@@ -380,13 +380,13 @@ def _single_idempotent_slot(kx, eta):
         if val.is_zero():
             continue
         if slot is not None:
-            raise ValueError("idempotent mode expects a single nonzero slot")
+            raise CochainError("idempotent mode expects a single nonzero slot")
         paths = list(val.terms)
         if len(paths) != 1 or paths[0].arrows:
-            raise ValueError("idempotent mode expects an idempotent value")
+            raise CochainError("idempotent mode expects an idempotent value")
         slot, vertex = i, paths[0].o
     if slot is None:
-        raise ValueError("zero cochain has no idempotent slot")
+        raise CochainError("zero cochain has no idempotent slot")
     return slot, vertex
 
 

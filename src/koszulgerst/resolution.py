@@ -11,6 +11,16 @@ checker used by the acceptance suite:
     (Delta ox 1) Delta = (1 ox Delta) Delta,   counit laws,
     delta o iota = iota o d.
 
+The three Delta identities are checked on the diagonal's index data.  Every
+decoration in Delta(eps^n_r) = sum c_pq(n,r,v) eps^v_p ox eps^{n-v}_q is a
+generator's vertex idempotent, and c_pq != 0 only for composable (p, q):
+f^n_r, f^v_p and f^{n-v}_q are vertex-homogeneous, so p starts where r
+does, q ends where r does, and p ends where q starts.  A term is therefore
+fixed by (v, p, q), and products against idempotents change nothing:
+coassociativity compares (v1, v2, p1, p2, p3) keys, the counit laws sum
+c_pq(n,r,0) and c_pq(n,r,n) over the generators at the matching vertex, and
+the dg identity places the words of d(eps) in its keys as they are.
+
 Sign conventions, fixed once for every consumer: the differential carries
 (-1)^n on right-hand terms, and Koszul signs are (1 ox g)(x ox y) =
 (-1)^{|g| |x|} x . g(y) for a map g of degree |g| against a left factor of
@@ -98,16 +108,15 @@ class KoszulComplex:
     # -- bimodule arithmetic ---------------------------------------------------
 
     def sandwich(self, left, x, right):
-        """left . x . right with left/right elements of Lambda (PathVectors)."""
+        """left . x . right with left/right elements of Lambda (PathVectors):
+        sandwich_words extended bilinearly over their words."""
         f = self.field
         out = {}
-        for (u, i, v), coeff in x.terms.items():
-            new_u = self.rs.multiply(left, PathVector.single(f, u))
-            new_v = self.rs.multiply(PathVector.single(f, v), right)
-            for up, uc in new_u.terms.items():
-                for vp, vc in new_v.terms.items():
-                    key = (up, i, vp)
-                    out[key] = f.add(out.get(key, f.zero), f.mul(coeff, f.mul(uc, vc)))
+        for u, uc in left.terms.items():
+            for v, vc in right.terms.items():
+                scale = f.mul(uc, vc)
+                for key, c in self.sandwich_words(u, x, v).terms.items():
+                    out[key] = f.add(out.get(key, f.zero), f.mul(scale, c))
         return BimoduleElement(f, x.degree, out)
 
     def sandwich_words(self, u, x, v):
@@ -216,20 +225,7 @@ class KoszulComplex:
                     out[merged] = f.add(out.get(merged, f.zero), f.mul(coeff, f.mul(sign, pc)))
         return GradedVector(f, bar.degree - 1, out)
 
-    # -- tensor-square bookkeeping (Delta identities) --------------------------------
-
-    def diag_t2(self, n, r):
-        """Delta(eps^n_r) over K ox_Lambda K, keyed (dl, u, p, w, q, v)."""
-        f, q = self.field, self.quiver
-        acc = {}
-        for term in self.diagonal(n, r):
-            dl = term.left_degree
-            u = q.vertex_path(self.cobasis.origin(dl, term.left_index))
-            mid = q.vertex_path(self.cobasis.target(dl, term.left_index))
-            v = q.vertex_path(self.cobasis.target(n - dl, term.right_index))
-            key = (dl, u, term.left_index, mid, term.right_index, v)
-            acc[key] = f.add(acc.get(key, f.zero), term.coeff)
-        return SparseVector(f, acc)
+    # -- identity checks -----------------------------------------------------------
 
     def verify_resolution(self, N=None):
         """Check every structural identity through degree N, exactly."""
@@ -255,73 +251,48 @@ class KoszulComplex:
         checked.append("d*d=0")
 
     def _check_dg_compat(self, N, checked, failures):
+        """Both sides over K ox_Lambda K, keyed (dl, u, p, w, q, v) for
+        u . eps^dl_p . w ox eps^{n-1-dl}_q . v."""
+        f, cb, vertex = self.field, self.cobasis, self.quiver.vertex_path
         for n in range(1, N + 1):
             for r in range(self.count(n)):
-                lhs = self._t2_d_of_diag(n, r)
-                rhs = self._t2_of_bimodule_diag(self._diff_eps(n, r))
+                lhs, rhs = {}, {}
+                for dl, p, q, coeff in self.diagonal(n, r):
+                    if dl >= 1:  # d(eps^dl_p) ox eps_q
+                        v = vertex(cb.target(n - dl, q))
+                        for (u2, p2, w2), c2 in self._diff_eps(dl, p).terms.items():
+                            key = (dl - 1, u2, p2, w2, q, v)
+                            lhs[key] = f.add(lhs.get(key, f.zero), f.mul(coeff, c2))
+                    if dl < n:  # (-1)^dl eps_p ox d(eps^{n-dl}_q)
+                        signed = coeff if dl % 2 == 0 else f.neg(coeff)
+                        u = vertex(cb.origin(dl, p))
+                        for (w2, q2, v2), c2 in self._diff_eps(n - dl, q).terms.items():
+                            key = (dl, u, p, w2, q2, v2)
+                            lhs[key] = f.add(lhs.get(key, f.zero), f.mul(signed, c2))
+                # Delta(u . eps^{n-1}_i . v) puts u and v around each diagonal term
+                for (u, i, v), coeff in self._diff_eps(n, r).terms.items():
+                    for dl, p, q, c in self.diagonal(n - 1, i):
+                        key = (dl, u, p, vertex(cb.target(dl, p)), q, v)
+                        rhs[key] = f.add(rhs.get(key, f.zero), f.mul(coeff, c))
+                lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
                 if lhs != rhs:
                     failures.append(("(d ox 1 + 1 ox d)Delta = Delta d", n, r,
                                      _diff_witness(self.quiver, lhs, rhs)))
         checked.append("(d ox 1 + 1 ox d)Delta = Delta d")
 
-    def _t2_d_of_diag(self, n, r):
-        f = self.field
-        out = {}
-        for (dl, u, p, w, q, v), coeff in self.diag_t2(n, r).terms.items():
-            if dl >= 1:
-                for (u2, p2, v2), c2 in self._diff_eps(dl, p).terms.items():
-                    uu = self.rs.word_product(u, u2)
-                    ww = self.rs.word_product(v2, w)
-                    for up, uc in uu.terms.items():
-                        for wp, wc in ww.terms.items():
-                            key = (dl - 1, up, p2, wp, q, v)
-                            out[key] = f.add(out.get(key, f.zero),
-                                             f.mul(coeff, f.mul(c2, f.mul(uc, wc))))
-            dr = n - dl
-            if dr >= 1:
-                sign = f.one if dl % 2 == 0 else f.neg(f.one)
-                for (u2, q2, v2), c2 in self._diff_eps(dr, q).terms.items():
-                    ww = self.rs.word_product(w, u2)
-                    vv = self.rs.word_product(v2, v)
-                    for wp, wc in ww.terms.items():
-                        for vp, vc in vv.terms.items():
-                            key = (dl, u, p, wp, q2, vp)
-                            out[key] = f.add(out.get(key, f.zero),
-                                             f.mul(f.mul(coeff, sign),
-                                                   f.mul(c2, f.mul(wc, vc))))
-        return SparseVector(f, out)
-
-    def _t2_of_bimodule_diag(self, x):
-        """Delta applied to a bimodule element of K_{n}, term by term."""
-        f = self.field
-        out = {}
-        for (u, i, v), coeff in x.terms.items():
-            for (dl, u0, p, w, q, v0), c in self.diag_t2(x.degree, i).terms.items():
-                uu = self.rs.word_product(u, u0)
-                vv = self.rs.word_product(v0, v)
-                for up, uc in uu.terms.items():
-                    for vp, vc in vv.terms.items():
-                        key = (dl, up, p, w, q, vp)
-                        out[key] = f.add(out.get(key, f.zero),
-                                         f.mul(coeff, f.mul(c, f.mul(uc, vc))))
-        return SparseVector(f, out)
-
     def _check_coassoc(self, N, checked, failures):
+        """Both sides keyed (v1, v2, p1, p2, p3) for eps^v1_p1 ox eps^v2_p2 ox eps_p3."""
         f = self.field
         for n in range(0, N + 1):
             for r in range(self.count(n)):
                 lhs, rhs = {}, {}
-                for (dl, u, p, w, q, v), coeff in self.diag_t2(n, r).terms.items():
-                    # (Delta ox 1): expand the left factor
-                    for t in self.diagonal(dl, p):
-                        key = (t.left_degree, dl - t.left_degree, u,
-                               t.left_index, self._vpath_mid(t), t.right_index,
-                               w, q, v)
+                for dl, p, q, coeff in self.diagonal(n, r):
+                    for t in self.diagonal(dl, p):  # (Delta ox 1)
+                        key = (t.left_degree, dl - t.left_degree, t.left_index,
+                               t.right_index, q)
                         lhs[key] = f.add(lhs.get(key, f.zero), f.mul(coeff, t.coeff))
-                    # (1 ox Delta): expand the right factor
-                    for t in self.diagonal(n - dl, q):
-                        key = (dl, t.left_degree, u, p, w, t.left_index,
-                               self._vpath_mid(t), t.right_index, v)
+                    for t in self.diagonal(n - dl, q):  # (1 ox Delta)
+                        key = (dl, t.left_degree, p, t.left_index, t.right_index)
                         rhs[key] = f.add(rhs.get(key, f.zero), f.mul(coeff, t.coeff))
                 lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
                 if lhs != rhs:
@@ -329,34 +300,26 @@ class KoszulComplex:
                                      _diff_witness(self.quiver, lhs, rhs)))
         checked.append("(Delta ox 1)Delta = (1 ox Delta)Delta")
 
-    def _vpath_mid(self, t):
-        return self.quiver.vertex_path(self.cobasis.target(t.left_degree, t.left_index))
-
     def _check_counit(self, N, checked, failures):
-        f = self.field
-
-        def add(acc, x, coeff):
-            for key, c in x.terms.items():
-                acc[key] = f.add(acc.get(key, f.zero), f.mul(c, coeff))
-
+        """mu sends e_p ox eps^n_q to eps^n_q when q starts at vertex p (the
+        degree-0 generator p is e_p), and eps^n_p ox e_q to eps^n_p when p
+        ends at q; each image must be eps^n_r."""
+        f, cb = self.field, self.cobasis
         for n in range(0, N + 1):
             for r in range(self.count(n)):
                 left, right = {}, {}
-                for (dl, u, p, w, q, v), coeff in self.diag_t2(n, r).terms.items():
-                    if dl == 0:
-                        for uw, c in self.rs.word_product(u, w).terms.items():
-                            add(left, self.sandwich_words(uw, self.eps(n, q), v),
-                                f.mul(coeff, c))
-                    if n - dl == 0:
-                        for wv, c in self.rs.word_product(w, v).terms.items():
-                            add(right, self.sandwich_words(u, self.eps(n, p), wv),
-                                f.mul(coeff, c))
-                left, right = BimoduleElement(f, n, left), BimoduleElement(f, n, right)
-                target = self.eps(n, r)
-                if left != target:
-                    failures.append(("(mu ox 1)Delta = id", n, r, left.format(self.quiver)))
-                if right != target:
-                    failures.append(("(1 ox mu)Delta = id", n, r, right.format(self.quiver)))
+                for dl, p, q, coeff in self.diagonal(n, r):
+                    if dl == 0 and cb.origin(n, q) == p:
+                        left[q] = f.add(left.get(q, f.zero), coeff)
+                    if dl == n and cb.target(n, p) == q:
+                        right[p] = f.add(right.get(p, f.zero), coeff)
+                for name, sums in (("(mu ox 1)Delta = id", left),
+                                   ("(1 ox mu)Delta = id", right)):
+                    got = SparseVector(f, sums)
+                    if got.terms != {r: f.one}:
+                        image = BimoduleElement(f, n, {
+                            key: c for i, c in got.terms.items() for key in self.eps(n, i).terms})
+                        failures.append((name, n, r, image.format(self.quiver)))
         checked.append("(mu ox 1)Delta = id = (1 ox mu)Delta")
 
     def _check_iota(self, N, checked, failures):

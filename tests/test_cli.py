@@ -262,6 +262,25 @@ def test_cli_bad_field_line_reports_its_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("not-utf8", "can't decode byte 0xff"),
+])
+def test_cli_unreadable_algebra_file_exits_2(kind, reason, tmp_path, capsys):
+    # each used to end in a traceback (FileNotFoundError, IsADirectoryError,
+    # UnicodeDecodeError) with status 1
+    path = tmp_path / "x.alg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    assert main(["basis", "--algebra", str(path), "-N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read algebra file {path}: ") and reason in err
+    assert "Traceback" not in err
+
+
 def test_cli_bar_engine_of_degree_0_exits_2(capsys):
     assert main(["bracket", "--preset", "family", "--q", "1", "--engine", "bar",
                  "--left-degree", "0", "--right-degree", "1", "-N", "4"]) == 2

@@ -4,7 +4,7 @@ import pytest
 
 from koszulgerst import lifting
 from koszulgerst.cohomology import Cochain, coboundary, cocycle_space
-from koszulgerst.errors import NoSolution
+from koszulgerst.errors import CochainError, KoszulGerstError, NoSolution
 from koszulgerst.fields import QQ
 from koszulgerst.lifting import (closed_form_conditions, derivation_lift,
                                  derivation_on_word, solve_lifting,
@@ -146,6 +146,25 @@ def test_closed_form_idempotent_vacuous():
     report = closed_form_conditions(kx, "idempotent", eta, None, 5)
     assert report.all_hold
     assert set(report.vacuous_degrees) == {3, 4, 5}
+
+
+@pytest.mark.parametrize("mode, slots, message", [
+    ("bogus", ("0", "e2"), "unknown mode 'bogus'"),
+    ("idempotent", ("e1", "e2"), "single nonzero slot"),
+    ("idempotent", ("x", "0"), "idempotent value"),
+    ("idempotent", ("0", "0"), "zero cochain"),
+])
+def test_closed_form_bad_input_is_a_library_error(mode, slots, message):
+    kx = _disjoint_loops_complex()
+    q = kx.quiver
+    values = {"0": PathVector.zero(QQ), "x": PathVector.single(QQ, q.arrow_path(0)),
+              "e1": PathVector.single(QQ, q.vertex_path(0)),
+              "e2": PathVector.single(QQ, q.vertex_path(1))}
+    eta = Cochain(kx, 1, [values[s] for s in slots])
+    with pytest.raises(KoszulGerstError, match=message) as exc:
+        closed_form_conditions(kx, mode, eta, None, 3)
+    # a CochainError is also a ValueError, which these errors used to be
+    assert isinstance(exc.value, CochainError) and isinstance(exc.value, ValueError)
 
 
 def test_closed_form_idempotent_power_algebra():

@@ -8,7 +8,7 @@ scalar tables) and compared term by term with the engine's output.
 import pytest
 
 from koszulgerst.errors import DegreeUnderflow
-from koszulgerst.fields import QQ
+from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.presets import load_complex
 from koszulgerst.quiver import Path, PathVector
 from koszulgerst.resolution import BimoduleElement
@@ -229,8 +229,17 @@ def test_verify_resolution_negative_control():
     assert ("delta iota = iota d", 2, 0, "term (x, x, e1): 1 vs -1") in report.failures
 
 
+D_SQUARED = "d*d=0"
+DG_COMPAT = "(d ox 1 + 1 ox d)Delta = Delta d"
+COASSOC = "(Delta ox 1)Delta = (1 ox Delta)Delta"
+COUNIT_LEFT = "(mu ox 1)Delta = id"
+COUNIT_RIGHT = "(1 ox mu)Delta = id"
+IOTA = "delta iota = iota d"
+
+
 def test_verify_resolution_catches_corrupt_scalar():
-    # corrupting one comultiplicative scalar breaks the coalgebra identities
+    # corrupting c(3, 1, 1) before d(eps^3_1) is built breaks the differential
+    # and the diagonal of eps^3_1 together, and nothing else
     kx = load_complex("short", QQ, 3)
     row = dict(kx.c(3, 1, 1))
     key = next(iter(row))
@@ -238,9 +247,114 @@ def test_verify_resolution_catches_corrupt_scalar():
     kx.comult._cache[(3, 1)][1] = row
     kx._diag_cache.clear()
     report = kx.verify_resolution()
-    assert not report.ok
-    broken = {f[0] for f in report.failures}
-    assert broken & {"(d ox 1 + 1 ox d)Delta = Delta d",
-                     "(Delta ox 1)Delta = (1 ox Delta)Delta",
-                     "(mu ox 1)Delta = id", "(1 ox mu)Delta = id",
-                     "d*d=0", "delta iota = iota d"}
+    assert [f[:3] for f in report.failures] == [
+        (D_SQUARED, 3, 1), (DG_COMPAT, 3, 1), (COASSOC, 3, 1), (IOTA, 3, 1)]
+    witnesses = {f[0]: f[3] for f in report.failures}
+    assert witnesses[D_SQUARED] == "x.eps^1_0.y - y.x.eps^1_0 + x.eps^1_1.x"
+    assert witnesses[DG_COMPAT] == "term (1, e1, 0, e1, 0, y): -2 vs -1"
+    assert witnesses[COASSOC].endswith(": 1 vs 2")
+    assert witnesses[IOTA] == "term (x, x, y, e1): 1 vs 2"
+
+
+def _corruptible(name):
+    """A degree-4 complex with every differential and scalar slice cached,
+    so that a corrupted slice reaches the diagonal and nothing else."""
+    kx = (load_complex("short", QQ, 4) if name == "short"
+          else load_complex("family", PrimeField(5), 4, q=-1))
+    for n in range(kx.N + 1):
+        for i in range(kx.count(n)):
+            if n:
+                kx._diff_eps(n, i)
+            for v in range(n + 1):
+                kx.c(n, i, v)
+    return kx
+
+
+def _corrupted(field, terms, key, mode):
+    out = dict(terms)
+    if mode == "scale":
+        out[key] = field.mul(field(2), out[key])
+    else:
+        del out[key]
+    return out
+
+
+@pytest.mark.parametrize("name", ["short", "family"])
+def test_delta_identities_catch_every_corrupt_scalar(name):
+    # scale or drop each c_pq(n, i, v) in turn: coassociativity and the dg
+    # identity always notice, a counit law exactly when the split is 0 or n
+    kx = _corruptible(name)
+    cases = 0
+    for n in range(kx.N + 1):
+        for v in range(n + 1):
+            rows = kx.comult._cache[(n, v)]
+            for i, row in enumerate(rows):
+                for key in row:
+                    for mode in ("scale", "drop"):
+                        rows[i] = _corrupted(kx.field, row, key, mode)
+                        kx._diag_cache.clear()
+                        failures = kx.verify_resolution().failures
+                        rows[i] = row
+                        expected = ({COASSOC, DG_COMPAT}
+                                    | ({COUNIT_LEFT} if v == 0 else set())
+                                    | ({COUNIT_RIGHT} if v == n else set()))
+                        case = (n, v, i, key, mode)
+                        assert {f[0] for f in failures} == expected, case
+                        assert all(f[1:3] == (n, i) for f in failures
+                                   if f[0] in (COUNIT_LEFT, COUNIT_RIGHT)), case
+                        assert all("Path(" not in f[3] for f in failures), case
+                        cases += 1
+    kx._diag_cache.clear()
+    assert kx.verify_resolution().ok
+    assert cases == {"short": 70, "family": 170}[name]
+
+
+@pytest.mark.parametrize("name", ["short", "family"])
+def test_differential_identities_catch_every_corrupt_term(name):
+    # scale or drop each term of each d(eps^n_i): exactly d*d=0, the dg
+    # identity and delta iota = iota d notice, each at (n, i) itself
+    kx = _corruptible(name)
+    cases = 0
+    for n in range(1, kx.N + 1):
+        for i in range(kx.count(n)):
+            good = kx._diff_cache[(n, i)]
+            for key in good.terms:
+                for mode in ("scale", "drop"):
+                    kx._diff_cache[(n, i)] = BimoduleElement(
+                        kx.field, n - 1, _corrupted(kx.field, good.terms, key, mode))
+                    failures = kx.verify_resolution().failures
+                    kx._diff_cache[(n, i)] = good
+                    case = (n, i, key, mode)
+                    assert {f[0] for f in failures} == {D_SQUARED, DG_COMPAT, IOTA}, case
+                    assert {f[0] for f in failures if f[1:3] == (n, i)} == {
+                        D_SQUARED, DG_COMPAT, IOTA}, case
+                    assert all("Path(" not in f[3] for f in failures), case
+                    cases += 1
+    assert kx.verify_resolution().ok
+    assert cases == {"short": 44, "family": 96}[name]
+
+
+def test_counit_laws_ignore_non_composable_terms():
+    # e_p ox eps^n_q is zero in K ox_Lambda K unless q starts at p (and
+    # eps^n_p ox e_q unless p ends at q), so a diagonal term that pairs
+    # non-composable generators must not reach either counit law
+    kx = _corruptible("family")
+    cb, cases = kx.cobasis, 0
+    for n in (1, 2):
+        for r in range(kx.count(n)):
+            for v in (0, n):
+                rows = kx.comult._cache[(n, v)]
+                good = rows[r]
+                for p in range(kx.count(v)):
+                    for q in range(kx.count(n - v)):
+                        if cb.target(v, p) == cb.origin(n - v, q):
+                            continue
+                        rows[r] = {**good, (p, q): kx.field.one}
+                        kx._diag_cache.clear()
+                        failures = kx.verify_resolution(2).failures
+                        rows[r] = good
+                        assert not {f[0] for f in failures} & {COUNIT_LEFT, COUNIT_RIGHT}
+                        cases += 1
+    kx._diag_cache.clear()
+    assert kx.verify_resolution().ok
+    assert cases == 50

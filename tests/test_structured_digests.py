@@ -5,10 +5,15 @@ prints is compared with the digest recorded in structured_digests.json.
 A speed-up must leave every structured document byte-identical, so any
 mismatch here is a behaviour change, not noise.
 
-To record the digests of a source tree on purpose (only when its output is
-meant to change), run from the repository root:
+Run as a script from the repository root, the module checks every digest
+without pytest and exits 1 on a mismatch:
 
     PYTHONPATH=src python tests/test_structured_digests.py
+
+To record the digests of a source tree on purpose (only when its output is
+meant to change), add --record; nothing is written without it:
+
+    PYTHONPATH=src python tests/test_structured_digests.py --record
 """
 
 import hashlib
@@ -96,13 +101,34 @@ def test_structured_output_is_byte_identical(argv, recorded, tmp_path):
     assert (code, digest) == (expected["exit"], expected["sha256"])
 
 
-if __name__ == "__main__":
+def _main(cli_args=None):
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(
+        description="Check every structured digest against structured_digests.json; "
+                    "with --record, overwrite that file with this tree's digests instead.")
+    parser.add_argument("--record", action="store_true",
+                        help="write the digests of this source tree to structured_digests.json")
+    args = parser.parse_args(cli_args)
     with tempfile.TemporaryDirectory() as tmp:
         table = {}
         for argv in COMMANDS:
             code, digest = structured_digest(argv, tmp)
             table[command_key(argv)] = {"exit": code, "sha256": digest}
-    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    sys.exit(0)
+    if args.record:
+        DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
+                           encoding="utf-8")
+        print(f"recorded {len(table)} digests in {DIGESTS.name}")
+        return 0
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    keys = table.keys() | recorded.keys()
+    bad = sorted(key for key in keys if table.get(key) != recorded.get(key))
+    for key in bad:
+        print(f"MISMATCH  {key}")
+    print(f"{len(keys) - len(bad)} of {len(keys)} digests match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main())
