@@ -144,6 +144,8 @@ def _parse_path(quiver, text, lineno, allow_idempotents):
 
 def parse_cochain(kx, degree, text):
     """Comma-separated value list in generator-index order."""
+    if degree < 0:
+        raise ParseError(f"cochain degree must be at least 0, got {degree}")
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != kx.count(degree):
         raise ParseError(

@@ -136,7 +136,19 @@ def cmd_comult(args):
     kx = load_complex(args)
     doc = {"command": "comult", "entries": []}
     lines = []
-    ns = [args.n] if args.n is not None else list(range(kx.N + 1))
+    if args.n is not None and not 0 <= args.n <= kx.N:
+        raise KoszulGerstError(f"--n must be in 0..{kx.N}, got {args.n}")
+    if args.r is not None and args.r < 0:
+        raise KoszulGerstError(f"--r must be at least 0, got {args.r}")
+    if args.n is not None:
+        ns = [args.n]
+    elif args.r is not None:
+        # split R exists from degree R up; --n with a larger --r is a slice error
+        if args.r > kx.N:
+            raise KoszulGerstError(f"--r must be in 0..{kx.N}, got {args.r}")
+        ns = range(args.r, kx.N + 1)
+    else:
+        ns = range(kx.N + 1)
     for n in ns:
         rs_range = [args.r] if args.r is not None else list(range(n + 1))
         for r in rs_range:

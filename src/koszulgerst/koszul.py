@@ -17,7 +17,7 @@ scalars are canonical as well.
 
 from .errors import InconsistentBasis
 from .linalg import Matrix, _rref, echelon_basis, nullspace_basis
-from .quiver import Path, PathVector, free_multiply
+from .quiver import PathVector, free_multiply
 
 
 class KoszulCobasis:
@@ -141,6 +141,12 @@ class ComultTable:
     over the words w = P^r_j P^{n-r}_l of f^n_i.  Every row is re-expanded
     and must give f^n_i back exactly; a miss, or linearly dependent
     generators in one degree, raises InconsistentBasis.
+
+    The split words and the re-expanded words are plain (origin, arrows)
+    tuples, never Paths.  Path is a tuple subclass that adds no fields and
+    no comparison of its own, so (o, arrows) hashes and compares equal to
+    Path(o, arrows): looking one up among Path keys, or comparing a dict
+    of them with f^n_i.terms, is exact.  No such tuple leaves this class.
     """
 
     def __init__(self, quiver, cobasis, field):
@@ -181,17 +187,17 @@ class ComultTable:
             return got
         if not (0 <= r <= n <= self.cobasis.max_degree):
             raise InconsistentBasis(f"comult slice ({n},{r}) out of range")
-        q, f, cb = self.quiver, self.field, self.cobasis
+        arrow_t, f, cb = self.quiver.arrow_t, self.field, self.cobasis
         left, right = self._pivot_transform(r), self._pivot_transform(n - r)
         rows = []
         for i in range(cb.count(n)):
             acc = {}
             for w, coeff in cb.f(n, i).terms.items():
-                head = Path(w.o, w.arrows[:r])
-                t_left = left.get(head)
+                head = w.arrows[:r]
+                t_left = left.get((w.o, head))
                 if t_left is None:
                     continue
-                t_right = right.get(Path(q.path_target(head), w.arrows[r:]))
+                t_right = right.get((arrow_t[head[-1]] if head else w.o, w.arrows[r:]))
                 if t_right is None:
                     continue
                 for p, cp in t_left.items():
@@ -217,6 +223,6 @@ class ComultTable:
             for u, cu in cb.f(r, p).terms.items():
                 cu = f.mul(c, cu)
                 for v, cv in right.items():
-                    w = Path(u.o, u.arrows + v.arrows)
+                    w = (u.o, u.arrows + v.arrows)
                     acc[w] = f.add(acc.get(w, f.zero), f.mul(cu, cv))
         return {w: c for w, c in acc.items() if c != f.zero}

@@ -27,6 +27,14 @@ class Path(NamedTuple):
 
 
 class Quiver:
+    """Named vertices and arrows, with their length-0 and length-1 paths.
+
+    vertex_path(v) and arrow_path(a) return one Path per vertex and per
+    arrow, built here and shared by every caller: a Path is an immutable
+    tuple, so handing out the same object is safe and saves rebuilding a
+    letter that never changes.
+    """
+
     def __init__(self, vertex_names, arrows):
         """arrows: iterable of (name, origin_name, target_name)."""
         self.vertex_names = tuple(vertex_names)
@@ -46,6 +54,8 @@ class Quiver:
             self.arrow_t.append(self.vertex_index[t])
         self.arrow_names = tuple(self.arrow_names)
         self.arrow_index = {a: i for i, a in enumerate(self.arrow_names)}
+        self._vertex_paths = tuple(Path(v, ()) for v in range(len(self.vertex_names)))
+        self._arrow_paths = tuple(Path(o, (a,)) for a, o in enumerate(self.arrow_o))
 
     @property
     def num_vertices(self):
@@ -56,10 +66,10 @@ class Quiver:
         return len(self.arrow_names)
 
     def vertex_path(self, v):
-        return Path(v, ())
+        return self._vertex_paths[v]
 
     def arrow_path(self, a):
-        return Path(self.arrow_o[a], (a,))
+        return self._arrow_paths[a]
 
     def path_target(self, path):
         if path.arrows:

@@ -88,6 +88,7 @@ class KoszulComplex:
         self.comult = ComultTable(self.quiver, self.cobasis, self.field)
         self._diff_cache = {}
         self._diag_cache = {}
+        self._letter_cache = {}  # (n, i) -> [(arrow Paths of a word of f^n_i, coeff)]
         self._bar_tuples = {}  # n -> composable n-tuples of words (bracket.bar_tuples)
         self._lifting_systems = {}  # (k, ell, o, t) -> lifting._LiftingSystem
 
@@ -191,24 +192,32 @@ class KoszulComplex:
 
     # -- bar embedding -------------------------------------------------------------
 
+    def _letters(self, n, i):
+        """The words of f^n_i spelled letter by letter: (arrow Paths, coeff)."""
+        got = self._letter_cache.get((n, i))
+        if got is not None:
+            return got
+        arrow = self.quiver.arrow_path
+        got = [(tuple(arrow(a) for a in path.arrows), c)
+               for path, c in self.cobasis.f(n, i).terms.items()]
+        self._letter_cache[(n, i)] = got
+        return got
+
     def iota(self, n, r):
         """iota(eps^n_r) = 1 ox (letterwise expansion of f^n_r) ox 1."""
-        f, q = self.field, self.quiver
-        terms = {}
-        for path, coeff in self.cobasis.f(n, r).terms.items():
-            word = ((q.vertex_path(path.o),)
-                    + tuple(q.arrow_path(a) for a in path.arrows)
-                    + (q.vertex_path(q.path_target(path)),))
-            terms[word] = coeff
-        return GradedVector(f, n, terms)
+        q = self.quiver
+        o, t = self.cobasis.o(n, r)  # f^n_r is uniform: every word runs o -> t
+        head, tail = (q.vertex_path(o),), (q.vertex_path(t),)
+        return GradedVector(self.field, n,
+                            {head + letters + tail: c for letters, c in self._letters(n, r)})
 
     def iota_bimodule(self, x):
         """iota extended to K: u . eps^n_i . v -> u ox f-letters ox v."""
-        f, q = self.field, self.quiver
+        f = self.field
         out = {}
         for (u, i, v), coeff in x.terms.items():
-            for path, c in self.cobasis.f(x.degree, i).terms.items():
-                word = (u,) + tuple(q.arrow_path(a) for a in path.arrows) + (v,)
+            for letters, c in self._letters(x.degree, i):
+                word = (u,) + letters + (v,)
                 out[word] = f.add(out.get(word, f.zero), f.mul(coeff, c))
         return GradedVector(f, x.degree, out)
 

@@ -300,6 +300,48 @@ def test_cli_negative_internal_degree_exits_2(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", ["7", "-1"])
+def test_cli_comult_degree_out_of_range_exits_2(n, capsys):
+    # used to print nothing and exit 0
+    assert main(["comult", "--preset", "family", "--q", "1", "-N", "3", "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--n must be in 0..3" in err
+
+
+def test_cli_comult_split_alone_lists_every_degree_that_has_it(capsys):
+    argv = ["comult", "--preset", "family", "--q", "1", "-N", "3", "--format", "structured"]
+    assert main(argv) == 0
+    every = json.loads(capsys.readouterr().out)["entries"]
+    assert main([*argv, "--r", "1"]) == 0
+    got = json.loads(capsys.readouterr().out)["entries"]
+    assert got == [e for e in every if e["r"] == 1]
+    assert sorted({e["n"] for e in got}) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--r", "-1"], "--r must be at least 0"),
+    (["--r", "4"], "--r must be in 0..3"),
+    (["--n", "2", "--r", "5"], "comult slice (2,5) out of range"),
+])
+def test_cli_comult_bad_split_exits_2(extra, message, capsys):
+    assert main(["comult", "--preset", "family", "--q", "1", "-N", "3", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cup", "--left-degree", "-1", "--left=a", "--right-degree", "1", "--right=a,0,0"],
+    ["lift", "--degree", "-1", "--cocycle=a"],
+])
+def test_cli_negative_cochain_degree_exits_2(argv, capsys):
+    # used to read `degree--1 cochain wants 0 values, got 1`
+    assert main([argv[0], "--preset", "family", "--q", "1", *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cochain degree must be at least 0" in err
+    assert "degree--" not in err and "Traceback" not in err
+
+
 def test_cli_internal_degree_is_a_cohomology_flag(capsys):
     assert main(["cohomology", "--preset", "short", "-N", "3", "--internal-degree", "1",
                  "--format", "structured"]) == 0

@@ -9,7 +9,7 @@ coded closed formulas for the two stock algebras.
 import pytest
 
 from koszulgerst.errors import InconsistentBasis
-from koszulgerst.fields import QQ
+from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.koszul import ComultTable, KoszulCobasis, build_koszul_basis
 from koszulgerst.linalg import echelon_basis
 from koszulgerst.presets import (family_cobasis, load_complex, load_presentation,
@@ -135,3 +135,39 @@ def test_inconsistent_basis_detected(short8):
     table = ComultTable(pres.quiver, broken, QQ)
     with pytest.raises(InconsistentBasis):
         table.scalars(3, 0, 1)
+
+
+@pytest.mark.parametrize("name", ["short", "family"])
+def test_scaled_word_is_caught_at_every_split_it_leaves(name):
+    # Scaling the coefficient of one word w = u v of f^n_i adds a multiple of
+    # the monomial w, so the row at split r still re-expands exactly iff u
+    # and v lie in W_r and W_{n-r}.  A monomial lies in a reduced echelon
+    # span only as a one-word generator, so every other split must raise.
+    # In degree 2 both halves are arrows, so only degrees 3 and 4 can miss.
+    kx = (load_complex("short", QQ, 4) if name == "short"
+          else load_complex("family", PrimeField(5), 4, q=-1))
+    f, q, cb = kx.field, kx.quiver, kx.cobasis
+    monomials = {next(iter(g.terms)) for level in cb.elements for g in level
+                 if len(g.terms) == 1}
+    caught_everywhere = set()
+    for n in range(2, 5):
+        for i in range(cb.count(n)):
+            for w in cb.f(n, i).terms:
+                levels = [list(level) for level in cb.elements]
+                terms = dict(levels[n][i].terms)
+                terms[w] = f.mul(f(2), terms[w])
+                levels[n][i] = PathVector(f, terms)
+                table = ComultTable(q, KoszulCobasis(q, levels), f)
+                caught = []
+                for r in range(1, n):
+                    head = Path(w.o, w.arrows[:r])
+                    tail = Path(q.path_target(head), w.arrows[r:])
+                    try:
+                        table.scalars(n, i, r)
+                        caught.append(False)
+                    except InconsistentBasis:
+                        caught.append(True)
+                    assert caught[-1] == (head not in monomials or tail not in monomials)
+                if all(caught):
+                    caught_everywhere.add(n)
+    assert caught_everywhere == {3, 4}

@@ -171,3 +171,25 @@ def test_basis_words_of_negative_length_are_empty(family8, short8):
     for rs in (family8.rs, short8.rs):
         rs.basis_words(3)
         assert rs.basis_words(-1) == [] and rs.basis_words(-2, o=0, t=0) == []
+
+
+def test_vertex_and_arrow_paths_are_shared():
+    q = load_presentation("family", QQ, q=1).quiver
+    for v in range(q.num_vertices):
+        assert q.vertex_path(v) is q.vertex_path(v)
+        assert q.vertex_path(v) == Path(v, ())
+    for a in range(q.num_arrows):
+        assert q.arrow_path(a) is q.arrow_path(a)
+        assert q.arrow_path(a) == Path(q.arrow_o[a], (a,))
+
+
+@pytest.mark.parametrize("o, arrows", [(0, ()), (1, ()), (0, (2,)), (0, (0, 1, 0))])
+def test_path_and_its_plain_tuple_are_one_key(o, arrows):
+    # the comultiplicative scalar slices look up and compare plain
+    # (origin, arrows) tuples against Path keys
+    path, plain = Path(o, arrows), (o, arrows)
+    assert path == plain and plain == path
+    assert hash(path) == hash(plain)
+    assert {path: 1}[plain] == 1 and {plain: 1}[path] == 1
+    assert {path: 1, Path(o + 1, ()): 2} == {plain: 1, (o + 1, ()): 2}
+    assert (o + 1, arrows) != path and (o, arrows + (0,)) != path

@@ -186,6 +186,27 @@ def test_iota_goldens(short8, family8):
     assert short8.iota(3, 1).terms == expect
 
 
+@pytest.mark.parametrize("name", ["short", "family"])
+def test_letter_table_spells_every_generator(name):
+    kx = (load_complex("short", QQ, 5) if name == "short"
+          else load_complex("family", PrimeField(5), 5, q=-1))
+    q = kx.quiver
+    for n in range(kx.N + 1):
+        for i in range(kx.count(n)):
+            table = kx._letters(n, i)
+            assert kx._letters(n, i) is table
+            spelled = {}
+            for letters, c in table:
+                assert len(letters) == n
+                for letter in letters:
+                    assert len(letter.arrows) == 1
+                    assert letter is q.arrow_path(letter.arrows[0])
+                spelled[".".join(q.format_path(letter) for letter in letters)] = c
+            words = {q.format_path(w) if n else "": c
+                     for w, c in kx.cobasis.f(n, i).terms.items()}
+            assert len(table) == len(words) and spelled == words
+
+
 def test_angle_components_sum_to_differential(short8, family8):
     for kx in (short8, family8):
         for n in range(1, 7):

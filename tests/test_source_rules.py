@@ -113,14 +113,14 @@ def test_rref_is_called_only_by_linalg_and_the_two_transforms():
     assert sorted(found) == sorted(allowed)
 
 
-def fraction_calls(tree):
-    """Lines of `Fraction(...)` or `<module>.Fraction(...)` calls."""
+def named_calls(tree, callee):
+    """Lines of `<callee>(...)` or `<module>.<callee>(...)` calls."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "Fraction":
+            if name == callee:
                 found.add(node.lineno)
     return sorted(found)
 
@@ -133,7 +133,7 @@ def test_rule_spots_fraction_calls():
                      "z = field(Fraction)\n"
                      "def f():\n"
                      "    return [Fraction(t) for t in ts]\n")
-    assert fraction_calls(tree) == [2, 3, 7]
+    assert named_calls(tree, "Fraction") == [2, 3, 7]
 
 
 def test_fraction_is_called_only_in_fields():
@@ -144,6 +144,27 @@ def test_fraction_is_called_only_in_fields():
         if module.name == "fields.py":
             continue
         tree = ast.parse(module.read_text(), filename=str(module))
-        found += [f"{module.name}:{line}" for line in fraction_calls(tree)]
+        found += [f"{module.name}:{line}" for line in named_calls(tree, "Fraction")]
     assert sorted(SRC.glob("*.py")), "package source not found"
+    assert found == []
+
+
+def test_rule_spots_path_calls():
+    tree = ast.parse("from .quiver import Path\n"
+                     "head = Path(w.o, w.arrows[:r])\n"
+                     "key = (w.o, w.arrows[:r])\n"
+                     "isinstance(k, Path)\n"
+                     "tail = quiver.Path(t, w.arrows[r:])\n"
+                     "e = q.vertex_path(v)\n")
+    assert named_calls(tree, "Path") == [2, 5]
+
+
+def test_no_path_is_built_in_koszul_or_resolution():
+    # the scalar slices and the resolution's identity checks run per word;
+    # they take shared letters from Quiver.vertex_path / arrow_path, and
+    # ComultTable keys its lookups with plain (origin, arrows) tuples
+    found = []
+    for name in ("koszul.py", "resolution.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        found += [f"{name}:{line}" for line in named_calls(tree, "Path")]
     assert found == []
