@@ -8,17 +8,18 @@ every requested check passed.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from . import algfile, presets
 from .bracket import bracket_via_derivation, bracket_via_lifting, maurer_cartan_check, oracle_compare
-from .cohomology import Cochain, coboundary, cocycle_space, cup_product, same_class
+from .cohomology import Cochain, _cochain_coords, coboundary, cocycle_space, cup_product, same_class
 from .errors import KoszulGerstError
 from .fields import QQ, field_from_name
 from .lifting import derivation_lift, solve_lifting, verify_lifting
+from .linalg import Matrix, rank
 from .resolution import KoszulComplex
+from .structured import dumps
 
 DEFAULT_N = 4
 # 128 + SIGPIPE: the status a shell reports for a writer whose reader closed
@@ -42,38 +43,32 @@ def build_parser():
         p.add_argument("-N", type=int, default=default_n, metavar="DEGREE",
                        help="maximum homological degree")
         p.add_argument("--format", choices=("text", "structured"), default="text")
+        return p
 
     common(sub.add_parser("basis", help="generators f^n_i and their counts"))
-    p = sub.add_parser("comult", help="comultiplicative scalar slices")
-    common(p)
+    p = common(sub.add_parser("comult", help="comultiplicative scalar slices"))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
-    p = sub.add_parser("resolution", help="differential, diagonal, embedding")
-    common(p)
+    p = common(sub.add_parser("resolution", help="differential, diagonal, embedding"))
     p.add_argument("--verify", action="store_true")
-    p = sub.add_parser("cohomology", help="cocycle/coboundary bases and HH dims")
-    common(p)
+    p = common(sub.add_parser("cohomology", help="cocycle/coboundary bases and HH dims"))
     p.add_argument("--internal-degree", type=int, default=None, metavar="L")
-    p = sub.add_parser("cup", help="cup product of two cochains")
-    common(p)
+    p = common(sub.add_parser("cup", help="cup product of two cochains"))
     p.add_argument("--left-degree", type=int, required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right-degree", type=int, required=True)
     p.add_argument("--right", required=True)
-    p = sub.add_parser("lift", help="solve and verify a homotopy lifting")
-    common(p)
+    p = common(sub.add_parser("lift", help="solve and verify a homotopy lifting"))
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--cocycle", required=True)
-    p = sub.add_parser("bracket", help="Gerstenhaber bracket")
-    common(p)
+    p = common(sub.add_parser("bracket", help="Gerstenhaber bracket"))
     p.add_argument("--engine", choices=("lifting", "derivation", "bar"),
                    default="lifting")
     p.add_argument("--left-degree", type=int)
     p.add_argument("--left")
     p.add_argument("--right-degree", type=int)
     p.add_argument("--right")
-    p = sub.add_parser("mc", help="Maurer-Cartan check for a 2-cochain")
-    common(p)
+    p = common(sub.add_parser("mc", help="Maurer-Cartan check for a 2-cochain"))
     p.add_argument("--cocycle", required=True)
     common(sub.add_parser("tables", help="re-derive the golden tables"), default_n=6)
     common(sub.add_parser("verify-all", help="run every structural check"), default_n=6)
@@ -87,6 +82,8 @@ def load_complex(args, min_n=1):
     field = field_from_name(args.field) if args.field else None
     if args.preset and args.algebra:
         raise KoszulGerstError("pass either --preset or --algebra, not both")
+    if args.q is not None and args.preset != "family":
+        raise KoszulGerstError("--q applies only to --preset family")
     if args.preset:
         f = field or QQ
         q = f.parse(args.q) if args.q is not None else None
@@ -109,7 +106,7 @@ def _cochain(kx, degree, text):
 
 def emit(doc, fmt, lines):
     if fmt == "structured":
-        print(json.dumps(doc, indent=2))
+        print(dumps(doc))
     else:
         for line in lines:
             print(line)
@@ -181,13 +178,16 @@ def cmd_resolution(args):
                 f"{t['coeff']}*eps^{t['v']}_{t['p']} ox eps^{n - t['v']}_{t['q']}"
                 for t in terms)
             lines.append(f"Delta(eps^{n}_{r}) = {pretty}")
+    letters = kx.quiver.letters()
+    place = {w: i for i, w in enumerate(letters)}
+    name = {w: kx.quiver.format_path(w) for w in letters}
     for n in range(1, kx.N + 1):
         for r in range(kx.count(n)):
-            bar = kx.iota(n, r)
-            words = [{"word": [kx.quiver.format_path(w) for w in key],
-                      "coeff": kx.field.format(c)}
-                     for key, c in sorted(bar.terms.items(), key=lambda kv: repr(kv[0]))]
-            doc["embeddings"].append({"n": n, "r": r, "terms": words})
+            terms = sorted(kx.iota(n, r).terms.items(),
+                           key=lambda kv: tuple(map(place.__getitem__, kv[0])))
+            doc["embeddings"].append({"n": n, "r": r, "terms": [
+                {"word": [name[w] for w in key], "coeff": kx.field.format(c)}
+                for key, c in terms]})
     status = 0
     if getattr(args, "verify", False):
         report = kx.verify_resolution()
@@ -308,12 +308,10 @@ def cmd_mc(args):
 
 def _check_table(kx, golden, degree):
     """Each golden vector is a cocycle and the goldens span the cocycle space."""
-    from .linalg import Matrix, rank
     ok = all(coboundary(g).is_zero() for g in golden)
     space = cocycle_space(kx, degree)
     span_ok = len(space.cocycles) == len(golden)
     if ok and span_ok:
-        from .cohomology import _cochain_coords
         coords = []
         for e in sorted({d for g in golden for d in g.internal_degrees()} | set(space.internal_degrees)):
             coords.extend([(e, c) for c in _cochain_coords(kx, degree, e)])

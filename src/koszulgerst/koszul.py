@@ -7,6 +7,19 @@ inside kQ_n, with W_2 the relation span.  Each W_n is split into blocks by
 (origin, target) vertex pair (forcing uniform generators) and put in reduced
 echelon form under the length-lex path order, so the output is canonical.
 
+Because W_{n-1} arrives in that reduced form, the left extensions a.w are
+themselves a reduced echelon basis of kQ_1 . W_{n-1}: a.w is monic at
+a.pivot(w) (left multiplication by an arrow keeps the length-lex order of
+words) and zero at every other a'.pivot(w') (words of a.w start with a, and
+w is zero at the other pivots of W_{n-1}).  Membership in that span is then
+exact: if x = sum c_p (extension pivoted at p), its coefficient at p is
+c_p, so x lies in the span iff x - sum_p x[p] (extension pivoted at p) is
+zero.  The intersection is the kernel of those residues over the right
+extensions w.b.  These are a reduced echelon basis too, pivoted at
+pivot(w).b, so the coefficient of sum x_j (w.b)_j at the j-th right pivot
+is x_j, and a reduced kernel basis in x gives a reduced echelon basis of
+the intersection.
+
 The comultiplicative scalars c_{pq}(n,i,r) are the unique coefficients with
     f^n_i = sum_{p,q} c_{pq}(n,i,r) f^r_p f^{n-r}_q      (product in kQ).
 Concatenation kQ_r (x)_{kQ_0} kQ_{n-r} -> kQ_n is an isomorphism, so they
@@ -17,7 +30,7 @@ scalars are canonical as well.
 
 from .errors import InconsistentBasis
 from .linalg import Matrix, _rref, echelon_basis, nullspace_basis
-from .quiver import PathVector, free_multiply
+from .quiver import PathVector
 
 
 class KoszulCobasis:
@@ -68,49 +81,71 @@ def build_koszul_basis(presentation, rs, N):
               [PathVector.single(f, q.arrow_path(a)) for a in range(q.num_arrows)]]
     if N >= 2:
         levels.append(_split_blocks(q, echelon_basis(presentation.relations, key), key))
-    n = 3
-    while n <= N:
-        prev = levels[n - 1]
-        if not prev:
-            levels.append([])
-            n += 1
-            continue
-        arrows = [PathVector.single(f, q.arrow_path(a)) for a in range(q.num_arrows)]
-        right_ext = [w for v in prev for a in arrows
-                     if not (w := free_multiply(q, v, a)).is_zero()]
-        left_ext = [w for a in arrows for v in prev
-                    if not (w := free_multiply(q, a, v)).is_zero()]
-        levels.append(_split_blocks(q, _intersect(f, right_ext, left_ext, key), key))
-        n += 1
+    for n in range(3, N + 1):
+        levels.append(_split_blocks(q, _intersect(q, f, levels[n - 1], key), key))
     return KoszulCobasis(q, levels[:N + 1])
 
 
-def _intersect(field, span_u, span_v, order_key):
-    """Basis of span(span_u) intersect span(span_v)."""
-    if not span_u or not span_v:
+def _intersect(quiver, field, prev, order_key):
+    """Basis of (prev . kQ_1) intersect (kQ_1 . prev) in reduced echelon form.
+
+    prev is a uniform reduced echelon basis (module docstring); the result
+    is reduced too, its vectors in no particular order.  A combination of
+    right extensions u = w.b lies in kQ_1 . prev iff its residue against
+    the left extensions is zero.  The residue of u is read in one pass over
+    its terms, since no left extension touches another's pivot; a pivot not
+    hit by exactly one left extension raises InconsistentBasis.
+    """
+    compose, zero, one = quiver.compose, field.zero, field.one
+    add, sub, mul = field.add, field.sub, field.mul
+    arrows = [quiver.arrow_path(a) for a in range(quiver.num_arrows)]
+    left = {}  # pivot word a.pivot(w) -> terms of a.w
+    right = []  # (pivot word pivot(w).b, terms of w.b)
+    for w in prev:
+        pivot = min(w.terms, key=order_key)
+        if w.terms[pivot] != one:
+            raise InconsistentBasis(f"{w.format(quiver)!r} is not monic at its pivot")
+        for a in arrows:
+            ap = compose(a, pivot)
+            if ap is None:
+                continue
+            if ap in left:
+                raise InconsistentBasis(f"two left extensions pivot at {quiver.format_path(ap)}")
+            left[ap] = {compose(a, p): c for p, c in w.terms.items()}
+        for b in arrows:
+            pb = compose(pivot, b)
+            if pb is not None:
+                right.append((pb, {compose(p, b): c for p, c in w.terms.items()}))
+    if sum(p in left for terms in left.values() for p in terms) != len(left):
+        raise InconsistentBasis("a left extension is not zero at another's pivot")
+    if not left or not right:
         return []
-    support = sorted({p for v in span_u + span_v for p in v.terms}, key=order_key)
-    row_of = {p: i for i, p in enumerate(support)}
-    nu, nv = len(span_u), len(span_v)
-    entries = {}
-    for j, vec in enumerate(span_u):
-        for path, coeff in vec.terms.items():
-            entries[(row_of[path], j)] = coeff
-    for j, vec in enumerate(span_v):
-        for path, coeff in vec.terms.items():
-            entries[(row_of[path], nu + j)] = field.neg(coeff)
-    A = Matrix(field, len(support), nu + nv, entries)
+    # a kernel vector of nullspace_basis is 1 in its own free column and 0
+    # in every later column and in the other kernel vectors' free columns;
+    # with the leading right pivots last, the free column's pivot leads
+    # sum x_j u_j with coefficient 1, so the result is reduced echelon
+    right.sort(key=lambda pu: order_key(pu[0]), reverse=True)
+    columns = [u for _, u in right]
+    row_of, entries = {}, {}
+    for j, u in enumerate(columns):
+        residue = dict(u)
+        for p, c in u.items():
+            ext = left.get(p)
+            if ext is not None:
+                for path, cv in ext.items():
+                    residue[path] = sub(residue.get(path, zero), mul(c, cv))
+        for path, c in residue.items():
+            if c != zero:
+                entries[(row_of.setdefault(path, len(row_of)), j)] = c
     vectors = []
-    for ker in nullspace_basis(A):
+    for ker in nullspace_basis(Matrix(field, len(row_of), len(columns), entries)):
         acc = {}
-        for j in range(nu):
-            if ker[j] != field.zero:
-                for path, c in span_u[j].terms.items():
-                    acc[path] = field.add(acc.get(path, field.zero), field.mul(c, ker[j]))
-        vec = PathVector(field, acc)
-        if not vec.is_zero():
-            vectors.append(vec)
-    return echelon_basis(vectors, order_key)
+        for x, u in zip(ker, columns):
+            if x != zero:
+                for path, c in u.items():
+                    acc[path] = add(acc.get(path, zero), mul(x, c))
+        vectors.append(PathVector(field, acc))
+    return vectors
 
 
 def _split_blocks(quiver, vectors, order_key):

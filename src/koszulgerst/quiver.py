@@ -71,6 +71,14 @@ class Quiver:
     def arrow_path(self, a):
         return self._arrow_paths[a]
 
+    def letters(self):
+        """The shared vertex and arrow Paths, the letters of bar words, by repr.
+
+        No letter's repr is a prefix of another's, so words compared letter
+        by letter at their places here sort exactly as their reprs do.
+        """
+        return sorted(self._vertex_paths + self._arrow_paths, key=repr)
+
     def path_target(self, path):
         if path.arrows:
             return self.arrow_t[path.arrows[-1]]

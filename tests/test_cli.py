@@ -186,6 +186,17 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("source", ["preset", "algebra"])
+def test_cli_q_outside_the_family_preset_exits_2(source, tmp_path, capsys):
+    # --q used to be ignored silently here, and the run exited 0
+    path = tmp_path / "family.alg"
+    path.write_text(FAMILY_FILE)
+    where = ["--preset", "short"] if source == "preset" else ["--algebra", str(path)]
+    assert main(["basis", *where, "--q", "2", "-N", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "--q" in err
+
+
 def test_cli_lift_cocycle_may_start_with_minus(capsys):
     assert main(["lift", "--preset", "family", "--q", "1", "--degree", "1",
                  "--cocycle", "-3*a,0,0", "-N", "3"]) == 0

@@ -1,17 +1,22 @@
 """Generator towers f^n_i and their comultiplicative scalars.
 
 The generic intersection construction is compared against the bundled
-closed-form towers, and the scalar tables are checked both against the
-defining identity in kQ (by direct expansion) and against independently
-coded closed formulas for the two stock algebras.
+closed-form towers and, generator for generator, against a reference that
+intersects by one [U | -V] kernel per degree.  The scalar tables are
+checked both against the defining identity in kQ (by direct expansion) and
+against independently coded closed formulas for the two stock algebras.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from koszulgerst.algfile import parse_presentation
 from koszulgerst.errors import InconsistentBasis
 from koszulgerst.fields import QQ, PrimeField
-from koszulgerst.koszul import ComultTable, KoszulCobasis, build_koszul_basis
-from koszulgerst.linalg import echelon_basis
+from koszulgerst.koszul import (ComultTable, KoszulCobasis, _intersect, _split_blocks,
+                                build_koszul_basis)
+from koszulgerst.linalg import Matrix, echelon_basis, nullspace_basis
 from koszulgerst.presets import (family_cobasis, load_complex, load_presentation,
                                  short_cobasis)
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
@@ -171,3 +176,144 @@ def test_scaled_word_is_caught_at_every_split_it_leaves(name):
                 if all(caught):
                     caught_everywhere.add(n)
     assert caught_everywhere == {3, 4}
+
+
+# -- the generator tower against the [U | -V] reference ---------------------------
+
+
+def reference_intersect(field, span_u, span_v, order_key):
+    """Basis of span(span_u) intersect span(span_v): one [U | -V] kernel."""
+    if not span_u or not span_v:
+        return []
+    support = sorted({p for v in span_u + span_v for p in v.terms}, key=order_key)
+    row_of = {p: i for i, p in enumerate(support)}
+    nu, nv = len(span_u), len(span_v)
+    entries = {}
+    for j, vec in enumerate(span_u):
+        for path, coeff in vec.terms.items():
+            entries[(row_of[path], j)] = coeff
+    for j, vec in enumerate(span_v):
+        for path, coeff in vec.terms.items():
+            entries[(row_of[path], nu + j)] = field.neg(coeff)
+    A = Matrix(field, len(support), nu + nv, entries)
+    vectors = []
+    for ker in nullspace_basis(A):
+        acc = {}
+        for j in range(nu):
+            if ker[j] != field.zero:
+                for path, c in span_u[j].terms.items():
+                    acc[path] = field.add(acc.get(path, field.zero), field.mul(c, ker[j]))
+        vec = PathVector(field, acc)
+        if not vec.is_zero():
+            vectors.append(vec)
+    return echelon_basis(vectors, order_key)
+
+
+def reference_tower(pres, N):
+    """Levels 0..N of the tower, intersecting free_multiply extensions."""
+    q, f, key = pres.quiver, pres.field, pres.order_key
+    arrows = [PathVector.single(f, q.arrow_path(a)) for a in range(q.num_arrows)]
+    levels = [[PathVector.single(f, q.vertex_path(v)) for v in range(q.num_vertices)],
+              arrows, _split_blocks(q, echelon_basis(pres.relations, key), key)]
+    for n in range(3, N + 1):
+        prev = levels[n - 1]
+        right_ext = [w for v in prev for a in arrows
+                     if not (w := free_multiply(q, v, a)).is_zero()]
+        left_ext = [w for a in arrows for v in prev
+                    if not (w := free_multiply(q, a, v)).is_zero()]
+        levels.append(_split_blocks(q, reference_intersect(f, right_ext, left_ext, key), key))
+    return levels[:N + 1]
+
+
+def assert_tower_matches_reference(pres, N):
+    got = build_koszul_basis(pres, None, N).elements
+    want = reference_tower(pres, N)
+    assert len(got) == len(want) == N + 1
+    for n in range(N + 1):
+        # the same generators in the same order, term for term; the order in
+        # which a generator's dict lists its terms is the elimination's
+        # history, which no output reads
+        assert got[n] == want[n], f"degree {n}"
+
+
+def quantum_exterior_text(names, field, params):
+    """x^2 = 0 and y.x + q*x.y = 0 for each pair x < y, q from params."""
+    lines = [f"field {field}", "vertex 1", *(f"arrow {x} 1 1" for x in names),
+             "order " + " > ".join(names)]
+    rels = [f"relation {x}.{x}" for x in names]
+    pairs = [(x, y) for i, x in enumerate(names) for y in names[i + 1:]]
+    for (x, y), q in zip(pairs, params):
+        lines.append(f"param q{x}{y} = {q}")
+        rels.append(f"relation {y}.{x} + q{x}{y}*{x}.{y}")
+    return "\n".join(lines + rels) + "\n"
+
+
+def family_shaped_text(field, q):
+    return "\n".join([
+        f"field {field}", "vertex 1", "vertex 2",
+        "arrow a 1 1", "arrow b 1 1", "arrow c 1 2", "order a > b > c",
+        f"param q = {q}", "relation a.a", "relation b.b", "relation a.b - q*b.a",
+        "relation a.c"]) + "\n"
+
+
+@pytest.mark.parametrize("text, N", [
+    (quantum_exterior_text("xyz", "F32003", [17, 2024, 31999]), 6),
+    (quantum_exterior_text("xyzw", "F32003", [5, 77, 1234, 9, 20000, 31002]), 5),
+    (family_shaped_text("F32003", 12345), 8),
+    (family_shaped_text("Q", "-2/3"), 8),
+], ids=["ext3-F32003", "ext4-F32003", "family-F32003", "family-Q"])
+def test_tower_matches_reference_on_file_algebras(text, N):
+    assert_tower_matches_reference(parse_presentation(text), N)
+
+
+def test_tower_matches_reference_on_zigzag():
+    q = Quiver(["1", "2"], [("u", "1", "2"), ("v", "2", "1")])
+    rels = [PathVector.single(QQ, Path(0, (0, 1))), PathVector.single(QQ, Path(1, (1, 0)))]
+    assert_tower_matches_reference(QuadraticPresentation(q, rels, field=QQ), 6)
+
+
+@st.composite
+def quadratic_presentations(draw):
+    """Quadratic algebras on 1-3 vertices and at most 3 arrows, over Q, F5, F7."""
+    field = draw(st.sampled_from([QQ, PrimeField(5), PrimeField(7)]))
+    nv = draw(st.integers(1, 3))
+    ends = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+                         min_size=1, max_size=3))
+    quiver = Quiver([str(v) for v in range(nv)],
+                    [(f"a{i}", str(o), str(t)) for i, (o, t) in enumerate(ends)])
+    blocks = {}
+    for a, (o, mid) in enumerate(ends):
+        for b, (mid2, t) in enumerate(ends):
+            if mid == mid2:
+                blocks.setdefault((o, t), []).append(Path(o, (a, b)))
+    relations = []
+    for pair in sorted(blocks):
+        words = blocks[pair]
+        for _ in range(draw(st.integers(0, len(words)))):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(words),
+                                   max_size=len(words)))
+            rel = PathVector(field, {w: field(c) for w, c in zip(words, coeffs)})
+            if not rel.is_zero():
+                relations.append(rel)
+    order = draw(st.permutations(range(len(ends))))
+    return QuadraticPresentation(quiver, relations, arrow_order=order, field=field)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(quadratic_presentations())
+def test_tower_matches_reference_on_random_quadratic_algebras(pres):
+    assert_tower_matches_reference(pres, 5)
+
+
+@pytest.mark.parametrize("prev_terms", [
+    [{(0, 0): 1}, {(0, 0): 1, (0, 1): 1}],  # two generators pivot at x.x
+    [{(0, 0): 1, (0, 1): 1}, {(0, 1): 1}],  # x.x + x.y is not zero at x.y
+    [{(0, 0): 2}],                          # not monic at its pivot
+], ids=["shared-pivot", "not-reduced", "not-monic"])
+def test_intersect_rejects_a_prev_that_is_not_reduced_echelon(prev_terms):
+    q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    pres = QuadraticPresentation(q, [], field=QQ)
+    prev = [PathVector(QQ, {Path(0, arrows): QQ(c) for arrows, c in terms.items()})
+            for terms in prev_terms]
+    with pytest.raises(InconsistentBasis):
+        _intersect(q, QQ, prev, pres.order_key)

@@ -168,3 +168,36 @@ def test_no_path_is_built_in_koszul_or_resolution():
         tree = ast.parse((SRC / name).read_text(), filename=name)
         found += [f"{name}:{line}" for line in named_calls(tree, "Path")]
     assert found == []
+
+
+def indented_json_dumps(tree):
+    """Lines of `dump(...)` or `dumps(...)` calls, bare or on a module, given an indent."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("dump", "dumps") and any(kw.arg == "indent" for kw in node.keywords):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_rule_spots_indented_json_dumps():
+    tree = ast.parse("import json\n"
+                     "a = json.dumps(doc, indent=2)\n"
+                     "b = json.dumps(doc)\n"
+                     "json.dump(doc, fh, indent=4)\n"
+                     "c = dumps(doc)\n"
+                     "d = structured.dumps(doc, indent=None)\n")
+    assert indented_json_dumps(tree) == [2, 4, 6]
+
+
+def test_no_indented_json_dumps_in_the_package():
+    # json.dumps with an indent runs the pure-Python encoder; structured
+    # output goes through structured.dumps, which writes the same bytes
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [f"{module.name}:{line}" for line in indented_json_dumps(tree)]
+    assert sorted(SRC.glob("*.py")), "package source not found"
+    assert found == []
