@@ -8,6 +8,7 @@ every requested check passed.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -26,7 +27,10 @@ DEFAULT_N = 4
 EXIT_BROKEN_PIPE = 141
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: it holds no data, and
+    every parse_args call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="koszul-gerst",
         description="Exact Gerstenhaber structure on Hochschild cohomology of "

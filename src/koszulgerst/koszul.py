@@ -3,9 +3,9 @@
 Degree 0 generators are the vertices, degree 1 the arrows, degree 2 the
 interreduced relations; higher degrees are the classical Koszul intersection
     W_n = (W_{n-1} . kQ_1)  intersect  (kQ_1 . W_{n-1})
-inside kQ_n, with W_2 the relation span.  Each W_n is split into blocks by
-(origin, target) vertex pair (forcing uniform generators) and put in reduced
-echelon form under the length-lex path order, so the output is canonical.
+inside kQ_n, with W_2 the relation span.  Each W_n has a uniform reduced
+echelon basis under the length-lex path order, listed by (origin, target)
+vertex pair and then by pivot, so the output is canonical.
 
 Because W_{n-1} arrives in that reduced form, the left extensions a.w are
 themselves a reduced echelon basis of kQ_1 . W_{n-1}: a.w is monic at
@@ -72,7 +72,7 @@ class KoszulCobasis:
         return self.pairs[n][i][1]
 
 
-def build_koszul_basis(presentation, rs, N):
+def build_koszul_basis(presentation, N):
     """Construct the cobasis through degree N by the intersection recursion."""
     q = presentation.quiver
     f = presentation.field
@@ -149,19 +149,18 @@ def _intersect(quiver, field, prev, order_key):
 
 
 def _split_blocks(quiver, vectors, order_key):
-    """Split a graded subspace basis into uniform (o, t)-blocks, canonically."""
-    blocks = {}
-    for vec in vectors:
-        parts = {}
-        for path, coeff in vec.terms.items():
-            pair = (path.o, quiver.path_target(path))
-            parts.setdefault(pair, {})[path] = coeff
-        for pair, terms in parts.items():
-            blocks.setdefault(pair, []).append(PathVector(vec.field, terms))
-    out = []
-    for pair in sorted(blocks):
-        out.extend(echelon_basis(blocks[pair], order_key))
-    return out
+    """Order a uniform reduced echelon basis canonically: by (origin, target)
+    block, then by pivot, the least word under order_key.
+
+    Both inputs, the relations' echelon_basis and _intersect's output, are
+    uniform and reduced echelon already, so each block of them is the
+    reduced echelon basis of its part of the span; only the order is new.
+    """
+    def block_and_pivot(vec):
+        pivot = min(vec.terms, key=order_key)
+        return (pivot.o, quiver.path_target(pivot)), order_key(pivot)
+
+    return sorted(vectors, key=block_and_pivot)
 
 
 class ComultTable:

@@ -41,47 +41,56 @@ class HomotopyLifting:
 
     def apply(self, x):
         """psi extended bimodule-linearly to an element of K_m."""
-        kx = self.kx
-        f = kx.field
-        m = x.degree
         out = {}
+        self.apply_into(out, x, self.kx.field.one)
+        return BimoduleElement(self.kx.field, max(x.degree - self.n + 1, 0), out)
+
+    def apply_into(self, out, x, scale):
+        """Add scale . psi(x) into the term dict out."""
+        images = self.maps.get(x.degree) if x.degree >= self.n else None
+        if images is None:
+            return
+        kx, mul = self.kx, self.kx.field.mul
         for (u, i, v), coeff in x.terms.items():
-            img = self.image(m, i)
-            if img.is_zero():
-                continue
-            for key, c in kx.sandwich_words(u, img, v).terms.items():
-                out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
-        return BimoduleElement(f, max(m - self.n + 1, 0), out)
+            kx.sandwich_into(out, u, images[i].terms, v, mul(scale, coeff))
 
 
 def lifting_rhs(kx, eta, m, r):
     """(eta ox 1 - 1 ox eta) Delta on eps^m_r, with the fixed Koszul sign."""
-    n = eta.degree
-    f = kx.field
-    if m - n < 0:
-        return BimoduleElement(f, m - n)
     out = {}
+    _rhs_into(out, kx, eta, m, r, kx.field.one)
+    return BimoduleElement(kx.field, m - eta.degree, out)
 
-    def add(x, coeff):
-        for key, c in x.terms.items():
-            out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
 
+def _rhs_into(out, kx, eta, m, r, scale):
+    """Add scale . lifting_rhs(kx, eta, m, r) into the term dict out.
+
+    The terms are written as they stand: a value eta(f^n_p) is a sum of
+    normal words u from o(p) to t(p), and c_pq != 0 only for composable
+    (p, q) (resolution module docstring), so u . eps_q . e_{t(q)} is the
+    single term (u, q, e_{t(q)}), and e_{o(p)} . eps_p . v is (e_{o(p)}, p, v).
+    """
+    n, k = eta.degree, m - eta.degree
+    if k < 0:
+        return
+    f, cb, vertex = kx.field, kx.cobasis, kx.quiver.vertex_path
+    add, mul, zero = f.add, f.mul, f.zero
     for (p, q), c in kx.c(m, r, n).items():
-        lam = eta.values[p]
-        if not lam.is_zero():
-            add(kx.sandwich(lam, kx.eps(m - n, q),
-                            _vertex_unit(kx, kx.cobasis.target(m - n, q))), c)
-    sign = f.one if (n * (m - n)) % 2 == 0 else f.neg(f.one)
-    for (p, q), c in kx.c(m, r, m - n).items():
-        lam = eta.values[q]
-        if not lam.is_zero():
-            add(kx.sandwich(_vertex_unit(kx, kx.cobasis.origin(m - n, p)),
-                            kx.eps(m - n, p), lam), f.neg(f.mul(sign, c)))
-    return BimoduleElement(f, m - n, out)
-
-
-def _vertex_unit(kx, v):
-    return PathVector.single(kx.field, kx.quiver.vertex_path(v))
+        lam = eta.values[p].terms
+        if lam:
+            c, t = mul(scale, c), vertex(cb.target(k, q))
+            for u, uc in lam.items():
+                key = (u, q, t)
+                out[key] = add(out.get(key, zero), mul(c, uc))
+    # - (-1)^{n k} scale on the 1 ox eta side
+    right = scale if (n * k) % 2 else f.neg(scale)
+    for (p, q), c in kx.c(m, r, k).items():
+        lam = eta.values[q].terms
+        if lam:
+            c, o = mul(right, c), vertex(cb.origin(k, p))
+            for v, vc in lam.items():
+                key = (o, p, v)
+                out[key] = add(out.get(key, zero), mul(c, vc))
 
 
 def lifting_ansatz(kx, k, ell, o, t):
@@ -137,8 +146,12 @@ def _lifting_system(kx, k, ell, o, t):
     ncols = len(ansatz)
     index = {}
     equations = []
-    for j, term in enumerate(ansatz):
-        for eq, c in kx.differential(BimoduleElement(f, k, {term: f.one})).terms.items():
+    for j, (u, i, v) in enumerate(ansatz):
+        column = {}  # d(u . eps_i . v) = u . d(eps_i) . v
+        kx.sandwich_into(column, u, kx._diff_eps(k, i).terms, v, f.one)
+        for eq, c in column.items():
+            if c == f.zero:
+                continue
             row = index.get(eq)
             if row is None:
                 row = index[eq] = len(equations)
@@ -218,8 +231,10 @@ def solve_lifting(kx, eta, M, initial=None, collect_nullspaces=False):
 
     def target(m, r):
         # d psi_m = (eta ox 1 - 1 ox eta) Delta + (-1)^{n-1} psi_{m-1} d
-        prev = lifting.apply(kx._diff_eps(m, r))
-        return lifting_rhs(kx, eta, m, r) + prev.scale(sign_prev)
+        out = {}
+        _rhs_into(out, kx, eta, m, r, f.one)
+        lifting.apply_into(out, kx._diff_eps(m, r), sign_prev)
+        return BimoduleElement(f, m - n, out)
 
     for m in range(n, M + 1):
         if m not in maps:
@@ -234,14 +249,11 @@ def lifting_residual(kx, eta, lifting, m, r):
     f = kx.field
     sign = f.one if (n - 1) % 2 == 0 else f.neg(f.one)
     img = lifting.image(m, r)  # lives in K_{m-n+1}, degree >= 1 whenever m >= n
-    first = (kx.differential(img) if not img.is_zero()
-             else BimoduleElement.zero(f, m - n))
-    second = lifting.apply(kx._diff_eps(m, r))
-    target = lifting_rhs(kx, eta, m, r)
     res = {}
-    for part, s in ((first, f.one), (second, f.neg(sign)), (target, f.neg(f.one))):
-        for key, c in part.terms.items():
-            res[key] = f.add(res.get(key, f.zero), f.mul(c, s))
+    for (u, i, v), c in img.terms.items():  # d psi(eps^m_r)
+        kx.sandwich_into(res, u, kx._diff_eps(img.degree, i).terms, v, c)
+    lifting.apply_into(res, kx._diff_eps(m, r), f.neg(sign))
+    _rhs_into(res, kx, eta, m, r, f.neg(f.one))
     return BimoduleElement(f, m - n, res)
 
 
@@ -408,22 +420,19 @@ class DerivationOperator:
 
     def apply(self, x):
         """Leibniz extension to decorated elements of K_n."""
-        kx = self.kx
+        kx, gamma = self.kx, self.gamma
         f = kx.field
+        mul = f.mul
         n = x.degree
         out = {}
         for (u, i, v), coeff in x.terms.items():
             # gamma(u) . eps . v + u . gtilde(eps) . v + u . eps . gamma(v)
-            uvec = PathVector.single(f, u)
-            vvec = PathVector.single(f, v)
-            eps = kx.eps(n, i)
-            for left, mid, right in ((derivation_on_word(kx, self.gamma, u), eps, vvec),
-                                     (uvec, self.image(n, i), vvec),
-                                     (uvec, eps, derivation_on_word(kx, self.gamma, v))):
-                if left.is_zero() or mid.is_zero() or right.is_zero():
-                    continue
-                for key, c in kx.sandwich(left, mid, right).terms.items():
-                    out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
+            eps = kx.eps(n, i).terms
+            for w, c in derivation_on_word(kx, gamma, u).terms.items():
+                kx.sandwich_into(out, w, eps, v, mul(c, coeff))
+            kx.sandwich_into(out, u, self.image(n, i).terms, v, coeff)
+            for w, c in derivation_on_word(kx, gamma, v).terms.items():
+                kx.sandwich_into(out, u, eps, w, mul(c, coeff))
         return BimoduleElement(f, n, out)
 
 

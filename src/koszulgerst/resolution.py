@@ -21,6 +21,13 @@ coassociativity compares (v1, v2, p1, p2, p3) keys, the counit laws sum
 c_pq(n,r,0) and c_pq(n,r,n) over the generators at the matching vertex, and
 the dg identity places the words of d(eps) in its keys as they are.
 
+Every bimodule-linear map goes through one kernel,
+sandwich_into(out, u, terms, v, scale), which adds scale . (u . x . v) for
+normal words u, v straight into a term dict, using the memoised word
+products.  sandwich, sandwich_words and differential here, and the lifting
+and derivation operators in lifting.py, are loops over it; each hands its
+dict to the zero-dropping BimoduleElement constructor once at the end.
+
 Sign conventions, fixed once for every consumer: the differential carries
 (-1)^n on right-hand terms, and Koszul signs are (1 ox g)(x ox y) =
 (-1)^{|g| |x|} x . g(y) for a map g of degree |g| against a left factor of
@@ -82,7 +89,7 @@ class KoszulComplex:
         self.N = N
         self.rs = rewrite if rewrite is not None else build_rewrite_system(presentation)
         self.cobasis = (cobasis if cobasis is not None
-                        else build_koszul_basis(presentation, self.rs, N))
+                        else build_koszul_basis(presentation, N))
         if self.cobasis.max_degree < N:
             raise InconsistentBasis("cobasis does not reach the requested degree")
         self.comult = ComultTable(self.quiver, self.cobasis, self.field)
@@ -108,32 +115,37 @@ class KoszulComplex:
 
     # -- bimodule arithmetic ---------------------------------------------------
 
-    def sandwich(self, left, x, right):
-        """left . x . right with left/right elements of Lambda (PathVectors):
-        sandwich_words extended bilinearly over their words."""
-        f = self.field
-        out = {}
-        for u, uc in left.terms.items():
-            for v, vc in right.terms.items():
-                scale = f.mul(uc, vc)
-                for key, c in self.sandwich_words(u, x, v).terms.items():
-                    out[key] = f.add(out.get(key, f.zero), f.mul(scale, c))
-        return BimoduleElement(f, x.degree, out)
-
-    def sandwich_words(self, u, x, v):
-        """u . x . v for normal words u, v."""
+    def sandwich_into(self, out, u, terms, v, scale):
+        """Add scale . (u . x . v) into the term dict out, for normal words u, v
+        and the terms of an element x of K; out may be left holding zeros."""
         f, word_product = self.field, self.rs.word_product
-        out = {}
-        for (u0, i, v0), coeff in x.terms.items():
+        add, mul, zero = f.add, f.mul, f.zero
+        for (u0, i, v0), coeff in terms.items():
             new_u = word_product(u, u0).terms
             if not new_u:
                 continue
             new_v = word_product(v0, v).terms
+            c0 = mul(scale, coeff)
             for up, uc in new_u.items():
+                cu = mul(c0, uc)
                 for vp, vc in new_v.items():
                     key = (up, i, vp)
-                    out[key] = f.add(out.get(key, f.zero), f.mul(coeff, f.mul(uc, vc)))
-        return BimoduleElement(f, x.degree, out)
+                    out[key] = add(out.get(key, zero), mul(cu, vc))
+
+    def sandwich(self, left, x, right):
+        """left . x . right with left/right elements of Lambda (PathVectors)."""
+        mul = self.field.mul
+        out = {}
+        for u, uc in left.terms.items():
+            for v, vc in right.terms.items():
+                self.sandwich_into(out, u, x.terms, v, mul(uc, vc))
+        return BimoduleElement(self.field, x.degree, out)
+
+    def sandwich_words(self, u, x, v):
+        """u . x . v for normal words u, v."""
+        out = {}
+        self.sandwich_into(out, u, x.terms, v, self.field.one)
+        return BimoduleElement(self.field, x.degree, out)
 
     # -- differential ----------------------------------------------------------
 
@@ -158,12 +170,10 @@ class KoszulComplex:
         """d_n extended bimodule-linearly; degree 0 input is an error."""
         if x.degree == 0:
             raise DegreeUnderflow("use augment on degree-0 elements")
-        f = self.field
         out = {}
         for (u, i, v), coeff in x.terms.items():
-            for key, c in self.sandwich_words(u, self._diff_eps(x.degree, i), v).terms.items():
-                out[key] = f.add(out.get(key, f.zero), f.mul(coeff, c))
-        return BimoduleElement(f, x.degree - 1, out)
+            self.sandwich_into(out, u, self._diff_eps(x.degree, i).terms, v, coeff)
+        return BimoduleElement(self.field, x.degree - 1, out)
 
     def augment(self, x):
         """d_0: K_0 -> Lambda, the multiplication map u . e_i . v -> uv."""

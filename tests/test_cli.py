@@ -9,7 +9,7 @@ import pytest
 
 import koszulgerst
 from koszulgerst.algfile import parse_presentation, serialize_presentation
-from koszulgerst.cli import EXIT_BROKEN_PIPE, main
+from koszulgerst.cli import EXIT_BROKEN_PIPE, build_parser, main
 from koszulgerst.errors import (MissingParameter, NonQuadraticRelation, ParseError,
                                 UnknownPreset)
 from koszulgerst.fields import QQ
@@ -404,3 +404,40 @@ def test_cli_reader_gone_before_the_final_flush_is_not_a_traceback():
         os.close(write_end)
     assert proc.returncode == EXIT_BROKEN_PIPE
     assert proc.stderr == b""
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+LIFT_ARGV = ["lift", "--preset", "family", "--q", "1", "--degree", "2",
+             "--cocycle=0,0,a.b,0", "-N", "5", "--format", "structured"]
+
+
+def test_cli_builds_its_parser_once():
+    assert build_parser() is build_parser()
+
+
+def test_cli_reused_parser_carries_nothing_between_calls(capsys):
+    with pytest.raises(SystemExit) as exc:  # usage error: --degree is required
+        main(["lift", "--preset", "family", "--q", "1", "--cocycle", "a,0,0"])
+    assert exc.value.code == 2
+    assert main(["lift", "--preset", "family", "--q", "1", "--degree", "1",
+                 "--cocycle", "c,0,0", "-N", "3"]) == 2  # KoszulGerstError
+    capsys.readouterr()
+    assert main(LIFT_ARGV) == 0
+    out = capsys.readouterr().out
+    fresh = subprocess.run([sys.executable, "-m", "koszulgerst.cli", *LIFT_ARGV],
+                           capture_output=True, env=_subprocess_env(False), timeout=60)
+    assert fresh.returncode == 0
+    assert out.encode() == fresh.stdout
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lift", "--help"]])
+def test_cli_help_matches_a_freshly_built_parser(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    reused = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(argv)
+    assert reused == capsys.readouterr().out

@@ -7,10 +7,13 @@ checked both against the defining identity in kQ (by direct expansion) and
 against independently coded closed formulas for the two stock algebras.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszulgerst import koszul
 from koszulgerst.algfile import parse_presentation
 from koszulgerst.errors import InconsistentBasis
 from koszulgerst.fields import QQ, PrimeField
@@ -20,7 +23,6 @@ from koszulgerst.linalg import Matrix, echelon_basis, nullspace_basis
 from koszulgerst.presets import (family_cobasis, load_complex, load_presentation,
                                  short_cobasis)
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
-from koszulgerst.rewriting import build_rewrite_system
 
 
 def test_short_tower_closed_form(short8):
@@ -52,8 +54,7 @@ def test_family_degree3_recursion(family8):
                                     ("family", -1), ("family", 2)])
 def test_generic_intersection_matches_golden_tower(name, q):
     pres = load_presentation(name, QQ, q=q)
-    rs = build_rewrite_system(pres)
-    generic = build_koszul_basis(pres, rs, 6)
+    generic = build_koszul_basis(pres, 6)
     golden = short_cobasis(pres, 6) if name == "short" else family_cobasis(pres, 6)
     for n in range(7):
         assert generic.count(n) == golden.count(n)
@@ -63,13 +64,13 @@ def test_generic_intersection_matches_golden_tower(name, q):
         if n:
             as_set = lambda vs: {frozenset(v.terms.items()) for v in vs}
             assert as_set(canon_generic) == as_set(canon_golden)
+    assert_tower_matches_reference(pres, 6)
 
 
 def test_no_relations_tower_terminates():
     quiver = Quiver(["1"], [("x", "1", "1")])
     pres = QuadraticPresentation(quiver, [], field=QQ)
-    rs = build_rewrite_system(pres)
-    cb = build_koszul_basis(pres, rs, 4)
+    cb = build_koszul_basis(pres, 4)
     assert cb.count(0) == 1 and cb.count(1) == 1
     assert cb.count(2) == 0 and cb.count(3) == 0 and cb.count(4) == 0
 
@@ -209,24 +210,50 @@ def reference_intersect(field, span_u, span_v, order_key):
     return echelon_basis(vectors, order_key)
 
 
+def reference_split_blocks(quiver, vectors, order_key):
+    """Split a basis into (o, t)-blocks and re-eliminate each one."""
+    blocks = {}
+    for vec in vectors:
+        parts = {}
+        for path, coeff in vec.terms.items():
+            parts.setdefault((path.o, quiver.path_target(path)), {})[path] = coeff
+        for pair, terms in parts.items():
+            blocks.setdefault(pair, []).append(PathVector(vec.field, terms))
+    return [v for pair in sorted(blocks) for v in echelon_basis(blocks[pair], order_key)]
+
+
+def split_inputs(pres, N):
+    """The vector lists build_koszul_basis hands to _split_blocks, level by level."""
+    seen, split = [], koszul._split_blocks
+
+    def recording(quiver, vectors, order_key):
+        seen.append(list(vectors))
+        return split(quiver, vectors, order_key)
+
+    with mock.patch.object(koszul, "_split_blocks", recording):
+        build_koszul_basis(pres, N)
+    return seen
+
+
 def reference_tower(pres, N):
     """Levels 0..N of the tower, intersecting free_multiply extensions."""
     q, f, key = pres.quiver, pres.field, pres.order_key
     arrows = [PathVector.single(f, q.arrow_path(a)) for a in range(q.num_arrows)]
     levels = [[PathVector.single(f, q.vertex_path(v)) for v in range(q.num_vertices)],
-              arrows, _split_blocks(q, echelon_basis(pres.relations, key), key)]
+              arrows, reference_split_blocks(q, echelon_basis(pres.relations, key), key)]
     for n in range(3, N + 1):
         prev = levels[n - 1]
         right_ext = [w for v in prev for a in arrows
                      if not (w := free_multiply(q, v, a)).is_zero()]
         left_ext = [w for a in arrows for v in prev
                     if not (w := free_multiply(q, a, v)).is_zero()]
-        levels.append(_split_blocks(q, reference_intersect(f, right_ext, left_ext, key), key))
+        levels.append(reference_split_blocks(
+            q, reference_intersect(f, right_ext, left_ext, key), key))
     return levels[:N + 1]
 
 
 def assert_tower_matches_reference(pres, N):
-    got = build_koszul_basis(pres, None, N).elements
+    got = build_koszul_basis(pres, N).elements
     want = reference_tower(pres, N)
     assert len(got) == len(want) == N + 1
     for n in range(N + 1):
@@ -234,6 +261,13 @@ def assert_tower_matches_reference(pres, N):
         # which a generator's dict lists its terms is the elimination's
         # history, which no output reads
         assert got[n] == want[n], f"degree {n}"
+    # the blocks are ordered, not re-eliminated: every input is already a
+    # uniform reduced echelon basis
+    inputs = split_inputs(pres, N)
+    assert len(inputs) == max(N - 1, 0)
+    for n, vectors in enumerate(inputs, start=2):
+        got = _split_blocks(pres.quiver, vectors, pres.order_key)
+        assert got == reference_split_blocks(pres.quiver, vectors, pres.order_key), f"degree {n}"
 
 
 def quantum_exterior_text(names, field, params):

@@ -1,15 +1,19 @@
 """Homotopy-lifting solver, closed-form maps, condition checks, derivations."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulgerst import lifting
 from koszulgerst.cohomology import Cochain, coboundary, cocycle_space
 from koszulgerst.errors import CochainError, KoszulGerstError, NoSolution
-from koszulgerst.fields import QQ
-from koszulgerst.lifting import (closed_form_conditions, derivation_lift,
-                                 derivation_on_word, solve_lifting,
-                                 verify_derivation, verify_lifting)
-from koszulgerst.linalg import Matrix, solve_affine_system
+from koszulgerst.fields import QQ, PrimeField
+from koszulgerst.lifting import (HomotopyLifting, closed_form_conditions, derivation_lift,
+                                 derivation_on_word, lifting_residual, lifting_rhs,
+                                 solve_lifting, verify_derivation, verify_lifting)
+from koszulgerst.linalg import Matrix, _nullspace_from_rref, _rref, solve_affine_system
 from koszulgerst.presets import (cochain, family_deriv_chi, family_deriv_eta,
                                  family_named_cocycles, family_psi_chi,
                                  family_psi_chibar, family_psi_eta,
@@ -361,3 +365,201 @@ def test_lifting_systems_built_once_per_complex(monkeypatch):
     assert len(builds) == len(systems)
     assert kx._lifting_systems.keys() == systems.keys()
     assert all(kx._lifting_systems[key] is system for key, system in systems.items())
+
+
+# -- the accumulate-into kernel against the sandwich-based references -----------
+#
+# The references are the element-building code that sandwich_into replaced:
+# every product is formed as its own BimoduleElement and then copied term by
+# term into the sum.
+
+
+def reference_sandwich_words(kx, u, x, v):
+    f, word_product = kx.field, kx.rs.word_product
+    out = {}
+    for (u0, i, v0), coeff in x.terms.items():
+        new_u = word_product(u, u0).terms
+        if not new_u:
+            continue
+        new_v = word_product(v0, v).terms
+        for up, uc in new_u.items():
+            for vp, vc in new_v.items():
+                key = (up, i, vp)
+                out[key] = f.add(out.get(key, f.zero), f.mul(coeff, f.mul(uc, vc)))
+    return BimoduleElement(f, x.degree, out)
+
+
+def reference_sandwich(kx, left, x, right):
+    f = kx.field
+    out = {}
+    for u, uc in left.terms.items():
+        for v, vc in right.terms.items():
+            scale = f.mul(uc, vc)
+            for key, c in reference_sandwich_words(kx, u, x, v).terms.items():
+                out[key] = f.add(out.get(key, f.zero), f.mul(scale, c))
+    return BimoduleElement(f, x.degree, out)
+
+
+def reference_differential(kx, x):
+    f = kx.field
+    out = {}
+    for (u, i, v), coeff in x.terms.items():
+        for key, c in reference_sandwich_words(kx, u, kx._diff_eps(x.degree, i), v).terms.items():
+            out[key] = f.add(out.get(key, f.zero), f.mul(coeff, c))
+    return BimoduleElement(f, x.degree - 1, out)
+
+
+def reference_apply(psi, x):
+    kx = psi.kx
+    f = kx.field
+    out = {}
+    for (u, i, v), coeff in x.terms.items():
+        img = psi.image(x.degree, i)
+        for key, c in reference_sandwich_words(kx, u, img, v).terms.items():
+            out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
+    return BimoduleElement(f, max(x.degree - psi.n + 1, 0), out)
+
+
+def reference_lifting_rhs(kx, eta, m, r):
+    n = eta.degree
+    f = kx.field
+    if m - n < 0:
+        return BimoduleElement(f, m - n)
+    unit = lambda v: PathVector.single(f, kx.quiver.vertex_path(v))
+    out = {}
+
+    def add(x, coeff):
+        for key, c in x.terms.items():
+            out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
+
+    for (p, q), c in kx.c(m, r, n).items():
+        add(reference_sandwich(kx, eta.values[p], kx.eps(m - n, q),
+                               unit(kx.cobasis.target(m - n, q))), c)
+    sign = f.one if (n * (m - n)) % 2 == 0 else f.neg(f.one)
+    for (p, q), c in kx.c(m, r, m - n).items():
+        add(reference_sandwich(kx, unit(kx.cobasis.origin(m - n, p)), kx.eps(m - n, p),
+                               eta.values[q]), f.neg(f.mul(sign, c)))
+    return BimoduleElement(f, m - n, out)
+
+
+def reference_residual(kx, eta, psi, m, r):
+    f = kx.field
+    sign = f.one if (eta.degree - 1) % 2 == 0 else f.neg(f.one)
+    first = reference_differential(kx, psi.image(m, r))
+    second = reference_apply(psi, kx._diff_eps(m, r))
+    return first - second.scale(sign) - reference_lifting_rhs(kx, eta, m, r)
+
+
+def reference_derivation_apply(op, x):
+    kx = op.kx
+    f = kx.field
+    out = {}
+    for (u, i, v), coeff in x.terms.items():
+        uvec, vvec, eps = PathVector.single(f, u), PathVector.single(f, v), kx.eps(x.degree, i)
+        for left, mid, right in ((derivation_on_word(kx, op.gamma, u), eps, vvec),
+                                 (uvec, op.image(x.degree, i), vvec),
+                                 (uvec, eps, derivation_on_word(kx, op.gamma, v))):
+            for key, c in reference_sandwich(kx, left, mid, right).terms.items():
+                out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
+    return BimoduleElement(f, x.degree, out)
+
+
+def reference_lifting_system(kx, k, ell, o, t):
+    """The ansatz columns' differentials, each built as an element of K."""
+    f = kx.field
+    ansatz = lifting.lifting_ansatz(kx, k, ell, o, t)
+    ncols = len(ansatz)
+    index, equations = {}, []
+    for j, term in enumerate(ansatz):
+        for eq, c in reference_differential(kx, BimoduleElement(f, k, {term: f.one})).terms.items():
+            row = index.get(eq)
+            if row is None:
+                row = index[eq] = len(equations)
+                equations.append({ncols + row: f.one})
+            equations[row][j] = c
+    pivots = _rref(equations, ncols + len(equations), f, naug=len(equations))
+    transform = [[] for _ in equations]
+    for i, row in enumerate(equations):
+        for col, c in row.items():
+            if col >= ncols:
+                transform[col - ncols].append((i, c))
+    nullspace = [BimoduleElement(f, k, zip(ansatz, vec))
+                 for vec in _nullspace_from_rref(equations, pivots, ncols, f)]
+    return ansatz, list(index.items()), pivots, transform, nullspace
+
+
+KERNEL_CASES = [("family", "Q", 1), ("family", "Q", -1), ("family", "F5", 1),
+                ("family", "F5", -1), ("short", "Q", None)]
+KERNEL_N = 5
+
+
+@functools.cache
+def kernel_case(name, field, q):
+    """The complex and its homogeneous cocycle bases (degree, internal degree, basis)."""
+    kx = load_complex(name, QQ if field == "Q" else PrimeField(5), KERNEL_N, q=q)
+    slices = []
+    for n in (1, 2, 3):
+        for ell in range(KERNEL_N):
+            basis = cocycle_space(kx, n, ell).cocycles
+            if basis:
+                slices.append((n, ell, basis))
+    return kx, slices
+
+
+@settings(database=None, derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_CASES), st.data())
+def test_kernel_matches_the_sandwich_references(case, data):
+    kx, slices = kernel_case(*case)
+    f = kx.field
+    n, ell, basis = data.draw(st.sampled_from(slices))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+    eta = Cochain.zero(kx, n)
+    for z, c in zip(basis, coeffs):
+        eta = eta + z.scale(f(c))
+    for m in range(n, KERNEL_N + 1):  # before the solve, which reads the same rhs
+        for r in range(kx.count(m)):
+            assert lifting_rhs(kx, eta, m, r) == reference_lifting_rhs(kx, eta, m, r)
+    psi = solve_lifting(kx, eta, KERNEL_N)
+    # every image moved by a generator, so the residual has all three parts
+    moved = HomotopyLifting(kx, eta, {m: [img + kx.eps(img.degree, 0) for img in images]
+                                      for m, images in psi.maps.items()})
+    op = derivation_lift(kx, eta, KERNEL_N) if n == 1 else None
+    for m in range(n, KERNEL_N + 1):
+        for r in range(kx.count(m)):
+            d = kx._diff_eps(m, r)
+            assert psi.apply(d) == reference_apply(psi, d)
+            assert moved.apply(d) == reference_apply(moved, d)
+            assert (lifting_residual(kx, eta, moved, m, r)
+                    == reference_residual(kx, eta, moved, m, r))
+            if op is not None:
+                assert op.apply(d) == reference_derivation_apply(op, d)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_lifting_system_columns_match_the_differential_reference(case):
+    kx, _ = kernel_case(*case)
+    nv = kx.quiver.num_vertices
+    for k in range(1, KERNEL_N):
+        for ell in (1, 2, 3):
+            for o in range(nv):
+                for t in range(nv):
+                    got = lifting._lifting_system(kx, k, ell, o, t)
+                    want = reference_lifting_system(kx, k, ell, o, t)
+                    assert (got.ansatz, list(got.index.items()), got.pivots,
+                            got.transform, got.nullspace) == want
+
+
+@pytest.mark.parametrize("scale", [0, 1, -1])
+def test_sandwich_into_matches_sandwich_words(scale, family8, rng):
+    f = family8.field
+    words = family8.rs.basis_words(0) + family8.rs.basis_words(1) + family8.rs.basis_words(2)
+    for _ in range(200):
+        n = rng.randrange(0, 5)
+        x = family8._diff_eps(n + 1, rng.randrange(family8.count(n + 1)))
+        u, v = rng.choice(words), rng.choice(words)
+        out = {}
+        family8.sandwich_into(out, u, x.terms, v, f(scale))
+        got = BimoduleElement(f, n, out)
+        assert got == reference_sandwich_words(family8, u, x, v).scale(f(scale))
+        if scale == 1:
+            assert got == family8.sandwich_words(u, x, v)

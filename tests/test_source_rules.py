@@ -1,9 +1,13 @@
 """Static rules over the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "koszulgerst"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "koszulgerst"
 
 
 def test_no_assert_statements_in_the_package():
@@ -201,3 +205,70 @@ def test_no_indented_json_dumps_in_the_package():
         found += [f"{module.name}:{line}" for line in indented_json_dumps(tree)]
     assert sorted(SRC.glob("*.py")), "package source not found"
     assert found == []
+
+
+def loops_over_built_terms(tree, builders=("sandwich_words", "differential")):
+    """Lines of loops (or comprehensions) whose iterable reads `<builder>(...).terms`."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.For, ast.comprehension)):
+            continue
+        for sub in ast.walk(node.iter):
+            if (isinstance(sub, ast.Attribute) and sub.attr == "terms"
+                    and isinstance(sub.value, ast.Call)):
+                func = sub.value.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in builders:
+                    found.add(sub.lineno)
+    return sorted(found)
+
+
+def test_rule_spots_loops_over_built_terms():
+    tree = ast.parse("for key, c in kx.sandwich_words(u, x, v).terms.items():\n"
+                     "    pass\n"
+                     "for key in differential(x).terms:\n"
+                     "    pass\n"
+                     "d = kx.differential(x)\n"
+                     "for key, c in kx._diff_eps(n, i).terms.items():\n"
+                     "    kx.sandwich_into(out, u, x.terms, v, c)\n"
+                     "keys = [k for k in kx.differential(y).terms]\n")
+    assert loops_over_built_terms(tree) == [1, 3, 8]
+
+
+def test_bimodule_loops_go_through_the_kernel():
+    # a loop over a built element's terms copies what sandwich_into would
+    # have added in place; d and psi add into the caller's dict instead
+    found = []
+    for name in ("resolution.py", "lifting.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        found += [f"{name}:{line}" for line in loops_over_built_terms(tree)]
+    assert found == []
+
+
+SPAN_CHECK = """
+import sys
+import koszulgerst.cli
+sys.path.insert(0, sys.argv[1])
+import tracer
+missing = []
+for module, attr, _, _ in tracer.SPANS:
+    owner = sys.modules.get(tracer.PACKAGE + "." + module)
+    *cls, name = attr.split(".")
+    if cls:
+        owner = getattr(owner, cls[0], None)
+    if owner is None or name not in vars(owner):
+        missing.append(module + "." + attr)
+print(missing)
+tracer.install(tracer.Tracer())
+"""
+
+
+def test_every_traced_span_resolves_on_the_imported_package():
+    # the benchmark's tracer looks each SPANS entry up by name after importing
+    # koszulgerst.cli; a renamed, deleted or lazily imported name would show
+    # only in a traced run, so check in a fresh interpreter, as it imports
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SPAN_CHECK, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
