@@ -34,7 +34,11 @@ from .quiver import PathVector
 
 
 class KoszulCobasis:
-    """Ordered uniform generators f^n_i for n = 0..N, with vertex pairs."""
+    """Ordered uniform generators f^n_i for n = 0..N, with vertex pairs.
+
+    Every word of every generator is a path: its origin is its first
+    arrow's origin and each arrow starts where the one before it ends.
+    """
 
     def __init__(self, quiver, elements):
         self.quiver = quiver
@@ -46,8 +50,12 @@ class KoszulCobasis:
                 if f.is_zero() or not f.is_uniform(quiver) or f.lengths() != {n}:
                     raise InconsistentBasis(
                         f"degree-{n} generator {f.format(quiver)!r} is not uniform homogeneous")
+                if not all(map(quiver.is_composable, f.terms)):
+                    raise InconsistentBasis(
+                        f"degree-{n} generator {f.format(quiver)!r} has a word that is not a path")
                 level_pairs.append(f.vertex_pair(quiver))
             self.pairs.append(level_pairs)
+        self._codes = {}  # (n, i) -> {Quiver.code of a word of f^n_i: coeff}
 
     @property
     def max_degree(self):
@@ -70,6 +78,14 @@ class KoszulCobasis:
 
     def target(self, n, i):
         return self.pairs[n][i][1]
+
+    def codes(self, n, i):
+        """The words of f^n_i as {Quiver.code(word): coeff}, in term order."""
+        got = self._codes.get((n, i))
+        if got is None:
+            code = self.quiver.code
+            got = self._codes[(n, i)] = {code(w): c for w, c in self.elements[n][i].terms.items()}
+        return got
 
 
 def build_koszul_basis(presentation, N):
@@ -176,11 +192,17 @@ class ComultTable:
     and must give f^n_i back exactly; a miss, or linearly dependent
     generators in one degree, raises InconsistentBasis.
 
-    The split words and the re-expanded words are plain (origin, arrows)
-    tuples, never Paths.  Path is a tuple subclass that adds no fields and
-    no comparison of its own, so (o, arrows) hashes and compares equal to
-    Path(o, arrows): looking one up among Path keys, or comparing a dict
-    of them with f^n_i.terms, is exact.  No such tuple leaves this class.
+    Words are the int codes of KoszulCobasis.codes, never Paths: a word of
+    degree n >= 1 is its arrows as base-A digits (A = num_arrows, the first
+    arrow most significant), and a degree-0 word is its vertex.  This is
+    exact.  Every word of degree n has n arrows, so a code names one arrow
+    sequence, and the cobasis accepts only paths, so a word's origin is
+    its first arrow's origin: a code names one word.  For 0 < r < n the
+    split of w is divmod(w, A**(n-r)) and the word u.v is u*A**(n-r) + v.
+    At r = 0 and r = n one half is a vertex idempotent, which the pivot
+    transform of degree 0 keys by vertex; f^n_i is uniform, so that half
+    is the vertex f^n_i starts or ends at.  Rows, messages and the c_pq
+    values are the same as for Path words.
     """
 
     def __init__(self, quiver, cobasis, field):
@@ -188,7 +210,7 @@ class ComultTable:
         self.cobasis = cobasis
         self.field = field
         self._cache = {}  # (n, r) -> list over i of {(p, q): coeff}
-        self._pivots = {}  # r -> {pivot word P^r_j: {p: T^r[j][p]}}
+        self._pivots = {}  # r -> {code of pivot word P^r_j: {p: T^r[j][p]}}
 
     def scalars(self, n, i, r):
         """The row set {(p, q): c_{pq}(n, i, r)}, zeros omitted."""
@@ -198,14 +220,15 @@ class ComultTable:
         got = self._pivots.get(r)
         if got is not None:
             return got
-        f, level = self.field, self.cobasis.elements[r]
+        f, cb = self.field, self.cobasis
+        level = [cb.codes(r, p) for p in range(cb.count(r))]
         col_of = {}
-        for vec in level:
-            for path in vec.terms:
-                col_of.setdefault(path, len(col_of))
+        for terms in level:
+            for w in terms:
+                col_of.setdefault(w, len(col_of))
         width = len(col_of)
-        rows = [{**{col_of[path]: c for path, c in vec.terms.items()}, width + p: f.one}
-                for p, vec in enumerate(level)]
+        rows = [{**{col_of[w]: c for w, c in terms.items()}, width + p: f.one}
+                for p, terms in enumerate(level)]
         pivots = _rref(rows, width + len(level), f, naug=len(level))
         if len(pivots) < len(level):
             raise InconsistentBasis(f"degree-{r} generators are linearly dependent")
@@ -221,25 +244,29 @@ class ComultTable:
             return got
         if not (0 <= r <= n <= self.cobasis.max_degree):
             raise InconsistentBasis(f"comult slice ({n},{r}) out of range")
-        arrow_t, f, cb = self.quiver.arrow_t, self.field, self.cobasis
+        f, cb = self.field, self.cobasis
+        add, mul, zero = f.add, f.mul, f.zero
         left, right = self._pivot_transform(r), self._pivot_transform(n - r)
+        base = self.quiver.num_arrows ** (n - r)
         rows = []
         for i in range(cb.count(n)):
+            o, t = cb.o(n, i)
+            words = cb.codes(n, i)
             acc = {}
-            for w, coeff in cb.f(n, i).terms.items():
-                head = w.arrows[:r]
-                t_left = left.get((w.o, head))
+            for w, coeff in words.items():
+                head, tail = (o, w) if r == 0 else (w, t) if r == n else divmod(w, base)
+                t_left = left.get(head)
                 if t_left is None:
                     continue
-                t_right = right.get((arrow_t[head[-1]] if head else w.o, w.arrows[r:]))
+                t_right = right.get(tail)
                 if t_right is None:
                     continue
                 for p, cp in t_left.items():
-                    cp = f.mul(coeff, cp)
+                    cp = mul(coeff, cp)
                     for qq, cq in t_right.items():
-                        acc[(p, qq)] = f.add(acc.get((p, qq), f.zero), f.mul(cp, cq))
-            row = {pq: c for pq, c in sorted(acc.items()) if c != f.zero}
-            if self._expand(n, r, row) != cb.f(n, i).terms:
+                        acc[(p, qq)] = add(acc.get((p, qq), zero), mul(cp, cq))
+            row = {pq: c for pq, c in sorted(acc.items()) if c != zero}
+            if self._expand(n, r, row) != words:
                 raise InconsistentBasis(
                     f"no comultiplicative scalars for f^{n}_{i} at split r={r}")
             rows.append(row)
@@ -247,16 +274,19 @@ class ComultTable:
         return rows
 
     def _expand(self, n, r, row):
-        """sum c_pq f^r_p f^{n-r}_q in kQ_n, as a term dict without zeros."""
+        """sum c_pq f^r_p f^{n-r}_q in kQ_n, as a code dict without zeros."""
         f, cb = self.field, self.cobasis
+        add, mul, zero = f.add, f.mul, f.zero
+        shift = self.quiver.num_arrows ** (n - r)
         acc = {}
         for (p, qq), c in row.items():
             if cb.target(r, p) != cb.origin(n - r, qq):
                 continue  # generators are uniform, so the product is zero
-            right = cb.f(n - r, qq).terms
-            for u, cu in cb.f(r, p).terms.items():
-                cu = f.mul(c, cu)
+            right = cb.codes(n - r, qq)
+            for u, cu in cb.codes(r, p).items():
+                cu = mul(c, cu)
+                head = u * shift if r else 0  # a vertex factor spells no arrow
                 for v, cv in right.items():
-                    w = (u.o, u.arrows + v.arrows)
-                    acc[w] = f.add(acc.get(w, f.zero), f.mul(cu, cv))
-        return {w: c for w, c in acc.items() if c != f.zero}
+                    w = head + v if r < n else u
+                    acc[w] = add(acc.get(w, zero), mul(cu, cv))
+        return {w: c for w, c in acc.items() if c != zero}

@@ -92,6 +92,20 @@ class Quiver:
             v = self.arrow_t[a]
         return True
 
+    def code(self, path):
+        """path as an int: its arrows as base-num_arrows digits, the first
+        arrow most significant, or its vertex when it has no arrow.
+
+        Paths of one positive length have equal codes iff they spell the
+        same arrows, so composable ones have equal codes iff they are equal.
+        """
+        if not path.arrows:
+            return path.o
+        base, code = len(self.arrow_names), 0
+        for a in path.arrows:
+            code = code * base + a
+        return code
+
     def compose(self, u, v):
         """Concatenation u.v, or None when the endpoints do not match."""
         if self.path_target(u) != v.o:

@@ -4,7 +4,9 @@ The generic intersection construction is compared against the bundled
 closed-form towers and, generator for generator, against a reference that
 intersects by one [U | -V] kernel per degree.  The scalar tables are
 checked both against the defining identity in kQ (by direct expansion) and
-against independently coded closed formulas for the two stock algebras.
+against independently coded closed formulas for the two stock algebras, and
+the int-code table is compared slice by slice, rows, order and error
+messages, with a reference that splits and joins Path words.
 """
 
 from unittest import mock
@@ -19,7 +21,7 @@ from koszulgerst.errors import InconsistentBasis
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.koszul import (ComultTable, KoszulCobasis, _intersect, _split_blocks,
                                 build_koszul_basis)
-from koszulgerst.linalg import Matrix, echelon_basis, nullspace_basis
+from koszulgerst.linalg import Matrix, _rref, echelon_basis, nullspace_basis
 from koszulgerst.presets import (family_cobasis, load_complex, load_presentation,
                                  short_cobasis)
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
@@ -179,6 +181,188 @@ def test_scaled_word_is_caught_at_every_split_it_leaves(name):
     assert caught_everywhere == {3, 4}
 
 
+@pytest.mark.parametrize("n, word", [(2, Path(0, (2, 0))), (1, Path(1, (0,)))],
+                         ids=["c.a", "a-from-vertex-2"])
+def test_cobasis_rejects_words_that_are_not_paths(family8, n, word):
+    # c: 1 -> 2 does not end where a starts, and a does not start at vertex 2;
+    # both words are uniform by their recorded origin, so only the path check
+    # catches them
+    levels = [list(level) for level in family8.cobasis.elements[:3]]
+    levels[n][0] = PathVector.single(QQ, word)
+    with pytest.raises(InconsistentBasis, match="has a word that is not a path"):
+        KoszulCobasis(family8.quiver, levels)
+
+
+def test_codes_spell_each_word_once():
+    q = Quiver(["1", "2", "3"], [("x", "1", "1"), ("y", "1", "2"), ("z", "2", "1")])
+    assert [q.code(q.vertex_path(v)) for v in range(3)] == [0, 1, 2]
+    assert q.code(Path(0, (1, 2, 0))) == (1 * 3 + 2) * 3 + 0
+    f2 = PathVector(QQ, {Path(0, (0, 0)): QQ(2), Path(0, (1, 2)): QQ(-1)})
+    cb = KoszulCobasis(q, [[PathVector.single(QQ, q.vertex_path(v)) for v in range(3)],
+                           [PathVector.single(QQ, q.arrow_path(a)) for a in range(3)], [f2]])
+    assert cb.codes(0, 2) == {2: QQ(1)} and cb.codes(1, 1) == {1: QQ(1)}
+    assert list(cb.codes(2, 0).items()) == [(0 * 3 + 0, QQ(2)), (1 * 3 + 2, QQ(-1))]
+    assert cb.codes(2, 0) is cb.codes(2, 0)
+
+
+# -- the comult table against the Path-word reference ------------------------------
+
+
+class ReferenceComultTable:
+    """The comult table with Path words: splits by slicing arrow tuples,
+    keys (origin, arrows) tuples and re-expands by concatenating them."""
+
+    def __init__(self, quiver, cobasis, field):
+        self.quiver = quiver
+        self.cobasis = cobasis
+        self.field = field
+        self._cache = {}
+        self._pivots = {}
+
+    def _pivot_transform(self, r):
+        got = self._pivots.get(r)
+        if got is not None:
+            return got
+        f, level = self.field, self.cobasis.elements[r]
+        col_of = {}
+        for vec in level:
+            for path in vec.terms:
+                col_of.setdefault(path, len(col_of))
+        width = len(col_of)
+        rows = [{**{col_of[path]: c for path, c in vec.terms.items()}, width + p: f.one}
+                for p, vec in enumerate(level)]
+        pivots = _rref(rows, width + len(level), f, naug=len(level))
+        if len(pivots) < len(level):
+            raise InconsistentBasis(f"degree-{r} generators are linearly dependent")
+        words = list(col_of)
+        got = {words[col]: {c - width: v for c, v in rows[j].items() if c >= width}
+               for j, col in enumerate(pivots)}
+        self._pivots[r] = got
+        return got
+
+    def _slice(self, n, r):
+        got = self._cache.get((n, r))
+        if got is not None:
+            return got
+        if not (0 <= r <= n <= self.cobasis.max_degree):
+            raise InconsistentBasis(f"comult slice ({n},{r}) out of range")
+        arrow_t, f, cb = self.quiver.arrow_t, self.field, self.cobasis
+        left, right = self._pivot_transform(r), self._pivot_transform(n - r)
+        rows = []
+        for i in range(cb.count(n)):
+            acc = {}
+            for w, coeff in cb.f(n, i).terms.items():
+                head = w.arrows[:r]
+                t_left = left.get((w.o, head))
+                if t_left is None:
+                    continue
+                t_right = right.get((arrow_t[head[-1]] if head else w.o, w.arrows[r:]))
+                if t_right is None:
+                    continue
+                for p, cp in t_left.items():
+                    cp = f.mul(coeff, cp)
+                    for qq, cq in t_right.items():
+                        acc[(p, qq)] = f.add(acc.get((p, qq), f.zero), f.mul(cp, cq))
+            row = {pq: c for pq, c in sorted(acc.items()) if c != f.zero}
+            if self._expand(n, r, row) != cb.f(n, i).terms:
+                raise InconsistentBasis(
+                    f"no comultiplicative scalars for f^{n}_{i} at split r={r}")
+            rows.append(row)
+        self._cache[(n, r)] = rows
+        return rows
+
+    def _expand(self, n, r, row):
+        f, cb = self.field, self.cobasis
+        acc = {}
+        for (p, qq), c in row.items():
+            if cb.target(r, p) != cb.origin(n - r, qq):
+                continue
+            right = cb.f(n - r, qq).terms
+            for u, cu in cb.f(r, p).terms.items():
+                cu = f.mul(c, cu)
+                for v, cv in right.items():
+                    w = (u.o, u.arrows + v.arrows)
+                    acc[w] = f.add(acc.get(w, f.zero), f.mul(cu, cv))
+        return {w: c for w, c in acc.items() if c != f.zero}
+
+
+def slice_or_error(table, n, r):
+    """Every row of slice (n, r) as an item list, in order, or the error message."""
+    try:
+        return [list(row.items()) for row in table._slice(n, r)]
+    except InconsistentBasis as exc:
+        return f"InconsistentBasis: {exc}"
+
+
+def assert_comult_matches_reference(cobasis, field):
+    table = ComultTable(cobasis.quiver, cobasis, field)
+    reference = ReferenceComultTable(cobasis.quiver, cobasis, field)
+    for n in range(cobasis.max_degree + 1):
+        for r in range(n + 1):
+            assert slice_or_error(table, n, r) == slice_or_error(reference, n, r), (n, r)
+
+
+def one_arrow_presentation():
+    q = Quiver(["1"], [("x", "1", "1")])
+    return QuadraticPresentation(q, [PathVector.single(QQ, Path(0, (0, 0)))], field=QQ)
+
+
+def isolated_vertex_presentation():
+    # vertex 3 has no arrow: it is a degree-0 generator that no split meets
+    q = Quiver(["1", "2", "3"], [("x", "1", "1"), ("y", "1", "2"), ("z", "2", "1")])
+    rels = [PathVector.single(QQ, Path(0, (0, 0))),
+            PathVector(QQ, {Path(0, (1, 2)): QQ(1), Path(0, (0, 0)): QQ(-1)}),
+            PathVector.single(QQ, Path(1, (2, 1)))]
+    return QuadraticPresentation(q, rels, field=QQ)
+
+
+def zigzag_presentation():
+    q = Quiver(["1", "2"], [("u", "1", "2"), ("v", "2", "1")])
+    rels = [PathVector.single(QQ, Path(0, (0, 1))), PathVector.single(QQ, Path(1, (1, 0)))]
+    return QuadraticPresentation(q, rels, field=QQ)
+
+
+@pytest.mark.parametrize("name, field, q", [
+    ("short", QQ, None),
+    *[("family", f, q) for f in (QQ, PrimeField(5)) for q in (1, -1, 2)],
+], ids=lambda v: str(v))
+def test_comult_table_matches_reference_on_presets(name, field, q):
+    N = 8 if name == "short" else 7
+    assert_comult_matches_reference(load_complex(name, field, N, q=q).cobasis, field)
+    pres = load_presentation(name, field, q=q)
+    assert_comult_matches_reference(build_koszul_basis(pres, 6), field)
+
+
+@pytest.mark.parametrize("make", [one_arrow_presentation, isolated_vertex_presentation],
+                         ids=["one-arrow", "isolated-vertex"])
+def test_comult_table_matches_reference_on_small_quivers(make):
+    pres = make()
+    assert build_koszul_basis(pres, 6).count(6) > 0
+    assert_tower_matches_reference(pres, 6)  # which compares the comult tables too
+
+
+def test_comult_errors_match_reference(short8, family8):
+    # a dependent level and every one-word scaling of degrees 2-4 raise the
+    # same InconsistentBasis, with the same message, at the same slices
+    levels = [list(level) for level in short8.cobasis.elements[:4]]
+    levels[2] = [levels[2][0], levels[2][1], levels[2][1].scale(QQ(2))]
+    assert_comult_matches_reference(KoszulCobasis(short8.quiver, levels), QQ)
+    raised = 0
+    for kx in (short8, family8):
+        f, q, cb = kx.field, kx.quiver, kx.cobasis
+        for n in range(2, 5):
+            for i in range(cb.count(n)):
+                for w in cb.f(n, i).terms:
+                    levels = [list(level) for level in cb.elements[:5]]
+                    terms = dict(levels[n][i].terms)
+                    terms[w] = f.mul(f(2), terms[w])
+                    levels[n][i] = PathVector(f, terms)
+                    broken = KoszulCobasis(q, levels)
+                    assert_comult_matches_reference(broken, f)
+                    raised += isinstance(slice_or_error(ComultTable(q, broken, f), n, 1), str)
+    assert raised > 0
+
+
 # -- the generator tower against the [U | -V] reference ---------------------------
 
 
@@ -253,7 +437,10 @@ def reference_tower(pres, N):
 
 
 def assert_tower_matches_reference(pres, N):
-    got = build_koszul_basis(pres, N).elements
+    """The tower, _split_blocks' output and every comult slice against the references."""
+    cobasis = build_koszul_basis(pres, N)
+    assert_comult_matches_reference(cobasis, pres.field)
+    got = cobasis.elements
     want = reference_tower(pres, N)
     assert len(got) == len(want) == N + 1
     for n in range(N + 1):
@@ -301,9 +488,7 @@ def test_tower_matches_reference_on_file_algebras(text, N):
 
 
 def test_tower_matches_reference_on_zigzag():
-    q = Quiver(["1", "2"], [("u", "1", "2"), ("v", "2", "1")])
-    rels = [PathVector.single(QQ, Path(0, (0, 1))), PathVector.single(QQ, Path(1, (1, 0)))]
-    assert_tower_matches_reference(QuadraticPresentation(q, rels, field=QQ), 6)
+    assert_tower_matches_reference(zigzag_presentation(), 6)
 
 
 @st.composite

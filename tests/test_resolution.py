@@ -9,9 +9,10 @@ import pytest
 
 from koszulgerst.errors import DegreeUnderflow
 from koszulgerst.fields import QQ, PrimeField
+from koszulgerst.koszul import KoszulCobasis
 from koszulgerst.presets import load_complex
 from koszulgerst.quiver import Path, PathVector
-from koszulgerst.resolution import BimoduleElement
+from koszulgerst.resolution import BimoduleElement, KoszulComplex, _diff_witness
 
 
 def term(kx, coeff, uword, n, i, vword):
@@ -379,3 +380,90 @@ def test_counit_laws_ignore_non_composable_terms():
     kx._diag_cache.clear()
     assert kx.verify_resolution().ok
     assert cases == 50
+
+
+def _path_iota_failures(kx):
+    """The Path-keyed delta iota = iota d check, generator by generator; also
+    asserts that the code comparison agrees with it at every generator."""
+    out = []
+    for n in range(1, kx.N + 1):
+        for r in range(kx.count(n)):
+            lhs = kx.bar_delta(kx.iota(n, r))
+            rhs = kx.iota_bimodule(kx._diff_eps(n, r))
+            assert kx._iota_agrees(n, r) == (lhs == rhs), (n, r)
+            if lhs != rhs:
+                out.append((IOTA, n, r, _diff_witness(kx.quiver, lhs, rhs)))
+    return out
+
+
+def _iota_failures(kx):
+    failures = []
+    kx._check_iota(kx.N, [], failures)
+    return failures
+
+
+@pytest.mark.parametrize("name", ["short", "family"])
+def test_iota_check_on_codes_matches_the_path_reference(name):
+    # scale or drop each term of each d(eps^n_i), then each word of each
+    # f^n_i both as a code and as letters: the code comparison fails at
+    # exactly the generators where the Path vectors differ, and
+    # _check_iota reports them with the Path vectors' witnesses
+    kx = _corruptible(name)
+    f, cb = kx.field, kx.cobasis
+    assert _iota_failures(kx) == _path_iota_failures(kx) == []
+    term_cases, word_cases, caught = 0, 0, 0
+    for n in range(1, kx.N + 1):
+        for i in range(kx.count(n)):
+            good = kx._diff_cache[(n, i)]
+            for key in good.terms:
+                for mode in ("scale", "drop"):
+                    kx._diff_cache[(n, i)] = BimoduleElement(
+                        f, n - 1, _corrupted(f, good.terms, key, mode))
+                    want = _path_iota_failures(kx)
+                    assert [w[1:3] for w in want] == [(n, i)], (n, i, key, mode)
+                    assert _iota_failures(kx) == want, (n, i, key, mode)
+                    kx._diff_cache[(n, i)] = good
+                    term_cases += 1
+    for n in range(kx.N + 1):
+        for i in range(kx.count(n)):
+            codes, letters = cb.codes(n, i), kx._letters(n, i)
+            for k, (code, c) in enumerate(codes.items()):
+                assert letters[k][1] == c
+                for mode in ("scale", "drop"):
+                    cb._codes[(n, i)] = _corrupted(f, codes, code, mode)
+                    kx._letter_cache[(n, i)] = [
+                        (word, c2 if j != k else f.mul(f(2), c2))
+                        for j, (word, c2) in enumerate(letters) if j != k or mode == "scale"]
+                    want = _path_iota_failures(kx)
+                    assert _iota_failures(kx) == want, (n, i, code, mode)
+                    cb._codes[(n, i)], kx._letter_cache[(n, i)] = codes, letters
+                    caught += bool(want)
+                    word_cases += 1
+    assert _iota_failures(kx) == _path_iota_failures(kx) == []
+    # every corrupted word is caught somewhere (at (n, i) itself, or at the
+    # generators one degree up whose d reads f^n_i)
+    assert caught == word_cases
+    assert (term_cases, word_cases) == {"short": (44, 30), "family": (96, 72)}[name]
+
+
+@pytest.mark.parametrize("name", ["short", "family"])
+def test_iota_check_on_codes_catches_a_generator_outside_the_relations(name):
+    # replace f^2_i by a normal word a.b at its vertices: its scalars and
+    # d(eps^2_i) = a.eps_b + eps_a.b exist and match the outer merges of
+    # delta iota, so only the middle merge (a normal, nonzero a.b) fails
+    base = (load_complex("short", QQ, 2) if name == "short"
+            else load_complex("family", PrimeField(5), 2, q=-1))
+    f, q, cb = base.field, base.quiver, base.cobasis
+    cases = 0
+    for i in range(cb.count(2)):
+        for word in base.rs.basis_words(2, *cb.o(2, i)):
+            levels = [list(level) for level in cb.elements]
+            levels[2][i] = PathVector.single(f, word)
+            kx = KoszulComplex(base.presentation, 2, cobasis=KoszulCobasis(q, levels))
+            want = _path_iota_failures(kx)
+            assert want == [(IOTA, 2, i, f"term (e{q.vertex_names[cb.origin(2, i)]}, "
+                                         f"{q.format_path(word)}, "
+                                         f"e{q.vertex_names[cb.target(2, i)]}): {f.format(f(-1))} vs 0")]
+            assert _iota_failures(kx) == want
+            cases += 1
+    assert cases == {"short": 4, "family": 4}[name]

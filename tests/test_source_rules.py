@@ -166,11 +166,75 @@ def test_rule_spots_path_calls():
 def test_no_path_is_built_in_koszul_or_resolution():
     # the scalar slices and the resolution's identity checks run per word;
     # they take shared letters from Quiver.vertex_path / arrow_path, and
-    # ComultTable keys its lookups with plain (origin, arrows) tuples
+    # ComultTable and the delta iota = iota d check key words by int codes
     found = []
     for name in ("koszul.py", "resolution.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
         found += [f"{name}:{line}" for line in named_calls(tree, "Path")]
+    assert found == []
+
+
+def word_tuple_building(tree):
+    """(scope, line) of each `<x>.arrows[...]` and `<x>.arrows + <y>.arrows`,
+    scope being the qualified name of the enclosing function or class."""
+    found = []
+
+    def is_arrows(node):
+        return isinstance(node, ast.Attribute) and node.attr == "arrows"
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if ((isinstance(child, ast.Subscript) and is_arrows(child.value))
+                    or (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add)
+                        and is_arrows(child.left) and is_arrows(child.right))):
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+# the per-word loops that key words by Quiver.code instead of arrow tuples
+CODE_KEYED = ("ComultTable", "KoszulComplex._check_iota", "KoszulComplex._iota_agrees")
+
+
+def code_keyed(scope):
+    return scope.split(".")[0] == "ComultTable" or ".".join(scope.split(".")[:2]) in CODE_KEYED
+
+
+def test_rule_spots_word_tuple_building():
+    tree = ast.parse("class ComultTable:\n"
+                     "    def _slice(self, w, r):\n"
+                     "        head = w.arrows[:r]\n"
+                     "        key = (w.o, w.arrows)\n"
+                     "        def inner(u, v):\n"
+                     "            return u.arrows + v.arrows\n"
+                     "        return len(w.arrows) + r\n"
+                     "def spell(w):\n"
+                     "    return w.arrows[0]\n")
+    assert word_tuple_building(tree) == [
+        ("ComultTable._slice", 3), ("ComultTable._slice.inner", 6), ("spell", 9)]
+    assert [code_keyed(scope) for scope in ("ComultTable._slice.inner", "spell",
+                                            "KoszulComplex._check_iota", "KoszulComplex.iota")] == [
+        True, False, True, False]
+    # the Path-word comult table kept as a test reference builds tuples 3 times
+    tree = ast.parse((ROOT / "tests" / "test_koszul.py").read_text())
+    assert len([scope for scope, _ in word_tuple_building(tree)
+                if scope.startswith("ReferenceComultTable.")]) == 3
+
+
+def test_comult_table_and_iota_check_build_no_word_tuples():
+    # a slice and the delta iota = iota d check touch every word of f^0..f^N;
+    # they split, join and look words up as int codes, and only the witness
+    # path of a failing generator spells Paths
+    found = []
+    for name in ("koszul.py", "resolution.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        found += [f"{name}:{scope}:{line}" for scope, line in word_tuple_building(tree)
+                  if code_keyed(scope)]
     assert found == []
 
 
