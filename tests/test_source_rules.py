@@ -197,12 +197,12 @@ def word_tuple_building(tree):
     return sorted(found)
 
 
-# the per-word loops that key words by Quiver.code instead of arrow tuples
-CODE_KEYED = ("ComultTable", "KoszulComplex._check_iota", "KoszulComplex._iota_agrees")
-
-
 def code_keyed(scope):
-    return scope.split(".")[0] == "ComultTable" or ".".join(scope.split(".")[:2]) in CODE_KEYED
+    """Whether scope is in one of the per-word loops that key words by
+    Quiver.code: any ComultTable method, or the delta iota = iota d check."""
+    parts = scope.split(".")
+    return parts[0] == "ComultTable" or ".".join(parts[:2]) in (
+        "KoszulComplex._check_iota", "KoszulComplex._iota_agrees")
 
 
 def test_rule_spots_word_tuple_building():
