@@ -28,7 +28,7 @@ def parse_presentation(text, field_override=None):
     field = None
     vertices = []
     arrows = []
-    order_names = None
+    order_names = order_line = None
     params = {}
     relation_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -58,6 +58,7 @@ def parse_presentation(text, field_override=None):
             if any(not b for b in order_names):
                 raise ParseError("bad order list", lineno)
             order_names = [b for b in order_names if b != "1"]
+            order_line = lineno
         elif head == "param":
             name, eq, value = rest.partition("=")
             if not eq:
@@ -81,9 +82,14 @@ def parse_presentation(text, field_override=None):
     if order_names is not None:
         missing = [n for n in order_names if n not in quiver.arrow_index]
         if missing:
-            raise ParseError(f"order lists unknown arrows {missing}")
+            raise ParseError(f"order lists unknown arrows {missing}", order_line)
+        seen = set()
+        for name in order_names:
+            if name in seen:
+                raise ParseError(f"order lists arrow {name!r} twice", order_line)
+            seen.add(name)
         if len(order_names) != quiver.num_arrows:
-            raise ParseError("order must list every arrow")
+            raise ParseError("order must list every arrow", order_line)
         order = tuple(quiver.arrow_index[n] for n in order_names)
     return QuadraticPresentation(quiver, relations, arrow_order=order,
                                  field=field, params=param_values)
@@ -91,7 +97,9 @@ def parse_presentation(text, field_override=None):
 
 def _parse_relation(quiver, field, params, text, lineno=None):
     vec = parse_value(quiver, field, params, text, lineno, allow_idempotents=False)
-    if vec.is_zero() or vec.lengths() != {2} or not vec.is_uniform(quiver):
+    if vec.is_zero():
+        raise NonQuadraticRelation(f"line {lineno}: relation {text!r} is zero")
+    if vec.lengths() != {2} or not vec.is_uniform(quiver):
         raise NonQuadraticRelation(
             f"line {lineno}: relation {text!r} is not uniform quadratic")
     return vec
@@ -105,10 +113,10 @@ def parse_value(quiver, field, params, text, lineno=None, allow_idempotents=True
     terms = [t for t in _TERM_SPLIT.split(text.replace(" ", "")) if t]
     acc = {}
     for term in terms:
-        sign = field.one
+        sign = 1
         while term and term[0] in "+-":
             if term[0] == "-":
-                sign = field.neg(sign)
+                sign = -sign
             term = term[1:]
         if not term:
             raise ParseError("dangling sign in expression", lineno)
@@ -122,7 +130,7 @@ def parse_value(quiver, field, params, text, lineno=None, allow_idempotents=True
             else:
                 coeff = field.parse(coeff_text)
         path = _parse_path(quiver, path_text, lineno, allow_idempotents)
-        acc[path] = field.add(acc.get(path, field.zero), field.mul(sign, coeff))
+        acc[path] = acc.get(path, 0) + sign * coeff
     return PathVector(field, acc)
 
 

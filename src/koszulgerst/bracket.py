@@ -143,23 +143,22 @@ def bar_cocycle_basis(kx, n):
             height[shift] += 1
 
     entries = {shift: {} for shift in src}
-    minus = f.neg(f.one)
-    tail_sign = minus if (n + 1) % 2 else f.one
+    tail_sign = -1 if (n + 1) % 2 else 1
     for T in bar_tuples(kx, n + 1):
         hits = [(col, path, c) for col in by_tup.get(T[1:], ())
                 for path, c in rs.word_product(T[0], col[0]).terms.items()]
         for i in range(n):
-            sign = minus if i % 2 == 0 else f.one
+            sign = 1 if i % 2 else -1
             for p, c in rs.word_product(T[i], T[i + 1]).terms.items():
                 for col in by_tup.get(T[:i] + (p,) + T[i + 2:], ()):
-                    hits.append((col, col[0], f.mul(sign, c)))
+                    hits.append((col, col[0], sign * c))
         for col in by_tup.get(T[:-1], ()):
             for path, c in rs.word_product(col[0], T[-1]).terms.items():
-                hits.append((col, path, f.mul(tail_sign, c)))
+                hits.append((col, path, tail_sign * c))
         for (_, shift, j), path, c in hits:
             block = entries[shift]
             key = (rows[(T, path)], j)
-            block[key] = f.add(block.get(key, f.zero), c)
+            block[key] = block.get(key, 0) + c
 
     basis = []
     for shift in sorted(src):
@@ -184,12 +183,12 @@ def bar_circle_product(kx, F, G):
     out = {}
     for (key, w), v in F.terms.items():
         for j in range(1, m + 1):
-            sign = f.one if ((n - 1) * (j - 1)) % 2 == 0 else f.neg(f.one)
+            signed = -v if ((n - 1) * (j - 1)) % 2 else v
             for inner, c in through.get(key[j - 1], ()):
                 tup = key[:j - 1] + inner + key[j:]
                 if any(target(a) != b.o for a, b in zip(tup, tup[1:])):
                     continue
-                out[(tup, w)] = f.add(out.get((tup, w), f.zero), f.mul(v, f.mul(sign, c)))
+                out[(tup, w)] = out.get((tup, w), 0) + signed * c
     return GradedVector(f, m + n - 1, out)
 
 
@@ -214,7 +213,7 @@ def restrict_along_iota(kx, F):
     values = [{} for _ in range(kx.count(n))]
     for (tup, p), c in F.terms.items():
         for i, coeff in words.get(tup, ()):
-            values[i][p] = f.add(values[i].get(p, f.zero), f.mul(c, coeff))
+            values[i][p] = values[i].get(p, 0) + c * coeff
     return Cochain(kx, n, [PathVector(f, acc) for acc in values])
 
 

@@ -97,16 +97,16 @@ class Cochain:
 
     def evaluate(self, x):
         """Value on a bimodule element: u . eps_i . v  ->  u lambda_i v."""
-        f = self.kx.field
         word_product = self.kx.rs.word_product
         acc = {}
         for (u, i, v), coeff in x.terms.items():
             for w, cw in self.values[i].terms.items():
-                cw = f.mul(coeff, cw)
+                cw = coeff * cw
                 for uw, cu in word_product(u, w).terms.items():
+                    cu = cw * cu
                     for p, cp in word_product(uw, v).terms.items():
-                        acc[p] = f.add(acc.get(p, f.zero), f.mul(cw, f.mul(cu, cp)))
-        return PathVector(f, acc)
+                        acc[p] = acc.get(p, 0) + cu * cp
+        return PathVector(self.kx.field, acc)
 
     def format(self):
         return "(" + ", ".join(v.format(self.kx.quiver) for v in self.values) + ")"
@@ -182,10 +182,10 @@ def _coboundary_matrix(kx, n, ell):
                 if j != i:
                     continue
                 for uw, cu in word_product(u, w).terms.items():
+                    cu = coeff * cu
                     for path, c in word_product(uw, v).terms.items():
                         key = (dst_index[(r, path)], col)
-                        entries[key] = f.add(entries.get(key, f.zero),
-                                             f.mul(coeff, f.mul(cu, c)))
+                        entries[key] = entries.get(key, 0) + cu * c
     return Matrix(f, len(dst), len(src), entries), src, dst
 
 
@@ -260,6 +260,6 @@ def cup_product(eta, theta):
         acc = {}
         for (p, q), c in kx.c(n + m, j, n).items():
             for w, cw in kx.rs.multiply(eta.values[p], theta.values[q]).terms.items():
-                acc[w] = f.add(acc.get(w, f.zero), f.mul(cw, c))
+                acc[w] = acc.get(w, 0) + cw * c
         values.append(PathVector(f, acc))
     return Cochain(kx, n + m, values)

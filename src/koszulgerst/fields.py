@@ -5,6 +5,18 @@ parse/format literals.  A Q value is an int when it is integral and a
 Fraction with denominator > 1 otherwise; an F_p value is an int in [0, p).
 All higher-level structures carry one field and raw values; nothing here is
 ever floating point.
+
+Delayed reduction.  Loops that accumulate sums of products do so with the
+native + and * (and native signs), so over F_p an accumulator may hold an
+unreduced int, negative or far above p.  canon(pairs) is the one reduction
+point: it keeps the nonzero canonical values of (key, value) pairs, and it
+is the body of the SparseVector and Matrix constructors, so every stored
+value is canonical.  Over Q this changes nothing (Rationals.add is a + b);
+over F_p the residues are the same as with eager reduction, because
+reduction mod p commutes with + and *.  Code that reads accumulated values
+itself, rather than handing them to a constructor, calls canon first.
+Elimination (linalg._rref), inverses and pivot tests keep the field's sub,
+mul, neg and inv, since they need a canonical value at every step.
 """
 
 from fractions import Fraction
@@ -63,6 +75,16 @@ class Rationals:
 
     def neg(self, a):
         return -a
+
+    def canon(self, pairs):
+        """{key: value} for the nonzero values among (key, value) pairs."""
+        # a plain loop, not a comprehension: most vectors built here hold one
+        # or two terms, and a comprehension's own frame then costs more
+        out = {}
+        for key, c in pairs:
+            if c:
+                out[key] = c
+        return out
 
     def inv(self, a):
         if a == 0:
@@ -125,6 +147,16 @@ class PrimeField:
 
     def neg(self, a):
         return (-a) % self.p
+
+    def canon(self, pairs):
+        """{key: value % p} for the pairs whose value is nonzero mod p."""
+        p = self.p
+        out = {}
+        for key, c in pairs:
+            c %= p
+            if c:
+                out[key] = c
+        return out
 
     def inv(self, a):
         a %= self.p

@@ -112,8 +112,7 @@ def _intersect(quiver, field, prev, order_key):
     its terms, since no left extension touches another's pivot; a pivot not
     hit by exactly one left extension raises InconsistentBasis.
     """
-    compose, zero, one = quiver.compose, field.zero, field.one
-    add, sub, mul = field.add, field.sub, field.mul
+    compose, one = quiver.compose, field.one
     arrows = [quiver.arrow_path(a) for a in range(quiver.num_arrows)]
     left = {}  # pivot word a.pivot(w) -> terms of a.w
     right = []  # (pivot word pivot(w).b, terms of w.b)
@@ -149,17 +148,16 @@ def _intersect(quiver, field, prev, order_key):
             ext = left.get(p)
             if ext is not None:
                 for path, cv in ext.items():
-                    residue[path] = sub(residue.get(path, zero), mul(c, cv))
-        for path, c in residue.items():
-            if c != zero:
-                entries[(row_of.setdefault(path, len(row_of)), j)] = c
+                    residue[path] = residue.get(path, 0) - c * cv
+        for path, c in field.canon(residue.items()).items():
+            entries[(row_of.setdefault(path, len(row_of)), j)] = c
     vectors = []
     for ker in nullspace_basis(Matrix(field, len(row_of), len(columns), entries)):
         acc = {}
         for x, u in zip(ker, columns):
-            if x != zero:
+            if x:
                 for path, c in u.items():
-                    acc[path] = add(acc.get(path, zero), mul(x, c))
+                    acc[path] = acc.get(path, 0) + x * c
         vectors.append(PathVector(field, acc))
     return vectors
 
@@ -245,7 +243,6 @@ class ComultTable:
         if not (0 <= r <= n <= self.cobasis.max_degree):
             raise InconsistentBasis(f"comult slice ({n},{r}) out of range")
         f, cb = self.field, self.cobasis
-        add, mul, zero = f.add, f.mul, f.zero
         left, right = self._pivot_transform(r), self._pivot_transform(n - r)
         base = self.quiver.num_arrows ** (n - r)
         rows = []
@@ -262,10 +259,10 @@ class ComultTable:
                 if t_right is None:
                     continue
                 for p, cp in t_left.items():
-                    cp = mul(coeff, cp)
+                    cp = coeff * cp
                     for qq, cq in t_right.items():
-                        acc[(p, qq)] = add(acc.get((p, qq), zero), mul(cp, cq))
-            row = {pq: c for pq, c in sorted(acc.items()) if c != zero}
+                        acc[(p, qq)] = acc.get((p, qq), 0) + cp * cq
+            row = f.canon(sorted(acc.items()))
             if self._expand(n, r, row) != words:
                 raise InconsistentBasis(
                     f"no comultiplicative scalars for f^{n}_{i} at split r={r}")
@@ -275,8 +272,7 @@ class ComultTable:
 
     def _expand(self, n, r, row):
         """sum c_pq f^r_p f^{n-r}_q in kQ_n, as a code dict without zeros."""
-        f, cb = self.field, self.cobasis
-        add, mul, zero = f.add, f.mul, f.zero
+        cb = self.cobasis
         shift = self.quiver.num_arrows ** (n - r)
         acc = {}
         for (p, qq), c in row.items():
@@ -284,9 +280,9 @@ class ComultTable:
                 continue  # generators are uniform, so the product is zero
             right = cb.codes(n - r, qq)
             for u, cu in cb.codes(r, p).items():
-                cu = mul(c, cu)
+                cu = c * cu
                 head = u * shift if r else 0  # a vertex factor spells no arrow
                 for v, cv in right.items():
                     w = head + v if r < n else u
-                    acc[w] = add(acc.get(w, zero), mul(cu, cv))
-        return {w: c for w, c in acc.items() if c != zero}
+                    acc[w] = acc.get(w, 0) + cu * cv
+        return self.field.canon(acc.items())

@@ -42,7 +42,7 @@ class HomotopyLifting:
     def apply(self, x):
         """psi extended bimodule-linearly to an element of K_m."""
         out = {}
-        self.apply_into(out, x, self.kx.field.one)
+        self.apply_into(out, x, 1)
         return BimoduleElement(self.kx.field, max(x.degree - self.n + 1, 0), out)
 
     def apply_into(self, out, x, scale):
@@ -50,15 +50,15 @@ class HomotopyLifting:
         images = self.maps.get(x.degree) if x.degree >= self.n else None
         if images is None:
             return
-        kx, mul = self.kx, self.kx.field.mul
+        kx = self.kx
         for (u, i, v), coeff in x.terms.items():
-            kx.sandwich_into(out, u, images[i].terms, v, mul(scale, coeff))
+            kx.sandwich_into(out, u, images[i].terms, v, scale * coeff)
 
 
 def lifting_rhs(kx, eta, m, r):
     """(eta ox 1 - 1 ox eta) Delta on eps^m_r, with the fixed Koszul sign."""
     out = {}
-    _rhs_into(out, kx, eta, m, r, kx.field.one)
+    _rhs_into(out, kx, eta, m, r, 1)
     return BimoduleElement(kx.field, m - eta.degree, out)
 
 
@@ -73,24 +73,23 @@ def _rhs_into(out, kx, eta, m, r, scale):
     n, k = eta.degree, m - eta.degree
     if k < 0:
         return
-    f, cb, vertex = kx.field, kx.cobasis, kx.quiver.vertex_path
-    add, mul, zero = f.add, f.mul, f.zero
+    cb, vertex = kx.cobasis, kx.quiver.vertex_path
     for (p, q), c in kx.c(m, r, n).items():
         lam = eta.values[p].terms
         if lam:
-            c, t = mul(scale, c), vertex(cb.target(k, q))
+            c, t = scale * c, vertex(cb.target(k, q))
             for u, uc in lam.items():
                 key = (u, q, t)
-                out[key] = add(out.get(key, zero), mul(c, uc))
+                out[key] = out.get(key, 0) + c * uc
     # - (-1)^{n k} scale on the 1 ox eta side
-    right = scale if (n * k) % 2 else f.neg(scale)
+    right = scale if (n * k) % 2 else -scale
     for (p, q), c in kx.c(m, r, k).items():
         lam = eta.values[q].terms
         if lam:
-            c, o = mul(right, c), vertex(cb.origin(k, p))
+            c, o = right * c, vertex(cb.origin(k, p))
             for v, vc in lam.items():
                 key = (o, p, v)
-                out[key] = add(out.get(key, zero), mul(c, vc))
+                out[key] = out.get(key, 0) + c * vc
 
 
 def lifting_ansatz(kx, k, ell, o, t):
@@ -148,10 +147,8 @@ def _lifting_system(kx, k, ell, o, t):
     equations = []
     for j, (u, i, v) in enumerate(ansatz):
         column = {}  # d(u . eps_i . v) = u . d(eps_i) . v
-        kx.sandwich_into(column, u, kx._diff_eps(k, i).terms, v, f.one)
-        for eq, c in column.items():
-            if c == f.zero:
-                continue
+        kx.sandwich_into(column, u, kx._diff_eps(k, i).terms, v, 1)
+        for eq, c in f.canon(column.items()).items():
             row = index.get(eq)
             if row is None:
                 row = index[eq] = len(equations)
@@ -194,9 +191,11 @@ def _solve_images(kx, m, n, ell, target, what, nullspaces=None):
                 tb = None
                 break
             for i, c in transform[eq]:
-                tb[i] = f.add(tb.get(i, f.zero), f.mul(c, b))
+                tb[i] = tb.get(i, 0) + c * b
         rank = len(system.pivots)
-        if tb is None or any(i >= rank and c != f.zero for i, c in tb.items()):
+        if tb is not None:
+            tb = f.canon(tb.items())
+        if tb is None or any(i >= rank for i in tb):
             raise NoSolution(
                 f"no {what} at degree {m}, generator {r}: input is not a "
                 f"cocycle or the resolution data is corrupted")
@@ -225,14 +224,14 @@ def solve_lifting(kx, eta, M, initial=None, collect_nullspaces=False):
         raise NoSolution("lifting solver needs a homogeneous cocycle")
     ell = eta.internal_degree()
     f = kx.field
-    sign_prev = f.one if (n - 1) % 2 == 0 else f.neg(f.one)
+    sign_prev = -1 if (n - 1) % 2 else 1
     maps = {m: list(images) for m, images in (initial or {}).items()}
     lifting = HomotopyLifting(kx, eta, maps)
 
     def target(m, r):
         # d psi_m = (eta ox 1 - 1 ox eta) Delta + (-1)^{n-1} psi_{m-1} d
         out = {}
-        _rhs_into(out, kx, eta, m, r, f.one)
+        _rhs_into(out, kx, eta, m, r, 1)
         lifting.apply_into(out, kx._diff_eps(m, r), sign_prev)
         return BimoduleElement(f, m - n, out)
 
@@ -246,15 +245,13 @@ def solve_lifting(kx, eta, M, initial=None, collect_nullspaces=False):
 def lifting_residual(kx, eta, lifting, m, r):
     """d psi - (-1)^{n-1} psi d - (eta ox 1 - 1 ox eta) Delta at eps^m_r."""
     n = eta.degree
-    f = kx.field
-    sign = f.one if (n - 1) % 2 == 0 else f.neg(f.one)
     img = lifting.image(m, r)  # lives in K_{m-n+1}, degree >= 1 whenever m >= n
     res = {}
     for (u, i, v), c in img.terms.items():  # d psi(eps^m_r)
         kx.sandwich_into(res, u, kx._diff_eps(img.degree, i).terms, v, c)
-    lifting.apply_into(res, kx._diff_eps(m, r), f.neg(sign))
-    _rhs_into(res, kx, eta, m, r, f.neg(f.one))
-    return BimoduleElement(f, m - n, res)
+    lifting.apply_into(res, kx._diff_eps(m, r), 1 if (n - 1) % 2 else -1)
+    _rhs_into(res, kx, eta, m, r, -1)
+    return BimoduleElement(kx.field, m - n, res)
 
 
 def verify_lifting(kx, eta, lifting, M):
@@ -421,19 +418,17 @@ class DerivationOperator:
     def apply(self, x):
         """Leibniz extension to decorated elements of K_n."""
         kx, gamma = self.kx, self.gamma
-        f = kx.field
-        mul = f.mul
         n = x.degree
         out = {}
         for (u, i, v), coeff in x.terms.items():
             # gamma(u) . eps . v + u . gtilde(eps) . v + u . eps . gamma(v)
             eps = kx.eps(n, i).terms
             for w, c in derivation_on_word(kx, gamma, u).terms.items():
-                kx.sandwich_into(out, w, eps, v, mul(c, coeff))
+                kx.sandwich_into(out, w, eps, v, c * coeff)
             kx.sandwich_into(out, u, self.image(n, i).terms, v, coeff)
             for w, c in derivation_on_word(kx, gamma, v).terms.items():
-                kx.sandwich_into(out, u, eps, w, mul(c, coeff))
-        return BimoduleElement(f, n, out)
+                kx.sandwich_into(out, u, eps, w, c * coeff)
+        return BimoduleElement(kx.field, n, out)
 
 
 def derivation_on_word(kx, gamma, path):
@@ -448,7 +443,7 @@ def derivation_on_word(kx, gamma, path):
         prefix = PathVector.single(f, _subpath(q, path, 0, k))
         suffix = PathVector.single(f, _subpath(q, path, k + 1, len(path.arrows)))
         for w, c in kx.rs.multiply(kx.rs.multiply(prefix, val), suffix).terms.items():
-            acc[w] = f.add(acc.get(w, f.zero), c)
+            acc[w] = acc.get(w, 0) + c
     return PathVector(f, acc)
 
 
@@ -462,12 +457,11 @@ def _subpath(quiver, path, start, stop):
 
 
 def derivation_on_element(kx, gamma, vec):
-    f = kx.field
     acc = {}
     for path, coeff in vec.terms.items():
         for w, c in derivation_on_word(kx, gamma, path).terms.items():
-            acc[w] = f.add(acc.get(w, f.zero), f.mul(c, coeff))
-    return PathVector(f, acc)
+            acc[w] = acc.get(w, 0) + c * coeff
+    return PathVector(kx.field, acc)
 
 
 def derivation_lift(kx, gamma, M):

@@ -2,9 +2,11 @@
 
 Every element the package computes with (paths in kQ, elements of the
 resolution, bar words, tensor-square terms) is a SparseVector: a dict from
-hashable keys to nonzero raw field values.  Loops accumulate into a plain
-dict with field.add and hand it to the constructor, which is the one place
-zero coefficients are dropped.
+hashable keys to nonzero canonical field values.  Loops accumulate into a
+plain dict with the native + and * (d[k] = d.get(k, 0) + a * b), so the
+dict may hold unreduced values and zeros, and hand it to the constructor,
+whose body is field.canon: the one place values are reduced and zero
+coefficients dropped (see the fields module docstring).
 
 Everything downstream ("there exist scalars such that ...") reduces to the
 entry points here: solve_affine_system, nullspace_basis, rank and
@@ -29,14 +31,8 @@ class SparseVector:
 
     def __init__(self, field, terms=None):
         self.field = field
-        # a plain loop, not a comprehension: most vectors built here hold one
-        # or two terms, and a comprehension's own frame then costs more
-        out = self.terms = {}
-        if terms:
-            zero = field.zero
-            for key, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c != zero:
-                    out[key] = c
+        self.terms = (field.canon(terms.items() if isinstance(terms, dict) else terms)
+                      if terms else {})
 
     def _like(self, terms):
         """A vector of the same class and degree with the given terms."""
@@ -60,10 +56,9 @@ class SparseVector:
         if other.degree != self.degree:
             raise DimensionMismatch(
                 f"cannot add vectors of degrees {self.degree} and {other.degree}")
-        add, zero = f.add, f.zero
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = add(out.get(key, zero), c)
+            out[key] = out.get(key, 0) + c
         return self._like(out)
 
     def __sub__(self, other):
@@ -76,8 +71,7 @@ class SparseVector:
         f = self.field
         if coeff == f.zero:
             return self._like(None)
-        mul = f.mul
-        return self._like({key: mul(c, coeff) for key, c in self.terms.items()})
+        return self._like([(key, c * coeff) for key, c in self.terms.items()])
 
     def __eq__(self, other):
         return (isinstance(other, SparseVector) and self.degree == other.degree
@@ -116,7 +110,7 @@ class GradedVector(SparseVector):
 
 
 class Matrix:
-    """Sparse matrix: entries maps (row, col) -> nonzero raw field value."""
+    """Sparse matrix: entries maps (row, col) -> nonzero canonical field value."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -124,14 +118,11 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = {}
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for (r, c), v in items:
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise DimensionMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
-                if v != field.zero:
-                    self.entries[(r, c)] = v
+        self.entries = (field.canon(entries.items() if isinstance(entries, dict) else entries)
+                        if entries else {})
+        for r, c in self.entries:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise DimensionMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
 
     def row_dicts(self):
         rows = [dict() for _ in range(self.rows)]

@@ -140,7 +140,7 @@ def _value(kx, spec):
     terms = {}
     for coeff, word in spec:
         path = _word(kx, word)
-        terms[path] = f.add(terms.get(path, f.zero), f(coeff))
+        terms[path] = terms.get(path, 0) + f(coeff)
     return PathVector(f, terms)
 
 
@@ -159,7 +159,7 @@ def _bim(kx, degree, spec):
         u = _word(kx, uword) if uword else kx.quiver.vertex_path(o)
         v = _word(kx, vword) if vword else kx.quiver.vertex_path(t)
         key = (u, i, v)
-        terms[key] = f.add(terms.get(key, f.zero), f(coeff))
+        terms[key] = terms.get(key, 0) + f(coeff)
     return BimoduleElement(f, degree, terms)
 
 

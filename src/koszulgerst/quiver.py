@@ -146,15 +146,14 @@ class PathVector(SparseVector):
 
 def free_multiply(quiver, a, b):
     """Product in the free path algebra kQ (concatenation, no relations)."""
-    f = a.field
     out = {}
     for p, cp in a.terms.items():
         for q, cq in b.terms.items():
             pq = quiver.compose(p, q)
             if pq is None:
                 continue
-            out[pq] = f.add(out.get(pq, f.zero), f.mul(cp, cq))
-    return PathVector(f, out)
+            out[pq] = out.get(pq, 0) + cp * cq
+    return PathVector(a.field, out)
 
 
 def make_order_key(arrow_rank):

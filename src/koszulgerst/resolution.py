@@ -33,7 +33,8 @@ sandwich_into(out, u, terms, v, scale), which adds scale . (u . x . v) for
 normal words u, v straight into a term dict, using the memoised word
 products.  sandwich, sandwich_words and differential here, and the lifting
 and derivation operators in lifting.py, are loops over it; each hands its
-dict to the zero-dropping BimoduleElement constructor once at the end.
+dict to the BimoduleElement constructor once at the end, which reduces the
+natively accumulated values and drops zeros (field.canon).
 
 Sign conventions, fixed once for every consumer: the differential carries
 (-1)^n on right-hand terms, and Koszul signs are (1 ox g)(x ox y) =
@@ -128,34 +129,33 @@ class KoszulComplex:
 
     def sandwich_into(self, out, u, terms, v, scale):
         """Add scale . (u . x . v) into the term dict out, for normal words u, v
-        and the terms of an element x of K; out may be left holding zeros."""
-        f, word_product = self.field, self.rs.word_product
-        add, mul, zero = f.add, f.mul, f.zero
+        and the terms of an element x of K; out may be left holding zeros and,
+        over F_p, unreduced values."""
+        word_product = self.rs.word_product
         for (u0, i, v0), coeff in terms.items():
             new_u = word_product(u, u0).terms
             if not new_u:
                 continue
             new_v = word_product(v0, v).terms
-            c0 = mul(scale, coeff)
+            c0 = scale * coeff
             for up, uc in new_u.items():
-                cu = mul(c0, uc)
+                cu = c0 * uc
                 for vp, vc in new_v.items():
                     key = (up, i, vp)
-                    out[key] = add(out.get(key, zero), mul(cu, vc))
+                    out[key] = out.get(key, 0) + cu * vc
 
     def sandwich(self, left, x, right):
         """left . x . right with left/right elements of Lambda (PathVectors)."""
-        mul = self.field.mul
         out = {}
         for u, uc in left.terms.items():
             for v, vc in right.terms.items():
-                self.sandwich_into(out, u, x.terms, v, mul(uc, vc))
+                self.sandwich_into(out, u, x.terms, v, uc * vc)
         return BimoduleElement(self.field, x.degree, out)
 
     def sandwich_words(self, u, x, v):
         """u . x . v for normal words u, v."""
         out = {}
-        self.sandwich_into(out, u, x.terms, v, self.field.one)
+        self.sandwich_into(out, u, x.terms, v, 1)
         return BimoduleElement(self.field, x.degree, out)
 
     # -- differential ----------------------------------------------------------
@@ -164,16 +164,16 @@ class KoszulComplex:
         got = self._diff_cache.get((n, i))
         if got is not None:
             return got
-        f, q = self.field, self.quiver
-        sign = f.one if n % 2 == 0 else f.neg(f.one)
+        q = self.quiver
+        sign = -1 if n % 2 else 1
         terms = {}
         for (p, j), c in self.c(n, i, 1).items():
             key = (q.arrow_path(p), j, q.vertex_path(self.cobasis.target(n - 1, j)))
-            terms[key] = f.add(terms.get(key, f.zero), c)
+            terms[key] = terms.get(key, 0) + c
         for (j, p), c in self.c(n, i, n - 1).items():
             key = (q.vertex_path(self.cobasis.origin(n - 1, j)), j, q.arrow_path(p))
-            terms[key] = f.add(terms.get(key, f.zero), f.mul(sign, c))
-        out = BimoduleElement(f, n - 1, terms)
+            terms[key] = terms.get(key, 0) + sign * c
+        out = BimoduleElement(self.field, n - 1, terms)
         self._diff_cache[(n, i)] = out
         return out
 
@@ -190,12 +190,11 @@ class KoszulComplex:
         """d_0: K_0 -> Lambda, the multiplication map u . e_i . v -> uv."""
         if x.degree != 0:
             raise DegreeUnderflow("augment only applies in degree 0")
-        f = self.field
         acc = {}
         for (u, i, v), coeff in x.terms.items():
             for w, c in self.rs.word_product(u, v).terms.items():
-                acc[w] = f.add(acc.get(w, f.zero), f.mul(c, coeff))
-        return PathVector(f, acc)
+                acc[w] = acc.get(w, 0) + c * coeff
+        return PathVector(self.field, acc)
 
     # -- diagonal ----------------------------------------------------------------
 
@@ -234,26 +233,24 @@ class KoszulComplex:
 
     def iota_bimodule(self, x):
         """iota extended to K: u . eps^n_i . v -> u ox f-letters ox v."""
-        f = self.field
         out = {}
         for (u, i, v), coeff in x.terms.items():
             for letters, c in self._letters(x.degree, i):
                 word = (u,) + letters + (v,)
-                out[word] = f.add(out.get(word, f.zero), f.mul(coeff, c))
-        return GradedVector(f, x.degree, out)
+                out[word] = out.get(word, 0) + coeff * c
+        return GradedVector(self.field, x.degree, out)
 
     def bar_delta(self, bar):
         """Bar differential: alternating sum of adjacent multiplications."""
-        f = self.field
         out = {}
         for word, coeff in bar.terms.items():
             for k in range(len(word) - 1):
-                sign = f.one if k % 2 == 0 else f.neg(f.one)
+                signed = -coeff if k % 2 else coeff
                 prod = self.rs.word_product(word[k], word[k + 1])
                 for path, pc in prod.terms.items():
                     merged = word[:k] + (path,) + word[k + 2:]
-                    out[merged] = f.add(out.get(merged, f.zero), f.mul(coeff, f.mul(sign, pc)))
-        return GradedVector(f, bar.degree - 1, out)
+                    out[merged] = out.get(merged, 0) + signed * pc
+        return GradedVector(self.field, bar.degree - 1, out)
 
     # -- identity checks -----------------------------------------------------------
 
@@ -292,18 +289,18 @@ class KoszulComplex:
                         v = vertex(cb.target(n - dl, q))
                         for (u2, p2, w2), c2 in self._diff_eps(dl, p).terms.items():
                             key = (dl - 1, u2, p2, w2, q, v)
-                            lhs[key] = f.add(lhs.get(key, f.zero), f.mul(coeff, c2))
+                            lhs[key] = lhs.get(key, 0) + coeff * c2
                     if dl < n:  # (-1)^dl eps_p ox d(eps^{n-dl}_q)
-                        signed = coeff if dl % 2 == 0 else f.neg(coeff)
+                        signed = -coeff if dl % 2 else coeff
                         u = vertex(cb.origin(dl, p))
                         for (w2, q2, v2), c2 in self._diff_eps(n - dl, q).terms.items():
                             key = (dl, u, p, w2, q2, v2)
-                            lhs[key] = f.add(lhs.get(key, f.zero), f.mul(signed, c2))
+                            lhs[key] = lhs.get(key, 0) + signed * c2
                 # Delta(u . eps^{n-1}_i . v) puts u and v around each diagonal term
                 for (u, i, v), coeff in self._diff_eps(n, r).terms.items():
                     for dl, p, q, c in self.diagonal(n - 1, i):
                         key = (dl, u, p, vertex(cb.target(dl, p)), q, v)
-                        rhs[key] = f.add(rhs.get(key, f.zero), f.mul(coeff, c))
+                        rhs[key] = rhs.get(key, 0) + coeff * c
                 lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
                 if lhs != rhs:
                     failures.append(("(d ox 1 + 1 ox d)Delta = Delta d", n, r,
@@ -320,10 +317,10 @@ class KoszulComplex:
                     for t in self.diagonal(dl, p):  # (Delta ox 1)
                         key = (t.left_degree, dl - t.left_degree, t.left_index,
                                t.right_index, q)
-                        lhs[key] = f.add(lhs.get(key, f.zero), f.mul(coeff, t.coeff))
+                        lhs[key] = lhs.get(key, 0) + coeff * t.coeff
                     for t in self.diagonal(n - dl, q):  # (1 ox Delta)
                         key = (dl, t.left_degree, p, t.left_index, t.right_index)
-                        rhs[key] = f.add(rhs.get(key, f.zero), f.mul(coeff, t.coeff))
+                        rhs[key] = rhs.get(key, 0) + coeff * t.coeff
                 lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
                 if lhs != rhs:
                     failures.append(("(Delta ox 1)Delta = (1 ox Delta)Delta", n, r,
@@ -340,9 +337,9 @@ class KoszulComplex:
                 left, right = {}, {}
                 for dl, p, q, coeff in self.diagonal(n, r):
                     if dl == 0 and cb.origin(n, q) == p:
-                        left[q] = f.add(left.get(q, f.zero), coeff)
+                        left[q] = left.get(q, 0) + coeff
                     if dl == n and cb.target(n, p) == q:
-                        right[p] = f.add(right.get(p, f.zero), coeff)
+                        right[p] = right.get(p, 0) + coeff
                 for name, sums in (("(mu ox 1)Delta = id", left),
                                    ("(1 ox mu)Delta = id", right)):
                     got = SparseVector(f, sums)
@@ -383,7 +380,6 @@ class KoszulComplex:
         _check_iota lets the Path vectors decide.
         """
         f, cb, q = self.field, self.cobasis, self.quiver
-        add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
         A, o, t = q.num_arrows, *cb.o(n, r)
         if self._pair_nf is None:  # x*A + y -> {code: coeff} of the normal form of x.y
             arrow, code, word_product = q.arrow_path, q.code, self.rs.word_product
@@ -393,16 +389,16 @@ class KoszulComplex:
         merges = [(k, A ** (n - 1 - k), k % 2) for k in range(1, n)]  # (k, digit place, sign)
         lhs, rhs = {}, {}
         for w, c in cb.codes(n, r).items():
-            minus = neg(c)
-            lhs[(0, t, w)] = add(lhs.get((0, t, w), zero), c)
-            lhs[(n, o, w)] = add(lhs.get((n, o, w), zero), minus if n % 2 else c)
+            minus = -c
+            lhs[(0, t, w)] = lhs.get((0, t, w), 0) + c
+            lhs[(n, o, w)] = lhs.get((n, o, w), 0) + (minus if n % 2 else c)
             for k, place, odd in merges:
                 pair = w // place % letters
                 rest = w - pair * place
                 signed = minus if odd else c
                 for m, cm in pair_nf[pair].items():
                     key = (k, o, rest + m * place)
-                    lhs[key] = add(lhs.get(key, zero), mul(signed, cm))
+                    lhs[key] = lhs.get(key, 0) + signed * cm
         vertex_of, arrow_of = self._vertex_of, self._arrow_of
         lead = A ** (n - 1)
         for (u, j, v), c in self._diff_eps(n, r).terms.items():
@@ -415,7 +411,7 @@ class KoszulComplex:
                 return False
             for w, cw in cb.codes(n - 1, j).items():
                 key = (position, vertex, head + (w * digit if n > 1 else 0) + tail)
-                rhs[key] = add(rhs.get(key, zero), mul(c, cw))
+                rhs[key] = rhs.get(key, 0) + c * cw
         return SparseVector(f, lhs) == SparseVector(f, rhs)
 
 

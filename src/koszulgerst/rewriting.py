@@ -46,27 +46,25 @@ class RewriteSystem:
         else:
             arrows = path.arrows
             tail = self.rules[(arrows[k], arrows[k + 1])]
-            f = self.field
             acc = {}
             for tpath, tcoeff in tail.terms.items():
                 replaced = Path(path.o, arrows[:k] + tpath.arrows + arrows[k + 2:])
                 for rpath, rcoeff in self.nf_path(replaced).terms.items():
-                    acc[rpath] = f.add(acc.get(rpath, f.zero), f.mul(tcoeff, rcoeff))
-            result = PathVector(f, acc)
+                    acc[rpath] = acc.get(rpath, 0) + tcoeff * rcoeff
+            result = PathVector(self.field, acc)
         self._nf_cache[path] = result
         return result
 
     def normal_form(self, vec):
         """Normal form of a kQ element; idempotent and I-invariant."""
-        f = self.field
         acc = {}
         for path, coeff in vec.terms.items():
             if self.reducible_at(path) < 0:
-                acc[path] = f.add(acc.get(path, f.zero), coeff)
+                acc[path] = acc.get(path, 0) + coeff
                 continue
             for rpath, rcoeff in self.nf_path(path).terms.items():
-                acc[rpath] = f.add(acc.get(rpath, f.zero), f.mul(coeff, rcoeff))
-        return PathVector(f, acc)
+                acc[rpath] = acc.get(rpath, 0) + coeff * rcoeff
+        return PathVector(self.field, acc)
 
     def word_product(self, u, v):
         """Normal form of the word product u.v (zero if not composable)."""
@@ -93,10 +91,10 @@ class RewriteSystem:
         acc = {}
         for u, cu in a.terms.items():
             for v, cv in b.terms.items():
-                c = f.mul(cu, cv)
+                c = cu * cv
                 for w, cw in self.word_product(u, v).terms.items():
-                    acc[w] = f.add(acc.get(w, f.zero), f.mul(c, cw))
-        return PathVector(f, acc)  # drops the terms that cancelled
+                    acc[w] = acc.get(w, 0) + c * cw
+        return PathVector(f, acc)  # reduces, and drops the terms that cancelled
 
     # -- normal-word enumeration ---------------------------------------------
 

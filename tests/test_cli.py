@@ -441,3 +441,22 @@ def test_cli_help_matches_a_freshly_built_parser(argv, capsys):
     with pytest.raises(SystemExit):
         build_parser.__wrapped__().parse_args(argv)
     assert reused == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lines, line, message", [
+    (["arrow x 1 1", "order z"], 4, "order lists unknown arrows ['z']"),
+    (["arrow x 1 1", "order x > x"], 4, "order lists arrow 'x' twice"),
+    (["arrow x 1 1", "arrow y 1 1", "order x > x"], 5, "order lists arrow 'x' twice"),
+    (["arrow x 1 1", "arrow y 1 1", "order y", "relation x.y"], 5,
+     "order must list every arrow"),
+    (["arrow x 1 1", "relation 0*x.x"], 4, "relation '0*x.x' is zero"),
+    (["arrow x 1 1", "relation x.x - x.x"], 4, "relation 'x.x - x.x' is zero"),
+], ids=["unknown", "repeated-one-arrow", "repeated-two-arrows", "missing", "zero",
+        "cancelling"])
+def test_cli_bad_order_or_zero_relation_reports_its_line(lines, line, message, tmp_path,
+                                                         capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text("\n".join(["field Q", "vertex 1", *lines]) + "\n")
+    assert main(["basis", "--algebra", str(path), "-N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line {line}: {message}\n"

@@ -83,3 +83,31 @@ def test_arithmetic_ignores_the_representation(x, y):
     assert QQ.format(QQ(x)) == QQ.format(Fraction(x)) == str(x)
     for field in (F5, F7):
         assert field(QQ(x)) == field(Fraction(x))
+
+
+F32003 = PrimeField(32003)
+
+
+def test_canon_over_q_drops_zeros_and_keeps_values():
+    got = QQ.canon([("a", -3), ("b", 0), ("c", Fraction(0)), ("d", Fraction(6, 3)),
+                    ("e", Fraction(-1, 2)), ("f", Fraction(0, 7))])
+    assert list(got.items()) == [("a", -3), ("d", 2), ("e", Fraction(-1, 2))]
+    assert QQ.format(got["d"]) == "2"
+    assert QQ.canon([]) == {} and QQ.canon(iter(())) == {}
+
+
+@pytest.mark.parametrize("field", [F5, F7, F32003], ids=lambda f: f.name)
+def test_canon_over_fp_reduces_then_drops_zeros(field):
+    p = field.p
+    got = field.canon([("neg", -1), ("p", p), ("-2p", -2 * p), ("big", 3 * p * p + 2),
+                       ("zero", 0), ("in range", p - 1), ("neg big", -(p ** 3) - 4)])
+    assert list(got.items()) == [("neg", p - 1), ("big", 2), ("in range", p - 1),
+                                 ("neg big", (-4) % p)]
+    assert all(type(v) is int and 0 < v < p for v in got.values())
+    assert field.canon([]) == {} and field.canon(iter(())) == {}
+
+
+def test_canon_keeps_the_first_position_of_each_key():
+    # the pairs come from a dict, so each key appears once; the output keeps
+    # their order, which the sorted comult rows rely on
+    assert list(F5.canon([(2, 7), (0, 5), (1, 9)]).items()) == [(2, 2), (1, 4)]

@@ -2,10 +2,14 @@
 the generic span-intersection construction and checked by the structural
 identities, so these guard the non-preset code paths."""
 
+import pytest
+
+from koszulgerst.algfile import parse_presentation
 from koszulgerst.bracket import oracle_compare
 from koszulgerst.cohomology import cocycle_space
-from koszulgerst.fields import QQ
+from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.lifting import solve_lifting, verify_lifting
+from koszulgerst.presets import load_complex
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver
 from koszulgerst.resolution import KoszulComplex
 
@@ -62,3 +66,56 @@ def test_directed_tree_resolution_terminates():
     assert kx.verify_resolution().ok
     z1 = cocycle_space(kx, 1)
     assert z1.hh_dim == 0
+
+
+def cached_values(kx):
+    """(cache, value) for every field value a complex and its rewriting
+    system hold in their caches."""
+    cm, rs = kx.comult, kx.rs
+    for rows in cm._cache.values():
+        for row in rows:
+            yield from (("comult._cache", c) for c in row.values())
+    for transform in cm._pivots.values():
+        for coords in transform.values():
+            yield from (("comult._pivots", c) for c in coords.values())
+    for terms in kx._diag_cache.values():
+        yield from (("_diag_cache", t.coeff) for t in terms)
+    for x in kx._diff_cache.values():
+        yield from (("_diff_cache", c) for c in x.terms.values())
+    for system in kx._lifting_systems.values():
+        for column in system.transform:
+            yield from (("_lifting_systems transform", c) for _, c in column)
+        for x in system.nullspace:
+            yield from (("_lifting_systems nullspace", c) for c in x.terms.values())
+    for name, cache in (("rs._products", rs._products), ("rs._nf_cache", rs._nf_cache)):
+        for x in cache.values():
+            yield from ((name, c) for c in x.terms.values())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_complex("family", PrimeField(5), 4, q=-1),
+    lambda: KoszulComplex(parse_presentation(
+        "field F32003\nvertex 1\narrow x 1 1\narrow y 1 1\narrow z 1 1\n"
+        "order x > y > z\nparam qxy = 17\nparam qxz = 2024\nparam qyz = 31999\n"
+        "relation x.x\nrelation y.y\nrelation z.z\nrelation y.x + qxy*x.y\n"
+        "relation z.x + qxz*x.z\nrelation z.y + qyz*y.z\n"), 3),
+], ids=["family-q=-1-F5", "exterior-F32003"])
+def test_no_unreduced_value_escapes_into_a_cache(make):
+    # loops accumulate F_p values unreduced; the constructors and the
+    # explicit canon calls must reduce every one before it is stored
+    kx = make()
+    p = kx.field.p
+    assert kx.verify_resolution().ok
+    cocycles = [c for c in cocycle_space(kx, 1).cocycles if c.is_homogeneous()]
+    lifting = solve_lifting(kx, cocycles[-1], kx.N, collect_nullspaces=True)
+    assert verify_lifting(kx, cocycles[-1], lifting, kx.N) == []
+    assert oracle_compare(kx, 1, 1).ok
+    seen, bad = set(), []
+    for cache, c in cached_values(kx):
+        seen.add(cache)
+        if type(c) is not int or not 0 < c < p:
+            bad.append((cache, c))
+    assert bad == []
+    assert seen == {"comult._cache", "comult._pivots", "_diag_cache", "_diff_cache",
+                    "_lifting_systems transform", "_lifting_systems nullspace",
+                    "rs._products", "rs._nf_cache"}

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulgerst.errors import DimensionMismatch
 from koszulgerst.fields import QQ, PrimeField
@@ -215,3 +217,38 @@ def test_echelon_basis_size_is_the_rank(rng):
             width = max(len(row) for row in rows)
             A = mat(field, [row + [field.zero] * (width - len(row)) for row in rows])
             assert len(echelon_basis(vectors, None)) == rank(A)
+
+
+def test_matrix_canonicalizes_then_rejects_out_of_range_entries():
+    A = Matrix(F5, 2, 2, {(0, 0): 7, (0, 1): -1, (1, 1): 10, (1, 0): 0})
+    assert A.entries == {(0, 0): 2, (0, 1): 4}
+    with pytest.raises(DimensionMismatch):
+        Matrix(F5, 2, 2, {(0, 0): 1, (2, 0): 6})
+    with pytest.raises(DimensionMismatch):
+        Matrix(F5, 2, 2, [((0, 0), -3), ((0, 2), -1)])
+    with pytest.raises(DimensionMismatch):
+        Matrix(QQ, 1, 1, {(0, -1): Fraction(1, 2)})
+    # a zero has no place in a sparse matrix, wherever it is keyed
+    assert Matrix(F5, 1, 1, {(0, 0): 1, (3, 3): 5}).entries == {(0, 0): 1}
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, F5, PrimeField(7), PrimeField(32003)]),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(-40, 40), st.integers(-40, 40),
+                          st.sampled_from([1, 2, 3, 4, 6]), st.booleans()), max_size=30))
+def test_native_accumulation_gives_the_eager_vector(field, draws):
+    # the accumulate loops add a * b with native + and *, leaving the dict
+    # unreduced, and the constructor's canon reduces once; eager reduction
+    # through field.add / field.mul must give the identical vector
+    terms = [(key, field(Fraction(a, den)), field(Fraction(b, den)), minus)
+             for key, a, b, den, minus in draws]
+    native, eager = {}, {}
+    for key, a, b, minus in terms:
+        native[key] = native.get(key, 0) + (-a if minus else a) * b
+        sign = field.neg(field.one) if minus else field.one
+        eager[key] = field.add(eager.get(key, field.zero), field.mul(sign, field.mul(a, b)))
+    got = SparseVector(field, native)
+    want = [(key, c) for key, c in eager.items() if c != field.zero]
+    assert list(got.terms.items()) == want
+    assert [type(c) for c in got.terms.values()] == [type(c) for _, c in want]
+    assert got == SparseVector(field, eager)

@@ -61,11 +61,69 @@ def test_rule_spots_quadratic_accumulation():
 def test_no_quadratic_accumulation_in_the_package():
     # each `acc = acc + x.scale(c)` copies the whole accumulated dict and
     # builds a throwaway vector per term; loops accumulate into a plain dict
-    # with field.add and hand it to the zero-dropping constructor instead
+    # with native + and * and hand it to the canonicalizing constructor instead
     found = []
     for module in sorted(SRC.glob("*.py")):
         tree = ast.parse(module.read_text(), filename=str(module))
         found += [f"{module.name}:{line}" for line in quadratic_accumulations(tree)]
+    assert sorted(SRC.glob("*.py")), "package source not found"
+    assert found == []
+
+
+def eager_accumulations(tree):
+    """Lines of `d[k] = <x>.add(d.get(...), ...)` or `<x>.sub(d.get(...), ...)`,
+    also through a name bound to an `.add` or `.sub` attribute, as in
+    `add = f.add` or `add, mul = f.add, f.mul`."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ([(target, node.value)] if isinstance(target, ast.Name) else
+                         zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else ())
+                aliases |= {name.id for name, value in pairs
+                            if isinstance(name, ast.Name) and isinstance(value, ast.Attribute)
+                            and value.attr in ("add", "sub")}
+
+    def is_eager(call):
+        func = call.func
+        return (isinstance(func, ast.Attribute) and func.attr in ("add", "sub")
+                or isinstance(func, ast.Name) and func.id in aliases)
+
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Subscript)
+                and isinstance(node.value, ast.Call) and is_eager(node.value)
+                and node.value.args and isinstance(node.value.args[0], ast.Call)
+                and getattr(node.value.args[0].func, "attr", None) == "get"):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_rule_spots_eager_accumulation():
+    tree = ast.parse("acc[k] = f.add(acc.get(k, f.zero), f.mul(a, b))\n"
+                     "add, mul = field.add, field.mul\n"
+                     "plus = f.add\n"
+                     "out[k] = add(out.get(k, zero), mul(a, b))\n"
+                     "res[p] = field.sub(res.get(p, zero), c)\n"
+                     "out[k] = plus(out.get(k, 0), c)\n"
+                     "seen.add(name)\n"
+                     "acc[k] = acc.get(k, 0) + a * b\n"
+                     "x = f.add(acc.get(k, 0), c)\n"
+                     "acc[k] = mul(acc.get(k, 0), c)\n"
+                     "row[c] = field.mul(row[c], inv)\n")
+    assert eager_accumulations(tree) == [1, 4, 5, 6]
+
+
+def test_accumulations_are_native_and_reduced_once():
+    # d[k] = d.get(k, 0) + a * b with native operators costs about a third
+    # of the field-call form; the constructors' field.canon reduces once
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [f"{module.name}:{line}" for line in eager_accumulations(tree)]
     assert sorted(SRC.glob("*.py")), "package source not found"
     assert found == []
 
