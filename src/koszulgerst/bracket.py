@@ -204,12 +204,10 @@ def restrict_along_iota(kx, F):
     """F o iota as a cochain on K."""
     f = kx.field
     n = F.degree
-    q = kx.quiver
-    words = {}  # a word of f^n_i as a tuple of arrows -> [(i, coefficient)]
+    words = {}  # a word of f^n_i spelled letter by letter -> [(i, coefficient)]
     for i in range(kx.count(n)):
-        for path, coeff in kx.cobasis.f(n, i).terms.items():
-            tup = tuple(q.arrow_path(a) for a in path.arrows)
-            words.setdefault(tup, []).append((i, coeff))
+        for letters, coeff in kx._letters(n, i):
+            words.setdefault(letters, []).append((i, coeff))
     values = [{} for _ in range(kx.count(n))]
     for (tup, p), c in F.terms.items():
         for i, coeff in words.get(tup, ()):
@@ -232,7 +230,7 @@ class OracleReport(NamedTuple):
         return all(p.agree for p in self.pairs)
 
 
-def oracle_compare(kx, n, m, max_pairs=None):
+def oracle_compare(kx, n, m):
     """Compare bar-side and lifting-side brackets pairwise, up to coboundary.
 
     Enumerates bases of bar n- and m-cocycles, restricts everything along
@@ -247,14 +245,10 @@ def oracle_compare(kx, n, m, max_pairs=None):
     left_lifts = [solve_lifting(kx, eta, deg) for _, eta in left_data]
     right_lifts = [solve_lifting(kx, theta, deg) for _, theta in right_data]
     pairs = []
-    count = 0
     for i, (F, eta) in enumerate(left_data):
         for j, (G, theta) in enumerate(right_data):
-            if max_pairs is not None and count >= max_pairs:
-                return OracleReport((n, m), pairs)
             bar_side = restrict_along_iota(kx, bar_circle_bracket(kx, F, G))
             lift_side = bracket_via_lifting(kx, eta, theta,
                                             left_lifts[i], right_lifts[j])
             pairs.append(OraclePairResult(i, j, same_class(bar_side, lift_side)))
-            count += 1
     return OracleReport((n, m), pairs)

@@ -14,7 +14,7 @@ import sys
 
 from . import algfile, presets
 from .bracket import bracket_via_derivation, bracket_via_lifting, maurer_cartan_check, oracle_compare
-from .cohomology import Cochain, _cochain_coords, coboundary, cocycle_space, cup_product, same_class
+from .cohomology import Cochain, coboundary, cocycle_space, cup_product, same_class
 from .errors import KoszulGerstError
 from .fields import QQ, field_from_name
 from .lifting import derivation_lift, solve_lifting, verify_lifting
@@ -108,6 +108,14 @@ def _cochain(kx, degree, text):
     return Cochain(kx, degree, algfile.parse_cochain(kx, degree, text))
 
 
+def _cocycle(kx, degree, text):
+    """The cochain that text spells; anything but a cocycle is a usage error."""
+    eta = _cochain(kx, degree, text)
+    if not coboundary(eta).is_zero():
+        raise KoszulGerstError("input cochain is not a cocycle")
+    return eta
+
+
 def emit(doc, fmt, lines):
     if fmt == "structured":
         print(dumps(doc))
@@ -141,12 +149,12 @@ def cmd_comult(args):
         raise KoszulGerstError(f"--n must be in 0..{kx.N}, got {args.n}")
     if args.r is not None and args.r < 0:
         raise KoszulGerstError(f"--r must be at least 0, got {args.r}")
+    top = kx.N if args.n is None else args.n  # split R exists from degree R up
+    if args.r is not None and args.r > top:
+        raise KoszulGerstError(f"--r must be in 0..{top}, got {args.r}")
     if args.n is not None:
         ns = [args.n]
     elif args.r is not None:
-        # split R exists from degree R up; --n with a larger --r is a slice error
-        if args.r > kx.N:
-            raise KoszulGerstError(f"--r must be in 0..{kx.N}, got {args.r}")
         ns = range(args.r, kx.N + 1)
     else:
         ns = range(kx.N + 1)
@@ -243,9 +251,7 @@ def cmd_cup(args):
 
 def cmd_lift(args):
     kx = load_complex(args, min_n=args.degree + 1)
-    eta = _cochain(kx, args.degree, args.cocycle)
-    if not coboundary(eta).is_zero():
-        raise KoszulGerstError("input cochain is not a cocycle")
+    eta = _cocycle(kx, args.degree, args.cocycle)
     lifting = solve_lifting(kx, eta, kx.N)
     bad = verify_lifting(kx, eta, lifting, kx.N)
     doc = {"command": "lift", "degree": args.degree, "images": [], "ok": not bad}
@@ -277,9 +283,10 @@ def cmd_bracket(args):
     if None in (args.left_degree, args.left, args.right_degree, args.right):
         raise KoszulGerstError("bracket wants --left-degree/--left/--right-degree/--right")
     deg = args.left_degree + args.right_degree - 1
-    kx = load_complex(args, min_n=deg + 1)
-    left = _cochain(kx, args.left_degree, args.left)
-    right = _cochain(kx, args.right_degree, args.right)
+    # the coboundary of an n-cochain needs degree n + 1, the bracket deg + 1
+    kx = load_complex(args, min_n=max(args.left_degree, args.right_degree, deg) + 1)
+    left = _cocycle(kx, args.left_degree, args.left)
+    right = _cocycle(kx, args.right_degree, args.right)
     if args.engine == "derivation":
         if args.left_degree != 1:
             raise KoszulGerstError("derivation engine wants a degree-1 left cocycle")
@@ -296,9 +303,7 @@ def cmd_bracket(args):
 
 def cmd_mc(args):
     kx = load_complex(args, min_n=3)
-    eta = _cochain(kx, 2, args.cocycle)
-    if not coboundary(eta).is_zero():
-        raise KoszulGerstError("input cochain is not a cocycle")
+    eta = _cocycle(kx, 2, args.cocycle)
     psi = solve_lifting(kx, eta, 3)
     report = maurer_cartan_check(kx, eta, psi)
     doc = {"command": "mc", "exact": report.exact, "class_level": report.class_level,
@@ -316,17 +321,12 @@ def _check_table(kx, golden, degree):
     space = cocycle_space(kx, degree)
     span_ok = len(space.cocycles) == len(golden)
     if ok and span_ok:
-        coords = []
-        for e in sorted({d for g in golden for d in g.internal_degrees()} | set(space.internal_degrees)):
-            coords.extend([(e, c) for c in _cochain_coords(kx, degree, e)])
-        index = {c: i for i, c in enumerate(coords)}
-        entries = {}
+        index, entries = {}, {}  # one row per (slot, word) a golden vector holds
         for col, g in enumerate(golden):
             for i, val in enumerate(g.values):
                 for w, c in val.terms.items():
-                    entries[(index[(len(w.arrows), (i, w))], col)] = c
-        A = Matrix(kx.field, len(coords), len(golden), entries)
-        span_ok = rank(A) == len(golden)
+                    entries[(index.setdefault((i, w), len(index)), col)] = c
+        span_ok = rank(Matrix(kx.field, len(index), len(golden), entries)) == len(golden)
     return ok, span_ok
 
 

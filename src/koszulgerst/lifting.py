@@ -19,19 +19,19 @@ from typing import NamedTuple
 
 from .errors import CochainError, NoSolution
 from .linalg import _nullspace_from_rref, _rref
-from .quiver import PathVector
+from .quiver import Path, PathVector
 from .resolution import BimoduleElement
 
 
 class HomotopyLifting:
     """psi images per degree: maps[m][r] = psi(eps^m_r) in K_{m-n+1}."""
 
-    def __init__(self, kx, cocycle, maps, nullspaces=None):
+    def __init__(self, kx, cocycle, maps):
         self.kx = kx
         self.cocycle = cocycle
         self.n = cocycle.degree
         self.maps = maps  # dict m -> list of BimoduleElement
-        self.nullspaces = nullspaces or {}
+        self.nullspaces = {}  # (m, r) -> homogeneous solutions of each solve
 
     def image(self, m, r):
         if m <= self.n - 1 or m not in self.maps:
@@ -55,15 +55,9 @@ class HomotopyLifting:
             kx.sandwich_into(out, u, images[i].terms, v, scale * coeff)
 
 
-def lifting_rhs(kx, eta, m, r):
-    """(eta ox 1 - 1 ox eta) Delta on eps^m_r, with the fixed Koszul sign."""
-    out = {}
-    _rhs_into(out, kx, eta, m, r, 1)
-    return BimoduleElement(kx.field, m - eta.degree, out)
-
-
 def _rhs_into(out, kx, eta, m, r, scale):
-    """Add scale . lifting_rhs(kx, eta, m, r) into the term dict out.
+    """Add scale . (eta ox 1 - 1 ox eta) Delta(eps^m_r), with the fixed Koszul
+    sign, into the term dict out.
 
     The terms are written as they stand: a value eta(f^n_p) is a sum of
     normal words u from o(p) to t(p), and c_pq != 0 only for composable
@@ -167,13 +161,13 @@ def _lifting_system(kx, k, ell, o, t):
     return got
 
 
-def _solve_images(kx, m, n, ell, target, what, nullspaces=None):
+def _solve_images(kx, m, n, ell, target, what, nullspaces):
     """psi(eps^m_r) in K_{m-n+1} for every r: the canonical solution in the
     ansatz span of d psi(eps^m_r) = target(r).
 
-    A zero cocycle (ell None) gets zero images without a solve.  With a
-    `nullspaces` dict, the homogeneous solutions of each solve are stored
-    under (m, r).
+    A zero cocycle (ell None) gets zero images without a solve.  The
+    homogeneous solutions of each solve are stored in `nullspaces` under
+    (m, r).
     """
     f = kx.field
     k = m - n + 1
@@ -202,16 +196,16 @@ def _solve_images(kx, m, n, ell, target, what, nullspaces=None):
         images.append(BimoduleElement(
             f, k, ((system.ansatz[col], tb[i])
                    for i, col in enumerate(system.pivots) if i in tb)))
-        if nullspaces is not None:
-            nullspaces[(m, r)] = list(system.nullspace)
+        nullspaces[(m, r)] = list(system.nullspace)
     return images
 
 
-def solve_lifting(kx, eta, M, initial=None, collect_nullspaces=False):
+def solve_lifting(kx, eta, M, initial=None):
     """Solve for a homotopy lifting of the cocycle eta through degree M.
 
     `initial` may pin the images for low degrees (e.g. a golden lifting);
-    the solver then extends it.  Output is deterministic.
+    the solver then extends it, recording each solve's homogeneous
+    solutions in `nullspaces`.  Output is deterministic.
     """
     n = eta.degree
     if n == 0:
@@ -238,7 +232,7 @@ def solve_lifting(kx, eta, M, initial=None, collect_nullspaces=False):
     for m in range(n, M + 1):
         if m not in maps:
             maps[m] = _solve_images(kx, m, n, ell, lambda r: target(m, r), "lifting",
-                                    lifting.nullspaces if collect_nullspaces else None)
+                                    lifting.nullspaces)
     return lifting
 
 
@@ -432,28 +426,22 @@ class DerivationOperator:
 
 
 def derivation_on_word(kx, gamma, path):
-    """gamma extended to Lambda as a derivation, on one normal word."""
-    f = kx.field
+    """gamma extended to Lambda as a derivation, on one normal word:
+    the sum over its arrows a of prefix . gamma(a) . suffix."""
+    word_product, arrow_t = kx.rs.word_product, kx.quiver.arrow_t
+    arrows = path.arrows
     acc = {}
-    q = kx.quiver
-    for k, a in enumerate(path.arrows):
-        val = gamma.values[a]
-        if val.is_zero():
+    for k, a in enumerate(arrows):
+        val = gamma.values[a].terms
+        if not val:
             continue
-        prefix = PathVector.single(f, _subpath(q, path, 0, k))
-        suffix = PathVector.single(f, _subpath(q, path, k + 1, len(path.arrows)))
-        for w, c in kx.rs.multiply(kx.rs.multiply(prefix, val), suffix).terms.items():
-            acc[w] = acc.get(w, 0) + c
-    return PathVector(f, acc)
-
-
-def _subpath(quiver, path, start, stop):
-    from .quiver import Path
-    if start == 0:
-        o = path.o
-    else:
-        o = quiver.arrow_t[path.arrows[start - 1]]
-    return Path(o, path.arrows[start:stop])
+        prefix, suffix = Path(path.o, arrows[:k]), Path(arrow_t[a], arrows[k + 1:])
+        for w, c in val.items():
+            for pw, cp in word_product(prefix, w).terms.items():
+                cp = c * cp
+                for u, cu in word_product(pw, suffix).terms.items():
+                    acc[u] = acc.get(u, 0) + cp * cu
+    return PathVector(kx.field, acc)
 
 
 def derivation_on_element(kx, gamma, vec):
@@ -475,7 +463,7 @@ def derivation_lift(kx, gamma, M):
     op = DerivationOperator(kx, gamma, maps)
     for n in range(1, M + 1):
         maps[n] = _solve_images(kx, n, 1, ell, lambda r: op.apply(kx._diff_eps(n, r)),
-                                "derivation operator")
+                                "derivation operator", {})
     return op
 
 
@@ -486,10 +474,7 @@ def verify_derivation(kx, gamma, op, M):
         if n not in op.maps:
             break
         for r in range(kx.count(n)):
-            lhs = kx.differential(op.image(n, r)) if not op.image(n, r).is_zero() \
-                else BimoduleElement.zero(kx.field, n - 1)
-            rhs = op.apply(kx._diff_eps(n, r))
-            res = lhs - rhs
+            res = kx.differential(op.image(n, r)) - op.apply(kx._diff_eps(n, r))
             if not res.is_zero():
                 bad.append(((n, r), res))
     return bad

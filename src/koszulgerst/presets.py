@@ -109,12 +109,9 @@ def load_presentation(name, field, q=None):
     raise UnknownPreset(f"unknown preset {name!r} (have: {', '.join(PRESET_NAMES)})")
 
 
-def load_complex(name, field, N, q=None, golden_basis=True):
+def load_complex(name, field, N, q=None):
     pres = load_presentation(name, field, q=q)
-    cobasis = None
-    if golden_basis:
-        cobasis = (short_cobasis(pres, N) if name == "short"
-                   else family_cobasis(pres, N))
+    cobasis = short_cobasis(pres, N) if name == "short" else family_cobasis(pres, N)
     return KoszulComplex(pres, N, cobasis=cobasis)
 
 

@@ -31,10 +31,10 @@ which give its witness in path notation.
 Every bimodule-linear map goes through one kernel,
 sandwich_into(out, u, terms, v, scale), which adds scale . (u . x . v) for
 normal words u, v straight into a term dict, using the memoised word
-products.  sandwich, sandwich_words and differential here, and the lifting
-and derivation operators in lifting.py, are loops over it; each hands its
-dict to the BimoduleElement constructor once at the end, which reduces the
-natively accumulated values and drops zeros (field.canon).
+products.  sandwich and differential here, and the lifting and derivation
+operators in lifting.py, are loops over it; each hands its dict to the
+BimoduleElement constructor once at the end, which reduces the natively
+accumulated values and drops zeros (field.canon).
 
 Sign conventions, fixed once for every consumer: the differential carries
 (-1)^n on right-hand terms, and Koszul signs are (1 ox g)(x ox y) =
@@ -82,20 +82,16 @@ class ResolutionReport(NamedTuple):
     checked: list
     failures: list  # (identity, degree, index, witness string)
 
-    @property
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
-
 
 class KoszulComplex:
     """All resolution data for one presentation, built through degree N."""
 
-    def __init__(self, presentation, N, cobasis=None, rewrite=None):
+    def __init__(self, presentation, N, cobasis=None):
         self.presentation = presentation
         self.quiver = presentation.quiver
         self.field = presentation.field
         self.N = N
-        self.rs = rewrite if rewrite is not None else build_rewrite_system(presentation)
+        self.rs = build_rewrite_system(presentation)
         self.cobasis = (cobasis if cobasis is not None
                         else build_koszul_basis(presentation, N))
         if self.cobasis.max_degree < N:
@@ -150,12 +146,6 @@ class KoszulComplex:
         for u, uc in left.terms.items():
             for v, vc in right.terms.items():
                 self.sandwich_into(out, u, x.terms, v, uc * vc)
-        return BimoduleElement(self.field, x.degree, out)
-
-    def sandwich_words(self, u, x, v):
-        """u . x . v for normal words u, v."""
-        out = {}
-        self.sandwich_into(out, u, x.terms, v, 1)
         return BimoduleElement(self.field, x.degree, out)
 
     # -- differential ----------------------------------------------------------

@@ -9,6 +9,8 @@ normal form of each word product u.v is memoised per (u, v) pair, and
 multiplication in Lambda is the bilinear extension of that memo.
 """
 
+from graphlib import CycleError, TopologicalSorter
+
 from .errors import NotConfluent
 from .linalg import echelon_basis
 from .quiver import Path, PathVector, free_multiply
@@ -133,35 +135,16 @@ class RewriteSystem:
         edge a -> b when (a, b) is composable and not a rule head, so finite
         dimensionality is exactly acyclicity of that graph.
         """
-        if self._acyclic is not None:
-            return self._acyclic
-        q = self.quiver
-        n = q.num_arrows
-        succ = [[b for b in range(n)
-                 if q.arrow_t[a] == q.arrow_o[b] and (a, b) not in self.rules]
-                for a in range(n)]
-        color = [0] * n  # 0 new, 1 active, 2 done
-
-        def has_cycle(a):
-            stack = [(a, iter(succ[a]))]
-            color[a] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for b in it:
-                    if color[b] == 1:
-                        return True
-                    if color[b] == 0:
-                        color[b] = 1
-                        stack.append((b, iter(succ[b])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-            return False
-
-        self._acyclic = not any(color[a] == 0 and has_cycle(a) for a in range(n))
+        if self._acyclic is None:
+            q = self.quiver
+            graph = {a: [b for b in range(q.num_arrows)
+                         if q.arrow_t[a] == q.arrow_o[b] and (a, b) not in self.rules]
+                     for a in range(q.num_arrows)}
+            try:
+                TopologicalSorter(graph).prepare()
+                self._acyclic = True
+            except CycleError:
+                self._acyclic = False
         return self._acyclic
 
 

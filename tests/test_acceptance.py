@@ -37,7 +37,7 @@ def test_criterion_1_resolution_identities(short8, family8, family8_f5, record_c
     for tag, kx in cases:
         report = kx.verify_resolution()
         if not report.ok:
-            failures.append((tag, report.first_failure))
+            failures.append((tag, report.failures[0]))
     ok = record_criterion(
         "criterion 1: resolution identities at N=8 "
         "(short; family q=1,-1,2; over Q and F5)", not failures, f"{len(cases)} algebras")
@@ -201,7 +201,7 @@ def test_criterion_9_property_suites(family8, rng, record_criterion):
     named = family_named_cocycles(family8)
     t1, t2 = family_table1(family8), family_table2(family8)
     pool = t2 + t1
-    lifts = {id(c): solve_lifting(family8, c, 4, collect_nullspaces=True) for c in pool}
+    lifts = {id(c): solve_lifting(family8, c, 4) for c in pool}
     checks = {}
 
     # lifting-choice independence of the bracket class; perturbations are

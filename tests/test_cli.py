@@ -9,11 +9,11 @@ import pytest
 
 import koszulgerst
 from koszulgerst.algfile import parse_presentation, serialize_presentation
-from koszulgerst.cli import EXIT_BROKEN_PIPE, build_parser, main
+from koszulgerst.cli import EXIT_BROKEN_PIPE, _check_table, build_parser, main
 from koszulgerst.errors import (MissingParameter, NonQuadraticRelation, ParseError,
                                 UnknownPreset)
 from koszulgerst.fields import QQ
-from koszulgerst.presets import load_presentation
+from koszulgerst.presets import family_table1, family_table2, load_presentation
 
 FAMILY_FILE = """\
 # two loops and an exit arrow
@@ -128,6 +128,28 @@ def test_cli_lift_and_bracket(capsys):
                  "--right-degree", "2", "--right", "0,0,a.b,0"]) == 0
     out = capsys.readouterr().out
     assert "b.a" in out
+
+
+@pytest.mark.parametrize("engine", ["lifting", "derivation"])
+@pytest.mark.parametrize("left, right", [("a,0,0", "0,a,0"), ("0,a,0", "a,0,0")],
+                         ids=["bad-right", "bad-left"])
+def test_cli_bracket_of_a_non_cocycle_exits_2(engine, left, right, capsys):
+    # (0, a, 0) is no cocycle; both engines used to print a bracket and exit 0
+    assert main(["bracket", "--preset", "family", "--q", "1", "--engine", engine,
+                 "--left-degree", "1", "--left", left,
+                 "--right-degree", "1", "--right", right]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: input cochain is not a cocycle\n")
+
+
+@pytest.mark.parametrize("table, degree", [(family_table1, 2), (family_table2, 1)],
+                         ids=["table1", "table2"])
+def test_check_table_needs_exactly_a_basis(table, degree, family8):
+    golden = table(family8)
+    assert _check_table(family8, golden, degree) == (True, True)
+    # a repeated row, a dropped row, and a row replaced by a copy of another
+    for rows in (golden + golden[:1], golden[1:], golden[:1] + golden[:-1]):
+        assert _check_table(family8, rows, degree) == (True, False)
 
 
 def test_cli_bar_engine(capsys):
@@ -332,7 +354,7 @@ def test_cli_comult_split_alone_lists_every_degree_that_has_it(capsys):
 @pytest.mark.parametrize("extra, message", [
     (["--r", "-1"], "--r must be at least 0"),
     (["--r", "4"], "--r must be in 0..3"),
-    (["--n", "2", "--r", "5"], "comult slice (2,5) out of range"),
+    (["--n", "2", "--r", "3"], "--r must be in 0..2, got 3"),  # not the library's slice error
 ])
 def test_cli_comult_bad_split_exits_2(extra, message, capsys):
     assert main(["comult", "--preset", "family", "--q", "1", "-N", "3", *extra]) == 2

@@ -12,12 +12,12 @@ messages, with a reference that splits and joins Path words.
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from koszulgerst import koszul
 from koszulgerst.algfile import parse_presentation
-from koszulgerst.errors import InconsistentBasis
+from koszulgerst.errors import InconsistentBasis, NotConfluent
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.koszul import (ComultTable, KoszulCobasis, _intersect, _split_blocks,
                                 build_koszul_basis)
@@ -25,6 +25,7 @@ from koszulgerst.linalg import Matrix, _rref, echelon_basis, nullspace_basis
 from koszulgerst.presets import (family_cobasis, load_complex, load_presentation,
                                  short_cobasis)
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
+from koszulgerst.rewriting import build_rewrite_system
 
 
 def test_short_tower_closed_form(short8):
@@ -536,3 +537,70 @@ def test_intersect_rejects_a_prev_that_is_not_reduced_echelon(prev_terms):
             for terms in prev_terms]
     with pytest.raises(InconsistentBasis):
         _intersect(q, QQ, prev, pres.order_key)
+
+
+# -- finite dimensionality: graphlib against the hand-rolled search -------------
+
+
+def reference_is_finite_dimensional(rs):
+    """The iterative three-colour depth-first search that
+    RewriteSystem.is_finite_dimensional ran before it used graphlib."""
+    q = rs.quiver
+    n = q.num_arrows
+    succ = [[b for b in range(n)
+             if q.arrow_t[a] == q.arrow_o[b] and (a, b) not in rs.rules]
+            for a in range(n)]
+    color = [0] * n  # 0 new, 1 active, 2 done
+
+    def has_cycle(a):
+        stack = [(a, iter(succ[a]))]
+        color[a] = 1
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for b in it:
+                if color[b] == 1:
+                    return True
+                if color[b] == 0:
+                    color[b] = 1
+                    stack.append((b, iter(succ[b])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = 2
+                stack.pop()
+        return False
+
+    return not any(color[a] == 0 and has_cycle(a) for a in range(n))
+
+
+def two_cycle_presentation(relations):
+    """Arrows x: 1 -> 2 and y: 2 -> 1 with the given two-arrow monomial relations."""
+    q = Quiver(["1", "2"], [("x", "1", "2"), ("y", "2", "1")])
+    return QuadraticPresentation(
+        q, [PathVector.single(QQ, Path(q.arrow_o[w[0]], w)) for w in relations], field=QQ)
+
+
+@pytest.mark.parametrize("pres, finite", [
+    (load_presentation("short", QQ), False),
+    (load_presentation("family", QQ, q=1), True),
+    (load_presentation("family", PrimeField(5), q=-1), True),
+    (zigzag_presentation(), True),
+    (QuadraticPresentation(Quiver(["1"], [("x", "1", "1")]), [], field=QQ), False),
+    (two_cycle_presentation([(0, 1)]), True),  # x.y is a rule head, y.x is not
+    (two_cycle_presentation([]), False),
+], ids=["short", "family-q=1", "family-q=-1-F5", "zigzag", "free-loop", "two-cycle-one-head",
+        "two-cycle-free"])
+def test_finite_dimensionality_matches_reference(pres, finite):
+    rs = build_rewrite_system(pres)
+    assert rs.is_finite_dimensional() == reference_is_finite_dimensional(rs) == finite
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(quadratic_presentations())
+def test_finite_dimensionality_matches_reference_on_random_quadratic_algebras(pres):
+    try:
+        rs = build_rewrite_system(pres)
+    except NotConfluent:
+        assume(False)
+    assert rs.is_finite_dimensional() == reference_is_finite_dimensional(rs)

@@ -1,6 +1,7 @@
 """Static rules over the package source."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -329,7 +330,7 @@ def test_no_indented_json_dumps_in_the_package():
     assert found == []
 
 
-def loops_over_built_terms(tree, builders=("sandwich_words", "differential")):
+def loops_over_built_terms(tree, builders=("sandwich", "differential")):
     """Lines of loops (or comprehensions) whose iterable reads `<builder>(...).terms`."""
     found = set()
     for node in ast.walk(tree):
@@ -346,7 +347,7 @@ def loops_over_built_terms(tree, builders=("sandwich_words", "differential")):
 
 
 def test_rule_spots_loops_over_built_terms():
-    tree = ast.parse("for key, c in kx.sandwich_words(u, x, v).terms.items():\n"
+    tree = ast.parse("for key, c in kx.sandwich(u, x, v).terms.items():\n"
                      "    pass\n"
                      "for key in differential(x).terms:\n"
                      "    pass\n"
@@ -394,3 +395,104 @@ def test_every_traced_span_resolves_on_the_imported_package():
     proc = subprocess.run([sys.executable, "-c", SPAN_CHECK, str(ROOT / "perfbench")],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def unreferenced_definitions(sources):
+    """(module, qualified name) of each function, class and method defined in
+    sources ({module: text}) whose name no other line of sources uses as a
+    name or an attribute.  Docstrings and comments do not count; dunder
+    methods are called implicitly and are left out."""
+    definitions, uses = [], set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    qualified = f"{scope}.{child.name}" if scope else child.name
+                    definitions.append((module, qualified, child.name, child.lineno))
+                    visit(child, qualified)
+                else:
+                    visit(child, scope)
+
+        visit(tree, "")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.add((node.id, module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.add((node.attr, module, node.lineno))
+    by_name = {}
+    for name, module, line in uses:
+        by_name.setdefault(name, set()).add((module, line))
+    return sorted((module, qualified) for module, qualified, name, line in definitions
+                  if not (name.startswith("__") and name.endswith("__"))
+                  and not by_name.get(name, set()) - {(module, line)})
+
+
+def package_sources():
+    return {module.stem: module.read_text() for module in sorted(SRC.glob("*.py"))}
+
+
+def traced_spans():
+    """(module, function or Class.method) of each SPANS entry of the benchmark's tracer."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {(module, attr) for module, attr, _, _ in tracer.SPANS}
+
+
+# the parent's ResolutionReport, whose first_failure only tests read
+PARENT_RESOLUTION_REPORT = """
+class ResolutionReport(NamedTuple):
+    ok: bool
+    checked: list
+    failures: list  # (identity, degree, index, witness string)
+
+    @property
+    def first_failure(self):
+        return self.failures[0] if self.failures else None
+"""
+
+# definitions that no other line of src/ names, each with why it stays
+UNREFERENCED_ALLOWED = {
+    ("algfile", "serialize_presentation"): "library API: writes what parse_presentation reads",
+    ("lifting", "closed_form_conditions"): "library API: the closed-form lifting conditions",
+    ("lifting", "verify_derivation"): "library API: the chain-map check of derivation_lift",
+    ("presets", "family_psi_etabar"): "golden lifting of the family preset, read by tests",
+    ("presets", "family_psi_chibar"): "golden lifting of the family preset, read by tests",
+    ("presets", "family_deriv_eta"): "golden derivation operator, read by tests",
+    ("presets", "family_deriv_chi"): "golden derivation operator, read by tests",
+}
+
+
+def test_rule_spots_unreferenced_definitions():
+    sources = {"a": ("def used():\n"
+                     "    \"\"\"Not unused(), which only this docstring names.\"\"\"\n"
+                     "    return helper\n"
+                     "def helper(): return 1\n"
+                     "def unused(): return 0\n"
+                     "class K:\n"
+                     "    def __init__(self): self.x = 1\n"
+                     "    def method(self): return 2\n"
+                     "    def read(self): return self.attr\n"),
+               "b": "from a import used\nK.attr = used()\ndef attr(): pass\n"}
+    # used() is called in b, helper named in used, K named in b, b.attr read
+    # as self.attr in a; __init__ is a dunder
+    assert unreferenced_definitions(sources) == [
+        ("a", "K.method"), ("a", "K.read"), ("a", "unused")]
+    # at the parent, first_failure was read only by tests and solve_many only
+    # by the tracer; the rule finds both
+    found = unreferenced_definitions(
+        {**package_sources(), "resolution_at_parent": PARENT_RESOLUTION_REPORT})
+    assert ("resolution_at_parent", "ResolutionReport.first_failure") in found
+    assert ("linalg", "solve_many") in found and ("linalg", "solve_many") in traced_spans()
+
+
+def test_every_unreferenced_definition_is_traced_or_allowed():
+    # a definition that nothing in the package uses is dead or test-only API;
+    # it stays only as a benchmark span or with a stated reason, and an
+    # allowlist entry goes once something uses the name
+    found = set(unreferenced_definitions(package_sources()))
+    assert sorted(found - traced_spans() - UNREFERENCED_ALLOWED.keys()) == []
+    assert sorted(UNREFERENCED_ALLOWED.keys() - found) == []
