@@ -131,10 +131,10 @@ def cmd_basis(args):
     kx = load_complex(args)
     doc = {"command": "basis", "degrees": []}
     lines = []
-    for n in range(kx.N + 1):
-        gens = [kx.cobasis.f(n, i).format(kx.quiver) for i in range(kx.count(n))]
-        doc["degrees"].append({"n": n, "count": kx.count(n), "generators": gens})
-        lines.append(f"degree {n}: {kx.count(n)} generators")
+    for n, level in enumerate(kx.cobasis.elements):
+        gens = [g.format(kx.quiver) for g in level]
+        doc["degrees"].append({"n": n, "count": len(gens), "generators": gens})
+        lines.append(f"degree {n}: {len(gens)} generators")
         for i, g in enumerate(gens):
             lines.append(f"  f^{n}_{i} = {g}")
     emit(doc, args.format, lines)

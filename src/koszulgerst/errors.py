@@ -41,7 +41,8 @@ class NotConfluent(KoszulGerstError):
 # -- resolution data --------------------------------------------------------
 
 class InconsistentBasis(KoszulGerstError):
-    """No comultiplicative scalars exist; signals corrupted basis data."""
+    """Generator data asked for outside the built tower: a comult slice
+    (n, r) without 0 <= r <= n <= N."""
 
 
 class DegreeUnderflow(KoszulGerstError):

@@ -257,7 +257,7 @@ def solve_many(A, rhs_list):
     Returns a list of canonical particular solutions (None where
     inconsistent).  Nothing in the package calls it: the tests use it as
     an independent reference for the comultiplicative scalars, which
-    ComultTable reads off pivot coordinates instead.
+    ComultTable reads off products in the quadratic dual A^! instead.
     """
     field = A.field
     k = len(rhs_list)

@@ -10,18 +10,18 @@ Two presets ship with the tool:
   f^n_s = f^{n-1}_{s-1} b + (-q)^s f^{n-1}_s a between the pure powers,
   with a^{n-1} c closing each degree.
 
-The preset cobasis overrides the generic intersection construction so that
-golden tables match index for index; the generic construction is checked
-against these spans in the test suite.  Golden cocycles, liftings,
-derivation operators and the bracket table for q = 1 live here too, so the
-acceptance suite and the ``tables`` command share one source of truth.
+Both closed forms are what the generic construction from the quadratic
+dual gives, generator for generator and in the same order, so the golden
+tables match it index for index; the test suite keeps the closed forms as
+a reference.  Golden cocycles, liftings, derivation operators and the
+bracket table for q = 1 live here too, so the acceptance suite and the
+``tables`` command share one source of truth.
 """
 
 from .cohomology import Cochain
 from .errors import MissingParameter, UnknownPreset
-from .koszul import KoszulCobasis
 from .lifting import DerivationOperator, HomotopyLifting
-from .quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
+from .quiver import Path, PathVector, QuadraticPresentation, Quiver
 from .resolution import BimoduleElement, KoszulComplex
 
 PRESET_NAMES = ("short", "family")
@@ -57,48 +57,6 @@ def family_presentation(field, q):
                                  field=field, params={"q": q})
 
 
-# -- golden cobases -----------------------------------------------------------
-
-
-def short_cobasis(presentation, N):
-    field = presentation.field
-    levels = [[PathVector.single(field, Path(0, ()))]]
-    for n in range(1, N + 1):
-        f0 = PathVector.single(field, Path(0, (0,) * n))
-        f1_terms = {}
-        for i in range(n):
-            f1_terms[Path(0, (0,) * i + (1,) + (0,) * (n - 1 - i))] = field.one
-        levels.append([f0, PathVector(field, f1_terms)])
-    return KoszulCobasis(presentation.quiver, levels)
-
-
-def family_cobasis(presentation, N):
-    field = presentation.field
-    q = presentation.params["q"]
-    quiver = presentation.quiver
-    a = PathVector.single(field, Path(0, (0,)))
-    b = PathVector.single(field, Path(0, (1,)))
-    c = PathVector.single(field, Path(0, (2,)))
-    levels = [[PathVector.single(field, Path(0, ())), PathVector.single(field, Path(1, ()))],
-              [a, b, c]]
-    minus_q = field.neg(q)
-    for n in range(2, N + 1):
-        prev = levels[n - 1]
-        fs = [free_multiply(quiver, prev[0], a)]  # a^n
-        power = field.one
-        for s in range(1, n):
-            power = field.mul(power, minus_q)  # (-q)^s
-            fs.append(free_multiply(quiver, prev[s - 1], b)
-                      + free_multiply(quiver, prev[s], a).scale(power))
-        fs.append(free_multiply(quiver, prev[n - 1], b))  # b^n
-        if n == 2:
-            fs.append(free_multiply(quiver, a, c))
-        else:
-            fs.append(free_multiply(quiver, PathVector.single(field, Path(0, (0,) * (n - 1))), c))
-        levels.append(fs)
-    return KoszulCobasis(quiver, levels)
-
-
 def load_presentation(name, field, q=None):
     if name == "short":
         return short_presentation(field)
@@ -110,9 +68,7 @@ def load_presentation(name, field, q=None):
 
 
 def load_complex(name, field, N, q=None):
-    pres = load_presentation(name, field, q=q)
-    cobasis = short_cobasis(pres, N) if name == "short" else family_cobasis(pres, N)
-    return KoszulComplex(pres, N, cobasis=cobasis)
+    return KoszulComplex(load_presentation(name, field, q=q), N)
 
 
 # -- small constructors for golden data ----------------------------------------

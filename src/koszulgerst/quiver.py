@@ -133,12 +133,6 @@ class PathVector(SparseVector):
         pairs = {(p.o, quiver.path_target(p)) for p in self.terms}
         return len(pairs) <= 1
 
-    def vertex_pair(self, quiver):
-        """(origin, target) of a nonzero uniform vector."""
-        for p in self.terms:
-            return (p.o, quiver.path_target(p))
-        return None
-
     def format(self, quiver):
         paths = sorted(self.terms, key=lambda p: (len(p.arrows), p.arrows, p.o))
         return self._format_sum((quiver.format_path(p), self.terms[p]) for p in paths)

@@ -44,7 +44,7 @@ homological degree |x|.
 
 from typing import NamedTuple
 
-from .errors import DegreeUnderflow, InconsistentBasis
+from .errors import DegreeUnderflow
 from .koszul import ComultTable, build_koszul_basis
 from .linalg import GradedVector, SparseVector
 from .quiver import Path, PathVector
@@ -86,17 +86,14 @@ class ResolutionReport(NamedTuple):
 class KoszulComplex:
     """All resolution data for one presentation, built through degree N."""
 
-    def __init__(self, presentation, N, cobasis=None):
+    def __init__(self, presentation, N):
         self.presentation = presentation
         self.quiver = presentation.quiver
         self.field = presentation.field
         self.N = N
         self.rs = build_rewrite_system(presentation)
-        self.cobasis = (cobasis if cobasis is not None
-                        else build_koszul_basis(presentation, N))
-        if self.cobasis.max_degree < N:
-            raise InconsistentBasis("cobasis does not reach the requested degree")
-        self.comult = ComultTable(self.quiver, self.cobasis, self.field)
+        self.cobasis = build_koszul_basis(presentation, N)
+        self.comult = ComultTable(self.cobasis)
         self._diff_cache = {}
         self._diag_cache = {}
         self._letter_cache = {}  # (n, i) -> [(arrow Paths of a word of f^n_i, coeff)]

@@ -69,15 +69,17 @@ def test_directed_tree_resolution_terminates():
 
 
 def cached_values(kx):
-    """(cache, value) for every field value a complex and its rewriting
-    system hold in their caches."""
-    cm, rs = kx.comult, kx.rs
+    """(cache, value) for every field value a complex, its cobasis and the
+    rewriting systems of A and A^! hold in their caches."""
+    cm, cb, rs = kx.comult, kx.cobasis, kx.rs
     for rows in cm._cache.values():
         for row in rows:
             yield from (("comult._cache", c) for c in row.values())
-    for transform in cm._pivots.values():
-        for coords in transform.values():
-            yield from (("comult._pivots", c) for c in coords.values())
+    for level in cb._levels:
+        for x in level:
+            yield from (("cobasis._levels", c) for c in x.terms.values())
+    for codes in cb._codes.values():
+        yield from (("cobasis._codes", c) for c in codes.values())
     for terms in kx._diag_cache.values():
         yield from (("_diag_cache", t.coeff) for t in terms)
     for x in kx._diff_cache.values():
@@ -87,9 +89,10 @@ def cached_values(kx):
             yield from (("_lifting_systems transform", c) for _, c in column)
         for x in system.nullspace:
             yield from (("_lifting_systems nullspace", c) for c in x.terms.values())
-    for name, cache in (("rs._products", rs._products), ("rs._nf_cache", rs._nf_cache)):
-        for x in cache.values():
-            yield from ((name, c) for c in x.terms.values())
+    for name, system in (("rs", rs), ("cobasis.dual", cb.dual)):
+        for cache in ("_products", "_nf_cache"):
+            for x in getattr(system, cache).values():
+                yield from ((f"{name}.{cache}", c) for c in x.terms.values())
 
 
 @pytest.mark.parametrize("make", [
@@ -116,6 +119,7 @@ def test_no_unreduced_value_escapes_into_a_cache(make):
         if type(c) is not int or not 0 < c < p:
             bad.append((cache, c))
     assert bad == []
-    assert seen == {"comult._cache", "comult._pivots", "_diag_cache", "_diff_cache",
-                    "_lifting_systems transform", "_lifting_systems nullspace",
-                    "rs._products", "rs._nf_cache"}
+    assert seen == {"comult._cache", "cobasis._levels", "cobasis._codes", "_diag_cache",
+                    "_diff_cache", "_lifting_systems transform", "_lifting_systems nullspace",
+                    "rs._products", "rs._nf_cache", "cobasis.dual._products",
+                    "cobasis.dual._nf_cache"}

@@ -1,12 +1,15 @@
 """Generator towers f^n_i and their comultiplicative scalars.
 
-The generic intersection construction is compared against the bundled
-closed-form towers and, generator for generator, against a reference that
-intersects by one [U | -V] kernel per degree.  The scalar tables are
-checked both against the defining identity in kQ (by direct expansion) and
-against independently coded closed formulas for the two stock algebras, and
-the int-code table is compared slice by slice, rows, order and error
-messages, with a reference that splits and joins Path words.
+The package reads both off the quadratic dual A^!.  Its generators are
+compared, as vectors and in the same order, with the closed-form towers of
+the presets, with the intersection tower the package built before (kept in
+tower_reference.py) and with a reference that intersects by one [U | -V]
+kernel per degree.  Its scalar tables are checked against the defining
+identity in kQ (by direct expansion), against independently coded closed
+formulas for the two stock algebras, against the pivot-coordinate table of
+tower_reference.py on the intersection tower, and slice by slice, rows and
+order, against a reference that splits and joins Path words.  The two
+references must also raise the same errors on corrupted generators.
 """
 
 from unittest import mock
@@ -15,17 +18,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koszulgerst import koszul
 from koszulgerst.algfile import parse_presentation
 from koszulgerst.errors import InconsistentBasis, NotConfluent
 from koszulgerst.fields import QQ, PrimeField
-from koszulgerst.koszul import (ComultTable, KoszulCobasis, _intersect, _split_blocks,
-                                build_koszul_basis)
+from koszulgerst.koszul import ComultTable, build_koszul_basis
 from koszulgerst.linalg import Matrix, _rref, echelon_basis, nullspace_basis
-from koszulgerst.presets import (family_cobasis, load_complex, load_presentation,
-                                 short_cobasis)
+from koszulgerst.presets import load_complex, load_presentation
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
 from koszulgerst.rewriting import build_rewrite_system
+
+import tower_reference
+from tower_reference import (PivotComultTable, ReferenceCobasis, _intersect, _split_blocks,
+                             family_cobasis, intersection_tower, short_cobasis)
 
 
 def test_short_tower_closed_form(short8):
@@ -56,18 +60,24 @@ def test_family_degree3_recursion(family8):
 @pytest.mark.parametrize("name,q", [("short", None), ("family", 1),
                                     ("family", -1), ("family", 2)])
 def test_generic_intersection_matches_golden_tower(name, q):
+    # the dual basis, the intersection tower and the closed form agree
+    # generator for generator (assert_tower_matches_reference compares the
+    # first two and their scalars)
     pres = load_presentation(name, QQ, q=q)
-    generic = build_koszul_basis(pres, 6)
     golden = short_cobasis(pres, 6) if name == "short" else family_cobasis(pres, 6)
-    for n in range(7):
-        assert generic.count(n) == golden.count(n)
-        key = pres.order_key
-        canon_generic = echelon_basis(generic.elements[n], key) if n else None
-        canon_golden = echelon_basis(golden.elements[n], key) if n else None
-        if n:
-            as_set = lambda vs: {frozenset(v.terms.items()) for v in vs}
-            assert as_set(canon_generic) == as_set(canon_golden)
+    assert build_koszul_basis(pres, 6).elements == golden.elements
     assert_tower_matches_reference(pres, 6)
+
+
+@pytest.mark.parametrize("name, field, q", [
+    ("short", QQ, None), ("family", QQ, 1), ("family", QQ, 2), ("family", PrimeField(5), -1),
+], ids=["short", "family-q=1", "family-q=2", "family-q=-1-F5"])
+def test_dual_basis_matches_the_closed_forms_through_degree_10(name, field, q):
+    pres = load_presentation(name, field, q=q)
+    golden = (short_cobasis if name == "short" else family_cobasis)(pres, 10)
+    cobasis = build_koszul_basis(pres, 10)
+    assert cobasis.elements == golden.elements
+    assert_same_scalars(cobasis, golden, 8)
 
 
 def test_no_relations_tower_terminates():
@@ -140,8 +150,8 @@ def test_inconsistent_basis_detected(short8):
     pres = short8.presentation
     levels = [list(level) for level in short8.cobasis.elements[:4]]
     levels[3][0] = PathVector.single(QQ, Path(0, (1, 1, 1)))
-    broken = KoszulCobasis(pres.quiver, levels)
-    table = ComultTable(pres.quiver, broken, QQ)
+    broken = ReferenceCobasis(pres.quiver, levels)
+    table = PivotComultTable(pres.quiver, broken, QQ)
     with pytest.raises(InconsistentBasis):
         table.scalars(3, 0, 1)
 
@@ -153,6 +163,8 @@ def test_scaled_word_is_caught_at_every_split_it_leaves(name):
     # and v lie in W_r and W_{n-r}.  A monomial lies in a reduced echelon
     # span only as a one-word generator, so every other split must raise.
     # In degree 2 both halves are arrows, so only degrees 3 and 4 can miss.
+    # The package reads its scalars from A^! and has no re-expansion; this
+    # runs on the pivot-coordinate reference, which does.
     kx = (load_complex("short", QQ, 4) if name == "short"
           else load_complex("family", PrimeField(5), 4, q=-1))
     f, q, cb = kx.field, kx.quiver, kx.cobasis
@@ -166,7 +178,7 @@ def test_scaled_word_is_caught_at_every_split_it_leaves(name):
                 terms = dict(levels[n][i].terms)
                 terms[w] = f.mul(f(2), terms[w])
                 levels[n][i] = PathVector(f, terms)
-                table = ComultTable(q, KoszulCobasis(q, levels), f)
+                table = PivotComultTable(q, ReferenceCobasis(q, levels), f)
                 caught = []
                 for r in range(1, n):
                     head = Path(w.o, w.arrows[:r])
@@ -187,22 +199,26 @@ def test_scaled_word_is_caught_at_every_split_it_leaves(name):
 def test_cobasis_rejects_words_that_are_not_paths(family8, n, word):
     # c: 1 -> 2 does not end where a starts, and a does not start at vertex 2;
     # both words are uniform by their recorded origin, so only the path check
-    # catches them
+    # of the reference cobasis, which the negative controls here feed, catches them
     levels = [list(level) for level in family8.cobasis.elements[:3]]
     levels[n][0] = PathVector.single(QQ, word)
     with pytest.raises(InconsistentBasis, match="has a word that is not a path"):
-        KoszulCobasis(family8.quiver, levels)
+        ReferenceCobasis(family8.quiver, levels)
 
 
 def test_codes_spell_each_word_once():
     q = Quiver(["1", "2", "3"], [("x", "1", "1"), ("y", "1", "2"), ("z", "2", "1")])
     assert [q.code(q.vertex_path(v)) for v in range(3)] == [0, 1, 2]
     assert q.code(Path(0, (1, 2, 0))) == (1 * 3 + 2) * 3 + 0
-    f2 = PathVector(QQ, {Path(0, (0, 0)): QQ(2), Path(0, (1, 2)): QQ(-1)})
-    cb = KoszulCobasis(q, [[PathVector.single(QQ, q.vertex_path(v)) for v in range(3)],
-                           [PathVector.single(QQ, q.arrow_path(a)) for a in range(3)], [f2]])
+    # relations 2 x.x - y.z, x.y, z.x, z.y: A^! has the one relation
+    # y.z + 1/2 x.x, so f^2_0, dual to x.x, is x.x - 1/2 y.z, spelled x.x first
+    monomials = [Path(0, (0, 1)), Path(1, (2, 0)), Path(1, (2, 1))]
+    rels = [PathVector(QQ, {Path(0, (0, 0)): QQ(2), Path(0, (1, 2)): QQ(-1)}),
+            *(PathVector.single(QQ, w) for w in monomials)]
+    cb = build_koszul_basis(QuadraticPresentation(q, rels, field=QQ), 2)
+    assert cb.words[2] == [Path(0, (0, 0)), Path(0, (0, 1)), Path(1, (2, 0)), Path(1, (2, 1))]
     assert cb.codes(0, 2) == {2: QQ(1)} and cb.codes(1, 1) == {1: QQ(1)}
-    assert list(cb.codes(2, 0).items()) == [(0 * 3 + 0, QQ(2)), (1 * 3 + 2, QQ(-1))]
+    assert list(cb.codes(2, 0).items()) == [(0 * 3 + 0, QQ(1)), (1 * 3 + 2, QQ("-1/2"))]
     assert cb.codes(2, 0) is cb.codes(2, 0)
 
 
@@ -219,6 +235,9 @@ class ReferenceComultTable:
         self.field = field
         self._cache = {}
         self._pivots = {}
+
+    def scalars(self, n, i, r):
+        return self._slice(n, r)[i]
 
     def _pivot_transform(self, r):
         got = self._pivots.get(r)
@@ -290,15 +309,27 @@ class ReferenceComultTable:
 def slice_or_error(table, n, r):
     """Every row of slice (n, r) as an item list, in order, or the error message."""
     try:
-        return [list(row.items()) for row in table._slice(n, r)]
+        return [list(table.scalars(n, i, r).items()) for i in range(table.cobasis.count(n))]
     except InconsistentBasis as exc:
         return f"InconsistentBasis: {exc}"
 
 
-def assert_comult_matches_reference(cobasis, field):
-    table = ComultTable(cobasis.quiver, cobasis, field)
+def assert_comult_matches_reference(cobasis, field, table=None):
+    """Every slice of table, by default the package's ComultTable, against
+    the Path-word reference on the same generators."""
+    table = ComultTable(cobasis) if table is None else table
     reference = ReferenceComultTable(cobasis.quiver, cobasis, field)
     for n in range(cobasis.max_degree + 1):
+        for r in range(n + 1):
+            assert slice_or_error(table, n, r) == slice_or_error(reference, n, r), (n, r)
+
+
+def assert_same_scalars(cobasis, reference_cobasis, N):
+    """The package's scalars on cobasis against the pivot-coordinate
+    reference on reference_cobasis, rows and order, through degree N."""
+    table = ComultTable(cobasis)
+    reference = PivotComultTable(cobasis.quiver, reference_cobasis, cobasis.dual.field)
+    for n in range(N + 1):
         for r in range(n + 1):
             assert slice_or_error(table, n, r) == slice_or_error(reference, n, r), (n, r)
 
@@ -329,9 +360,10 @@ def zigzag_presentation():
 ], ids=lambda v: str(v))
 def test_comult_table_matches_reference_on_presets(name, field, q):
     N = 8 if name == "short" else 7
-    assert_comult_matches_reference(load_complex(name, field, N, q=q).cobasis, field)
+    cobasis = load_complex(name, field, N, q=q).cobasis
+    assert_comult_matches_reference(cobasis, field)
     pres = load_presentation(name, field, q=q)
-    assert_comult_matches_reference(build_koszul_basis(pres, 6), field)
+    assert_same_scalars(cobasis, intersection_tower(pres, 6), 6)
 
 
 @pytest.mark.parametrize("make", [one_arrow_presentation, isolated_vertex_presentation],
@@ -342,12 +374,18 @@ def test_comult_table_matches_reference_on_small_quivers(make):
     assert_tower_matches_reference(pres, 6)  # which compares the comult tables too
 
 
+def pivot_table(cobasis, field):
+    return PivotComultTable(cobasis.quiver, cobasis, field)
+
+
 def test_comult_errors_match_reference(short8, family8):
-    # a dependent level and every one-word scaling of degrees 2-4 raise the
-    # same InconsistentBasis, with the same message, at the same slices
+    # the two references, on int codes and on Path words: a dependent level
+    # and every one-word scaling of degrees 2-4 raise the same
+    # InconsistentBasis, with the same message, at the same slices
     levels = [list(level) for level in short8.cobasis.elements[:4]]
     levels[2] = [levels[2][0], levels[2][1], levels[2][1].scale(QQ(2))]
-    assert_comult_matches_reference(KoszulCobasis(short8.quiver, levels), QQ)
+    broken = ReferenceCobasis(short8.quiver, levels)
+    assert_comult_matches_reference(broken, QQ, pivot_table(broken, QQ))
     raised = 0
     for kx in (short8, family8):
         f, q, cb = kx.field, kx.quiver, kx.cobasis
@@ -358,9 +396,9 @@ def test_comult_errors_match_reference(short8, family8):
                     terms = dict(levels[n][i].terms)
                     terms[w] = f.mul(f(2), terms[w])
                     levels[n][i] = PathVector(f, terms)
-                    broken = KoszulCobasis(q, levels)
-                    assert_comult_matches_reference(broken, f)
-                    raised += isinstance(slice_or_error(ComultTable(q, broken, f), n, 1), str)
+                    broken = ReferenceCobasis(q, levels)
+                    assert_comult_matches_reference(broken, f, pivot_table(broken, f))
+                    raised += isinstance(slice_or_error(pivot_table(broken, f), n, 1), str)
     assert raised > 0
 
 
@@ -408,15 +446,15 @@ def reference_split_blocks(quiver, vectors, order_key):
 
 
 def split_inputs(pres, N):
-    """The vector lists build_koszul_basis hands to _split_blocks, level by level."""
-    seen, split = [], koszul._split_blocks
+    """The vector lists intersection_tower hands to _split_blocks, level by level."""
+    seen, split = [], tower_reference._split_blocks
 
     def recording(quiver, vectors, order_key):
         seen.append(list(vectors))
         return split(quiver, vectors, order_key)
 
-    with mock.patch.object(koszul, "_split_blocks", recording):
-        build_koszul_basis(pres, N)
+    with mock.patch.object(tower_reference, "_split_blocks", recording):
+        intersection_tower(pres, N)
     return seen
 
 
@@ -438,17 +476,21 @@ def reference_tower(pres, N):
 
 
 def assert_tower_matches_reference(pres, N):
-    """The tower, _split_blocks' output and every comult slice against the references."""
+    """The dual-basis generators and every comult slice against the
+    intersection tower, the [U | -V] tower and both reference tables, and
+    _split_blocks' output against its re-eliminating reference."""
     cobasis = build_koszul_basis(pres, N)
+    tower = intersection_tower(pres, N)
     assert_comult_matches_reference(cobasis, pres.field)
+    assert_same_scalars(cobasis, tower, N)
     got = cobasis.elements
     want = reference_tower(pres, N)
-    assert len(got) == len(want) == N + 1
+    assert len(got) == len(want) == len(tower.elements) == N + 1
     for n in range(N + 1):
-        # the same generators in the same order, term for term; the order in
-        # which a generator's dict lists its terms is the elimination's
-        # history, which no output reads
-        assert got[n] == want[n], f"degree {n}"
+        # the same generators in the same order, compared as vectors: the
+        # order in which a generator's dict lists its terms is the order it
+        # was spelled or eliminated in, which no output reads
+        assert got[n] == want[n] == tower.elements[n], f"degree {n}"
     # the blocks are ordered, not re-eliminated: every input is already a
     # uniform reduced echelon basis
     inputs = split_inputs(pres, N)
@@ -478,12 +520,24 @@ def family_shaped_text(field, q):
         "relation a.c"]) + "\n"
 
 
+LOOP_FREE = "field Q\nvertex 1\narrow x 1 1\n"
+TWO_LOOPS_ALL_RELATIONS = ("field Q\nvertex 1\narrow x 1 1\narrow y 1 1\norder x > y\n"
+                           "relation x.x\nrelation x.y\nrelation y.x\nrelation y.y\n")
+NO_ARROWS = "field Q\nvertex 1\nvertex 2\n"
+POLYNOMIAL_F5 = "field F5\nvertex 1\narrow x 1 1\narrow y 1 1\norder x > y\nrelation x.y - y.x\n"
+
+
 @pytest.mark.parametrize("text, N", [
     (quantum_exterior_text("xyz", "F32003", [17, 2024, 31999]), 6),
     (quantum_exterior_text("xyzw", "F32003", [5, 77, 1234, 9, 20000, 31002]), 5),
     (family_shaped_text("F32003", 12345), 8),
     (family_shaped_text("Q", "-2/3"), 8),
-], ids=["ext3-F32003", "ext4-F32003", "family-F32003", "family-Q"])
+    (LOOP_FREE, 6),
+    (TWO_LOOPS_ALL_RELATIONS, 6),
+    (NO_ARROWS, 4),
+    (POLYNOMIAL_F5, 6),
+], ids=["ext3-F32003", "ext4-F32003", "family-F32003", "family-Q", "one-loop-free",
+        "two-loops-R=kQ_2", "no-arrows", "k[x,y]-F5"])
 def test_tower_matches_reference_on_file_algebras(text, N):
     assert_tower_matches_reference(parse_presentation(text), N)
 
@@ -519,10 +573,30 @@ def quadratic_presentations(draw):
     return QuadraticPresentation(quiver, relations, arrow_order=order, field=field)
 
 
+def is_confluent(build):
+    try:
+        build()
+    except NotConfluent:
+        return False
+    return True
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(quadratic_presentations())
 def test_tower_matches_reference_on_random_quadratic_algebras(pres):
-    assert_tower_matches_reference(pres, 5)
+    # an algebra without a quadratic Groebner basis has no cobasis: its dual
+    # is not confluent either (the next test), and the complex refuses it
+    if is_confluent(lambda: build_rewrite_system(pres)):
+        assert_tower_matches_reference(pres, 5)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(quadratic_presentations())
+def test_dual_is_confluent_exactly_when_the_algebra_is(pres):
+    # PBW duality: a quadratic Groebner basis of A gives one of A^! under the
+    # reversed arrow order, and A = (A^!)^!
+    assert (is_confluent(lambda: build_rewrite_system(pres))
+            == is_confluent(lambda: build_koszul_basis(pres, 2)))
 
 
 @pytest.mark.parametrize("prev_terms", [

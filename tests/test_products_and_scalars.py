@@ -1,9 +1,10 @@
-"""The exact-arithmetic hot path: memoised products, pivot-read scalars, int units.
+"""The exact-arithmetic hot path: memoised products, scalars from A^!, int units.
 
 `RewriteSystem.multiply` is checked against reducing the free product, and
-the comultiplicative scalars against one general `solve_many` per slice,
-kept here as an independent reference, on the two presets and on generated
-quantum exterior algebras, over Q and F5.
+the comultiplicative scalars, products in the quadratic dual A^!, against
+one general `solve_many` per slice, kept here as an independent reference,
+on the two presets and on generated quantum exterior algebras, over Q and
+F5.
 """
 
 import random
@@ -13,11 +14,12 @@ import pytest
 
 from koszulgerst.errors import InconsistentBasis
 from koszulgerst.fields import QQ, PrimeField
-from koszulgerst.koszul import ComultTable, KoszulCobasis
 from koszulgerst.linalg import Matrix, solve_many
 from koszulgerst.presets import load_complex
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
 from koszulgerst.resolution import KoszulComplex
+
+from tower_reference import PivotComultTable, ReferenceCobasis
 
 F5 = PrimeField(5)
 N = 6
@@ -131,9 +133,11 @@ def test_scalars_match_a_solve_many_reference(complex_case):
 
 
 def test_dependent_level_raises_inconsistent_basis(short8):
+    # the pivot-coordinate reference of tower_reference.py: the package's
+    # generators are a dual basis and cannot be dependent
     levels = [list(level) for level in short8.cobasis.elements[:4]]
     levels[2] = [levels[2][0], levels[2][1], levels[2][1].scale(QQ(2))]
-    table = ComultTable(short8.quiver, KoszulCobasis(short8.quiver, levels), QQ)
+    table = PivotComultTable(short8.quiver, ReferenceCobasis(short8.quiver, levels), QQ)
     with pytest.raises(InconsistentBasis, match="linearly dependent"):
         table.scalars(2, 0, 0)
     with pytest.raises(InconsistentBasis):

@@ -9,10 +9,10 @@ import pytest
 
 from koszulgerst.errors import DegreeUnderflow
 from koszulgerst.fields import QQ, PrimeField
-from koszulgerst.koszul import KoszulCobasis
+from koszulgerst.linalg import Matrix, rank
 from koszulgerst.presets import load_complex
 from koszulgerst.quiver import Path, PathVector
-from koszulgerst.resolution import BimoduleElement, KoszulComplex, _diff_witness
+from koszulgerst.resolution import BimoduleElement, _diff_witness
 
 
 def term(kx, coeff, uword, n, i, vword):
@@ -455,18 +455,26 @@ def test_iota_check_on_codes_matches_the_path_reference(name):
 
 @pytest.mark.parametrize("name", ["short", "family"])
 def test_iota_check_on_codes_catches_a_generator_outside_the_relations(name):
-    # replace f^2_i by a normal word a.b at its vertices: its scalars and
-    # d(eps^2_i) = a.eps_b + eps_a.b exist and match the outer merges of
-    # delta iota, so only the middle merge (a normal, nonzero a.b) fails
-    base = (load_complex("short", QQ, 2) if name == "short"
-            else load_complex("family", PrimeField(5), 2, q=-1))
+    # spell f^2_i as a normal word a.b of A at its vertices, with the
+    # differential a.eps_b + eps_a.b that the scalars of that word would
+    # give: both match the outer merges of delta iota, so only the middle
+    # merge (a normal, nonzero a.b) fails
+    def load():
+        return (load_complex("short", QQ, 2) if name == "short"
+                else load_complex("family", PrimeField(5), 2, q=-1))
+
+    base = load()
     f, q, cb = base.field, base.quiver, base.cobasis
     cases = 0
     for i in range(cb.count(2)):
         for word in base.rs.basis_words(2, *cb.o(2, i)):
-            levels = [list(level) for level in cb.elements]
-            levels[2][i] = PathVector.single(f, word)
-            kx = KoszulComplex(base.presentation, 2, cobasis=KoszulCobasis(q, levels))
+            kx = load()
+            kx.cobasis.f(2, i)  # spells degrees 1 and 2
+            kx.cobasis._levels[2][i] = PathVector.single(f, word)
+            a, b = word.arrows
+            kx._diff_cache[(2, i)] = BimoduleElement(f, 1, {
+                (q.arrow_path(a), b, q.vertex_path(q.arrow_t[b])): f.one,
+                (q.vertex_path(q.arrow_o[a]), a, q.arrow_path(b)): f.one})
             want = _path_iota_failures(kx)
             assert want == [(IOTA, 2, i, f"term (e{q.vertex_names[cb.origin(2, i)]}, "
                                          f"{q.format_path(word)}, "
@@ -474,3 +482,88 @@ def test_iota_check_on_codes_catches_a_generator_outside_the_relations(name):
             assert _iota_failures(kx) == want
             cases += 1
     assert cases == {"short": 4, "family": 4}[name]
+
+
+# -- exactness: K resolves A, weight by weight ------------------------------------
+
+
+def _k_basis(kx, n, weight, dropped):
+    """The basis u . eps^n_i . v of K_n in weight |u| + n + |v|, leaving out
+    the generators (n, i) in dropped."""
+    basis_words = kx.rs.basis_words
+    out = []
+    for i in range(kx.count(n)):
+        if (n, i) in dropped:
+            continue
+        o, t = kx.cobasis.o(n, i)
+        for a in range(weight - n + 1):
+            for u in basis_words(a, t=o):
+                out += [(u, i, v) for v in basis_words(weight - n - a, o=t)]
+    return out
+
+
+def _dim_and_rank(kx, n, weight, dropped):
+    """(dim K_n, rank d_n) on the weight slice; d_0 is the augmentation."""
+    basis = _k_basis(kx, n, weight, dropped)
+    row_of, entries = {}, {}
+    for j, (u, i, v) in enumerate(basis):
+        image = {}
+        if n:
+            kx.sandwich_into(image, u, kx._diff_eps(n, i).terms, v, kx.field.one)
+        else:
+            image = kx.rs.word_product(u, v).terms
+        for key, c in image.items():
+            entries[(row_of.setdefault(key, len(row_of)), j)] = c
+    return len(basis), rank(Matrix(kx.field, len(row_of), len(basis), entries))
+
+
+def exactness_failures(kx, max_weight, dropped=frozenset()):
+    """Where K -> A -> 0 is not exact in weights up to max_weight.
+
+    d preserves the weight |u| + n + |v| and each weight slice is finite,
+    so exactness at K_n is dim K_n - rank d_n = rank d_{n+1}, checked for
+    n <= min(weight, N - 1) and reported as (weight, n, dim K_n, rank d_n,
+    rank d_{n+1}); the augmentation must also map onto A in each weight,
+    reported as (weight, "onto", dim A, rank d_0).  This reads only A, the
+    differential and the vertex pairs, so it does not rely on A^!.
+    """
+    failures = []
+    for weight in range(max_weight + 1):
+        top = min(weight, kx.N - 1)
+        dims, ranks = zip(*(_dim_and_rank(kx, n, weight, dropped) for n in range(top + 2)))
+        for n in range(top + 1):
+            if dims[n] - ranks[n] != ranks[n + 1]:
+                failures.append((weight, n, dims[n], ranks[n], ranks[n + 1]))
+        dim_a = len(kx.rs.basis_words(weight))
+        if ranks[0] != dim_a:
+            failures.append((weight, "onto", dim_a, ranks[0]))
+    return failures
+
+
+@pytest.mark.parametrize("name, field, q", [
+    ("short", QQ, None), ("family", QQ, 1), ("family", QQ, 2), ("family", PrimeField(5), -1),
+], ids=["short", "family-q=1", "family-q=2", "family-q=-1-F5"])
+def test_k_is_exact_in_every_weight_up_to_8(name, field, q):
+    kx = load_complex(name, field, 8, q=q)
+    assert exactness_failures(kx, 8) == []
+
+
+@pytest.mark.parametrize("dropped", [2, 9])
+def test_exactness_catches_a_dropped_top_generator(family8, dropped):
+    # without f^8_2 or f^8_9, d_8 no longer reaches the kernel of d_7 in
+    # weight 8: an acyclicity defect, which no identity that
+    # verify_resolution checks looks at
+    assert exactness_failures(family8, 8, {(8, dropped)}) == [(8, 7, 42, 32, 9)]
+
+
+def test_exactness_catches_a_scaled_scalar():
+    # doubling one c_pq(3, 1, 1) before d(eps^3_1) is built changes d_3:
+    # its rank exceeds the kernel of d_2 (so d_2 d_3 != 0), and the kernel
+    # of d_3 no longer matches the image of d_4
+    kx = load_complex("family", QQ, 5, q=1)
+    row = dict(kx.c(3, 1, 1))
+    key = next(iter(row))
+    row[key] = QQ(2) * row[key]
+    kx.comult._cache[(3, 1)][1] = row
+    assert exactness_failures(kx, 6) == [
+        (4, 2, 28, 12, 18), (4, 3, 22, 18, 6), (5, 2, 21, 4, 19), (5, 3, 37, 19, 20)]

@@ -161,11 +161,10 @@ def test_rule_spots_rref_callers():
     assert rref_callers(tree) == ["", "A.m.inner"]
 
 
-def test_rref_is_called_only_by_linalg_and_the_two_transforms():
-    # a span's reduced echelon basis is linalg.echelon_basis; only the two
-    # [A | I] transforms (pivot words of f^r, lifting systems) eliminate by hand
-    allowed = {("koszul.py", "ComultTable._pivot_transform"),
-               ("lifting.py", "_lifting_system")}
+def test_rref_is_called_only_by_linalg_and_the_lifting_system():
+    # a span's reduced echelon basis is linalg.echelon_basis; only the
+    # [A | I] transform of the lifting systems eliminates by hand
+    allowed = {("lifting.py", "_lifting_system")}
     found = []
     for module in sorted(SRC.glob("*.py")):
         if module.name == "linalg.py":
@@ -174,6 +173,10 @@ def test_rref_is_called_only_by_linalg_and_the_two_transforms():
         found += [(module.name, scope) for scope in rref_callers(tree)]
     assert sorted(SRC.glob("*.py")), "package source not found"
     assert sorted(found) == sorted(allowed)
+    # the generators and their scalars are read off A^!'s normal words and
+    # products: koszul solves no linear system
+    tree = ast.parse((SRC / "koszul.py").read_text(), filename="koszul.py")
+    assert named_calls(tree, "_rref") == named_calls(tree, "nullspace_basis") == []
 
 
 def named_calls(tree, callee):
@@ -223,9 +226,10 @@ def test_rule_spots_path_calls():
 
 
 def test_no_path_is_built_in_koszul_or_resolution():
-    # the scalar slices and the resolution's identity checks run per word;
-    # they take shared letters from Quiver.vertex_path / arrow_path, and
-    # ComultTable and the delta iota = iota d check key words by int codes
+    # the spelled generators, the scalar slices and the resolution's identity
+    # checks run per word; they take shared letters from Quiver.vertex_path /
+    # arrow_path and join words with Quiver.compose, and the delta iota =
+    # iota d check keys words by int codes
     found = []
     for name in ("koszul.py", "resolution.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
@@ -257,8 +261,9 @@ def word_tuple_building(tree):
 
 
 def code_keyed(scope):
-    """Whether scope is in one of the per-word loops that key words by
-    Quiver.code: any ComultTable method, or the delta iota = iota d check."""
+    """Whether scope is in one of the per-word loops that build no word
+    tuples: any ComultTable method, which multiplies normal words of A^!,
+    or the delta iota = iota d check, which keys words by Quiver.code."""
     parts = scope.split(".")
     return parts[0] == "ComultTable" or ".".join(parts[:2]) in (
         "KoszulComplex._check_iota", "KoszulComplex._iota_agrees")
@@ -286,9 +291,9 @@ def test_rule_spots_word_tuple_building():
 
 
 def test_comult_table_and_iota_check_build_no_word_tuples():
-    # a slice and the delta iota = iota d check touch every word of f^0..f^N;
-    # they split, join and look words up as int codes, and only the witness
-    # path of a failing generator spells Paths
+    # a slice multiplies normal words of A^! with the memoised word product,
+    # and the delta iota = iota d check touches every word of f^0..f^N as an
+    # int code; only the witness path of a failing generator spells Paths
     found = []
     for name in ("koszul.py", "resolution.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)

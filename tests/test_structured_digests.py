@@ -67,6 +67,9 @@ COMMANDS = [
      "--right-degree", "1"],
     ["mc", *FAMILY, "--cocycle=0,0,a.b,0"],
     ["mc", *FAMILY, *F5, "--cocycle=0,0,0,c"],
+    ["basis", "--preset", "short", "-N", "6"],
+    ["basis", "--preset", "family", "--q", "2", "-N", "6"],
+    ["basis", "--algebra", "{ext3}", "-N", "4"],
 ]
 
 
