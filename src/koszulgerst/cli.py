@@ -190,16 +190,19 @@ def cmd_resolution(args):
                 f"{t['coeff']}*eps^{t['v']}_{t['p']} ox eps^{n - t['v']}_{t['q']}"
                 for t in terms)
             lines.append(f"Delta(eps^{n}_{r}) = {pretty}")
-    letters = kx.quiver.letters()
-    place = {w: i for i, w in enumerate(letters)}
-    name = {w: kx.quiver.format_path(w) for w in letters}
+    # iota(eps^n_r) = e_o ox (the letters of each word of f^n_r) ox e_t, its
+    # bar words listed as their letters' reprs sort (Quiver.letters)
+    q, fmt = kx.quiver, kx.field.format
+    place = {w: i for i, w in enumerate(q.letters())}
+    arrow_place = [place[q.arrow_path(a)] for a in range(q.num_arrows)]
     for n in range(1, kx.N + 1):
         for r in range(kx.count(n)):
-            terms = sorted(kx.iota(n, r).terms.items(),
-                           key=lambda kv: tuple(map(place.__getitem__, kv[0])))
+            head, tail = (q.format_path(q.vertex_path(v)) for v in kx.cobasis.o(n, r))
+            terms = sorted(kx.cobasis.f(n, r).terms.items(),
+                           key=lambda kv: [arrow_place[a] for a in kv[0].arrows])
             doc["embeddings"].append({"n": n, "r": r, "terms": [
-                {"word": [name[w] for w in key], "coeff": kx.field.format(c)}
-                for key, c in terms]})
+                {"word": [head, *[q.arrow_names[a] for a in w.arrows], tail], "coeff": fmt(c)}
+                for w, c in terms]})
     status = 0
     if getattr(args, "verify", False):
         report = kx.verify_resolution()

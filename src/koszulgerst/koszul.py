@@ -42,7 +42,7 @@ then by the length-lex order of A, largest first, so the output is
 canonical.
 """
 
-from .errors import InconsistentBasis
+from .errors import InconsistentBasis, NotConfluent
 from .linalg import echelon_basis
 from .quiver import PathVector, QuadraticPresentation
 from .rewriting import build_rewrite_system
@@ -94,7 +94,10 @@ class KoszulCobasis:
         index = self.index[n]
         acc = [{} for _ in self.words[n]]
         for u, f_u in zip(self.words[n - 1], self._levels[n - 1]):
+            t = q.path_target(u)
             for a in range(q.num_arrows):
+                if q.arrow_o[a] != t:
+                    continue
                 letter = arrow(a)
                 for w, c in product(u, letter).terms.items():
                     out = acc[index[w]]
@@ -138,8 +141,11 @@ def build_koszul_basis(presentation, N):
                 if p in row:
                     terms[lead] = -row[p]
             perp.append(PathVector(f, terms))
-    dual = build_rewrite_system(QuadraticPresentation(
-        q, perp, arrow_order=presentation.arrow_order[::-1], field=f))
+    try:
+        dual = build_rewrite_system(QuadraticPresentation(
+            q, perp, arrow_order=presentation.arrow_order[::-1], field=f))
+    except NotConfluent as err:  # its overlaps are A^!'s, not A's
+        raise NotConfluent(f"quadratic dual A^! is not confluent: {err}") from err
     words = [[q.vertex_path(v) for v in range(q.num_vertices)],
              [arrow(a) for a in range(q.num_arrows)]]
     for n in range(2, N + 1):
@@ -165,9 +171,12 @@ class ComultTable:
             if not (0 <= r <= n <= cb.max_degree):
                 raise InconsistentBasis(f"comult slice ({n},{r}) out of range")
             index, product = cb.index[n], cb.dual.word_product
+            starting = {}  # vertex -> [(q, w_q)] for the words of degree n - r that start there
+            for qq, v in enumerate(cb.words[n - r]):
+                starting.setdefault(v.o, []).append((qq, v))
             rows = [{} for _ in cb.words[n]]
             for p, u in enumerate(cb.words[r]):
-                for qq, v in enumerate(cb.words[n - r]):
+                for qq, v in starting.get(cb.target(r, p), ()):  # w_p . w_q = 0 for the others
                     for w, c in product(u, v).terms.items():
                         rows[index[w]][(p, qq)] = c
             self._cache[(n, r)] = rows

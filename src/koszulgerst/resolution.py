@@ -11,22 +11,36 @@ checker used by the acceptance suite:
     (Delta ox 1) Delta = (1 ox Delta) Delta,   counit laws,
     delta o iota = iota o d.
 
-The three Delta identities are checked on the diagonal's index data.  Every
-decoration in Delta(eps^n_r) = sum c_pq(n,r,v) eps^v_p ox eps^{n-v}_q is a
-generator's vertex idempotent, and c_pq != 0 only for composable (p, q):
-f^n_r, f^v_p and f^{n-v}_q are vertex-homogeneous, so p starts where r
-does, q ends where r does, and p ends where q starts.  A term is therefore
-fixed by (v, p, q), and products against idempotents change nothing:
+Every check keys its terms by ints, and each two-sided identity adds
+lhs - rhs into one dict that field.canon reduces once per generator.  Each
+call of verify_resolution builds an int view of d (_letter_view): the
+terms u . eps^{n-1}_j . v of d(eps^n_i) become (u, j, v, coeff), a vertex
+v being the int v and an arrow a the int V + a, with a table of the
+normal forms of the products of two letters.  The view is dropped when the
+call returns, so it never outlives a change to the cached d.
+
+d o d = 0 sums u.u2 . eps_k . v2.v over that table.  The three Delta
+identities are checked on the diagonal's index data.  Every decoration in
+Delta(eps^n_r) = sum c_pq(n,r,v) eps^v_p ox eps^{n-v}_q is a generator's
+vertex idempotent, and c_pq != 0 only for composable (p, q): f^n_r, f^v_p
+and f^{n-v}_q are vertex-homogeneous, so p starts where r does, q ends
+where r does, and p ends where q starts.  A term is therefore fixed by
+(v, p, q), and products against idempotents change nothing:
 coassociativity compares (v1, v2, p1, p2, p3) keys, the counit laws sum
 c_pq(n,r,0) and c_pq(n,r,n) over the generators at the matching vertex, and
-the dg identity places the words of d(eps) in its keys as they are.
+the dg identity places the letters of d(eps) in its 6-int keys as they are.
 
 delta o iota = iota o d is checked on codes (Quiver.code, one per word of
-f^n_i, cached by the cobasis): both sides are keyed (position, vertex,
-code), and the merge of two middle letters reads a table of the normal
-forms of the A^2 two-arrow words.  Only a generator that fails there is
-recomputed on the Path vectors (bar_delta of iota against iota of d),
-which give its witness in path notation.
+f^n_i, cached by the cobasis) and the letter view of d: both sides are
+keyed (position, vertex, code), and the merge of two middle letters reads a
+table of the normal forms of the A^2 two-arrow words.
+
+Witnesses.  Only a generator that fails on ints is looked at again, in
+path notation: d o d by differential (or augment) on its Paths; the dg
+identity and coassociativity by building their two sides apart
+(_check_sides), the dg keys decoded to the shared letter Paths, for
+_diff_witness; delta iota = iota d on the Path vectors (bar_delta of iota
+against iota of d).
 
 Every bimodule-linear map goes through one kernel,
 sandwich_into(out, u, terms, v, scale), which adds scale . (u . x . v) for
@@ -98,8 +112,6 @@ class KoszulComplex:
         self._diag_cache = {}
         self._letter_cache = {}  # (n, i) -> [(arrow Paths of a word of f^n_i, coeff)]
         q = self.quiver
-        self._vertex_of = {q.vertex_path(v): v for v in range(q.num_vertices)}
-        self._arrow_of = {q.arrow_path(a): a for a in range(q.num_arrows)}
         self._pair_nf = None  # built by _iota_agrees
         self._bar_tuples = {}  # n -> composable n-tuples of words (bracket.bar_tuples)
         self._lifting_systems = {}  # (k, ell, o, t) -> lifting._LiftingSystem
@@ -244,75 +256,129 @@ class KoszulComplex:
     def verify_resolution(self, N=None):
         """Check every structural identity through degree N, exactly."""
         N = self.N if N is None else N
+        view = self._letter_view(N)  # built per call: _diff_cache may change between calls
         checked, failures = [], []
-        self._check_d_squared(N, checked, failures)
-        self._check_dg_compat(N, checked, failures)
+        self._check_d_squared(N, view, checked, failures)
+        self._check_dg_compat(N, view, checked, failures)
         self._check_coassoc(N, checked, failures)
         self._check_counit(N, checked, failures)
-        self._check_iota(N, checked, failures)
+        self._check_iota(N, view, checked, failures)
         return ResolutionReport(not failures, checked, failures)
 
-    def _check_d_squared(self, N, checked, failures):
-        for i in range(self.count(1)):
-            val = self.augment(self._diff_eps(1, i))
-            if not val.is_zero():
-                failures.append(("d*d=0", 1, i, val.format(self.quiver)))
-        for n in range(2, N + 1):
+    def _letter_view(self, N):
+        """(letters, diff, products): diff[(n, i)] lists (u, j, v, coeff) for
+        the terms u . eps^{n-1}_j . v of d(eps^n_i), n <= N, on int letters,
+        a vertex v being v and an arrow a being V + a (every decoration of d
+        is one letter); letters[x] is the shared Path of x, and
+        products[x * len(letters) + y] lists (word id, coeff) for the normal
+        form of x.y in A."""
+        q, V = self.quiver, self.quiver.num_vertices
+        letter_of = {q.vertex_path(v): v for v in range(V)}
+        letter_of.update((q.arrow_path(a), V + a) for a in range(q.num_arrows))
+        diff = {}
+        for n in range(1, N + 1):
             for i in range(self.count(n)):
-                val = self.differential(self._diff_eps(n, i))
-                if not val.is_zero():
+                diff[(n, i)] = [(letter_of[u], j, letter_of[v], c)
+                                for (u, j, v), c in self._diff_eps(n, i).terms.items()]
+        letters, word_of, word_product = list(letter_of), {}, self.rs.word_product
+        products = [[(word_of.setdefault(w, len(word_of)), c)
+                     for w, c in word_product(x, y).terms.items()]
+                    for x in letters for y in letters]
+        return letters, diff, products
+
+    def _check_d_squared(self, N, view, checked, failures):
+        """d d(eps^n_i), the augmentation at n = 1, keyed (word id, generator,
+        word id); a failing generator is recomputed on Paths for its witness."""
+        f, (letters, diff, products) = self.field, view
+        L = len(letters)
+        for n in range(1, N + 1):
+            for i in range(self.count(n)):
+                acc = {}
+                if n == 1:  # u . e_j . v -> u.v
+                    for u, _, v, c in diff[(1, i)]:
+                        for x, cx in products[u * L + v]:
+                            acc[x] = acc.get(x, 0) + c * cx
+                else:  # u . (u2 . eps_k . v2) . v -> (u.u2) . eps_k . (v2.v)
+                    for u, j, v, c in diff[(n, i)]:
+                        for u2, k, v2, c2 in diff[(n - 1, j)]:
+                            left = products[u * L + u2]
+                            if not left:
+                                continue
+                            right, cc = products[v2 * L + v], c * c2
+                            for x, cx in left:
+                                cl = cc * cx
+                                for y, cy in right:
+                                    key = (x, k, y)
+                                    acc[key] = acc.get(key, 0) + cl * cy
+                if f.canon(acc.items()):
+                    val = (self.augment(self._diff_eps(1, i)) if n == 1
+                           else self.differential(self._diff_eps(n, i)))
                     failures.append(("d*d=0", n, i, val.format(self.quiver)))
         checked.append("d*d=0")
 
-    def _check_dg_compat(self, N, checked, failures):
-        """Both sides over K ox_Lambda K, keyed (dl, u, p, w, q, v) for
-        u . eps^dl_p . w ox eps^{n-1-dl}_q . v."""
-        f, cb, vertex = self.field, self.cobasis, self.quiver.vertex_path
-        for n in range(1, N + 1):
+    def _check_sides(self, name, n0, N, sides, decode, checked, failures):
+        """Check lhs = rhs at each eps^n_r, n0 <= n <= N, where
+        sides(n, r, lhs, rhs, sign) adds the left side into lhs and sign times
+        the right side into rhs: once into one dict, lhs - rhs, and where that
+        is not zero again into two, keys decoded, for _diff_witness."""
+        f = self.field
+        for n in range(n0, N + 1):
             for r in range(self.count(n)):
-                lhs, rhs = {}, {}
-                for dl, p, q, coeff in self.diagonal(n, r):
-                    if dl >= 1:  # d(eps^dl_p) ox eps_q
-                        v = vertex(cb.target(n - dl, q))
-                        for (u2, p2, w2), c2 in self._diff_eps(dl, p).terms.items():
-                            key = (dl - 1, u2, p2, w2, q, v)
-                            lhs[key] = lhs.get(key, 0) + coeff * c2
-                    if dl < n:  # (-1)^dl eps_p ox d(eps^{n-dl}_q)
-                        signed = -coeff if dl % 2 else coeff
-                        u = vertex(cb.origin(dl, p))
-                        for (w2, q2, v2), c2 in self._diff_eps(n - dl, q).terms.items():
-                            key = (dl, u, p, w2, q2, v2)
-                            lhs[key] = lhs.get(key, 0) + signed * c2
-                # Delta(u . eps^{n-1}_i . v) puts u and v around each diagonal term
-                for (u, i, v), coeff in self._diff_eps(n, r).terms.items():
-                    for dl, p, q, c in self.diagonal(n - 1, i):
-                        key = (dl, u, p, vertex(cb.target(dl, p)), q, v)
-                        rhs[key] = rhs.get(key, 0) + coeff * c
-                lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
-                if lhs != rhs:
-                    failures.append(("(d ox 1 + 1 ox d)Delta = Delta d", n, r,
-                                     _diff_witness(self.quiver, lhs, rhs)))
-        checked.append("(d ox 1 + 1 ox d)Delta = Delta d")
+                acc = {}
+                sides(n, r, acc, acc, -1)
+                if f.canon(acc.items()):
+                    lhs, rhs = {}, {}
+                    sides(n, r, lhs, rhs, 1)
+                    lhs, rhs = (SparseVector(f, {decode(key): c for key, c in side.items()})
+                                for side in (lhs, rhs))
+                    failures.append((name, n, r, _diff_witness(self.quiver, lhs, rhs)))
+        checked.append(name)
+
+    def _check_dg_compat(self, N, view, checked, failures):
+        """Both sides keyed (dl, u, p, w, q, v) for u . eps^dl_p . w ox
+        eps^{n-1-dl}_q . v, with u, w, v int letters (Paths in the witness)."""
+        cb, diagonal, (letters, diff, _) = self.cobasis, self.diagonal, view
+
+        def sides(n, r, lhs, rhs, sign):
+            for dl, p, q, coeff in diagonal(n, r):
+                if dl >= 1:  # d(eps^dl_p) ox eps_q
+                    v = cb.target(n - dl, q)
+                    for u2, p2, w2, c2 in diff[(dl, p)]:
+                        key = (dl - 1, u2, p2, w2, q, v)
+                        lhs[key] = lhs.get(key, 0) + coeff * c2
+                if dl < n:  # (-1)^dl eps_p ox d(eps^{n-dl}_q)
+                    signed = -coeff if dl % 2 else coeff
+                    u = cb.origin(dl, p)
+                    for w2, q2, v2, c2 in diff[(n - dl, q)]:
+                        key = (dl, u, p, w2, q2, v2)
+                        lhs[key] = lhs.get(key, 0) + signed * c2
+            # Delta(u . eps^{n-1}_i . v) puts u and v around each diagonal term
+            for u, i, v, coeff in diff[(n, r)]:
+                signed = sign * coeff
+                for dl, p, q, c in diagonal(n - 1, i):
+                    key = (dl, u, p, cb.target(dl, p), q, v)
+                    rhs[key] = rhs.get(key, 0) + signed * c
+
+        self._check_sides("(d ox 1 + 1 ox d)Delta = Delta d", 1, N, sides,
+                          lambda k: (k[0], letters[k[1]], k[2], letters[k[3]], k[4], letters[k[5]]),
+                          checked, failures)
 
     def _check_coassoc(self, N, checked, failures):
         """Both sides keyed (v1, v2, p1, p2, p3) for eps^v1_p1 ox eps^v2_p2 ox eps_p3."""
-        f = self.field
-        for n in range(0, N + 1):
-            for r in range(self.count(n)):
-                lhs, rhs = {}, {}
-                for dl, p, q, coeff in self.diagonal(n, r):
-                    for t in self.diagonal(dl, p):  # (Delta ox 1)
-                        key = (t.left_degree, dl - t.left_degree, t.left_index,
-                               t.right_index, q)
-                        lhs[key] = lhs.get(key, 0) + coeff * t.coeff
-                    for t in self.diagonal(n - dl, q):  # (1 ox Delta)
-                        key = (dl, t.left_degree, p, t.left_index, t.right_index)
-                        rhs[key] = rhs.get(key, 0) + coeff * t.coeff
-                lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
-                if lhs != rhs:
-                    failures.append(("(Delta ox 1)Delta = (1 ox Delta)Delta", n, r,
-                                     _diff_witness(self.quiver, lhs, rhs)))
-        checked.append("(Delta ox 1)Delta = (1 ox Delta)Delta")
+        diagonal = self.diagonal
+
+        def sides(n, r, lhs, rhs, sign):
+            for dl, p, q, coeff in diagonal(n, r):
+                for v2, p2, q2, c2 in diagonal(dl, p):  # (Delta ox 1)
+                    key = (v2, dl - v2, p2, q2, q)
+                    lhs[key] = lhs.get(key, 0) + coeff * c2
+                signed = sign * coeff
+                for v2, p2, q2, c2 in diagonal(n - dl, q):  # (1 ox Delta)
+                    key = (dl, v2, p, p2, q2)
+                    rhs[key] = rhs.get(key, 0) + signed * c2
+
+        self._check_sides("(Delta ox 1)Delta = (1 ox Delta)Delta", 0, N, sides,
+                          lambda k: k, checked, failures)
 
     def _check_counit(self, N, checked, failures):
         """mu sends e_p ox eps^n_q to eps^n_q when q starts at vertex p (the
@@ -336,12 +402,13 @@ class KoszulComplex:
                         failures.append((name, n, r, image.format(self.quiver)))
         checked.append("(mu ox 1)Delta = id = (1 ox mu)Delta")
 
-    def _check_iota(self, N, checked, failures):
+    def _check_iota(self, N, view, checked, failures):
         """delta iota = iota d on codes; a generator that fails is recomputed
         on the Path vectors, which give its witness."""
+        diff = view[1]
         for n in range(1, N + 1):
             for r in range(self.count(n)):
-                if self._iota_agrees(n, r):
+                if self._iota_agrees(n, r, diff):
                     continue
                 lhs = self.bar_delta(self.iota(n, r))
                 rhs = self.iota_bimodule(self._diff_eps(n, r))
@@ -350,8 +417,9 @@ class KoszulComplex:
                                      _diff_witness(self.quiver, lhs, rhs)))
         checked.append("delta iota = iota d")
 
-    def _iota_agrees(self, n, r):
-        """Whether delta(iota eps^n_r) == iota(d eps^n_r), compared on codes.
+    def _iota_agrees(self, n, r, diff):
+        """Whether delta(iota eps^n_r) == iota(d eps^n_r), compared on codes,
+        with d read from diff, the letter view of _letter_view.
 
         Both sides are sums of bar words of n+1 letters, keyed here by
         (position, vertex, code).  delta merges letters k and k+1 of
@@ -362,8 +430,8 @@ class KoszulComplex:
         keyed (k, o, code with m's two digits in place of theirs).  On the
         right, a . eps_j . e_v spells (0, v, code of a.w) and e_u . eps_j . b
         spells (n, u, code of w.b) for each word w of f^{n-1}_j.  Any other
-        term of d has a decoration that is not one letter on one side, so
-        its bar word matches no word on the left: the answer is False, and
+        term of d, with arrows or vertices on both sides, spells a bar word
+        that matches no word on the left: the answer is False, and
         _check_iota lets the Path vectors decide.
         """
         f, cb, q = self.field, self.cobasis, self.quiver
@@ -374,32 +442,30 @@ class KoszulComplex:
                              for x in range(A) for y in range(A)]
         pair_nf, letters = self._pair_nf, A * A
         merges = [(k, A ** (n - 1 - k), k % 2) for k in range(1, n)]  # (k, digit place, sign)
-        lhs, rhs = {}, {}
+        acc = {}  # left side minus right side
         for w, c in cb.codes(n, r).items():
             minus = -c
-            lhs[(0, t, w)] = lhs.get((0, t, w), 0) + c
-            lhs[(n, o, w)] = lhs.get((n, o, w), 0) + (minus if n % 2 else c)
+            acc[(0, t, w)] = acc.get((0, t, w), 0) + c
+            acc[(n, o, w)] = acc.get((n, o, w), 0) + (minus if n % 2 else c)
             for k, place, odd in merges:
                 pair = w // place % letters
                 rest = w - pair * place
                 signed = minus if odd else c
                 for m, cm in pair_nf[pair].items():
                     key = (k, o, rest + m * place)
-                    lhs[key] = lhs.get(key, 0) + signed * cm
-        vertex_of, arrow_of = self._vertex_of, self._arrow_of
-        lead = A ** (n - 1)
-        for (u, j, v), c in self._diff_eps(n, r).terms.items():
-            a, b = arrow_of.get(u), arrow_of.get(v)
-            if a is not None and v in vertex_of:  # a ox f-letters ox e_v
-                position, vertex, head, digit, tail = 0, vertex_of[v], a * lead, 1, 0
-            elif b is not None and u in vertex_of:  # e_u ox f-letters ox b
-                position, vertex, head, digit, tail = n, vertex_of[u], 0, A, b
+                    acc[key] = acc.get(key, 0) + signed * cm
+        V, lead = q.num_vertices, A ** (n - 1)
+        for u, j, v, c in diff[(n, r)]:  # a letter below V is a vertex, V + a is arrow a
+            if u >= V and v < V:  # a ox f-letters ox e_v
+                position, vertex, head, digit, tail = 0, v, (u - V) * lead, 1, 0
+            elif v >= V and u < V:  # e_u ox f-letters ox b
+                position, vertex, head, digit, tail = n, u, 0, A, v - V
             else:
                 return False
             for w, cw in cb.codes(n - 1, j).items():
                 key = (position, vertex, head + (w * digit if n > 1 else 0) + tail)
-                rhs[key] = rhs.get(key, 0) + c * cw
-        return SparseVector(f, lhs) == SparseVector(f, rhs)
+                acc[key] = acc.get(key, 0) - c * cw
+        return not f.canon(acc.items())
 
 
 def _diff_witness(quiver, lhs, rhs):

@@ -6,36 +6,45 @@ insertion order, and every non-ASCII or control character of a string
 escaped.  Strings go through json's C escaper and containers through
 str.join; json.dumps with an indent runs the pure-Python encoder instead,
 which takes about twice as long on the thousands of leaves of a
-`resolution` document.
+`resolution` document.  Values dispatch on their exact type, and the
+container loops write str and int leaves, most of a document, inline.
 """
 
 from json.encoder import encode_basestring_ascii as _quote
 
+_int = int.__repr__
+
 
 def dumps(doc):
-    """json.dumps(doc, indent=2) for dicts with str keys, lists, str, int, bool, None."""
+    """json.dumps(doc, indent=2) for dicts with str keys, lists, str, int, bool
+    and None, none of them a subclass."""
     return _encode(doc, "\n")
 
 
 def _encode(x, pad):
-    if isinstance(x, str):
+    kind = type(x)
+    if kind is str:
         return _quote(x)
+    if kind is int:
+        return _int(x)
     if x is None:
         return "null"
     if x is True:
         return "true"
     if x is False:
         return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
     inner = pad + "  "
-    if isinstance(x, dict):
+    if kind is dict:
         if not x:
             return "{}"
-        items = [_quote(k) + ": " + _encode(v, inner) for k, v in x.items()]
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else
+                                     _int(v) if type(v) is int else _encode(v, inner))
+                 for k, v in x.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(x, list):
+    if kind is list:
         if not x:
             return "[]"
-        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in x]) + pad + "]"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        items = [_quote(v) if type(v) is str else _int(v) if type(v) is int else _encode(v, inner)
+                 for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -222,6 +222,31 @@ def test_codes_spell_each_word_once():
     assert cb.codes(2, 0) is cb.codes(2, 0)
 
 
+
+def test_non_confluent_dual_is_named_in_the_error():
+    # A is not confluent either, but build_koszul_basis reads only A^!: the
+    # overlap y.z.x is a word of A^!'s rewrite system
+    q = Quiver(["1", "2"], [("x", "1", "1"), ("y", "1", "2"), ("z", "2", "1")])
+    rel = PathVector(QQ, {Path(0, (0, 0)): QQ(2), Path(0, (1, 2)): QQ(-1)})
+    with pytest.raises(NotConfluent) as err:
+        build_koszul_basis(QuadraticPresentation(q, [rel], field=QQ), 3)
+    assert str(err.value) == ("quadratic dual A^! is not confluent: "
+                              "overlap y.z.x resolves to -1/2*x.x.x and 0")
+
+
+def test_scalars_and_spelling_multiply_only_composable_words():
+    # w_p . w_q is zero when w_p does not end where w_q starts, so neither a
+    # slice nor the spelling of f^n asks A^! for that product
+    kx = load_complex("family", QQ, 8, q=1)
+    for n in range(9):
+        for r in range(n + 1):
+            kx.c(n, 0, r)
+    assert kx.verify_resolution().ok
+    q, memo = kx.quiver, kx.cobasis.dual._products
+    assert [(u, v) for u, v in memo if q.path_target(u) != v.o] == []
+    assert (len(memo), sum(not nf.terms for nf in memo.values())) == (624, 84)
+
+
 # -- the comult table against the Path-word reference ------------------------------
 
 

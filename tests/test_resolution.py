@@ -7,12 +7,15 @@ scalar tables) and compared term by term with the engine's output.
 
 import pytest
 
+from koszulgerst.algfile import parse_presentation
 from koszulgerst.errors import DegreeUnderflow
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.linalg import Matrix, rank
 from koszulgerst.presets import load_complex
 from koszulgerst.quiver import Path, PathVector
-from koszulgerst.resolution import BimoduleElement, _diff_witness
+from koszulgerst.resolution import BimoduleElement, KoszulComplex, _diff_witness
+
+from identity_reference import reference_failures
 
 
 def term(kx, coeff, uword, n, i, vword):
@@ -288,8 +291,12 @@ def test_verify_resolution_catches_corrupt_scalar():
 def _corruptible(name):
     """A degree-4 complex with every differential and scalar slice cached,
     so that a corrupted slice reaches the diagonal and nothing else."""
-    kx = (load_complex("short", QQ, 4) if name == "short"
-          else load_complex("family", PrimeField(5), 4, q=-1))
+    return _cached(load_complex("short", QQ, 4) if name == "short"
+                   else load_complex("family", PrimeField(5), 4, q=-1))
+
+
+def _cached(kx):
+    """kx with every differential and scalar slice cached."""
     for n in range(kx.N + 1):
         for i in range(kx.count(n)):
             if n:
@@ -363,6 +370,70 @@ def test_differential_identities_catch_every_corrupt_term(name):
     assert cases == {"short": 44, "family": 96}[name]
 
 
+@pytest.mark.parametrize("name, field, q", [
+    ("short", QQ, None), ("short", PrimeField(5), None),
+    ("family", QQ, 2), ("family", PrimeField(5), -1),
+], ids=["short", "short-F5", "family-q=2", "family-q=-1-F5"])
+def test_identity_checks_on_letters_match_the_path_reference(name, field, q):
+    # scale or drop each term of each d(eps^n_i), then each c_pq of each
+    # slice, through degree 3: d*d=0, the dg identity and coassociativity
+    # on int letters report what the Path-keyed reference reports,
+    # witnesses included
+    kx = _cached(load_complex(name, field, 3, q=q))
+    checked = {D_SQUARED, DG_COMPAT, COASSOC}
+
+    def agree(case):
+        got = [f for f in kx.verify_resolution().failures if f[0] in checked]
+        want = reference_failures(kx, kx.N)
+        assert want and got == want, case
+
+    assert kx.verify_resolution().failures == reference_failures(kx, kx.N) == []
+    cases = 0
+    for n in range(1, kx.N + 1):
+        for i in range(kx.count(n)):
+            good = kx._diff_cache[(n, i)]
+            for key in good.terms:
+                for mode in ("scale", "drop"):
+                    kx._diff_cache[(n, i)] = BimoduleElement(
+                        field, n - 1, _corrupted(field, good.terms, key, mode))
+                    agree((n, i, key, mode))
+                    kx._diff_cache[(n, i)] = good
+                    cases += 1
+    for n in range(kx.N + 1):
+        for v in range(n + 1):
+            rows = kx.comult._cache[(n, v)]
+            for i, row in enumerate(rows):
+                for key in row:
+                    for mode in ("scale", "drop"):
+                        rows[i] = _corrupted(field, row, key, mode)
+                        kx._diag_cache.clear()
+                        agree((n, v, i, key, mode))
+                        rows[i] = row
+                        cases += 1
+    kx._diag_cache.clear()
+    assert kx.verify_resolution().ok
+    assert cases == {"short": 76, "family": 150}[name]
+
+
+def test_d_squared_keeps_the_generators_apart():
+    # in A = k<x, y>/(x.x, x.y, y.x, y.y) every f^2 is one word a.b and
+    # d(eps^2_ab) = a.eps_b + eps_a.b; E = eps_xy - eps_xx - eps_yy + eps_yx
+    # has d(E) != 0, though its terms cancel word by word once the degree-1
+    # generator is dropped from the key
+    kx = KoszulComplex(parse_presentation(
+        "field Q\nvertex 1\narrow x 1 1\narrow y 1 1\n"
+        "relation x.x\nrelation x.y\nrelation y.x\nrelation y.y\n"), 3)
+    e, index = kx.quiver.vertex_path(0), kx.cobasis.index[2]
+    signs = {(0, 1): 1, (0, 0): -1, (1, 1): -1, (1, 0): 1}
+    kx._diff_cache[(3, 0)] = BimoduleElement(QQ, 2, {
+        (e, index[Path(0, word)], e): QQ(c) for word, c in signs.items()})
+    failures = kx.verify_resolution().failures
+    assert (D_SQUARED, 3, 0, "-eps^1_0.x + eps^1_0.y - x.eps^1_0 + y.eps^1_0"
+            " + eps^1_1.x - eps^1_1.y + x.eps^1_1 - y.eps^1_1") in failures
+    assert [f for f in failures if f[0] in (D_SQUARED, DG_COMPAT, COASSOC)] == (
+        reference_failures(kx, kx.N))
+
+
 def test_counit_laws_ignore_non_composable_terms():
     # e_p ox eps^n_q is zero in K ox_Lambda K unless q starts at p (and
     # eps^n_p ox e_q unless p ends at q), so a diagonal term that pairs
@@ -392,12 +463,12 @@ def test_counit_laws_ignore_non_composable_terms():
 def _path_iota_failures(kx):
     """The Path-keyed delta iota = iota d check, generator by generator; also
     asserts that the code comparison agrees with it at every generator."""
-    out = []
+    out, diff = [], kx._letter_view(kx.N)[1]
     for n in range(1, kx.N + 1):
         for r in range(kx.count(n)):
             lhs = kx.bar_delta(kx.iota(n, r))
             rhs = kx.iota_bimodule(kx._diff_eps(n, r))
-            assert kx._iota_agrees(n, r) == (lhs == rhs), (n, r)
+            assert kx._iota_agrees(n, r, diff) == (lhs == rhs), (n, r)
             if lhs != rhs:
                 out.append((IOTA, n, r, _diff_witness(kx.quiver, lhs, rhs)))
     return out
@@ -405,7 +476,7 @@ def _path_iota_failures(kx):
 
 def _iota_failures(kx):
     failures = []
-    kx._check_iota(kx.N, [], failures)
+    kx._check_iota(kx.N, kx._letter_view(kx.N), [], failures)
     return failures
 
 

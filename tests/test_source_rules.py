@@ -260,13 +260,20 @@ def word_tuple_building(tree):
     return sorted(found)
 
 
+# the identity checks of KoszulComplex that key their terms by ints: d*d=0,
+# the dg identity and coassociativity (int letters, _letter_view) and
+# delta iota = iota d (Quiver.code)
+INT_KEYED_CHECKS = {f"KoszulComplex.{name}" for name in (
+    "_letter_view", "_check_d_squared", "_check_sides", "_check_dg_compat",
+    "_check_coassoc", "_check_iota", "_iota_agrees")}
+
+
 def code_keyed(scope):
     """Whether scope is in one of the per-word loops that build no word
     tuples: any ComultTable method, which multiplies normal words of A^!,
-    or the delta iota = iota d check, which keys words by Quiver.code."""
+    or one of the INT_KEYED_CHECKS."""
     parts = scope.split(".")
-    return parts[0] == "ComultTable" or ".".join(parts[:2]) in (
-        "KoszulComplex._check_iota", "KoszulComplex._iota_agrees")
+    return parts[0] == "ComultTable" or ".".join(parts[:2]) in INT_KEYED_CHECKS
 
 
 def test_rule_spots_word_tuple_building():
@@ -281,9 +288,11 @@ def test_rule_spots_word_tuple_building():
                      "    return w.arrows[0]\n")
     assert word_tuple_building(tree) == [
         ("ComultTable._slice", 3), ("ComultTable._slice.inner", 6), ("spell", 9)]
-    assert [code_keyed(scope) for scope in ("ComultTable._slice.inner", "spell",
-                                            "KoszulComplex._check_iota", "KoszulComplex.iota")] == [
-        True, False, True, False]
+    assert [code_keyed(scope) for scope in (
+        "ComultTable._slice.inner", "spell", "KoszulComplex._check_iota", "KoszulComplex.iota",
+        "KoszulComplex._check_d_squared", "KoszulComplex._check_dg_compat.sides",
+        "KoszulComplex._check_coassoc", "KoszulComplex.differential")] == [
+        True, False, True, False, True, True, True, False]
     # the Path-word comult table kept as a test reference builds tuples 3 times
     tree = ast.parse((ROOT / "tests" / "test_koszul.py").read_text())
     assert len([scope for scope, _ in word_tuple_building(tree)
@@ -292,8 +301,10 @@ def test_rule_spots_word_tuple_building():
 
 def test_comult_table_and_iota_check_build_no_word_tuples():
     # a slice multiplies normal words of A^! with the memoised word product,
-    # and the delta iota = iota d check touches every word of f^0..f^N as an
-    # int code; only the witness path of a failing generator spells Paths
+    # d*d=0, the dg identity and coassociativity key their terms by int
+    # letters and indices, and the delta iota = iota d check touches every
+    # word of f^0..f^N as an int code; only the witness path of a failing
+    # generator spells Paths
     found = []
     for name in ("koszul.py", "resolution.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)

@@ -1,7 +1,11 @@
 """The structured-output writer and the order of a resolution document."""
 
 import json
+from contextlib import redirect_stdout
+from io import StringIO
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +14,7 @@ from koszulgerst.cli import main
 from koszulgerst.fields import QQ
 from koszulgerst.resolution import KoszulComplex
 from koszulgerst.structured import dumps
+from test_structured_digests import COMMANDS, EXT3, command_key
 
 # quotes, backslashes, control characters, DEL, non-ASCII, a line separator
 # and an astral-plane character: the classes json escapes differently
@@ -30,6 +35,23 @@ def test_writer_matches_json_dumps_indent_2(doc):
 def test_writer_on_empty_containers_and_scalars():
     for doc in ({}, [], {"a": {}, "b": [], "c": [[], {}]}, 0, -7, True, None, "", "ü"):
         assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=command_key)
+def test_writer_matches_json_dumps_on_every_digested_command(argv, tmp_path):
+    # the documents of the byte-identity guard's commands, each written by
+    # the writer and by json.dumps
+    ext3 = tmp_path / "ext3.alg"
+    ext3.write_text(EXT3, encoding="utf-8")
+    docs = []
+
+    def writer(doc):
+        docs.append(doc)
+        return dumps(doc)
+
+    with mock.patch("koszulgerst.cli.dumps", writer), redirect_stdout(StringIO()):
+        main([arg.replace("{ext3}", str(ext3)) for arg in argv] + ["--format", "structured"])
+    assert len(docs) == 1 and dumps(docs[0]) == json.dumps(docs[0], indent=2)
 
 
 # 11 vertices and 11 loops at the last one: Path(o=10, arrows=(10,)) sorts
