@@ -10,7 +10,12 @@
   degree n keyed by (tuple of basis words, value word).
 
 The bar route never constructs a chain map from the bar complex down to K;
-comparisons happen in cohomology classes on the K side.
+comparisons happen in cohomology classes on the K side; when the degrees
+agree, both sides share one basis, its restrictions and their liftings.
+
+Both sides of a bracket or Maurer-Cartan value go into one term dict
+(Cochain.evaluate_into, _circle_into); canon drops the first side's zeros
+before the second goes in, so the terms keep the order of a difference.
 """
 
 from typing import NamedTuple
@@ -27,12 +32,14 @@ def bracket_via_lifting(kx, eta, theta, psi_eta, psi_theta):
     n, m = eta.degree, theta.degree
     deg = n + m - 1
     f = kx.field
-    sign = f.one if ((m - 1) * (n - 1)) % 2 == 0 else f.neg(f.one)
+    minus = 1 if (m - 1) * (n - 1) % 2 else -1  # -(-1)^{(m-1)(n-1)}
     values = []
     for r in range(kx.count(deg)):
-        first = eta.evaluate(psi_theta.image(deg, r))
-        second = theta.evaluate(psi_eta.image(deg, r))
-        values.append(first - second.scale(sign))
+        acc = {}
+        eta.evaluate_into(acc, psi_theta.image(deg, r), 1)
+        acc = f.canon(acc.items())
+        theta.evaluate_into(acc, psi_eta.image(deg, r), minus)
+        values.append(PathVector(f, acc))
     return Cochain(kx, deg, values)
 
 
@@ -41,9 +48,9 @@ def bracket_via_derivation(kx, gamma, chi, deriv):
     n = chi.degree
     values = []
     for r in range(kx.count(n)):
-        first = derivation_on_element(kx, gamma, chi.values[r])
-        second = chi.evaluate(deriv.image(n, r))
-        values.append(first - second)
+        acc = dict(derivation_on_element(kx, gamma, chi.values[r]).terms)
+        chi.evaluate_into(acc, deriv.image(n, r), -1)
+        values.append(PathVector(kx.field, acc))
     return Cochain(kx, n, values)
 
 
@@ -60,15 +67,18 @@ def maurer_cartan_check(kx, eta, psi_eta):
     is the degree-3 cochain eta psi_eta - eta d_3; `exact` asks it to vanish
     on the nose, `class_level` only up to coboundary.
     """
-    if kx.field.characteristic == 2:
+    f = kx.field
+    if f.characteristic == 2:
         raise CharacteristicTwo("Maurer-Cartan needs characteristic != 2")
     if eta.degree != 2:
         raise CochainError("Maurer-Cartan applies to 2-cochains")
     values = []
     for r in range(kx.count(3)):
-        dbar = -eta.evaluate(kx._diff_eps(3, r))
-        half_bracket = eta.evaluate(psi_eta.image(3, r))
-        values.append(dbar + half_bracket)
+        acc = {}
+        eta.evaluate_into(acc, kx._diff_eps(3, r), -1)
+        acc = f.canon(acc.items())
+        eta.evaluate_into(acc, psi_eta.image(3, r), 1)
+        values.append(PathVector(f, acc))
     residual = Cochain(kx, 3, values)
     return MCReport(residual.is_zero(), is_coboundary(residual) is not None, residual)
 
@@ -169,19 +179,25 @@ def bar_cocycle_basis(kx, n):
 
 
 def bar_circle_product(kx, F, G):
-    """F o G = sum_j (-1)^{(n-1)(j-1)} F o_j G on the reduced bar complex.
+    """F o G = sum_j (-1)^{(n-1)(j-1)} F o_j G on the reduced bar complex."""
+    out = {}
+    _circle_into(out, kx, F, G, 1)
+    return GradedVector(kx.field, F.degree + G.degree - 1, out)
+
+
+def _circle_into(out, kx, F, G, scale):
+    """Add scale . (F o G) into the term dict out.
 
     Read off the supports: F o_j G has a term on T only if G has a term
     (T[j-1:j-1+n], p) and F one on T[:j-1] + (p,) + T[j-1+n:].
     """
-    f = kx.field
     target = kx.quiver.path_target
     m, n = F.degree, G.degree
     through = {}  # word p -> [(tup, coefficient of (tup, p) in G)]
     for (tup, p), c in G.terms.items():
         through.setdefault(p, []).append((tup, c))
-    out = {}
     for (key, w), v in F.terms.items():
+        v *= scale
         for j in range(1, m + 1):
             signed = -v if ((n - 1) * (j - 1)) % 2 else v
             for inner, c in through.get(key[j - 1], ()):
@@ -189,30 +205,33 @@ def bar_circle_product(kx, F, G):
                 if any(target(a) != b.o for a, b in zip(tup, tup[1:])):
                     continue
                 out[(tup, w)] = out.get((tup, w), 0) + signed * c
-    return GradedVector(f, m + n - 1, out)
 
 
 def bar_circle_bracket(kx, F, G):
     """[F, G] = F o G - (-1)^{(m-1)(n-1)} G o F."""
-    f = kx.field
     m, n = F.degree, G.degree
-    sign = f.one if ((m - 1) * (n - 1)) % 2 == 0 else f.neg(f.one)
-    return bar_circle_product(kx, F, G) - bar_circle_product(kx, G, F).scale(sign)
+    out = {}
+    _circle_into(out, kx, F, G, 1)
+    out = kx.field.canon(out.items())
+    _circle_into(out, kx, G, F, 1 if (m - 1) * (n - 1) % 2 else -1)
+    return GradedVector(kx.field, m + n - 1, out)
 
 
 def restrict_along_iota(kx, F):
     """F o iota as a cochain on K."""
-    f = kx.field
     n = F.degree
-    words = {}  # a word of f^n_i spelled letter by letter -> [(i, coefficient)]
-    for i in range(kx.count(n)):
-        for letters, coeff in kx._letters(n, i):
-            words.setdefault(letters, []).append((i, coeff))
+    words = kx._iota_index.get(n)
+    if words is None:  # a word of f^n_i spelled letter by letter -> [(i, coefficient)]
+        words = {}
+        for i in range(kx.count(n)):
+            for letters, coeff in kx._letters(n, i):
+                words.setdefault(letters, []).append((i, coeff))
+        kx._iota_index[n] = words
     values = [{} for _ in range(kx.count(n))]
     for (tup, p), c in F.terms.items():
         for i, coeff in words.get(tup, ()):
             values[i][p] = values[i].get(p, 0) + c * coeff
-    return Cochain(kx, n, [PathVector(f, acc) for acc in values])
+    return Cochain(kx, n, [PathVector(kx.field, acc) for acc in values])
 
 
 class OraclePairResult(NamedTuple):
@@ -235,20 +254,24 @@ def oracle_compare(kx, n, m):
 
     Enumerates bases of bar n- and m-cocycles, restricts everything along
     iota, solves liftings on the K side and checks that each pair's brackets
-    land in the same class.
+    land in the same class.  When n == m both sides share one basis, one
+    restriction and one lifting per cocycle.
     """
-    left = bar_cocycle_basis(kx, n)
-    right = bar_cocycle_basis(kx, m)
     deg = n + m - 1
-    left_data = [(F, restrict_along_iota(kx, F)) for F in left]
-    right_data = [(G, restrict_along_iota(kx, G)) for G in right]
-    left_lifts = [solve_lifting(kx, eta, deg) for _, eta in left_data]
-    right_lifts = [solve_lifting(kx, theta, deg) for _, theta in right_data]
+
+    def side(degree):  # [(bar cocycle, its restriction, the restriction's lifting)]
+        out = []
+        for F in bar_cocycle_basis(kx, degree):
+            eta = restrict_along_iota(kx, F)
+            out.append((F, eta, solve_lifting(kx, eta, deg)))
+        return out
+
+    left = side(n)
+    right = left if m == n else side(m)
     pairs = []
-    for i, (F, eta) in enumerate(left_data):
-        for j, (G, theta) in enumerate(right_data):
+    for i, (F, eta, psi_eta) in enumerate(left):
+        for j, (G, theta, psi_theta) in enumerate(right):
             bar_side = restrict_along_iota(kx, bar_circle_bracket(kx, F, G))
-            lift_side = bracket_via_lifting(kx, eta, theta,
-                                            left_lifts[i], right_lifts[j])
+            lift_side = bracket_via_lifting(kx, eta, theta, psi_eta, psi_theta)
             pairs.append(OraclePairResult(i, j, same_class(bar_side, lift_side)))
     return OracleReport((n, m), pairs)

@@ -7,7 +7,7 @@ linear questions are sliced by internal degree (path length of the values):
 the coboundary carries the length-l slice of degree n into the length-(l+1)
 slice of degree n+1, so infinite-dimensional algebras stay finite work per
 slice.  Cochain equality is value-list equality; class equality is the
-separate same_class predicate.
+separate same_class predicate, which needs no solve for equal value lists.
 """
 
 from typing import NamedTuple
@@ -97,16 +97,22 @@ class Cochain:
 
     def evaluate(self, x):
         """Value on a bimodule element: u . eps_i . v  ->  u lambda_i v."""
-        word_product = self.kx.rs.word_product
         acc = {}
+        self.evaluate_into(acc, x, 1)
+        return PathVector(self.kx.field, acc)
+
+    def evaluate_into(self, acc, x, scale):
+        """Add scale . (value on x) into the term dict acc; acc may be left
+        holding zeros and, over F_p, unreduced values."""
+        word_product = self.kx.rs.word_product
         for (u, i, v), coeff in x.terms.items():
+            coeff *= scale
             for w, cw in self.values[i].terms.items():
                 cw = coeff * cw
                 for uw, cu in word_product(u, w).terms.items():
                     cu = cw * cu
                     for p, cp in word_product(uw, v).terms.items():
                         acc[p] = acc.get(p, 0) + cu * cp
-        return PathVector(self.kx.field, acc)
 
     def format(self):
         return "(" + ", ".join(v.format(self.kx.quiver) for v in self.values) + ")"
@@ -246,8 +252,14 @@ def is_coboundary(eta):
 
 
 def same_class(a, b):
-    """True when a and b are cohomologous (differ by a coboundary)."""
-    return is_coboundary(a - b) is not None
+    """True when a and b are cohomologous (differ by a coboundary).
+
+    Cochains of different degrees or on different complexes raise
+    DimensionMismatch.  Equal value lists are one class without a solve;
+    any other pair asks is_coboundary(a - b).
+    """
+    a._check_same_space(b)
+    return a.values == b.values or is_coboundary(a - b) is not None
 
 
 def cup_product(eta, theta):

@@ -11,12 +11,13 @@ native + and * (and native signs), so over F_p an accumulator may hold an
 unreduced int, negative or far above p.  canon(pairs) is the one reduction
 point: it keeps the nonzero canonical values of (key, value) pairs, and it
 is the body of the SparseVector and Matrix constructors, so every stored
-value is canonical.  Over Q this changes nothing (Rationals.add is a + b);
-over F_p the residues are the same as with eager reduction, because
-reduction mod p commutes with + and *.  Code that reads accumulated values
-itself, rather than handing them to a constructor, calls canon first.
-Elimination (linalg._rref), inverses and pivot tests keep the field's sub,
-mul, neg and inv, since they need a canonical value at every step.
+value is canonical.  Over Q this changes nothing (the field's arithmetic is
+Python's own); over F_p the residues are the same as with eager reduction,
+because reduction mod p commutes with + and *.  Code that reads accumulated
+values itself, rather than handing them to a constructor, calls canon
+first.  Elimination (linalg._rref) also updates rows with the native - and
+*, but over F_p it reduces % p at every step, since its pivot and zero
+tests need a canonical value; it calls the field only for inv.
 """
 
 from fractions import Fraction
@@ -64,12 +65,6 @@ class Rationals:
     zero = 0
     one = 1
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -87,6 +82,8 @@ class Rationals:
         return out
 
     def inv(self, a):
+        if a == 1 or a == -1:  # its own inverse, as an int
+            return int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return _norm(1 / Fraction(a))
@@ -135,12 +132,6 @@ class PrimeField:
         if isinstance(value, Fraction):
             return self.mul(value.numerator % self.p, self.inv(value.denominator % self.p))
         return value % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -50,6 +50,13 @@ class SparseVector:
         return not self.terms
 
     def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign . other in one pass: self's keys, then other's new ones."""
         f = self.field
         if other.field is not f and other.field != f:
             raise FieldMismatch("cannot add vectors over different fields")
@@ -58,11 +65,8 @@ class SparseVector:
                 f"cannot add vectors of degrees {self.degree} and {other.degree}")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
+            out[key] = out.get(key, 0) + sign * c
         return self._like(out)
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
 
     def __neg__(self):
         return self.scale(self.field.neg(self.field.one))
@@ -139,8 +143,11 @@ class AffineSolution(NamedTuple):
 def _rref(rows, ncols, field, naug=0):
     """In-place RREF on sparse row dicts; the last naug columns never pivot.
 
+    Rows are updated with the native - and *; over F_p each new value is
+    reduced % p at once, so every stored value stays canonical.
     Returns the list of pivot columns (ascending).
     """
+    p = field.characteristic
     pivots = []
     pivot_row = 0
     for col in range(ncols - naug):
@@ -153,24 +160,25 @@ def _rref(rows, ncols, field, naug=0):
             continue
         rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
         row = rows[pivot_row]
-        inv = field.inv(row[col])
-        if inv != field.one:
-            for c in list(row):
-                row[c] = field.mul(row[c], inv)
+        if row[col] != 1:
+            inv = field.inv(row[col])
+            for c, v in row.items():
+                row[c] = v * inv % p if p else v * inv
         for i in range(len(rows)):
             if i == pivot_row:
                 continue
-            factor = rows[i].get(col)
+            other = rows[i]
+            factor = other.get(col)
             if factor is None:
                 continue
-            other = rows[i]
             for c, v in row.items():
-                cur = other.get(c, field.zero)
-                new = field.sub(cur, field.mul(factor, v))
-                if new == field.zero:
-                    other.pop(c, None)
-                else:
+                new = other.get(c, 0) - factor * v
+                if p:
+                    new %= p
+                if new:
                     other[c] = new
+                else:
+                    other.pop(c, None)
         pivots.append(col)
         pivot_row += 1
         if pivot_row == len(rows):

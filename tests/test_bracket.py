@@ -1,22 +1,30 @@
 """Brackets by lifting, by derivation operator, by bar-side brute force."""
 
+import functools
+from unittest import mock
+
 import pytest
 
+from koszulgerst import cohomology
 from koszulgerst.bracket import (bar_circle_bracket, bar_circle_product,
                                  bar_cocycle_basis, bar_tuples, bracket_via_derivation,
                                  bracket_via_lifting, maurer_cartan_check,
                                  oracle_compare, restrict_along_iota)
-from koszulgerst.cohomology import Cochain, coboundary, same_class
-from koszulgerst.errors import CharacteristicTwo, CochainError, InfiniteDimensional
+from koszulgerst.cohomology import Cochain, coboundary, cocycle_space, same_class
+from koszulgerst.errors import (CharacteristicTwo, CochainError, DimensionMismatch,
+                                InfiniteDimensional)
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.lifting import derivation_lift, solve_lifting
 from koszulgerst.linalg import GradedVector, Matrix, nullspace_basis
 from koszulgerst.presets import (family_deriv_eta, family_named_cocycles,
                                  family_psi_chi, family_psi_chibar, family_psi_eta,
                                  family_psi_etabar, family_table1, family_table2,
-                                 family_table3, short_goldens)
+                                 family_table3, load_complex, short_goldens)
 from koszulgerst.quiver import Path, PathVector
+from koszulgerst.resolution import BimoduleElement
 from test_generic_algebra import zigzag_complex
+import bracket_reference
+from linalg_reference import add
 
 
 def golden_liftings(kx):
@@ -198,22 +206,6 @@ def test_bar_degree_one_brackets_are_derivation_commutators(family8):
         assert same_class(bar_side, via_d)
 
 
-def reference_restrict_along_iota(kx, F):
-    """restrict_along_iota with its own letter table, as it was before it read
-    KoszulComplex._letters."""
-    f, n, q = kx.field, F.degree, kx.quiver
-    words = {}
-    for i in range(kx.count(n)):
-        for path, coeff in kx.cobasis.f(n, i).terms.items():
-            tup = tuple(q.arrow_path(a) for a in path.arrows)
-            words.setdefault(tup, []).append((i, coeff))
-    values = [{} for _ in range(kx.count(n))]
-    for (tup, p), c in F.terms.items():
-        for i, coeff in words.get(tup, ()):
-            values[i][p] = values[i].get(p, 0) + c * coeff
-    return Cochain(kx, n, [PathVector(f, acc) for acc in values])
-
-
 @pytest.mark.parametrize("fixture", ["family8", "family8_f5"])
 def test_restrict_along_iota_matches_the_reference(fixture, request):
     kx = request.getfixturevalue(fixture)
@@ -221,7 +213,7 @@ def test_restrict_along_iota_matches_the_reference(fixture, request):
         basis = bar_cocycle_basis(kx, n)
         assert basis
         for F in basis:
-            got, want = restrict_along_iota(kx, F), reference_restrict_along_iota(kx, F)
+            got, want = restrict_along_iota(kx, F), bracket_reference.restrict_along_iota(kx, F)
             assert got == want
             assert [list(v.terms.items()) for v in got.values] == \
                 [list(v.terms.items()) for v in want.values]
@@ -381,7 +373,7 @@ def reference_bar_cocycle_basis(kx, n):
             dF = bar_coboundary(kx, GradedVector(f, n, {key: f.one}))
             for dkey, c in dF.terms.items():
                 entry = (dst_index[dkey], col)
-                entries[entry] = f.add(entries.get(entry, f.zero), c)
+                entries[entry] = add(f, entries.get(entry, f.zero), c)
         for vec in nullspace_basis(Matrix(f, len(dst_index), len(src), entries)):
             values = {}
             for (tup, w), c in zip(src, vec):
@@ -468,3 +460,132 @@ def test_bar_circle_product_skips_tuples_that_do_not_compose(family8):
 def test_oracle_degree_1_3_over_prime_field(family8_f5):
     report = oracle_compare(family8_f5, 1, 3)
     assert report.ok and len(report.pairs) == 426
+
+
+# -- one term dict per value, one basis for equal degrees: the reference ----------
+
+
+@functools.cache
+def _reference_case(name):
+    """(complex, {degree: [(cocycle, its lifting through degree 3)]}) for
+    the homogeneous cocycles of degrees 1 and 2; family's are the
+    restrictions of its bar cocycles, as the oracle sees them."""
+    if name == "short":
+        kx = load_complex("short", QQ, 4)
+        cocycles = {n: [c for ell in range(3) for c in cocycle_space(kx, n, ell).cocycles]
+                    for n in (1, 2)}
+    else:
+        kx = (load_complex("family", QQ, 4, q=1) if name == "family-Q"
+              else load_complex("family", PrimeField(5), 4, q=-1))
+        cocycles = {n: [restrict_along_iota(kx, F) for F in bar_cocycle_basis(kx, n)]
+                    for n in (1, 2)}
+    return kx, {n: [(c, solve_lifting(kx, c, 3)) for c in cs if not c.is_zero()]
+                for n, cs in cocycles.items()}
+
+
+def _spelled(cochain):
+    """The values of a cochain, terms in their stored order."""
+    return [list(v.terms.items()) for v in cochain.values]
+
+
+@pytest.mark.parametrize("name", ["family-Q", "family-F5", "short"])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 2)])
+def test_brackets_and_classes_match_the_reference(name, n, m):
+    # every bracket value is built in one term dict and same_class skips the
+    # solve for equal value lists; values, term order and class answers must
+    # be those of the reference, which builds and subtracts separate vectors
+    kx, cases = _reference_case(name)
+    assert cases[n] and cases[m]
+    zero = Cochain.zero(kx, n + m - 1)
+    previous = zero
+    for eta, psi_eta in cases[n]:
+        for theta, psi_theta in cases[m]:
+            got = bracket_via_lifting(kx, eta, theta, psi_eta, psi_theta)
+            want = bracket_reference.bracket_via_lifting(kx, eta, theta, psi_eta, psi_theta)
+            assert got == want and _spelled(got) == _spelled(want)
+            for other in (want, zero, previous):
+                assert same_class(got, other) == bracket_reference.same_class(got, other)
+            previous = got
+
+
+@pytest.mark.parametrize("name", ["family-Q", "family-F5"])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 2)])
+def test_bar_brackets_and_the_oracle_match_the_reference(name, n, m):
+    kx, _ = _reference_case(name)
+    for F in bar_cocycle_basis(kx, n):
+        for G in bar_cocycle_basis(kx, m):
+            got = bar_circle_bracket(kx, F, G)
+            want = bracket_reference.bar_circle_bracket(kx, F, G)
+            assert got == want and list(got.terms.items()) == list(want.terms.items())
+    got, want = oracle_compare(kx, n, m), bracket_reference.oracle_compare(kx, n, m)
+    assert got == want and got.ok
+
+
+@pytest.mark.parametrize("name", ["family-Q", "family-F5"])
+def test_derivation_brackets_and_maurer_cartan_match_the_reference(name):
+    kx, cases = _reference_case(name)
+    for eta, psi_eta in cases[2]:
+        got = maurer_cartan_check(kx, eta, psi_eta).residual
+        want = bracket_reference.maurer_cartan_residual(kx, eta, psi_eta)
+        assert got == want and _spelled(got) == _spelled(want)
+    for gamma, _ in cases[1]:
+        op = derivation_lift(kx, gamma, 2)
+        for chi, _ in cases[1] + cases[2]:
+            got = bracket_via_derivation(kx, gamma, chi, op)
+            want = bracket_reference.bracket_via_derivation(kx, gamma, chi, op)
+            assert got == want and _spelled(got) == _spelled(want)
+
+
+class _Images:
+    """A stand-in lifting: image(m, r) is images[r], or zero."""
+
+    def __init__(self, field, degree, images):
+        self.field, self.degree, self.images = field, degree, images
+
+    def image(self, m, r):
+        return self.images.get(r, BimoduleElement(self.field, self.degree))
+
+
+def test_a_first_side_that_cancels_keeps_the_reference_term_order(family8):
+    # etabar = (a, 0, 0, 0) sends b.eps^2_0 and -eps^2_0.b in d(eps^3_1) to
+    # b.a and -b.a: the first side of the value at r = 1 leaves b.a at zero
+    # in the term dict.  The second side spells a, then b.a; the value must
+    # list them in that order, as subtracting two vectors does
+    kx, f = family8, family8.field
+    q = kx.quiver
+    etabar = family_named_cocycles(kx)["etabar"]
+    e1, b = q.vertex_path(0), q.arrow_path(1)
+    assert {(b, 0, e1), (e1, 0, b)} <= kx._diff_eps(3, 1).terms.keys()
+    spelled = _Images(f, 2, {1: BimoduleElement(f, 2, {(e1, 0, e1): 1, (b, 0, e1): 1})})
+    d3 = _Images(f, 2, {r: kx._diff_eps(3, r) for r in range(kx.count(3))})
+    got = [maurer_cartan_check(kx, etabar, spelled).residual,
+           bracket_via_lifting(kx, etabar, etabar, spelled, d3)]
+    want = [bracket_reference.maurer_cartan_residual(kx, etabar, spelled),
+            bracket_reference.bracket_via_lifting(kx, etabar, etabar, spelled, d3)]
+    assert got == want
+    assert [_spelled(x) for x in got] == [_spelled(x) for x in want]
+    assert [q.format_path(p) for p in got[0].values[1].terms] == ["a", "b.a"]
+
+
+def test_same_class_solves_only_for_unequal_representatives(family8):
+    etabar = family_named_cocycles(family8)["etabar"]
+    boundary = cocycle_space(family8, 2).coboundaries[0]
+    with mock.patch.object(cohomology, "is_coboundary", wraps=cohomology.is_coboundary) as solve:
+        assert same_class(etabar, Cochain(family8, 2, list(etabar.values)))
+        assert solve.call_count == 0
+        assert same_class(etabar, etabar + boundary)
+        assert solve.call_count == 1 and solve.call_args.args[0] == etabar - (etabar + boundary)
+        assert not same_class(etabar, Cochain.zero(family8, 2))
+        assert solve.call_count == 2
+
+
+def test_same_class_rejects_other_degrees_and_complexes(family8):
+    # equal value lists on another complex, or of another degree, are no
+    # shortcut: the pair is refused as it was before any solve
+    etabar = family_named_cocycles(family8)["etabar"]
+    other = load_complex("family", QQ, 3, q=1)
+    twin = Cochain(other, 2, list(etabar.values))
+    assert twin.values == etabar.values
+    for a, b in ((etabar, twin), (twin, etabar), (etabar, Cochain.zero(family8, 1))):
+        with pytest.raises(DimensionMismatch):
+            same_class(a, b)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from koszulgerst.errors import ParseError
 from koszulgerst.fields import QQ, PrimeField
 
+from linalg_reference import add, sub
+
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 
@@ -16,7 +18,7 @@ F7 = PrimeField(7)
 @pytest.mark.parametrize("value", [
     QQ.parse("3"), QQ.parse("6/2"), QQ.parse("-4/2"), QQ.parse("0"), QQ.parse(" 12 "),
     QQ(4), QQ(Fraction(8, 4)), QQ("-5"), QQ.inv(Fraction(1, 3)), QQ.inv(-1), QQ.inv(1),
-    QQ.zero, QQ.one,
+    QQ.inv(Fraction(1)), QQ.inv(Fraction(-2, 2)), QQ.zero, QQ.one,
 ])
 def test_integral_rationals_are_ints(value):
     assert type(value) is int
@@ -71,7 +73,7 @@ def test_arithmetic_ignores_the_representation(x, y):
              (Fraction(x), QQ(y))]
     results = []
     for a, b in pairs:
-        row = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)]
+        row = [add(QQ, a, b), sub(QQ, a, b), QQ.mul(a, b), QQ.neg(a)]
         if b != 0:
             row.append(QQ.inv(b))
         results.append(row)

@@ -70,7 +70,8 @@ def test_directed_tree_resolution_terminates():
 
 def cached_values(kx):
     """(cache, value) for every field value a complex, its cobasis and the
-    rewriting systems of A and A^! hold in their caches."""
+    rewriting systems of A and A^! hold in their caches, the iota index of
+    restrict_along_iota included."""
     cm, cb, rs = kx.comult, kx.cobasis, kx.rs
     for rows in cm._cache.values():
         for row in rows:
@@ -80,6 +81,9 @@ def cached_values(kx):
             yield from (("cobasis._levels", c) for c in x.terms.values())
     for codes in cb._codes.values():
         yield from (("cobasis._codes", c) for c in codes.values())
+    for words in kx._iota_index.values():
+        for pairs in words.values():
+            yield from (("_iota_index", c) for _, c in pairs)
     for terms in kx._diag_cache.values():
         yield from (("_diag_cache", t.coeff) for t in terms)
     for x in kx._diff_cache.values():
@@ -119,7 +123,7 @@ def test_no_unreduced_value_escapes_into_a_cache(make):
         if type(c) is not int or not 0 < c < p:
             bad.append((cache, c))
     assert bad == []
-    assert seen == {"comult._cache", "cobasis._levels", "cobasis._codes", "_diag_cache",
-                    "_diff_cache", "_lifting_systems transform", "_lifting_systems nullspace",
-                    "rs._products", "rs._nf_cache", "cobasis.dual._products",
-                    "cobasis.dual._nf_cache"}
+    assert seen == {"comult._cache", "cobasis._levels", "cobasis._codes", "_iota_index",
+                    "_diag_cache", "_diff_cache", "_lifting_systems transform",
+                    "_lifting_systems nullspace", "rs._products", "rs._nf_cache",
+                    "cobasis.dual._products", "cobasis.dual._nf_cache"}

@@ -27,6 +27,7 @@ from koszulgerst.presets import load_complex, load_presentation
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
 from koszulgerst.rewriting import build_rewrite_system
 
+from linalg_reference import add
 import tower_reference
 from tower_reference import (PivotComultTable, ReferenceCobasis, _intersect, _split_blocks,
                              family_cobasis, intersection_tower, short_cobasis)
@@ -307,7 +308,7 @@ class ReferenceComultTable:
                 for p, cp in t_left.items():
                     cp = f.mul(coeff, cp)
                     for qq, cq in t_right.items():
-                        acc[(p, qq)] = f.add(acc.get((p, qq), f.zero), f.mul(cp, cq))
+                        acc[(p, qq)] = add(f, acc.get((p, qq), f.zero), f.mul(cp, cq))
             row = {pq: c for pq, c in sorted(acc.items()) if c != f.zero}
             if self._expand(n, r, row) != cb.f(n, i).terms:
                 raise InconsistentBasis(
@@ -327,7 +328,7 @@ class ReferenceComultTable:
                 cu = f.mul(c, cu)
                 for v, cv in right.items():
                     w = (u.o, u.arrows + v.arrows)
-                    acc[w] = f.add(acc.get(w, f.zero), f.mul(cu, cv))
+                    acc[w] = add(f, acc.get(w, f.zero), f.mul(cu, cv))
         return {w: c for w, c in acc.items() if c != f.zero}
 
 
@@ -451,7 +452,7 @@ def reference_intersect(field, span_u, span_v, order_key):
         for j in range(nu):
             if ker[j] != field.zero:
                 for path, c in span_u[j].terms.items():
-                    acc[path] = field.add(acc.get(path, field.zero), field.mul(c, ker[j]))
+                    acc[path] = add(field, acc.get(path, field.zero), field.mul(c, ker[j]))
         vec = PathVector(field, acc)
         if not vec.is_zero():
             vectors.append(vec)

@@ -22,6 +22,7 @@ from koszulgerst.presets import (cochain, family_deriv_chi, family_deriv_eta,
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver
 from koszulgerst.resolution import BimoduleElement, KoszulComplex
 from test_generic_algebra import zigzag_complex
+from linalg_reference import add
 
 
 def test_short_golden_liftings_verify(short8):
@@ -384,7 +385,7 @@ def reference_sandwich_words(kx, u, x, v):
         for up, uc in new_u.items():
             for vp, vc in new_v.items():
                 key = (up, i, vp)
-                out[key] = f.add(out.get(key, f.zero), f.mul(coeff, f.mul(uc, vc)))
+                out[key] = add(f, out.get(key, f.zero), f.mul(coeff, f.mul(uc, vc)))
     return BimoduleElement(f, x.degree, out)
 
 
@@ -395,7 +396,7 @@ def reference_sandwich(kx, left, x, right):
         for v, vc in right.terms.items():
             scale = f.mul(uc, vc)
             for key, c in reference_sandwich_words(kx, u, x, v).terms.items():
-                out[key] = f.add(out.get(key, f.zero), f.mul(scale, c))
+                out[key] = add(f, out.get(key, f.zero), f.mul(scale, c))
     return BimoduleElement(f, x.degree, out)
 
 
@@ -404,7 +405,7 @@ def reference_differential(kx, x):
     out = {}
     for (u, i, v), coeff in x.terms.items():
         for key, c in reference_sandwich_words(kx, u, kx._diff_eps(x.degree, i), v).terms.items():
-            out[key] = f.add(out.get(key, f.zero), f.mul(coeff, c))
+            out[key] = add(f, out.get(key, f.zero), f.mul(coeff, c))
     return BimoduleElement(f, x.degree - 1, out)
 
 
@@ -415,7 +416,7 @@ def reference_apply(psi, x):
     for (u, i, v), coeff in x.terms.items():
         img = psi.image(x.degree, i)
         for key, c in reference_sandwich_words(kx, u, img, v).terms.items():
-            out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
+            out[key] = add(f, out.get(key, f.zero), f.mul(c, coeff))
     return BimoduleElement(f, max(x.degree - psi.n + 1, 0), out)
 
 
@@ -427,17 +428,17 @@ def reference_lifting_rhs(kx, eta, m, r):
     unit = lambda v: PathVector.single(f, kx.quiver.vertex_path(v))
     out = {}
 
-    def add(x, coeff):
+    def add_scaled(x, coeff):
         for key, c in x.terms.items():
-            out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
+            out[key] = add(f, out.get(key, f.zero), f.mul(c, coeff))
 
     for (p, q), c in kx.c(m, r, n).items():
-        add(reference_sandwich(kx, eta.values[p], kx.eps(m - n, q),
-                               unit(kx.cobasis.target(m - n, q))), c)
+        add_scaled(reference_sandwich(kx, eta.values[p], kx.eps(m - n, q),
+                                      unit(kx.cobasis.target(m - n, q))), c)
     sign = f.one if (n * (m - n)) % 2 == 0 else f.neg(f.one)
     for (p, q), c in kx.c(m, r, m - n).items():
-        add(reference_sandwich(kx, unit(kx.cobasis.origin(m - n, p)), kx.eps(m - n, p),
-                               eta.values[q]), f.neg(f.mul(sign, c)))
+        add_scaled(reference_sandwich(kx, unit(kx.cobasis.origin(m - n, p)), kx.eps(m - n, p),
+                                      eta.values[q]), f.neg(f.mul(sign, c)))
     return BimoduleElement(f, m - n, out)
 
 
@@ -459,7 +460,7 @@ def reference_derivation_apply(op, x):
                                  (uvec, op.image(x.degree, i), vvec),
                                  (uvec, eps, derivation_on_word(kx, op.gamma, v))):
             for key, c in reference_sandwich(kx, left, mid, right).terms.items():
-                out[key] = f.add(out.get(key, f.zero), f.mul(c, coeff))
+                out[key] = add(f, out.get(key, f.zero), f.mul(c, coeff))
     return BimoduleElement(f, x.degree, out)
 
 

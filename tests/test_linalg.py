@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from koszulgerst.errors import DimensionMismatch
 from koszulgerst.fields import QQ, PrimeField
-from koszulgerst.linalg import (GradedVector, Matrix, SparseVector, echelon_basis,
+from koszulgerst.linalg import (GradedVector, Matrix, SparseVector, _rref, echelon_basis,
                                 nullspace_basis, rank, solve_affine_system)
+
+from linalg_reference import add, rref
 
 F5 = PrimeField(5)
 
@@ -32,7 +34,7 @@ def apply(A, vec):
     f = A.field
     out = [f.zero] * A.rows
     for (r, c), v in A.entries.items():
-        out[r] = f.add(out[r], f.mul(v, vec[c]))
+        out[r] = add(f, out[r], f.mul(v, vec[c]))
     return out
 
 
@@ -239,16 +241,55 @@ def test_matrix_canonicalizes_then_rejects_out_of_range_entries():
 def test_native_accumulation_gives_the_eager_vector(field, draws):
     # the accumulate loops add a * b with native + and *, leaving the dict
     # unreduced, and the constructor's canon reduces once; eager reduction
-    # through field.add / field.mul must give the identical vector
+    # through add / field.mul must give the identical vector
     terms = [(key, field(Fraction(a, den)), field(Fraction(b, den)), minus)
              for key, a, b, den, minus in draws]
     native, eager = {}, {}
     for key, a, b, minus in terms:
         native[key] = native.get(key, 0) + (-a if minus else a) * b
         sign = field.neg(field.one) if minus else field.one
-        eager[key] = field.add(eager.get(key, field.zero), field.mul(sign, field.mul(a, b)))
+        eager[key] = add(field, eager.get(key, field.zero), field.mul(sign, field.mul(a, b)))
     got = SparseVector(field, native)
     want = [(key, c) for key, c in eager.items() if c != field.zero]
     assert list(got.terms.items()) == want
     assert [type(c) for c in got.terms.values()] == [type(c) for _, c in want]
     assert got == SparseVector(field, eager)
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, F5, PrimeField(32003)]), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7),
+                                             st.integers(-9, 9), st.sampled_from([1, 1, 2, 3])),
+                                   max_size=30))
+def test_native_rref_matches_the_eager_reference(field, nrows, ncols, naug, draws):
+    # _rref updates rows with native - and * (reducing % p at each step over
+    # F_p); the eager reference goes through the field's sub, mul and inv.
+    # Pivots and rows, augmented columns included, must be identical, with
+    # the same key order and value types
+    width = ncols + naug
+    rows = [{} for _ in range(nrows)]
+    for r, c, num, den in draws:
+        value = field(Fraction(num, den))
+        if r < nrows and c < width and value != field.zero:
+            rows[r][c] = value
+    native, eager = [dict(row) for row in rows], [dict(row) for row in rows]
+    assert _rref(native, width, field, naug) == rref(eager, width, field, naug)
+    assert [list(row.items()) for row in native] == [list(row.items()) for row in eager]
+    assert [[type(v) for v in row.values()] for row in native] == \
+        [[type(v) for v in row.values()] for row in eager]
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, F5, PrimeField(32003)]),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(-9, 9), st.sampled_from([1, 2, 3])),
+                max_size=8),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(-9, 9), st.sampled_from([1, 2, 3])),
+                max_size=8))
+def test_difference_is_the_sum_with_the_negated_vector(field, left, right):
+    # a - b runs in one pass; it must equal a + (-1)b, keys in the same order
+    # (a's keys, then b's new ones) and values of the same types
+    a, b = (SparseVector(field, {key: field(Fraction(num, den)) for key, num, den in draws})
+            for draws in (left, right))
+    got, want = a - b, a + b.scale(field.neg(field.one))
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]

@@ -16,6 +16,7 @@ from koszulgerst.quiver import Path, PathVector
 from koszulgerst.resolution import BimoduleElement, KoszulComplex, _diff_witness
 
 from identity_reference import reference_failures
+from linalg_reference import add
 
 
 def term(kx, coeff, uword, n, i, vword):
@@ -40,11 +41,11 @@ def angle_component(kx, n, r, j):
     for (p, jj), c in kx.c(n, r, 1).items():
         if jj == j:
             key = (q.arrow_path(p), j, q.vertex_path(kx.cobasis.target(n - 1, j)))
-            terms[key] = f.add(terms.get(key, f.zero), c)
+            terms[key] = add(f, terms.get(key, f.zero), c)
     for (jj, p), c in kx.c(n, r, n - 1).items():
         if jj == j:
             key = (q.vertex_path(kx.cobasis.origin(n - 1, j)), j, q.arrow_path(p))
-            terms[key] = f.add(terms.get(key, f.zero), f.mul(sign, c))
+            terms[key] = add(f, terms.get(key, f.zero), f.mul(sign, c))
     return BimoduleElement(f, n - 1, terms)
 
 
@@ -553,6 +554,32 @@ def test_iota_check_on_codes_catches_a_generator_outside_the_relations(name):
             assert _iota_failures(kx) == want
             cases += 1
     assert cases == {"short": 4, "family": 4}[name]
+
+
+def test_iota_check_leaves_terms_with_letters_on_both_sides_to_the_paths():
+    # a term u . eps_j . v of d with arrows (or vertices) on both sides spells
+    # a bar word that no code of the left side matches, so _iota_agrees
+    # answers False and _check_iota lets the Path vectors decide: they name
+    # the word when it survives, and report nothing when two such terms
+    # cancel in the bar (here a.eps^0_0.b - a.eps^0_1.b, both spelling a ox b)
+    def injected(n, i, extra):
+        kx = load_complex("family", PrimeField(5), 2, q=-1)
+        good = kx._diff_eps(n, i)
+        kx._diff_cache[(n, i)] = BimoduleElement(kx.field, n - 1, {**good.terms, **extra})
+        return kx
+
+    q = load_complex("family", PrimeField(5), 2, q=-1).quiver
+    e1, a, b, c = q.vertex_path(0), q.arrow_path(0), q.arrow_path(1), q.arrow_path(2)
+    cases = [(2, 3, {(a, 0, c): 1}, "term (a, a, c): 0 vs 1"),
+             (2, 0, {(e1, 0, e1): 1}, "term (e1, a, e1): 0 vs 1")]
+    for n, i, extra, witness in cases:
+        kx = injected(n, i, extra)
+        assert not kx._iota_agrees(n, i, kx._letter_view(kx.N)[1])
+        assert _iota_failures(kx) == _path_iota_failures(kx) == [(IOTA, n, i, witness)]
+    kx = injected(1, 0, {(a, 0, b): 1, (a, 1, b): -1})
+    assert kx.bar_delta(kx.iota(1, 0)) == kx.iota_bimodule(kx._diff_eps(1, 0))
+    assert not kx._iota_agrees(1, 0, kx._letter_view(kx.N)[1])
+    assert _iota_failures(kx) == []
 
 
 # -- exactness: K resolves A, weight by weight ------------------------------------

@@ -71,6 +71,37 @@ def test_no_quadratic_accumulation_in_the_package():
     assert found == []
 
 
+def subtracted_scales(tree):
+    """Lines of `<x> - <...>.scale(...)` or `<x> -= <...>.scale(...)`."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                   and _is_scale_call(node.right)
+                   or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)
+                   and _is_scale_call(node.value)})
+
+
+def test_rule_spots_subtracted_scales():
+    tree = ast.parse("d = a - b.scale(c)\n"
+                     "d -= b.scale(c)\n"
+                     "d = a + b.scale(c)\n"
+                     "d = a.scale(c) - b\n"
+                     "d = a - b\n"
+                     "values.append(first - second.scale(sign))\n")
+    assert subtracted_scales(tree) == [1, 2, 6]
+
+
+def test_no_scaled_vector_is_subtracted_in_the_package():
+    # a - b.scale(c) builds a throwaway vector and then a second one; both
+    # sides go into one term dict with their signs, or a - b subtracts in
+    # one pass
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [f"{module.name}:{line}" for line in subtracted_scales(tree)]
+    assert sorted(SRC.glob("*.py")), "package source not found"
+    assert found == []
+
+
 def eager_accumulations(tree):
     """Lines of `d[k] = <x>.add(d.get(...), ...)` or `<x>.sub(d.get(...), ...)`,
     also through a name bound to an `.add` or `.sub` attribute, as in
@@ -473,6 +504,7 @@ class ResolutionReport(NamedTuple):
 # definitions that no other line of src/ names, each with why it stays
 UNREFERENCED_ALLOWED = {
     ("algfile", "serialize_presentation"): "library API: writes what parse_presentation reads",
+    ("bracket", "bar_circle_product"): "library API: the circle product F o G (README)",
     ("lifting", "closed_form_conditions"): "library API: the closed-form lifting conditions",
     ("lifting", "verify_derivation"): "library API: the chain-map check of derivation_lift",
     ("presets", "family_psi_etabar"): "golden lifting of the family preset, read by tests",
