@@ -13,9 +13,11 @@ The bar route never constructs a chain map from the bar complex down to K;
 comparisons happen in cohomology classes on the K side; when the degrees
 agree, both sides share one basis, its restrictions and their liftings.
 
-Both sides of a bracket or Maurer-Cartan value go into one term dict
-(Cochain.evaluate_into, _circle_into); canon drops the first side's zeros
-before the second goes in, so the terms keep the order of a difference.
+Both sides of a bracket or Maurer-Cartan cochain go into one term dict:
+Cochain.evaluate_into(acc, r, x, scale) adds a value on slot r under the
+(r, word) keys, and _circle_into adds a circle product.  canon drops the
+first side's zeros before the second goes in, so each slot's terms keep
+the order of a difference.
 """
 
 from typing import NamedTuple
@@ -24,7 +26,6 @@ from .cohomology import Cochain, is_coboundary, same_class
 from .errors import CharacteristicTwo, CochainError, InfiniteDimensional
 from .lifting import derivation_on_element, solve_lifting
 from .linalg import GradedVector, Matrix, nullspace_basis
-from .quiver import PathVector
 
 
 def bracket_via_lifting(kx, eta, theta, psi_eta, psi_theta):
@@ -33,25 +34,25 @@ def bracket_via_lifting(kx, eta, theta, psi_eta, psi_theta):
     deg = n + m - 1
     f = kx.field
     minus = 1 if (m - 1) * (n - 1) % 2 else -1  # -(-1)^{(m-1)(n-1)}
-    values = []
+    acc = {}
     for r in range(kx.count(deg)):
-        acc = {}
-        eta.evaluate_into(acc, psi_theta.image(deg, r), 1)
-        acc = f.canon(acc.items())
-        theta.evaluate_into(acc, psi_eta.image(deg, r), minus)
-        values.append(PathVector(f, acc))
-    return Cochain(kx, deg, values)
+        eta.evaluate_into(acc, r, psi_theta.image(deg, r), 1)
+    acc = f.canon(acc.items())
+    for r in range(kx.count(deg)):
+        theta.evaluate_into(acc, r, psi_eta.image(deg, r), minus)
+    return Cochain(kx, deg, acc)
 
 
 def bracket_via_derivation(kx, gamma, chi, deriv):
     """[gamma, chi] = gamma o chi - chi o gtilde for a degree-1 gamma."""
     n = chi.degree
-    values = []
+    acc = {}
+    for r, value in enumerate(chi.values):
+        for w, c in derivation_on_element(kx, gamma, value).terms.items():
+            acc[(r, w)] = c
     for r in range(kx.count(n)):
-        acc = dict(derivation_on_element(kx, gamma, chi.values[r]).terms)
-        chi.evaluate_into(acc, deriv.image(n, r), -1)
-        values.append(PathVector(kx.field, acc))
-    return Cochain(kx, n, values)
+        chi.evaluate_into(acc, r, deriv.image(n, r), -1)
+    return Cochain(kx, n, acc)
 
 
 class MCReport(NamedTuple):
@@ -72,14 +73,13 @@ def maurer_cartan_check(kx, eta, psi_eta):
         raise CharacteristicTwo("Maurer-Cartan needs characteristic != 2")
     if eta.degree != 2:
         raise CochainError("Maurer-Cartan applies to 2-cochains")
-    values = []
+    acc = {}
     for r in range(kx.count(3)):
-        acc = {}
-        eta.evaluate_into(acc, kx._diff_eps(3, r), -1)
-        acc = f.canon(acc.items())
-        eta.evaluate_into(acc, psi_eta.image(3, r), 1)
-        values.append(PathVector(f, acc))
-    residual = Cochain(kx, 3, values)
+        eta.evaluate_into(acc, r, kx._diff_eps(3, r), -1)
+    acc = f.canon(acc.items())
+    for r in range(kx.count(3)):
+        eta.evaluate_into(acc, r, psi_eta.image(3, r), 1)
+    residual = Cochain(kx, 3, acc)
     return MCReport(residual.is_zero(), is_coboundary(residual) is not None, residual)
 
 
@@ -227,11 +227,12 @@ def restrict_along_iota(kx, F):
             for letters, coeff in kx._letters(n, i):
                 words.setdefault(letters, []).append((i, coeff))
         kx._iota_index[n] = words
-    values = [{} for _ in range(kx.count(n))]
+    acc = {}
     for (tup, p), c in F.terms.items():
         for i, coeff in words.get(tup, ()):
-            values[i][p] = values[i].get(p, 0) + c * coeff
-    return Cochain(kx, n, [PathVector(kx.field, acc) for acc in values])
+            key = (i, p)
+            acc[key] = acc.get(key, 0) + c * coeff
+    return Cochain(kx, n, acc)
 
 
 class OraclePairResult(NamedTuple):

@@ -105,7 +105,7 @@ def load_complex(args, min_n=1):
 
 
 def _cochain(kx, degree, text):
-    return Cochain(kx, degree, algfile.parse_cochain(kx, degree, text))
+    return Cochain.from_values(kx, degree, algfile.parse_cochain(kx, degree, text))
 
 
 def _cocycle(kx, degree, text):
@@ -326,9 +326,8 @@ def _check_table(kx, golden, degree):
     if ok and span_ok:
         index, entries = {}, {}  # one row per (slot, word) a golden vector holds
         for col, g in enumerate(golden):
-            for i, val in enumerate(g.values):
-                for w, c in val.terms.items():
-                    entries[(index.setdefault((i, w), len(index)), col)] = c
+            for key, c in g.terms.items():
+                entries[(index.setdefault(key, len(index)), col)] = c
         span_ok = rank(Matrix(kx.field, len(index), len(golden), entries)) == len(golden)
     return ok, span_ok
 

@@ -1,82 +1,79 @@
 """Hochschild cochains on K: coboundary, cocycle spaces, cup product.
 
-A degree-n cochain is the list of its values on the free generators; values
-live in Lambda (normal form) and are pinned between the generator's vertex
-idempotents.  The coboundary is precomposition with the differential.  All
-linear questions are sliced by internal degree (path length of the values):
-the coboundary carries the length-l slice of degree n into the length-(l+1)
+A degree-n cochain is a GradedVector whose terms map (slot i, normal word w)
+to the coefficient of w in its value on the free generator eps^n_i; each
+value lies in Lambda and is pinned between the generator's vertex
+idempotents.  Values are checked only where they enter: Cochain.from_values
+normalises input values and checks their pinning, while Cochain(kx, n,
+terms) trusts terms the package has computed, as BimoduleElement does.
+The coboundary is precomposition with the differential.  All linear
+questions are sliced by internal degree (path length of the values): the
+coboundary carries the length-l slice of degree n into the length-(l+1)
 slice of degree n+1, so infinite-dimensional algebras stay finite work per
-slice.  Cochain equality is value-list equality; class equality is the
-separate same_class predicate, which needs no solve for equal value lists.
+slice, and the (slot, word) keys are the coordinates of each slice.
+Cochain equality is term equality; class equality is the separate
+same_class predicate.
 """
 
 from typing import NamedTuple
 
 from .errors import CochainError, DimensionMismatch, UnboundedComputation
-from .linalg import Matrix, SparseVector, echelon_basis, nullspace_basis, solve_affine_system
+from .linalg import (GradedVector, Matrix, SparseVector, echelon_basis, nullspace_basis,
+                     solve_affine_system)
 from .quiver import PathVector
 
 
-class Cochain:
-    """Map K_n -> Lambda given by its values on eps^n_0 .. eps^n_{t_n}."""
+class Cochain(GradedVector):
+    """Map K_n -> Lambda: terms map (slot i, word w) to the coefficient of
+    w in the value on eps^n_i."""
 
-    __slots__ = ("kx", "degree", "values")
+    __slots__ = ("kx", "_values")
 
-    def __init__(self, kx, degree, values):
+    def __init__(self, kx, degree, terms=None):
+        GradedVector.__init__(self, kx.field, degree, terms)
+        self.kx = kx
+        self._values = None
+
+    @classmethod
+    def from_values(cls, kx, degree, values):
+        """The cochain with the given values on eps^n_0 .. eps^n_{t_n}, each
+        put in normal form and checked to lie between its generator's vertices."""
         if len(values) != kx.count(degree):
             raise CochainError(f"expected {kx.count(degree)} values in degree {degree}")
-        self.kx = kx
-        self.degree = degree
-        normalized = []
+        target = kx.quiver.path_target
+        terms = {}
         for i, val in enumerate(values):
             val = kx.rs.normal_form(val)
             o, t = kx.cobasis.o(degree, i)
-            for path in val.terms:
-                if path.o != o or kx.quiver.path_target(path) != t:
+            for path, c in val.terms.items():
+                if path.o != o or target(path) != t:
                     raise CochainError(
                         f"value {val.format(kx.quiver)} at slot {i} is not pinned "
                         f"between the generator's vertices")
-            normalized.append(val)
-        self.values = normalized
+                terms[(i, path)] = c
+        return cls(kx, degree, terms)
 
-    @classmethod
-    def zero(cls, kx, degree):
-        f = kx.field
-        return cls(kx, degree, [PathVector.zero(f) for _ in range(kx.count(degree))])
+    def _like(self, terms):
+        return type(self)(self.kx, self.degree, terms)
 
-    def is_zero(self):
-        return all(v.is_zero() for v in self.values)
-
-    def _check_same_space(self, other):
-        if self.degree != other.degree or self.kx is not other.kx:
+    def _combine(self, other, sign):
+        if self.degree != other.degree or self.kx is not getattr(other, "kx", None):
             raise DimensionMismatch(
                 "cannot combine cochains of different degrees or on different complexes")
+        return GradedVector._combine(self, other, sign)
 
-    def __add__(self, other):
-        self._check_same_space(other)
-        return Cochain(self.kx, self.degree,
-                       [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        self._check_same_space(other)
-        return Cochain(self.kx, self.degree,
-                       [a - b for a, b in zip(self.values, other.values)])
-
-    def __neg__(self):
-        return self.scale(self.kx.field.neg(self.kx.field.one))
-
-    def scale(self, coeff):
-        return Cochain(self.kx, self.degree, [v.scale(coeff) for v in self.values])
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.degree == other.degree
-                and self.values == other.values)
+    @property
+    def values(self):
+        """The value on each generator, a tuple of PathVectors built once."""
+        if self._values is None:
+            values = [{} for _ in range(self.kx.count(self.degree))]
+            for (i, w), c in self.terms.items():
+                values[i][w] = c
+            self._values = tuple(PathVector(self.field, v) for v in values)
+        return self._values
 
     def internal_degrees(self):
-        out = set()
-        for v in self.values:
-            out |= v.lengths()
-        return out
+        return {len(w.arrows) for _, w in self.terms}
 
     def is_homogeneous(self):
         return len(self.internal_degrees()) <= 1
@@ -88,31 +85,24 @@ class Cochain:
         return degs.pop() if degs else None
 
     def graded_piece(self, ell):
-        kx = self.kx
-        vals = []
-        for v in self.values:
-            vals.append(PathVector(kx.field,
-                                   {p: c for p, c in v.terms.items() if len(p.arrows) == ell}))
-        return Cochain(kx, self.degree, vals)
+        return self._like([(key, c) for key, c in self.terms.items()
+                           if len(key[1].arrows) == ell])
 
-    def evaluate(self, x):
-        """Value on a bimodule element: u . eps_i . v  ->  u lambda_i v."""
-        acc = {}
-        self.evaluate_into(acc, x, 1)
-        return PathVector(self.kx.field, acc)
-
-    def evaluate_into(self, acc, x, scale):
-        """Add scale . (value on x) into the term dict acc; acc may be left
-        holding zeros and, over F_p, unreduced values."""
+    def evaluate_into(self, acc, r, x, scale):
+        """Add scale . (value on x) into the term dict acc under the keys
+        (r, word); acc may be left holding zeros and, over F_p, unreduced
+        values."""
         word_product = self.kx.rs.word_product
+        values = self.values
         for (u, i, v), coeff in x.terms.items():
             coeff *= scale
-            for w, cw in self.values[i].terms.items():
+            for w, cw in values[i].terms.items():
                 cw = coeff * cw
                 for uw, cu in word_product(u, w).terms.items():
                     cu = cw * cu
                     for p, cp in word_product(uw, v).terms.items():
-                        acc[p] = acc.get(p, 0) + cu * cp
+                        key = (r, p)
+                        acc[key] = acc.get(key, 0) + cu * cp
 
     def format(self):
         return "(" + ", ".join(v.format(self.kx.quiver) for v in self.values) + ")"
@@ -133,8 +123,10 @@ def coboundary(eta):
     """d* eta = eta o d, one homological degree up."""
     kx = eta.kx
     n = eta.degree
-    values = [eta.evaluate(kx._diff_eps(n + 1, r)) for r in range(kx.count(n + 1))]
-    return Cochain(kx, n + 1, values)
+    acc = {}
+    for r in range(kx.count(n + 1)):
+        eta.evaluate_into(acc, r, kx._diff_eps(n + 1, r), 1)
+    return Cochain(kx, n + 1, acc)
 
 
 def _cochain_coords(kx, n, ell):
@@ -145,28 +137,6 @@ def _cochain_coords(kx, n, ell):
         for w in kx.rs.basis_words(ell, o, t):
             coords.append((i, w))
     return coords
-
-
-def _cochain_from_coords(kx, n, coords, items):
-    """The cochain with coefficient c at coords[k] for each (k, c) in items."""
-    values = [dict() for _ in range(kx.count(n))]
-    for k, c in items:
-        i, w = coords[k]
-        values[i][w] = c
-    return Cochain(kx, n, [PathVector(kx.field, v) for v in values])
-
-
-def _coords_of_cochain(kx, coords, eta):
-    f = kx.field
-    index = {key: k for k, key in enumerate(coords)}
-    vec = [f.zero] * len(coords)
-    for i, val in enumerate(eta.values):
-        for w, c in val.terms.items():
-            k = index.get((i, w))
-            if k is None:
-                raise CochainError("cochain outside the coordinate slice")
-            vec[k] = c
-    return vec
 
 
 def _coboundary_matrix(kx, n, ell):
@@ -218,14 +188,15 @@ def cocycle_space(kx, n, ell=None):
     for e in ells:
         A, src, _ = _coboundary_matrix(kx, n, e)
         for vec in nullspace_basis(A):
-            cocycles.append(_cochain_from_coords(kx, n, src, enumerate(vec)))
+            cocycles.append(Cochain(kx, n, zip(src, vec)))
         if n >= 1 and e >= 1:
             B, _, bdst = _coboundary_matrix(kx, n - 1, e - 1)
             images = [{} for _ in range(B.cols)]  # the columns of B, by row
             for (r, col), v in B.entries.items():
                 images[col][r] = v
             for row in echelon_basis([SparseVector(kx.field, im) for im in images], None):
-                coboundaries.append(_cochain_from_coords(kx, n, bdst, row.terms.items()))
+                coboundaries.append(
+                    Cochain(kx, n, [(bdst[k], c) for k, c in row.terms.items()]))
     return CochainSpace(n, tuple(ells), cocycles, coboundaries)
 
 
@@ -241,13 +212,15 @@ def is_coboundary(eta):
     for e in sorted(eta.internal_degrees()):
         if e == 0:
             return None  # d* raises value length, so a length-0 piece is never hit
-        piece = eta.graded_piece(e)
+        piece = eta.graded_piece(e).terms
         A, src, dst = _coboundary_matrix(kx, n - 1, e - 1)
-        b = _coords_of_cochain(kx, dst, piece)
+        if not piece.keys() <= set(dst):
+            raise CochainError("cochain outside the coordinate slice")
+        b = [piece.get(key, kx.field.zero) for key in dst]
         sol = solve_affine_system(A, b)
         if sol is None:
             return None
-        witness = witness + _cochain_from_coords(kx, n - 1, src, enumerate(sol.particular))
+        witness = witness + Cochain(kx, n - 1, zip(src, sol.particular))
     return witness
 
 
@@ -255,23 +228,22 @@ def same_class(a, b):
     """True when a and b are cohomologous (differ by a coboundary).
 
     Cochains of different degrees or on different complexes raise
-    DimensionMismatch.  Equal value lists are one class without a solve;
-    any other pair asks is_coboundary(a - b).
+    DimensionMismatch.  Equal cochains are one class without a solve; any
+    other pair asks is_coboundary(a - b).
     """
-    a._check_same_space(b)
-    return a.values == b.values or is_coboundary(a - b) is not None
+    diff = a - b
+    return diff.is_zero() or is_coboundary(diff) is not None
 
 
 def cup_product(eta, theta):
     """(eta cup theta)(eps^{n+m}_j) = sum c_{pq}(n+m, j, n) lambda_p mu_q."""
     kx = eta.kx
     n, m = eta.degree, theta.degree
-    f = kx.field
-    values = []
+    left, right = eta.values, theta.values
+    acc = {}
     for j in range(kx.count(n + m)):
-        acc = {}
         for (p, q), c in kx.c(n + m, j, n).items():
-            for w, cw in kx.rs.multiply(eta.values[p], theta.values[q]).terms.items():
-                acc[w] = acc.get(w, 0) + cw * c
-        values.append(PathVector(f, acc))
-    return Cochain(kx, n + m, values)
+            for w, cw in kx.rs.multiply(left[p], right[q]).terms.items():
+                key = (j, w)
+                acc[key] = acc.get(key, 0) + cw * c
+    return Cochain(kx, n + m, acc)

@@ -98,7 +98,7 @@ def _value(kx, spec):
 
 
 def cochain(kx, degree, specs):
-    return Cochain(kx, degree, [_value(kx, s) for s in specs])
+    return Cochain.from_values(kx, degree, [_value(kx, s) for s in specs])
 
 
 def _bim(kx, degree, spec):

@@ -112,7 +112,6 @@ class KoszulComplex:
         self._diag_cache = {}
         self._letter_cache = {}  # (n, i) -> [(arrow Paths of a word of f^n_i, coeff)]
         self._iota_index = {}  # n -> {arrow Paths of a word: [(i, coeff in f^n_i)]}
-        q = self.quiver
         self._pair_nf = None  # built by _iota_agrees
         self._bar_tuples = {}  # n -> composable n-tuples of words (bracket.bar_tuples)
         self._lifting_systems = {}  # (k, ell, o, t) -> lifting._LiftingSystem

@@ -43,7 +43,7 @@ def bracket_via_lifting(kx, eta, theta, psi_eta, psi_theta):
         first = evaluate(eta, psi_theta.image(deg, r))
         second = evaluate(theta, psi_eta.image(deg, r))
         values.append(first - second.scale(sign))
-    return Cochain(kx, deg, values)
+    return Cochain.from_values(kx, deg, values)
 
 
 def bracket_via_derivation(kx, gamma, chi, deriv):
@@ -52,7 +52,7 @@ def bracket_via_derivation(kx, gamma, chi, deriv):
     for r in range(kx.count(n)):
         first = derivation_on_element(kx, gamma, chi.values[r])
         values.append(first - evaluate(chi, deriv.image(n, r)))
-    return Cochain(kx, n, values)
+    return Cochain.from_values(kx, n, values)
 
 
 def maurer_cartan_residual(kx, eta, psi_eta):
@@ -61,7 +61,7 @@ def maurer_cartan_residual(kx, eta, psi_eta):
     for r in range(kx.count(3)):
         dbar = -evaluate(eta, kx._diff_eps(3, r))
         values.append(dbar + evaluate(eta, psi_eta.image(3, r)))
-    return Cochain(kx, 3, values)
+    return Cochain.from_values(kx, 3, values)
 
 
 def bar_circle_product(kx, F, G):
@@ -99,7 +99,7 @@ def restrict_along_iota(kx, F):
     for (tup, p), c in F.terms.items():
         for i, coeff in words.get(tup, ()):
             values[i][p] = values[i].get(p, 0) + c * coeff
-    return Cochain(kx, n, [PathVector(f, acc) for acc in values])
+    return Cochain.from_values(kx, n, [PathVector(f, acc) for acc in values])
 
 
 def oracle_compare(kx, n, m):

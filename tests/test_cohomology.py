@@ -1,14 +1,19 @@
 """Cochains, coboundaries, cocycle spaces, class comparison, cup products."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulgerst.cohomology import (Cochain, coboundary, cocycle_space, cup_product,
                                     is_coboundary, same_class)
-from koszulgerst.errors import UnboundedComputation
-from koszulgerst.fields import QQ
+from koszulgerst.errors import CochainError, UnboundedComputation
+from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.presets import (family_table1, family_table2,
-                                 family_named_cocycles, short_goldens)
+                                 family_named_cocycles, load_complex, short_goldens)
 from koszulgerst.quiver import Path, PathVector
+import cochain_reference
 
 
 def test_short_cocycles(short8):
@@ -28,7 +33,7 @@ def test_cochain_values_must_sit_between_generator_vertices(family8):
     bad = [PathVector.zero(family8.field), PathVector.zero(family8.field),
            PathVector.single(family8.field, Path(0, (0,)))]
     with pytest.raises(ValueError):
-        Cochain(family8, 1, bad)
+        Cochain.from_values(family8, 1, bad)
 
 
 def test_cochains_of_other_degree_or_complex_do_not_combine(family8, family8_f5):
@@ -72,8 +77,8 @@ def test_short_requires_internal_degree(short8):
 def test_degree_zero_cocycles(short8, family8):
     # the sum-of-vertices cochain is central, hence a 0-cocycle
     for kx in (short8, family8):
-        ident = Cochain(kx, 0, [PathVector.single(QQ, kx.quiver.vertex_path(v))
-                                for v in range(kx.quiver.num_vertices)])
+        ident = Cochain.from_values(kx, 0, [PathVector.single(QQ, kx.quiver.vertex_path(v))
+                                            for v in range(kx.quiver.num_vertices)])
         assert coboundary(ident).is_zero()
     z0 = cocycle_space(short8, 0, 0)
     assert len(z0.cocycles) == 1
@@ -93,7 +98,7 @@ def test_is_coboundary_roundtrip(family8, rng):
                 w = rng.choice(pool)
                 terms[w] = QQ(rng.randrange(-3, 4))
             vals.append(PathVector(QQ, terms))
-        xi = Cochain(family8, 1, vals)
+        xi = Cochain.from_values(family8, 1, vals)
         eta = coboundary(xi)
         witness = is_coboundary(eta)
         assert witness is not None
@@ -117,8 +122,8 @@ def test_same_class(family8):
 
 def test_cup_with_identity_is_identity(family8, short8):
     for kx in (family8, short8):
-        ident = Cochain(kx, 0, [PathVector.single(QQ, kx.quiver.vertex_path(v))
-                                for v in range(kx.quiver.num_vertices)])
+        ident = Cochain.from_values(kx, 0, [PathVector.single(QQ, kx.quiver.vertex_path(v))
+                                            for v in range(kx.quiver.num_vertices)])
         for eta in (family_named_cocycles(kx)["eta"] if kx is family8
                     else short_goldens(kx)["chi"],):
             assert cup_product(ident, eta) == eta
@@ -184,7 +189,7 @@ def test_coboundary_squared_zero(family8, rng):
             pool = [w for L in (0, 1, 2) for w in family8.rs.basis_words(L, o, t)]
             terms = {w: QQ(rng.randrange(-2, 3)) for w in rng.sample(pool, min(2, len(pool)))}
             vals.append(PathVector(QQ, terms))
-        eta = Cochain(family8, 1, vals)
+        eta = Cochain.from_values(family8, 1, vals)
         assert coboundary(coboundary(eta)).is_zero()
 
 
@@ -195,3 +200,81 @@ def test_cup_internal_degree_additive(family8):
     assert prod.internal_degrees() <= {3}
     prod = cup_product(eta, eta)
     assert prod.internal_degrees() <= {2}
+
+
+def test_is_coboundary_refuses_a_term_outside_the_slice(family8):
+    # Cochain(kx, n, terms) trusts its terms; a term between other vertices
+    # has no coordinate row, and dropping it would answer for another cochain
+    q = family8.quiver
+    o, t = family8.cobasis.o(2, 0)
+    arrow = next(a for a in range(q.num_arrows) if (q.arrow_o[a], q.arrow_t[a]) != (o, t))
+    eta = Cochain(family8, 2, {(0, q.arrow_path(arrow)): family8.field.one})
+    with pytest.raises(CochainError, match="outside the coordinate slice"):
+        is_coboundary(eta)
+
+
+@lru_cache(maxsize=None)
+def _reference_complex(name):
+    """(complex, kQ paths of length <= 2 by (origin, target)) for a test case."""
+    kx = {"family-Q": lambda: load_complex("family", QQ, 4, q=1),
+          "family-F5": lambda: load_complex("family", PrimeField(5), 4, q=-1),
+          "short": lambda: load_complex("short", QQ, 4)}[name]()
+    q = kx.quiver
+    paths = [q.vertex_path(v) for v in range(q.num_vertices)]
+    paths += [q.arrow_path(a) for a in range(q.num_arrows)]
+    paths += [Path(q.arrow_o[a], (a, b)) for a in range(q.num_arrows)
+              for b in range(q.num_arrows) if q.arrow_t[a] == q.arrow_o[b]]
+    pools = {}
+    for p in paths:
+        pools.setdefault((p.o, q.path_target(p)), []).append(p)
+    return kx, pools
+
+
+def _random_values(data, kx, pools, n):
+    """One value per slot of degree n: up to three pinned kQ paths, normal or
+    not, with small coefficients."""
+    f = kx.field
+    values = []
+    for i in range(kx.count(n)):
+        pool = pools.get(kx.cobasis.o(n, i), [])
+        terms = {}
+        if pool:
+            for p, c in data.draw(st.lists(st.tuples(st.sampled_from(pool),
+                                                     st.integers(-3, 3)), max_size=3)):
+                terms[p] = terms.get(p, 0) + f(c)
+        values.append(PathVector(f, terms))
+    return values
+
+
+def _spelled(cochain):
+    """Degree and values of a cochain, terms in their stored order, and its text."""
+    return (cochain.degree, [list(v.terms.items()) for v in cochain.values],
+            cochain.format())
+
+
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(["family-Q", "family-F5", "short"]), st.integers(0, 2),
+       st.integers(0, 2), st.integers(-3, 3), st.data())
+def test_cochains_match_the_list_reference(name, n, m, c, data):
+    # a (slot, word)-keyed cochain and the parent's list of PathVectors agree
+    # value for value, each slot's terms in the same order, through the
+    # arithmetic, the graded pieces, d*, cup products and coboundary witnesses
+    kx, pools = _reference_complex(name)
+    c = kx.field(c)
+    a, b, theta = (_random_values(data, kx, pools, k) for k in (n, n, m))
+    degrees_and_values = ((n, a), (n, b), (m, theta))
+    got = [Cochain.from_values(kx, k, v) for k, v in degrees_and_values]
+    want = [cochain_reference.ReferenceCochain(kx, k, v) for k, v in degrees_and_values]
+
+    def cases(x, y, z, coboundary, cup_product, is_coboundary):
+        out = [x, y, z, x + y, x - y, x.scale(c), -x, coboundary(x), cup_product(x, z)]
+        out += [x.graded_piece(ell) for ell in range(3)]
+        out += [is_coboundary(x), is_coboundary(coboundary(y)), is_coboundary(x - x)]
+        return out
+
+    got = cases(*got, coboundary, cup_product, is_coboundary)
+    want = cases(*want, cochain_reference.coboundary, cochain_reference.cup_product,
+                 cochain_reference.is_coboundary)
+    assert [None if x is None else _spelled(x) for x in got] == \
+        [None if x is None else _spelled(x) for x in want]
+    assert got[-2] is not None

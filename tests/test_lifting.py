@@ -145,8 +145,8 @@ def test_closed_form_idempotent_vacuous():
     # the degree >= 2 generator tower is x^n only, so no generator touches
     # vertex 2 and the idempotent conditions for an e2-valued cocycle are
     # vacuous from degree 3 on
-    eta = Cochain(kx, 1, [PathVector.zero(QQ),
-                          PathVector.single(QQ, kx.quiver.vertex_path(1))])
+    eta = Cochain.from_values(kx, 1, [PathVector.zero(QQ),
+                                      PathVector.single(QQ, kx.quiver.vertex_path(1))])
     assert coboundary(eta).is_zero()
     report = closed_form_conditions(kx, "idempotent", eta, None, 5)
     assert report.all_hold
@@ -165,7 +165,7 @@ def test_closed_form_bad_input_is_a_library_error(mode, slots, message):
     values = {"0": PathVector.zero(QQ), "x": PathVector.single(QQ, q.arrow_path(0)),
               "e1": PathVector.single(QQ, q.vertex_path(0)),
               "e2": PathVector.single(QQ, q.vertex_path(1))}
-    eta = Cochain(kx, 1, [values[s] for s in slots])
+    eta = Cochain.from_values(kx, 1, [values[s] for s in slots])
     with pytest.raises(KoszulGerstError, match=message) as exc:
         closed_form_conditions(kx, mode, eta, None, 3)
     # a CochainError is also a ValueError, which these errors used to be
@@ -178,7 +178,7 @@ def test_closed_form_idempotent_power_algebra():
     xx = PathVector.single(QQ, Path(0, (0, 0)))
     pres = QuadraticPresentation(quiver, [xx], field=QQ)
     kx = KoszulComplex(pres, 5)
-    eta = Cochain(kx, 2, [PathVector.single(QQ, kx.quiver.vertex_path(0))])
+    eta = Cochain.from_values(kx, 2, [PathVector.single(QQ, kx.quiver.vertex_path(0))])
     assert coboundary(eta).is_zero()
     report = closed_form_conditions(kx, "idempotent", eta, None, 5)
     assert report.all_hold

@@ -160,8 +160,9 @@ def test_accumulations_are_native_and_reduced_once():
     assert found == []
 
 
-def rref_callers(tree):
-    """Qualified names of the functions that call `_rref` ("" at module level)."""
+def callers(tree, callee):
+    """Qualified names of the functions that call `<callee>(...)` or
+    `<x>.<callee>(...)` ("" at module level)."""
     found = set()
 
     def visit(node, scope):
@@ -172,7 +173,7 @@ def rref_callers(tree):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "_rref":
+                if name == callee:
                     found.add(scope)
             visit(child, scope)
 
@@ -189,7 +190,7 @@ def test_rule_spots_rref_callers():
                      "        return inner\n"
                      "def g():\n"
                      "    return rref(rows)\n")
-    assert rref_callers(tree) == ["", "A.m.inner"]
+    assert callers(tree, "_rref") == ["", "A.m.inner"]
 
 
 def test_rref_is_called_only_by_linalg_and_the_lifting_system():
@@ -201,13 +202,41 @@ def test_rref_is_called_only_by_linalg_and_the_lifting_system():
         if module.name == "linalg.py":
             continue
         tree = ast.parse(module.read_text(), filename=str(module))
-        found += [(module.name, scope) for scope in rref_callers(tree)]
+        found += [(module.name, scope) for scope in callers(tree, "_rref")]
     assert sorted(SRC.glob("*.py")), "package source not found"
     assert sorted(found) == sorted(allowed)
     # the generators and their scalars are read off A^!'s normal words and
     # products: koszul solves no linear system
     tree = ast.parse((SRC / "koszul.py").read_text(), filename="koszul.py")
     assert named_calls(tree, "_rref") == named_calls(tree, "nullspace_basis") == []
+
+
+def test_rule_spots_checked_cochain_constructions():
+    tree = ast.parse("def _cochain(kx, degree, text):\n"
+                     "    return Cochain.from_values(kx, degree, parse(text))\n"
+                     "class Cochain:\n"
+                     "    def from_values(cls, kx, degree, values):\n"
+                     "        return [kx.rs.normal_form(v) for v in values]\n"
+                     "    def graded_piece(self, ell):\n"
+                     "        return normal_form(self)\n"
+                     "def bracket(kx, values):\n"
+                     "    return Cochain(kx, 2, values)\n")
+    assert callers(tree, "from_values") == ["_cochain"]
+    assert callers(tree, "normal_form") == ["Cochain.from_values", "Cochain.graded_piece"]
+
+
+def test_only_input_entry_points_check_cochain_values():
+    # Cochain(kx, n, terms) trusts terms the package computed; values are put
+    # in normal form and pin-checked only where they enter, so no computed
+    # cochain pays for a second normalisation
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [(module.name, scope) for scope in callers(tree, "from_values")]
+    assert sorted(SRC.glob("*.py")), "package source not found"
+    assert sorted(found) == [("cli.py", "_cochain"), ("presets.py", "cochain")]
+    tree = ast.parse((SRC / "cohomology.py").read_text(), filename="cohomology.py")
+    assert callers(tree, "normal_form") == ["Cochain.from_values"]
 
 
 def named_calls(tree, callee):
