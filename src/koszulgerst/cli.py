@@ -18,7 +18,7 @@ from .cohomology import Cochain, coboundary, cocycle_space, cup_product, same_cl
 from .errors import KoszulGerstError
 from .fields import QQ, field_from_name
 from .lifting import derivation_lift, solve_lifting, verify_lifting
-from .linalg import Matrix, rank
+from .linalg import echelon_basis
 from .resolution import KoszulComplex
 from .structured import dumps
 
@@ -322,13 +322,7 @@ def _check_table(kx, golden, degree):
     """Each golden vector is a cocycle and the goldens span the cocycle space."""
     ok = all(coboundary(g).is_zero() for g in golden)
     space = cocycle_space(kx, degree)
-    span_ok = len(space.cocycles) == len(golden)
-    if ok and span_ok:
-        index, entries = {}, {}  # one row per (slot, word) a golden vector holds
-        for col, g in enumerate(golden):
-            for key, c in g.terms.items():
-                entries[(index.setdefault(key, len(index)), col)] = c
-        span_ok = rank(Matrix(kx.field, len(index), len(golden), entries)) == len(golden)
+    span_ok = len(space.cocycles) == len(golden) == len(echelon_basis(golden, None))
     return ok, span_ok
 
 

@@ -10,7 +10,9 @@ The coboundary is precomposition with the differential.  All linear
 questions are sliced by internal degree (path length of the values): the
 coboundary carries the length-l slice of degree n into the length-(l+1)
 slice of degree n+1, so infinite-dimensional algebras stay finite work per
-slice, and the (slot, word) keys are the coordinates of each slice.
+slice, and the (slot, word) keys are the coordinates of each slice.  Each
+slice of d* is built once per complex with its Elimination: cocycle_space
+reads its kernel and its images, is_coboundary solves through it.
 Cochain equality is term equality; class equality is the separate
 same_class predicate.
 """
@@ -18,8 +20,7 @@ same_class predicate.
 from typing import NamedTuple
 
 from .errors import CochainError, DimensionMismatch, UnboundedComputation
-from .linalg import (GradedVector, Matrix, SparseVector, echelon_basis, nullspace_basis,
-                     solve_affine_system)
+from .linalg import Elimination, GradedVector, echelon_basis
 from .quiver import PathVector
 
 
@@ -139,30 +140,44 @@ def _cochain_coords(kx, n, ell):
     return coords
 
 
-def _coboundary_matrix(kx, n, ell):
-    """Matrix of d*: C^{n, ell} -> C^{n+1, ell+1} in canonical coordinates.
+class _CoboundarySlice(NamedTuple):
+    """d*: C^{n, ell} -> C^{n+1, ell+1}, in (slot, word) coordinates."""
+
+    source: list  # the coordinates of C^{n, ell}
+    target: set  # the coordinates of C^{n+1, ell+1}
+    images: list  # d* of each source coordinate, a Cochain of degree n+1
+    elimination: Elimination  # of the images' terms
+
+
+def _coboundary_slice(kx, n, ell):
+    """The slice of d* at (n, ell), built once per complex.
 
     Values of d* eta pick up one arrow, so the preserved grading is value
     length minus homological degree; slicing by value length per fixed n
-    keeps every solve finite.
+    keeps every solve finite.  One pass over the d(eps^{n+1}_r) builds all
+    images: a term (u, i, v) feeds the source coordinates of slot i.
     """
-    src = _cochain_coords(kx, n, ell)
-    dst = _cochain_coords(kx, n + 1, ell + 1)
-    dst_index = {key: k for k, key in enumerate(dst)}
-    f = kx.field
-    entries = {}
+    got = kx._coboundary_slices.get((n, ell))
+    if got is not None:
+        return got
+    source = _cochain_coords(kx, n, ell)
+    columns = [{} for _ in source]
+    by_slot = {}
+    for column, (i, w) in zip(columns, source):
+        by_slot.setdefault(i, []).append((column, w))
     word_product = kx.rs.word_product
-    for col, (i, w) in enumerate(src):
-        for r in range(kx.count(n + 1)):
-            for (u, j, v), coeff in kx._diff_eps(n + 1, r).terms.items():
-                if j != i:
-                    continue
+    for r in range(kx.count(n + 1)):
+        for (u, i, v), coeff in kx._diff_eps(n + 1, r).terms.items():
+            for column, w in by_slot.get(i, ()):
                 for uw, cu in word_product(u, w).terms.items():
                     cu = coeff * cu
                     for path, c in word_product(uw, v).terms.items():
-                        key = (dst_index[(r, path)], col)
-                        entries[key] = entries.get(key, 0) + cu * c
-    return Matrix(f, len(dst), len(src), entries), src, dst
+                        key = (r, path)
+                        column[key] = column.get(key, 0) + cu * c
+    images = [Cochain(kx, n + 1, column) for column in columns]
+    return kx._coboundary_slices.setdefault((n, ell), _CoboundarySlice(
+        source, set(_cochain_coords(kx, n + 1, ell + 1)), images,
+        Elimination(kx.field, [image.terms for image in images])))
 
 
 def _internal_degree_range(kx):
@@ -186,17 +201,10 @@ def cocycle_space(kx, n, ell=None):
     ells = [ell] if ell is not None else _internal_degree_range(kx)
     cocycles, coboundaries = [], []
     for e in ells:
-        A, src, _ = _coboundary_matrix(kx, n, e)
-        for vec in nullspace_basis(A):
-            cocycles.append(Cochain(kx, n, zip(src, vec)))
+        cut = _coboundary_slice(kx, n, e)
+        cocycles += [Cochain(kx, n, zip(cut.source, vec)) for vec in cut.elimination.nullspace]
         if n >= 1 and e >= 1:
-            B, _, bdst = _coboundary_matrix(kx, n - 1, e - 1)
-            images = [{} for _ in range(B.cols)]  # the columns of B, by row
-            for (r, col), v in B.entries.items():
-                images[col][r] = v
-            for row in echelon_basis([SparseVector(kx.field, im) for im in images], None):
-                coboundaries.append(
-                    Cochain(kx, n, [(bdst[k], c) for k, c in row.terms.items()]))
+            coboundaries += echelon_basis(_coboundary_slice(kx, n - 1, e - 1).images, None)
     return CochainSpace(n, tuple(ells), cocycles, coboundaries)
 
 
@@ -213,14 +221,13 @@ def is_coboundary(eta):
         if e == 0:
             return None  # d* raises value length, so a length-0 piece is never hit
         piece = eta.graded_piece(e).terms
-        A, src, dst = _coboundary_matrix(kx, n - 1, e - 1)
-        if not piece.keys() <= set(dst):
+        cut = _coboundary_slice(kx, n - 1, e - 1)
+        if not piece.keys() <= cut.target:
             raise CochainError("cochain outside the coordinate slice")
-        b = [piece.get(key, kx.field.zero) for key in dst]
-        sol = solve_affine_system(A, b)
-        if sol is None:
+        solution = cut.elimination.solve(piece)
+        if solution is None:
             return None
-        witness = witness + Cochain(kx, n - 1, zip(src, sol.particular))
+        witness = witness + Cochain(kx, n - 1, ((cut.source[col], c) for col, c in solution))
     return witness
 
 

@@ -18,7 +18,7 @@ solve raises NoSolution rather than falling back.
 from typing import NamedTuple
 
 from .errors import CochainError, NoSolution
-from .linalg import _nullspace_from_rref, _rref
+from .linalg import Elimination
 from .quiver import Path, PathVector
 from .resolution import BimoduleElement
 
@@ -106,21 +106,11 @@ def lifting_ansatz(kx, k, ell, o, t):
 
 
 class _LiftingSystem(NamedTuple):
-    """d restricted to one ansatz span, eliminated once.
-
-    `index` numbers the keys of the ansatz columns' differentials (the
-    equations).  The RREF of [A | I] gives the pivot columns and a transform
-    T with T A reduced; T is stored by column, `transform[eq]` listing the
-    (i, T[i][eq]) entries.  For a right-hand side b, (T b)[i] with i < rank
-    is the canonical solution's value at ansatz column `pivots[i]`, and a
-    nonzero (T b)[i] with i >= rank means d x = b has no solution.
-    """
+    """d restricted to one ansatz span, eliminated once."""
 
     ansatz: list
-    index: dict
-    pivots: list
-    transform: list
-    nullspace: list  # canonical RREF kernel basis, as BimoduleElements
+    elimination: Elimination  # of the columns d(u . eps_i . v)
+    nullspace: list  # the elimination's kernel basis, as BimoduleElements
 
 
 def _lifting_system(kx, k, ell, o, t):
@@ -136,29 +126,14 @@ def _lifting_system(kx, k, ell, o, t):
         return got
     f = kx.field
     ansatz = lifting_ansatz(kx, k, ell, o, t)
-    ncols = len(ansatz)
-    index = {}
-    equations = []
-    for j, (u, i, v) in enumerate(ansatz):
+    columns = []
+    for u, i, v in ansatz:
         column = {}  # d(u . eps_i . v) = u . d(eps_i) . v
         kx.sandwich_into(column, u, kx._diff_eps(k, i).terms, v, 1)
-        for eq, c in f.canon(column.items()).items():
-            row = index.get(eq)
-            if row is None:
-                row = index[eq] = len(equations)
-                equations.append({ncols + row: f.one})
-            equations[row][j] = c
-    pivots = _rref(equations, ncols + len(equations), f, naug=len(equations))
-    transform = [[] for _ in equations]
-    for i, row in enumerate(equations):
-        for col, c in row.items():
-            if col >= ncols:
-                transform[col - ncols].append((i, c))
-    nullspace = [BimoduleElement(f, k, zip(ansatz, vec))
-                 for vec in _nullspace_from_rref(equations, pivots, ncols, f)]
-    got = kx._lifting_systems[key] = _LiftingSystem(ansatz, index, pivots, transform,
-                                                    nullspace)
-    return got
+        columns.append(f.canon(column.items()))
+    elimination = Elimination(f, columns)
+    nullspace = [BimoduleElement(f, k, zip(ansatz, vec)) for vec in elimination.nullspace]
+    return kx._lifting_systems.setdefault(key, _LiftingSystem(ansatz, elimination, nullspace))
 
 
 def _solve_images(kx, m, n, ell, target, what, nullspaces):
@@ -177,25 +152,12 @@ def _solve_images(kx, m, n, ell, target, what, nullspaces):
             images.append(BimoduleElement(f, k))
             continue
         system = _lifting_system(kx, k, ell, *kx.cobasis.o(m, r))
-        index, transform = system.index, system.transform
-        tb = {}
-        for key, b in target(r).terms.items():
-            eq = index.get(key)
-            if eq is None:
-                tb = None
-                break
-            for i, c in transform[eq]:
-                tb[i] = tb.get(i, 0) + c * b
-        rank = len(system.pivots)
-        if tb is not None:
-            tb = f.canon(tb.items())
-        if tb is None or any(i >= rank for i in tb):
+        solution = system.elimination.solve(target(r).terms)
+        if solution is None:
             raise NoSolution(
                 f"no {what} at degree {m}, generator {r}: input is not a "
                 f"cocycle or the resolution data is corrupted")
-        images.append(BimoduleElement(
-            f, k, ((system.ansatz[col], tb[i])
-                   for i, col in enumerate(system.pivots) if i in tb)))
+        images.append(BimoduleElement(f, k, ((system.ansatz[col], c) for col, c in solution)))
         nullspaces[(m, r)] = list(system.nullspace)
     return images
 

@@ -9,12 +9,14 @@ whose body is field.canon: the one place values are reduced and zero
 coefficients dropped (see the fields module docstring).
 
 Everything downstream ("there exist scalars such that ...") reduces to the
-entry points here: solve_affine_system, nullspace_basis, rank and
-echelon_basis.  All are deterministic: elimination is plain Gauss-Jordan
-scanning columns left to right, the particular solution is the
-reduced-row-echelon canonical one (free variables zero), nullspace bases are
-the canonical RREF ones, and an echelon basis is the canonical reduced
-echelon form of a span.
+entry points here: Elimination, solve_affine_system, nullspace_basis, rank
+and echelon_basis.  An Elimination eliminates a map once and then solves
+for any number of right-hand sides; the lifting systems and the coboundary
+slices each keep one, and solve_affine_system and solve_many wrap it.  All
+are deterministic: elimination is plain Gauss-Jordan scanning columns left
+to right, the particular solution is the reduced-row-echelon canonical one
+(free variables zero), nullspace bases are the canonical RREF ones, and an
+echelon basis is the canonical reduced echelon form of a span.
 """
 
 from typing import NamedTuple
@@ -231,6 +233,78 @@ def nullspace_basis(A):
     return _nullspace_from_rref(rows, pivots, A.cols, A.field)
 
 
+class Elimination:
+    """A x = b for many b: the columns of A eliminated once, as [A | I].
+
+    `columns` lists A's columns as {row key: canonical value} dicts, and
+    `index` numbers the row keys in order of first appearance.  The RREF
+    of [A | I] gives the pivot columns and a transform T with T A reduced,
+    stored by column: `transform[row]` lists the (i, T[i][row]) entries.
+    `nullspace` is the canonical RREF kernel basis, as dense lists.
+    """
+
+    __slots__ = ("field", "index", "pivots", "transform", "nullspace")
+
+    def __init__(self, field, columns):
+        ncols = len(columns)
+        self.index = index = {}
+        rows = []
+        for j, column in enumerate(columns):
+            for key, c in column.items():
+                row = index.get(key)
+                if row is None:
+                    row = index[key] = len(rows)
+                    rows.append({ncols + row: field.one})
+                rows[row][j] = c
+        self.field = field
+        self.pivots = _rref(rows, ncols + len(rows), field, naug=len(rows))
+        self.transform = [[] for _ in rows]
+        for i, row in enumerate(rows):
+            for col, c in row.items():
+                if col >= ncols:
+                    self.transform[col - ncols].append((i, c))
+        self.nullspace = _nullspace_from_rref(rows, self.pivots, ncols, field)
+
+    def solve(self, b):
+        """The canonical solution (free variables zero) of A x = b, b =
+        {row key: nonzero value}, as (column, value) pairs in pivot order:
+        (T b)[i] at pivots[i].  None if some (T b)[i] with i >= rank is
+        nonzero or b holds a key no column touches."""
+        index, transform = self.index, self.transform
+        tb = {}
+        for key, v in b.items():
+            row = index.get(key)
+            if row is None:
+                return None
+            for i, c in transform[row]:
+                tb[i] = tb.get(i, 0) + c * v
+        tb = self.field.canon(tb.items())
+        if any(i >= len(self.pivots) for i in tb):
+            return None
+        return [(col, tb[i]) for i, col in enumerate(self.pivots) if i in tb]
+
+
+def _solve_all(A, rhs_list):
+    """A's columns eliminated once, and the dense canonical solution of
+    A x = b (None where inconsistent) for each dense b in rhs_list."""
+    for b in rhs_list:
+        if len(b) != A.rows:
+            raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
+    f = A.field
+    columns = [{} for _ in range(A.cols)]
+    for (r, c), v in A.entries.items():
+        columns[c][r] = v
+    elimination = Elimination(f, columns)
+    out = []
+    for b in rhs_list:
+        x = elimination.solve(f.canon((i, f(v)) for i, v in enumerate(b)))
+        if x is not None:
+            x = dict(x)
+            x = [x.get(c, f.zero) for c in range(A.cols)]
+        out.append(x)
+    return elimination, out
+
+
 def solve_affine_system(A, b):
     """Solve A x = b exactly.
 
@@ -238,25 +312,8 @@ def solve_affine_system(A, b):
     canonical particular solution (free variables zero) and the canonical
     nullspace basis.
     """
-    if len(b) != A.rows:
-        raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
-    field = A.field
-    rows = A.row_dicts()
-    aug = A.cols
-    for i, v in enumerate(b):
-        v = field(v)
-        if v != field.zero:
-            rows[i][aug] = v
-    pivots = _rref(rows, A.cols + 1, field, naug=1)
-    # inconsistent iff a row reduces to (0 ... 0 | nonzero)
-    for i in range(len(pivots), len(rows)):
-        if rows[i].get(aug) is not None:
-            return None
-    particular = [field.zero] * A.cols
-    for i, pc in enumerate(pivots):
-        particular[pc] = rows[i].get(aug, field.zero)
-    nullspace = _nullspace_from_rref(rows, pivots, A.cols, field)
-    return AffineSolution(particular, nullspace)
+    elimination, [particular] = _solve_all(A, [b])
+    return None if particular is None else AffineSolution(particular, elimination.nullspace)
 
 
 def solve_many(A, rhs_list):
@@ -267,26 +324,4 @@ def solve_many(A, rhs_list):
     an independent reference for the comultiplicative scalars, which
     ComultTable reads off products in the quadratic dual A^! instead.
     """
-    field = A.field
-    k = len(rhs_list)
-    for b in rhs_list:
-        if len(b) != A.rows:
-            raise DimensionMismatch("rhs length != rows")
-    rows = A.row_dicts()
-    for j, b in enumerate(rhs_list):
-        for i, v in enumerate(b):
-            if v != field.zero:
-                rows[i][A.cols + j] = v
-    pivots = _rref(rows, A.cols + k, field, naug=k)
-    out = []
-    for j in range(k):
-        aug = A.cols + j
-        bad = any(rows[i].get(aug) is not None for i in range(len(pivots), len(rows)))
-        if bad:
-            out.append(None)
-            continue
-        particular = [field.zero] * A.cols
-        for i, pc in enumerate(pivots):
-            particular[pc] = rows[i].get(aug, field.zero)
-        out.append(particular)
-    return out
+    return _solve_all(A, rhs_list)[1]

@@ -115,6 +115,7 @@ class KoszulComplex:
         self._pair_nf = None  # built by _iota_agrees
         self._bar_tuples = {}  # n -> composable n-tuples of words (bracket.bar_tuples)
         self._lifting_systems = {}  # (k, ell, o, t) -> lifting._LiftingSystem
+        self._coboundary_slices = {}  # (n, ell) -> cohomology._CoboundarySlice
 
     # -- basic accessors ------------------------------------------------------
 

@@ -5,13 +5,16 @@ its values on the generators, one PathVector per slot, and its constructor
 puts every value in normal form and checks that it lies between its
 generator's vertices, also for values just computed.  The linear questions
 convert a cochain to (slot, word) coordinates and back with
-`_cochain_from_coords` and `_coords_of_cochain`.
+`_cochain_from_coords` and `_coords_of_cochain`, and `is_coboundary` solves
+each slice afresh: `_coboundary_matrix` builds the matrix of d* one source
+coordinate at a time, and `solve_affine_reference` eliminates [A | b].
 """
 
-from koszulgerst.cohomology import _coboundary_matrix
+from koszulgerst.cohomology import _cochain_coords
 from koszulgerst.errors import CochainError, DimensionMismatch
-from koszulgerst.linalg import solve_affine_system
+from koszulgerst.linalg import Matrix
 from koszulgerst.quiver import PathVector
+from linalg_reference import solve_affine_reference
 
 
 class ReferenceCochain:
@@ -107,6 +110,27 @@ def coboundary(eta):
     return ReferenceCochain(kx, n + 1, values)
 
 
+def _coboundary_matrix(kx, n, ell):
+    """Matrix of d*: C^{n, ell} -> C^{n+1, ell+1} in canonical coordinates,
+    with the source and target coordinate lists."""
+    src = _cochain_coords(kx, n, ell)
+    dst = _cochain_coords(kx, n + 1, ell + 1)
+    dst_index = {key: k for k, key in enumerate(dst)}
+    entries = {}
+    word_product = kx.rs.word_product
+    for col, (i, w) in enumerate(src):
+        for r in range(kx.count(n + 1)):
+            for (u, j, v), coeff in kx._diff_eps(n + 1, r).terms.items():
+                if j != i:
+                    continue
+                for uw, cu in word_product(u, w).terms.items():
+                    cu = coeff * cu
+                    for path, c in word_product(uw, v).terms.items():
+                        key = (dst_index[(r, path)], col)
+                        entries[key] = entries.get(key, 0) + cu * c
+    return Matrix(kx.field, len(dst), len(src), entries), src, dst
+
+
 def _cochain_from_coords(kx, n, coords, items):
     """The cochain with coefficient c at coords[k] for each (k, c) in items."""
     values = [dict() for _ in range(kx.count(n))]
@@ -143,7 +167,7 @@ def is_coboundary(eta):
         piece = eta.graded_piece(e)
         A, src, dst = _coboundary_matrix(kx, n - 1, e - 1)
         b = _coords_of_cochain(kx, dst, piece)
-        sol = solve_affine_system(A, b)
+        sol = solve_affine_reference(A, b)
         if sol is None:
             return None
         witness = witness + _cochain_from_coords(kx, n - 1, src, enumerate(sol.particular))

@@ -5,7 +5,13 @@ reduce every sum and difference at once (the package itself accumulates
 with the native + and - and reduces in field.canon), and `rref` is the
 elimination that updates rows through the field's sub, mul and inv, where
 `linalg._rref` uses the native - and * with one % p per step.
+`solve_affine_reference` solves A x = b by eliminating [A | b] afresh,
+where `linalg.solve_affine_system` and `solve_many` eliminate [A | I] once
+and apply the transform to each right-hand side.
 """
+
+from koszulgerst.errors import DimensionMismatch
+from koszulgerst.linalg import AffineSolution, _nullspace_from_rref
 
 
 def add(field, a, b):
@@ -58,3 +64,27 @@ def rref(rows, ncols, field, naug=0):
         if pivot_row == len(rows):
             break
     return pivots
+
+
+def solve_affine_reference(A, b):
+    """Solve A x = b by the RREF of [A | b]: None when inconsistent, else the
+    canonical particular solution and the canonical nullspace basis."""
+    if len(b) != A.rows:
+        raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
+    field = A.field
+    rows = A.row_dicts()
+    aug = A.cols
+    for i, v in enumerate(b):
+        v = field(v)
+        if v != field.zero:
+            rows[i][aug] = v
+    pivots = rref(rows, A.cols + 1, field, naug=1)
+    # inconsistent iff a row reduces to (0 ... 0 | nonzero)
+    for i in range(len(pivots), len(rows)):
+        if rows[i].get(aug) is not None:
+            return None
+    particular = [field.zero] * A.cols
+    for i, pc in enumerate(pivots):
+        particular[pc] = rows[i].get(aug, field.zero)
+    nullspace = _nullspace_from_rref(rows, pivots, A.cols, field)
+    return AffineSolution(particular, nullspace)

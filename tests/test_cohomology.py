@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszulgerst import cohomology
 from koszulgerst.cohomology import (Cochain, coboundary, cocycle_space, cup_product,
                                     is_coboundary, same_class)
 from koszulgerst.errors import CochainError, UnboundedComputation
@@ -278,3 +279,31 @@ def test_cochains_match_the_list_reference(name, n, m, c, data):
     assert [None if x is None else _spelled(x) for x in got] == \
         [None if x is None else _spelled(x) for x in want]
     assert got[-2] is not None
+
+
+def test_coboundary_slices_built_once_per_complex(monkeypatch):
+    # cocycle_space(2) reads d* on C^2 and C^1 per internal degree,
+    # cocycle_space(1) on C^1 again and C^0, and is_coboundary on C^1 and C^0
+    # again: each (n, ell) slice is built and eliminated once
+    kx = load_complex("family", QQ, 8, q=1)
+    assert kx._coboundary_slices == {}
+    builds = []
+
+    def counted_elimination(field, columns):
+        builds.append(len(columns))
+        return elimination(field, columns)
+
+    elimination = cohomology.Elimination
+    monkeypatch.setattr(cohomology, "Elimination", counted_elimination)
+    z2, z1 = cocycle_space(kx, 2), cocycle_space(kx, 1)
+    slices = dict(kx._coboundary_slices)
+    assert len(builds) == len(slices) == 8
+    cocycles = z2.cocycles + z1.cocycles
+    for _ in range(3):
+        assert [is_coboundary(eta) is not None for eta in cocycles] == \
+            [same_class(eta, Cochain.zero(kx, eta.degree)) for eta in cocycles]
+    assert any(is_coboundary(eta) is None for eta in cocycles)
+    assert all(is_coboundary(b) is not None for b in z2.coboundaries + z1.coboundaries)
+    assert len(builds) == 8
+    assert kx._coboundary_slices.keys() == slices.keys()
+    assert all(kx._coboundary_slices[key] is cut for key, cut in slices.items())

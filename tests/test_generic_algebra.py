@@ -68,6 +68,15 @@ def test_directed_tree_resolution_terminates():
     assert z1.hh_dim == 0
 
 
+def elimination_values(cache, elimination):
+    """The transform entries and the nonzero kernel basis entries (the basis
+    vectors are dense) of a cached Elimination."""
+    for column in elimination.transform:
+        yield from ((f"{cache} transform", c) for _, c in column)
+    for vec in elimination.nullspace:
+        yield from ((f"{cache} kernel", c) for c in vec if c != 0)
+
+
 def cached_values(kx):
     """(cache, value) for every field value a complex, its cobasis and the
     rewriting systems of A and A^! hold in their caches, the iota index of
@@ -89,10 +98,13 @@ def cached_values(kx):
     for x in kx._diff_cache.values():
         yield from (("_diff_cache", c) for c in x.terms.values())
     for system in kx._lifting_systems.values():
-        for column in system.transform:
-            yield from (("_lifting_systems transform", c) for _, c in column)
+        yield from elimination_values("_lifting_systems", system.elimination)
         for x in system.nullspace:
             yield from (("_lifting_systems nullspace", c) for c in x.terms.values())
+    for cut in kx._coboundary_slices.values():
+        yield from elimination_values("_coboundary_slices", cut.elimination)
+        for x in cut.images:
+            yield from (("_coboundary_slices images", c) for c in x.terms.values())
     for name, system in (("rs", rs), ("cobasis.dual", cb.dual)):
         for cache in ("_products", "_nf_cache"):
             for x in getattr(system, cache).values():
@@ -125,5 +137,7 @@ def test_no_unreduced_value_escapes_into_a_cache(make):
     assert bad == []
     assert seen == {"comult._cache", "cobasis._levels", "cobasis._codes", "_iota_index",
                     "_diag_cache", "_diff_cache", "_lifting_systems transform",
-                    "_lifting_systems nullspace", "rs._products", "rs._nf_cache",
+                    "_lifting_systems kernel", "_lifting_systems nullspace",
+                    "_coboundary_slices transform", "_coboundary_slices kernel",
+                    "_coboundary_slices images", "rs._products", "rs._nf_cache",
                     "cobasis.dual._products", "cobasis.dual._nf_cache"}

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from koszulgerst.errors import DimensionMismatch
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.linalg import (GradedVector, Matrix, SparseVector, _rref, echelon_basis,
-                                nullspace_basis, rank, solve_affine_system)
+                                nullspace_basis, rank, solve_affine_system, solve_many)
 
-from linalg_reference import add, rref
+from linalg_reference import add, rref, solve_affine_reference
 
 F5 = PrimeField(5)
 
@@ -293,3 +293,36 @@ def test_difference_is_the_sum_with_the_negated_vector(field, left, right):
     got, want = a - b, a + b.scale(field.neg(field.one))
     assert list(got.terms.items()) == list(want.terms.items())
     assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, F5, PrimeField(32003)]), st.integers(1, 6), st.integers(1, 6),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-9, 9),
+                          st.sampled_from([1, 1, 2, 3])), max_size=20),
+       st.lists(st.lists(st.integers(-4, 4), min_size=6, max_size=6), min_size=1, max_size=3),
+       st.lists(st.lists(st.integers(-4, 4), min_size=6, max_size=6), max_size=3))
+def test_one_elimination_solves_like_the_augmented_reference(field, nrows, ncols, draws,
+                                                              xs, raw):
+    # solve_affine_system and solve_many eliminate [A | I] once and apply its
+    # transform to each right-hand side; the reference eliminates [A | b]
+    # afresh.  The right-hand sides are images A x (consistent), raw draws
+    # (mostly inconsistent), zero, and an image with a unit added in a row
+    # that no column touches (inconsistent)
+    entries = {}
+    for r, c, num, den in draws:
+        if r < nrows and c < ncols:
+            entries[(r, c)] = field(Fraction(num, den))
+    A = Matrix(field, nrows, ncols, entries)
+    rhs = [apply(A, [field(v) for v in x[:ncols]]) for x in xs]
+    rhs += [[field(v) for v in b[:nrows]] for b in raw]
+    rhs.append([field.zero] * nrows)
+    untouched = sorted(set(range(nrows)) - {r for r, _ in A.entries})
+    if untouched:
+        b = list(rhs[0])
+        b[untouched[0]] = field.one
+        rhs.append(b)
+        assert solve_affine_system(A, b) is None
+    want = [solve_affine_reference(A, b) for b in rhs]
+    assert [solve_affine_system(A, b) for b in rhs] == want
+    assert solve_many(A, rhs) == [None if sol is None else sol.particular for sol in want]
+    assert want[len(xs) + len(raw)] is not None  # the zero right-hand side

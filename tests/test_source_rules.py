@@ -193,18 +193,19 @@ def test_rule_spots_rref_callers():
     assert callers(tree, "_rref") == ["", "A.m.inner"]
 
 
-def test_rref_is_called_only_by_linalg_and_the_lifting_system():
-    # a span's reduced echelon basis is linalg.echelon_basis; only the
-    # [A | I] transform of the lifting systems eliminates by hand
-    allowed = {("lifting.py", "_lifting_system")}
+def test_rref_and_nullspace_from_rref_are_called_only_inside_linalg():
+    # every elimination is linalg's: a span's reduced echelon basis is
+    # echelon_basis, and a map solved for many right-hand sides (the lifting
+    # systems, the coboundary slices) is an Elimination
     found = []
     for module in sorted(SRC.glob("*.py")):
         if module.name == "linalg.py":
             continue
         tree = ast.parse(module.read_text(), filename=str(module))
-        found += [(module.name, scope) for scope in callers(tree, "_rref")]
+        found += [(module.name, scope) for callee in ("_rref", "_nullspace_from_rref")
+                  for scope in callers(tree, callee)]
     assert sorted(SRC.glob("*.py")), "package source not found"
-    assert sorted(found) == sorted(allowed)
+    assert found == []
     # the generators and their scalars are read off A^!'s normal words and
     # products: koszul solves no linear system
     tree = ast.parse((SRC / "koszul.py").read_text(), filename="koszul.py")
