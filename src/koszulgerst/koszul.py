@@ -27,14 +27,21 @@ coefficients with
     f^n_i = sum_{p,q} c_{pq}(n,i,r) f^r_p f^{n-r}_q      (product in kQ).
 Concatenation kQ_r (x)_{kQ_0} kQ_{n-r} -> kQ_n is the transpose of the
 product A^!_r (x) A^!_{n-r} -> A^!_n, so c_{pq}(n,i,r) = <f^n_i, w_p w_q> is
-the coefficient of w_i in the normal form of w_p . w_q in A^!: one memoised
-word product.  They are products in A^!, so coassociativity and the counit
-laws of the diagonal are its associativity and unit.
+the coefficient of w_i in the normal form of w_p . w_q in A^!.  They are
+products in A^!, so coassociativity and the counit laws of the diagonal are
+its associativity and unit.  The products are built one letter at a time.
+The right action of the arrows on A^!_m, w_j . a = sum c w_k, is computed
+once per degree m (one word product per normal word and arrow).  Slice
+(r, r) is the identity, w_p . e_{t(p)} = w_p, and for n > r the split
+w_q = w_q' . a, recorded by the enumeration that grew w_q from w_q', gives
+    w_p . w_q = (w_p . w_q') . a,
+so slice (n, r) is slice (n-1, r) followed by the right action on A^!_{n-1}.
 
 Spelled words.  Only the embedding iota, its delta iota = iota d check and
 the basis listing read the words of f^n_i.  They are spelled on first use,
 one degree at a time, by the identity at r = n - 1:
-    f^n_i = sum_{p,q} c_{pq}(n,i,n-1) f^{n-1}_p a_q.
+    f^n_i = sum_{p,q} c_{pq}(n,i,n-1) f^{n-1}_p a_q,
+whose scalars are the right action of the arrows on A^!_{n-1}.
 
 Order.  Degree 0 lists the vertices and degree 1 the arrows, by index; from
 degree 2 on the normal words are listed by (origin, target) vertex pair and
@@ -52,7 +59,9 @@ class KoszulCobasis:
     """Ordered uniform generators f^n_i for n = 0..N, with vertex pairs.
 
     words[n][i] is the normal word w_i of A^! dual to f^n_i, and dual is the
-    rewrite system of A^!.
+    rewrite system of A^!.  extensions[m][k] lists the (i, a) with
+    w_i = w_k . a, w_i of degree m + 1, as the enumeration of A^!'s normal
+    words grew each word from its prefix.
     """
 
     def __init__(self, quiver, dual, words):
@@ -61,6 +70,15 @@ class KoszulCobasis:
         self.words = words
         self.index = [{w: i for i, w in enumerate(level)} for level in words]
         self.pairs = [[(w.o, quiver.path_target(w)) for w in level] for level in words]
+        self.extensions = []
+        for n in range(1, len(words)):
+            split, prefix_index = dual.word_splits(n), self.index[n - 1]
+            children = [[] for _ in words[n - 1]]
+            for i, w in enumerate(words[n]):
+                u, a = split[w]
+                children[prefix_index[u]].append((i, a))
+            self.extensions.append(children)
+        self._right = {}  # m -> right_action(m)
         self._levels = [[PathVector.single(dual.field, w) for w in words[0]]]  # spelled f^n
         self._codes = {}  # (n, i) -> {Quiver.code of a word of f^n_i: coeff}
 
@@ -89,22 +107,33 @@ class KoszulCobasis:
     def _spell(self, n):
         """Level n from level n-1: f^n_j = sum c_pq(n,j,n-1) f^{n-1}_p a_q,
         where c_pq(n,j,n-1) is the coefficient of w_j in w_p . a_q in A^!."""
-        q = self.quiver
-        compose, arrow, product = q.compose, q.arrow_path, self.dual.word_product
-        index = self.index[n]
+        compose, arrow = self.quiver.compose, self.quiver.arrow_path
         acc = [{} for _ in self.words[n]]
-        for u, f_u in zip(self.words[n - 1], self._levels[n - 1]):
-            t = q.path_target(u)
-            for a in range(q.num_arrows):
-                if q.arrow_o[a] != t:
-                    continue
+        for f_u, action in zip(self._levels[n - 1], self.right_action(n - 1)):
+            for a, images in action.items():
                 letter = arrow(a)
-                for w, c in product(u, letter).terms.items():
-                    out = acc[index[w]]
+                for j, c in images:
+                    out = acc[j]
                     for x, cx in f_u.terms.items():
                         xa = compose(x, letter)
                         out[xa] = out.get(xa, 0) + c * cx
         return [PathVector(self.dual.field, terms) for terms in acc]
+
+    def right_action(self, m):
+        """The right action of the arrows on A^!_m, m < max_degree: per normal
+        word w_j of degree m, {a: [(k, c)]} with w_j . a = sum c w_k, for each
+        arrow a that starts where w_j ends, in increasing a."""
+        got = self._right.get(m)
+        if got is None:
+            q, product, index = self.quiver, self.dual.word_product, self.index[m + 1]
+            starting = {}  # vertex -> the arrows that start there
+            for a in range(q.num_arrows):
+                starting.setdefault(q.arrow_o[a], []).append(a)
+            got = self._right[m] = [
+                {a: [(index[w], c) for w, c in product(u, q.arrow_path(a)).terms.items()]
+                 for a in starting.get(t, ())}
+                for u, (_, t) in zip(self.words[m], self.pairs[m])]
+        return got
 
     def o(self, n, i):
         return self.pairs[n][i]
@@ -157,27 +186,57 @@ def build_koszul_basis(presentation, N):
 class ComultTable:
     """Cache of the scalars c_{pq}(n, i, r): the coefficient of w_i in the
     product w_p . w_q in A^! (module docstring).  Each row lists its (p, q)
-    in increasing order and omits zeros."""
+    in increasing order and omits zeros.
+
+    Slice (n, r) is built letter by letter, from slice (n-1, r) and the
+    right action of the arrows on A^!_{n-1}; slices built on the way keep
+    only their products, not rows.
+    """
 
     def __init__(self, cobasis):
         self.cobasis = cobasis
         self._cache = {}  # (n, r) -> list over i of {(p, q): coeff}
+        self._products = {}  # (n, r) -> list over p of {q: [(i, coeff)]}, nonzero w_p . w_q
 
     def scalars(self, n, i, r):
         """The row set {(p, q): c_{pq}(n, i, r)}, zeros omitted."""
         rows = self._cache.get((n, r))
         if rows is None:
-            cb = self.cobasis
-            if not (0 <= r <= n <= cb.max_degree):
+            if not (0 <= r <= n <= self.cobasis.max_degree):
                 raise InconsistentBasis(f"comult slice ({n},{r}) out of range")
-            index, product = cb.index[n], cb.dual.word_product
-            starting = {}  # vertex -> [(q, w_q)] for the words of degree n - r that start there
-            for qq, v in enumerate(cb.words[n - r]):
-                starting.setdefault(v.o, []).append((qq, v))
-            rows = [{} for _ in cb.words[n]]
-            for p, u in enumerate(cb.words[r]):
-                for qq, v in starting.get(cb.target(r, p), ()):  # w_p . w_q = 0 for the others
-                    for w, c in product(u, v).terms.items():
-                        rows[index[w]][(p, qq)] = c
+            rows = [{} for _ in self.cobasis.words[n]]
+            for p, by_q in enumerate(self._slice(n, r)):
+                for qq, terms in by_q.items():
+                    for k, c in terms:
+                        rows[k][(p, qq)] = c
             self._cache[(n, r)] = rows
         return rows[i]
+
+    def _slice(self, n, r):
+        """The nonzero products w_p . w_q, w_p of degree r and w_q of degree
+        n - r: per p, {q: [(i, coefficient of w_i)]} in increasing q."""
+        got = self._products.get((n, r))
+        if got is not None:
+            return got
+        cb = self.cobasis
+        if n == r:
+            one = cb.dual.field.one
+            got = [{t: [(p, one)]} for p, (_, t) in enumerate(cb.pairs[r])]
+        else:
+            canon, action = cb.dual.field.canon, cb.right_action(n - 1)
+            extensions = cb.extensions[n - r - 1]
+            got = []
+            for by_prefix in self._slice(n - 1, r):
+                by_q = {}
+                for prefix, terms in by_prefix.items():
+                    for qq, a in extensions[prefix]:
+                        acc = {}
+                        for k, c in terms:
+                            for i, ci in action[k][a]:
+                                acc[i] = acc.get(i, 0) + c * ci
+                        acc = canon(acc.items())
+                        if acc:
+                            by_q[qq] = list(acc.items())
+                got.append(dict(sorted(by_q.items())))
+        self._products[(n, r)] = got
+        return got

@@ -322,6 +322,6 @@ def solve_many(A, rhs_list):
     Returns a list of canonical particular solutions (None where
     inconsistent).  Nothing in the package calls it: the tests use it as
     an independent reference for the comultiplicative scalars, which
-    ComultTable reads off products in the quadratic dual A^! instead.
+    ComultTable builds from products in the quadratic dual A^! instead.
     """
     return _solve_all(A, rhs_list)[1]

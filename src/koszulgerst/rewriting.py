@@ -25,6 +25,7 @@ class RewriteSystem:
         self._nf_cache = {}
         self._products = {}  # (u, v) -> normal form of the word product u.v
         self._words_by_len = None
+        self._splits_by_len = None  # per length, (prefix, last arrow) of each word
         self._acyclic = None
 
     # -- normal forms -------------------------------------------------------
@@ -101,13 +102,13 @@ class RewriteSystem:
     # -- normal-word enumeration ---------------------------------------------
 
     def _grow_words(self, length):
-        if self._words_by_len is None:
-            q = self.quiver
-            self._words_by_len = [[q.vertex_path(v) for v in range(q.num_vertices)]]
         q = self.quiver
+        if self._words_by_len is None:
+            self._words_by_len = [[q.vertex_path(v) for v in range(q.num_vertices)]]
+            self._splits_by_len = [[]]
         while len(self._words_by_len) <= length:
             prev = self._words_by_len[-1]
-            nxt = []
+            nxt, splits = [], []
             for w in prev:
                 tail_vertex = q.path_target(w)
                 for a in range(q.num_arrows):
@@ -116,8 +117,15 @@ class RewriteSystem:
                     if w.arrows and (w.arrows[-1], a) in self.rules:
                         continue
                     nxt.append(Path(w.o, w.arrows + (a,)))
+                    splits.append((w, a))
             self._words_by_len.append(nxt)
+            self._splits_by_len.append(splits)
         return self._words_by_len[length]
+
+    def word_splits(self, length):
+        """{normal word of the given length >= 1: (its prefix, its last arrow)},
+        read off the enumeration, which grows each normal word by one arrow."""
+        return dict(zip(self._grow_words(length), self._splits_by_len[length]))
 
     def basis_words(self, length, o=None, t=None):
         """Normal words of the given length, optionally filtered by vertices."""

@@ -522,6 +522,28 @@ def test_bar_brackets_and_the_oracle_match_the_reference(name, n, m):
 
 
 @pytest.mark.parametrize("name", ["family-Q", "family-F5"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_brackets_are_antisymmetric_on_the_nose(name, n):
+    # [G, F] = -(-1)^{(n-1)(n-1)} [F, G] exactly, sign included, on the bar
+    # side and on the lifting side, which is why oracle_compare(kx, n, n)
+    # evaluates each unordered pair once
+    kx, cases = _reference_case(name)
+    sign = 1 if (n - 1) % 2 else -1
+    basis, nonzero = bar_cocycle_basis(kx, n), [0, 0]  # bar side, lifting side
+    for F in basis:
+        for G in basis:
+            got = bar_circle_bracket(kx, F, G)
+            assert bar_circle_bracket(kx, G, F) == got.scale(sign)
+            nonzero[0] += not got.is_zero()
+    for eta, psi_eta in cases[n]:
+        for theta, psi_theta in cases[n]:
+            got = bracket_via_lifting(kx, eta, theta, psi_eta, psi_theta)
+            assert bracket_via_lifting(kx, theta, eta, psi_theta, psi_eta) == got.scale(sign)
+            nonzero[1] += not got.is_zero()
+    assert min(nonzero) > 0
+
+
+@pytest.mark.parametrize("name", ["family-Q", "family-F5"])
 def test_derivation_brackets_and_maurer_cartan_match_the_reference(name):
     kx, cases = _reference_case(name)
     for eta, psi_eta in cases[2]:
