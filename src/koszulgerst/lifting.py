@@ -13,6 +13,10 @@ and reproduces the closed-form shapes (scalar multiples of generators for
 ell = 1, one arrow on one side for ell = 2).  Solutions are canonical (free
 variables zero), and existence is guaranteed for cocycles, so a failed
 solve raises NoSolution rather than falling back.
+
+The equation is written once, in `_lifting_equation_into`: the solver's
+target and `lifting_residual`, and through it `verify_lifting` and
+`closed_form_conditions`, all read it from there.
 """
 
 from typing import NamedTuple
@@ -162,6 +166,20 @@ def _solve_images(kx, m, n, ell, target, what, nullspaces):
     return images
 
 
+def _check_reach(kx, M, what):
+    if M > kx.N:
+        raise CochainError(
+            f"{what} through degree {M} needs resolution data through degree {M}; "
+            f"rebuild the complex with a larger N")
+
+
+def _lifting_equation_into(out, kx, eta, lifting, m, r, scale):
+    """Add scale . ((eta ox 1 - 1 ox eta) Delta + (-1)^{n-1} psi_{m-1} d)(eps^m_r),
+    what d psi_m(eps^m_r) must equal, into the term dict out."""
+    _rhs_into(out, kx, eta, m, r, scale)
+    lifting.apply_into(out, kx._diff_eps(m, r), scale if eta.degree % 2 else -scale)
+
+
 def solve_lifting(kx, eta, M, initial=None):
     """Solve for a homotopy lifting of the cocycle eta through degree M.
 
@@ -172,24 +190,17 @@ def solve_lifting(kx, eta, M, initial=None):
     n = eta.degree
     if n == 0:
         raise CochainError("liftings of degree-0 cochains are out of scope")
-    if M > kx.N:
-        raise CochainError(
-            f"lifting through degree {M} needs resolution data through degree {M}; "
-            f"rebuild the complex with a larger N")
+    _check_reach(kx, M, "lifting")
     if not eta.is_homogeneous():
         raise NoSolution("lifting solver needs a homogeneous cocycle")
     ell = eta.internal_degree()
-    f = kx.field
-    sign_prev = -1 if (n - 1) % 2 else 1
     maps = {m: list(images) for m, images in (initial or {}).items()}
     lifting = HomotopyLifting(kx, eta, maps)
 
     def target(m, r):
-        # d psi_m = (eta ox 1 - 1 ox eta) Delta + (-1)^{n-1} psi_{m-1} d
         out = {}
-        _rhs_into(out, kx, eta, m, r, 1)
-        lifting.apply_into(out, kx._diff_eps(m, r), sign_prev)
-        return BimoduleElement(f, m - n, out)
+        _lifting_equation_into(out, kx, eta, lifting, m, r, 1)
+        return BimoduleElement(kx.field, m - n, out)
 
     for m in range(n, M + 1):
         if m not in maps:
@@ -200,28 +211,25 @@ def solve_lifting(kx, eta, M, initial=None):
 
 def lifting_residual(kx, eta, lifting, m, r):
     """d psi - (-1)^{n-1} psi d - (eta ox 1 - 1 ox eta) Delta at eps^m_r."""
-    n = eta.degree
     img = lifting.image(m, r)  # lives in K_{m-n+1}, degree >= 1 whenever m >= n
     res = {}
     for (u, i, v), c in img.terms.items():  # d psi(eps^m_r)
         kx.sandwich_into(res, u, kx._diff_eps(img.degree, i).terms, v, c)
-    lifting.apply_into(res, kx._diff_eps(m, r), 1 if (n - 1) % 2 else -1)
-    _rhs_into(res, kx, eta, m, r, -1)
-    return BimoduleElement(kx.field, m - n, res)
+    _lifting_equation_into(res, kx, eta, lifting, m, r, -1)
+    return BimoduleElement(kx.field, m - eta.degree, res)
+
+
+def _nonzero_residuals(kx, first, M, residual, what):
+    """((m, r), residual(m, r)) for every nonzero residual, degrees first..M."""
+    _check_reach(kx, M, what)
+    return [((m, r), res) for m in range(first, M + 1) for r in range(kx.count(m))
+            if not (res := residual(m, r)).is_zero()]
 
 
 def verify_lifting(kx, eta, lifting, M):
-    """All nonzero residuals of the first lifting equation through degree M."""
-    n = eta.degree
-    bad = []
-    for m in range(n, M + 1):
-        if m not in lifting.maps:
-            break
-        for r in range(kx.count(m)):
-            res = lifting_residual(kx, eta, lifting, m, r)
-            if not res.is_zero():
-                bad.append(((m, r), res))
-    return bad
+    """All nonzero residuals through degree M; a degree psi lacks is the zero map."""
+    return _nonzero_residuals(kx, eta.degree, M, lambda m, r: lifting_residual(
+        kx, eta, lifting, m, r), "lifting check")
 
 
 # -- closed-form condition checks --------------------------------------------
@@ -245,6 +253,12 @@ class ClosedFormReport(NamedTuple):
         return all(c.holds for c in self.checks)
 
 
+# the decoration shapes (|u|, |v|) of the residual's terms each mode expects
+_FAMILIES = {"idempotent": {(0, 0): "vertex-scalars"},
+             "length1": {(1, 0): "left", (0, 1): "right"},
+             "length2": {(2, 0): "left2", (1, 1): "mixed", (0, 2): "right2"}}
+
+
 def _decoration_parts(x):
     parts = {}
     for (u, i, v), coeff in x.terms.items():
@@ -256,103 +270,48 @@ def _decoration_parts(x):
 def closed_form_conditions(kx, mode, eta, lifting, m_max):
     """Evaluate the scalar conditions behind the closed-form lifting shapes.
 
-    The identities are checked in the module K (each scalar multiplies its
-    monomial carrier, then reduces), split by decoration shape: for length-1
-    values the left-decorated and right-decorated families, for length-2
-    values the two-left / mixed / two-right families.  In idempotent mode
-    the per-vertex scalar identities are evaluated directly and psi = 0 is
-    the candidate.  When everything holds the induced lifting is
-    cross-checked against the defining equation.
+    The conditions are the coefficients of the lifting residual, checked in
+    the module K and split by decoration shape: for length-1 values the
+    left-decorated and right-decorated families, for length-2 values the
+    two-left / mixed / two-right families.  In idempotent mode, eta = e_v in
+    one slot, the candidate is psi = 0 and the one family is the
+    undecorated part: its coefficients are the per-vertex identities
+    c_(slot,p)(m,r,n) = (-1)^{n(m-n)} c_(p,slot)(m,r,m-n), and a degree
+    whose generators all avoid v is vacuous.
     """
-    n = eta.degree
-    f = kx.field
-    checks = []
-    vacuous = []
-    if mode == "idempotent":
-        slot, vertex = _single_idempotent_slot(kx, eta)
-        for m in range(n, m_max + 1):
-            k = m - n
-            p_from = [p for p in range(kx.count(k)) if kx.cobasis.origin(k, p) == vertex]
-            p_to = [p for p in range(kx.count(k)) if kx.cobasis.target(k, p) == vertex]
-            both = sorted(set(p_from) & set(p_to))
-            only_from = sorted(set(p_from) - set(both))
-            only_to = sorted(set(p_to) - set(both))
-            if not p_from and not p_to:
-                vacuous.append(m)
-            sign = f.one if (n * k) % 2 == 0 else f.neg(f.one)
-            for r in range(kx.count(m)):
-                ok, witness = True, ""
-                for q in only_from:
-                    c = kx.c(m, r, n).get((slot, q), f.zero)
-                    if c != f.zero:
-                        ok, witness = False, f"c_({slot},{q})({m},{r},{n}) = {f.format(c)} != 0"
-                        break
-                if ok:
-                    for p in only_to:
-                        c = kx.c(m, r, k).get((p, slot), f.zero)
-                        if c != f.zero:
-                            ok, witness = False, f"c_({p},{slot})({m},{r},{k}) = {f.format(c)} != 0"
-                            break
-                if ok:
-                    for p in both:
-                        lhs = kx.c(m, r, n).get((slot, p), f.zero)
-                        rhs = f.mul(sign, kx.c(m, r, k).get((p, slot), f.zero))
-                        if lhs != rhs:
-                            ok = False
-                            witness = (f"c_({slot},{p})({m},{r},{n}) = {f.format(lhs)} "
-                                       f"!= (-1)^(n(m-n)) c_({p},{slot})({m},{r},{k})")
-                            break
-                checks.append(ConditionCheck(m, r, "vertex-scalars", ok, witness))
-    elif mode in ("length1", "length2"):
-        families = {"length1": {(1, 0): "left", (0, 1): "right"},
-                    "length2": {(2, 0): "left2", (1, 1): "mixed", (0, 2): "right2"}}[mode]
-        for m in range(n, m_max + 1):
-            for r in range(kx.count(m)):
-                res = lifting_residual(kx, eta, lifting, m, r)
-                parts = _decoration_parts(res)
-                for shape, name in families.items():
-                    part = parts.pop(shape, None)
-                    ok = part is None or part.is_zero()
-                    checks.append(ConditionCheck(
-                        m, r, name, ok, "" if ok else part.format(kx.quiver)))
-                for shape, part in parts.items():
-                    checks.append(ConditionCheck(
-                        m, r, f"unexpected{shape}", part.is_zero(),
-                        part.format(kx.quiver)))
-    else:
+    families = _FAMILIES.get(mode)
+    if families is None:
         raise CochainError(f"unknown mode {mode!r}")
-    report = ClosedFormReport(mode, checks, vacuous)
-    if report.all_hold and mode == "idempotent":
-        zero = HomotopyLifting(kx, eta, {m: [BimoduleElement.zero(f, m - n + 1)
-                                             for _ in range(kx.count(m))]
-                                         for m in range(n, m_max + 1)})
-        if verify_lifting(kx, eta, zero, m_max):
-            report = ClosedFormReport(mode, checks + [
-                ConditionCheck(-1, -1, "psi-zero-verifies", False, "residual nonzero")],
-                vacuous)
-    elif report.all_hold:
-        if verify_lifting(kx, eta, lifting, m_max):
-            report = ClosedFormReport(mode, checks + [
-                ConditionCheck(-1, -1, "lifting-verifies", False, "residual nonzero")],
-                vacuous)
-    return report
+    _check_reach(kx, m_max, "closed-form check")
+    n, vacuous = eta.degree, []
+    if mode == "idempotent":
+        vertex = _idempotent_vertex(eta)
+        lifting = HomotopyLifting(kx, eta, {})
+        vacuous = [m for m in range(n, m_max + 1)
+                   if not any(vertex in pair for pair in kx.cobasis.pairs[m - n])]
+    checks = []
+    for m in range(n, m_max + 1):
+        for r in range(kx.count(m)):
+            parts = _decoration_parts(lifting_residual(kx, eta, lifting, m, r))
+            for shape, name in families.items():
+                part = parts.pop(shape, None)
+                checks.append(ConditionCheck(m, r, name, part is None,
+                                             "" if part is None else part.format(kx.quiver)))
+            checks += [ConditionCheck(m, r, f"unexpected{shape}", False, part.format(kx.quiver))
+                       for shape, part in parts.items()]
+    return ClosedFormReport(mode, checks, vacuous)
 
 
-def _single_idempotent_slot(kx, eta):
-    slot = None
-    vertex = None
-    for i, val in enumerate(eta.values):
-        if val.is_zero():
-            continue
-        if slot is not None:
-            raise CochainError("idempotent mode expects a single nonzero slot")
-        paths = list(val.terms)
-        if len(paths) != 1 or paths[0].arrows:
-            raise CochainError("idempotent mode expects an idempotent value")
-        slot, vertex = i, paths[0].o
-    if slot is None:
+def _idempotent_vertex(eta):
+    """The vertex v of an eta whose one nonzero value is e_v."""
+    values = [list(val.terms) for val in eta.values if not val.is_zero()]
+    if not values:
         raise CochainError("zero cochain has no idempotent slot")
-    return slot, vertex
+    if len(values) > 1:
+        raise CochainError("idempotent mode expects a single nonzero slot")
+    if len(values[0]) != 1 or values[0][0].arrows:
+        raise CochainError("idempotent mode expects an idempotent value")
+    return values[0][0].o
 
 
 # -- derivation operators ------------------------------------------------------
@@ -368,7 +327,7 @@ class DerivationOperator:
 
     def image(self, n, r):
         if n not in self.maps:
-            raise KeyError(f"derivation operator not built through degree {n}")
+            raise CochainError(f"derivation operator not built through degree {n}")
         return self.maps[n][r]
 
     def apply(self, x):
@@ -418,6 +377,7 @@ def derivation_lift(kx, gamma, M):
     """Solve the chain-map condition d gtilde_n = gtilde_{n-1} d degree by degree."""
     if gamma.degree != 1:
         raise CochainError("derivation operators lift degree-1 cocycles")
+    _check_reach(kx, M, "derivation operator")
     if not gamma.is_homogeneous():
         raise NoSolution("derivation lift needs a homogeneous cocycle")
     ell = gamma.internal_degree()
@@ -431,12 +391,5 @@ def derivation_lift(kx, gamma, M):
 
 def verify_derivation(kx, gamma, op, M):
     """Nonzero residuals of d gtilde_n - gtilde_{n-1} d through degree M."""
-    bad = []
-    for n in range(1, M + 1):
-        if n not in op.maps:
-            break
-        for r in range(kx.count(n)):
-            res = kx.differential(op.image(n, r)) - op.apply(kx._diff_eps(n, r))
-            if not res.is_zero():
-                bad.append(((n, r), res))
-    return bad
+    return _nonzero_residuals(kx, 1, M, lambda n, r: kx.differential(op.image(n, r))
+                              - op.apply(kx._diff_eps(n, r)), "derivation check")

@@ -110,12 +110,111 @@ def test_perturbed_lifting_reports_single_residual(family8):
     assert [key for key, _ in bad] == [(4, 0)]
 
 
+def test_verifiers_check_every_degree_through_M(family8):
+    kx = family8
+    eta = family_named_cocycles(kx)["eta"]
+    # psi = 0 is no lifting of eta = (a 0 0): its residual is -(eta ox 1 - 1 ox eta) Delta
+    zero = HomotopyLifting(kx, eta, {})
+    bad = verify_lifting(kx, eta, zero, 4)
+    assert {m for (m, _), _ in bad} == {1, 2, 3, 4}
+    for (m, r), res in bad:
+        rhs = {}
+        lifting._rhs_into(rhs, kx, eta, m, r, -1)
+        assert res == BimoduleElement(kx.field, m - 1, rhs)
+    # a lifting solved through degree 2 is the zero map from degree 3 on
+    partial = solve_lifting(kx, eta, 2)
+    bad = verify_lifting(kx, eta, partial, 5)
+    assert {m for (m, _), _ in bad} == {3, 4, 5}
+    assert verify_lifting(kx, eta, partial, 2) == []
+    # a derivation operator built through degree 3 cannot be checked through 5
+    op = family_deriv_eta(kx, 3)
+    assert verify_derivation(kx, eta, op, 3) == []
+    with pytest.raises(CochainError, match="not built through degree 4"):
+        verify_derivation(kx, eta, op, 5)
+    with pytest.raises(CochainError):
+        op.image(4, 0)
+
+
+def test_checks_past_the_complex_are_errors():
+    kx = load_complex("family", QQ, 4, q=1)
+    g = family_named_cocycles(kx)
+    e1 = cochain(kx, 2, [0, 0, "e1", 0])
+    assert closed_form_conditions(kx, "idempotent", e1, None, 4).all_hold
+    psi = family_psi_eta(kx, 4)
+    calls = [lambda M: closed_form_conditions(kx, "idempotent", e1, None, M),
+             lambda M: closed_form_conditions(kx, "length1", g["eta"], psi, M),
+             lambda M: verify_lifting(kx, g["eta"], psi, M),
+             lambda M: verify_derivation(kx, g["eta"], family_deriv_eta(kx, 4), M),
+             lambda M: solve_lifting(kx, g["eta"], M),
+             lambda M: derivation_lift(kx, g["eta"], M)]
+    for call in calls:
+        with pytest.raises(CochainError, match="needs resolution data through degree 9"):
+            call(9)
+
+
+def reference_vertex_scalar_failures(kx, n, slot, vertex, m_max):
+    """The (m, r) whose per-vertex scalar identities fail for eta = e_vertex at
+    slot: c_(slot,q)(m,r,n) = 0 for q that only leaves the vertex,
+    c_(p,slot)(m,r,m-n) = 0 for p that only enters it, and
+    c_(slot,p)(m,r,n) = (-1)^{n(m-n)} c_(p,slot)(m,r,m-n) for p that does both."""
+    f = kx.field
+    failing = []
+    for m in range(n, m_max + 1):
+        k = m - n
+        leaves = {p for p in range(kx.count(k)) if kx.cobasis.origin(k, p) == vertex}
+        enters = {p for p in range(kx.count(k)) if kx.cobasis.target(k, p) == vertex}
+        sign = f.one if (n * k) % 2 == 0 else f.neg(f.one)
+        for r in range(kx.count(m)):
+            left, right = kx.c(m, r, n), kx.c(m, r, k)
+            holds = (all(left.get((slot, q), f.zero) == f.zero for q in leaves - enters)
+                     and all(right.get((p, slot), f.zero) == f.zero for p in enters - leaves)
+                     and all(left.get((slot, p), f.zero)
+                             == f.mul(sign, right.get((p, slot), f.zero))
+                             for p in leaves & enters))
+            if not holds:
+                failing.append((m, r))
+    return failing
+
+
+def test_idempotent_conditions_match_the_vertex_scalar_identities():
+    # every idempotent-valued cochain of degree 1..5, cocycle or not
+    cochains = failed = 0
+    for name, f, q in [("family", QQ, 1), ("family", QQ, -1), ("family", QQ, 2),
+                       ("family", PrimeField(5), -1), ("short", QQ, None),
+                       ("short", PrimeField(7), None)]:
+        kx = load_complex(name, f, 7, q=q)
+        for n in range(1, 6):
+            for slot, (o, t) in enumerate(kx.cobasis.pairs[n]):
+                if o != t:
+                    continue
+                values = [PathVector.zero(f)] * kx.count(n)
+                values[slot] = PathVector.single(f, kx.quiver.vertex_path(o))
+                eta = Cochain.from_values(kx, n, values)
+                report = closed_form_conditions(kx, "idempotent", eta, None, 6)
+                assert [(c.degree, c.generator) for c in report.checks] == [
+                    (m, r) for m in range(n, 7) for r in range(kx.count(m))]
+                assert {c.family for c in report.checks} == {"vertex-scalars"}
+                failing = [(c.degree, c.generator) for c in report.checks if not c.holds]
+                assert failing == reference_vertex_scalar_failures(kx, n, slot, o, 6)
+                zero = HomotopyLifting(kx, eta, {})
+                residuals = dict(verify_lifting(kx, eta, zero, 6))
+                assert list(residuals) == failing
+                for c in report.checks:
+                    if not c.holds:
+                        assert c.witness == residuals[(c.degree, c.generator)].format(kx.quiver)
+                cochains += 1
+                failed += bool(failing)
+    assert (cochains, failed) == (100, 77)
+
+
 def test_closed_form_short_b_scalars(short8):
     g = short_goldens(short8)
     report = closed_form_conditions(short8, "length2", g["chi"], g["psi_chi"], 2)
     assert report.all_hold
-    # and the induced map is cross-checked as an actual lifting
-    assert not any(c.family == "lifting-verifies" for c in report.checks)
+    # one check per generator and decoration family, every degree through m_max
+    assert [(c.degree, c.generator, c.family) for c in report.checks] == [
+        (m, r, family) for m in (1, 2) for r in range(short8.count(m))
+        for family in ("left2", "mixed", "right2")]
 
 
 def test_closed_form_family_length1(family8):

@@ -331,7 +331,7 @@ INT_KEYED_CHECKS = {f"KoszulComplex.{name}" for name in (
 
 def code_keyed(scope):
     """Whether scope is in one of the per-word loops that build no word
-    tuples: any ComultTable method, which multiplies normal words of A^!,
+    tuples: any ComultTable method, which composes slices by word index,
     or one of the INT_KEYED_CHECKS."""
     parts = scope.split(".")
     return parts[0] == "ComultTable" or ".".join(parts[:2]) in INT_KEYED_CHECKS
@@ -361,8 +361,9 @@ def test_rule_spots_word_tuple_building():
 
 
 def test_comult_table_and_iota_check_build_no_word_tuples():
-    # a slice multiplies normal words of A^! with the memoised word product,
-    # d*d=0, the dg identity and coassociativity key their terms by int
+    # a slice composes the slice below it with the right action of the
+    # arrows on A^!, keyed by word indices (only KoszulCobasis.right_action
+    # calls the word product), d*d=0, the dg identity and coassociativity key their terms by int
     # letters and indices, and the delta iota = iota d check touches every
     # word of f^0..f^N as an int code; only the witness path of a failing
     # generator spells Paths
@@ -535,6 +536,7 @@ class ResolutionReport(NamedTuple):
 UNREFERENCED_ALLOWED = {
     ("algfile", "serialize_presentation"): "library API: writes what parse_presentation reads",
     ("bracket", "bar_circle_product"): "library API: the circle product F o G (README)",
+    ("lifting", "ClosedFormReport.all_hold"): "library API: the report's verdict",
     ("lifting", "closed_form_conditions"): "library API: the closed-form lifting conditions",
     ("lifting", "verify_derivation"): "library API: the chain-map check of derivation_lift",
     ("presets", "family_psi_etabar"): "golden lifting of the family preset, read by tests",
