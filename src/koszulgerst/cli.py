@@ -186,22 +186,24 @@ def cmd_resolution(args):
             terms = [{"v": t.left_degree, "p": t.left_index, "q": t.right_index,
                       "coeff": kx.field.format(t.coeff)} for t in kx.diagonal(n, r)]
             doc["diagonals"].append({"n": n, "r": r, "terms": terms})
-            pretty = " + ".join(
-                f"{t['coeff']}*eps^{t['v']}_{t['p']} ox eps^{n - t['v']}_{t['q']}"
-                for t in terms)
-            lines.append(f"Delta(eps^{n}_{r}) = {pretty}")
+            if args.format != "structured":
+                pretty = " + ".join(
+                    f"{t['coeff']}*eps^{t['v']}_{t['p']} ox eps^{n - t['v']}_{t['q']}"
+                    for t in terms)
+                lines.append(f"Delta(eps^{n}_{r}) = {pretty}")
     # iota(eps^n_r) = e_o ox (the letters of each word of f^n_r) ox e_t, its
-    # bar words listed as their letters' reprs sort (Quiver.letters)
-    q, fmt = kx.quiver, kx.field.format
+    # bar words listed as their letters' reprs sort (Quiver.letters); each
+    # word's arrows are decoded from its code
+    q, fmt, decode = kx.quiver, kx.field.format, kx.quiver.decode
     place = {w: i for i, w in enumerate(q.letters())}
     arrow_place = [place[q.arrow_path(a)] for a in range(q.num_arrows)]
     for n in range(1, kx.N + 1):
         for r in range(kx.count(n)):
             head, tail = (q.format_path(q.vertex_path(v)) for v in kx.cobasis.o(n, r))
-            terms = sorted(kx.cobasis.f(n, r).terms.items(),
-                           key=lambda kv: [arrow_place[a] for a in kv[0].arrows])
+            terms = sorted(((decode(x, n), c) for x, c in kx.cobasis.codes(n, r).items()),
+                           key=lambda kv: [arrow_place[a] for a in kv[0]])
             doc["embeddings"].append({"n": n, "r": r, "terms": [
-                {"word": [head, *[q.arrow_names[a] for a in w.arrows], tail], "coeff": fmt(c)}
+                {"word": [head, *[q.arrow_names[a] for a in w], tail], "coeff": fmt(c)}
                 for w, c in terms]})
     status = 0
     if getattr(args, "verify", False):

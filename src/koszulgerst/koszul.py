@@ -41,7 +41,12 @@ Spelled words.  Only the embedding iota, its delta iota = iota d check and
 the basis listing read the words of f^n_i.  They are spelled on first use,
 one degree at a time, by the identity at r = n - 1:
     f^n_i = sum_{p,q} c_{pq}(n,i,n-1) f^{n-1}_p a_q,
-whose scalars are the right action of the arrows on A^!_{n-1}.
+whose scalars are the right action of the arrows on A^!_{n-1}.  Each word
+is spelled once, straight into its int code (Quiver.code: the arrows as
+base-A digits, A the number of arrows, the first arrow most significant),
+so the word x followed by the arrow a is x * A + a and no Path is built.
+The delta iota = iota d check reads the codes as they are; the Paths of
+basis and the letters of iota are decoded from them by Quiver.decode.
 
 Order.  Degree 0 lists the vertices and degree 1 the arrows, by index; from
 degree 2 on the normal words are listed by (origin, target) vertex pair and
@@ -62,6 +67,11 @@ class KoszulCobasis:
     rewrite system of A^!.  extensions[m][k] lists the (i, a) with
     w_i = w_k . a, w_i of degree m + 1, as the enumeration of A^!'s normal
     words grew each word from its prefix.
+
+    The words of f^n_i are held once, as {code: coeff} (module docstring,
+    "Spelled words"): codes(n, i) returns that dict, and f(n, i) and
+    elements decode it into PathVectors on each call.  Both raise
+    InconsistentBasis for a degree outside 0..max_degree.
     """
 
     def __init__(self, quiver, dual, words):
@@ -79,8 +89,9 @@ class KoszulCobasis:
                 children[prefix_index[u]].append((i, a))
             self.extensions.append(children)
         self._right = {}  # m -> right_action(m)
-        self._levels = [[PathVector.single(dual.field, w) for w in words[0]]]  # spelled f^n
-        self._codes = {}  # (n, i) -> {Quiver.code of a word of f^n_i: coeff}
+        # spelled f^n: per i, {Quiver.code of a word of f^n_i: coeff}; the
+        # word of f^0_v is the vertex v, whose code is v
+        self._levels = [[{w.o: dual.field.one} for w in words[0]]]
 
     @property
     def max_degree(self):
@@ -88,7 +99,7 @@ class KoszulCobasis:
 
     @property
     def elements(self):
-        """Every level of spelled generators; spells all of them."""
+        """Every level of generators as PathVectors; spells and decodes all of them."""
         return [[self.f(n, i) for i in range(self.count(n))]
                 for n in range(self.max_degree + 1)]
 
@@ -99,25 +110,35 @@ class KoszulCobasis:
         return len(self.words[n])
 
     def f(self, n, i):
-        """f^n_i spelled as a PathVector in kQ_n."""
+        """f^n_i as a PathVector in kQ_n, decoded from its codes."""
+        codes, decode, o = self.codes(n, i), self.quiver.decode, self.pairs[n][i][0]
+        return PathVector(self.dual.field, {decode(x, n, o): c for x, c in codes.items()})
+
+    def codes(self, n, i):
+        """The words of f^n_i as {Quiver.code(word): coeff}, in spelling order."""
+        if not 0 <= n <= self.max_degree:
+            raise InconsistentBasis(f"degree {n} is outside the cobasis 0..{self.max_degree}")
         while len(self._levels) <= n:
             self._levels.append(self._spell(len(self._levels)))
         return self._levels[n][i]
 
     def _spell(self, n):
         """Level n from level n-1: f^n_j = sum c_pq(n,j,n-1) f^{n-1}_p a_q,
-        where c_pq(n,j,n-1) is the coefficient of w_j in w_p . a_q in A^!."""
-        compose, arrow = self.quiver.compose, self.quiver.arrow_path
+        where c_pq(n,j,n-1) is the coefficient of w_j in w_p . a_q in A^!.
+        A word x of f^{n-1}_p followed by the arrow a has code x * A + a, A
+        the number of arrows; at n = 1 the word e_v . a is the arrow a."""
+        base = self.quiver.num_arrows if n > 1 else 0
         acc = [{} for _ in self.words[n]]
         for f_u, action in zip(self._levels[n - 1], self.right_action(n - 1)):
+            shifted = [(x * base, cx) for x, cx in f_u.items()]
             for a, images in action.items():
-                letter = arrow(a)
                 for j, c in images:
                     out = acc[j]
-                    for x, cx in f_u.terms.items():
-                        xa = compose(x, letter)
+                    for x, cx in shifted:
+                        xa = x + a
                         out[xa] = out.get(xa, 0) + c * cx
-        return [PathVector(self.dual.field, terms) for terms in acc]
+        canon = self.dual.field.canon
+        return [canon(terms.items()) for terms in acc]
 
     def right_action(self, m):
         """The right action of the arrows on A^!_m, m < max_degree: per normal
@@ -143,14 +164,6 @@ class KoszulCobasis:
 
     def target(self, n, i):
         return self.pairs[n][i][1]
-
-    def codes(self, n, i):
-        """The words of f^n_i as {Quiver.code(word): coeff}, in term order."""
-        got = self._codes.get((n, i))
-        if got is None:
-            code = self.quiver.code
-            got = self._codes[(n, i)] = {code(w): c for w, c in self.f(n, i).terms.items()}
-        return got
 
 
 def build_koszul_basis(presentation, N):

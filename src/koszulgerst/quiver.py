@@ -106,6 +106,18 @@ class Quiver:
             code = code * base + a
         return code
 
+    def decode(self, code, length, origin=None):
+        """The inverse of code on paths of one length: the arrows of the
+        path of that length whose code is code, or, given its origin, the
+        Path itself (a vertex when length is 0)."""
+        base, arrows = len(self.arrow_names), []
+        for _ in range(length):  # the last arrow is the least significant digit
+            arrows.append(code % base)
+            code //= base
+        arrows.reverse()
+        arrows = tuple(arrows)
+        return arrows if origin is None else Path(origin, arrows)
+
     def compose(self, u, v):
         """Concatenation u.v, or None when the endpoints do not match."""
         if self.path_target(u) != v.o:

@@ -31,9 +31,12 @@ c_pq(n,r,0) and c_pq(n,r,n) over the generators at the matching vertex, and
 the dg identity places the letters of d(eps) in its 6-int keys as they are.
 
 delta o iota = iota o d is checked on codes (Quiver.code, one per word of
-f^n_i, cached by the cobasis) and the letter view of d: both sides are
-keyed (position, vertex, code), and the merge of two middle letters reads a
-table of the normal forms of the A^2 two-arrow words.
+f^n_i: the cobasis spells each word straight into its code and holds
+nothing else) and the letter view of d: both sides are keyed (position,
+vertex, code), and the merge of two middle letters reads a table of the
+normal forms of the A^2 two-arrow words.  iota, iota_bimodule and
+restrict_along_iota read the letters of the same words, decoded from their
+codes by Quiver.decode (_letters).
 
 Witnesses.  Only a generator that fails on ints is looked at again, in
 path notation: d o d by differential (or augment) on its Paths; the dg
@@ -110,7 +113,6 @@ class KoszulComplex:
         self.comult = ComultTable(self.cobasis)
         self._diff_cache = {}
         self._diag_cache = {}
-        self._letter_cache = {}  # (n, i) -> [(arrow Paths of a word of f^n_i, coeff)]
         self._iota_index = {}  # n -> {arrow Paths of a word: [(i, coeff in f^n_i)]}
         self._pair_nf = None  # built by _iota_agrees
         self._bar_tuples = {}  # n -> composable n-tuples of words (bracket.bar_tuples)
@@ -213,15 +215,11 @@ class KoszulComplex:
     # -- bar embedding -------------------------------------------------------------
 
     def _letters(self, n, i):
-        """The words of f^n_i spelled letter by letter: (arrow Paths, coeff)."""
-        got = self._letter_cache.get((n, i))
-        if got is not None:
-            return got
-        arrow = self.quiver.arrow_path
-        got = [(tuple(arrow(a) for a in path.arrows), c)
-               for path, c in self.cobasis.f(n, i).terms.items()]
-        self._letter_cache[(n, i)] = got
-        return got
+        """The words of f^n_i spelled letter by letter, decoded from their
+        codes: [(arrow Paths, coeff)] in spelling order."""
+        arrow, decode = self.quiver.arrow_path, self.quiver.decode
+        return [(tuple(arrow(a) for a in decode(x, n)), c)
+                for x, c in self.cobasis.codes(n, i).items()]
 
     def iota(self, n, r):
         """iota(eps^n_r) = 1 ox (letterwise expansion of f^n_r) ox 1."""

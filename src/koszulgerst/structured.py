@@ -8,6 +8,8 @@ str.join; json.dumps with an indent runs the pure-Python encoder instead,
 which takes about twice as long on the thousands of leaves of a
 `resolution` document.  Values dispatch on their exact type, and the
 container loops write str and int leaves, most of a document, inline.
+A document repeats a few keys thousands of times, so each call quotes each
+distinct key once, into a memo that lives only as long as the call.
 """
 
 from json.encoder import encode_basestring_ascii as _quote
@@ -18,10 +20,10 @@ _int = int.__repr__
 def dumps(doc):
     """json.dumps(doc, indent=2) for dicts with str keys, lists, str, int, bool
     and None, none of them a subclass."""
-    return _encode(doc, "\n")
+    return _encode(doc, "\n", {})
 
 
-def _encode(x, pad):
+def _encode(x, pad, keys):
     kind = type(x)
     if kind is str:
         return _quote(x)
@@ -37,14 +39,19 @@ def _encode(x, pad):
     if kind is dict:
         if not x:
             return "{}"
-        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else
-                                     _int(v) if type(v) is int else _encode(v, inner))
-                 for k, v in x.items()]
+        items = []
+        for k, v in x.items():
+            key = keys.get(k)  # keys: str key -> its quoted text and ": "
+            if key is None:
+                key = keys[k] = _quote(k) + ": "
+            items.append(key + (_quote(v) if type(v) is str else
+                                _int(v) if type(v) is int else _encode(v, inner, keys)))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if kind is list:
         if not x:
             return "[]"
-        items = [_quote(v) if type(v) is str else _int(v) if type(v) is int else _encode(v, inner)
+        items = [_quote(v) if type(v) is str else _int(v) if type(v) is int
+                 else _encode(v, inner, keys)
                  for v in x]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -97,6 +97,23 @@ def test_cli_resolution_verify_structured(capsys):
     assert first == second  # byte-stable structured output
 
 
+def test_cli_resolution_text_lists_each_differential_and_diagonal(capsys):
+    # structured output carries the diagonals as data; text output spells
+    # each one as a Delta line
+    assert main(["resolution", "--preset", "short", "-N", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "d(eps^1_0) = -eps^0_0.x + x.eps^0_0",
+        "d(eps^1_1) = -eps^0_0.y + y.eps^0_0",
+        "d(eps^2_0) = eps^1_0.x + x.eps^1_0",
+        "d(eps^2_1) = eps^1_0.y + y.eps^1_0 + eps^1_1.x + x.eps^1_1",
+        "Delta(eps^0_0) = 1*eps^0_0 ox eps^0_0",
+        "Delta(eps^1_0) = 1*eps^0_0 ox eps^1_0 + 1*eps^1_0 ox eps^0_0",
+        "Delta(eps^1_1) = 1*eps^0_0 ox eps^1_1 + 1*eps^1_1 ox eps^0_0",
+        "Delta(eps^2_0) = 1*eps^0_0 ox eps^2_0 + 1*eps^1_0 ox eps^1_0 + 1*eps^2_0 ox eps^0_0",
+        "Delta(eps^2_1) = 1*eps^0_0 ox eps^2_1 + 1*eps^1_0 ox eps^1_1"
+        " + 1*eps^1_1 ox eps^1_0 + 1*eps^2_1 ox eps^0_0"]
+
+
 def test_cli_mc(capsys):
     assert main(["mc", "--preset", "family", "--q", "1",
                  "--cocycle", "0,0,a.b,0"]) == 0

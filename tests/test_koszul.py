@@ -31,7 +31,7 @@ from koszulgerst.rewriting import build_rewrite_system
 from linalg_reference import add
 import tower_reference
 from tower_reference import (PivotComultTable, ReferenceCobasis, _intersect, _split_blocks,
-                             family_cobasis, intersection_tower, short_cobasis)
+                             family_cobasis, intersection_tower, path_spelling, short_cobasis)
 
 
 def test_short_tower_closed_form(short8):
@@ -222,6 +222,41 @@ def test_codes_spell_each_word_once():
     assert cb.codes(0, 2) == {2: QQ(1)} and cb.codes(1, 1) == {1: QQ(1)}
     assert list(cb.codes(2, 0).items()) == [(0 * 3 + 0, QQ(1)), (1 * 3 + 2, QQ("-1/2"))]
     assert cb.codes(2, 0) is cb.codes(2, 0)
+    assert q.decode((1 * 3 + 2) * 3 + 0, 3) == (1, 2, 0)
+    assert q.decode((1 * 3 + 2) * 3 + 0, 3, 0) == Path(0, (1, 2, 0))
+    assert q.decode(2, 0) == () and q.decode(2, 0, 2) == q.vertex_path(2)
+    assert list(cb.f(2, 0).terms.items()) == [(Path(0, (0, 0)), QQ(1)),
+                                              (Path(0, (1, 2)), QQ("-1/2"))]
+
+
+def assert_codes_round_trip(cobasis):
+    """Quiver.decode inverts Quiver.code on every normal word of A^!, and
+    f(n, i), decoded from the codes, is the Path spelling of
+    tower_reference, term for term and in the same order."""
+    q = cobasis.quiver
+    for n, level in enumerate(cobasis.words):
+        for w in level:
+            assert q.decode(q.code(w), n) == w.arrows
+            assert q.decode(q.code(w), n, w.o) == w
+    for n, level in enumerate(path_spelling(cobasis)):
+        assert len(level) == cobasis.count(n)
+        for i, want in enumerate(level):
+            assert list(cobasis.f(n, i).terms.items()) == list(want.terms.items()), (n, i)
+
+
+@pytest.mark.parametrize("name, q", [("family", 1), ("family", -1), ("short", None)])
+def test_codes_decode_to_the_words_and_spell_the_paths(name, q):
+    assert_codes_round_trip(build_koszul_basis(load_presentation(name, QQ, q=q), 8))
+
+
+@pytest.mark.parametrize("n", [-1, 9])
+def test_cobasis_refuses_degrees_outside_its_range(family8, n):
+    # a negative degree must not wrap around to the top level
+    cb = family8.cobasis
+    with pytest.raises(InconsistentBasis, match=f"degree {n} is outside"):
+        cb.f(n, 0)
+    with pytest.raises(InconsistentBasis, match=f"degree {n} is outside"):
+        cb.codes(n, 0)
 
 
 
@@ -634,6 +669,7 @@ def test_tower_matches_reference_on_random_quadratic_algebras(pres):
     # is not confluent either (the next test), and the complex refuses it
     if is_confluent(lambda: build_rewrite_system(pres)):
         assert_tower_matches_reference(pres, 5)
+        assert_codes_round_trip(build_koszul_basis(pres, 5))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

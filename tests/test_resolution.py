@@ -206,7 +206,10 @@ def test_letter_table_spells_every_generator(name):
     for n in range(kx.N + 1):
         for i in range(kx.count(n)):
             table = kx._letters(n, i)
-            assert kx._letters(n, i) is table
+            # decoded from the codes, word for word and in their order
+            if n:
+                assert [(q.code(Path(letters[0].o, tuple(x.arrows[0] for x in letters))), c)
+                        for letters, c in table] == list(kx.cobasis.codes(n, i).items())
             spelled = {}
             for letters, c in table:
                 assert len(letters) == n
@@ -484,12 +487,16 @@ def _iota_failures(kx):
 @pytest.mark.parametrize("name", ["short", "family"])
 def test_iota_check_on_codes_matches_the_path_reference(name):
     # scale or drop each term of each d(eps^n_i), then each word of each
-    # f^n_i both as a code and as letters: the code comparison fails at
+    # f^n_i in the cobasis' one word store, which the codes are and the
+    # letters of iota are decoded from: the code comparison fails at
     # exactly the generators where the Path vectors differ, and
     # _check_iota reports them with the Path vectors' witnesses
     kx = _corruptible(name)
     f, cb = kx.field, kx.cobasis
+    # spells every degree through N, so that a corrupted word reaches no
+    # degree spelled from it
     assert _iota_failures(kx) == _path_iota_failures(kx) == []
+    assert len(cb._levels) == kx.N + 1
     term_cases, word_cases, caught = 0, 0, 0
     for n in range(1, kx.N + 1):
         for i in range(kx.count(n)):
@@ -505,17 +512,13 @@ def test_iota_check_on_codes_matches_the_path_reference(name):
                     term_cases += 1
     for n in range(kx.N + 1):
         for i in range(kx.count(n)):
-            codes, letters = cb.codes(n, i), kx._letters(n, i)
-            for k, (code, c) in enumerate(codes.items()):
-                assert letters[k][1] == c
+            codes = cb.codes(n, i)
+            for code in codes:
                 for mode in ("scale", "drop"):
-                    cb._codes[(n, i)] = _corrupted(f, codes, code, mode)
-                    kx._letter_cache[(n, i)] = [
-                        (word, c2 if j != k else f.mul(f(2), c2))
-                        for j, (word, c2) in enumerate(letters) if j != k or mode == "scale"]
+                    cb._levels[n][i] = _corrupted(f, codes, code, mode)
                     want = _path_iota_failures(kx)
                     assert _iota_failures(kx) == want, (n, i, code, mode)
-                    cb._codes[(n, i)], kx._letter_cache[(n, i)] = codes, letters
+                    cb._levels[n][i] = codes
                     caught += bool(want)
                     word_cases += 1
     assert _iota_failures(kx) == _path_iota_failures(kx) == []
@@ -541,8 +544,8 @@ def test_iota_check_on_codes_catches_a_generator_outside_the_relations(name):
     for i in range(cb.count(2)):
         for word in base.rs.basis_words(2, *cb.o(2, i)):
             kx = load()
-            kx.cobasis.f(2, i)  # spells degrees 1 and 2
-            kx.cobasis._levels[2][i] = PathVector.single(f, word)
+            kx.cobasis.codes(2, i)  # spells degrees 1 and 2
+            kx.cobasis._levels[2][i] = {q.code(word): f.one}
             a, b = word.arrows
             kx._diff_cache[(2, i)] = BimoduleElement(f, 1, {
                 (q.arrow_path(a), b, q.vertex_path(q.arrow_t[b])): f.one,

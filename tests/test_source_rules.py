@@ -288,14 +288,25 @@ def test_rule_spots_path_calls():
 
 def test_no_path_is_built_in_koszul_or_resolution():
     # the spelled generators, the scalar slices and the resolution's identity
-    # checks run per word; they take shared letters from Quiver.vertex_path /
-    # arrow_path and join words with Quiver.compose, and the delta iota =
+    # checks run per word; the generators are spelled as int codes, which
+    # Quiver.decode turns back into Paths, the resolution takes shared
+    # letters from Quiver.vertex_path / arrow_path, and the delta iota =
     # iota d check keys words by int codes
     found = []
     for name in ("koszul.py", "resolution.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
         found += [f"{name}:{line}" for line in named_calls(tree, "Path")]
     assert found == []
+
+
+def test_cobasis_spells_codes_without_building_words():
+    # KoszulCobasis spells each word of f^n straight into its int code, x * A
+    # + a for the word x followed by the arrow a; the Paths of f and the
+    # letters of iota are decoded from those codes by Quiver.decode
+    tree = ast.parse((SRC / "koszul.py").read_text(), filename="koszul.py")
+    found = [scope for callee in ("compose", "code") for scope in callers(tree, callee)]
+    assert "build_koszul_basis" in found  # the rule sees koszul's compose calls
+    assert [scope for scope in found if scope.split(".")[0] == "KoszulCobasis"] == []
 
 
 def word_tuple_building(tree):

@@ -11,7 +11,10 @@ Kept as the reference for the dual-basis construction of `koszul`:
   one reduced echelon form per degree and re-expands every row, raising
   InconsistentBasis when a row does not give its generator back;
 * `short_cobasis` and `family_cobasis` are the closed forms of the two
-  presets.
+  presets;
+* `path_spelling` spells the generators of a `koszul.KoszulCobasis` on
+  Paths, joining each word to its next arrow with `Quiver.compose`, as the
+  package did before it spelled int codes.
 
 The intersection.  Because W_{n-1} arrives in reduced echelon form under
 the length-lex path order, the left extensions a.w are themselves a
@@ -294,3 +297,23 @@ def family_cobasis(presentation, N):
             fs.append(free_multiply(quiver, PathVector.single(field, Path(0, (0,) * (n - 1))), c))
         levels.append(fs)
     return ReferenceCobasis(quiver, levels)
+
+
+def path_spelling(cobasis):
+    """The levels of PathVectors f^n_j = sum c_pq(n,j,n-1) f^{n-1}_p a_q of a
+    KoszulCobasis, the scalars read from its right action of the arrows on
+    A^!_{n-1}; each dict lists its words in the order they were spelled."""
+    quiver, field = cobasis.quiver, cobasis.dual.field
+    compose, arrow = quiver.compose, quiver.arrow_path
+    levels = [[PathVector.single(field, w) for w in cobasis.words[0]]]
+    for n in range(1, cobasis.max_degree + 1):
+        acc = [{} for _ in cobasis.words[n]]
+        for f_u, action in zip(levels[n - 1], cobasis.right_action(n - 1)):
+            for a, images in action.items():
+                for j, c in images:
+                    out = acc[j]
+                    for x, cx in f_u.terms.items():
+                        xa = compose(x, arrow(a))
+                        out[xa] = out.get(xa, 0) + c * cx
+        levels.append([PathVector(field, terms) for terms in acc])
+    return levels
