@@ -163,10 +163,10 @@ def cmd_comult(args):
         for r in rs_range:
             for i in range(kx.count(n)):
                 for (p, q), c in sorted(kx.c(n, i, r).items()):
+                    value = kx.field.format(c)
                     doc["entries"].append(
-                        {"n": n, "i": i, "r": r, "p": p, "q": q,
-                         "value": kx.field.format(c)})
-                    lines.append(f"c_({p},{q})({n},{i},{r}) = {kx.field.format(c)}")
+                        {"n": n, "i": i, "r": r, "p": p, "q": q, "value": value})
+                    lines.append(f"c_({p},{q})({n},{i},{r}) = {value}")
     emit(doc, args.format, lines)
     return 0
 
@@ -193,18 +193,19 @@ def cmd_resolution(args):
                 lines.append(f"Delta(eps^{n}_{r}) = {pretty}")
     # iota(eps^n_r) = e_o ox (the letters of each word of f^n_r) ox e_t, its
     # bar words listed as their letters' reprs sort (Quiver.letters); each
-    # word's arrows are decoded from its code
-    q, fmt, decode = kx.quiver, kx.field.format, kx.quiver.decode
-    place = {w: i for i, w in enumerate(q.letters())}
-    arrow_place = [place[q.arrow_path(a)] for a in range(q.num_arrows)]
-    for n in range(1, kx.N + 1):
-        for r in range(kx.count(n)):
-            head, tail = (q.format_path(q.vertex_path(v)) for v in kx.cobasis.o(n, r))
-            terms = sorted(((decode(x, n), c) for x, c in kx.cobasis.codes(n, r).items()),
-                           key=lambda kv: [arrow_place[a] for a in kv[0]])
-            doc["embeddings"].append({"n": n, "r": r, "terms": [
-                {"word": [head, *[q.arrow_names[a] for a in w], tail], "coeff": fmt(c)}
-                for w, c in terms]})
+    # word's arrows are decoded from its code.  Text mode prints no embeddings
+    if args.format == "structured":
+        q, fmt, decode = kx.quiver, kx.field.format, kx.quiver.decode
+        place = {w: i for i, w in enumerate(q.letters())}
+        arrow_place = [place[q.arrow_path(a)] for a in range(q.num_arrows)]
+        for n in range(1, kx.N + 1):
+            for r in range(kx.count(n)):
+                head, tail = (q.format_path(q.vertex_path(v)) for v in kx.cobasis.o(n, r))
+                terms = sorted(((decode(x, n), c) for x, c in kx.cobasis.codes(n, r).items()),
+                               key=lambda kv: [arrow_place[a] for a in kv[0]])
+                doc["embeddings"].append({"n": n, "r": r, "terms": [
+                    {"word": [head, *[q.arrow_names[a] for a in w], tail], "coeff": fmt(c)}
+                    for w, c in terms]})
     status = 0
     if getattr(args, "verify", False):
         report = kx.verify_resolution()
@@ -229,17 +230,18 @@ def cmd_cohomology(args):
     lines = []
     for n in range(kx.N):
         space = cocycle_space(kx, n, args.internal_degree)
+        cocycles = [c.format() for c in space.cocycles]
         doc["spaces"].append({
             "degree": n,
             "internal_degrees": list(space.internal_degrees),
-            "cocycles": [c.format() for c in space.cocycles],
+            "cocycles": cocycles,
             "coboundaries": [c.format() for c in space.coboundaries],
             "hh_dim": space.hh_dim,
         })
         lines.append(f"degree {n}: dim Z = {len(space.cocycles)}, "
                      f"dim B = {len(space.coboundaries)}, dim HH = {space.hh_dim}")
-        for c in space.cocycles:
-            lines.append(f"  cocycle {c.format()}")
+        for c in cocycles:
+            lines.append(f"  cocycle {c}")
     emit(doc, args.format, lines)
     return 0
 
@@ -248,9 +250,9 @@ def cmd_cup(args):
     kx = load_complex(args, min_n=args.left_degree + args.right_degree)
     left = _cochain(kx, args.left_degree, args.left)
     right = _cochain(kx, args.right_degree, args.right)
-    result = cup_product(left, right)
-    doc = {"command": "cup", "result": result.format()}
-    emit(doc, args.format, [f"cup = {result.format()}"])
+    result = cup_product(left, right).format()
+    doc = {"command": "cup", "result": result}
+    emit(doc, args.format, [f"cup = {result}"])
     return 0
 
 
@@ -263,8 +265,9 @@ def cmd_lift(args):
     lines = []
     for m in sorted(lifting.maps):
         for r, img in enumerate(lifting.maps[m]):
-            doc["images"].append({"m": m, "r": r, "value": img.format(kx.quiver)})
-            lines.append(f"psi(eps^{m}_{r}) = {img.format(kx.quiver)}")
+            value = img.format(kx.quiver)
+            doc["images"].append({"m": m, "r": r, "value": value})
+            lines.append(f"psi(eps^{m}_{r}) = {value}")
     lines.append("verify: " + ("PASS" if not bad else "FAIL"))
     emit(doc, args.format, lines)
     return 0 if not bad else 1
@@ -301,8 +304,9 @@ def cmd_bracket(args):
         psi_left = solve_lifting(kx, left, deg)
         psi_right = solve_lifting(kx, right, deg)
         result = bracket_via_lifting(kx, left, right, psi_left, psi_right)
-    doc = {"command": "bracket", "engine": args.engine, "result": result.format()}
-    emit(doc, args.format, [f"[left, right] = {result.format()}"])
+    value = result.format()
+    doc = {"command": "bracket", "engine": args.engine, "result": value}
+    emit(doc, args.format, [f"[left, right] = {value}"])
     return 0
 
 
@@ -311,11 +315,12 @@ def cmd_mc(args):
     eta = _cocycle(kx, 2, args.cocycle)
     psi = solve_lifting(kx, eta, 3)
     report = maurer_cartan_check(kx, eta, psi)
+    residual = report.residual.format()
     doc = {"command": "mc", "exact": report.exact, "class_level": report.class_level,
-           "residual": report.residual.format()}
+           "residual": residual}
     lines = [f"exact: {'PASS' if report.exact else 'FAIL'}",
              f"class level: {'PASS' if report.class_level else 'FAIL'}",
-             f"residual: {report.residual.format()}"]
+             f"residual: {residual}"]
     emit(doc, args.format, lines)
     return 0 if report.exact else 1
 

@@ -31,7 +31,13 @@ the coefficient of w_i in the normal form of w_p . w_q in A^!.  They are
 products in A^!, so coassociativity and the counit laws of the diagonal are
 its associativity and unit.  The products are built one letter at a time.
 The right action of the arrows on A^!_m, w_j . a = sum c w_k, is computed
-once per degree m (one word product per normal word and arrow).  Slice
+once per degree m, on word indices, from A^!'s rules: write w_j = w_k . b.
+If b.a leads no rule, w_j . a is the normal word the enumeration grew from
+w_j; else the rule b.a -> sum c x.y gives
+    w_j . a = sum c (w_k . x) . y,
+with w_k . x read from degree m - 1 and w_l . y from degree m itself.
+Every tail is smaller than b.a, so the recursion ends (Bergman's diamond
+lemma), and no word of A^! is put in normal form after the build.  Slice
 (r, r) is the identity, w_p . e_{t(p)} = w_p, and for n > r the split
 w_q = w_q' . a, recorded by the enumeration that grew w_q from w_q', gives
     w_p . w_q = (w_p . w_q') . a,
@@ -71,7 +77,8 @@ class KoszulCobasis:
     The words of f^n_i are held once, as {code: coeff} (module docstring,
     "Spelled words"): codes(n, i) returns that dict, and f(n, i) and
     elements decode it into PathVectors on each call.  Both raise
-    InconsistentBasis for a degree outside 0..max_degree.
+    InconsistentBasis for a degree outside 0..max_degree, as right_action
+    does outside 0..max_degree - 1.
     """
 
     def __init__(self, quiver, dual, words):
@@ -141,19 +148,55 @@ class KoszulCobasis:
         return [canon(terms.items()) for terms in acc]
 
     def right_action(self, m):
-        """The right action of the arrows on A^!_m, m < max_degree: per normal
-        word w_j of degree m, {a: [(k, c)]} with w_j . a = sum c w_k, for each
-        arrow a that starts where w_j ends, in increasing a."""
+        """The right action of the arrows on A^!_m, 0 <= m < max_degree: per
+        normal word w_j of degree m, {a: [(k, c)]} with w_j . a = sum c w_k,
+        for each arrow a that starts where w_j ends, in increasing a.
+
+        Read off A^!'s rules on word indices (module docstring,
+        "Comultiplicative scalars"): a w_j . a that a rule rewrites reads
+        degree m - 1 and other entries of degree m, which are memoised per
+        (j, a) for the call."""
+        if not 0 <= m < self.max_degree:
+            raise InconsistentBasis(
+                f"right action on degree {m} is outside 0..{self.max_degree - 1}")
         got = self._right.get(m)
-        if got is None:
-            q, product, index = self.quiver, self.dual.word_product, self.index[m + 1]
-            starting = {}  # vertex -> the arrows that start there
-            for a in range(q.num_arrows):
-                starting.setdefault(q.arrow_o[a], []).append(a)
-            got = self._right[m] = [
-                {a: [(index[w], c) for w, c in product(u, q.arrow_path(a)).terms.items()]
-                 for a in starting.get(t, ())}
-                for u, (_, t) in zip(self.words[m], self.pairs[m])]
+        if got is not None:
+            return got
+        q, field = self.quiver, self.dual.field
+        one, canon = field.one, field.canon
+        starting = {}  # vertex -> the arrows that start there
+        for a in range(q.num_arrows):
+            starting.setdefault(q.arrow_o[a], []).append(a)
+        normal = [{a: i for i, a in children} for children in self.extensions[m]]
+        if m:  # at m = 0 each w_j . a is the arrow a, a normal word
+            below = self.right_action(m - 1)
+            split = [None] * len(self.words[m])  # j -> (k, b) with w_j = w_k . b
+            for k, children in enumerate(self.extensions[m - 1]):
+                for j, b in children:
+                    split[j] = (k, b)
+            # the rule b.a -> sum c x.y as (b, a) -> [(x, y, c)]
+            tails = {rule: [(p.arrows[0], p.arrows[1], c) for p, c in tail.terms.items()]
+                     for rule, tail in self.dual.rules.items()}
+        memo = {}  # (j, a) -> w_j . a, for the a that lead a rule after w_j
+
+        def act(j, a):
+            i = normal[j].get(a)
+            if i is not None:
+                return [(i, one)]
+            got = memo.get((j, a))
+            if got is None:
+                k, b = split[j]
+                acc = {}
+                for x, y, c in tails[(b, a)]:
+                    for l, d in below[k][x]:
+                        cd = c * d
+                        for i, e in act(l, y):
+                            acc[i] = acc.get(i, 0) + cd * e
+                got = memo[(j, a)] = list(canon(acc.items()).items())
+            return got
+
+        got = self._right[m] = [{a: act(j, a) for a in starting.get(t, ())}
+                                for j, (_, t) in enumerate(self.pairs[m])]
         return got
 
     def o(self, n, i):

@@ -1,5 +1,6 @@
 """Input files, presets, command dispatch, output stability, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from koszulgerst.errors import (MissingParameter, NonQuadraticRelation, ParseErr
                                 UnknownPreset)
 from koszulgerst.fields import QQ
 from koszulgerst.presets import family_table1, family_table2, load_presentation
+from koszulgerst.quiver import Quiver
 
 FAMILY_FILE = """\
 # two loops and an exit arrow
@@ -112,6 +114,52 @@ def test_cli_resolution_text_lists_each_differential_and_diagonal(capsys):
         "Delta(eps^2_0) = 1*eps^0_0 ox eps^2_0 + 1*eps^1_0 ox eps^1_0 + 1*eps^2_0 ox eps^0_0",
         "Delta(eps^2_1) = 1*eps^0_0 ox eps^2_1 + 1*eps^1_0 ox eps^1_1"
         " + 1*eps^1_1 ox eps^1_0 + 1*eps^2_1 ox eps^0_0"]
+
+
+EXTERIOR_F32003 = """\
+field F32003
+vertex 1
+arrow x 1 1
+arrow y 1 1
+arrow z 1 1
+order x > y > z
+param qxy = 17
+param qxz = 2024
+param qyz = 31999
+relation x.x
+relation y.y
+relation z.z
+relation y.x + qxy*x.y
+relation z.x + qxz*x.z
+relation z.y + qyz*y.z
+"""
+
+
+@pytest.mark.parametrize("argv, lines, sha256", [
+    (["--preset", "family", "--q", "2", "-N", "6"], 73,
+     "14ecae57d573922d59fdfd385de1368b2d263b2f6cb31289df4b202e1f9fad8f"),
+    (["--algebra", "ext3.alg", "-N", "5"], 116,
+     "dac7155c1fb7a7ce9883d4228c5d140b0d1dd477493121f2f64d0f14cd002c79"),
+], ids=["family-q=2", "ext3-F32003"])
+def test_cli_resolution_text_decodes_no_word(argv, lines, sha256, tmp_path, monkeypatch, capsys):
+    # only the structured document lists the embeddings iota(eps^n_r), whose
+    # words are decoded from their codes; text mode builds no such section
+    # and prints the lines it printed when it did
+    (tmp_path / "ext3.alg").write_text(EXTERIOR_F32003)
+    monkeypatch.chdir(tmp_path)
+    decoded = []
+    decode = Quiver.decode
+
+    def spy(self, *args):
+        decoded.append(args)
+        return decode(self, *args)
+
+    monkeypatch.setattr(Quiver, "decode", spy)
+    assert main(["resolution", *argv, "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert decoded == []
+    assert (len(out.splitlines()), hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
+        lines, sha256)
 
 
 def test_cli_mc(capsys):

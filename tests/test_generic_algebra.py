@@ -117,17 +117,20 @@ def cached_values(kx):
                 yield from ((f"{name}.{cache}", c) for c in x.terms.values())
 
 
-@pytest.mark.parametrize("make", [
-    lambda: load_complex("family", PrimeField(5), 4, q=-1),
-    lambda: KoszulComplex(parse_presentation(
+@pytest.mark.parametrize("make, dual_caches", [
+    (lambda: load_complex("family", PrimeField(5), 4, q=-1), set()),
+    (lambda: KoszulComplex(parse_presentation(
         "field F32003\nvertex 1\narrow x 1 1\narrow y 1 1\narrow z 1 1\n"
         "order x > y > z\nparam qxy = 17\nparam qxz = 2024\nparam qyz = 31999\n"
         "relation x.x\nrelation y.y\nrelation z.z\nrelation y.x + qxy*x.y\n"
         "relation z.x + qxz*x.z\nrelation z.y + qyz*y.z\n"), 3),
+     {"cobasis.dual._nf_cache"}),
 ], ids=["family-q=-1-F5", "exterior-F32003"])
-def test_no_unreduced_value_escapes_into_a_cache(make):
+def test_no_unreduced_value_escapes_into_a_cache(make, dual_caches):
     # loops accumulate F_p values unreduced; the constructors and the
-    # explicit canon calls must reduce every one before it is stored
+    # explicit canon calls must reduce every one before it is stored.  A^!
+    # multiplies no words after its build: its normal forms are only those
+    # of the confluence check, which the family's rules leave empty
     kx = make()
     p = kx.field.p
     assert kx.verify_resolution().ok
@@ -146,5 +149,5 @@ def test_no_unreduced_value_escapes_into_a_cache(make):
                     "_diff_cache", "_lifting_systems transform",
                     "_lifting_systems kernel", "_lifting_systems nullspace",
                     "_coboundary_slices transform", "_coboundary_slices kernel",
-                    "_coboundary_slices images", "rs._products", "rs._nf_cache",
-                    "cobasis.dual._products", "cobasis.dual._nf_cache"}
+                    "_coboundary_slices images", "rs._products", "rs._nf_cache"} | dual_caches
+    assert kx.cobasis.dual._products == {}

@@ -31,7 +31,8 @@ from koszulgerst.rewriting import build_rewrite_system
 from linalg_reference import add
 import tower_reference
 from tower_reference import (PivotComultTable, ReferenceCobasis, _intersect, _split_blocks,
-                             family_cobasis, intersection_tower, path_spelling, short_cobasis)
+                             family_cobasis, intersection_tower, normal_form_right_action,
+                             path_spelling, short_cobasis)
 
 
 def test_short_tower_closed_form(short8):
@@ -260,6 +261,45 @@ def test_cobasis_refuses_degrees_outside_its_range(family8, n):
 
 
 
+@pytest.mark.parametrize("m", [-1, 8, 9])
+def test_right_action_refuses_degrees_outside_its_range(family8, m):
+    # the action on A^!_m lands in degree m + 1, so m = max_degree is out
+    # too, and a negative m must not wrap around to the top level
+    with pytest.raises(InconsistentBasis, match=f"right action on degree {m} is outside 0..7"):
+        family8.cobasis.right_action(m)
+
+
+def assert_right_action_matches_reference(cobasis):
+    """right_action(m), read off A^!'s rules, against the normal-form word
+    products of tower_reference, for every m < max_degree: the same images
+    as dicts, keyed by the arrows in increasing order."""
+    for m in range(cobasis.max_degree):
+        got = cobasis.right_action(m)
+        want = normal_form_right_action(cobasis, m)
+        assert len(got) == len(want) == cobasis.count(m)
+        for j, (by_arrow, want_by_arrow) in enumerate(zip(got, want)):
+            assert list(by_arrow) == sorted(by_arrow), (m, j)
+            assert ({a: dict(images) for a, images in by_arrow.items()}
+                    == {a: dict(images) for a, images in want_by_arrow.items()}), (m, j)
+
+
+@pytest.mark.parametrize("make, N", [
+    (lambda: load_presentation("family", QQ, q=1), 10),
+    (lambda: load_presentation("family", QQ, q=-1), 10),
+    (lambda: load_presentation("family", QQ, q=2), 10),
+    (lambda: load_presentation("family", PrimeField(5), q=-1), 10),
+    (lambda: load_presentation("short", QQ), 10),
+    (lambda: parse_presentation(quantum_exterior_text("xyz", "F32003", [17, 2024, 31999])), 10),
+    (lambda: parse_presentation(quantum_exterior_text(
+        "xyzw", "F32003", [5, 77, 1234, 9, 20000, 31002])), 7),
+], ids=["family-q=1", "family-q=-1", "family-q=2", "family-q=-1-F5", "short", "ext3-F32003",
+        "ext4-F32003"])
+def test_right_action_matches_the_normal_form_products(make, N):
+    # the exterior algebras' commutation rules send w_j . a through further
+    # rules of the same degree before it is normal
+    assert_right_action_matches_reference(build_koszul_basis(make(), N))
+
+
 def test_non_confluent_dual_is_named_in_the_error():
     # A is not confluent either, but build_koszul_basis reads only A^!: the
     # overlap y.z.x is a word of A^!'s rewrite system
@@ -272,18 +312,25 @@ def test_non_confluent_dual_is_named_in_the_error():
 
 
 def test_scalars_and_spelling_multiply_only_composable_words():
-    # w_p . w_q is zero when w_p does not end where w_q starts, so neither a
-    # slice nor the spelling of f^n asks A^! for that product; both read the
-    # right action of the arrows, so A^! only ever multiplies a word by an arrow
+    # a slice and the spelling of f^n read the right action of the arrows on
+    # A^!, which reads A^!'s rules on word indices: no word is put in normal
+    # form after the build, and only a word and an arrow it ends at are
+    # multiplied; 56 of the 108 products w_j . a rewrite by a rule, 28 to zero
     kx = load_complex("family", QQ, 8, q=1)
+    cb = kx.cobasis
+    built = set(build_koszul_basis(load_presentation("family", QQ, q=1), 8).dual._nf_cache)
     for n in range(9):
         for r in range(n + 1):
             kx.c(n, 0, r)
+            assert cb.dual._products == {}
     assert kx.verify_resolution().ok
-    q, memo = kx.quiver, kx.cobasis.dual._products
-    assert [(u, v) for u, v in memo if q.path_target(u) != v.o] == []
-    assert [(u, v) for u, v in memo if len(v.arrows) != 1] == []
-    assert (len(memo), sum(not nf.terms for nf in memo.values())) == (108, 28)
+    assert cb.dual._products == {} and set(cb.dual._nf_cache) == built
+    q, rules = kx.quiver, cb.dual.rules
+    products = [(w, a, images) for m, action in sorted(cb._right.items())
+                for w, by_arrow in zip(cb.words[m], action) for a, images in by_arrow.items()]
+    assert [(w, a) for w, a, _ in products if q.path_target(w) != q.arrow_o[a]] == []
+    ruled = [images for w, a, images in products if w.arrows and (w.arrows[-1], a) in rules]
+    assert (len(products), len(ruled), sum(not images for images in ruled)) == (108, 56, 28)
 
 
 # -- the comult table against the Path-word reference ------------------------------
@@ -669,7 +716,9 @@ def test_tower_matches_reference_on_random_quadratic_algebras(pres):
     # is not confluent either (the next test), and the complex refuses it
     if is_confluent(lambda: build_rewrite_system(pres)):
         assert_tower_matches_reference(pres, 5)
-        assert_codes_round_trip(build_koszul_basis(pres, 5))
+        cobasis = build_koszul_basis(pres, 5)
+        assert_codes_round_trip(cobasis)
+        assert_right_action_matches_reference(cobasis)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -309,6 +309,53 @@ def test_cobasis_spells_codes_without_building_words():
     assert [scope for scope in found if scope.split(".")[0] == "KoszulCobasis"] == []
 
 
+def references(tree, names):
+    """(name, qualified scope) for each `<name>` or `<x>.<name>` read in a
+    function, called or not, so that an alias `product = x.word_product`
+    counts too ("" at module level)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in names:
+                found.add((name, scope))
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_rule_spots_normal_forms_in_cobasis_methods():
+    tree = ast.parse("class KoszulCobasis:\n"
+                     "    def right_action(self, m):\n"
+                     "        product = self.dual.word_product\n"
+                     "        def act(j, a):\n"
+                     "            return nf_path(u)\n"
+                     "        return act\n"
+                     "    def f(self, n, i):\n"
+                     "        return self.dual.normal_form(v)\n"
+                     "def build_koszul_basis(q):\n"
+                     "    return q.compose(u, v)\n")
+    assert references(tree, ("word_product", "nf_path", "normal_form", "compose")) == [
+        ("compose", "build_koszul_basis"), ("nf_path", "KoszulCobasis.right_action.act"),
+        ("normal_form", "KoszulCobasis.f"), ("word_product", "KoszulCobasis.right_action")]
+
+
+def test_cobasis_puts_no_word_of_the_dual_in_normal_form():
+    # KoszulCobasis.right_action reads the action of the arrows on A^! off
+    # A^!'s rules on word indices, so after the build no method multiplies,
+    # reduces or joins a word of A^!
+    tree = ast.parse((SRC / "koszul.py").read_text(), filename="koszul.py")
+    found = references(tree, ("word_product", "nf_path", "normal_form", "compose"))
+    assert ("compose", "build_koszul_basis") in found  # the rule sees koszul's calls
+    assert [pair for pair in found if pair[1].split(".")[0] == "KoszulCobasis"] == []
+
+
 def word_tuple_building(tree):
     """(scope, line) of each `<x>.arrows[...]` and `<x>.arrows + <y>.arrows`,
     scope being the qualified name of the enclosing function or class."""
@@ -373,11 +420,11 @@ def test_rule_spots_word_tuple_building():
 
 def test_comult_table_and_iota_check_build_no_word_tuples():
     # a slice composes the slice below it with the right action of the
-    # arrows on A^!, keyed by word indices (only KoszulCobasis.right_action
-    # calls the word product), d*d=0, the dg identity and coassociativity key their terms by int
-    # letters and indices, and the delta iota = iota d check touches every
-    # word of f^0..f^N as an int code; only the witness path of a failing
-    # generator spells Paths
+    # arrows on A^!, which KoszulCobasis.right_action reads off A^!'s rules,
+    # both keyed by word indices; d*d=0, the dg identity and coassociativity
+    # key their terms by int letters and indices, and the delta iota = iota d
+    # check touches every word of f^0..f^N as an int code; only the witness
+    # path of a failing generator spells Paths
     found = []
     for name in ("koszul.py", "resolution.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)

@@ -14,7 +14,10 @@ Kept as the reference for the dual-basis construction of `koszul`:
   presets;
 * `path_spelling` spells the generators of a `koszul.KoszulCobasis` on
   Paths, joining each word to its next arrow with `Quiver.compose`, as the
-  package did before it spelled int codes.
+  package did before it spelled int codes;
+* `normal_form_right_action` multiplies each normal word of A^! by each
+  arrow through A^!'s word product, as the package did before it read the
+  right action off A^!'s rules on word indices.
 
 The intersection.  Because W_{n-1} arrives in reduced echelon form under
 the length-lex path order, the left extensions a.w are themselves a
@@ -317,3 +320,16 @@ def path_spelling(cobasis):
                         out[xa] = out.get(xa, 0) + c * cx
         levels.append([PathVector(field, terms) for terms in acc])
     return levels
+
+
+def normal_form_right_action(cobasis, m):
+    """The right action of the arrows on A^!_m as KoszulCobasis.right_action
+    computed it before it read A^!'s rules on word indices: each w_j . a is
+    the word product of A^!'s rewrite system, a Path put in normal form."""
+    q, product, index = cobasis.quiver, cobasis.dual.word_product, cobasis.index[m + 1]
+    starting = {}
+    for a in range(q.num_arrows):
+        starting.setdefault(q.arrow_o[a], []).append(a)
+    return [{a: [(index[w], c) for w, c in product(u, q.arrow_path(a)).terms.items()]
+             for a in starting.get(t, ())}
+            for u, (_, t) in zip(cobasis.words[m], cobasis.pairs[m])]
