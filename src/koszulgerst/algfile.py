@@ -17,6 +17,7 @@ syntax extended with ``e<vertex>`` idempotent atoms and ``0``.
 
 import re
 
+from .cohomology import Cochain
 from .errors import KoszulGerstError, NonQuadraticRelation, ParseError
 from .fields import field_from_name
 from .quiver import Path, PathVector, QuadraticPresentation, Quiver
@@ -151,7 +152,8 @@ def _parse_path(quiver, text, lineno, allow_idempotents):
 
 
 def parse_cochain(kx, degree, text):
-    """Comma-separated value list in generator-index order."""
+    """The Cochain of a comma-separated value list in generator-index order,
+    checked by Cochain.from_values."""
     if degree < 0:
         raise ParseError(f"cochain degree must be at least 0, got {degree}")
     parts = [p.strip() for p in text.split(",")]
@@ -159,8 +161,8 @@ def parse_cochain(kx, degree, text):
         raise ParseError(
             f"degree-{degree} cochain wants {kx.count(degree)} values, got {len(parts)}")
     params = kx.presentation.params
-    values = [parse_value(kx.quiver, kx.field, params, p) for p in parts]
-    return values
+    return Cochain.from_values(
+        kx, degree, [parse_value(kx.quiver, kx.field, params, p) for p in parts])
 
 
 def serialize_presentation(pres):

@@ -14,7 +14,7 @@ import sys
 
 from . import algfile, presets
 from .bracket import bracket_via_derivation, bracket_via_lifting, maurer_cartan_check, oracle_compare
-from .cohomology import Cochain, coboundary, cocycle_space, cup_product, same_class
+from .cohomology import coboundary, cocycle_space, cup_product, same_class
 from .errors import KoszulGerstError
 from .fields import QQ, field_from_name
 from .lifting import derivation_lift, solve_lifting, verify_lifting
@@ -40,7 +40,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, default_n=DEFAULT_N):
-        p.add_argument("--preset", choices=presets.PRESET_NAMES)
+        p.add_argument("--preset", choices=presets.PRESET_FILES)
         p.add_argument("--algebra", metavar="FILE", help="algebra description file")
         p.add_argument("--q", metavar="LITERAL", help="parameter for the family preset")
         p.add_argument("--field", metavar="F", help="field override: Q or F<p>")
@@ -104,13 +104,9 @@ def load_complex(args, min_n=1):
     raise KoszulGerstError("pass --preset or --algebra")
 
 
-def _cochain(kx, degree, text):
-    return Cochain.from_values(kx, degree, algfile.parse_cochain(kx, degree, text))
-
-
 def _cocycle(kx, degree, text):
     """The cochain that text spells; anything but a cocycle is a usage error."""
-    eta = _cochain(kx, degree, text)
+    eta = algfile.parse_cochain(kx, degree, text)
     if not coboundary(eta).is_zero():
         raise KoszulGerstError("input cochain is not a cocycle")
     return eta
@@ -122,6 +118,19 @@ def emit(doc, fmt, lines):
     else:
         for line in lines:
             print(line)
+
+
+def _identity_lines(report, witnesses):
+    """PASS or FAIL per identity checked, with each failure's witness if asked.
+    A failure counts against each check whose name states both sides of its
+    law: the counit check states (mu ox 1)Delta = id and (1 ox mu)Delta = id."""
+    lines = []
+    for name in report.checked:
+        bad = [f for f in report.failures if set(f[0].split(" = ")) <= set(name.split(" = "))]
+        lines.append(f"{'PASS' if not bad else 'FAIL'}  {name}")
+        lines += [f"      witness at degree {f[1]}, generator {f[2]}: {f[3]}"
+                  for f in bad if witnesses]
+    return lines
 
 
 # -- command bodies ------------------------------------------------------------
@@ -212,11 +221,7 @@ def cmd_resolution(args):
         doc["verify"] = {"ok": report.ok,
                          "checked": report.checked,
                          "failures": [list(map(str, f)) for f in report.failures]}
-        for name in report.checked:
-            bad = [f for f in report.failures if f[0] == name]
-            lines.append(f"{'PASS' if not bad else 'FAIL'}  {name}")
-            for f in bad:
-                lines.append(f"      witness at degree {f[1]}, generator {f[2]}: {f[3]}")
+        lines += _identity_lines(report, witnesses=True)
         status = 0 if report.ok else 1
     emit(doc, args.format, lines)
     return status
@@ -231,13 +236,14 @@ def cmd_cohomology(args):
     for n in range(kx.N):
         space = cocycle_space(kx, n, args.internal_degree)
         cocycles = [c.format() for c in space.cocycles]
-        doc["spaces"].append({
-            "degree": n,
-            "internal_degrees": list(space.internal_degrees),
-            "cocycles": cocycles,
-            "coboundaries": [c.format() for c in space.coboundaries],
-            "hh_dim": space.hh_dim,
-        })
+        if args.format == "structured":  # text mode prints no coboundary
+            doc["spaces"].append({
+                "degree": n,
+                "internal_degrees": list(space.internal_degrees),
+                "cocycles": cocycles,
+                "coboundaries": [c.format() for c in space.coboundaries],
+                "hh_dim": space.hh_dim,
+            })
         lines.append(f"degree {n}: dim Z = {len(space.cocycles)}, "
                      f"dim B = {len(space.coboundaries)}, dim HH = {space.hh_dim}")
         for c in cocycles:
@@ -248,8 +254,8 @@ def cmd_cohomology(args):
 
 def cmd_cup(args):
     kx = load_complex(args, min_n=args.left_degree + args.right_degree)
-    left = _cochain(kx, args.left_degree, args.left)
-    right = _cochain(kx, args.right_degree, args.right)
+    left = algfile.parse_cochain(kx, args.left_degree, args.left)
+    right = algfile.parse_cochain(kx, args.right_degree, args.right)
     result = cup_product(left, right).format()
     doc = {"command": "cup", "result": result}
     emit(doc, args.format, [f"cup = {result}"])
@@ -410,9 +416,7 @@ def cmd_verify_all(args):
     ok_all = report.ok
     doc["checks"].append({"name": "resolution identities", "ok": report.ok,
                           "failures": [list(map(str, f)) for f in report.failures]})
-    for name in report.checked:
-        bad = [f for f in report.failures if f[0] == name]
-        lines.append(f"{'PASS' if not bad else 'FAIL'}  {name}")
+    lines += _identity_lines(report, witnesses=False)
     golden_applicable = (args.preset == "short"
                          or (args.preset == "family"
                              and kx.presentation.params.get("q") == kx.field.one))

@@ -75,11 +75,10 @@ class InfiniteDimensional(KoszulGerstError):
 # -- input handling ---------------------------------------------------------
 
 class ParseError(KoszulGerstError):
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
         if line is not None:
-            message = f"line {line}" + (f", col {column}" if column else "") + f": {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
 
 

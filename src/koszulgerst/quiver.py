@@ -178,13 +178,9 @@ def make_order_key(arrow_rank):
 class QuadraticPresentation:
     """A quiver with uniform quadratic relations and a fixed arrow order."""
 
-    def __init__(self, quiver, relations, arrow_order=None, field=None, params=None):
+    def __init__(self, quiver, relations, arrow_order=None, *, field, params=None):
         self.quiver = quiver
         self.relations = list(relations)
-        if field is None:
-            if not self.relations:
-                raise ValueError("field required when there are no relations")
-            field = self.relations[0].field
         self.field = field
         self.params = dict(params or {})
         for rel in self.relations:

@@ -9,11 +9,13 @@ import sys
 import pytest
 
 import koszulgerst
+from koszulgerst import cli
 from koszulgerst.algfile import parse_presentation, serialize_presentation
 from koszulgerst.cli import EXIT_BROKEN_PIPE, _check_table, build_parser, main
+from koszulgerst.cohomology import Cochain
 from koszulgerst.errors import (MissingParameter, NonQuadraticRelation, ParseError,
                                 UnknownPreset)
-from koszulgerst.fields import QQ
+from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.presets import family_table1, family_table2, load_presentation
 from koszulgerst.quiver import Quiver
 
@@ -34,13 +36,43 @@ relation a.c
 """
 
 
-def test_parse_matches_preset():
-    pres = parse_presentation(FAMILY_FILE)
-    preset = load_presentation("family", QQ, q=1)
+SHORT_FILE = """\
+field Q
+vertex 1
+arrow x 1 1
+arrow y 1 1
+relation x.x
+relation x.y + y.x
+"""
+
+
+def family_file(field, q):
+    """FAMILY_FILE over the named field with the given q literal."""
+    return FAMILY_FILE.replace("field Q", f"field {field}").replace("q = 1", f"q = {q}")
+
+
+@pytest.mark.parametrize("text, name, field, q", [
+    (SHORT_FILE, "short", QQ, None),
+    (family_file("Q", "1"), "family", QQ, 1),
+    (family_file("Q", "-1"), "family", QQ, -1),
+    (family_file("Q", "2"), "family", QQ, 2),
+    (family_file("F5", "-1"), "family", PrimeField(5), -1),
+], ids=["short", "family-q=1", "family-q=-1", "family-q=2", "family-q=-1-F5"])
+def test_parse_matches_preset(text, name, field, q):
+    # each preset is an algebra file; a file written apart from it, with
+    # other spellings of the same relations, reads as the same presentation
+    pres = parse_presentation(text)
+    preset = load_presentation(name, field, q=q)
+    assert pres.field == preset.field == field
     assert pres.quiver.vertex_names == preset.quiver.vertex_names
     assert pres.quiver.arrow_names == preset.quiver.arrow_names
+    assert (pres.quiver.arrow_o, pres.quiver.arrow_t) == (
+        preset.quiver.arrow_o, preset.quiver.arrow_t)
     assert pres.relations == preset.relations
+    assert [list(r.terms.items()) for r in pres.relations] == [
+        list(r.terms.items()) for r in preset.relations]
     assert pres.arrow_order == preset.arrow_order
+    assert pres.params == preset.params
 
 
 def test_serialize_round_trip():
@@ -160,6 +192,83 @@ def test_cli_resolution_text_decodes_no_word(argv, lines, sha256, tmp_path, monk
     assert decoded == []
     assert (len(out.splitlines()), hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
         lines, sha256)
+
+
+COUNIT = "(mu ox 1)Delta = id = (1 ox mu)Delta"
+
+
+def test_cli_reports_a_failing_counit_law(monkeypatch, capsys):
+    # the counit check is one line for two laws whose failures are named
+    # apart, (mu ox 1)Delta = id and (1 ox mu)Delta = id; doubling c(2, 0, 0)
+    # of `short` breaks the first, and both commands must say FAIL
+    load = cli.load_complex
+
+    def corrupted(args, min_n=1):
+        kx = load(args, min_n)
+        row = dict(kx.c(2, 0, 0))
+        key = next(iter(row))
+        row[key] = QQ(2) * row[key]
+        kx.comult._cache[(2, 0)][0] = row
+        kx._diag_cache.clear()
+        return kx
+
+    monkeypatch.setattr(cli, "load_complex", corrupted)
+    assert main(["resolution", "--preset", "short", "-N", "3", "--verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index(f"FAIL  {COUNIT}")
+    assert lines[at + 1:at + 3] == ["      witness at degree 2, generator 0: 2*eps^2_0",
+                                    "PASS  delta iota = iota d"]
+    assert main(["verify-all", "--preset", "short", "-N", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"FAIL  {COUNIT}" in lines and f"PASS  {COUNIT}" not in lines
+    # the structured document names the check and the failed law as before
+    assert main(["resolution", "--preset", "short", "-N", "3", "--verify",
+                 "--format", "structured"]) == 1
+    verify = json.loads(capsys.readouterr().out)["verify"]
+    assert COUNIT in verify["checked"]
+    assert ["(mu ox 1)Delta = id", "2", "0", "2*eps^2_0"] in verify["failures"]
+
+
+@pytest.mark.parametrize("argv, lines, sha256", [
+    (["--preset", "family", "--q", "1", "-N", "8"], 107,
+     "3a382d382d1d5f9a1e7cce03ef25b7088192bd80b92a48e7c5ff6980c27406be"),
+    (["--preset", "family", "--q", "-1", "--field", "F5", "-N", "6", "--internal-degree", "2"],
+     32, "0ff12c95e9965487287512517c5c571e23f582764c48670fe5433cecce50610e"),
+], ids=["family-q=1", "family-q=-1-F5-l=2"])
+def test_cli_cohomology_text_formats_no_coboundary(argv, lines, sha256, monkeypatch, capsys):
+    # text mode prints the cocycles only; the coboundaries go into the
+    # structured document alone, so text mode formats none of them
+    spaces, formatted = [], []
+    space_of, fmt = cli.cocycle_space, Cochain.format
+
+    def space_spy(*args):
+        spaces.append(space_of(*args))
+        return spaces[-1]
+
+    def format_spy(self, *args):
+        formatted.append(self)
+        return fmt(self, *args)
+
+    monkeypatch.setattr(cli, "cocycle_space", space_spy)
+    monkeypatch.setattr(Cochain, "format", format_spy)
+    assert main(["cohomology", *argv]) == 0
+    out = capsys.readouterr().out
+    coboundaries = {id(c) for space in spaces for c in space.coboundaries}
+    assert coboundaries and not coboundaries & {id(c) for c in formatted}
+    assert len(formatted) == out.count("  cocycle ")
+    assert (len(out.splitlines()), hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
+        lines, sha256)
+
+
+def test_preset_and_its_algebra_file_print_the_same_resolution(tmp_path, capsys):
+    path = tmp_path / "family.alg"
+    path.write_text(family_file("F5", "-1"))
+    tail = ["-N", "5", "--verify", "--format", "structured"]
+    assert main(["resolution", "--preset", "family", "--q", "-1", "--field", "F5", *tail]) == 0
+    preset = capsys.readouterr().out
+    assert main(["resolution", "--algebra", str(path), *tail]) == 0
+    assert capsys.readouterr().out == preset
+    assert json.loads(preset)["verify"]["ok"] is True
 
 
 def test_cli_mc(capsys):

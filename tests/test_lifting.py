@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulgerst import lifting
+from koszulgerst.algfile import parse_cochain
 from koszulgerst.cohomology import Cochain, coboundary, cocycle_space
 from koszulgerst.errors import CochainError, KoszulGerstError, NoSolution
 from koszulgerst.fields import QQ, PrimeField
@@ -14,7 +15,7 @@ from koszulgerst.lifting import (HomotopyLifting, closed_form_conditions, deriva
                                  derivation_on_word, lifting_residual,
                                  solve_lifting, verify_derivation, verify_lifting)
 from koszulgerst.linalg import Matrix, _nullspace_from_rref, _rref
-from koszulgerst.presets import (cochain, family_deriv_chi, family_deriv_eta,
+from koszulgerst.presets import (family_deriv_chi, family_deriv_eta,
                                  family_named_cocycles, family_psi_chi,
                                  family_psi_chibar, family_psi_eta,
                                  family_psi_etabar, family_table1, family_table2,
@@ -74,7 +75,7 @@ def test_solver_shape_matches_internal_degree(family8):
 
 
 def test_solver_rejects_non_cocycle(family8):
-    bad = cochain(family8, 1, ["b", 0, 0])
+    bad = parse_cochain(family8, 1, "b,0,0")
     assert not coboundary(bad).is_zero()
     with pytest.raises(NoSolution):
         solve_lifting(family8, bad, 3)
@@ -138,7 +139,7 @@ def test_verifiers_check_every_degree_through_M(family8):
 def test_checks_past_the_complex_are_errors():
     kx = load_complex("family", QQ, 4, q=1)
     g = family_named_cocycles(kx)
-    e1 = cochain(kx, 2, [0, 0, "e1", 0])
+    e1 = parse_cochain(kx, 2, "0,0,e1,0")
     assert closed_form_conditions(kx, "idempotent", e1, None, 4).all_hold
     psi = family_psi_eta(kx, 4)
     calls = [lambda M: closed_form_conditions(kx, "idempotent", e1, None, M),
@@ -434,7 +435,7 @@ def test_cached_derivation_lift_matches_per_generator_solve(fixture, request, mo
 
 
 def test_cached_solve_names_the_failing_generator(family8, monkeypatch):
-    bad = cochain(family8, 1, ["b", 0, 0])
+    bad = parse_cochain(family8, 1, "b,0,0")
     errors = []
     for solve_images in (lifting._solve_images, _reference_solve_images):
         monkeypatch.setattr(lifting, "_solve_images", solve_images)

@@ -160,9 +160,10 @@ def test_accumulations_are_native_and_reduced_once():
     assert found == []
 
 
-def callers(tree, callee):
-    """Qualified names of the functions that call `<callee>(...)` or
-    `<x>.<callee>(...)` ("" at module level)."""
+def references(tree, names):
+    """(name, qualified scope) for each `<name>` or `<x>.<name>` read in a
+    function, called or not, so that an alias `product = x.word_product`
+    counts too ("" at module level)."""
     found = set()
 
     def visit(node, scope):
@@ -170,11 +171,10 @@ def callers(tree, callee):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == callee:
-                    found.add(scope)
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in names:
+                found.add((name, scope))
             visit(child, scope)
 
     visit(tree, "")
@@ -189,8 +189,11 @@ def test_rule_spots_rref_callers():
                      "            return linalg._rref(rows, 1, f)\n"
                      "        return inner\n"
                      "def g():\n"
-                     "    return rref(rows)\n")
-    assert callers(tree, "_rref") == ["", "A.m.inner"]
+                     "    return rref(rows)\n"
+                     "def h():\n"
+                     "    reduce = linalg._rref\n"
+                     "    return reduce(rows, 0, f)\n")
+    assert references(tree, ("_rref",)) == [("_rref", ""), ("_rref", "A.m.inner"), ("_rref", "h")]
 
 
 def test_rref_and_nullspace_from_rref_are_called_only_inside_linalg():
@@ -202,8 +205,8 @@ def test_rref_and_nullspace_from_rref_are_called_only_inside_linalg():
         if module.name == "linalg.py":
             continue
         tree = ast.parse(module.read_text(), filename=str(module))
-        found += [(module.name, scope) for callee in ("_rref", "_nullspace_from_rref")
-                  for scope in callers(tree, callee)]
+        found += [(module.name, scope)
+                  for _, scope in references(tree, ("_rref", "_nullspace_from_rref"))]
     assert sorted(SRC.glob("*.py")), "package source not found"
     assert found == []
     # the generators and their scalars are read off A^!'s normal words and
@@ -213,7 +216,7 @@ def test_rref_and_nullspace_from_rref_are_called_only_inside_linalg():
 
 
 def test_rule_spots_checked_cochain_constructions():
-    tree = ast.parse("def _cochain(kx, degree, text):\n"
+    tree = ast.parse("def parse_cochain(kx, degree, text):\n"
                      "    return Cochain.from_values(kx, degree, parse(text))\n"
                      "class Cochain:\n"
                      "    def from_values(cls, kx, degree, values):\n"
@@ -221,23 +224,39 @@ def test_rule_spots_checked_cochain_constructions():
                      "    def graded_piece(self, ell):\n"
                      "        return normal_form(self)\n"
                      "def bracket(kx, values):\n"
-                     "    return Cochain(kx, 2, values)\n")
-    assert callers(tree, "from_values") == ["_cochain"]
-    assert callers(tree, "normal_form") == ["Cochain.from_values", "Cochain.graded_piece"]
+                     "    return Cochain(kx, 2, values)\n"
+                     "def cochain(kx, degree, values):\n"
+                     "    build = Cochain.from_values\n"
+                     "    return build(kx, degree, values)\n")
+    assert references(tree, ("from_values",)) == [
+        ("from_values", "cochain"), ("from_values", "parse_cochain")]
+    assert references(tree, ("normal_form",)) == [
+        ("normal_form", "Cochain.from_values"), ("normal_form", "Cochain.graded_piece")]
 
 
 def test_only_input_entry_points_check_cochain_values():
     # Cochain(kx, n, terms) trusts terms the package computed; values are put
-    # in normal form and pin-checked only where they enter, so no computed
-    # cochain pays for a second normalisation
+    # in normal form and pin-checked only where they enter, and they enter
+    # only as cochain literals, which algfile.parse_cochain reads for the
+    # command line and the presets' goldens alike; so no computed cochain
+    # pays for a second normalisation
     found = []
     for module in sorted(SRC.glob("*.py")):
         tree = ast.parse(module.read_text(), filename=str(module))
-        found += [(module.name, scope) for scope in callers(tree, "from_values")]
+        found += [(module.name, scope) for _, scope in references(tree, ("from_values",))]
     assert sorted(SRC.glob("*.py")), "package source not found"
-    assert sorted(found) == [("cli.py", "_cochain"), ("presets.py", "cochain")]
+    assert found == [("algfile.py", "parse_cochain")]
     tree = ast.parse((SRC / "cohomology.py").read_text(), filename="cohomology.py")
-    assert callers(tree, "normal_form") == ["Cochain.from_values"]
+    assert references(tree, ("normal_form",)) == [("normal_form", "Cochain.from_values")]
+
+
+def test_presets_are_parsed_not_built():
+    # the presets are algebra files and their goldens cochain literals, read
+    # by algfile; presets builds no quiver, path or presentation by hand
+    tree = ast.parse((SRC / "presets.py").read_text(), filename="presets.py")
+    assert references(tree, ("Path", "PathVector", "Quiver", "QuadraticPresentation")) == []
+    assert ("parse_presentation", "load_presentation") in references(
+        tree, ("parse_presentation",))
 
 
 def named_calls(tree, callee):
@@ -304,30 +323,9 @@ def test_cobasis_spells_codes_without_building_words():
     # + a for the word x followed by the arrow a; the Paths of f and the
     # letters of iota are decoded from those codes by Quiver.decode
     tree = ast.parse((SRC / "koszul.py").read_text(), filename="koszul.py")
-    found = [scope for callee in ("compose", "code") for scope in callers(tree, callee)]
-    assert "build_koszul_basis" in found  # the rule sees koszul's compose calls
-    assert [scope for scope in found if scope.split(".")[0] == "KoszulCobasis"] == []
-
-
-def references(tree, names):
-    """(name, qualified scope) for each `<name>` or `<x>.<name>` read in a
-    function, called or not, so that an alias `product = x.word_product`
-    counts too ("" at module level)."""
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            name = (child.id if isinstance(child, ast.Name)
-                    else child.attr if isinstance(child, ast.Attribute) else None)
-            if name in names:
-                found.add((name, scope))
-            visit(child, scope)
-
-    visit(tree, "")
-    return sorted(found)
+    found = references(tree, ("compose", "code"))
+    assert ("compose", "build_koszul_basis") in found  # the rule sees koszul's compose calls
+    assert [pair for pair in found if pair[1].split(".")[0] == "KoszulCobasis"] == []
 
 
 def test_rule_spots_normal_forms_in_cobasis_methods():
