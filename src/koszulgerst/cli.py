@@ -120,16 +120,16 @@ def emit(doc, fmt, lines):
             print(line)
 
 
-def _identity_lines(report, witnesses):
-    """PASS or FAIL per identity checked, with each failure's witness if asked.
-    A failure counts against each check whose name states both sides of its
+def _identity_lines(report):
+    """PASS or FAIL per identity checked, with each failure's witness.  A
+    failure counts against each check whose name states both sides of its
     law: the counit check states (mu ox 1)Delta = id and (1 ox mu)Delta = id."""
     lines = []
     for name in report.checked:
         bad = [f for f in report.failures if set(f[0].split(" = ")) <= set(name.split(" = "))]
         lines.append(f"{'PASS' if not bad else 'FAIL'}  {name}")
         lines += [f"      witness at degree {f[1]}, generator {f[2]}: {f[3]}"
-                  for f in bad if witnesses]
+                  for f in bad]
     return lines
 
 
@@ -221,7 +221,7 @@ def cmd_resolution(args):
         doc["verify"] = {"ok": report.ok,
                          "checked": report.checked,
                          "failures": [list(map(str, f)) for f in report.failures]}
-        lines += _identity_lines(report, witnesses=True)
+        lines += _identity_lines(report)
         status = 0 if report.ok else 1
     emit(doc, args.format, lines)
     return status
@@ -340,7 +340,8 @@ def _check_table(kx, golden, degree):
 
 
 def _run_tables(args, kx):
-    """Shared body of `tables`; returns (checks, extra doc fields, lines, ok)."""
+    """Shared body of `tables` and `verify-all`: (checks, extra doc fields,
+    lines, ok), or None for family off q = 1, where no golden table applies."""
     lines = []
     checks = []
     extra = {}
@@ -354,7 +355,7 @@ def _run_tables(args, kx):
 
     if args.preset == "family":
         if kx.presentation.params.get("q") != kx.field.one:
-            raise KoszulGerstError("the golden tables are pinned at q = 1; rerun with --q 1")
+            return None
         t1 = presets.family_table1(kx)
         ok, span_ok = _check_table(kx, t1, 2)
         record("degree-2 cocycle table: all 9 vectors in ker d*", ok)
@@ -364,7 +365,7 @@ def _run_tables(args, kx):
         record("degree-1 cocycle table: all 6 vectors in ker d*", ok)
         record("degree-1 cocycle table spans the cocycle space", span_ok)
         named = presets.family_named_cocycles(kx)
-        table3 = presets.family_table3(kx)
+        table3 = presets.family_table3(kx, named)
         lifts = {name: solve_lifting(kx, c, 3) for name, c in named.items()
                  if name != "theta"}
         exact_hits = 0
@@ -402,7 +403,10 @@ def _run_tables(args, kx):
 
 def cmd_tables(args):
     kx = load_complex(args, min_n=4)
-    checks, extra, lines, ok_all = _run_tables(args, kx)
+    tables = _run_tables(args, kx)
+    if tables is None:
+        raise KoszulGerstError("the golden tables are pinned at q = 1; rerun with --q 1")
+    checks, extra, lines, ok_all = tables
     doc = {"command": "tables", "checks": checks, **extra, "ok": ok_all}
     emit(doc, args.format, lines)
     return 0 if ok_all else 1
@@ -416,17 +420,15 @@ def cmd_verify_all(args):
     ok_all = report.ok
     doc["checks"].append({"name": "resolution identities", "ok": report.ok,
                           "failures": [list(map(str, f)) for f in report.failures]})
-    lines += _identity_lines(report, witnesses=False)
-    golden_applicable = (args.preset == "short"
-                         or (args.preset == "family"
-                             and kx.presentation.params.get("q") == kx.field.one))
-    if golden_applicable:
-        checks, extra, table_lines, tables_ok = _run_tables(args, kx)
+    lines += _identity_lines(report)
+    tables = _run_tables(args, kx) if args.preset else None
+    if tables is not None:
+        checks, extra, table_lines, tables_ok = tables
         doc["checks"].extend(checks)
         doc.update(extra)
         lines.extend(table_lines)
         ok_all = ok_all and tables_ok
-    elif args.preset == "family":
+    elif args.preset:
         lines.append("(golden tables skipped: pinned at q = 1)")
         doc["checks"].append({"name": "golden tables", "ok": True,
                               "detail": "skipped: pinned at q = 1"})

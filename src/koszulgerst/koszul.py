@@ -14,13 +14,15 @@ ideal: W_n is the dual space of A^!_n.  A basis of normal words w_i of A^!_n
 therefore names the generators: f^n_i is the one element of W_n that pairs
 to 1 with w_i and to 0 with every other normal word of length n.
 
-The dual presentation.  R^perp is spanned by p - sum_rows row[p] lead(row),
-one vector per composable 2-path p that leads no row of R's reduced echelon
-basis.  Under the reversed arrow order p is the leading word of its vector,
-so the normal 2-words of A^! are the leading words of R.  A quadratic
-Groebner basis of A gives one of A^! under the opposite order (PBW duality;
-Polishchuk-Positselski, Quadratic Algebras (2005), ch. 4), so the rewrite
-system of A^! is confluent whenever A's is.
+The dual presentation.  R^perp is read off the rules of A's certified
+rewrite system: a rule lead -> tail is the row lead - tail of R's reduced
+echelon basis, which has -tail[p] at each other 2-path p, so R^perp is
+spanned by p + sum_rules tail[p] lead, one vector per composable 2-path p
+that leads no rule.  Under the reversed arrow order p is the leading word
+of its vector, so the normal 2-words of A^! are the leading words of R.  A
+quadratic Groebner basis of A gives one of A^! under the opposite order
+(PBW duality; Polishchuk-Positselski, Quadratic Algebras (2005), ch. 4), so
+the rewrite system of A^! is confluent whenever A's is.
 
 Comultiplicative scalars.  The scalars c_{pq}(n,i,r) are the unique
 coefficients with
@@ -61,7 +63,6 @@ canonical.
 """
 
 from .errors import InconsistentBasis, NotConfluent
-from .linalg import echelon_basis
 from .quiver import PathVector, QuadraticPresentation
 from .rewriting import build_rewrite_system
 
@@ -209,26 +210,26 @@ class KoszulCobasis:
         return self.pairs[n][i][1]
 
 
-def build_koszul_basis(presentation, N):
-    """The cobasis through degree N, from the normal words of A^!."""
-    q, f, key = presentation.quiver, presentation.field, presentation.order_key
+def build_koszul_basis(rs, N):
+    """The cobasis through degree N from the normal words of A^!, whose
+    relations R^perp are read off the rules of A's certified rewrite system rs."""
+    q, f, key = rs.quiver, rs.field, rs.presentation.order_key
     compose, arrow = q.compose, q.arrow_path
-    rows = {min(row.terms, key=key): row.terms
-            for row in echelon_basis(presentation.relations, key)}
+    leads = {rule: compose(arrow(rule[0]), arrow(rule[1])) for rule in rs.rules}
     perp = []
     for a in range(q.num_arrows):
         for b in range(q.num_arrows):
             p = compose(arrow(a), arrow(b))
-            if p is None or p in rows:
+            if p is None or (a, b) in leads:
                 continue
             terms = {p: f.one}
-            for lead, row in rows.items():
-                if p in row:
-                    terms[lead] = -row[p]
+            for rule, tail in rs.rules.items():
+                if p in tail.terms:
+                    terms[leads[rule]] = tail.terms[p]
             perp.append(PathVector(f, terms))
     try:
         dual = build_rewrite_system(QuadraticPresentation(
-            q, perp, arrow_order=presentation.arrow_order[::-1], field=f))
+            q, perp, arrow_order=rs.presentation.arrow_order[::-1], field=f))
     except NotConfluent as err:  # its overlaps are A^!'s, not A's
         raise NotConfluent(f"quadratic dual A^! is not confluent: {err}") from err
     words = [[q.vertex_path(v) for v in range(q.num_vertices)],

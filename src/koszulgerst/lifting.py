@@ -43,14 +43,9 @@ class HomotopyLifting:
             return BimoduleElement.zero(self.kx.field, target)
         return self.maps[m][r]
 
-    def apply(self, x):
-        """psi extended bimodule-linearly to an element of K_m."""
-        out = {}
-        self.apply_into(out, x, 1)
-        return BimoduleElement(self.kx.field, max(x.degree - self.n + 1, 0), out)
-
     def apply_into(self, out, x, scale):
-        """Add scale . psi(x) into the term dict out."""
+        """Add scale . psi(x), psi extended bimodule-linearly to an element
+        x of K_m, into the term dict out."""
         images = self.maps.get(x.degree) if x.degree >= self.n else None
         if images is None:
             return

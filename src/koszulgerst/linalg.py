@@ -45,8 +45,8 @@ class SparseVector:
         return cls(field)
 
     @classmethod
-    def single(cls, field, key, coeff=None):
-        return cls(field, {key: field.one if coeff is None else coeff})
+    def single(cls, field, key):
+        return cls(field, {key: field.one})
 
     def is_zero(self):
         return not self.terms

@@ -23,7 +23,7 @@ command-line literal ``--cocycle`` would take (``"a,0,0,0"``), read by
 
 from .algfile import parse_cochain, parse_presentation, parse_value
 from .cohomology import Cochain
-from .errors import MissingParameter, UnknownPreset
+from .errors import KoszulGerstError, MissingParameter, UnknownPreset
 from .lifting import DerivationOperator, HomotopyLifting
 from .resolution import BimoduleElement, KoszulComplex
 
@@ -61,6 +61,8 @@ def load_presentation(name, field, q=None):
         if q is None:
             raise MissingParameter("preset 'family' needs the parameter q")
         text += f"param q = {field.format(field(q))}\n"
+    elif q is not None:
+        raise KoszulGerstError(f"preset {name!r} takes no parameter q")
     return parse_presentation(text, field_override=field)
 
 
@@ -130,14 +132,13 @@ def family_table2(kx):
     return [parse_cochain(kx, 1, row) for row in rows]
 
 
+# the named cocycles at q = 1, as (degree, cochain literal)
+FAMILY_NAMED = {"eta": (1, "a,0,0"), "chi": (1, "a.b,0,0"), "etabar": (2, "a,0,0,0"),
+                "chibar": (2, "0,0,a.b,0"), "theta": (2, "a.b,0,0,0")}
+
+
 def family_named_cocycles(kx):
-    return {
-        "eta": parse_cochain(kx, 1, "a,0,0"),
-        "chi": parse_cochain(kx, 1, "a.b,0,0"),
-        "etabar": parse_cochain(kx, 2, "a,0,0,0"),
-        "chibar": parse_cochain(kx, 2, "0,0,a.b,0"),
-        "theta": parse_cochain(kx, 2, "a.b,0,0,0"),
-    }
+    return {name: parse_cochain(kx, *spec) for name, spec in FAMILY_NAMED.items()}
 
 
 def family_psi_eta(kx, M):
@@ -147,7 +148,7 @@ def family_psi_eta(kx, M):
         images = [_bim(kx, m, [(m - r, "", r, "")] if m != r else 0) for r in range(m + 1)]
         images.append(_bim(kx, m, [(m - 1, "", m + 1, "")] if m != 1 else 0))
         maps[m] = images
-    return HomotopyLifting(kx, family_named_cocycles(kx)["eta"], maps)
+    return HomotopyLifting(kx, parse_cochain(kx, *FAMILY_NAMED["eta"]), maps)
 
 
 def family_psi_chi(kx, M):
@@ -166,7 +167,7 @@ def family_psi_chi(kx, M):
         images.append(_bim(kx, m, [(m - 1, "b", m + 1, ""), (m - 1, "", 1, "c")]
                            if m >= 2 else 0))
         maps[m] = images
-    return HomotopyLifting(kx, family_named_cocycles(kx)["chi"], maps)
+    return HomotopyLifting(kx, parse_cochain(kx, *FAMILY_NAMED["chi"]), maps)
 
 
 def family_psi_etabar(kx):
@@ -180,7 +181,7 @@ def family_psi_etabar(kx):
         3: [_bim(kx, 2, 0), _bim(kx, 2, [(1, "", 1, "")]), _bim(kx, 2, 0),
             _bim(kx, 2, 0), _bim(kx, 2, [(1, "", 3, "")])],
     }
-    return HomotopyLifting(kx, family_named_cocycles(kx)["etabar"], maps)
+    return HomotopyLifting(kx, parse_cochain(kx, *FAMILY_NAMED["etabar"]), maps)
 
 
 def family_psi_chibar(kx):
@@ -192,7 +193,7 @@ def family_psi_chibar(kx):
         3: [_bim(kx, 2, 0), _bim(kx, 2, 0), _bim(kx, 2, [(-1, "a", 1, "")]),
             _bim(kx, 2, [(1, "", 1, "b")]), _bim(kx, 2, 0)],
     }
-    return HomotopyLifting(kx, family_named_cocycles(kx)["chibar"], maps)
+    return HomotopyLifting(kx, parse_cochain(kx, *FAMILY_NAMED["chibar"]), maps)
 
 
 def _derivation(kx, lift):
@@ -210,9 +211,9 @@ def family_deriv_chi(kx, M):
     return _derivation(kx, family_psi_chi(kx, M))
 
 
-def family_table3(kx):
-    """The sixteen golden bracket values at q = 1, keyed by cocycle names."""
-    named = family_named_cocycles(kx)
+def family_table3(kx, named):
+    """The sixteen golden bracket values at q = 1, keyed by cocycle names;
+    named is family_named_cocycles(kx)."""
     z1, z2, z3 = (Cochain.zero(kx, n) for n in (1, 2, 3))
     return {
         ("eta", "eta"): z1, ("eta", "chi"): z1,

@@ -109,7 +109,7 @@ class KoszulComplex:
         self.field = presentation.field
         self.N = N
         self.rs = build_rewrite_system(presentation)
-        self.cobasis = build_koszul_basis(presentation, N)
+        self.cobasis = build_koszul_basis(self.rs, N)
         self.comult = ComultTable(self.cobasis)
         self._diff_cache = {}
         self._diag_cache = {}
@@ -252,9 +252,9 @@ class KoszulComplex:
 
     # -- identity checks -----------------------------------------------------------
 
-    def verify_resolution(self, N=None):
+    def verify_resolution(self):
         """Check every structural identity through degree N, exactly."""
-        N = self.N if N is None else N
+        N = self.N
         view = self._letter_view(N)  # built per call: _diff_cache may change between calls
         checked, failures = [], []
         self._check_d_squared(N, view, checked, failures)

@@ -80,24 +80,15 @@ class RewriteSystem:
         return got
 
     def multiply(self, a, b):
-        """Product in Lambda, bilinear in the memoised word products.
-
-        Two single words with unit coefficients get the memo entry itself,
-        so a product must never be modified in place.
-        """
-        f = self.field
-        if len(a.terms) == 1 and len(b.terms) == 1:
-            (u, cu), = a.terms.items()
-            (v, cv), = b.terms.items()
-            if cu == f.one and cv == f.one:
-                return self.word_product(u, v)
+        """Product in Lambda, bilinear in the memoised word products; a new
+        vector on every call, so the memo is never handed out."""
         acc = {}
         for u, cu in a.terms.items():
             for v, cv in b.terms.items():
                 c = cu * cv
                 for w, cw in self.word_product(u, v).terms.items():
                     acc[w] = acc.get(w, 0) + c * cw
-        return PathVector(f, acc)  # reduces, and drops the terms that cancelled
+        return PathVector(self.field, acc)  # reduces, and drops the terms that cancelled
 
     # -- normal-word enumeration ---------------------------------------------
 

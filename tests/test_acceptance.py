@@ -85,7 +85,7 @@ def test_criterion_4_bracket_table(family8, record_criterion):
     lifts = {name: solve_lifting(family8, c, 3) for name, c in named.items()
              if name != "theta"}
     class_ok, exact_hits = True, 0
-    for (a, b), expected in sorted(family_table3(family8).items()):
+    for (a, b), expected in sorted(family_table3(family8, named).items()):
         got = bracket_via_lifting(family8, named[a], named[b], lifts[a], lifts[b])
         class_ok = class_ok and same_class(got, expected)
         exact_hits += got == expected

@@ -35,7 +35,7 @@ def golden_liftings(kx):
 def test_table3_exact_with_golden_liftings(family8):
     named = family_named_cocycles(family8)
     lifts = golden_liftings(family8)
-    for (a, b), expected in family_table3(family8).items():
+    for (a, b), expected in family_table3(family8, named).items():
         got = bracket_via_lifting(family8, named[a], named[b], lifts[a], lifts[b])
         assert got == expected, (a, b, got.format())
 
@@ -45,7 +45,7 @@ def test_table3_class_level_with_solver_liftings(family8):
     lifts = {name: solve_lifting(family8, c, 3) for name, c in named.items()
              if name != "theta"}
     exact = 0
-    for (a, b), expected in family_table3(family8).items():
+    for (a, b), expected in family_table3(family8, named).items():
         got = bracket_via_lifting(family8, named[a], named[b], lifts[a], lifts[b])
         assert same_class(got, expected), (a, b)
         exact += got == expected
@@ -377,7 +377,7 @@ def reference_bar_cocycle_basis(kx, n):
         for vec in nullspace_basis(Matrix(f, len(dst_index), len(src), entries)):
             values = {}
             for (tup, w), c in zip(src, vec):
-                values[tup] = values.get(tup, PathVector.zero(f)) + PathVector.single(f, w, c)
+                values[tup] = values.get(tup, PathVector.zero(f)) + PathVector(f, {w: c})
             basis.append(_flat(kx, n, values))
     return basis
 

@@ -9,12 +9,12 @@ import sys
 import pytest
 
 import koszulgerst
-from koszulgerst import cli
+from koszulgerst import algfile, cli, presets
 from koszulgerst.algfile import parse_presentation, serialize_presentation
 from koszulgerst.cli import EXIT_BROKEN_PIPE, _check_table, build_parser, main
 from koszulgerst.cohomology import Cochain
-from koszulgerst.errors import (MissingParameter, NonQuadraticRelation, ParseError,
-                                UnknownPreset)
+from koszulgerst.errors import (KoszulGerstError, MissingParameter, NonQuadraticRelation,
+                                ParseError, UnknownPreset)
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.presets import family_table1, family_table2, load_presentation
 from koszulgerst.quiver import Quiver
@@ -102,6 +102,8 @@ def test_preset_errors():
         load_presentation("nope", QQ)
     with pytest.raises(MissingParameter):
         load_presentation("family", QQ)
+    with pytest.raises(KoszulGerstError, match="^preset 'short' takes no parameter q$"):
+        load_presentation("short", QQ, q=2)
 
 
 def test_cli_tables_family(capsys):
@@ -220,7 +222,9 @@ def test_cli_reports_a_failing_counit_law(monkeypatch, capsys):
                                     "PASS  delta iota = iota d"]
     assert main(["verify-all", "--preset", "short", "-N", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert f"FAIL  {COUNIT}" in lines and f"PASS  {COUNIT}" not in lines
+    assert f"PASS  {COUNIT}" not in lines
+    at = lines.index(f"FAIL  {COUNIT}")
+    assert lines[at + 1] == "      witness at degree 2, generator 0: 2*eps^2_0"
     # the structured document names the check and the failed law as before
     assert main(["resolution", "--preset", "short", "-N", "3", "--verify",
                  "--format", "structured"]) == 1
@@ -370,10 +374,27 @@ def test_cli_verify_all_structured_is_one_document(capsys):
 def test_cli_golden_tables_pinned_at_q_one(capsys):
     # the table data only exists at q = 1: tables refuses, verify-all skips
     assert main(["tables", "--preset", "family", "--q", "2"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: the golden tables are pinned at q = 1; rerun with --q 1\n")
     assert main(["verify-all", "--preset", "family", "--q", "2", "-N", "3"]) == 0
     out = capsys.readouterr().out
     assert "golden tables skipped" in out
+
+
+def test_cli_tables_parses_each_golden_cochain_once(monkeypatch, capsys):
+    # the 9 degree-2 and 6 degree-1 table vectors and the 5 named cocycles,
+    # which the bracket table reuses
+    parse, calls = algfile.parse_cochain, []
+
+    def counted(kx, degree, text):
+        calls.append((degree, text))
+        return parse(kx, degree, text)
+
+    monkeypatch.setattr(algfile, "parse_cochain", counted)
+    monkeypatch.setattr(presets, "parse_cochain", counted)
+    assert main(["tables", "--preset", "family", "--q", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 9 + 6 + 5
 
 
 def test_cli_usage_errors(capsys):

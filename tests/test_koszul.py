@@ -13,6 +13,7 @@ references must also raise the same errors on corrupted generators.
 """
 
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -26,7 +27,8 @@ from koszulgerst.koszul import ComultTable, build_koszul_basis
 from koszulgerst.linalg import Matrix, _rref, echelon_basis, nullspace_basis
 from koszulgerst.presets import load_complex, load_presentation
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
-from koszulgerst.rewriting import build_rewrite_system
+from koszulgerst.resolution import KoszulComplex
+from koszulgerst.rewriting import RewriteSystem, build_rewrite_system
 
 from linalg_reference import add
 import tower_reference
@@ -68,7 +70,7 @@ def test_generic_intersection_matches_golden_tower(name, q):
     # first two and their scalars)
     pres = load_presentation(name, QQ, q=q)
     golden = short_cobasis(pres, 6) if name == "short" else family_cobasis(pres, 6)
-    assert build_koszul_basis(pres, 6).elements == golden.elements
+    assert build_koszul_basis(build_rewrite_system(pres), 6).elements == golden.elements
     assert_tower_matches_reference(pres, 6)
 
 
@@ -78,7 +80,7 @@ def test_generic_intersection_matches_golden_tower(name, q):
 def test_dual_basis_matches_the_closed_forms_through_degree_10(name, field, q):
     pres = load_presentation(name, field, q=q)
     golden = (short_cobasis if name == "short" else family_cobasis)(pres, 10)
-    cobasis = build_koszul_basis(pres, 10)
+    cobasis = build_koszul_basis(build_rewrite_system(pres), 10)
     assert cobasis.elements == golden.elements
     assert_same_scalars(cobasis, golden, 8)
 
@@ -86,7 +88,7 @@ def test_dual_basis_matches_the_closed_forms_through_degree_10(name, field, q):
 def test_no_relations_tower_terminates():
     quiver = Quiver(["1"], [("x", "1", "1")])
     pres = QuadraticPresentation(quiver, [], field=QQ)
-    cb = build_koszul_basis(pres, 4)
+    cb = build_koszul_basis(build_rewrite_system(pres), 4)
     assert cb.count(0) == 1 and cb.count(1) == 1
     assert cb.count(2) == 0 and cb.count(3) == 0 and cb.count(4) == 0
 
@@ -218,7 +220,7 @@ def test_codes_spell_each_word_once():
     monomials = [Path(0, (0, 1)), Path(1, (2, 0)), Path(1, (2, 1))]
     rels = [PathVector(QQ, {Path(0, (0, 0)): QQ(2), Path(0, (1, 2)): QQ(-1)}),
             *(PathVector.single(QQ, w) for w in monomials)]
-    cb = build_koszul_basis(QuadraticPresentation(q, rels, field=QQ), 2)
+    cb = build_koszul_basis(build_rewrite_system(QuadraticPresentation(q, rels, field=QQ)), 2)
     assert cb.words[2] == [Path(0, (0, 0)), Path(0, (0, 1)), Path(1, (2, 0)), Path(1, (2, 1))]
     assert cb.codes(0, 2) == {2: QQ(1)} and cb.codes(1, 1) == {1: QQ(1)}
     assert list(cb.codes(2, 0).items()) == [(0 * 3 + 0, QQ(1)), (1 * 3 + 2, QQ("-1/2"))]
@@ -247,7 +249,8 @@ def assert_codes_round_trip(cobasis):
 
 @pytest.mark.parametrize("name, q", [("family", 1), ("family", -1), ("short", None)])
 def test_codes_decode_to_the_words_and_spell_the_paths(name, q):
-    assert_codes_round_trip(build_koszul_basis(load_presentation(name, QQ, q=q), 8))
+    rs = build_rewrite_system(load_presentation(name, QQ, q=q))
+    assert_codes_round_trip(build_koszul_basis(rs, 8))
 
 
 @pytest.mark.parametrize("n", [-1, 9])
@@ -297,18 +300,39 @@ def assert_right_action_matches_reference(cobasis):
 def test_right_action_matches_the_normal_form_products(make, N):
     # the exterior algebras' commutation rules send w_j . a through further
     # rules of the same degree before it is normal
-    assert_right_action_matches_reference(build_koszul_basis(make(), N))
+    assert_right_action_matches_reference(build_koszul_basis(build_rewrite_system(make()), N))
 
 
 def test_non_confluent_dual_is_named_in_the_error():
-    # A is not confluent either, but build_koszul_basis reads only A^!: the
-    # overlap y.z.x is a word of A^!'s rewrite system
+    # A is not confluent either, so its rewrite system, the one rule
+    # x.x -> 1/2 y.z of the relation 2 x.x - y.z, is built without A's check;
+    # the overlap y.z.x is a word of A^!'s rewrite system
     q = Quiver(["1", "2"], [("x", "1", "1"), ("y", "1", "2"), ("z", "2", "1")])
     rel = PathVector(QQ, {Path(0, (0, 0)): QQ(2), Path(0, (1, 2)): QQ(-1)})
+    rs = RewriteSystem(QuadraticPresentation(q, [rel], field=QQ),
+                       {(0, 0): PathVector(QQ, {Path(0, (1, 2)): QQ("1/2")})})
     with pytest.raises(NotConfluent) as err:
-        build_koszul_basis(QuadraticPresentation(q, [rel], field=QQ), 3)
+        build_koszul_basis(rs, 3)
     assert str(err.value) == ("quadratic dual A^! is not confluent: "
                               "overlap y.z.x resolves to -1/2*x.x.x and 0")
+
+
+def test_building_a_complex_puts_r_in_echelon_form_once(monkeypatch):
+    # build_rewrite_system solves R's reduced echelon basis for A's rules,
+    # and build_koszul_basis reads R^perp off those rules; the second
+    # elimination is R^perp's, for A^!'s rules
+    pres, seen = load_presentation("family", QQ, q=1), []
+
+    def counted(vectors, order_key):
+        seen.append(vectors)
+        return echelon_basis(vectors, order_key)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("koszulgerst.")
+                and getattr(module, "echelon_basis", None) is echelon_basis):
+            monkeypatch.setattr(module, "echelon_basis", counted)
+    KoszulComplex(pres, 4)
+    assert [vectors is pres.relations for vectors in seen] == [True, False]
 
 
 def test_scalars_and_spelling_multiply_only_composable_words():
@@ -318,7 +342,8 @@ def test_scalars_and_spelling_multiply_only_composable_words():
     # multiplied; 56 of the 108 products w_j . a rewrite by a rule, 28 to zero
     kx = load_complex("family", QQ, 8, q=1)
     cb = kx.cobasis
-    built = set(build_koszul_basis(load_presentation("family", QQ, q=1), 8).dual._nf_cache)
+    rs = build_rewrite_system(load_presentation("family", QQ, q=1))
+    built = set(build_koszul_basis(rs, 8).dual._nf_cache)
     for n in range(9):
         for r in range(n + 1):
             kx.c(n, 0, r)
@@ -498,7 +523,7 @@ def test_comult_table_matches_reference_on_presets(name, field, q):
                          ids=["one-arrow", "isolated-vertex"])
 def test_comult_table_matches_reference_on_small_quivers(make):
     pres = make()
-    assert build_koszul_basis(pres, 6).count(6) > 0
+    assert build_koszul_basis(build_rewrite_system(pres), 6).count(6) > 0
     assert_tower_matches_reference(pres, 6)  # which compares the comult tables too
 
 
@@ -607,7 +632,7 @@ def assert_tower_matches_reference(pres, N):
     """The dual-basis generators and every comult slice against the
     intersection tower, the [U | -V] tower and both reference tables, and
     _split_blocks' output against its re-eliminating reference."""
-    cobasis = build_koszul_basis(pres, N)
+    cobasis = build_koszul_basis(build_rewrite_system(pres), N)
     tower = intersection_tower(pres, N)
     assert_comult_matches_reference(cobasis, pres.field)
     assert_same_scalars(cobasis, tower, N)
@@ -701,6 +726,13 @@ def quadratic_presentations(draw):
     return QuadraticPresentation(quiver, relations, arrow_order=order, field=field)
 
 
+def uncertified_rewrite_system(pres):
+    """A's rewrite system as build_rewrite_system makes it, without its
+    confluence check."""
+    with mock.patch("koszulgerst.rewriting._check_confluence"):
+        return build_rewrite_system(pres)
+
+
 def is_confluent(build):
     try:
         build()
@@ -716,7 +748,7 @@ def test_tower_matches_reference_on_random_quadratic_algebras(pres):
     # is not confluent either (the next test), and the complex refuses it
     if is_confluent(lambda: build_rewrite_system(pres)):
         assert_tower_matches_reference(pres, 5)
-        cobasis = build_koszul_basis(pres, 5)
+        cobasis = build_koszul_basis(build_rewrite_system(pres), 5)
         assert_codes_round_trip(cobasis)
         assert_right_action_matches_reference(cobasis)
 
@@ -727,7 +759,7 @@ def test_dual_is_confluent_exactly_when_the_algebra_is(pres):
     # PBW duality: a quadratic Groebner basis of A gives one of A^! under the
     # reversed arrow order, and A = (A^!)^!
     assert (is_confluent(lambda: build_rewrite_system(pres))
-            == is_confluent(lambda: build_koszul_basis(pres, 2)))
+            == is_confluent(lambda: build_koszul_basis(uncertified_rewrite_system(pres), 2)))
 
 
 @pytest.mark.parametrize("prev_terms", [

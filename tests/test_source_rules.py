@@ -632,3 +632,115 @@ def test_every_unreferenced_definition_is_traced_or_allowed():
     found = set(unreferenced_definitions(package_sources()))
     assert sorted(found - traced_spans() - UNREFERENCED_ALLOWED.keys()) == []
     assert sorted(UNREFERENCED_ALLOWED.keys() - found) == []
+
+
+def unset_defaults(sources):
+    """(module, qualified name, parameter) of each defaulted parameter of a
+    function or method defined in sources ({module: text}) that no call in
+    sources sets, by position or by keyword.  Calls are matched by name, as
+    unreferenced_definitions matches uses: `f(...)` and `x.f(...)` count for
+    every f, `K(...)` counts for K.__init__, and a call with *args or
+    **kwargs sets every parameter; a call through an alias counts for none."""
+    definitions, calls = [], {}  # calls: callee name -> Call nodes
+    for module, text in sources.items():
+        tree = ast.parse(text)
+
+        def visit(node, scope, in_class):
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, scope, in_class)
+                    continue
+                qualified = f"{scope}.{child.name}" if scope else child.name
+                if isinstance(child, ast.ClassDef):
+                    visit(child, qualified, True)
+                    continue
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if in_class and not static:
+                    positional = positional[1:]  # self or cls
+                name = (scope.rsplit(".", 1)[-1] if in_class and child.name == "__init__"
+                        else child.name)
+                first = len(positional) - len(args.defaults)
+                definitions.extend((module, qualified, name, arg.arg, k)
+                                   for k, arg in enumerate(positional[first:], first))
+                definitions.extend((module, qualified, name, arg.arg, None)
+                                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                                   if default is not None)
+                visit(child, qualified, False)
+
+        visit(tree, "", False)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, param, k):
+        return (any(kw.arg in (param, None) for kw in call.keywords)
+                or any(isinstance(arg, ast.Starred) for arg in call.args)
+                or k is not None and len(call.args) > k)
+
+    return sorted((module, qualified, param)
+                  for module, qualified, name, param, k in definitions
+                  if not any(sets(call, param, k) for call in calls.get(name, ())))
+
+
+# the parent's defaulted parameters that only tests set
+PARENT_UNSET_OPTIONS = """
+class KoszulComplex:
+    def verify_resolution(self, N=None):
+        N = self.N if N is None else N
+
+class SparseVector:
+    @classmethod
+    def single(cls, field, key, coeff=None):
+        return cls(field, {key: field.one if coeff is None else coeff})
+"""
+
+# defaulted parameters that no call in src/ sets, each with why it stays
+UNSET_DEFAULTS_ALLOWED = {
+    ("cli", "main", "argv"): "entry point: the console script calls main() to read "
+                             "sys.argv; tests and the benchmark pass their own argv",
+}
+
+
+def test_rule_spots_unset_defaults():
+    sources = {"a": ("def f(a, b=1, *, c=2, d=3): return a\n"
+                     "def g(x=0): pass\n"
+                     "def h(w=1): pass\n"
+                     "def outer():\n"
+                     "    def inner(v=1): pass\n"
+                     "    return inner()\n"
+                     "class K:\n"
+                     "    def __init__(self, n=3): self.n = n\n"
+                     "    def m(self, y=None, z=None): pass\n"
+                     "    @staticmethod\n"
+                     "    def s(t=1): pass\n"),
+               "b": ("from a import K, f, g, h\n"
+                     "f(1, 2, d=4)\n"
+                     "K(4).m(y=1)\n"
+                     "K.s()\n"
+                     "g(*args)\n"
+                     "h(**opts)\n"
+                     "alias = K().m\n"
+                     "alias(None, 2)\n")}
+    # b and d are set by position and by keyword, n through K(...), y by
+    # keyword, x and w through * and **; z only through an alias
+    assert unset_defaults(sources) == [
+        ("a", "K.m", "z"), ("a", "K.s", "t"), ("a", "f", "c"), ("a", "outer.inner", "v")]
+    # at the parent, verify_resolution's N and single's coeff were set only by
+    # tests; the rule finds both, and cli.main's argv, which tests set too
+    found = unset_defaults({**package_sources(), "parent": PARENT_UNSET_OPTIONS})
+    assert {("parent", "KoszulComplex.verify_resolution", "N"),
+            ("parent", "SparseVector.single", "coeff"), ("cli", "main", "argv")} <= set(found)
+
+
+def test_every_defaulted_parameter_is_set_or_allowed():
+    # a default that no caller in the package overrides is an option with
+    # one value in use: the value belongs in the body, and the parameter
+    # goes; an allowlist entry goes once the package sets the parameter
+    found = set(unset_defaults(package_sources()))
+    assert sorted(found - UNSET_DEFAULTS_ALLOWED.keys()) == []
+    assert sorted(UNSET_DEFAULTS_ALLOWED.keys() - found) == []
