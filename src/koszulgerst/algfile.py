@@ -153,10 +153,10 @@ def _parse_path(quiver, text, lineno, allow_idempotents):
 
 def parse_cochain(kx, degree, text):
     """The Cochain of a comma-separated value list in generator-index order,
-    checked by Cochain.from_values."""
+    checked by Cochain.from_values; an empty list names no values."""
     if degree < 0:
         raise ParseError(f"cochain degree must be at least 0, got {degree}")
-    parts = [p.strip() for p in text.split(",")]
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
     if len(parts) != kx.count(degree):
         raise ParseError(
             f"degree-{degree} cochain wants {kx.count(degree)} values, got {len(parts)}")

@@ -33,10 +33,12 @@ the dg identity places the letters of d(eps) in its 6-int keys as they are.
 delta o iota = iota o d is checked on codes (Quiver.code, one per word of
 f^n_i: the cobasis spells each word straight into its code and holds
 nothing else) and the letter view of d: both sides are keyed (position,
-vertex, code), and the merge of two middle letters reads a table of the
-normal forms of the A^2 two-arrow words.  iota, iota_bimodule and
-restrict_along_iota read the letters of the same words, decoded from their
-codes by Quiver.decode (_letters).
+vertex, code).  Each degree compares the two outer positions; the merges of
+two middle letters, read off a table of the normal forms of the A^2
+two-arrow words, are compared in degree 2 and then inherited, by induction
+(_iota_agrees), except above a generator that failed on codes and fell back
+to the Path vectors.  iota, iota_bimodule and restrict_along_iota read the
+letters of the same words, decoded from their codes by Quiver.decode (_letters).
 
 Witnesses.  Only a generator that fails on ints is looked at again, in
 path notation: d o d by differential (or augment) on its Paths; the dg
@@ -402,12 +404,13 @@ class KoszulComplex:
         checked.append("(mu ox 1)Delta = id = (1 ox mu)Delta")
 
     def _check_iota(self, N, view, checked, failures):
-        """delta iota = iota d on codes; a generator that fails is recomputed
-        on the Path vectors, which give its witness."""
-        diff = view[1]
+        """delta iota = iota d on codes, passed holding the (n, r) that agree;
+        a failing generator is decided on the Path vectors, which give its witness."""
+        diff, passed = view[1], set()
         for n in range(1, N + 1):
             for r in range(self.count(n)):
-                if self._iota_agrees(n, r, diff):
+                if self._iota_agrees(n, r, diff, passed):
+                    passed.add((n, r))
                     continue
                 lhs = self.bar_delta(self.iota(n, r))
                 rhs = self.iota_bimodule(self._diff_eps(n, r))
@@ -416,9 +419,9 @@ class KoszulComplex:
                                      _diff_witness(self.quiver, lhs, rhs)))
         checked.append("delta iota = iota d")
 
-    def _iota_agrees(self, n, r, diff):
-        """Whether delta(iota eps^n_r) == iota(d eps^n_r), compared on codes,
-        with d read from diff, the letter view of _letter_view.
+    def _iota_agrees(self, n, r, diff, passed):
+        """Whether delta(iota eps^n_r) == iota(d eps^n_r) on codes, d read
+        from diff (_letter_view), passed holding the lower (n, r) that agreed.
 
         Both sides are sums of bar words of n+1 letters, keyed here by
         (position, vertex, code).  delta merges letters k and k+1 of
@@ -432,6 +435,12 @@ class KoszulComplex:
         term of d, with arrows or vertices on both sides, spells a bar word
         that matches no word on the left: the answer is False, and
         _check_iota lets the Path vectors decide.
+
+        Middle merges are computed for n = 2, and for n >= 3 only while an
+        f^{n-1}_j named in d(eps^n_r) is not in passed; else they vanish by
+        induction: once the (0, .) keys agree, f^n_r = sum c . a ox f^{n-1}_j,
+        whose merge at k >= 2 is one inside an f^{n-1}_j, and the (n, .) keys
+        do the same for k <= n - 2.  Path-decided generators never pass.
         """
         f, cb, q = self.field, self.cobasis, self.quiver
         A, o, t = q.num_arrows, *cb.o(n, r)
@@ -440,7 +449,8 @@ class KoszulComplex:
             self._pair_nf = [{code(m): c for m, c in word_product(arrow(x), arrow(y)).terms.items()}
                              for x in range(A) for y in range(A)]
         pair_nf, letters = self._pair_nf, A * A
-        merges = [(k, A ** (n - 1 - k), k % 2) for k in range(1, n)]  # (k, digit place, sign)
+        inherited = n >= 3 and all((n - 1, j) in passed for _, j, _, _ in diff[(n, r)])
+        merges = [] if inherited else [(k, A ** (n - 1 - k), k % 2) for k in range(1, n)]
         acc = {}  # left side minus right side
         for w, c in cb.codes(n, r).items():
             minus = -c

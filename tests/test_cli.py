@@ -452,6 +452,25 @@ def test_cli_unpinned_cochain_exits_2(capsys):
     assert err.startswith("error: ") and "not pinned" in err
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["mc", "--cocycle="], "exact: PASS"),
+    (["lift", "--degree", "2", "--cocycle="], "verify: PASS"),
+    (["cup", "--left-degree", "2", "--left=", "--right-degree", "0", "--right=e1,e2"],
+     "cup = ()"),
+], ids=["mc", "lift", "cup"])
+def test_cli_empty_cochain_is_zero_without_generators(argv, out, tmp_path, capsys):
+    # K_2 = 0 on the hereditary 1 -> 2; "" used to read as one empty value
+    path = tmp_path / "a12.alg"
+    path.write_text("field Q\nvertex 1\nvertex 2\narrow a 1 2\n")
+    assert main([argv[0], "--algebra", str(path), *argv[1:]]) == 0
+    assert out in capsys.readouterr().out.splitlines()
+
+
+def test_cli_empty_cochain_counts_no_values(capsys):
+    assert main(["mc", "--preset", "family", "--q", "1", "--cocycle="]) == 2
+    assert "degree-2 cochain wants 4 values, got 0" in capsys.readouterr().err
+
+
 def test_cli_lift_of_degree_0_exits_2(capsys):
     assert main(["lift", "--preset", "family", "--q", "1", "--degree", "0",
                  "--cocycle", "e1,e2"]) == 2

@@ -17,6 +17,8 @@ from koszulgerst.resolution import BimoduleElement, KoszulComplex, _diff_witness
 
 from identity_reference import reference_failures
 from linalg_reference import add
+from test_generic_algebra import zigzag_complex
+from test_koszul import quantum_exterior_text
 
 
 def term(kx, coeff, uword, n, i, vword):
@@ -466,13 +468,17 @@ def test_counit_laws_ignore_non_composable_terms():
 
 def _path_iota_failures(kx):
     """The Path-keyed delta iota = iota d check, generator by generator; also
-    asserts that the code comparison agrees with it at every generator."""
-    out, diff = [], kx._letter_view(kx.N)[1]
+    asserts that the code comparison, fed the generators that passed on codes
+    below as _check_iota feeds it, agrees with it at every generator."""
+    out, diff, passed = [], kx._letter_view(kx.N)[1], set()
     for n in range(1, kx.N + 1):
         for r in range(kx.count(n)):
             lhs = kx.bar_delta(kx.iota(n, r))
             rhs = kx.iota_bimodule(kx._diff_eps(n, r))
-            assert kx._iota_agrees(n, r, diff) == (lhs == rhs), (n, r)
+            agrees = kx._iota_agrees(n, r, diff, passed)
+            assert agrees == (lhs == rhs), (n, r)
+            if agrees:
+                passed.add((n, r))
             if lhs != rhs:
                 out.append((IOTA, n, r, _diff_witness(kx.quiver, lhs, rhs)))
     return out
@@ -559,6 +565,40 @@ def test_iota_check_on_codes_catches_a_generator_outside_the_relations(name):
     assert cases == {"short": 4, "family": 4}[name]
 
 
+def test_iota_check_computes_the_middle_merges_above_a_failed_generator():
+    # f^2_0 := y.y with d(eps^2_0) = y.eps_y + eps_y.y, and f^3_0 := y.y.y
+    # with d(eps^3_0) = y.eps^2_0 - eps^2_0.y: both outer identities of (3, 0)
+    # hold, and its middle merges y.y do not; they can be inherited from no
+    # generator, for its one feeder (2, 0) fails, so the code check computes
+    # them and reports (3, 0) as the Path vectors do
+    kx = _cached(load_complex("short", QQ, 3))
+    f, q, cb = kx.field, kx.quiver, kx.cobasis
+    cb.codes(3, 0)  # spells degrees 1 to 3
+    e, y = q.vertex_path(0), q.arrow_path(q.arrow_index["y"])
+    jy = next(j for j in range(kx.count(1)) if cb.codes(1, j) == {q.code(y): f.one})
+    cb._levels[2][0] = {q.code(Path(0, y.arrows * 2)): f.one}
+    cb._levels[3][0] = {q.code(Path(0, y.arrows * 3)): f.one}
+    kx._diff_cache[(2, 0)] = BimoduleElement(f, 1, {(y, jy, e): f.one, (e, jy, y): f.one})
+    kx._diff_cache[(3, 0)] = BimoduleElement(f, 2, {(y, 0, e): f.one, (e, 0, y): f(-1)})
+    want = _path_iota_failures(kx)
+    assert [w[1:3] for w in want] == [(2, 0), (3, 0), (3, 1)]
+    assert _iota_failures(kx) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KoszulComplex(parse_presentation(quantum_exterior_text(
+        "xyz", "F32003", [17, 2024, 31999])), 5),
+    lambda: KoszulComplex(parse_presentation(quantum_exterior_text(
+        "xyzw", "F32003", [5, 77, 1234, 9, 20000, 31002])), 5),
+    lambda: zigzag_complex(5),
+], ids=["ext3-F32003", "ext4-F32003", "zigzag"])
+def test_iota_check_inherits_the_middle_merges_beyond_the_presets(make):
+    # every generator agrees on codes, so degrees 3 to 5 inherit their
+    # middle merges, and the Path vectors agree with that at each of them
+    kx = make()
+    assert _iota_failures(kx) == _path_iota_failures(kx) == []
+
+
 def test_iota_check_leaves_terms_with_letters_on_both_sides_to_the_paths():
     # a term u . eps_j . v of d with arrows (or vertices) on both sides spells
     # a bar word that no code of the left side matches, so _iota_agrees
@@ -577,11 +617,11 @@ def test_iota_check_leaves_terms_with_letters_on_both_sides_to_the_paths():
              (2, 0, {(e1, 0, e1): 1}, "term (e1, a, e1): 0 vs 1")]
     for n, i, extra, witness in cases:
         kx = injected(n, i, extra)
-        assert not kx._iota_agrees(n, i, kx._letter_view(kx.N)[1])
+        assert not kx._iota_agrees(n, i, kx._letter_view(kx.N)[1], set())
         assert _iota_failures(kx) == _path_iota_failures(kx) == [(IOTA, n, i, witness)]
     kx = injected(1, 0, {(a, 0, b): 1, (a, 1, b): -1})
     assert kx.bar_delta(kx.iota(1, 0)) == kx.iota_bimodule(kx._diff_eps(1, 0))
-    assert not kx._iota_agrees(1, 0, kx._letter_view(kx.N)[1])
+    assert not kx._iota_agrees(1, 0, kx._letter_view(kx.N)[1], set())
     assert _iota_failures(kx) == []
 
 
