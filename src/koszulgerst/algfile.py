@@ -9,10 +9,12 @@ Grammar (one directive per line, ``#`` starts a comment):
     param <name> = <field literal>
     relation <coeff>*<path> [+|- <coeff>*<path>]...
 
-A path is a dot-separated arrow list (``a.b``); a coefficient is a field
-literal (``2``, ``-1/3``) or a declared parameter name, and may be omitted
-when it is 1.  Cochain values on the command line reuse the same expression
-syntax extended with ``e<vertex>`` idempotent atoms and ``0``.
+A vertex name is letters, digits and ``_``; an arrow name is an identifier
+other than ``e<vertex>``.  A path is a dot-separated arrow list (``a.b``); a
+coefficient is a field literal (``2``, ``-1/3``) or a declared parameter
+name, and may be omitted when it is 1.  Cochain values on the command line
+reuse the same expression syntax extended with ``e<vertex>`` idempotent
+atoms and ``0``; every value is written, a zero one as ``0``.
 """
 
 import re
@@ -23,12 +25,14 @@ from .fields import field_from_name
 from .quiver import Path, PathVector, QuadraticPresentation, Quiver
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
+_VERTEX_NAME = re.compile(r"[A-Za-z0-9_]+")
+_ARROW_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def parse_presentation(text, field_override=None):
     field = None
     vertices = []
-    arrows = []
+    arrows, arrow_lines = [], []
     order_names = order_line = None
     params = {}
     relation_lines = []
@@ -48,12 +52,18 @@ def parse_presentation(text, field_override=None):
         elif head == "vertex":
             if not rest or " " in rest:
                 raise ParseError("vertex wants exactly one name", lineno)
+            if not _VERTEX_NAME.fullmatch(rest):
+                raise ParseError(f"vertex name {rest!r} is not letters, digits and _", lineno)
             vertices.append(rest)
         elif head == "arrow":
             bits = rest.split()
             if len(bits) != 3:
                 raise ParseError("arrow wants: name from to", lineno)
+            if not _ARROW_NAME.fullmatch(bits[0]):
+                raise ParseError(f"arrow name {bits[0]!r} is not letters, digits and _ "
+                                 f"after a letter or _", lineno)
             arrows.append(tuple(bits))
+            arrow_lines.append(lineno)
         elif head == "order":
             order_names = [b.strip() for b in rest.split(">")]
             if any(not b for b in order_names):
@@ -75,6 +85,10 @@ def parse_presentation(text, field_override=None):
         field = field_override
     if not vertices:
         raise ParseError("no vertices declared")
+    for (name, _, _), lineno in zip(arrows, arrow_lines):
+        if name[0] == "e" and name[1:] in vertices:
+            raise ParseError(f"arrow name {name!r} is the idempotent of vertex {name[1:]!r}",
+                             lineno)
     quiver = Quiver(vertices, arrows)
     param_values = {name: field.parse(text) for name, text in params.items()}
     relations = [_parse_relation(quiver, field, param_values, text, lineno)
@@ -153,13 +167,17 @@ def _parse_path(quiver, text, lineno, allow_idempotents):
 
 def parse_cochain(kx, degree, text):
     """The Cochain of a comma-separated value list in generator-index order,
-    checked by Cochain.from_values; an empty list names no values."""
+    checked by Cochain.from_values; an empty list names no values, and an
+    empty value in a list is an error."""
     if degree < 0:
         raise ParseError(f"cochain degree must be at least 0, got {degree}")
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
     if len(parts) != kx.count(degree):
         raise ParseError(
             f"degree-{degree} cochain wants {kx.count(degree)} values, got {len(parts)}")
+    if "" in parts:
+        raise ParseError(f"degree-{degree} cochain has an empty value on "
+                         f"eps^{degree}_{parts.index('')}; write 0 for a zero value")
     params = kx.presentation.params
     return Cochain.from_values(
         kx, degree, [parse_value(kx.quiver, kx.field, params, p) for p in parts])

@@ -117,13 +117,15 @@ def bar_cocycle_basis(kx, n):
     """A basis of bar n-cocycles, enumerated per internal-degree shift.
 
     Columns are the coordinates (tup, w) of n-cochains with
-    |w| = sum |tup| + shift, rows the coordinates (T, path) of
-    (n+1)-cochains, both in tuple-then-word order.  One sweep over the
+    |w| = sum |tup| + shift, in tuple-then-word order.  One sweep over the
     (n+1)-tuples T fills every delta* entry from the faces of T: the head
     T[1:] (value T[0].w), the merges T[:i] + (p,) + T[i+2:] for each word p
     of T[i].T[i+1] (value w, sign (-1)^{i+1}) and the tail T[:-1] (value
     w.T[-1], sign (-1)^{n+1}).  The grading puts each entry in the block of
-    its column's shift; each block's kernel is one nullspace_basis.
+    its column's shift; each block's kernel is one nullspace_basis.  A row,
+    a coordinate (T, path) of (n+1)-cochains, is numbered in its block when
+    the first entry lands on it: the kernel depends on neither the order of
+    the rows nor the zero rows left out.
     """
     if n < 1:
         raise CochainError("bar cocycles start in degree 1")
@@ -134,25 +136,18 @@ def bar_cocycle_basis(kx, n):
     for (w,) in bar_tuples(kx, 1):
         ends.setdefault((w.o, target(w)), []).append(w)
 
-    def coords(degree):
-        for tup in bar_tuples(kx, degree):
-            total = sum(len(w.arrows) for w in tup)
-            for w in ends.get((tup[0].o, target(tup[-1])), ()):
-                yield tup, w, len(w.arrows) - total
-
     src = {}  # shift -> [(tup, w)], the columns
     by_tup = {}  # tup -> [(w, shift, column)]
-    for tup, w, shift in coords(n):
-        block = src.setdefault(shift, [])
-        by_tup.setdefault(tup, []).append((w, shift, len(block)))
-        block.append((tup, w))
-    rows, height = {}, dict.fromkeys(src, 0)
-    for T, path, shift in coords(n + 1):
-        if shift in height:
-            rows[(T, path)] = height[shift]
-            height[shift] += 1
+    for tup in bar_tuples(kx, n):
+        total = sum(len(w.arrows) for w in tup)
+        for w in ends.get((tup[0].o, target(tup[-1])), ()):
+            shift = len(w.arrows) - total
+            block = src.setdefault(shift, [])
+            by_tup.setdefault(tup, []).append((w, shift, len(block)))
+            block.append((tup, w))
 
     entries = {shift: {} for shift in src}
+    rows = {shift: {} for shift in src}  # shift -> {(T, path): row}, on first hit
     tail_sign = -1 if (n + 1) % 2 else 1
     for T in bar_tuples(kx, n + 1):
         hits = [(col, path, c) for col in by_tup.get(T[1:], ())
@@ -166,14 +161,14 @@ def bar_cocycle_basis(kx, n):
             for path, c in rs.word_product(col[0], T[-1]).terms.items():
                 hits.append((col, path, tail_sign * c))
         for (_, shift, j), path, c in hits:
-            block = entries[shift]
-            key = (rows[(T, path)], j)
+            block, numbered = entries[shift], rows[shift]
+            key = (numbered.setdefault((T, path), len(numbered)), j)
             block[key] = block.get(key, 0) + c
 
     basis = []
     for shift in sorted(src):
         cols = src[shift]
-        for vec in nullspace_basis(Matrix(f, height[shift], len(cols), entries[shift])):
+        for vec in nullspace_basis(Matrix(f, len(rows[shift]), len(cols), entries[shift])):
             basis.append(GradedVector(f, n, zip(cols, vec)))
     return basis
 

@@ -31,19 +31,19 @@ Concatenation kQ_r (x)_{kQ_0} kQ_{n-r} -> kQ_n is the transpose of the
 product A^!_r (x) A^!_{n-r} -> A^!_n, so c_{pq}(n,i,r) = <f^n_i, w_p w_q> is
 the coefficient of w_i in the normal form of w_p . w_q in A^!.  They are
 products in A^!, so coassociativity and the counit laws of the diagonal are
-its associativity and unit.  The products are built one letter at a time.
-The right action of the arrows on A^!_m, w_j . a = sum c w_k, is computed
-once per degree m, on word indices, from A^!'s rules: write w_j = w_k . b.
-If b.a leads no rule, w_j . a is the normal word the enumeration grew from
-w_j; else the rule b.a -> sum c x.y gives
+its associativity and unit.  They are built one letter at a time, from the
+split w_j = w_k . b by which the enumeration grew each normal word.  The
+right action of the arrows on A^!_m, w_j . a = sum c w_k, is computed once
+per degree m, on word indices, from A^!'s rules.  If b.a leads no rule,
+w_j . a is the normal word grown from w_j; else the rule b.a -> sum c x.y
+gives
     w_j . a = sum c (w_k . x) . y,
 with w_k . x read from degree m - 1 and w_l . y from degree m itself.
 Every tail is smaller than b.a, so the recursion ends (Bergman's diamond
 lemma), and no word of A^! is put in normal form after the build.  Slice
-(r, r) is the identity, w_p . e_{t(p)} = w_p, and for n > r the split
-w_q = w_q' . a, recorded by the enumeration that grew w_q from w_q', gives
-    w_p . w_q = (w_p . w_q') . a,
-so slice (n, r) is slice (n-1, r) followed by the right action on A^!_{n-1}.
+(r, r) is the identity row c_{p,t(p)}(r,p,r) = 1; for n > r the split
+w_q = w_q' . a gives w_p . w_q = (w_p . w_q') . a, so each row k of slice
+(n-1, r), pushed through w_k . a, adds into the rows of slice (n, r).
 
 Spelled words.  Only the embedding iota, its delta iota = iota d check and
 the basis listing read the words of f^n_i.  They are spelled on first use,
@@ -71,9 +71,9 @@ class KoszulCobasis:
     """Ordered uniform generators f^n_i for n = 0..N, with vertex pairs.
 
     words[n][i] is the normal word w_i of A^! dual to f^n_i, and dual is the
-    rewrite system of A^!.  extensions[m][k] lists the (i, a) with
-    w_i = w_k . a, w_i of degree m + 1, as the enumeration of A^!'s normal
-    words grew each word from its prefix.
+    rewrite system of A^!.  Each split w_i = w_k . a of the enumeration of
+    A^!'s normal words is held as splits[n][i] = (k, a), w_i of degree
+    n >= 1 (None at n = 0), and as extensions[n - 1][k] = {a: i}.
 
     The words of f^n_i are held once, as {code: coeff} (module docstring,
     "Spelled words"): codes(n, i) returns that dict, and f(n, i) and
@@ -88,13 +88,15 @@ class KoszulCobasis:
         self.words = words
         self.index = [{w: i for i, w in enumerate(level)} for level in words]
         self.pairs = [[(w.o, quiver.path_target(w)) for w in level] for level in words]
-        self.extensions = []
+        self.splits, self.extensions = [[None] * len(words[0])], []
         for n in range(1, len(words)):
             split, prefix_index = dual.word_splits(n), self.index[n - 1]
-            children = [[] for _ in words[n - 1]]
+            splits, children = [], [{} for _ in words[n - 1]]
             for i, w in enumerate(words[n]):
                 u, a = split[w]
-                children[prefix_index[u]].append((i, a))
+                splits.append((prefix_index[u], a))
+                children[prefix_index[u]][a] = i
+            self.splits.append(splits)
             self.extensions.append(children)
         self._right = {}  # m -> right_action(m)
         # spelled f^n: per i, {Quiver.code of a word of f^n_i: coeff}; the
@@ -168,13 +170,9 @@ class KoszulCobasis:
         starting = {}  # vertex -> the arrows that start there
         for a in range(q.num_arrows):
             starting.setdefault(q.arrow_o[a], []).append(a)
-        normal = [{a: i for i, a in children} for children in self.extensions[m]]
+        normal, split = self.extensions[m], self.splits[m]
         if m:  # at m = 0 each w_j . a is the arrow a, a normal word
             below = self.right_action(m - 1)
-            split = [None] * len(self.words[m])  # j -> (k, b) with w_j = w_k . b
-            for k, children in enumerate(self.extensions[m - 1]):
-                for j, b in children:
-                    split[j] = (k, b)
             # the rule b.a -> sum c x.y as (b, a) -> [(x, y, c)]
             tails = {rule: [(p.arrows[0], p.arrows[1], c) for p, c in tail.terms.items()]
                      for rule, tail in self.dual.rules.items()}
@@ -245,15 +243,14 @@ class ComultTable:
     product w_p . w_q in A^! (module docstring).  Each row lists its (p, q)
     in increasing order and omits zeros.
 
-    Slice (n, r) is built letter by letter, from slice (n-1, r) and the
-    right action of the arrows on A^!_{n-1}; slices built on the way keep
-    only their products, not rows.
+    Slice (n, r) is built letter by letter into its rows, from the rows of
+    slice (n-1, r) and the right action of the arrows on A^!_{n-1}; every
+    slice built on the way is cached.
     """
 
     def __init__(self, cobasis):
         self.cobasis = cobasis
         self._cache = {}  # (n, r) -> list over i of {(p, q): coeff}
-        self._products = {}  # (n, r) -> list over p of {q: [(i, coeff)]}, nonzero w_p . w_q
 
     def scalars(self, n, i, r):
         """The row set {(p, q): c_{pq}(n, i, r)}, zeros omitted."""
@@ -261,39 +258,29 @@ class ComultTable:
         if rows is None:
             if not (0 <= r <= n <= self.cobasis.max_degree):
                 raise InconsistentBasis(f"comult slice ({n},{r}) out of range")
-            rows = [{} for _ in self.cobasis.words[n]]
-            for p, by_q in enumerate(self._slice(n, r)):
-                for qq, terms in by_q.items():
-                    for k, c in terms:
-                        rows[k][(p, qq)] = c
-            self._cache[(n, r)] = rows
+            rows = self._slice(n, r)
         return rows[i]
 
     def _slice(self, n, r):
-        """The nonzero products w_p . w_q, w_p of degree r and w_q of degree
-        n - r: per p, {q: [(i, coefficient of w_i)]} in increasing q."""
-        got = self._products.get((n, r))
-        if got is not None:
-            return got
+        """Slice (n, r) from the rows of slice (n-1, r) (module docstring,
+        "Comultiplicative scalars"), caching every slice built on the way."""
+        rows = self._cache.get((n, r))
+        if rows is not None:
+            return rows
         cb = self.cobasis
         if n == r:
             one = cb.dual.field.one
-            got = [{t: [(p, one)]} for p, (_, t) in enumerate(cb.pairs[r])]
+            rows = [{(p, t): one} for p, (_, t) in enumerate(cb.pairs[r])]
         else:
-            canon, action = cb.dual.field.canon, cb.right_action(n - 1)
-            extensions = cb.extensions[n - r - 1]
-            got = []
-            for by_prefix in self._slice(n - 1, r):
-                by_q = {}
-                for prefix, terms in by_prefix.items():
-                    for qq, a in extensions[prefix]:
-                        acc = {}
-                        for k, c in terms:
-                            for i, ci in action[k][a]:
-                                acc[i] = acc.get(i, 0) + c * ci
-                        acc = canon(acc.items())
-                        if acc:
-                            by_q[qq] = list(acc.items())
-                got.append(dict(sorted(by_q.items())))
-        self._products[(n, r)] = got
-        return got
+            action, extensions = cb.right_action(n - 1), cb.extensions[n - r - 1]
+            acc = [{} for _ in cb.words[n]]
+            for k, row in enumerate(self._slice(n - 1, r)):
+                for (p, prefix), c in row.items():
+                    for a, qq in extensions[prefix].items():
+                        for i, ci in action[k][a]:
+                            out = acc[i]
+                            out[p, qq] = out.get((p, qq), 0) + c * ci
+            canon = cb.dual.field.canon
+            rows = [canon(sorted(terms.items())) for terms in acc]
+        self._cache[(n, r)] = rows
+        return rows

@@ -35,7 +35,6 @@ class HomotopyLifting:
         self.cocycle = cocycle
         self.n = cocycle.degree
         self.maps = maps  # dict m -> list of BimoduleElement
-        self.nullspaces = {}  # (m, r) -> homogeneous solutions of each solve
 
     def image(self, m, r):
         if m <= self.n - 1 or m not in self.maps:
@@ -135,13 +134,12 @@ def _lifting_system(kx, k, ell, o, t):
     return kx._lifting_systems.setdefault(key, _LiftingSystem(ansatz, elimination, nullspace))
 
 
-def _solve_images(kx, m, n, ell, target, what, nullspaces):
+def _solve_images(kx, m, n, ell, target, what):
     """psi(eps^m_r) in K_{m-n+1} for every r: the canonical solution in the
     ansatz span of d psi(eps^m_r) = target(r).
 
     A zero cocycle (ell None) gets zero images without a solve.  The
-    homogeneous solutions of each solve are stored in `nullspaces` under
-    (m, r).
+    homogeneous solutions of a solve are the nullspace of its lifting system.
     """
     f = kx.field
     k = m - n + 1
@@ -157,7 +155,6 @@ def _solve_images(kx, m, n, ell, target, what, nullspaces):
                 f"no {what} at degree {m}, generator {r}: input is not a "
                 f"cocycle or the resolution data is corrupted")
         images.append(BimoduleElement(f, k, ((system.ansatz[col], c) for col, c in solution)))
-        nullspaces[(m, r)] = list(system.nullspace)
     return images
 
 
@@ -179,8 +176,7 @@ def solve_lifting(kx, eta, M, initial=None):
     """Solve for a homotopy lifting of the cocycle eta through degree M.
 
     `initial` may pin the images for low degrees (e.g. a golden lifting);
-    the solver then extends it, recording each solve's homogeneous
-    solutions in `nullspaces`.  Output is deterministic.
+    the solver then extends it.  Output is deterministic.
     """
     n = eta.degree
     if n == 0:
@@ -199,8 +195,7 @@ def solve_lifting(kx, eta, M, initial=None):
 
     for m in range(n, M + 1):
         if m not in maps:
-            maps[m] = _solve_images(kx, m, n, ell, lambda r: target(m, r), "lifting",
-                                    lifting.nullspaces)
+            maps[m] = _solve_images(kx, m, n, ell, lambda r: target(m, r), "lifting")
     return lifting
 
 
@@ -380,7 +375,7 @@ def derivation_lift(kx, gamma, M):
     op = DerivationOperator(kx, gamma, maps)
     for n in range(1, M + 1):
         maps[n] = _solve_images(kx, n, 1, ell, lambda r: op.apply(kx._diff_eps(n, r)),
-                                "derivation operator", {})
+                                "derivation operator")
     return op
 
 

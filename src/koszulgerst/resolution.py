@@ -225,11 +225,7 @@ class KoszulComplex:
 
     def iota(self, n, r):
         """iota(eps^n_r) = 1 ox (letterwise expansion of f^n_r) ox 1."""
-        q = self.quiver
-        o, t = self.cobasis.o(n, r)  # f^n_r is uniform: every word runs o -> t
-        head, tail = (q.vertex_path(o),), (q.vertex_path(t),)
-        return GradedVector(self.field, n,
-                            {head + letters + tail: c for letters, c in self._letters(n, r)})
+        return self.iota_bimodule(self.eps(n, r))
 
     def iota_bimodule(self, x):
         """iota extended to K: u . eps^n_i . v -> u ox f-letters ox v."""

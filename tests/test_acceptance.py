@@ -20,6 +20,7 @@ from koszulgerst.presets import (family_deriv_chi, family_deriv_eta,
                                  family_psi_etabar, family_table1, family_table2,
                                  family_table3, load_complex, short_goldens)
 from koszulgerst.quiver import Path, PathVector
+from test_lifting import homogeneous_solutions
 
 F5 = PrimeField(5)
 
@@ -212,7 +213,7 @@ def test_criterion_9_property_suites(family8, rng, record_criterion):
     for chi in rng.sample(pool, 5):
         base = lifts[id(chi)]
         reference = bracket_via_lifting(family8, eta, chi, lifts[id(eta)], base)
-        for (m, r), nulls in base.nullspaces.items():
+        for (m, r), nulls in homogeneous_solutions(family8, base):
             if m != eta.degree + chi.degree - 1 or not nulls:
                 continue
             maps = {mm: list(images) for mm, images in base.maps.items()}

@@ -202,11 +202,15 @@ COUNIT = "(mu ox 1)Delta = id = (1 ox mu)Delta"
 def test_cli_reports_a_failing_counit_law(monkeypatch, capsys):
     # the counit check is one line for two laws whose failures are named
     # apart, (mu ox 1)Delta = id and (1 ox mu)Delta = id; doubling c(2, 0, 0)
-    # of `short` breaks the first, and both commands must say FAIL
+    # of `short` breaks the first, and both commands must say FAIL.  Every
+    # slice is built first, so that the doubled row reaches no slice above it
     load = cli.load_complex
 
     def corrupted(args, min_n=1):
         kx = load(args, min_n)
+        for n in range(kx.N + 1):
+            for r in range(n + 1):
+                kx.c(n, 0, r)
         row = dict(kx.c(2, 0, 0))
         key = next(iter(row))
         row[key] = QQ(2) * row[key]
@@ -687,8 +691,17 @@ def test_cli_help_matches_a_freshly_built_parser(argv, capsys):
      "order must list every arrow"),
     (["arrow x 1 1", "relation 0*x.x"], 4, "relation '0*x.x' is zero"),
     (["arrow x 1 1", "relation x.x - x.x"], 4, "relation 'x.x - x.x' is zero"),
+    (["arrow e1 1 1", "order e1", "relation e1.e1"], 3,
+     "arrow name 'e1' is the idempotent of vertex '1'"),
+    (["arrow e2 1 1", "vertex 2"], 3, "arrow name 'e2' is the idempotent of vertex '2'"),
+    *[([f"arrow {name} 1 1"], 3,
+       f"arrow name {name!r} is not letters, digits and _ after a letter or _")
+      for name in ("a.b", "x*y", "p-q", "u,v", "2", "0")],
+    (["vertex 1-2"], 3, "vertex name '1-2' is not letters, digits and _"),
 ], ids=["unknown", "repeated-one-arrow", "repeated-two-arrows", "missing", "zero",
-        "cancelling"])
+        "cancelling", "idempotent-arrow", "idempotent-arrow-before-vertex", "dotted-arrow",
+        "star-arrow", "minus-arrow", "comma-arrow", "numeral-arrow", "zero-arrow",
+        "minus-vertex"])
 def test_cli_bad_order_or_zero_relation_reports_its_line(lines, line, message, tmp_path,
                                                          capsys):
     path = tmp_path / "bad.alg"
@@ -696,3 +709,12 @@ def test_cli_bad_order_or_zero_relation_reports_its_line(lines, line, message, t
     assert main(["basis", "--algebra", str(path), "-N", "2"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: line {line}: {message}\n"
+
+
+def test_cli_empty_cochain_value_exits_2(capsys):
+    # an empty slot used to read as zero: the cup below printed (0, 0, 0, 0)
+    assert main(["cup", "--preset", "family", "--q", "1", "--left-degree", "1",
+                 "--left", "a,0,0", "--right-degree", "1", "--right", "a,,0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: degree-1 cochain has an empty value on eps^1_1; write 0 for a zero value\n")

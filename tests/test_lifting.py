@@ -322,7 +322,7 @@ def test_lifting_choice_independence_on_bracket_class(family8):
     psi_eta = solve_lifting(family8, eta, deg)
     reference = bracket_via_lifting(family8, eta, chibar, psi_eta, base)
     moved = False
-    for (m, r), nulls in base.nullspaces.items():
+    for (m, r), nulls in homogeneous_solutions(family8, base):
         if not nulls:
             continue
         maps = {mm: list(images) for mm, images in base.maps.items()}
@@ -334,6 +334,19 @@ def test_lifting_choice_independence_on_bracket_class(family8):
             assert same_class(got, reference)
             moved = True
     assert moved
+
+
+def homogeneous_solutions(kx, psi):
+    """((m, r), basis of the homogeneous solutions of the solve for
+    psi(eps^m_r)) for every degree m of psi.maps, in solve order: the
+    nullspace of the lifting system that solve used."""
+    n, ell = psi.n, psi.cocycle.internal_degree()
+    if ell is None:
+        return
+    for m in sorted(psi.maps):
+        for r in range(kx.count(m)):
+            system = lifting._lifting_system(kx, m - n + 1, ell, *kx.cobasis.o(m, r))
+            yield (m, r), system.nullspace
 
 
 # -- the cached lifting systems against the per-generator solve -----------------
@@ -392,12 +405,20 @@ def _in_order(maps):
     return [(key, [list(x.terms.items()) for x in xs]) for key, xs in maps.items()]
 
 
+def _reference_solver(nullspaces):
+    """_reference_solve_images with _solve_images' signature, storing the
+    homogeneous solutions of each solve in nullspaces under (m, r)."""
+    return lambda *args: _reference_solve_images(*args, nullspaces)
+
+
 def _cached_and_reference(monkeypatch, solve):
-    cached = solve()
+    """The cached solve, the per-generator one, and the latter's homogeneous
+    solutions by (m, r)."""
+    cached, nullspaces = solve(), {}
     with monkeypatch.context() as patch:
-        patch.setattr(lifting, "_solve_images", _reference_solve_images)
+        patch.setattr(lifting, "_solve_images", _reference_solver(nullspaces))
         reference = solve()
-    return cached, reference
+    return cached, reference, nullspaces
 
 
 def _golden_cocycles(kx):
@@ -413,10 +434,10 @@ def test_cached_lifting_matches_per_generator_solve(fixture, request, monkeypatc
         kx = request.getfixturevalue(fixture)
         cocycles = _golden_cocycles(kx)
     for eta in cocycles:
-        cached, reference = _cached_and_reference(
+        cached, reference, nullspaces = _cached_and_reference(
             monkeypatch, lambda: solve_lifting(kx, eta, 4))
         assert _in_order(cached.maps) == _in_order(reference.maps)
-        assert _in_order(cached.nullspaces) == _in_order(reference.nullspaces)
+        assert _in_order(dict(homogeneous_solutions(kx, cached))) == _in_order(nullspaces)
         assert verify_lifting(kx, eta, cached, 4) == []
 
 
@@ -429,7 +450,7 @@ def test_cached_derivation_lift_matches_per_generator_solve(fixture, request, mo
         kx = request.getfixturevalue(fixture)
         cocycles = family_table2(kx)
     for gamma in cocycles:
-        cached, reference = _cached_and_reference(
+        cached, reference, _ = _cached_and_reference(
             monkeypatch, lambda: derivation_lift(kx, gamma, 4))
         assert _in_order(cached.maps) == _in_order(reference.maps)
 
@@ -437,7 +458,7 @@ def test_cached_derivation_lift_matches_per_generator_solve(fixture, request, mo
 def test_cached_solve_names_the_failing_generator(family8, monkeypatch):
     bad = parse_cochain(family8, 1, "b,0,0")
     errors = []
-    for solve_images in (lifting._solve_images, _reference_solve_images):
+    for solve_images in (lifting._solve_images, _reference_solver({})):
         monkeypatch.setattr(lifting, "_solve_images", solve_images)
         with pytest.raises(NoSolution, match=r"no lifting at degree \d+, generator \d+") as exc:
             solve_lifting(family8, bad, 3)
