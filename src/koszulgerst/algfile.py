@@ -54,6 +54,8 @@ def parse_presentation(text, field_override=None):
                 raise ParseError("vertex wants exactly one name", lineno)
             if not _VERTEX_NAME.fullmatch(rest):
                 raise ParseError(f"vertex name {rest!r} is not letters, digits and _", lineno)
+            if rest in vertices:
+                raise ParseError(f"duplicate vertex name {rest!r}", lineno)
             vertices.append(rest)
         elif head == "arrow":
             bits = rest.split()
@@ -85,10 +87,16 @@ def parse_presentation(text, field_override=None):
         field = field_override
     if not vertices:
         raise ParseError("no vertices declared")
-    for (name, _, _), lineno in zip(arrows, arrow_lines):
+    names = set(vertices)
+    for (name, o, t), lineno in zip(arrows, arrow_lines):
         if name[0] == "e" and name[1:] in vertices:
             raise ParseError(f"arrow name {name!r} is the idempotent of vertex {name[1:]!r}",
                              lineno)
+        if name in names:
+            raise ParseError(f"duplicate name {name!r}", lineno)
+        names.add(name)
+        if o not in vertices or t not in vertices:
+            raise ParseError(f"arrow {name!r} has unknown endpoint", lineno)
     quiver = Quiver(vertices, arrows)
     param_values = {name: field.parse(text) for name, text in params.items()}
     relations = [_parse_relation(quiver, field, param_values, text, lineno)

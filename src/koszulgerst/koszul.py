@@ -31,19 +31,13 @@ Concatenation kQ_r (x)_{kQ_0} kQ_{n-r} -> kQ_n is the transpose of the
 product A^!_r (x) A^!_{n-r} -> A^!_n, so c_{pq}(n,i,r) = <f^n_i, w_p w_q> is
 the coefficient of w_i in the normal form of w_p . w_q in A^!.  They are
 products in A^!, so coassociativity and the counit laws of the diagonal are
-its associativity and unit.  They are built one letter at a time, from the
-split w_j = w_k . b by which the enumeration grew each normal word.  The
-right action of the arrows on A^!_m, w_j . a = sum c w_k, is computed once
-per degree m, on word indices, from A^!'s rules.  If b.a leads no rule,
-w_j . a is the normal word grown from w_j; else the rule b.a -> sum c x.y
-gives
-    w_j . a = sum c (w_k . x) . y,
-with w_k . x read from degree m - 1 and w_l . y from degree m itself.
-Every tail is smaller than b.a, so the recursion ends (Bergman's diamond
-lemma), and no word of A^! is put in normal form after the build.  Slice
-(r, r) is the identity row c_{p,t(p)}(r,p,r) = 1; for n > r the split
-w_q = w_q' . a gives w_p . w_q = (w_p . w_q') . a, so each row k of slice
-(n-1, r), pushed through w_k . a, adds into the rows of slice (n, r).
+its associativity and unit.  They are built one letter at a time from the
+right action of the arrows on A^!_m, w_j . a = sum c w_k: A^!'s
+RewriteSystem.times (rewriting), renumbered once per degree m from the
+dual's enumeration order into the generator order.  Slice (r, r) is the
+identity row c_{p,t(p)}(r,p,r) = 1; for n > r the split w_q = w_q' . a (its
+prefix and last arrow) gives w_p . w_q = (w_p . w_q') . a, so each row k of
+slice (n-1, r), pushed through w_k . a, adds into the rows of slice (n, r).
 
 Spelled words.  Only the embedding iota, its delta iota = iota d check and
 the basis listing read the words of f^n_i.  They are spelled on first use,
@@ -71,9 +65,8 @@ class KoszulCobasis:
     """Ordered uniform generators f^n_i for n = 0..N, with vertex pairs.
 
     words[n][i] is the normal word w_i of A^! dual to f^n_i, and dual is the
-    rewrite system of A^!.  Each split w_i = w_k . a of the enumeration of
-    A^!'s normal words is held as splits[n][i] = (k, a), w_i of degree
-    n >= 1 (None at n = 0), and as extensions[n - 1][k] = {a: i}.
+    rewrite system of A^!.  A word w_i of degree n >= 1 is its prefix w_k
+    followed by its last arrow a, held as extensions[n - 1][k] = {a: i}.
 
     The words of f^n_i are held once, as {code: coeff} (module docstring,
     "Spelled words"): codes(n, i) returns that dict, and f(n, i) and
@@ -88,16 +81,11 @@ class KoszulCobasis:
         self.words = words
         self.index = [{w: i for i, w in enumerate(level)} for level in words]
         self.pairs = [[(w.o, quiver.path_target(w)) for w in level] for level in words]
-        self.splits, self.extensions = [[None] * len(words[0])], []
+        self.extensions = [[{} for _ in level] for level in words[:-1]]
         for n in range(1, len(words)):
-            split, prefix_index = dual.word_splits(n), self.index[n - 1]
-            splits, children = [], [{} for _ in words[n - 1]]
+            prefix = self.index[n - 1]
             for i, w in enumerate(words[n]):
-                u, a = split[w]
-                splits.append((prefix_index[u], a))
-                children[prefix_index[u]][a] = i
-            self.splits.append(splits)
-            self.extensions.append(children)
+                self.extensions[n - 1][prefix[w.o, w.arrows[:-1]]][w.arrows[-1]] = i
         self._right = {}  # m -> right_action(m)
         # spelled f^n: per i, {Quiver.code of a word of f^n_i: coeff}; the
         # word of f^0_v is the vertex v, whose code is v
@@ -155,47 +143,29 @@ class KoszulCobasis:
         normal word w_j of degree m, {a: [(k, c)]} with w_j . a = sum c w_k,
         for each arrow a that starts where w_j ends, in increasing a.
 
-        Read off A^!'s rules on word indices (module docstring,
-        "Comultiplicative scalars"): a w_j . a that a rule rewrites reads
-        degree m - 1 and other entries of degree m, which are memoised per
-        (j, a) for the call."""
+        The dual's RewriteSystem.times, renumbered from its enumeration
+        order into the generator order (module docstring, "Comultiplicative
+        scalars")."""
         if not 0 <= m < self.max_degree:
             raise InconsistentBasis(
                 f"right action on degree {m} is outside 0..{self.max_degree - 1}")
         got = self._right.get(m)
         if got is not None:
             return got
-        q, field = self.quiver, self.dual.field
-        one, canon = field.one, field.canon
+        q, dual, index = self.quiver, self.dual, self.index
         starting = {}  # vertex -> the arrows that start there
         for a in range(q.num_arrows):
             starting.setdefault(q.arrow_o[a], []).append(a)
-        normal, split = self.extensions[m], self.splits[m]
-        if m:  # at m = 0 each w_j . a is the arrow a, a normal word
-            below = self.right_action(m - 1)
-            # the rule b.a -> sum c x.y as (b, a) -> [(x, y, c)]
-            tails = {rule: [(p.arrows[0], p.arrows[1], c) for p, c in tail.terms.items()]
-                     for rule, tail in self.dual.rules.items()}
-        memo = {}  # (j, a) -> w_j . a, for the a that lead a rule after w_j
-
-        def act(j, a):
-            i = normal[j].get(a)
-            if i is not None:
-                return [(i, one)]
-            got = memo.get((j, a))
-            if got is None:
-                k, b = split[j]
-                acc = {}
-                for x, y, c in tails[(b, a)]:
-                    for l, d in below[k][x]:
-                        cd = c * d
-                        for i, e in act(l, y):
-                            acc[i] = acc.get(i, 0) + cd * e
-                got = memo[(j, a)] = list(canon(acc.items()).items())
-            return got
-
-        got = self._right[m] = [{a: act(j, a) for a in starting.get(t, ())}
-                                for j, (_, t) in enumerate(self.pairs[m])]
+        renumber = [index[m + 1][w] for w in dual.basis_words(m + 1)]
+        moved = renumber != list(range(len(renumber)))  # else the dual's lists are shared
+        got = [None] * self.count(m)
+        for j, w in enumerate(dual.basis_words(m)):
+            by_arrow = got[index[m][w]] = {a: dual.times(m, j, a)
+                                           for a in starting.get(q.path_target(w), ())}
+            if moved:
+                for a, images in by_arrow.items():
+                    by_arrow[a] = [(renumber[k], c) for k, c in images]
+        self._right[m] = got
         return got
 
     def o(self, n, i):

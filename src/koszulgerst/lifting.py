@@ -108,7 +108,6 @@ class _LiftingSystem(NamedTuple):
 
     ansatz: list
     elimination: Elimination  # of the columns d(u . eps_i . v)
-    nullspace: list  # the elimination's kernel basis, as BimoduleElements
 
 
 def _lifting_system(kx, k, ell, o, t):
@@ -129,9 +128,7 @@ def _lifting_system(kx, k, ell, o, t):
         column = {}  # d(u . eps_i . v) = u . d(eps_i) . v
         kx.sandwich_into(column, u, kx._diff_eps(k, i).terms, v, 1)
         columns.append(f.canon(column.items()))
-    elimination = Elimination(f, columns)
-    nullspace = [BimoduleElement(f, k, zip(ansatz, vec)) for vec in elimination.nullspace]
-    return kx._lifting_systems.setdefault(key, _LiftingSystem(ansatz, elimination, nullspace))
+    return kx._lifting_systems.setdefault(key, _LiftingSystem(ansatz, Elimination(f, columns)))
 
 
 def _solve_images(kx, m, n, ell, target, what):
@@ -139,7 +136,8 @@ def _solve_images(kx, m, n, ell, target, what):
     ansatz span of d psi(eps^m_r) = target(r).
 
     A zero cocycle (ell None) gets zero images without a solve.  The
-    homogeneous solutions of a solve are the nullspace of its lifting system.
+    homogeneous solutions of a solve are the ansatz combinations of its
+    lifting system's kernel basis.
     """
     f = kx.field
     k = m - n + 1

@@ -4,9 +4,11 @@ The relations are solved for their length-lex leading 2-paths, giving rules
 (leading pair) -> strictly smaller quadratic tail.  A diamond-lemma check on
 all degree-3 overlaps certifies confluence; success doubles as the Koszulity
 certificate (a quadratic Groebner basis), which the resolution construction
-assumes throughout.  Reduction is leftmost-first and memoised per path; the
-normal form of each word product u.v is memoised per (u, v) pair, and
-multiplication in Lambda is the bilinear extension of that memo.
+assumes throughout.  Reduction is one memoised recursion, times (a normal
+word times an arrow, on word indices), for Lambda and for the quadratic
+dual A^!.  A reducible path is folded through it letter by letter; the
+normal form of each path and of each word product u.v is memoised, and
+multiplication in Lambda is bilinear in the latter.
 """
 
 from graphlib import CycleError, TopologicalSorter
@@ -24,8 +26,11 @@ class RewriteSystem:
         self.rules = rules  # (arrow, arrow) -> PathVector tail, or zero vector
         self._nf_cache = {}
         self._products = {}  # (u, v) -> normal form of the word product u.v
-        self._words_by_len = None
-        self._splits_by_len = None  # per length, (prefix, last arrow) of each word
+        q = self.quiver
+        # per length and normal word w_j, in enumeration order: w_j, (index of
+        # its prefix, its last arrow) from length 1, and {a: times(m, j, a)}
+        self._words_by_len = [[q.vertex_path(v) for v in range(q.num_vertices)]]
+        self._splits, self._times = [[]], []
         self._acyclic = None
 
     # -- normal forms -------------------------------------------------------
@@ -38,23 +43,45 @@ class RewriteSystem:
                 return k
         return -1
 
+    def times(self, m, j, a):
+        """w_j . a = sum c w_k as [(k, c)], for the normal word w_j of length
+        m and an arrow a that starts where it ends, words indexed in
+        enumeration order and grown through length m + 1.  If b.a leads the
+        rule b.a -> sum c x.y and w_j = w_k . b, w_j . a = sum c (w_k . x) . y:
+        every tail is smaller than b.a, so the recursion ends (Bergman's
+        diamond lemma).  A normal w_j . a is recorded as the words grow; the
+        others are memoised per (m, j, a) on first use."""
+        got = self._times[m][j].get(a)
+        if got is None:
+            k, b = self._splits[m][j]
+            acc = {}
+            for xy, c in self.rules[(b, a)].terms.items():
+                x, y = xy.arrows
+                for l, d in self.times(m - 1, k, x):
+                    cd = c * d
+                    for i, e in self.times(m, l, y):
+                        acc[i] = acc.get(i, 0) + cd * e
+            got = self._times[m][j][a] = list(self.field.canon(acc.items()).items())
+        return got
+
     def nf_path(self, path):
-        """Normal form of a single path as a PathVector."""
+        """Normal form of a single path as a PathVector: a reducible path is
+        folded letter by letter through times, from its origin vertex."""
         cached = self._nf_cache.get(path)
         if cached is not None:
             return cached
-        k = self.reducible_at(path)
-        if k < 0:
+        if self.reducible_at(path) < 0:
             result = PathVector.single(self.field, path)
         else:
-            arrows = path.arrows
-            tail = self.rules[(arrows[k], arrows[k + 1])]
-            acc = {}
-            for tpath, tcoeff in tail.terms.items():
-                replaced = Path(path.o, arrows[:k] + tpath.arrows + arrows[k + 2:])
-                for rpath, rcoeff in self.nf_path(replaced).terms.items():
-                    acc[rpath] = acc.get(rpath, 0) + tcoeff * rcoeff
-            result = PathVector(self.field, acc)
+            arrows, field = path.arrows, self.field
+            words, terms = self._grow_words(len(arrows)), {path.o: field.one}
+            for m, a in enumerate(arrows):
+                acc = {}
+                for j, c in terms.items():
+                    for i, e in self.times(m, j, a):
+                        acc[i] = acc.get(i, 0) + c * e
+                terms = acc
+            result = PathVector(field, {words[i]: c for i, c in terms.items()})
         self._nf_cache[path] = result
         return result
 
@@ -93,30 +120,26 @@ class RewriteSystem:
     # -- normal-word enumeration ---------------------------------------------
 
     def _grow_words(self, length):
-        q = self.quiver
-        if self._words_by_len is None:
-            self._words_by_len = [[q.vertex_path(v) for v in range(q.num_vertices)]]
-            self._splits_by_len = [[]]
-        while len(self._words_by_len) <= length:
-            prev = self._words_by_len[-1]
-            nxt, splits = [], []
-            for w in prev:
-                tail_vertex = q.path_target(w)
+        """The normal words of the given length, in enumeration order: each level
+        grows each word below by the arrows that may follow it, in increasing order."""
+        q, levels = self.quiver, self._words_by_len
+        while len(levels) <= length:
+            nxt, splits, products = [], [], []
+            for k, w in enumerate(levels[-1]):
+                tail_vertex, children = q.path_target(w), {}
                 for a in range(q.num_arrows):
                     if q.arrow_o[a] != tail_vertex:
                         continue
                     if w.arrows and (w.arrows[-1], a) in self.rules:
                         continue
+                    children[a] = [(len(nxt), self.field.one)]
                     nxt.append(Path(w.o, w.arrows + (a,)))
-                    splits.append((w, a))
-            self._words_by_len.append(nxt)
-            self._splits_by_len.append(splits)
-        return self._words_by_len[length]
-
-    def word_splits(self, length):
-        """{normal word of the given length >= 1: (its prefix, its last arrow)},
-        read off the enumeration, which grows each normal word by one arrow."""
-        return dict(zip(self._grow_words(length), self._splits_by_len[length]))
+                    splits.append((k, a))
+                products.append(children)
+            levels.append(nxt)
+            self._splits.append(splits)
+            self._times.append(products)
+        return levels[length]
 
     def basis_words(self, length, o=None, t=None):
         """Normal words of the given length, optionally filtered by vertices."""

@@ -698,10 +698,15 @@ def test_cli_help_matches_a_freshly_built_parser(argv, capsys):
        f"arrow name {name!r} is not letters, digits and _ after a letter or _")
       for name in ("a.b", "x*y", "p-q", "u,v", "2", "0")],
     (["vertex 1-2"], 3, "vertex name '1-2' is not letters, digits and _"),
+    (["vertex 2", "vertex 1"], 4, "duplicate vertex name '1'"),
+    (["arrow x 1 1", "arrow y 1 1", "arrow x 1 1"], 5, "duplicate name 'x'"),
+    (["arrow a 1 a", "vertex a"], 3, "duplicate name 'a'"),
+    (["arrow x 1 1", "arrow y 1 3"], 4, "arrow 'y' has unknown endpoint"),
 ], ids=["unknown", "repeated-one-arrow", "repeated-two-arrows", "missing", "zero",
         "cancelling", "idempotent-arrow", "idempotent-arrow-before-vertex", "dotted-arrow",
         "star-arrow", "minus-arrow", "comma-arrow", "numeral-arrow", "zero-arrow",
-        "minus-vertex"])
+        "minus-vertex", "duplicate-vertex", "duplicate-arrow", "arrow-named-like-a-vertex",
+        "unknown-endpoint"])
 def test_cli_bad_order_or_zero_relation_reports_its_line(lines, line, message, tmp_path,
                                                          capsys):
     path = tmp_path / "bad.alg"

@@ -101,8 +101,6 @@ def cached_values(kx):
         yield from (("_diff_cache", c) for c in x.terms.values())
     for system in kx._lifting_systems.values():
         yield from elimination_values("_lifting_systems", system.elimination)
-        for x in system.nullspace:
-            yield from (("_lifting_systems nullspace", c) for c in x.terms.values())
     for cut in kx._coboundary_slices.values():
         yield from elimination_values("_coboundary_slices", cut.elimination)
         for x in cut.images:
@@ -111,6 +109,10 @@ def cached_values(kx):
         for cache in ("_products", "_nf_cache"):
             for x in getattr(system, cache).values():
                 yield from ((f"{name}.{cache}", c) for c in x.terms.values())
+        for level in system._times:
+            for by_arrow in level:
+                for terms in by_arrow.values():
+                    yield from ((f"{name}._times", c) for _, c in terms)
 
 
 @pytest.mark.parametrize("make, dual_caches", [
@@ -143,7 +145,8 @@ def test_no_unreduced_value_escapes_into_a_cache(make, dual_caches):
     assert seen == {"comult._cache", "cobasis._right",
                     "cobasis._levels", "_iota_index", "_diag_cache",
                     "_diff_cache", "_lifting_systems transform",
-                    "_lifting_systems kernel", "_lifting_systems nullspace",
+                    "_lifting_systems kernel",
                     "_coboundary_slices transform", "_coboundary_slices kernel",
-                    "_coboundary_slices images", "rs._products", "rs._nf_cache"} | dual_caches
+                    "_coboundary_slices images", "rs._products", "rs._nf_cache",
+                    "rs._times", "cobasis.dual._times"} | dual_caches
     assert kx.cobasis.dual._products == {}

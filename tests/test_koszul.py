@@ -9,7 +9,9 @@ identity in kQ (by direct expansion), against independently coded closed
 formulas for the two stock algebras, against the pivot-coordinate table of
 tower_reference.py on the intersection tower, and slice by slice, rows and
 order, against a reference that splits and joins Path words.  The two
-references must also raise the same errors on corrupted generators.
+references must also raise the same errors on corrupted generators.  The
+right action on A^!, and the normal forms of A and A^!, are checked against
+leftmost Path rewriting (tower_reference.py).
 """
 
 import random
@@ -32,9 +34,10 @@ from koszulgerst.rewriting import RewriteSystem, build_rewrite_system
 
 from linalg_reference import add
 import tower_reference
+from test_products_and_scalars import random_path
 from tower_reference import (PivotComultTable, ReferenceCobasis, _intersect, _split_blocks,
-                             family_cobasis, intersection_tower, normal_form_right_action,
-                             path_spelling, short_cobasis)
+                             family_cobasis, intersection_tower, leftmost_nf_path,
+                             normal_form_right_action, path_spelling, short_cobasis)
 
 
 def test_short_tower_closed_form(short8):
@@ -273,8 +276,8 @@ def test_right_action_refuses_degrees_outside_its_range(family8, m):
 
 
 def assert_right_action_matches_reference(cobasis):
-    """right_action(m), read off A^!'s rules, against the normal-form word
-    products of tower_reference, for every m < max_degree: the same images
+    """right_action(m), from A^!'s RewriteSystem.times, against the leftmost
+    rewriting of tower_reference, for every m < max_degree: the same images
     as dicts, keyed by the arrows in increasing order."""
     for m in range(cobasis.max_degree):
         got = cobasis.right_action(m)
@@ -286,7 +289,7 @@ def assert_right_action_matches_reference(cobasis):
                     == {a: dict(images) for a, images in want_by_arrow.items()}), (m, j)
 
 
-@pytest.mark.parametrize("make, N", [
+ACTION_CASES = pytest.mark.parametrize("make, N", [
     (lambda: load_presentation("family", QQ, q=1), 10),
     (lambda: load_presentation("family", QQ, q=-1), 10),
     (lambda: load_presentation("family", QQ, q=2), 10),
@@ -297,10 +300,48 @@ def assert_right_action_matches_reference(cobasis):
         "xyzw", "F32003", [5, 77, 1234, 9, 20000, 31002])), 7),
 ], ids=["family-q=1", "family-q=-1", "family-q=2", "family-q=-1-F5", "short", "ext3-F32003",
         "ext4-F32003"])
+
+
+@ACTION_CASES
 def test_right_action_matches_the_normal_form_products(make, N):
     # the exterior algebras' commutation rules send w_j . a through further
     # rules of the same degree before it is normal
     assert_right_action_matches_reference(build_koszul_basis(build_rewrite_system(make()), N))
+
+
+def nf_path_mismatches(rs, seed):
+    """The random paths of length <= 6 whose rs.nf_path differs from the
+    leftmost rewriting of tower_reference."""
+    rng, memo = random.Random(seed), {}
+    paths = [random_path(rs.quiver, rng, rng.randrange(7)) for _ in range(150)]
+    return [p for p in paths if rs.nf_path(p) != leftmost_nf_path(rs.rules, rs.field, p, memo)]
+
+
+@ACTION_CASES
+def test_nf_path_matches_leftmost_rewriting(make, N):
+    # A's normal forms fold each path through RewriteSystem.times, the
+    # recursion that also gives A^!'s right action; both rewrite systems
+    # are checked against rewriting Paths at the leftmost reducible pair
+    rs = build_rewrite_system(make())
+    dual = build_koszul_basis(rs, N).dual
+    assert nf_path_mismatches(rs, "A") == [] and nf_path_mismatches(dual, "A^!") == []
+
+
+def test_a_corrupted_times_entry_fails_the_sweep():
+    # negative control: one memoised w_j . a that a rule rewrote, with a
+    # doubled coefficient; every other such entry is dropped, so each normal
+    # form that needs it reads it
+    rs = build_rewrite_system(parse_presentation(
+        quantum_exterior_text("xyz", "F32003", [17, 2024, 31999])))
+    assert nf_path_mismatches(rs, 0) == []
+    ruled = [(by_arrow, a) for m, level in enumerate(rs._times) for j, by_arrow in enumerate(level)
+             for a in by_arrow if m and (rs._splits[m][j][1], a) in rs.rules]
+    by_arrow, a = next((by_arrow, a) for by_arrow, a in ruled if by_arrow[a])
+    (k, c), *rest = by_arrow[a]
+    for other, b in ruled:
+        del other[b]
+    by_arrow[a], rs._nf_cache = [(k, rs.field(c + c)), *rest], {}
+    assert nf_path_mismatches(rs, 0) != []
 
 
 def test_non_confluent_dual_is_named_in_the_error():
@@ -337,7 +378,7 @@ def test_building_a_complex_puts_r_in_echelon_form_once(monkeypatch):
 
 def test_scalars_and_spelling_multiply_only_composable_words():
     # a slice and the spelling of f^n read the right action of the arrows on
-    # A^!, which reads A^!'s rules on word indices: no word is put in normal
+    # A^!, A^!'s RewriteSystem.times on word indices: no word is put in normal
     # form after the build, and only a word and an arrow it ends at are
     # multiplied; 56 of the 108 products w_j . a rewrite by a rule, 28 to zero
     kx = load_complex("family", QQ, 8, q=1)
@@ -752,9 +793,11 @@ def test_tower_matches_reference_on_random_quadratic_algebras(pres):
     # is not confluent either (the next test), and the complex refuses it
     if is_confluent(lambda: build_rewrite_system(pres)):
         assert_tower_matches_reference(pres, 5)
-        cobasis = build_koszul_basis(build_rewrite_system(pres), 5)
+        rs = build_rewrite_system(pres)
+        cobasis = build_koszul_basis(rs, 5)
         assert_codes_round_trip(cobasis)
         assert_right_action_matches_reference(cobasis)
+        assert nf_path_mismatches(rs, 0) == []
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -339,14 +339,21 @@ def test_lifting_choice_independence_on_bracket_class(family8):
 def homogeneous_solutions(kx, psi):
     """((m, r), basis of the homogeneous solutions of the solve for
     psi(eps^m_r)) for every degree m of psi.maps, in solve order: the
-    nullspace of the lifting system that solve used."""
+    kernel basis of the lifting system that solve used, as ansatz combinations."""
     n, ell = psi.n, psi.cocycle.internal_degree()
     if ell is None:
         return
     for m in sorted(psi.maps):
         for r in range(kx.count(m)):
             system = lifting._lifting_system(kx, m - n + 1, ell, *kx.cobasis.o(m, r))
-            yield (m, r), system.nullspace
+            yield (m, r), kernel_elements(kx, m - n + 1, system)
+
+
+def kernel_elements(kx, k, system):
+    """The kernel basis of a lifting system's elimination as BimoduleElements
+    of degree k over its ansatz."""
+    return [BimoduleElement(kx.field, k, zip(system.ansatz, vec))
+            for vec in system.elimination.nullspace]
 
 
 # -- the cached lifting systems against the per-generator solve -----------------
@@ -706,7 +713,7 @@ def test_lifting_system_columns_match_the_differential_reference(case):
                     want = reference_lifting_system(kx, k, ell, o, t)
                     elimination = got.elimination
                     assert (got.ansatz, list(elimination.index.items()), elimination.pivots,
-                            elimination.transform, got.nullspace) == want
+                            elimination.transform, kernel_elements(kx, k, got)) == want
 
 
 @pytest.mark.parametrize("scale", [0, 1, -1])

@@ -1,10 +1,10 @@
 """The exact-arithmetic hot path: memoised products, scalars from A^!, int units.
 
-`RewriteSystem.multiply` is checked against reducing the free product, and
-the comultiplicative scalars, products in the quadratic dual A^!, against
-one general `solve_many` per slice, kept here as an independent reference,
-on the two presets and on generated quantum exterior algebras, over Q and
-F5.
+`RewriteSystem.multiply` is checked against reducing the free product by
+leftmost rewriting (tower_reference.py), and the comultiplicative scalars,
+products in the quadratic dual A^!, against one general `solve_many` per
+slice, kept here as an independent reference, on the two presets and on
+generated quantum exterior algebras, over Q and F5.
 """
 
 import random
@@ -19,7 +19,7 @@ from koszulgerst.presets import load_complex
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
 from koszulgerst.resolution import KoszulComplex
 
-from tower_reference import PivotComultTable, ReferenceCobasis
+from tower_reference import PivotComultTable, ReferenceCobasis, leftmost_normal_form
 
 F5 = PrimeField(5)
 N = 6
@@ -77,7 +77,7 @@ def test_multiply_is_the_reduced_free_product(complex_case, rng):
     for _ in range(60):
         a = random_vector(kx, rng, rng.randrange(1, 5))
         b = random_vector(kx, rng, rng.randrange(1, 5))
-        expected = kx.rs.normal_form(free_multiply(kx.quiver, a, b))
+        expected = leftmost_normal_form(kx.rs, free_multiply(kx.quiver, a, b))
         assert kx.rs.multiply(a, b) == expected
         assert kx.rs.multiply(a, b) == expected  # again, now from the memo
 

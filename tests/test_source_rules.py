@@ -345,13 +345,81 @@ def test_rule_spots_normal_forms_in_cobasis_methods():
 
 
 def test_cobasis_puts_no_word_of_the_dual_in_normal_form():
-    # KoszulCobasis.right_action reads the action of the arrows on A^! off
-    # A^!'s rules on word indices, so after the build no method multiplies,
-    # reduces or joins a word of A^!
+    # KoszulCobasis.right_action takes the action of the arrows on A^! from
+    # A^!'s RewriteSystem.times on word indices, so after the build no
+    # method multiplies, reduces or joins a word of A^!
     tree = ast.parse((SRC / "koszul.py").read_text(), filename="koszul.py")
     found = references(tree, ("word_product", "nf_path", "normal_form", "compose"))
     assert ("compose", "build_koszul_basis") in found  # the rule sees koszul's calls
     assert [pair for pair in found if pair[1].split(".")[0] == "KoszulCobasis"] == []
+
+
+def rules_reads(tree):
+    """(scope, line, indexed) of each `rules` or `<x>.rules` read, scope being
+    the qualified name of the enclosing function or class; indexed when the
+    read is subscripted, as rules[(b, a)] looks a rule up by its arrow pair."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == "rules"
+                    or isinstance(child, ast.Attribute) and child.attr == "rules"):
+                found.append((scope, child.lineno,
+                              isinstance(node, ast.Subscript) and node.value is child))
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_rule_spots_rules_reads():
+    # the shape of the right action before the cobasis took it from the
+    # dual's RewriteSystem.times: its own copy of the rule recursion
+    tree = ast.parse("class KoszulCobasis:\n"
+                     "    def right_action(self, m):\n"
+                     "        tails = {rule: tail for rule, tail in self.dual.rules.items()}\n"
+                     "        def act(j, b, a):\n"
+                     "            return [act(k, x, y) for x, y in rules[(b, a)]]\n"
+                     "class ComultTable:\n"
+                     "    def _slice(self, b, a):\n"
+                     "        return (b, a) in self.cobasis.dual.rules\n"
+                     "def build_koszul_basis(rs):\n"
+                     "    return [rs.rules[rule] for rule in rs.rules]\n"
+                     "rules = None\n")
+    assert rules_reads(tree) == [
+        ("", 11, False), ("ComultTable._slice", 8, False),
+        ("KoszulCobasis.right_action", 3, False), ("KoszulCobasis.right_action.act", 5, True),
+        ("build_koszul_basis", 10, False), ("build_koszul_basis", 10, True)]
+
+
+# reads of a rewrite system's rules outside rewriting.py, each with why it stays
+RULES_READS_ALLOWED = {
+    ("koszul.py", "build_koszul_basis"): "forms R^perp, the relations of A^!, from A's rules",
+}
+
+
+def test_only_rewriting_applies_rules():
+    # one recursion, RewriteSystem.times, applies a rule's tail to a word, in
+    # A and in A^!; no other module looks a rule up by its arrow pair, and
+    # KoszulCobasis and ComultTable, which take A^!'s products from times,
+    # read no rules at all
+    reads, indexed = set(), []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "rewriting.py":
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        for scope, line, is_indexed in rules_reads(tree):
+            reads.add((module.name, scope))
+            if is_indexed:
+                indexed.append(f"{module.name}:{line}")
+    assert sorted(SRC.glob("*.py")), "package source not found"
+    assert indexed == []
+    assert [read for read in reads
+            if read[1].split(".")[0] in ("KoszulCobasis", "ComultTable")] == []
+    assert reads == RULES_READS_ALLOWED.keys()
 
 
 def word_tuple_building(tree):
@@ -418,8 +486,8 @@ def test_rule_spots_word_tuple_building():
 
 def test_comult_table_and_iota_check_build_no_word_tuples():
     # a slice composes the slice below it with the right action of the
-    # arrows on A^!, which KoszulCobasis.right_action reads off A^!'s rules,
-    # both keyed by word indices; d*d=0, the dg identity and coassociativity
+    # arrows on A^!, which KoszulCobasis.right_action takes from A^!'s
+    # RewriteSystem.times, both keyed by word indices; d*d=0, the dg identity and coassociativity
     # key their terms by int letters and indices, and the delta iota = iota d
     # check touches every word of f^0..f^N as an int code; only the witness
     # path of a failing generator spells Paths

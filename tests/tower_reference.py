@@ -15,9 +15,12 @@ Kept as the reference for the dual-basis construction of `koszul`:
 * `path_spelling` spells the generators of a `koszul.KoszulCobasis` on
   Paths, joining each word to its next arrow with `Quiver.compose`, as the
   package did before it spelled int codes;
+* `leftmost_nf_path` and `leftmost_normal_form` rewrite Paths at their
+  leftmost reducible pair of arrows, as `RewriteSystem.nf_path` did before
+  it folded paths through `RewriteSystem.times`;
 * `normal_form_right_action` multiplies each normal word of A^! by each
-  arrow through A^!'s word product, as the package did before it read the
-  right action off A^!'s rules on word indices.
+  arrow through that leftmost rewriting, as the package did before it read
+  the right action off A^!'s rules on word indices.
 
 The intersection.  Because W_{n-1} arrives in reduced echelon form under
 the length-lex path order, the left extensions a.w are themselves a
@@ -322,14 +325,48 @@ def path_spelling(cobasis):
     return levels
 
 
+def leftmost_nf_path(rules, field, path, memo):
+    """Normal form of a path under rules {(a, b): tail}, rewriting at the
+    leftmost reducible pair of arrows; memo holds the normal form of every
+    path met on the way."""
+    got = memo.get(path)
+    if got is not None:
+        return got
+    arrows = path.arrows
+    k = next((k for k in range(len(arrows) - 1) if (arrows[k], arrows[k + 1]) in rules), -1)
+    if k < 0:
+        got = PathVector.single(field, path)
+    else:
+        acc = {}
+        for tpath, tcoeff in rules[(arrows[k], arrows[k + 1])].terms.items():
+            replaced = Path(path.o, arrows[:k] + tpath.arrows + arrows[k + 2:])
+            for rpath, rcoeff in leftmost_nf_path(rules, field, replaced, memo).terms.items():
+                acc[rpath] = acc.get(rpath, 0) + tcoeff * rcoeff
+        got = PathVector(field, acc)
+    memo[path] = got
+    return got
+
+
+def leftmost_normal_form(rs, vec):
+    """The normal form of a kQ element under the rules of the rewrite system
+    rs, each path rewritten by leftmost_nf_path."""
+    memo, acc = {}, {}
+    for path, coeff in vec.terms.items():
+        for rpath, rcoeff in leftmost_nf_path(rs.rules, rs.field, path, memo).terms.items():
+            acc[rpath] = acc.get(rpath, 0) + coeff * rcoeff
+    return PathVector(rs.field, acc)
+
+
 def normal_form_right_action(cobasis, m):
     """The right action of the arrows on A^!_m as KoszulCobasis.right_action
     computed it before it read A^!'s rules on word indices: each w_j . a is
-    the word product of A^!'s rewrite system, a Path put in normal form."""
-    q, product, index = cobasis.quiver, cobasis.dual.word_product, cobasis.index[m + 1]
+    a Path of A^! put in normal form by leftmost_nf_path."""
+    q, dual, index = cobasis.quiver, cobasis.dual, cobasis.index[m + 1]
+    memo = {}
     starting = {}
     for a in range(q.num_arrows):
         starting.setdefault(q.arrow_o[a], []).append(a)
-    return [{a: [(index[w], c) for w, c in product(u, q.arrow_path(a)).terms.items()]
+    return [{a: [(index[w], c) for w, c in leftmost_nf_path(
+                 dual.rules, dual.field, q.compose(u, q.arrow_path(a)), memo).terms.items()]
              for a in starting.get(t, ())}
             for u, (_, t) in zip(cobasis.words[m], cobasis.pairs[m])]
