@@ -16,9 +16,8 @@ from .errors import (CharacteristicTwo, CochainError, DegreeUnderflow,
                      UnboundedComputation, UnknownPreset, UnsupportedField)
 from .fields import PrimeField, QQ, Rationals, field_from_name
 from .koszul import ComultTable, KoszulCobasis, build_koszul_basis
-from .lifting import (DerivationOperator, HomotopyLifting, closed_form_conditions,
-                      derivation_lift, lifting_residual, solve_lifting,
-                      verify_derivation, verify_lifting)
+from .lifting import (HomotopyLifting, derivation_lift, lifting_residual, solve_lifting,
+                      verify_lifting)
 from .linalg import Matrix, echelon_basis, nullspace_basis, rank, solve_affine_system
 from .presets import load_complex, load_presentation
 from .quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply

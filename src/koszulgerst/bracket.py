@@ -2,7 +2,9 @@
 
 * via homotopy liftings on K:   [eta, theta] = eta psi_theta
   - (-1)^{(m-1)(n-1)} theta psi_eta,
-* via derivation operators for degree-1 cocycles,
+* via derivation operators for a degree-1 gamma: [gamma, chi] =
+  gamma o chi - chi o psi_gamma, with gamma extended to Lambda as a
+  derivation and psi_gamma its lifting, which is its derivation operator,
 * via the circle-product formula on the reduced bar complex, brute forced
   over all composable tuples of basis words (finite-dimensional algebras
   only); restriction along the embedding iota makes the two sides
@@ -44,7 +46,8 @@ def bracket_via_lifting(kx, eta, theta, psi_eta, psi_theta):
 
 
 def bracket_via_derivation(kx, gamma, chi, deriv):
-    """[gamma, chi] = gamma o chi - chi o gtilde for a degree-1 gamma."""
+    """[gamma, chi] = gamma o chi - chi o psi_gamma for a degree-1 gamma, where
+    deriv is psi_gamma through degree chi.degree (derivation_lift)."""
     n = chi.degree
     acc = {}
     for r, value in enumerate(chi.values):

@@ -1,5 +1,5 @@
-"""Homotopy liftings of cocycles, solved degree by degree, plus derivation
-operators for degree-1 cocycles.
+"""Homotopy liftings of cocycles, solved degree by degree; for a degree-1
+cocycle the lifting is its derivation operator.
 
 For an n-cocycle eta of internal degree ell, a lifting is a family
 psi: K_m -> K_{m-n+1} with psi(K_{n-1}) = 0 and
@@ -14,9 +14,22 @@ ell = 1, one arrow on one side for ell = 2).  Solutions are canonical (free
 variables zero), and existence is guaranteed for cocycles, so a failed
 solve raises NoSolution rather than falling back.
 
+A lifting holds the images of the degrees it was built through.  Below
+degree n it is the zero map; asking it for a degree >= n it was not built
+through raises CochainError, so a lifting that stops short never reads as
+zero.
+
+For n = 1, read gamma = eta as a derivation of Lambda and extend a map
+gtilde: K -> K by the Leibniz rule, gtilde(u . eps . v) = gamma(u) . eps . v
++ u . gtilde(eps) . v + u . eps . gamma(v).  On d eps, the terms where gamma
+acts on a decoration u or v sum to (gamma ox 1 - 1 ox gamma) Delta(eps),
+term for term, so the chain-map condition d gtilde = gtilde d is the
+lifting equation, and gamma's derivation operator is its lifting:
+`derivation_lift` is `solve_lifting` behind a degree check.
+
 The equation is written once, in `_lifting_equation_into`: the solver's
-target and `lifting_residual`, and through it `verify_lifting` and
-`closed_form_conditions`, all read it from there.
+target and `lifting_residual`, and through it `verify_lifting`, read it
+from there.
 """
 
 from typing import NamedTuple
@@ -36,16 +49,25 @@ class HomotopyLifting:
         self.n = cocycle.degree
         self.maps = maps  # dict m -> list of BimoduleElement
 
+    def _images(self, m):
+        """maps[m], or None below degree n; a degree >= n not built raises."""
+        if m < self.n:
+            return None
+        images = self.maps.get(m)
+        if images is None:
+            raise CochainError(f"lifting not built through degree {m}")
+        return images
+
     def image(self, m, r):
-        if m <= self.n - 1 or m not in self.maps:
-            target = max(m - self.n + 1, 0)
-            return BimoduleElement.zero(self.kx.field, target)
-        return self.maps[m][r]
+        images = self._images(m)
+        if images is None:
+            return BimoduleElement.zero(self.kx.field, max(m - self.n + 1, 0))
+        return images[r]
 
     def apply_into(self, out, x, scale):
         """Add scale . psi(x), psi extended bimodule-linearly to an element
         x of K_m, into the term dict out."""
-        images = self.maps.get(x.degree) if x.degree >= self.n else None
+        images = self._images(x.degree)
         if images is None:
             return
         kx = self.kx
@@ -115,7 +137,7 @@ def _lifting_system(kx, k, ell, o, t):
 
     It depends on neither the cocycle nor the generator being lifted, only
     on the target degree, the internal degree and the vertex pair, so every
-    lifting and derivation operator solved on kx shares it.
+    lifting solved on kx shares it.
     """
     key = (k, ell, o, t)
     got = kx._lifting_systems.get(key)
@@ -131,7 +153,7 @@ def _lifting_system(kx, k, ell, o, t):
     return kx._lifting_systems.setdefault(key, _LiftingSystem(ansatz, Elimination(f, columns)))
 
 
-def _solve_images(kx, m, n, ell, target, what):
+def _solve_images(kx, m, n, ell, target):
     """psi(eps^m_r) in K_{m-n+1} for every r: the canonical solution in the
     ansatz span of d psi(eps^m_r) = target(r).
 
@@ -150,7 +172,7 @@ def _solve_images(kx, m, n, ell, target, what):
         solution = system.elimination.solve(target(r).terms)
         if solution is None:
             raise NoSolution(
-                f"no {what} at degree {m}, generator {r}: input is not a "
+                f"no lifting at degree {m}, generator {r}: input is not a "
                 f"cocycle or the resolution data is corrupted")
         images.append(BimoduleElement(f, k, ((system.ansatz[col], c) for col, c in solution)))
     return images
@@ -193,7 +215,7 @@ def solve_lifting(kx, eta, M, initial=None):
 
     for m in range(n, M + 1):
         if m not in maps:
-            maps[m] = _solve_images(kx, m, n, ell, lambda r: target(m, r), "lifting")
+            maps[m] = _solve_images(kx, m, n, ell, lambda r: target(m, r))
     return lifting
 
 
@@ -207,131 +229,15 @@ def lifting_residual(kx, eta, lifting, m, r):
     return BimoduleElement(kx.field, m - eta.degree, res)
 
 
-def _nonzero_residuals(kx, first, M, residual, what):
-    """((m, r), residual(m, r)) for every nonzero residual, degrees first..M."""
-    _check_reach(kx, M, what)
-    return [((m, r), res) for m in range(first, M + 1) for r in range(kx.count(m))
-            if not (res := residual(m, r)).is_zero()]
-
-
 def verify_lifting(kx, eta, lifting, M):
-    """All nonzero residuals through degree M; a degree psi lacks is the zero map."""
-    return _nonzero_residuals(kx, eta.degree, M, lambda m, r: lifting_residual(
-        kx, eta, lifting, m, r), "lifting check")
-
-
-# -- closed-form condition checks --------------------------------------------
-
-
-class ConditionCheck(NamedTuple):
-    degree: int
-    generator: int
-    family: str
-    holds: bool
-    witness: str
-
-
-class ClosedFormReport(NamedTuple):
-    mode: str
-    checks: list
-    vacuous_degrees: list
-
-    @property
-    def all_hold(self):
-        return all(c.holds for c in self.checks)
-
-
-# the decoration shapes (|u|, |v|) of the residual's terms each mode expects
-_FAMILIES = {"idempotent": {(0, 0): "vertex-scalars"},
-             "length1": {(1, 0): "left", (0, 1): "right"},
-             "length2": {(2, 0): "left2", (1, 1): "mixed", (0, 2): "right2"}}
-
-
-def _decoration_parts(x):
-    parts = {}
-    for (u, i, v), coeff in x.terms.items():
-        key = (len(u.arrows), len(v.arrows))
-        parts.setdefault(key, {})[(u, i, v)] = coeff
-    return {k: BimoduleElement(x.field, x.degree, t) for k, t in parts.items()}
-
-
-def closed_form_conditions(kx, mode, eta, lifting, m_max):
-    """Evaluate the scalar conditions behind the closed-form lifting shapes.
-
-    The conditions are the coefficients of the lifting residual, checked in
-    the module K and split by decoration shape: for length-1 values the
-    left-decorated and right-decorated families, for length-2 values the
-    two-left / mixed / two-right families.  In idempotent mode, eta = e_v in
-    one slot, the candidate is psi = 0 and the one family is the
-    undecorated part: its coefficients are the per-vertex identities
-    c_(slot,p)(m,r,n) = (-1)^{n(m-n)} c_(p,slot)(m,r,m-n), and a degree
-    whose generators all avoid v is vacuous.
-    """
-    families = _FAMILIES.get(mode)
-    if families is None:
-        raise CochainError(f"unknown mode {mode!r}")
-    _check_reach(kx, m_max, "closed-form check")
-    n, vacuous = eta.degree, []
-    if mode == "idempotent":
-        vertex = _idempotent_vertex(eta)
-        lifting = HomotopyLifting(kx, eta, {})
-        vacuous = [m for m in range(n, m_max + 1)
-                   if not any(vertex in pair for pair in kx.cobasis.pairs[m - n])]
-    checks = []
-    for m in range(n, m_max + 1):
-        for r in range(kx.count(m)):
-            parts = _decoration_parts(lifting_residual(kx, eta, lifting, m, r))
-            for shape, name in families.items():
-                part = parts.pop(shape, None)
-                checks.append(ConditionCheck(m, r, name, part is None,
-                                             "" if part is None else part.format(kx.quiver)))
-            checks += [ConditionCheck(m, r, f"unexpected{shape}", False, part.format(kx.quiver))
-                       for shape, part in parts.items()]
-    return ClosedFormReport(mode, checks, vacuous)
-
-
-def _idempotent_vertex(eta):
-    """The vertex v of an eta whose one nonzero value is e_v."""
-    values = [list(val.terms) for val in eta.values if not val.is_zero()]
-    if not values:
-        raise CochainError("zero cochain has no idempotent slot")
-    if len(values) > 1:
-        raise CochainError("idempotent mode expects a single nonzero slot")
-    if len(values[0]) != 1 or values[0][0].arrows:
-        raise CochainError("idempotent mode expects an idempotent value")
-    return values[0][0].o
+    """((m, r), residual) for every nonzero residual in degrees n..M; the
+    lifting must be built through degree M (CochainError otherwise)."""
+    _check_reach(kx, M, "lifting check")
+    return [((m, r), res) for m in range(eta.degree, M + 1) for r in range(kx.count(m))
+            if not (res := lifting_residual(kx, eta, lifting, m, r)).is_zero()]
 
 
 # -- derivation operators ------------------------------------------------------
-
-
-class DerivationOperator:
-    """Chain self-map of K lifting a degree-1 cocycle read as a derivation."""
-
-    def __init__(self, kx, gamma, maps):
-        self.kx = kx
-        self.gamma = gamma
-        self.maps = maps  # dict n -> list of BimoduleElement (degree n)
-
-    def image(self, n, r):
-        if n not in self.maps:
-            raise CochainError(f"derivation operator not built through degree {n}")
-        return self.maps[n][r]
-
-    def apply(self, x):
-        """Leibniz extension to decorated elements of K_n."""
-        kx, gamma = self.kx, self.gamma
-        n = x.degree
-        out = {}
-        for (u, i, v), coeff in x.terms.items():
-            # gamma(u) . eps . v + u . gtilde(eps) . v + u . eps . gamma(v)
-            eps = kx.eps(n, i).terms
-            for w, c in derivation_on_word(kx, gamma, u).terms.items():
-                kx.sandwich_into(out, w, eps, v, c * coeff)
-            kx.sandwich_into(out, u, self.image(n, i).terms, v, coeff)
-            for w, c in derivation_on_word(kx, gamma, v).terms.items():
-                kx.sandwich_into(out, u, eps, w, c * coeff)
-        return BimoduleElement(kx.field, n, out)
 
 
 def derivation_on_word(kx, gamma, path):
@@ -362,22 +268,8 @@ def derivation_on_element(kx, gamma, vec):
 
 
 def derivation_lift(kx, gamma, M):
-    """Solve the chain-map condition d gtilde_n = gtilde_{n-1} d degree by degree."""
+    """The derivation operator gtilde of a degree-1 cocycle gamma through
+    degree M, which is gamma's homotopy lifting (module docstring)."""
     if gamma.degree != 1:
         raise CochainError("derivation operators lift degree-1 cocycles")
-    _check_reach(kx, M, "derivation operator")
-    if not gamma.is_homogeneous():
-        raise NoSolution("derivation lift needs a homogeneous cocycle")
-    ell = gamma.internal_degree()
-    maps = {0: [BimoduleElement(kx.field, 0) for _ in range(kx.count(0))]}
-    op = DerivationOperator(kx, gamma, maps)
-    for n in range(1, M + 1):
-        maps[n] = _solve_images(kx, n, 1, ell, lambda r: op.apply(kx._diff_eps(n, r)),
-                                "derivation operator")
-    return op
-
-
-def verify_derivation(kx, gamma, op, M):
-    """Nonzero residuals of d gtilde_n - gtilde_{n-1} d through degree M."""
-    return _nonzero_residuals(kx, 1, M, lambda n, r: kx.differential(op.image(n, r))
-                              - op.apply(kx._diff_eps(n, r)), "derivation check")
+    return solve_lifting(kx, gamma, M)

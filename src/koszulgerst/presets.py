@@ -14,17 +14,18 @@ The presets are algebra files (the grammar of ``algfile``), the texts of
 Both closed forms are what the generic construction from the quadratic
 dual gives, generator for generator and in the same order, so the golden
 tables match it index for index; the test suite keeps the closed forms as
-a reference.  Golden cocycles, liftings, derivation operators and the
-bracket table for q = 1 live here too, so the acceptance suite and the
-``tables`` command share one source of truth.  Each golden cochain is the
-command-line literal ``--cocycle`` would take (``"a,0,0,0"``), read by
-``algfile.parse_cochain``.
+a reference.  The golden cocycles and bracket table of ``family`` at q = 1
+and the short example's golden cocycles and liftings live here too, so the
+acceptance suite and the ``tables`` command share one source of truth
+(``family``'s golden liftings are read only by the tests, which keep them).
+Each golden cochain is the command-line literal ``--cocycle`` would take
+(``"a,0,0,0"``), read by ``algfile.parse_cochain``.
 """
 
 from .algfile import parse_cochain, parse_presentation, parse_value
 from .cohomology import Cochain
 from .errors import KoszulGerstError, MissingParameter, UnknownPreset
-from .lifting import DerivationOperator, HomotopyLifting
+from .lifting import HomotopyLifting
 from .resolution import BimoduleElement, KoszulComplex
 
 PRESET_FILES = {
@@ -111,8 +112,6 @@ def short_goldens(kx):
         "psi_chi": psi_chi,
         "psi_theta": psi_theta,
         "bracket_chi_theta": -chi,
-        # b-scalars of the length-2 closed form for chi: both equal to one
-        "b_scalars": {(2, 0): (0, 1, 0), (2, 1): (1, 0, 1)},
     }
 
 
@@ -139,76 +138,6 @@ FAMILY_NAMED = {"eta": (1, "a,0,0"), "chi": (1, "a.b,0,0"), "etabar": (2, "a,0,0
 
 def family_named_cocycles(kx):
     return {name: parse_cochain(kx, *spec) for name, spec in FAMILY_NAMED.items()}
-
-
-def family_psi_eta(kx, M):
-    """Lifting of eta = (a 0 0): psi(eps^m_r) = (m - r) eps^m_r, last slot m - 1."""
-    maps = {}
-    for m in range(1, M + 1):
-        images = [_bim(kx, m, [(m - r, "", r, "")] if m != r else 0) for r in range(m + 1)]
-        images.append(_bim(kx, m, [(m - 1, "", m + 1, "")] if m != 1 else 0))
-        maps[m] = images
-    return HomotopyLifting(kx, parse_cochain(kx, *FAMILY_NAMED["eta"]), maps)
-
-
-def family_psi_chi(kx, M):
-    """Lifting of chi = (ab 0 0) at q = 1, in closed form."""
-    maps = {}
-    for m in range(1, M + 1):
-        images = []
-        for r in range(m):
-            spec = []
-            if r % 2 == 0:
-                spec.append(((-1) ** (m + 1), "a", r + 1, ""))
-            if m != r:
-                spec.append((m - r, "", r, "b"))
-            images.append(_bim(kx, m, spec or 0))
-        images.append(_bim(kx, m, 0))  # r = m
-        images.append(_bim(kx, m, [(m - 1, "b", m + 1, ""), (m - 1, "", 1, "c")]
-                           if m >= 2 else 0))
-        maps[m] = images
-    return HomotopyLifting(kx, parse_cochain(kx, *FAMILY_NAMED["chi"]), maps)
-
-
-def family_psi_etabar(kx):
-    """Lifting of etabar = (a 0 0 0) at q = 1, golden data for degrees 1..3.
-
-    Images of eps^m_r live one homological degree down (in K_{m-1}).
-    """
-    maps = {
-        1: [_bim(kx, 0, 0)] * 3,
-        2: [_bim(kx, 1, [(1, "", 0, "")]), _bim(kx, 1, 0), _bim(kx, 1, 0), _bim(kx, 1, 0)],
-        3: [_bim(kx, 2, 0), _bim(kx, 2, [(1, "", 1, "")]), _bim(kx, 2, 0),
-            _bim(kx, 2, 0), _bim(kx, 2, [(1, "", 3, "")])],
-    }
-    return HomotopyLifting(kx, parse_cochain(kx, *FAMILY_NAMED["etabar"]), maps)
-
-
-def family_psi_chibar(kx):
-    """Lifting of chibar = (0 0 ab 0) at q = 1, golden data for degrees 1..3."""
-    maps = {
-        1: [_bim(kx, 0, 0)] * 3,
-        2: [_bim(kx, 1, 0), _bim(kx, 1, 0),
-            _bim(kx, 1, [(1, "a", 1, ""), (1, "", 0, "b")]), _bim(kx, 1, 0)],
-        3: [_bim(kx, 2, 0), _bim(kx, 2, 0), _bim(kx, 2, [(-1, "a", 1, "")]),
-            _bim(kx, 2, [(1, "", 1, "b")]), _bim(kx, 2, 0)],
-    }
-    return HomotopyLifting(kx, parse_cochain(kx, *FAMILY_NAMED["chibar"]), maps)
-
-
-def _derivation(kx, lift):
-    """The derivation operator with the lifting's images, as a chain map:
-    it sends both degree-0 generators to zero."""
-    zero = BimoduleElement.zero(kx.field, 0)
-    return DerivationOperator(kx, lift.cocycle, {0: [zero, zero], **lift.maps})
-
-
-def family_deriv_eta(kx, M):
-    return _derivation(kx, family_psi_eta(kx, M))
-
-
-def family_deriv_chi(kx, M):
-    return _derivation(kx, family_psi_chi(kx, M))
 
 
 def family_table3(kx, named):

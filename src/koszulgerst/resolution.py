@@ -50,10 +50,10 @@ against iota of d).
 Every bimodule-linear map goes through one kernel,
 sandwich_into(out, u, terms, v, scale), which adds scale . (u . x . v) for
 normal words u, v straight into a term dict, using the memoised word
-products.  sandwich and differential here, and the lifting and derivation
-operators in lifting.py, are loops over it; each hands its dict to the
-BimoduleElement constructor once at the end, which reduces the natively
-accumulated values and drops zeros (field.canon).
+products.  sandwich and differential here, and the liftings in lifting.py,
+are loops over it; each hands its dict to the BimoduleElement constructor
+once at the end, which reduces the natively accumulated values and drops
+zeros (field.canon).
 
 Sign conventions, fixed once for every consumer: the differential carries
 (-1)^n on right-hand terms, and Koszul signs are (1 ox g)(x ox y) =

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from koszulgerst import cohomology
+from koszulgerst.algfile import parse_cochain
 from koszulgerst.bracket import (bar_circle_bracket, bar_circle_product,
                                  bar_cocycle_basis, bar_tuples, bracket_via_derivation,
                                  bracket_via_lifting, maurer_cartan_check,
@@ -16,12 +17,11 @@ from koszulgerst.errors import (CharacteristicTwo, CochainError, DimensionMismat
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.lifting import derivation_lift, solve_lifting
 from koszulgerst.linalg import GradedVector, Matrix, nullspace_basis
-from koszulgerst.presets import (family_deriv_eta, family_named_cocycles,
-                                 family_psi_chi, family_psi_chibar, family_psi_eta,
-                                 family_psi_etabar, family_table1, family_table2,
+from koszulgerst.presets import (family_named_cocycles, family_table1, family_table2,
                                  family_table3, load_complex, short_goldens)
 from koszulgerst.quiver import Path, PathVector
 from koszulgerst.resolution import BimoduleElement
+from family_goldens import family_psi_chi, family_psi_chibar, family_psi_eta, family_psi_etabar
 from test_generic_algebra import zigzag_complex
 import bracket_reference
 from linalg_reference import add
@@ -105,7 +105,7 @@ def test_graded_antisymmetry(family8):
 
 def test_derivation_bracket_remark_values(family8):
     named = family_named_cocycles(family8)
-    op = family_deriv_eta(family8, 2)
+    op = family_psi_eta(family8, 2)  # eta's golden lifting is its derivation operator
     assert bracket_via_derivation(family8, named["eta"], named["chi"], op).is_zero()
     got = bracket_via_derivation(family8, named["eta"], named["chibar"], op)
     assert got == named["chibar"]
@@ -153,6 +153,28 @@ def test_maurer_cartan_distinguishes_exact_from_class(family8):
     assert not report.exact
     assert report.class_level
     assert not report.residual.is_zero()
+
+
+def test_maurer_cartan_with_a_short_lifting_raises(family8):
+    # (0 0 0 c) fails the exact check through degree 3 with residual
+    # (0, 0, 0, 0, -c); a lifting solved through degree 2 only must not read
+    # as zero in degree 3 and pass it
+    cocycle = parse_cochain(family8, 2, "0,0,0,c")
+    report = maurer_cartan_check(family8, cocycle, solve_lifting(family8, cocycle, 3))
+    assert not report.exact and report.residual.format() == "(0, 0, 0, 0, -c)"
+    with pytest.raises(CochainError, match="lifting not built through degree 3"):
+        maurer_cartan_check(family8, cocycle, solve_lifting(family8, cocycle, 2))
+
+
+def test_bracket_with_short_liftings_raises(family8):
+    # [eta, etabar] = -etabar = (-a 0 0 0) needs both liftings in degree 2
+    named = family_named_cocycles(family8)
+    eta, etabar = named["eta"], named["etabar"]
+    full = [solve_lifting(family8, c, 2) for c in (eta, etabar)]
+    assert bracket_via_lifting(family8, eta, etabar, *full) == -etabar
+    short = [solve_lifting(family8, c, 1) for c in (eta, etabar)]
+    with pytest.raises(CochainError, match="lifting not built through degree 2"):
+        bracket_via_lifting(family8, eta, etabar, *short)
 
 
 def test_maurer_cartan_etabar_computed_value(family8):

@@ -1,4 +1,4 @@
-"""Homotopy-lifting solver, closed-form maps, condition checks, derivations."""
+"""Homotopy-lifting solver, closed-form maps, checks, derivation operators."""
 
 import functools
 
@@ -11,19 +11,26 @@ from koszulgerst.algfile import parse_cochain
 from koszulgerst.cohomology import Cochain, coboundary, cocycle_space
 from koszulgerst.errors import CochainError, KoszulGerstError, NoSolution
 from koszulgerst.fields import QQ, PrimeField
-from koszulgerst.lifting import (HomotopyLifting, closed_form_conditions, derivation_lift,
-                                 derivation_on_word, lifting_residual,
-                                 solve_lifting, verify_derivation, verify_lifting)
+from koszulgerst.lifting import (HomotopyLifting, derivation_lift, derivation_on_word,
+                                 lifting_residual, solve_lifting, verify_lifting)
 from koszulgerst.linalg import Matrix, _nullspace_from_rref, _rref
-from koszulgerst.presets import (family_deriv_chi, family_deriv_eta,
-                                 family_named_cocycles, family_psi_chi,
-                                 family_psi_chibar, family_psi_eta,
-                                 family_psi_etabar, family_table1, family_table2,
+from koszulgerst.presets import (family_named_cocycles, family_table1, family_table2,
                                  load_complex, short_goldens)
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver
 from koszulgerst.resolution import BimoduleElement, KoszulComplex
+from family_goldens import family_psi_chi, family_psi_chibar, family_psi_eta, family_psi_etabar
+from lifting_reference import (reference_apply, reference_derivation_apply,
+                               reference_differential, reference_lifting_rhs,
+                               reference_residual, reference_sandwich_words)
 from test_generic_algebra import zigzag_complex
-from linalg_reference import add, solve_affine_reference
+from linalg_reference import solve_affine_reference
+
+
+def zero_lifting(kx, eta, M):
+    """psi = 0 built through degree M: zero images in every degree n..M."""
+    n = eta.degree
+    return HomotopyLifting(kx, eta, {m: [BimoduleElement(kx.field, m - n + 1)] * kx.count(m)
+                                     for m in range(n, M + 1)})
 
 
 def test_short_golden_liftings_verify(short8):
@@ -115,37 +122,36 @@ def test_verifiers_check_every_degree_through_M(family8):
     kx = family8
     eta = family_named_cocycles(kx)["eta"]
     # psi = 0 is no lifting of eta = (a 0 0): its residual is -(eta ox 1 - 1 ox eta) Delta
-    zero = HomotopyLifting(kx, eta, {})
-    bad = verify_lifting(kx, eta, zero, 4)
+    bad = verify_lifting(kx, eta, zero_lifting(kx, eta, 4), 4)
     assert {m for (m, _), _ in bad} == {1, 2, 3, 4}
     for (m, r), res in bad:
         rhs = {}
         lifting._rhs_into(rhs, kx, eta, m, r, -1)
         assert res == BimoduleElement(kx.field, m - 1, rhs)
-    # a lifting solved through degree 2 is the zero map from degree 3 on
+    # a lifting solved through degree 2 cannot be checked through 5: it is
+    # not the zero map from degree 3 on
     partial = solve_lifting(kx, eta, 2)
-    bad = verify_lifting(kx, eta, partial, 5)
-    assert {m for (m, _), _ in bad} == {3, 4, 5}
     assert verify_lifting(kx, eta, partial, 2) == []
-    # a derivation operator built through degree 3 cannot be checked through 5
-    op = family_deriv_eta(kx, 3)
-    assert verify_derivation(kx, eta, op, 3) == []
+    with pytest.raises(CochainError, match="lifting not built through degree 3"):
+        verify_lifting(kx, eta, partial, 5)
+    # nor can a derivation operator built through degree 3
+    op = derivation_lift(kx, eta, 3)
+    assert verify_lifting(kx, eta, op, 3) == []
     with pytest.raises(CochainError, match="not built through degree 4"):
-        verify_derivation(kx, eta, op, 5)
+        verify_lifting(kx, eta, op, 5)
     with pytest.raises(CochainError):
         op.image(4, 0)
+    with pytest.raises(CochainError):
+        op.apply_into({}, kx._diff_eps(5, 0), 1)
+    # below its degree a lifting is the zero map
+    assert op.image(0, 1) == BimoduleElement(kx.field, 0)
 
 
 def test_checks_past_the_complex_are_errors():
     kx = load_complex("family", QQ, 4, q=1)
     g = family_named_cocycles(kx)
-    e1 = parse_cochain(kx, 2, "0,0,e1,0")
-    assert closed_form_conditions(kx, "idempotent", e1, None, 4).all_hold
     psi = family_psi_eta(kx, 4)
-    calls = [lambda M: closed_form_conditions(kx, "idempotent", e1, None, M),
-             lambda M: closed_form_conditions(kx, "length1", g["eta"], psi, M),
-             lambda M: verify_lifting(kx, g["eta"], psi, M),
-             lambda M: verify_derivation(kx, g["eta"], family_deriv_eta(kx, 4), M),
+    calls = [lambda M: verify_lifting(kx, g["eta"], psi, M),
              lambda M: solve_lifting(kx, g["eta"], M),
              lambda M: derivation_lift(kx, g["eta"], M)]
     for call in calls:
@@ -191,45 +197,15 @@ def test_idempotent_conditions_match_the_vertex_scalar_identities():
                 values = [PathVector.zero(f)] * kx.count(n)
                 values[slot] = PathVector.single(f, kx.quiver.vertex_path(o))
                 eta = Cochain.from_values(kx, n, values)
-                report = closed_form_conditions(kx, "idempotent", eta, None, 6)
-                assert [(c.degree, c.generator) for c in report.checks] == [
-                    (m, r) for m in range(n, 7) for r in range(kx.count(m))]
-                assert {c.family for c in report.checks} == {"vertex-scalars"}
-                failing = [(c.degree, c.generator) for c in report.checks if not c.holds]
+                residuals = verify_lifting(kx, eta, zero_lifting(kx, eta, 6), 6)
+                failing = [key for key, _ in residuals]
                 assert failing == reference_vertex_scalar_failures(kx, n, slot, o, 6)
-                zero = HomotopyLifting(kx, eta, {})
-                residuals = dict(verify_lifting(kx, eta, zero, 6))
-                assert list(residuals) == failing
-                for c in report.checks:
-                    if not c.holds:
-                        assert c.witness == residuals[(c.degree, c.generator)].format(kx.quiver)
+                # psi = 0, so every residual term is an undecorated generator
+                assert all(not u.arrows and not v.arrows
+                           for _, res in residuals for u, _, v in res.terms)
                 cochains += 1
                 failed += bool(failing)
     assert (cochains, failed) == (100, 77)
-
-
-def test_closed_form_short_b_scalars(short8):
-    g = short_goldens(short8)
-    report = closed_form_conditions(short8, "length2", g["chi"], g["psi_chi"], 2)
-    assert report.all_hold
-    # one check per generator and decoration family, every degree through m_max
-    assert [(c.degree, c.generator, c.family) for c in report.checks] == [
-        (m, r, family) for m in (1, 2) for r in range(short8.count(m))
-        for family in ("left2", "mixed", "right2")]
-
-
-def test_closed_form_family_length1(family8):
-    g = family_named_cocycles(family8)
-    report = closed_form_conditions(family8, "length1", g["eta"],
-                                    family_psi_eta(family8, 5), 5)
-    assert report.all_hold
-
-
-def test_closed_form_family_length2(family8):
-    g = family_named_cocycles(family8)
-    report = closed_form_conditions(family8, "length2", g["chi"],
-                                    family_psi_chi(family8, 5), 5)
-    assert report.all_hold
 
 
 def _disjoint_loops_complex():
@@ -242,33 +218,24 @@ def _disjoint_loops_complex():
 
 def test_closed_form_idempotent_vacuous():
     kx = _disjoint_loops_complex()
-    # the degree >= 2 generator tower is x^n only, so no generator touches
-    # vertex 2 and the idempotent conditions for an e2-valued cocycle are
-    # vacuous from degree 3 on
+    # the degree >= 2 generator tower is x^n only, so no generator of degree
+    # >= 2 touches vertex 2, and psi = 0 lifts the e2-valued cocycle
     eta = Cochain.from_values(kx, 1, [PathVector.zero(QQ),
                                       PathVector.single(QQ, kx.quiver.vertex_path(1))])
     assert coboundary(eta).is_zero()
-    report = closed_form_conditions(kx, "idempotent", eta, None, 5)
-    assert report.all_hold
-    assert set(report.vacuous_degrees) == {3, 4, 5}
+    assert [m for m in range(1, 6) if any(1 in pair for pair in kx.cobasis.pairs[m - 1])] == [1, 2]
+    assert verify_lifting(kx, eta, zero_lifting(kx, eta, 5), 5) == []
 
 
-@pytest.mark.parametrize("mode, slots, message", [
-    ("bogus", ("0", "e2"), "unknown mode 'bogus'"),
-    ("idempotent", ("e1", "e2"), "single nonzero slot"),
-    ("idempotent", ("x", "0"), "idempotent value"),
-    ("idempotent", ("0", "0"), "zero cochain"),
-])
-def test_closed_form_bad_input_is_a_library_error(mode, slots, message):
+@pytest.mark.parametrize("degree, solve, message", [
+    (0, solve_lifting, "liftings of degree-0 cochains are out of scope"),
+    (2, derivation_lift, "derivation operators lift degree-1 cocycles"),
+], ids=["degree-0-lifting", "degree-2-derivation"])
+def test_lifting_bad_input_is_a_library_error(degree, solve, message):
     kx = _disjoint_loops_complex()
-    q = kx.quiver
-    values = {"0": PathVector.zero(QQ), "x": PathVector.single(QQ, q.arrow_path(0)),
-              "e1": PathVector.single(QQ, q.vertex_path(0)),
-              "e2": PathVector.single(QQ, q.vertex_path(1))}
-    eta = Cochain.from_values(kx, 1, [values[s] for s in slots])
     with pytest.raises(KoszulGerstError, match=message) as exc:
-        closed_form_conditions(kx, mode, eta, None, 3)
-    # a CochainError is also a ValueError, which these errors used to be
+        solve(kx, Cochain.zero(kx, degree), 2)
+    # a CochainError is also a ValueError
     assert isinstance(exc.value, CochainError) and isinstance(exc.value, ValueError)
 
 
@@ -280,22 +247,35 @@ def test_closed_form_idempotent_power_algebra():
     kx = KoszulComplex(pres, 5)
     eta = Cochain.from_values(kx, 2, [PathVector.single(QQ, kx.quiver.vertex_path(0))])
     assert coboundary(eta).is_zero()
-    report = closed_form_conditions(kx, "idempotent", eta, None, 5)
-    assert report.all_hold
-    assert report.vacuous_degrees == []
+    # every generator of the tower x^n touches vertex 1, and psi = 0 lifts eta
+    assert verify_lifting(kx, eta, zero_lifting(kx, eta, 5), 5) == []
+
+
+def chain_map_failures(kx, gamma, psi, M):
+    """(n, r) where d psi(eps^n_r) differs from psi's Leibniz extension on
+    d(eps^n_r), n = 1..M: psi is gamma's derivation operator if none."""
+    return [(n, r) for n in range(1, M + 1) for r in range(kx.count(n))
+            if kx.differential(psi.image(n, r))
+            != reference_derivation_apply(kx, gamma, psi, kx._diff_eps(n, r))]
 
 
 def test_derivation_operators_golden(family8):
     g = family_named_cocycles(family8)
-    assert verify_derivation(family8, g["eta"], family_deriv_eta(family8, 6), 6) == []
-    assert verify_derivation(family8, g["chi"], family_deriv_chi(family8, 6), 6) == []
+    assert chain_map_failures(family8, g["eta"], family_psi_eta(family8, 6), 6) == []
+    assert chain_map_failures(family8, g["chi"], family_psi_chi(family8, 6), 6) == []
+    # a bumped image breaks the chain-map equation in its degree and the next
+    psi = family_psi_eta(family8, 4)
+    psi.maps[3] = [psi.maps[3][0] + family8.eps(3, 0), *psi.maps[3][1:]]
+    assert {n for n, _ in chain_map_failures(family8, g["eta"], psi, 4)} == {3, 4}
 
 
 def test_derivation_lift_solver(family8):
     g = family_named_cocycles(family8)
     for name in ("eta", "chi"):
         op = derivation_lift(family8, g[name], 5)
-        assert verify_derivation(family8, g[name], op, 5) == []
+        assert op.maps == solve_lifting(family8, g[name], 5).maps
+        assert verify_lifting(family8, g[name], op, 5) == []
+        assert chain_map_failures(family8, g[name], op, 5) == []
     zero = Cochain.zero(family8, 1)
     op = derivation_lift(family8, zero, 3)
     assert all(img.is_zero() for images in op.maps.values() for img in images)
@@ -375,7 +355,7 @@ def _reference_ansatz(kx, m, r, n, ell):
     return out
 
 
-def _reference_solve_images(kx, m, n, ell, target, what, nullspaces):
+def _reference_solve_images(kx, m, n, ell, target, nullspaces):
     """One ansatz, one column set and one fresh [A | b] elimination per generator."""
     f = kx.field
     k = m - n + 1
@@ -399,7 +379,7 @@ def _reference_solve_images(kx, m, n, ell, target, what, nullspaces):
         sol = solve_affine_reference(Matrix(f, len(index), len(columns), entries), b)
         if sol is None:
             raise NoSolution(
-                f"no {what} at degree {m}, generator {r}: input is not a "
+                f"no lifting at degree {m}, generator {r}: input is not a "
                 f"cocycle or the resolution data is corrupted")
         images.append(BimoduleElement(f, k, zip(ansatz, sol.particular)))
         nullspaces[(m, r)] = [BimoduleElement(f, k, zip(ansatz, vec))
@@ -436,7 +416,7 @@ def _golden_cocycles(kx):
 def test_cached_lifting_matches_per_generator_solve(fixture, request, monkeypatch):
     if fixture == "zigzag":
         kx = zigzag_complex()
-        cocycles = [cocycle_space(kx, 1).cocycles[0], cocycle_space(kx, 2).cocycles[0]]
+        cocycles = [*cocycle_space(kx, 1).cocycles, cocycle_space(kx, 2).cocycles[0]]
     else:
         kx = request.getfixturevalue(fixture)
         cocycles = _golden_cocycles(kx)
@@ -446,20 +426,6 @@ def test_cached_lifting_matches_per_generator_solve(fixture, request, monkeypatc
         assert _in_order(cached.maps) == _in_order(reference.maps)
         assert _in_order(dict(homogeneous_solutions(kx, cached))) == _in_order(nullspaces)
         assert verify_lifting(kx, eta, cached, 4) == []
-
-
-@pytest.mark.parametrize("fixture", ["family8", "family8_f5", "zigzag"])
-def test_cached_derivation_lift_matches_per_generator_solve(fixture, request, monkeypatch):
-    if fixture == "zigzag":
-        kx = zigzag_complex()
-        cocycles = cocycle_space(kx, 1).cocycles
-    else:
-        kx = request.getfixturevalue(fixture)
-        cocycles = family_table2(kx)
-    for gamma in cocycles:
-        cached, reference, _ = _cached_and_reference(
-            monkeypatch, lambda: derivation_lift(kx, gamma, 4))
-        assert _in_order(cached.maps) == _in_order(reference.maps)
 
 
 def test_cached_solve_names_the_failing_generator(family8, monkeypatch):
@@ -493,103 +459,6 @@ def test_lifting_systems_built_once_per_complex(monkeypatch):
     assert len(builds) == len(systems)
     assert kx._lifting_systems.keys() == systems.keys()
     assert all(kx._lifting_systems[key] is system for key, system in systems.items())
-
-
-# -- the accumulate-into kernel against the sandwich-based references -----------
-#
-# The references are the element-building code that sandwich_into replaced:
-# every product is formed as its own BimoduleElement and then copied term by
-# term into the sum.
-
-
-def reference_sandwich_words(kx, u, x, v):
-    f, word_product = kx.field, kx.rs.word_product
-    out = {}
-    for (u0, i, v0), coeff in x.terms.items():
-        new_u = word_product(u, u0).terms
-        if not new_u:
-            continue
-        new_v = word_product(v0, v).terms
-        for up, uc in new_u.items():
-            for vp, vc in new_v.items():
-                key = (up, i, vp)
-                out[key] = add(f, out.get(key, f.zero), f.mul(coeff, f.mul(uc, vc)))
-    return BimoduleElement(f, x.degree, out)
-
-
-def reference_sandwich(kx, left, x, right):
-    f = kx.field
-    out = {}
-    for u, uc in left.terms.items():
-        for v, vc in right.terms.items():
-            scale = f.mul(uc, vc)
-            for key, c in reference_sandwich_words(kx, u, x, v).terms.items():
-                out[key] = add(f, out.get(key, f.zero), f.mul(scale, c))
-    return BimoduleElement(f, x.degree, out)
-
-
-def reference_differential(kx, x):
-    f = kx.field
-    out = {}
-    for (u, i, v), coeff in x.terms.items():
-        for key, c in reference_sandwich_words(kx, u, kx._diff_eps(x.degree, i), v).terms.items():
-            out[key] = add(f, out.get(key, f.zero), f.mul(coeff, c))
-    return BimoduleElement(f, x.degree - 1, out)
-
-
-def reference_apply(psi, x):
-    kx = psi.kx
-    f = kx.field
-    out = {}
-    for (u, i, v), coeff in x.terms.items():
-        img = psi.image(x.degree, i)
-        for key, c in reference_sandwich_words(kx, u, img, v).terms.items():
-            out[key] = add(f, out.get(key, f.zero), f.mul(c, coeff))
-    return BimoduleElement(f, max(x.degree - psi.n + 1, 0), out)
-
-
-def reference_lifting_rhs(kx, eta, m, r):
-    n = eta.degree
-    f = kx.field
-    if m - n < 0:
-        return BimoduleElement(f, m - n)
-    unit = lambda v: PathVector.single(f, kx.quiver.vertex_path(v))
-    out = {}
-
-    def add_scaled(x, coeff):
-        for key, c in x.terms.items():
-            out[key] = add(f, out.get(key, f.zero), f.mul(c, coeff))
-
-    for (p, q), c in kx.c(m, r, n).items():
-        add_scaled(reference_sandwich(kx, eta.values[p], kx.eps(m - n, q),
-                                      unit(kx.cobasis.target(m - n, q))), c)
-    sign = f.one if (n * (m - n)) % 2 == 0 else f.neg(f.one)
-    for (p, q), c in kx.c(m, r, m - n).items():
-        add_scaled(reference_sandwich(kx, unit(kx.cobasis.origin(m - n, p)), kx.eps(m - n, p),
-                                      eta.values[q]), f.neg(f.mul(sign, c)))
-    return BimoduleElement(f, m - n, out)
-
-
-def reference_residual(kx, eta, psi, m, r):
-    f = kx.field
-    sign = f.one if (eta.degree - 1) % 2 == 0 else f.neg(f.one)
-    first = reference_differential(kx, psi.image(m, r))
-    second = reference_apply(psi, kx._diff_eps(m, r))
-    return first - second.scale(sign) - reference_lifting_rhs(kx, eta, m, r)
-
-
-def reference_derivation_apply(op, x):
-    kx = op.kx
-    f = kx.field
-    out = {}
-    for (u, i, v), coeff in x.terms.items():
-        uvec, vvec, eps = PathVector.single(f, u), PathVector.single(f, v), kx.eps(x.degree, i)
-        for left, mid, right in ((derivation_on_word(kx, op.gamma, u), eps, vvec),
-                                 (uvec, op.image(x.degree, i), vvec),
-                                 (uvec, eps, derivation_on_word(kx, op.gamma, v))):
-            for key, c in reference_sandwich(kx, left, mid, right).terms.items():
-                out[key] = add(f, out.get(key, f.zero), f.mul(c, coeff))
-    return BimoduleElement(f, x.degree, out)
 
 
 def reference_lifting_system(kx, k, ell, o, t):
@@ -653,7 +522,6 @@ def test_kernel_matches_the_sandwich_references(case, data):
     # every image moved by a generator, so the residual has all three parts
     moved = HomotopyLifting(kx, eta, {m: [img + kx.eps(img.degree, 0) for img in images]
                                       for m, images in psi.maps.items()})
-    op = derivation_lift(kx, eta, KERNEL_N) if n == 1 else None
     for m in range(n, KERNEL_N + 1):
         for r in range(kx.count(m)):
             d = kx._diff_eps(m, r)
@@ -663,8 +531,34 @@ def test_kernel_matches_the_sandwich_references(case, data):
                 assert BimoduleElement(f, m - n, out) == reference_apply(lift, d)
             assert (lifting_residual(kx, eta, moved, m, r)
                     == reference_residual(kx, eta, moved, m, r))
-            if op is not None:
-                assert op.apply(d) == reference_derivation_apply(op, d)
+
+
+@pytest.mark.parametrize("case", [*KERNEL_CASES, "zigzag"],
+                         ids=lambda c: c if c == "zigzag" else "-".join(map(str, c)))
+def test_leibniz_extension_is_the_lifting_equation(case):
+    # for a degree-1 gamma, d psi - (Leibniz extension of psi) d is the
+    # lifting residual term for term, for any images psi: the derivation
+    # operator of gamma and its homotopy lifting solve one equation
+    if case == "zigzag":
+        kx = zigzag_complex()
+        gammas = cocycle_space(kx, 1).cocycles
+    else:
+        kx, slices = kernel_case(*case)
+        gammas = [gamma for n, _, basis in slices if n == 1 for gamma in basis]
+    M = min(kx.N, KERNEL_N)
+    assert gammas
+    for gamma in gammas:
+        psi = solve_lifting(kx, gamma, M)
+        moved = HomotopyLifting(kx, gamma, {m: [img + kx.eps(img.degree, 0) for img in images]
+                                            for m, images in psi.maps.items()})
+        for lift in (psi, moved):
+            for m in range(1, M + 1):
+                for r in range(kx.count(m)):
+                    d = kx._diff_eps(m, r)
+                    leibniz = kx.differential(lift.image(m, r)) - reference_derivation_apply(
+                        kx, gamma, lift, d)
+                    assert leibniz == lifting_residual(kx, gamma, lift, m, r)
+        assert verify_lifting(kx, gamma, moved, M) != []
 
 
 def reference_derivation_on_word(kx, gamma, path):

@@ -660,13 +660,6 @@ class ResolutionReport(NamedTuple):
 UNREFERENCED_ALLOWED = {
     ("algfile", "serialize_presentation"): "library API: writes what parse_presentation reads",
     ("bracket", "bar_circle_product"): "library API: the circle product F o G (README)",
-    ("lifting", "ClosedFormReport.all_hold"): "library API: the report's verdict",
-    ("lifting", "closed_form_conditions"): "library API: the closed-form lifting conditions",
-    ("lifting", "verify_derivation"): "library API: the chain-map check of derivation_lift",
-    ("presets", "family_psi_etabar"): "golden lifting of the family preset, read by tests",
-    ("presets", "family_psi_chibar"): "golden lifting of the family preset, read by tests",
-    ("presets", "family_deriv_eta"): "golden derivation operator, read by tests",
-    ("presets", "family_deriv_chi"): "golden derivation operator, read by tests",
 }
 
 

@@ -65,6 +65,12 @@ COMMANDS = [
     ["bracket", *FAMILY, "--engine", "bar", "--left-degree", "1", "--right-degree", "1"],
     ["bracket", *FAMILY, *F5, "--engine", "bar", "--left-degree", "1",
      "--right-degree", "1"],
+    ["bracket", *FAMILY, "--engine", "derivation", "--left-degree", "1", "--left=a,0,0",
+     "--right-degree", "2", "--right=0,0,a.b,0"],
+    ["bracket", *FAMILY, "--engine", "derivation", "--left-degree", "1", "--left=a.b,0,0",
+     "--right-degree", "2", "--right=a,0,0,0"],
+    ["bracket", *FAMILY, *F5, "--engine", "derivation", "--left-degree", "1",
+     "--left=a,0,0", "--right-degree", "2", "--right=0,0,a.b,0"],
     ["mc", *FAMILY, "--cocycle=0,0,a.b,0"],
     ["mc", *FAMILY, *F5, "--cocycle=0,0,0,c"],
     ["basis", "--preset", "short", "-N", "6"],
