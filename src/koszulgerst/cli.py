@@ -305,6 +305,11 @@ def cmd_bracket(args):
         if args.left_degree != 1:
             raise KoszulGerstError("derivation engine wants a degree-1 left cocycle")
         op = derivation_lift(kx, left, args.right_degree)
+        bad = verify_lifting(kx, left, op, args.right_degree)
+        if bad:
+            (m, r), _ = bad[0]
+            raise KoszulGerstError(
+                f"derivation operator fails the lifting equation at eps^{m}_{r}")
         result = bracket_via_derivation(kx, left, right, op)
     else:
         psi_left = solve_lifting(kx, left, deg)

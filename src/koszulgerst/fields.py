@@ -15,9 +15,10 @@ value is canonical.  Over Q this changes nothing (the field's arithmetic is
 Python's own); over F_p the residues are the same as with eager reduction,
 because reduction mod p commutes with + and *.  Code that reads accumulated
 values itself, rather than handing them to a constructor, calls canon
-first.  Elimination (linalg._rref) also updates rows with the native - and
-*, but over F_p it reduces % p at every step, since its pivot and zero
-tests need a canonical value; it calls the field only for inv.
+first.  Elimination (linalg._rref, and linalg._replay, which applies its
+recorded row operations to a right-hand side) also updates rows with the
+native - and *, but over F_p it reduces % p at every step, since its pivot
+and zero tests need a canonical value; it calls the field only for inv.
 """
 
 from fractions import Fraction

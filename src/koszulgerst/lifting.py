@@ -110,15 +110,13 @@ def lifting_ansatz(kx, k, ell, o, t):
     """Candidate terms (u, j, v) of K_k with |u| + |v| = ell - 1, u from o and v to t."""
     if ell is None or ell < 1:
         return []
-    out = []
-    for j in range(kx.count(k)):
-        o_j, t_j = kx.cobasis.o(k, j)
+    basis_words, out = kx.rs.basis_words, []
+    for j, (o_j, t_j) in enumerate(kx.cobasis.pairs[k]):
         for lu in range(ell):
-            lv = ell - 1 - lu
-            us = kx.rs.basis_words(lu, o=o, t=o_j)
+            us = basis_words(lu, o, o_j)
             if not us:
                 continue
-            vs = kx.rs.basis_words(lv, o=t_j, t=t)
+            vs = basis_words(ell - 1 - lu, t_j, t)
             for u in us:
                 for v in vs:
                     out.append((u, j, v))
@@ -159,7 +157,8 @@ def _solve_images(kx, m, n, ell, target):
 
     A zero cocycle (ell None) gets zero images without a solve.  The
     homogeneous solutions of a solve are the ansatz combinations of its
-    lifting system's kernel basis.
+    lifting system's kernel basis, which the solver never reads, so it is
+    never computed here.
     """
     f = kx.field
     k = m - n + 1

@@ -10,12 +10,14 @@ coefficients dropped (see the fields module docstring).
 
 Everything downstream ("there exist scalars such that ...") reduces to the
 entry points here: Elimination, solve_affine_system, nullspace_basis, rank
-and echelon_basis.  An Elimination eliminates a map once and then solves
-for any number of right-hand sides; the lifting systems and the coboundary
-slices each keep one, and solve_affine_system and solve_many wrap it.  All
-are deterministic: elimination is plain Gauss-Jordan scanning columns left
-to right, the particular solution is the reduced-row-echelon canonical one
-(free variables zero), nullspace bases are the canonical RREF ones, and an
+and echelon_basis.  An Elimination eliminates a map once, recording its row
+operations, and solves for any number of right-hand sides by replaying
+them on each; its kernel is computed only when read.  The lifting systems
+and the coboundary slices each keep one (only the slices read the kernel),
+and solve_affine_system and solve_many wrap it.  All are deterministic:
+elimination is plain Gauss-Jordan scanning columns left to right, the
+particular solution is the reduced-row-echelon canonical one (free
+variables zero), nullspace bases are the canonical RREF ones, and an
 echelon basis is the canonical reduced echelon form of a span.
 """
 
@@ -142,17 +144,20 @@ class AffineSolution(NamedTuple):
     nullspace: list  # list of column vectors spanning the homogeneous solutions
 
 
-def _rref(rows, ncols, field, naug=0):
-    """In-place RREF on sparse row dicts; the last naug columns never pivot.
+def _rref(rows, ncols, field, operations=None):
+    """In-place RREF on sparse row dicts.
 
     Rows are updated with the native - and *; over F_p each new value is
-    reduced % p at once, so every stored value stays canonical.
-    Returns the list of pivot columns (ascending).
+    reduced % p at once, so every stored value stays canonical.  If
+    operations is a list, each pivot step is appended to it as (pivot row,
+    row swapped into it, the inverse it was scaled by or None, [(row,
+    factor) for each row that lost factor times the pivot row]), which
+    _replay applies to a column.  Returns the list of pivot columns (ascending).
     """
     p = field.characteristic
     pivots = []
     pivot_row = 0
-    for col in range(ncols - naug):
+    for col in range(ncols):
         found = -1
         for i in range(pivot_row, len(rows)):
             if rows[i].get(col) is not None:
@@ -162,10 +167,12 @@ def _rref(rows, ncols, field, naug=0):
             continue
         rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
         row = rows[pivot_row]
+        inv = None
         if row[col] != 1:
             inv = field.inv(row[col])
             for c, v in row.items():
                 row[c] = v * inv % p if p else v * inv
+        updates = []
         for i in range(len(rows)):
             if i == pivot_row:
                 continue
@@ -173,6 +180,7 @@ def _rref(rows, ncols, field, naug=0):
             factor = other.get(col)
             if factor is None:
                 continue
+            updates.append((i, factor))
             for c, v in row.items():
                 new = other.get(c, 0) - factor * v
                 if p:
@@ -181,11 +189,31 @@ def _rref(rows, ncols, field, naug=0):
                     other[c] = new
                 else:
                     other.pop(c, None)
+        if operations is not None:
+            operations.append((pivot_row, found, inv, updates))
         pivots.append(col)
         pivot_row += 1
         if pivot_row == len(rows):
             break
     return pivots
+
+
+def _replay(operations, x, p):
+    """Apply the row operations _rref recorded to the dense column x, in
+    place: x becomes T x for the T that the elimination multiplied its rows
+    by.  Reduced % p at every step over F_p, as in _rref; a step whose
+    pivot entry of x is zero only swaps."""
+    for r, found, inv, updates in operations:
+        if found != r:
+            x[r], x[found] = x[found], x[r]
+        v = x[r]
+        if not v:
+            continue
+        if inv is not None:
+            v = x[r] = v * inv % p if p else v * inv
+        for i, factor in updates:
+            new = x[i] - factor * v
+            x[i] = new % p if p else new
 
 
 def _nullspace_from_rref(rows, pivots, ncols, field):
@@ -234,16 +262,18 @@ def nullspace_basis(A):
 
 
 class Elimination:
-    """A x = b for many b: the columns of A eliminated once, as [A | I].
+    """A x = b for many b: the columns of A eliminated once, its row
+    operations recorded and replayed on each b.
 
     `columns` lists A's columns as {row key: canonical value} dicts, and
     `index` numbers the row keys in order of first appearance.  The RREF
-    of [A | I] gives the pivot columns and a transform T with T A reduced,
-    stored by column: `transform[row]` lists the (i, T[i][row]) entries.
-    `nullspace` is the canonical RREF kernel basis, as dense lists.
+    of A gives the pivot columns; `operations` records its row operations
+    (see _rref), whose product T has T A reduced.  `nullspace`, the
+    canonical RREF kernel basis as dense lists, is computed on first read
+    from the pivot rows, which are kept until then.
     """
 
-    __slots__ = ("field", "index", "pivots", "transform", "nullspace")
+    __slots__ = ("field", "index", "pivots", "operations", "_pivot_rows", "_nullspace")
 
     def __init__(self, field, columns):
         ncols = len(columns)
@@ -254,34 +284,39 @@ class Elimination:
                 row = index.get(key)
                 if row is None:
                     row = index[key] = len(rows)
-                    rows.append({ncols + row: field.one})
+                    rows.append({})
                 rows[row][j] = c
         self.field = field
-        self.pivots = _rref(rows, ncols + len(rows), field, naug=len(rows))
-        self.transform = [[] for _ in rows]
-        for i, row in enumerate(rows):
-            for col, c in row.items():
-                if col >= ncols:
-                    self.transform[col - ncols].append((i, c))
-        self.nullspace = _nullspace_from_rref(rows, self.pivots, ncols, field)
+        self.operations = []
+        self.pivots = _rref(rows, ncols, field, self.operations)
+        self._pivot_rows = (rows[:len(self.pivots)], ncols)
+        self._nullspace = None
+
+    @property
+    def nullspace(self):
+        if self._nullspace is None:
+            rows, ncols = self._pivot_rows
+            self._nullspace = _nullspace_from_rref(rows, self.pivots, ncols, self.field)
+            self._pivot_rows = None
+        return self._nullspace
 
     def solve(self, b):
         """The canonical solution (free variables zero) of A x = b, b =
         {row key: nonzero value}, as (column, value) pairs in pivot order:
         (T b)[i] at pivots[i].  None if some (T b)[i] with i >= rank is
         nonzero or b holds a key no column touches."""
-        index, transform = self.index, self.transform
-        tb = {}
+        index = self.index
+        x = [0] * len(index)
         for key, v in b.items():
             row = index.get(key)
             if row is None:
                 return None
-            for i, c in transform[row]:
-                tb[i] = tb.get(i, 0) + c * v
-        tb = self.field.canon(tb.items())
-        if any(i >= len(self.pivots) for i in tb):
+            x[row] = v
+        _replay(self.operations, x, self.field.characteristic)
+        pivots = self.pivots
+        if any(x[len(pivots):]):
             return None
-        return [(col, tb[i]) for i, col in enumerate(self.pivots) if i in tb]
+        return [(col, v) for col, v in zip(pivots, x) if v]
 
 
 def _solve_all(A, rhs_list):

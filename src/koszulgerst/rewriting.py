@@ -8,7 +8,10 @@ assumes throughout.  Reduction is one memoised recursion, times (a normal
 word times an arrow, on word indices), for Lambda and for the quadratic
 dual A^!.  A reducible path is folded through it letter by letter; the
 normal form of each path and of each word product u.v is memoised, and
-multiplication in Lambda is bilinear in the latter.
+multiplication in Lambda is bilinear in the latter.  The normal words are
+enumerated level by level, each length once, and each level is indexed by
+(origin, target) as it grows, so basis_words reads the words between two
+vertices without filtering the level.
 """
 
 from graphlib import CycleError, TopologicalSorter
@@ -28,8 +31,10 @@ class RewriteSystem:
         self._products = {}  # (u, v) -> normal form of the word product u.v
         q = self.quiver
         # per length and normal word w_j, in enumeration order: w_j, (index of
-        # its prefix, its last arrow) from length 1, and {a: times(m, j, a)}
+        # its prefix, its last arrow) from length 1, and {a: times(m, j, a)};
+        # per length, the words grouped by (origin, target), in that order
         self._words_by_len = [[q.vertex_path(v) for v in range(q.num_vertices)]]
+        self._words_by_ends = [{(v, v): [w] for v, w in enumerate(self._words_by_len[0])}]
         self._splits, self._times = [[]], []
         self._acyclic = None
 
@@ -121,10 +126,11 @@ class RewriteSystem:
 
     def _grow_words(self, length):
         """The normal words of the given length, in enumeration order: each level
-        grows each word below by the arrows that may follow it, in increasing order."""
+        grows each word below by the arrows that may follow it, in increasing
+        order, and is grouped by (origin, target) as it grows."""
         q, levels = self.quiver, self._words_by_len
         while len(levels) <= length:
-            nxt, splits, products = [], [], []
+            nxt, splits, products, by_ends = [], [], [], {}
             for k, w in enumerate(levels[-1]):
                 tail_vertex, children = q.path_target(w), {}
                 for a in range(q.num_arrows):
@@ -133,22 +139,29 @@ class RewriteSystem:
                     if w.arrows and (w.arrows[-1], a) in self.rules:
                         continue
                     children[a] = [(len(nxt), self.field.one)]
-                    nxt.append(Path(w.o, w.arrows + (a,)))
+                    word = Path(w.o, w.arrows + (a,))
+                    nxt.append(word)
+                    by_ends.setdefault((w.o, q.arrow_t[a]), []).append(word)
                     splits.append((k, a))
                 products.append(children)
             levels.append(nxt)
+            self._words_by_ends.append(by_ends)
             self._splits.append(splits)
             self._times.append(products)
         return levels[length]
 
     def basis_words(self, length, o=None, t=None):
-        """Normal words of the given length, optionally filtered by vertices."""
+        """A new list of the normal words of the given length from o to t, in
+        enumeration order, or of all of them when neither vertex is given."""
         if length < 0:
             return []
-        words = self._grow_words(length)
-        q = self.quiver
-        return [w for w in words
-                if (o is None or w.o == o) and (t is None or q.path_target(w) == t)]
+        if length >= len(self._words_by_len):
+            self._grow_words(length)
+        if o is None and t is None:
+            return list(self._words_by_len[length])
+        if o is None or t is None:
+            raise TypeError("basis_words takes both vertices or neither")
+        return list(self._words_by_ends[length].get((o, t), ()))
 
     def is_finite_dimensional(self):
         """True iff Lambda has finitely many normal words.

@@ -1,7 +1,7 @@
 """Golden homotopy liftings of the ``family`` preset at q = 1.
 
 The closed forms for the named cocycles of ``presets.FAMILY_NAMED``: eta
-and chi in every degree through M, etabar and chibar in degrees 1..3.  The
+and chi in every degree through M, etabar and chibar in degrees 2..3.  The
 suite checks them with ``verify_lifting``, compares brackets built from
 them with the golden table, and reads eta's and chi's as derivation
 operators (criterion 7).  Images are written as ``presets._bim`` specs.
@@ -42,12 +42,12 @@ def family_psi_chi(kx, M):
 
 
 def family_psi_etabar(kx):
-    """Lifting of etabar = (a 0 0 0) at q = 1, golden data for degrees 1..3.
+    """Lifting of etabar = (a 0 0 0) at q = 1, golden data for degrees 2..3
+    (below degree 2 a lifting of a 2-cocycle is zero and holds no images).
 
     Images of eps^m_r live one homological degree down (in K_{m-1}).
     """
     maps = {
-        1: [_bim(kx, 0, 0)] * 3,
         2: [_bim(kx, 1, [(1, "", 0, "")]), _bim(kx, 1, 0), _bim(kx, 1, 0), _bim(kx, 1, 0)],
         3: [_bim(kx, 2, 0), _bim(kx, 2, [(1, "", 1, "")]), _bim(kx, 2, 0),
             _bim(kx, 2, 0), _bim(kx, 2, [(1, "", 3, "")])],
@@ -56,9 +56,8 @@ def family_psi_etabar(kx):
 
 
 def family_psi_chibar(kx):
-    """Lifting of chibar = (0 0 ab 0) at q = 1, golden data for degrees 1..3."""
+    """Lifting of chibar = (0 0 ab 0) at q = 1, golden data for degrees 2..3."""
     maps = {
-        1: [_bim(kx, 0, 0)] * 3,
         2: [_bim(kx, 1, 0), _bim(kx, 1, 0),
             _bim(kx, 1, [(1, "a", 1, ""), (1, "", 0, "b")]), _bim(kx, 1, 0)],
         3: [_bim(kx, 2, 0), _bim(kx, 2, 0), _bim(kx, 2, [(-1, "a", 1, "")]),

@@ -6,8 +6,10 @@ with the native + and - and reduces in field.canon), and `rref` is the
 elimination that updates rows through the field's sub, mul and inv, where
 `linalg._rref` uses the native - and * with one % p per step.
 `solve_affine_reference` solves A x = b by eliminating [A | b] afresh,
-where `linalg.solve_affine_system` and `solve_many` eliminate [A | I] once
-and apply the transform to each right-hand side.
+where `linalg.solve_affine_system` and `solve_many` eliminate A once,
+recording its row operations, and replay them on each right-hand side.
+`rref` with naug > 0 also eliminates [A | I], whose identity block is the
+transform that those recorded operations multiply by.
 """
 
 from koszulgerst.errors import DimensionMismatch

@@ -312,6 +312,27 @@ def test_cli_lift_and_bracket(capsys):
     assert "b.a" in out
 
 
+def test_cli_derivation_bracket_checks_its_lifting(monkeypatch, capsys):
+    # the derivation engine verifies the operator it brackets with, as lift
+    # does: one bumped image and the command exits 2 naming the first
+    # failing generator, with nothing on stdout
+    lift = cli.derivation_lift
+
+    def bumped(kx, gamma, M):
+        op = lift(kx, gamma, M)
+        img = op.maps[2][1]
+        op.maps[2][1] = img + kx.eps(img.degree, 0)
+        return op
+
+    monkeypatch.setattr(cli, "derivation_lift", bumped)
+    assert main(["bracket", "--preset", "family", "--q", "1", "--engine", "derivation",
+                 "--left-degree", "1", "--left", "a,0,0",
+                 "--right-degree", "2", "--right", "0,0,a.b,0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: derivation operator fails the lifting equation at eps^2_1\n")
+
+
 @pytest.mark.parametrize("engine", ["lifting", "derivation"])
 @pytest.mark.parametrize("left, right", [("a,0,0", "0,a,0"), ("0,a,0", "a,0,0")],
                          ids=["bad-right", "bad-left"])

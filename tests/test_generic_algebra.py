@@ -69,10 +69,13 @@ def test_directed_tree_resolution_terminates():
 
 
 def elimination_values(cache, elimination):
-    """The transform entries and the nonzero kernel basis entries (the basis
-    vectors are dense) of a cached Elimination."""
-    for column in elimination.transform:
-        yield from ((f"{cache} transform", c) for _, c in column)
+    """The scalars of the recorded row operations (inverses and factors) and
+    the nonzero kernel basis entries (the basis vectors are dense) of a
+    cached Elimination; reading the kernel computes it."""
+    for _, _, inv, updates in elimination.operations:
+        if inv is not None:
+            yield f"{cache} operations", inv
+        yield from ((f"{cache} operations", c) for _, c in updates)
     for vec in elimination.nullspace:
         yield from ((f"{cache} kernel", c) for c in vec if c != 0)
 
@@ -144,9 +147,9 @@ def test_no_unreduced_value_escapes_into_a_cache(make, dual_caches):
     assert bad == []
     assert seen == {"comult._cache", "cobasis._right",
                     "cobasis._levels", "_iota_index", "_diag_cache",
-                    "_diff_cache", "_lifting_systems transform",
+                    "_diff_cache", "_lifting_systems operations",
                     "_lifting_systems kernel",
-                    "_coboundary_slices transform", "_coboundary_slices kernel",
+                    "_coboundary_slices operations", "_coboundary_slices kernel",
                     "_coboundary_slices images", "rs._products", "rs._nf_cache",
                     "rs._times", "cobasis.dual._times"} | dual_caches
     assert kx.cobasis.dual._products == {}

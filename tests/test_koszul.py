@@ -26,13 +26,13 @@ from koszulgerst.algfile import parse_presentation
 from koszulgerst.errors import InconsistentBasis, NotConfluent
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.koszul import ComultTable, build_koszul_basis
-from koszulgerst.linalg import Matrix, _rref, echelon_basis, nullspace_basis
+from koszulgerst.linalg import Matrix, echelon_basis, nullspace_basis
 from koszulgerst.presets import load_complex, load_presentation
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
 from koszulgerst.resolution import KoszulComplex
 from koszulgerst.rewriting import RewriteSystem, build_rewrite_system
 
-from linalg_reference import add
+from linalg_reference import add, rref
 import tower_reference
 from test_products_and_scalars import random_path
 from tower_reference import (PivotComultTable, ReferenceCobasis, _intersect, _split_blocks,
@@ -428,7 +428,7 @@ class ReferenceComultTable:
         width = len(col_of)
         rows = [{**{col_of[path]: c for path, c in vec.terms.items()}, width + p: f.one}
                 for p, vec in enumerate(level)]
-        pivots = _rref(rows, width + len(level), f, naug=len(level))
+        pivots = rref(rows, width + len(level), f, naug=len(level))
         if len(pivots) < len(level):
             raise InconsistentBasis(f"degree-{r} generators are linearly dependent")
         words = list(col_of)

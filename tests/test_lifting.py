@@ -13,7 +13,7 @@ from koszulgerst.errors import CochainError, KoszulGerstError, NoSolution
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.lifting import (HomotopyLifting, derivation_lift, derivation_on_word,
                                  lifting_residual, solve_lifting, verify_lifting)
-from koszulgerst.linalg import Matrix, _nullspace_from_rref, _rref
+from koszulgerst.linalg import Matrix, _nullspace_from_rref
 from koszulgerst.presets import (family_named_cocycles, family_table1, family_table2,
                                  load_complex, short_goldens)
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver
@@ -23,7 +23,7 @@ from lifting_reference import (reference_apply, reference_derivation_apply,
                                reference_differential, reference_lifting_rhs,
                                reference_residual, reference_sandwich_words)
 from test_generic_algebra import zigzag_complex
-from linalg_reference import solve_affine_reference
+from linalg_reference import rref, solve_affine_reference
 
 
 def zero_lifting(kx, eta, M):
@@ -459,10 +459,15 @@ def test_lifting_systems_built_once_per_complex(monkeypatch):
     assert len(builds) == len(systems)
     assert kx._lifting_systems.keys() == systems.keys()
     assert all(kx._lifting_systems[key] is system for key, system in systems.items())
+    # the solver reads no kernel, so none is computed
+    assert all(system.elimination._nullspace is None for system in systems.values())
 
 
 def reference_lifting_system(kx, k, ell, o, t):
-    """The ansatz columns' differentials, each built as an element of K."""
+    """The ansatz columns' differentials, each built as an element of K, and
+    the eager RREF of [A | I]: the ansatz, the row index, the pivots, the
+    transform T (T A reduced) by column, as transform[row] = [(i, T[i][row])],
+    and the kernel basis."""
     f = kx.field
     ansatz = lifting.lifting_ansatz(kx, k, ell, o, t)
     ncols = len(ansatz)
@@ -474,7 +479,7 @@ def reference_lifting_system(kx, k, ell, o, t):
                 row = index[eq] = len(equations)
                 equations.append({ncols + row: f.one})
             equations[row][j] = c
-    pivots = _rref(equations, ncols + len(equations), f, naug=len(equations))
+    pivots = rref(equations, ncols + len(equations), f, naug=len(equations))
     transform = [[] for _ in equations]
     for i, row in enumerate(equations):
         for col, c in row.items():
@@ -483,6 +488,20 @@ def reference_lifting_system(kx, k, ell, o, t):
     nullspace = [BimoduleElement(f, k, zip(ansatz, vec))
                  for vec in _nullspace_from_rref(equations, pivots, ncols, f)]
     return ansatz, list(index.items()), pivots, transform, nullspace
+
+
+def transform_solution(f, reference, b):
+    """T b read as a solution, from the reference's transform: (pivots[i],
+    (T b)[i]) for the nonzero (T b)[i], None if one with i >= rank is nonzero."""
+    _, index, pivots, transform, _ = reference
+    row_of, tb = dict(index), {}
+    for key, v in b.items():
+        for i, c in transform[row_of[key]]:
+            tb[i] = tb.get(i, 0) + c * v
+    tb = f.canon(tb.items())
+    if any(i >= len(pivots) for i in tb):
+        return None
+    return [(col, tb[i]) for i, col in enumerate(pivots) if i in tb]
 
 
 KERNEL_CASES = [("family", "Q", 1), ("family", "Q", -1), ("family", "F5", 1),
@@ -598,16 +617,24 @@ def test_derivation_on_word_matches_the_reference(case):
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_lifting_system_columns_match_the_differential_reference(case):
     kx, _ = kernel_case(*case)
-    nv = kx.quiver.num_vertices
+    f, nv = kx.field, kx.quiver.num_vertices
     for k in range(1, KERNEL_N):
         for ell in (1, 2, 3):
             for o in range(nv):
                 for t in range(nv):
                     got = lifting._lifting_system(kx, k, ell, o, t)
-                    want = reference_lifting_system(kx, k, ell, o, t)
+                    ansatz, index, pivots, transform, nullspace = want = \
+                        reference_lifting_system(kx, k, ell, o, t)
                     elimination = got.elimination
                     assert (got.ansatz, list(elimination.index.items()), elimination.pivots,
-                            elimination.transform, kernel_elements(kx, k, got)) == want
+                            kernel_elements(kx, k, got)) == (ansatz, index, pivots, nullspace)
+                    # the replayed row operations solve as T: on each unit
+                    # vector e_row and on each column of A
+                    rhs = [{key: f.one} for key, _ in index]
+                    rhs += [reference_differential(kx, BimoduleElement(f, k, {term: f.one})).terms
+                            for term in ansatz]
+                    for b in rhs:
+                        assert elimination.solve(b) == transform_solution(f, want, b)
 
 
 @pytest.mark.parametrize("scale", [0, 1, -1])

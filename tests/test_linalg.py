@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from koszulgerst.errors import DimensionMismatch
 from koszulgerst.fields import QQ, PrimeField
-from koszulgerst.linalg import (GradedVector, Matrix, SparseVector, _rref, echelon_basis,
-                                nullspace_basis, rank, solve_affine_system, solve_many)
+from koszulgerst.linalg import (GradedVector, Matrix, SparseVector, _replay, _rref,
+                                echelon_basis, nullspace_basis, rank, solve_affine_system,
+                                solve_many)
 
 from linalg_reference import add, rref, solve_affine_reference
 
@@ -258,25 +259,37 @@ def test_native_accumulation_gives_the_eager_vector(field, draws):
 
 @settings(database=None, derandomize=True, max_examples=200, deadline=None)
 @given(st.sampled_from([QQ, F5, PrimeField(32003)]), st.integers(1, 6), st.integers(1, 6),
-       st.integers(0, 2), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7),
-                                             st.integers(-9, 9), st.sampled_from([1, 1, 2, 3])),
-                                   max_size=30))
-def test_native_rref_matches_the_eager_reference(field, nrows, ncols, naug, draws):
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                          st.integers(-9, 9), st.sampled_from([1, 1, 2, 3])),
+                max_size=30))
+def test_native_rref_matches_the_eager_reference(field, nrows, ncols, draws):
     # _rref updates rows with native - and * (reducing % p at each step over
-    # F_p); the eager reference goes through the field's sub, mul and inv.
-    # Pivots and rows, augmented columns included, must be identical, with
-    # the same key order and value types
-    width = ncols + naug
+    # F_p) and records its row operations; the eager reference goes through
+    # the field's sub, mul and inv, on [A | I].  Pivots and A's rows must be
+    # identical, with the same key order and value types, and replaying the
+    # recorded operations on the identity must give the reference's
+    # identity block, column by column
     rows = [{} for _ in range(nrows)]
     for r, c, num, den in draws:
         value = field(Fraction(num, den))
-        if r < nrows and c < width and value != field.zero:
+        if r < nrows and c < ncols and value != field.zero:
             rows[r][c] = value
-    native, eager = [dict(row) for row in rows], [dict(row) for row in rows]
-    assert _rref(native, width, field, naug) == rref(eager, width, field, naug)
-    assert [list(row.items()) for row in native] == [list(row.items()) for row in eager]
+    native, plain = [dict(row) for row in rows], [dict(row) for row in rows]
+    eager = [{**row, ncols + r: field.one} for r, row in enumerate(rows)]
+    operations = []
+    pivots = _rref(native, ncols, field, operations)
+    assert pivots == rref(eager, ncols + nrows, field, naug=nrows) == _rref(plain, ncols, field)
+    assert [list(row.items()) for row in native] == [list(row.items()) for row in plain] == \
+        [[(c, v) for c, v in row.items() if c < ncols] for row in eager]
     assert [[type(v) for v in row.values()] for row in native] == \
-        [[type(v) for v in row.values()] for row in eager]
+        [[type(v) for c, v in row.items() if c < ncols] for row in eager]
+    for j in range(nrows):
+        x = [field.zero] * nrows
+        x[j] = field.one
+        _replay(operations, x, field.characteristic)
+        want = [row.get(ncols + j, field.zero) for row in eager]
+        assert x == want
+        assert [type(v) for v in x if v] == [type(v) for v in want if v]
 
 
 @settings(database=None, derandomize=True, max_examples=120, deadline=None)
@@ -303,8 +316,8 @@ def test_difference_is_the_sum_with_the_negated_vector(field, left, right):
        st.lists(st.lists(st.integers(-4, 4), min_size=6, max_size=6), max_size=3))
 def test_one_elimination_solves_like_the_augmented_reference(field, nrows, ncols, draws,
                                                               xs, raw):
-    # solve_affine_system and solve_many eliminate [A | I] once and apply its
-    # transform to each right-hand side; the reference eliminates [A | b]
+    # solve_affine_system and solve_many eliminate A once and replay its row
+    # operations on each right-hand side; the reference eliminates [A | b]
     # afresh.  The right-hand sides are images A x (consistent), raw draws
     # (mostly inconsistent), zero, and an image with a unit added in a row
     # that no column touches (inconsistent)

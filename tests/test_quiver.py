@@ -2,11 +2,16 @@
 
 import pytest
 
+from koszulgerst.algfile import parse_presentation
 from koszulgerst.errors import NonQuadraticRelation, NotConfluent
 from koszulgerst.fields import QQ
-from koszulgerst.presets import load_presentation
+from koszulgerst.presets import load_complex, load_presentation
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver
+from koszulgerst.resolution import KoszulComplex
 from koszulgerst.rewriting import build_rewrite_system
+
+from test_generic_algebra import zigzag_complex
+from test_koszul import family_shaped_text, quantum_exterior_text
 
 
 def two_loop_quiver():
@@ -171,6 +176,38 @@ def test_basis_words_of_negative_length_are_empty(family8, short8):
     for rs in (family8.rs, short8.rs):
         rs.basis_words(3)
         assert rs.basis_words(-1) == [] and rs.basis_words(-2, o=0, t=0) == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_complex("family", QQ, 3, q=1),
+    lambda: load_complex("family", QQ, 3, q=-1),
+    lambda: load_complex("short", QQ, 3),
+    lambda: zigzag_complex(3),
+    lambda: KoszulComplex(parse_presentation(
+        quantum_exterior_text("xyz", "F32003", [17, 2024, 31999])), 3),
+    lambda: KoszulComplex(parse_presentation(family_shaped_text("F32003", 12345)), 3),
+], ids=["family-q=1", "family-q=-1", "short", "zigzag", "ext3-F32003", "family-F32003"])
+def test_basis_words_between_two_vertices_are_the_filtered_level(make):
+    # each level's (origin, target) index against the level filtered by the
+    # ends of its words, on A and on A^!; every answer is a new list, so
+    # mutating one changes no later answer
+    kx = make()
+    for rs in (kx.rs, kx.cobasis.dual):
+        q = rs.quiver
+        for length in range(7):
+            level = rs.basis_words(length)
+            for o in range(q.num_vertices):
+                for t in range(q.num_vertices):
+                    want = [w for w in level if w.o == o and q.path_target(w) == t]
+                    got = rs.basis_words(length, o, t)
+                    assert got == want
+                    got.append(None)
+                    assert rs.basis_words(length, o, t) == want
+            level.append(None)
+            assert rs.basis_words(length) == level[:-1]
+        assert rs.basis_words(-1, 0, 0) == []
+        with pytest.raises(TypeError):
+            rs.basis_words(1, o=0)
 
 
 def test_vertex_and_arrow_paths_are_shared():

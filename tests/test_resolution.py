@@ -631,15 +631,16 @@ def test_iota_check_leaves_terms_with_letters_on_both_sides_to_the_paths():
 def _k_basis(kx, n, weight, dropped):
     """The basis u . eps^n_i . v of K_n in weight |u| + n + |v|, leaving out
     the generators (n, i) in dropped."""
-    basis_words = kx.rs.basis_words
+    basis_words, target = kx.rs.basis_words, kx.quiver.path_target
     out = []
     for i in range(kx.count(n)):
         if (n, i) in dropped:
             continue
         o, t = kx.cobasis.o(n, i)
         for a in range(weight - n + 1):
-            for u in basis_words(a, t=o):
-                out += [(u, i, v) for v in basis_words(weight - n - a, o=t)]
+            for u in basis_words(a):
+                if target(u) == o:
+                    out += [(u, i, v) for v in basis_words(weight - n - a) if v.o == t]
     return out
 
 

@@ -215,6 +215,78 @@ def test_rref_and_nullspace_from_rref_are_called_only_inside_linalg():
     assert named_calls(tree, "_rref") == named_calls(tree, "nullspace_basis") == []
 
 
+def basis_words_end_filters(tree):
+    """Lines of a loop or comprehension over a basis_words level (the call
+    itself, or a name bound to one) that compares its word's ends,
+    `path_target(w)` or `w.o`, in the comprehension's ifs or in an if
+    directly in the loop body."""
+    def is_basis_words(node):
+        return isinstance(node, ast.Call) and "basis_words" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    levels = {node.targets[0].id if isinstance(node, ast.Assign) else node.target.id
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.Assign, ast.NamedExpr)) and is_basis_words(node.value)
+              and isinstance(node.targets[0] if isinstance(node, ast.Assign) else node.target,
+                             ast.Name)}
+
+    def is_level(node):
+        return is_basis_words(node) or isinstance(node, ast.Name) and node.id in levels
+
+    def is_end(node, name):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "o" and isinstance(node.value, ast.Name) and node.value.id == name
+        return (isinstance(node, ast.Call) and "path_target" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                and any(isinstance(arg, ast.Name) and arg.id == name for arg in node.args))
+
+    def compares_ends(test, name):
+        return any(is_end(side, name) for node in ast.walk(test) if isinstance(node, ast.Compare)
+                   for side in (node.left, *node.comparators))
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            found.update(node.lineno for gen in node.generators
+                         if is_level(gen.iter) and isinstance(gen.target, ast.Name)
+                         and any(compares_ends(test, gen.target.id) for test in gen.ifs))
+        elif (isinstance(node, ast.For) and is_level(node.iter)
+              and isinstance(node.target, ast.Name)
+              and any(isinstance(stmt, ast.If) and compares_ends(stmt.test, node.target.id)
+                      for stmt in node.body)):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_rule_spots_basis_words_end_filters():
+    tree = ast.parse("a = [w for w in rs.basis_words(2) if q.path_target(w) == t]\n"
+                     "level = rs.basis_words(1)\n"
+                     "b = {w for w in level if w.o == o}\n"
+                     "for w in basis_words(3):\n"
+                     "    if t != path_target(w):\n"
+                     "        continue\n"
+                     "while words := rs.basis_words(4):\n"
+                     "    c = [w for w in words if w.o != o and w]\n"
+                     "d = [w for w in rs.basis_words(2, o, t) if w.arrows]\n"
+                     "e = [p for p in val.terms if p.o == o]\n"
+                     "f = [w for w in level if v.o == o]\n")
+    # d filters by no end, e iterates no level, f compares another word's end
+    assert basis_words_end_filters(tree) == [1, 3, 4, 8]
+
+
+def test_only_rewriting_filters_basis_words_by_their_ends():
+    # the words between two vertices are read off the index that the
+    # rewrite system builds as each level grows: basis_words(length, o, t)
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "rewriting.py":
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [f"{module.name}:{line}" for line in basis_words_end_filters(tree)]
+    assert sorted(SRC.glob("*.py")), "package source not found"
+    assert found == []
+
+
 def test_rule_spots_checked_cochain_constructions():
     tree = ast.parse("def parse_cochain(kx, degree, text):\n"
                      "    return Cochain.from_values(kx, degree, parse(text))\n"

@@ -34,8 +34,10 @@ Each level is listed by (origin, target) vertex pair, then by pivot.
 """
 
 from koszulgerst.errors import InconsistentBasis
-from koszulgerst.linalg import Matrix, _rref, echelon_basis, nullspace_basis
+from koszulgerst.linalg import Matrix, echelon_basis, nullspace_basis
 from koszulgerst.quiver import Path, PathVector, free_multiply
+
+from linalg_reference import rref
 
 
 class ReferenceCobasis:
@@ -199,7 +201,7 @@ class PivotComultTable:
         width = len(col_of)
         rows = [{**{col_of[w]: c for w, c in terms.items()}, width + p: f.one}
                 for p, terms in enumerate(level)]
-        pivots = _rref(rows, width + len(level), f, naug=len(level))
+        pivots = rref(rows, width + len(level), f, naug=len(level))
         if len(pivots) < len(level):
             raise InconsistentBasis(f"degree-{r} generators are linearly dependent")
         words = list(col_of)
