@@ -20,7 +20,7 @@ from .fields import QQ, field_from_name
 from .lifting import derivation_lift, solve_lifting, verify_lifting
 from .linalg import echelon_basis
 from .resolution import KoszulComplex
-from .structured import dumps
+from .structured import dumps, letter, records, word_records
 
 DEFAULT_N = 4
 # 128 + SIGPIPE: the status a shell reports for a writer whose reader closed
@@ -182,39 +182,39 @@ def cmd_comult(args):
 
 def cmd_resolution(args):
     kx = load_complex(args)
-    doc = {"command": "resolution", "differentials": [], "diagonals": [],
-           "embeddings": []}
+    doc = {"command": "resolution", "differentials": [], "diagonals": [], "embeddings": []}
     lines = []
     for n in range(1, kx.N + 1):
         for i in range(kx.count(n)):
             d = kx._diff_eps(n, i).format(kx.quiver)
             doc["differentials"].append({"n": n, "i": i, "value": d})
             lines.append(f"d(eps^{n}_{i}) = {d}")
+    q, fmt = kx.quiver, kx.field.format
     for n in range(kx.N + 1):
         for r in range(kx.count(n)):
-            terms = [{"v": t.left_degree, "p": t.left_index, "q": t.right_index,
-                      "coeff": kx.field.format(t.coeff)} for t in kx.diagonal(n, r)]
-            doc["diagonals"].append({"n": n, "r": r, "terms": terms})
-            if args.format != "structured":
-                pretty = " + ".join(
-                    f"{t['coeff']}*eps^{t['v']}_{t['p']} ox eps^{n - t['v']}_{t['q']}"
-                    for t in terms)
-                lines.append(f"Delta(eps^{n}_{r}) = {pretty}")
-    # iota(eps^n_r) = e_o ox (the letters of each word of f^n_r) ox e_t, its
-    # bar words listed as their letters' reprs sort (Quiver.letters); each
-    # word's arrows are decoded from its code.  Text mode prints no embeddings
+            terms = kx.diagonal(n, r)
+            if args.format == "structured":
+                doc["diagonals"].append({"n": n, "r": r, "terms": records(
+                    ("v", "p", "q", "coeff"), [(v, i, j, fmt(c)) for v, i, j, c in terms])})
+            else:
+                lines.append(f"Delta(eps^{n}_{r}) = " + " + ".join(
+                    f"{fmt(c)}*eps^{v}_{i} ox eps^{n - v}_{j}" for v, i, j, c in terms))
+    # iota(eps^n_r) = e_o ox (the letters of each word of f^n_r) ox e_t, its bar words
+    # in their letters' repr order (Quiver.letters).  Word x is word x // A then arrow
+    # x % A (KoszulCobasis._spell), so its sort key, base len(letters), and run extend x // A's
     if args.format == "structured":
-        q, fmt, decode = kx.quiver, kx.field.format, kx.quiver.decode
-        place = {w: i for i, w in enumerate(q.letters())}
-        arrow_place = [place[q.arrow_path(a)] for a in range(q.num_arrows)]
+        letters, A, step = q.letters(), q.num_arrows, [letter(name) for name in q.arrow_names]
+        place = [letters.index(q.arrow_path(a)) for a in range(A)]
+        keys, runs = {0: 0}, {0: ""}  # degree 0: the empty word, each arrow's prefix
         for n in range(1, kx.N + 1):
-            for r in range(kx.count(n)):
+            level = [kx.cobasis.codes(n, r) for r in range(kx.count(n))]
+            keys = {x: keys[x // A] * len(letters) + place[x % A] for c in level for x in c}
+            runs = {x: runs[x // A] + step[x % A] for x in keys}
+            for r, codes in enumerate(level):
                 head, tail = (q.format_path(q.vertex_path(v)) for v in kx.cobasis.o(n, r))
-                terms = sorted(((decode(x, n), c) for x, c in kx.cobasis.codes(n, r).items()),
-                               key=lambda kv: [arrow_place[a] for a in kv[0]])
-                doc["embeddings"].append({"n": n, "r": r, "terms": [
-                    {"word": [head, *[q.arrow_names[a] for a in w], tail], "coeff": fmt(c)}
-                    for w, c in terms]})
+                doc["embeddings"].append({"n": n, "r": r, "terms": word_records(
+                    ("word", "coeff"), head, tail,
+                    [(runs[x], fmt(codes[x])) for x in sorted(codes, key=keys.get)])})
     status = 0
     if getattr(args, "verify", False):
         report = kx.verify_resolution()

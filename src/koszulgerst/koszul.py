@@ -47,8 +47,10 @@ whose scalars are the right action of the arrows on A^!_{n-1}.  Each word
 is spelled once, straight into its int code (Quiver.code: the arrows as
 base-A digits, A the number of arrows, the first arrow most significant),
 so the word x followed by the arrow a is x * A + a and no Path is built.
-The delta iota = iota d check reads the codes as they are; the Paths of
-basis and the letters of iota are decoded from them by Quiver.decode.
+The delta iota = iota d check reads the codes as they are, and so does the
+structured `resolution` document: it writes the word x * A + a from the
+text it wrote for x, the letter a appended.  The Paths of basis and the
+letters of KoszulComplex.iota are decoded from the codes by Quiver.decode.
 
 Order.  Degree 0 lists the vertices and degree 1 the arrows, by index; from
 degree 2 on the normal words are listed by (origin, target) vertex pair and

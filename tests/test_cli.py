@@ -176,9 +176,10 @@ relation z.y + qyz*y.z
      "dac7155c1fb7a7ce9883d4228c5d140b0d1dd477493121f2f64d0f14cd002c79"),
 ], ids=["family-q=2", "ext3-F32003"])
 def test_cli_resolution_text_decodes_no_word(argv, lines, sha256, tmp_path, monkeypatch, capsys):
-    # only the structured document lists the embeddings iota(eps^n_r), whose
-    # words are decoded from their codes; text mode builds no such section
-    # and prints the lines it printed when it did
+    # only the structured document lists the embeddings iota(eps^n_r); text
+    # mode builds no such section and prints the lines it printed when it
+    # did, and neither mode decodes a word: the document's bar words are
+    # written from their codes
     (tmp_path / "ext3.alg").write_text(EXTERIOR_F32003)
     monkeypatch.chdir(tmp_path)
     decoded = []
@@ -191,9 +192,11 @@ def test_cli_resolution_text_decodes_no_word(argv, lines, sha256, tmp_path, monk
     monkeypatch.setattr(Quiver, "decode", spy)
     assert main(["resolution", *argv, "--verify"]) == 0
     out = capsys.readouterr().out
-    assert decoded == []
     assert (len(out.splitlines()), hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
         lines, sha256)
+    assert main(["resolution", *argv, "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["embeddings"]
+    assert decoded == []
 
 
 COUNIT = "(mu ox 1)Delta = id = (1 ox mu)Delta"

@@ -604,6 +604,45 @@ def test_no_indented_json_dumps_in_the_package():
     assert found == []
 
 
+def json_layouts(tree):
+    """Lines of `Encoded(...)` calls, bare or on a module, and of strings other
+    than docstrings that hold a newline followed by a space: JSON indentation."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    return sorted(set(named_calls(tree, "Encoded")) | {
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "\n " in node.value and id(node) not in docstrings})
+
+
+def test_rule_spots_json_layouts():
+    tree = ast.parse('def f(doc):\n'
+                     '    """A docstring\n    over two lines."""\n'
+                     '    a = structured.Encoded(text)\n'
+                     '    b = Encoded("[]")\n'
+                     '    c = ",\\n  ".join(items)\n'
+                     '    d = f"{{\\n    {key}"\n'
+                     '    e = "\\n".join(lines)\n'
+                     '    return str(text)\n')
+    assert json_layouts(tree) == [4, 5, 6, 7]
+
+
+def test_only_structured_writes_json_layout():
+    # the indents, separators and quoting of a structured document are known
+    # to structured.py alone: other modules hand it values, or runs built by
+    # structured.letter, and build no Encoded and no indented text
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "structured.py":
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [f"{module.name}:{line}" for line in json_layouts(tree)]
+    assert sorted(SRC.glob("*.py")), "package source not found"
+    assert found == []
+    tree = ast.parse((SRC / "structured.py").read_text(), filename="structured.py")
+    assert json_layouts(tree)  # the rule sees structured.py's own layout
+
+
 def loops_over_built_terms(tree, builders=("sandwich", "differential")):
     """Lines of loops (or comprehensions) whose iterable reads `<builder>(...).terms`."""
     found = set()
