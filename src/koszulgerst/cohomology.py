@@ -76,15 +76,6 @@ class Cochain(GradedVector):
     def internal_degrees(self):
         return {len(w.arrows) for _, w in self.terms}
 
-    def is_homogeneous(self):
-        return len(self.internal_degrees()) <= 1
-
-    def internal_degree(self):
-        degs = self.internal_degrees()
-        if len(degs) > 1:
-            raise CochainError("cochain is not homogeneous")
-        return degs.pop() if degs else None
-
     def graded_piece(self, ell):
         return self._like([(key, c) for key, c in self.terms.items()
                            if len(key[1].arrows) == ell])

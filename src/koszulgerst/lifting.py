@@ -1,18 +1,20 @@
 """Homotopy liftings of cocycles, solved degree by degree; for a degree-1
 cocycle the lifting is its derivation operator.
 
-For an n-cocycle eta of internal degree ell, a lifting is a family
-psi: K_m -> K_{m-n+1} with psi(K_{n-1}) = 0 and
+For an n-cocycle eta, a lifting is a family psi: K_m -> K_{m-n+1} with
+psi(K_{n-1}) = 0 and
 
     d o psi_m - (-1)^{n-1} psi_{m-1} o d = (eta ox 1 - 1 ox eta) Delta
 
-in every degree.  The resolution is graded, so a homogeneous cocycle admits
-a lifting whose terms u . eps . v all satisfy |u| + |v| = ell - 1; the
-solver imposes exactly that ansatz, which keeps every linear system small
-and reproduces the closed-form shapes (scalar multiples of generators for
-ell = 1, one arrow on one side for ell = 2).  Solutions are canonical (free
-variables zero), and existence is guaranteed for cocycles, so a failed
-solve raises NoSolution rather than falling back.
+in every degree.  The equation is linear and graded: a term u . eps . v has
+weight |u| + |v| and d raises weight by one, so the solver solves each
+weight slice ell of a target in the ansatz of terms of weight ell - 1.
+That keeps every linear system small and reproduces the closed-form shapes
+(scalar multiples of generators for ell = 1, one arrow on one side for
+ell = 2), and a cocycle lifts as the sum of the liftings of its homogeneous
+pieces.  Solutions are canonical (free variables zero), and existence is
+guaranteed for cocycles, so a failed solve raises NoSolution rather than
+falling back.
 
 A lifting holds the images of the degrees it was built through.  Below
 degree n it is the zero map; asking it for a degree >= n it was not built
@@ -108,8 +110,6 @@ def _rhs_into(out, kx, eta, m, r, scale):
 
 def lifting_ansatz(kx, k, ell, o, t):
     """Candidate terms (u, j, v) of K_k with |u| + |v| = ell - 1, u from o and v to t."""
-    if ell is None or ell < 1:
-        return []
     basis_words, out = kx.rs.basis_words, []
     for j, (o_j, t_j) in enumerate(kx.cobasis.pairs[k]):
         for lu in range(ell):
@@ -151,29 +151,33 @@ def _lifting_system(kx, k, ell, o, t):
     return kx._lifting_systems.setdefault(key, _LiftingSystem(ansatz, Elimination(f, columns)))
 
 
-def _solve_images(kx, m, n, ell, target):
-    """psi(eps^m_r) in K_{m-n+1} for every r: the canonical solution in the
-    ansatz span of d psi(eps^m_r) = target(r).
+def _solve_images(kx, m, n, target):
+    """psi(eps^m_r) in K_{m-n+1} for every r: the canonical solution of
+    d psi(eps^m_r) = target(r), one weight slice at a time.
 
-    A zero cocycle (ell None) gets zero images without a solve.  The
-    homogeneous solutions of a solve are the ansatz combinations of its
-    lifting system's kernel basis, which the solver never reads, so it is
-    never computed here.
+    The slice of weight ell is solved in the ansatz span of weight ell - 1,
+    and the image joins the slices' solutions in increasing ell; a zero
+    target builds no system and runs no solve.  The homogeneous solutions
+    of a solve are the ansatz combinations of its lifting system's kernel
+    basis, which the solver never reads, so it is never computed here.
     """
     f = kx.field
     k = m - n + 1
     images = []
     for r in range(kx.count(m)):
-        if ell is None:
-            images.append(BimoduleElement(f, k))
-            continue
-        system = _lifting_system(kx, k, ell, *kx.cobasis.o(m, r))
-        solution = system.elimination.solve(target(r).terms)
-        if solution is None:
-            raise NoSolution(
-                f"no lifting at degree {m}, generator {r}: input is not a "
-                f"cocycle or the resolution data is corrupted")
-        images.append(BimoduleElement(f, k, ((system.ansatz[col], c) for col, c in solution)))
+        slices = {}
+        for key, c in target(r).terms.items():
+            slices.setdefault(len(key[0].arrows) + len(key[2].arrows), {})[key] = c
+        terms = []
+        for ell in sorted(slices):
+            system = _lifting_system(kx, k, ell, *kx.cobasis.o(m, r))
+            solution = system.elimination.solve(slices[ell])
+            if solution is None:
+                raise NoSolution(
+                    f"no lifting at degree {m}, generator {r}: input is not a "
+                    f"cocycle or the resolution data is corrupted")
+            terms += [(system.ansatz[col], c) for col, c in solution]
+        images.append(BimoduleElement(f, k, terms))
     return images
 
 
@@ -201,9 +205,6 @@ def solve_lifting(kx, eta, M, initial=None):
     if n == 0:
         raise CochainError("liftings of degree-0 cochains are out of scope")
     _check_reach(kx, M, "lifting")
-    if not eta.is_homogeneous():
-        raise NoSolution("lifting solver needs a homogeneous cocycle")
-    ell = eta.internal_degree()
     maps = {m: list(images) for m, images in (initial or {}).items()}
     lifting = HomotopyLifting(kx, eta, maps)
 
@@ -214,7 +215,7 @@ def solve_lifting(kx, eta, M, initial=None):
 
     for m in range(n, M + 1):
         if m not in maps:
-            maps[m] = _solve_images(kx, m, n, ell, lambda r: target(m, r))
+            maps[m] = _solve_images(kx, m, n, lambda r: target(m, r))
     return lifting
 
 

@@ -253,11 +253,10 @@ def test_criterion_9_property_suites(family8, rng, record_criterion):
     ok = True
     for _ in range(8):
         a, b = rng.choice(pool), rng.choice(pool)
-        if not (a.is_homogeneous() and b.is_homogeneous()):
+        da, db = a.internal_degrees(), b.internal_degrees()
+        if len(da) != 1 or len(db) != 1:
             continue
-        la, lb = a.internal_degree(), b.internal_degree()
-        if la is None or lb is None:
-            continue
+        (la,), (lb,) = da, db
         got = bracket_via_lifting(family8, a, b, lifts[id(a)], lifts[id(b)])
         ok = ok and got.internal_degrees() <= {la + lb - 1}
     checks["bracket value-length law"] = ok

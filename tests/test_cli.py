@@ -315,6 +315,34 @@ def test_cli_lift_and_bracket(capsys):
     assert "b.a" in out
 
 
+@pytest.mark.parametrize("cocycle", ["a,0,a.b,0", "a,0,e1,0"])
+def test_cli_mc_of_an_inhomogeneous_cocycle(cocycle, capsys):
+    # values of lengths 1 and 2, or 1 and 0: the cocycle lifts as the sum of
+    # its pieces' liftings
+    assert main(["mc", "--preset", "family", "--q", "1", "--cocycle", cocycle]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {"exact: PASS", "class level: PASS", "residual: (0, 0, 0, 0, 0)"} <= set(lines)
+
+
+def test_cli_lift_of_an_inhomogeneous_cocycle(capsys):
+    assert main(["lift", "--preset", "family", "--q", "1", "-N", "5", "--degree", "2",
+                 "--cocycle", "a,0,a.b,0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verify: PASS"
+
+
+@pytest.mark.parametrize("engine", ["lifting", "derivation"])
+def test_cli_bracket_of_an_inhomogeneous_cocycle(engine, capsys):
+    # (a, 0, b.c) = (a, 0, 0) + (0, 0, b.c); the bracket is the sum of theirs
+    brackets = []
+    for left in ("a,0,b.c", "a,0,0", "0,0,b.c"):
+        assert main(["bracket", "--preset", "family", "--q", "1", "--engine", engine,
+                     "--left-degree", "1", "--left", left,
+                     "--right-degree", "2", "--right", "a,0,a.b,0"]) == 0
+        brackets.append(capsys.readouterr().out.splitlines()[-1])
+    assert brackets == ["[left, right] = (-a, 0, b.a, 0)", "[left, right] = (-a, 0, b.a, 0)",
+                        "[left, right] = (0, 0, 0, 0)"]
+
+
 def test_cli_derivation_bracket_checks_its_lifting(monkeypatch, capsys):
     # the derivation engine verifies the operator it brackets with, as lift
     # does: one bumped image and the command exits 2 naming the first

@@ -319,14 +319,16 @@ def test_lifting_choice_independence_on_bracket_class(family8):
 def homogeneous_solutions(kx, psi):
     """((m, r), basis of the homogeneous solutions of the solve for
     psi(eps^m_r)) for every degree m of psi.maps, in solve order: the
-    kernel basis of the lifting system that solve used, as ansatz combinations."""
-    n, ell = psi.n, psi.cocycle.internal_degree()
-    if ell is None:
-        return
+    kernel bases of the lifting systems of the weight slices that solve
+    used, as ansatz combinations.  d raises weight by one, so the solve
+    used slice ell exactly when the image has terms of weight ell - 1."""
+    n = psi.n
     for m in sorted(psi.maps):
+        k = m - n + 1
         for r in range(kx.count(m)):
-            system = lifting._lifting_system(kx, m - n + 1, ell, *kx.cobasis.o(m, r))
-            yield (m, r), kernel_elements(kx, m - n + 1, system)
+            ells = sorted({len(u.arrows) + len(v.arrows) + 1 for u, _, v in psi.image(m, r).terms})
+            yield (m, r), [x for ell in ells for x in kernel_elements(
+                kx, k, lifting._lifting_system(kx, k, ell, *kx.cobasis.o(m, r)))]
 
 
 def kernel_elements(kx, k, system):
@@ -341,8 +343,6 @@ def kernel_elements(kx, k, system):
 
 def _reference_ansatz(kx, m, r, n, ell):
     """Candidate terms (u, j, v) with |u| + |v| = ell - 1 and matching vertices."""
-    if ell is None or ell < 1:
-        return []
     k = m - n + 1
     o_r, t_r = kx.cobasis.o(m, r)
     out = []
@@ -355,35 +355,38 @@ def _reference_ansatz(kx, m, r, n, ell):
     return out
 
 
-def _reference_solve_images(kx, m, n, ell, target, nullspaces):
-    """One ansatz, one column set and one fresh [A | b] elimination per generator."""
+def _reference_solve_images(kx, m, n, target, nullspaces):
+    """Per generator, one ansatz, one column set and one fresh [A | b]
+    elimination for each weight slice of the target, in increasing weight."""
     f = kx.field
     k = m - n + 1
     images = []
     for r in range(kx.count(m)):
-        if ell is None:
-            images.append(BimoduleElement(f, k))
-            continue
-        rhs = target(r)
-        ansatz = _reference_ansatz(kx, m, r, n, ell)
-        columns = [kx.differential(BimoduleElement(f, k, {key: f.one})) for key in ansatz]
-        index = {}
-        for x in columns + [rhs]:
-            for key in x.terms:
-                index.setdefault(key, len(index))
-        entries = {(index[key], j): c
-                   for j, col in enumerate(columns) for key, c in col.terms.items()}
-        b = [f.zero] * len(index)
-        for key, c in rhs.terms.items():
-            b[index[key]] = c
-        sol = solve_affine_reference(Matrix(f, len(index), len(columns), entries), b)
-        if sol is None:
-            raise NoSolution(
-                f"no lifting at degree {m}, generator {r}: input is not a "
-                f"cocycle or the resolution data is corrupted")
-        images.append(BimoduleElement(f, k, zip(ansatz, sol.particular)))
-        nullspaces[(m, r)] = [BimoduleElement(f, k, zip(ansatz, vec))
-                              for vec in sol.nullspace]
+        slices = {}
+        for (u, i, v), c in target(r).terms.items():
+            slices.setdefault(len(u.arrows) + len(v.arrows), {})[(u, i, v)] = c
+        terms, nulls = [], []
+        for ell, rhs in sorted(slices.items()):
+            ansatz = _reference_ansatz(kx, m, r, n, ell)
+            columns = [kx.differential(BimoduleElement(f, k, {key: f.one})) for key in ansatz]
+            index = {}
+            for keys in [*(col.terms for col in columns), rhs]:
+                for key in keys:
+                    index.setdefault(key, len(index))
+            entries = {(index[key], j): c
+                       for j, col in enumerate(columns) for key, c in col.terms.items()}
+            b = [f.zero] * len(index)
+            for key, c in rhs.items():
+                b[index[key]] = c
+            sol = solve_affine_reference(Matrix(f, len(index), len(columns), entries), b)
+            if sol is None:
+                raise NoSolution(
+                    f"no lifting at degree {m}, generator {r}: input is not a "
+                    f"cocycle or the resolution data is corrupted")
+            terms += zip(ansatz, sol.particular)
+            nulls += [BimoduleElement(f, k, zip(ansatz, vec)) for vec in sol.nullspace]
+        images.append(BimoduleElement(f, k, terms))
+        nullspaces[(m, r)] = nulls
     return images
 
 
@@ -412,14 +415,24 @@ def _golden_cocycles(kx):
     return family_table2(kx) + family_table1(kx)
 
 
+def _first_inhomogeneous_sum(cocycles):
+    """a + b for the first pair of cocycles of one degree whose values have
+    different lengths."""
+    return next(a + b for a in cocycles for b in cocycles
+                if a.degree == b.degree and a.internal_degrees() != b.internal_degrees())
+
+
 @pytest.mark.parametrize("fixture", ["family8", "family8_f5", "zigzag"])
 def test_cached_lifting_matches_per_generator_solve(fixture, request, monkeypatch):
     if fixture == "zigzag":
+        # its cocycles of one degree all have one value length, so no sum
+        # of them is inhomogeneous
         kx = zigzag_complex()
         cocycles = [*cocycle_space(kx, 1).cocycles, cocycle_space(kx, 2).cocycles[0]]
     else:
         kx = request.getfixturevalue(fixture)
-        cocycles = _golden_cocycles(kx)
+        golden = _golden_cocycles(kx)
+        cocycles = [*golden, _first_inhomogeneous_sum(golden)]
     for eta in cocycles:
         cached, reference, nullspaces = _cached_and_reference(
             monkeypatch, lambda: solve_lifting(kx, eta, 4))
@@ -430,17 +443,74 @@ def test_cached_lifting_matches_per_generator_solve(fixture, request, monkeypatc
 
 def test_cached_solve_names_the_failing_generator(family8, monkeypatch):
     bad = parse_cochain(family8, 1, "b,0,0")
+    # the same non-cocycle piece beside a cocycle of value length 2
+    mixed = bad + parse_cochain(family8, 1, "0,0,b.c")
     errors = []
     for solve_images in (lifting._solve_images, _reference_solver({})):
         monkeypatch.setattr(lifting, "_solve_images", solve_images)
-        with pytest.raises(NoSolution, match=r"no lifting at degree \d+, generator \d+") as exc:
-            solve_lifting(family8, bad, 3)
-        errors.append(str(exc.value))
-    assert errors[0] == errors[1]
+        for eta in (bad, mixed):
+            with pytest.raises(NoSolution,
+                               match=r"no lifting at degree \d+, generator \d+") as exc:
+                solve_lifting(family8, eta, 3)
+            errors.append(str(exc.value))
+    assert len(set(errors)) == 1
+
+
+MIXED_CASES = [("Q", 1), ("Q", -1), ("Q", 2), ("F5", -1)]
+MIXED_N = 6
+
+
+@functools.cache
+def mixed_case(field, q):
+    """family at N = MIXED_N and (n, {value length: cocycle basis}) for each
+    degree n in 1..3 whose cocycle basis has values of two or more lengths."""
+    kx = load_complex("family", QQ if field == "Q" else PrimeField(5), MIXED_N, q=q)
+    degrees = []
+    for n in (1, 2, 3):
+        by_length = {}
+        for z in cocycle_space(kx, n).cocycles:
+            (ell,) = z.internal_degrees()
+            by_length.setdefault(ell, []).append(z)
+        if len(by_length) > 1:
+            degrees.append((n, by_length))
+    return kx, degrees
+
+
+@settings(database=None, derandomize=True, max_examples=72, deadline=None)
+@given(st.sampled_from(MIXED_CASES), st.data())
+def test_inhomogeneous_cocycle_lifts_as_the_sum_of_its_pieces(case, data):
+    kx, degrees = mixed_case(*case)
+    f = kx.field
+    n, by_length = data.draw(st.sampled_from(degrees))
+    lengths = data.draw(st.lists(st.sampled_from(sorted(by_length)), min_size=2, unique=True))
+    eta = Cochain.zero(kx, n)
+    for ell in lengths:
+        basis = by_length[ell]
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                                    max_size=len(basis)).filter(any))
+        for z, c in zip(basis, coeffs):
+            eta = eta + z.scale(f(c))
+    assert eta.internal_degrees() == set(lengths)
+    psi = solve_lifting(kx, eta, MIXED_N)
+    assert verify_lifting(kx, eta, psi, MIXED_N) == []
+    pieces = [solve_lifting(kx, eta.graded_piece(ell), MIXED_N) for ell in lengths]
+    for m in range(n, MIXED_N + 1):
+        for r in range(kx.count(m)):
+            total = BimoduleElement(f, m - n + 1)
+            for piece in pieces:
+                total = total + piece.image(m, r)
+            assert psi.image(m, r) == total
 
 
 def test_lifting_systems_built_once_per_complex(monkeypatch):
     kx = load_complex("family", QQ, 5, q=1)
+    # a zero cochain has zero targets: zero images, and no system is built
+    for n in (1, 2, 3):
+        zero = Cochain.zero(kx, n)
+        psi = solve_lifting(kx, zero, 5)
+        assert sorted(psi.maps) == list(range(n, 6))
+        assert all(img.is_zero() for images in psi.maps.values() for img in images)
+        assert verify_lifting(kx, zero, psi, 5) == []
     assert kx._lifting_systems == {}
     builds = []
 
