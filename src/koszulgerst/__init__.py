@@ -3,7 +3,7 @@ algebras: minimal bimodule resolution, cup products, homotopy liftings,
 brackets, derivation operators and Maurer-Cartan checks.
 """
 
-from .algfile import parse_cochain, parse_presentation, parse_value, serialize_presentation
+from .algfile import parse_cochain, parse_presentation, parse_value
 from .bracket import (bar_circle_bracket, bar_cocycle_basis,
                       bracket_via_derivation, bracket_via_lifting,
                       maurer_cartan_check, oracle_compare, restrict_along_iota)
@@ -18,7 +18,7 @@ from .fields import PrimeField, QQ, Rationals, field_from_name
 from .koszul import ComultTable, KoszulCobasis, build_koszul_basis
 from .lifting import (HomotopyLifting, derivation_lift, lifting_residual, solve_lifting,
                       verify_lifting)
-from .linalg import Matrix, echelon_basis, nullspace_basis, rank, solve_affine_system
+from .linalg import echelon_basis
 from .presets import load_complex, load_presentation
 from .quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
 from .resolution import BimoduleElement, DiagonalTerm, KoszulComplex

@@ -189,26 +189,3 @@ def parse_cochain(kx, degree, text):
     params = kx.presentation.params
     return Cochain.from_values(
         kx, degree, [parse_value(kx.quiver, kx.field, params, p) for p in parts])
-
-
-def serialize_presentation(pres):
-    """Emit the grammar above; parsing the output reproduces the input."""
-    q = pres.quiver
-    lines = [f"field {pres.field.name}"]
-    for v in q.vertex_names:
-        lines.append(f"vertex {v}")
-    for a in range(q.num_arrows):
-        lines.append(f"arrow {q.arrow_names[a]} "
-                     f"{q.vertex_names[q.arrow_o[a]]} {q.vertex_names[q.arrow_t[a]]}")
-    if q.num_arrows:
-        lines.append("order " + " > ".join(q.arrow_names[a] for a in pres.arrow_order))
-    for name, value in sorted(pres.params.items()):
-        lines.append(f"param {name} = {pres.field.format(value)}")
-    for rel in pres.relations:
-        bits = []
-        for path in sorted(rel.terms, key=pres.order_key):
-            coeff = pres.field.format(rel.terms[path])
-            word = ".".join(q.arrow_names[a] for a in path.arrows)
-            bits.append(f"{coeff}*{word}")
-        lines.append("relation " + " + ".join(bits).replace("+ -", "- "))
-    return "\n".join(lines) + "\n"

@@ -176,15 +176,9 @@ def bar_cocycle_basis(kx, n):
     return basis
 
 
-def bar_circle_product(kx, F, G):
-    """F o G = sum_j (-1)^{(n-1)(j-1)} F o_j G on the reduced bar complex."""
-    out = {}
-    _circle_into(out, kx, F, G, 1)
-    return GradedVector(kx.field, F.degree + G.degree - 1, out)
-
-
 def _circle_into(out, kx, F, G, scale):
-    """Add scale . (F o G) into the term dict out.
+    """Add scale . (F o G) into the term dict out, where
+    F o G = sum_j (-1)^{(n-1)(j-1)} F o_j G on the reduced bar complex.
 
     Read off the supports: F o_j G has a term on T only if G has a term
     (T[j-1:j-1+n], p) and F one on T[:j-1] + (p,) + T[j-1+n:].

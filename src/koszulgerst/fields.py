@@ -101,9 +101,6 @@ class Rationals:
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
-    def __hash__(self):
-        return hash("Q")
-
     def __repr__(self):
         return "Q"
 
@@ -167,9 +164,6 @@ class PrimeField:
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("F", self.p))
 
     def __repr__(self):
         return self.name

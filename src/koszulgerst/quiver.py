@@ -22,9 +22,6 @@ class Path(NamedTuple):
     o: int
     arrows: tuple
 
-    def __len__(self):
-        return len(self.arrows)
-
 
 class Quiver:
     """Named vertices and arrows, with their length-0 and length-1 paths.
@@ -134,9 +131,6 @@ class PathVector(SparseVector):
     """Exact linear combination of paths in kQ (no zero coefficients)."""
 
     __slots__ = ()
-
-    def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
 
     def lengths(self):
         return {len(p.arrows) for p in self.terms}

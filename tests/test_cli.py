@@ -10,7 +10,7 @@ import pytest
 
 import koszulgerst
 from koszulgerst import algfile, cli, presets
-from koszulgerst.algfile import parse_presentation, serialize_presentation
+from koszulgerst.algfile import parse_presentation
 from koszulgerst.cli import EXIT_BROKEN_PIPE, _check_table, build_parser, main
 from koszulgerst.cohomology import Cochain
 from koszulgerst.errors import (KoszulGerstError, MissingParameter, NonQuadraticRelation,
@@ -73,17 +73,6 @@ def test_parse_matches_preset(text, name, field, q):
         list(r.terms.items()) for r in preset.relations]
     assert pres.arrow_order == preset.arrow_order
     assert pres.params == preset.params
-
-
-def test_serialize_round_trip():
-    pres = parse_presentation(FAMILY_FILE)
-    text = serialize_presentation(pres)
-    again = parse_presentation(text)
-    assert again.quiver.vertex_names == pres.quiver.vertex_names
-    assert again.quiver.arrow_names == pres.quiver.arrow_names
-    assert again.relations == pres.relations
-    assert again.arrow_order == pres.arrow_order
-    assert again.params == pres.params
 
 
 def test_parse_errors_carry_location():

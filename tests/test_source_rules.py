@@ -2,10 +2,13 @@
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "koszulgerst"
@@ -710,40 +713,8 @@ def test_every_traced_span_resolves_on_the_imported_package():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def unreferenced_definitions(sources):
-    """(module, qualified name) of each function, class and method defined in
-    sources ({module: text}) whose name no other line of sources uses as a
-    name or an attribute.  Docstrings and comments do not count; dunder
-    methods are called implicitly and are left out."""
-    definitions, uses = [], set()
-    for module, text in sources.items():
-        tree = ast.parse(text)
-
-        def visit(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    qualified = f"{scope}.{child.name}" if scope else child.name
-                    definitions.append((module, qualified, child.name, child.lineno))
-                    visit(child, qualified)
-                else:
-                    visit(child, scope)
-
-        visit(tree, "")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.add((node.id, module, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                uses.add((node.attr, module, node.lineno))
-    by_name = {}
-    for name, module, line in uses:
-        by_name.setdefault(name, set()).add((module, line))
-    return sorted((module, qualified) for module, qualified, name, line in definitions
-                  if not (name.startswith("__") and name.endswith("__"))
-                  and not by_name.get(name, set()) - {(module, line)})
-
-
-def package_sources():
-    return {module.stem: module.read_text() for module in sorted(SRC.glob("*.py"))}
+def package_sources(package_dir=SRC):
+    return {module.stem: module.read_text() for module in sorted(package_dir.glob("*.py"))}
 
 
 def traced_spans():
@@ -755,121 +726,180 @@ def traced_spans():
     return {(module, attr) for module, attr, _, _ in tracer.SPANS}
 
 
-# the parent's ResolutionReport, whose first_failure only tests read
-PARENT_RESOLUTION_REPORT = """
-class ResolutionReport(NamedTuple):
-    ok: bool
-    checked: list
-    failures: list  # (identity, degree, index, witness string)
+def definitions(sources):
+    """(module, qualified name) of each function and method defined in
+    sources ({module: text}), and (module, qualified name, parameter) of each
+    of their defaulted parameters; a name is qualified as its code object's
+    co_qualname, `outer.<locals>.inner` for a nested function."""
+    functions, defaulted = [], []
+    for module, text in sources.items():
 
-    @property
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    visit(child, scope)
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{scope}{child.name}.")
+                else:
+                    qualified, args = scope + child.name, child.args
+                    functions.append((module, qualified))
+                    positional = args.posonlyargs + args.args
+                    defaulted.extend((module, qualified, arg.arg) for arg in
+                                     positional[len(positional) - len(args.defaults):])
+                    defaulted.extend((module, qualified, arg.arg) for arg, default
+                                     in zip(args.kwonlyargs, args.kw_defaults) if default)
+                    visit(child, qualified + ".<locals>.")
+
+        visit(ast.parse(text), "")
+    return functions, defaulted
+
+
+def unnamed_classes(sources):
+    """(module, class) of each class defined in sources whose name no line of
+    sources reads, as a name or an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    names = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for tree in trees.values() for node in ast.walk(tree)}
+    return sorted((module, node.name) for module, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name not in names)
+
+
+# argv: the package directory, the code to run and the JSON list of the
+# (module, qualified name) of functions with defaults; prints what ran, as JSON
+PROFILED_RUN = """
+import gc, json, sys, types
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+package_dir, driver = sys.argv[1], sys.argv[2]
+with_defaults = set(map(tuple, json.loads(sys.argv[3])))
+seen, ran, pending, set_params = set(), set(), {}, set()
+
+def defaults(code):
+    # {parameter: default} of the function whose code this is
+    function = next(f for f in gc.get_referrers(code) if isinstance(f, types.FunctionType))
+    names, values = code.co_varnames[:code.co_argcount], function.__defaults__ or ()
+    return {**dict(zip(names[len(names) - len(values):], values)),
+            **(function.__kwdefaults__ or {})}
+
+def profile(frame, event, arg):
+    if event != "call":
+        return
+    code = frame.f_code
+    if code not in seen:
+        seen.add(code)
+        if not code.co_filename.startswith(package_dir) or code.co_name.startswith("<"):
+            return
+        function = (Path(code.co_filename).stem, code.co_qualname)
+        ran.add(function)
+        if function in with_defaults:
+            pending[code] = function, defaults(code)
+    function, unset = pending.get(code, (None, None))
+    if unset and frame.f_back.f_code.co_filename.startswith(package_dir):
+        values = frame.f_locals
+        for name in [name for name, default in unset.items() if values[name] is not default]:
+            del unset[name]
+            set_params.add((*function, name))
+
+sys.setprofile(profile)
+with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+    exec(driver, {})
+sys.setprofile(None)
+print(json.dumps([sorted(ran), sorted(set_params)]))
 """
 
-# definitions that no other line of src/ names, each with why it stays
-UNREFERENCED_ALLOWED = {
-    ("algfile", "serialize_presentation"): "library API: writes what parse_presentation reads",
-    ("bracket", "bar_circle_product"): "library API: the circle product F o G (README)",
+
+def profiled_run(package_dir, driver):
+    """What running driver (Python source) in a fresh interpreter executes
+    of the package at package_dir, traced by sys.setprofile: the set of
+    (module, qualified name) of each function that ran, and the set of
+    (module, qualified name, parameter) of each defaulted parameter that a
+    call from inside the package gave a value that is not its default."""
+    defaulted = {(module, name) for module, name, _ in
+                 definitions(package_sources(package_dir))[1]}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_dir.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROFILED_RUN, f"{package_dir}{os.sep}", driver,
+                           json.dumps(sorted(defaulted))],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return tuple({tuple(entry) for entry in found} for found in json.loads(proc.stdout))
+
+
+# every command that the structured digests pin, in text and in structured format
+COMMANDS_RUN = f"""
+import sys, tempfile
+sys.path.insert(0, {str(ROOT / "tests")!r})
+from test_structured_digests import COMMANDS, main, with_files
+with tempfile.TemporaryDirectory() as tmp:
+    for argv in COMMANDS:
+        for fmt in ("text", "structured"):
+            main([*with_files(argv, tmp), "--format", fmt])
+"""
+
+
+@pytest.fixture(scope="module")
+def commands_run():
+    return profiled_run(SRC, COMMANDS_RUN)
+
+
+def test_run_spots_unrun_methods_and_unset_defaults(tmp_path):
+    # Lifting.apply never runs while Operator.apply does, and a.solve's
+    # initial is never set while b.solve's is: a match by bare name misses both
+    package = tmp_path / "spot"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text("class Lifting:\n"
+                                  "    def apply(self, x): return x\n"
+                                  "class Operator:\n"
+                                  "    def apply(self, x, scale=1): return x * scale\n"
+                                  "def solve(x, initial=None):\n"
+                                  "    def inner(y=0): return y\n"
+                                  "    return inner(1)\n")
+    (package / "b.py").write_text("from .a import Operator, solve as solve_a\n"
+                                  "def solve(x, initial=None): return x\n"
+                                  "def main(verbose=False):\n"
+                                  "    solve_a(Operator().apply(2, scale=3))\n"
+                                  "    return solve(1, initial=2)\n")
+    ran, set_params = profiled_run(package, "from spot.b import main\nmain(verbose=True)\n")
+    functions, defaulted = definitions(package_sources(package))
+    assert [f for f in functions if f not in ran] == [("a", "Lifting.apply")]
+    # main's verbose is set, but only from outside the package
+    assert [p for p in defaulted if p not in set_params] == [
+        ("a", "solve", "initial"), ("b", "main", "verbose")]
+
+
+# functions and methods that no command runs, each with why it stays
+NOT_RUN_ALLOWED = {
+    ("linalg", "_solve_all"): "the one elimination of the traced dense spans "
+                              "solve_affine_system and solve_many",
+    ("resolution", "KoszulComplex.eps"): "failure witness of the counit check, and the "
+                                         "generator that the traced span iota embeds",
+    ("resolution", "KoszulComplex.augment"): "failure witness of d*d = 0 in degree 1",
+    ("resolution", "_diff_witness"): "failure witness of the resolution's identity checks",
+    ("fields", "Rationals.mul"): "the field interface that the tests' eager reference "
+                                 "calls; PrimeField.mul runs",
+    ("linalg", "GradedVector._like"): "+, - and scale of bar cochains and BimoduleElements, "
+                                      "which no command does; Cochain has its own _like",
+    ("fields", "Rationals.__repr__"): "a field's name in test ids and seeds, such as "
+                                      "test_products_and_scalars' f\"{name}/{field}\"",
+    ("fields", "PrimeField.__repr__"): "as Rationals.__repr__",
 }
 
 
-def test_rule_spots_unreferenced_definitions():
-    sources = {"a": ("def used():\n"
-                     "    \"\"\"Not unused(), which only this docstring names.\"\"\"\n"
-                     "    return helper\n"
-                     "def helper(): return 1\n"
-                     "def unused(): return 0\n"
-                     "class K:\n"
-                     "    def __init__(self): self.x = 1\n"
-                     "    def method(self): return 2\n"
-                     "    def read(self): return self.attr\n"),
-               "b": "from a import used\nK.attr = used()\ndef attr(): pass\n"}
-    # used() is called in b, helper named in used, K named in b, b.attr read
-    # as self.attr in a; __init__ is a dunder
-    assert unreferenced_definitions(sources) == [
-        ("a", "K.method"), ("a", "K.read"), ("a", "unused")]
-    # at the parent, first_failure was read only by tests and solve_many only
-    # by the tracer; the rule finds both
-    found = unreferenced_definitions(
-        {**package_sources(), "resolution_at_parent": PARENT_RESOLUTION_REPORT})
-    assert ("resolution_at_parent", "ResolutionReport.first_failure") in found
-    assert ("linalg", "solve_many") in found and ("linalg", "solve_many") in traced_spans()
+def test_every_definition_runs_or_is_traced_or_allowed(commands_run):
+    # a function that no command runs is dead or test-only API; it stays only
+    # as a benchmark span or with a stated reason, and an allowlist entry
+    # goes once a command runs it; a class must at least be named
+    ran, _ = commands_run
+    not_run = {f for f in definitions(package_sources())[0] if f not in ran}
+    assert sorted(not_run - traced_spans() - NOT_RUN_ALLOWED.keys()) == []
+    assert sorted(NOT_RUN_ALLOWED.keys() - not_run) == []
+    assert unnamed_classes(package_sources()) == []
 
-
-def test_every_unreferenced_definition_is_traced_or_allowed():
-    # a definition that nothing in the package uses is dead or test-only API;
-    # it stays only as a benchmark span or with a stated reason, and an
-    # allowlist entry goes once something uses the name
-    found = set(unreferenced_definitions(package_sources()))
-    assert sorted(found - traced_spans() - UNREFERENCED_ALLOWED.keys()) == []
-    assert sorted(UNREFERENCED_ALLOWED.keys() - found) == []
-
-
-def unset_defaults(sources):
-    """(module, qualified name, parameter) of each defaulted parameter of a
-    function or method defined in sources ({module: text}) that no call in
-    sources sets, by position or by keyword.  Calls are matched by name, as
-    unreferenced_definitions matches uses: `f(...)` and `x.f(...)` count for
-    every f, `K(...)` counts for K.__init__, and a call with *args or
-    **kwargs sets every parameter; a call through an alias counts for none."""
-    definitions, calls = [], {}  # calls: callee name -> Call nodes
-    for module, text in sources.items():
-        tree = ast.parse(text)
-
-        def visit(node, scope, in_class):
-            for child in ast.iter_child_nodes(node):
-                if not isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                    visit(child, scope, in_class)
-                    continue
-                qualified = f"{scope}.{child.name}" if scope else child.name
-                if isinstance(child, ast.ClassDef):
-                    visit(child, qualified, True)
-                    continue
-                args = child.args
-                positional = args.posonlyargs + args.args
-                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                             for d in child.decorator_list)
-                if in_class and not static:
-                    positional = positional[1:]  # self or cls
-                name = (scope.rsplit(".", 1)[-1] if in_class and child.name == "__init__"
-                        else child.name)
-                first = len(positional) - len(args.defaults)
-                definitions.extend((module, qualified, name, arg.arg, k)
-                                   for k, arg in enumerate(positional[first:], first))
-                definitions.extend((module, qualified, name, arg.arg, None)
-                                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                                   if default is not None)
-                visit(child, qualified, False)
-
-        visit(tree, "", False)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
-
-    def sets(call, param, k):
-        return (any(kw.arg in (param, None) for kw in call.keywords)
-                or any(isinstance(arg, ast.Starred) for arg in call.args)
-                or k is not None and len(call.args) > k)
-
-    return sorted((module, qualified, param)
-                  for module, qualified, name, param, k in definitions
-                  if not any(sets(call, param, k) for call in calls.get(name, ())))
-
-
-# the parent's defaulted parameters that only tests set
-PARENT_UNSET_OPTIONS = """
-class KoszulComplex:
-    def verify_resolution(self, N=None):
-        N = self.N if N is None else N
-
-class SparseVector:
-    @classmethod
-    def single(cls, field, key, coeff=None):
-        return cls(field, {key: field.one if coeff is None else coeff})
-"""
 
 # defaulted parameters that no call in src/ sets, each with why it stays
 UNSET_DEFAULTS_ALLOWED = {
@@ -878,41 +908,11 @@ UNSET_DEFAULTS_ALLOWED = {
 }
 
 
-def test_rule_spots_unset_defaults():
-    sources = {"a": ("def f(a, b=1, *, c=2, d=3): return a\n"
-                     "def g(x=0): pass\n"
-                     "def h(w=1): pass\n"
-                     "def outer():\n"
-                     "    def inner(v=1): pass\n"
-                     "    return inner()\n"
-                     "class K:\n"
-                     "    def __init__(self, n=3): self.n = n\n"
-                     "    def m(self, y=None, z=None): pass\n"
-                     "    @staticmethod\n"
-                     "    def s(t=1): pass\n"),
-               "b": ("from a import K, f, g, h\n"
-                     "f(1, 2, d=4)\n"
-                     "K(4).m(y=1)\n"
-                     "K.s()\n"
-                     "g(*args)\n"
-                     "h(**opts)\n"
-                     "alias = K().m\n"
-                     "alias(None, 2)\n")}
-    # b and d are set by position and by keyword, n through K(...), y by
-    # keyword, x and w through * and **; z only through an alias
-    assert unset_defaults(sources) == [
-        ("a", "K.m", "z"), ("a", "K.s", "t"), ("a", "f", "c"), ("a", "outer.inner", "v")]
-    # at the parent, verify_resolution's N and single's coeff were set only by
-    # tests; the rule finds both, and cli.main's argv, which tests set too
-    found = unset_defaults({**package_sources(), "parent": PARENT_UNSET_OPTIONS})
-    assert {("parent", "KoszulComplex.verify_resolution", "N"),
-            ("parent", "SparseVector.single", "coeff"), ("cli", "main", "argv")} <= set(found)
-
-
-def test_every_defaulted_parameter_is_set_or_allowed():
+def test_every_defaulted_parameter_is_set_or_allowed(commands_run):
     # a default that no caller in the package overrides is an option with
     # one value in use: the value belongs in the body, and the parameter
     # goes; an allowlist entry goes once the package sets the parameter
-    found = set(unset_defaults(package_sources()))
-    assert sorted(found - UNSET_DEFAULTS_ALLOWED.keys()) == []
-    assert sorted(UNSET_DEFAULTS_ALLOWED.keys() - found) == []
+    _, set_params = commands_run
+    unset = {p for p in definitions(package_sources())[1] if p not in set_params}
+    assert sorted(unset - UNSET_DEFAULTS_ALLOWED.keys()) == []
+    assert sorted(UNSET_DEFAULTS_ALLOWED.keys() - unset) == []

@@ -15,7 +15,7 @@ from koszulgerst.cli import main
 from koszulgerst.resolution import KoszulComplex
 from koszulgerst.structured import Encoded, dumps, letter, records, word_records
 from test_cli import EXTERIOR_F32003
-from test_structured_digests import COMMANDS, EXT3, command_key
+from test_structured_digests import COMMANDS, command_key, with_files
 
 # quotes, backslashes, control characters, DEL, non-ASCII, a line separator
 # and an astral-plane character: the classes json escapes differently
@@ -97,9 +97,8 @@ def expanded(doc):
 def test_writer_matches_json_dumps_on_every_digested_command(argv, tmp_path):
     # the documents of the byte-identity guard's commands, each written by
     # the writer and by json.dumps; json.dumps would quote an Encoded term
-    # list as a string, so it writes the values those texts encode
-    ext3 = tmp_path / "ext3.alg"
-    ext3.write_text(EXT3, encoding="utf-8")
+    # list as a string, so it writes the values those texts encode; a
+    # command that ends in an input error (exit 2) writes no document
     docs = []
 
     def writer(doc):
@@ -107,8 +106,9 @@ def test_writer_matches_json_dumps_on_every_digested_command(argv, tmp_path):
         return dumps(doc)
 
     with mock.patch("koszulgerst.cli.dumps", writer), redirect_stdout(StringIO()):
-        main([arg.replace("{ext3}", str(ext3)) for arg in argv] + ["--format", "structured"])
-    assert len(docs) == 1 and dumps(docs[0]) == json.dumps(expanded(docs[0]), indent=2)
+        code = main([*with_files(argv, tmp_path), "--format", "structured"])
+    assert len(docs) == (code != 2)
+    assert [dumps(doc) for doc in docs] == [json.dumps(expanded(doc), indent=2) for doc in docs]
 
 
 # 11 vertices and 11 loops at the last one: Path(o=10, arrows=(10,)) sorts

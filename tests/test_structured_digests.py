@@ -5,6 +5,11 @@ prints is compared with the digest recorded in structured_digests.json.
 A speed-up must leave every structured document byte-identical, so any
 mismatch here is a behaviour change, not noise.
 
+COMMANDS is also the liveness corpus: tests/test_source_rules.py runs each
+command, in text and in structured format, under sys.setprofile, and every
+function in src/ must run there (or be a benchmark span or allowlisted).
+A command added for coverage is pinned here like any other.
+
 Run as a script from the repository root, the module checks every digest
 without pytest and exits 1 on a mismatch:
 
@@ -45,6 +50,16 @@ relation z.x + 3*x.z
 relation z.y + 4*y.z
 """
 
+# an arrow to a vertex that is not declared: a ParseError on line 3, exit 2
+UNKNOWN_ENDPOINT = """\
+field Q
+vertex 1
+arrow a 1 2
+"""
+
+# algebra files written for each run; `{name}` in an argv is its path
+FILES = {"ext3": EXT3, "unknown_endpoint": UNKNOWN_ENDPOINT}
+
 FAMILY = ["--preset", "family", "--q", "1"]
 F5 = ["--field", "F5"]
 
@@ -76,6 +91,15 @@ COMMANDS = [
     ["basis", "--preset", "short", "-N", "6"],
     ["basis", "--preset", "family", "--q", "2", "-N", "6"],
     ["basis", "--algebra", "{ext3}", "-N", "4"],
+    ["cup", *FAMILY, "--left-degree", "1", "--left=a,0,0", "--right-degree", "2",
+     "--right=0,0,e1,0"],
+    ["bracket", *FAMILY, "--engine", "lifting", "--left-degree", "1", "--left=a,0,b.c",
+     "--right-degree", "2", "--right=a,0,a.b,0"],
+    ["tables", "--preset", "short"],
+    ["tables", *FAMILY],
+    ["verify-all", "--preset", "family", "--q", "2"],
+    ["cohomology", "--preset", "short", "-N", "3", "--internal-degree", "1"],
+    ["basis", "--algebra", "{unknown_endpoint}"],
 ]
 
 
@@ -83,11 +107,19 @@ def command_key(argv):
     return " ".join(argv)
 
 
+def with_files(argv, workdir):
+    """argv with each `{name}` replaced by the path of FILES[name], written
+    under workdir."""
+    for name, text in FILES.items():
+        path = Path(workdir) / f"{name}.alg"
+        path.write_text(text, encoding="utf-8")
+        argv = [arg.replace(f"{{{name}}}", str(path)) for arg in argv]
+    return argv
+
+
 def structured_digest(argv, workdir):
     """(exit code, sha256 of stdout) of one structured run of argv."""
-    ext3 = Path(workdir) / "ext3.alg"
-    ext3.write_text(EXT3, encoding="utf-8")
-    real = [arg.replace("{ext3}", str(ext3)) for arg in argv]
+    real = with_files(argv, workdir)
     out = StringIO()
     with redirect_stdout(out):
         code = main([*real, "--format", "structured"])
