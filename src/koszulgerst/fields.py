@@ -66,9 +66,6 @@ class Rationals:
     zero = 0
     one = 1
 
-    def mul(self, a, b):
-        return a * b
-
     def neg(self, a):
         return -a
 
@@ -101,9 +98,6 @@ class Rationals:
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
-    def __repr__(self):
-        return "Q"
-
 
 class PrimeField:
     """F_p for an odd prime p < 2**31; residues stored in [0, p).
@@ -128,11 +122,8 @@ class PrimeField:
 
     def __call__(self, value):
         if isinstance(value, Fraction):
-            return self.mul(value.numerator % self.p, self.inv(value.denominator % self.p))
+            return value.numerator * self.inv(value.denominator) % self.p
         return value % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -164,9 +155,6 @@ class PrimeField:
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
-
-    def __repr__(self):
-        return self.name
 
 
 QQ = Rationals()

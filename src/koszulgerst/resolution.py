@@ -3,9 +3,9 @@
 K_n is free over the enveloping algebra on generators eps^n_i, one per
 cobasis element f^n_i; an element is a combination of terms u . eps^n_i . v
 with u, v normal words bracketing the generator's vertex pair.  This module
-implements the differential, the augmentation, the diagonal (as symbolic
-index pairs), the embedding iota into the reduced bar complex, and the identity
-checker used by the acceptance suite:
+implements the differential, the diagonal (as symbolic index pairs), the
+embedding iota into the reduced bar complex, and the identity checker used by
+the acceptance suite:
 
     d o d = 0,    (d ox 1 + 1 ox d) Delta = Delta d,
     (Delta ox 1) Delta = (1 ox Delta) Delta,   counit laws,
@@ -19,8 +19,9 @@ v being the int v and an arrow a the int V + a, with a table of the
 normal forms of the products of two letters.  The view is dropped when the
 call returns, so it never outlives a change to the cached d.
 
-d o d = 0 sums u.u2 . eps_k . v2.v over that table.  The three Delta
-identities are checked on the diagonal's index data.  Every decoration in
+d o d = 0 sums u.u2 . eps_k . v2.v over that table; in degree 1 it is the
+augmentation u . e_j . v -> u.v.  The three Delta identities are checked
+on the diagonal's index data.  Every decoration in
 Delta(eps^n_r) = sum c_pq(n,r,v) eps^v_p ox eps^{n-v}_q is a generator's
 vertex idempotent, and c_pq != 0 only for composable (p, q): f^n_r, f^v_p
 and f^{n-v}_q are vertex-homogeneous, so p starts where r does, q ends
@@ -41,7 +42,7 @@ to the Path vectors.  iota, iota_bimodule and restrict_along_iota read the
 letters of the same words, decoded from their codes by Quiver.decode (_letters).
 
 Witnesses.  Only a generator that fails on ints is looked at again, in
-path notation: d o d by differential (or augment) on its Paths; the dg
+path notation: d o d by the nonzero sum itself, its word ids decoded; the dg
 identity and coassociativity by building their two sides apart
 (_check_sides), the dg keys decoded to the shared letter Paths, for
 _diff_witness; delta iota = iota d on the Path vectors (bar_delta of iota
@@ -184,21 +185,11 @@ class KoszulComplex:
     def differential(self, x):
         """d_n extended bimodule-linearly; degree 0 input is an error."""
         if x.degree == 0:
-            raise DegreeUnderflow("use augment on degree-0 elements")
+            raise DegreeUnderflow("differential takes elements of degree >= 1")
         out = {}
         for (u, i, v), coeff in x.terms.items():
             self.sandwich_into(out, u, self._diff_eps(x.degree, i).terms, v, coeff)
         return BimoduleElement(self.field, x.degree - 1, out)
-
-    def augment(self, x):
-        """d_0: K_0 -> Lambda, the multiplication map u . e_i . v -> uv."""
-        if x.degree != 0:
-            raise DegreeUnderflow("augment only applies in degree 0")
-        acc = {}
-        for (u, i, v), coeff in x.terms.items():
-            for w, c in self.rs.word_product(u, v).terms.items():
-                acc[w] = acc.get(w, 0) + c * coeff
-        return PathVector(self.field, acc)
 
     # -- diagonal ----------------------------------------------------------------
 
@@ -263,12 +254,12 @@ class KoszulComplex:
         return ResolutionReport(not failures, checked, failures)
 
     def _letter_view(self, N):
-        """(letters, diff, products): diff[(n, i)] lists (u, j, v, coeff) for
-        the terms u . eps^{n-1}_j . v of d(eps^n_i), n <= N, on int letters,
-        a vertex v being v and an arrow a being V + a (every decoration of d
-        is one letter); letters[x] is the shared Path of x, and
+        """(letters, diff, products, words): diff[(n, i)] lists (u, j, v,
+        coeff) for the terms u . eps^{n-1}_j . v of d(eps^n_i), n <= N, on int
+        letters, a vertex v being v and an arrow a being V + a (every
+        decoration of d is one letter); letters[x] is the shared Path of x,
         products[x * len(letters) + y] lists (word id, coeff) for the normal
-        form of x.y in A."""
+        form of x.y in A, and words[x] is the Path of word id x."""
         q, V = self.quiver, self.quiver.num_vertices
         letter_of = {q.vertex_path(v): v for v in range(V)}
         letter_of.update((q.arrow_path(a), V + a) for a in range(q.num_arrows))
@@ -281,12 +272,13 @@ class KoszulComplex:
         products = [[(word_of.setdefault(w, len(word_of)), c)
                      for w, c in word_product(x, y).terms.items()]
                     for x in letters for y in letters]
-        return letters, diff, products
+        return letters, diff, products, list(word_of)
 
     def _check_d_squared(self, N, view, checked, failures):
-        """d d(eps^n_i), the augmentation at n = 1, keyed (word id, generator,
-        word id); a failing generator is recomputed on Paths for its witness."""
-        f, (letters, diff, products) = self.field, view
+        """d d(eps^n_i) keyed (word id, generator, word id), and at n = 1 the
+        augmentation of d(eps^1_i) keyed by word id; a failing generator's
+        witness is that nonzero sum, its word ids decoded to Paths."""
+        f, (letters, diff, products, words) = self.field, view
         L = len(letters)
         for n in range(1, N + 1):
             for i in range(self.count(n)):
@@ -307,9 +299,11 @@ class KoszulComplex:
                                 for y, cy in right:
                                     key = (x, k, y)
                                     acc[key] = acc.get(key, 0) + cl * cy
-                if f.canon(acc.items()):
-                    val = (self.augment(self._diff_eps(1, i)) if n == 1
-                           else self.differential(self._diff_eps(n, i)))
+                nonzero = f.canon(acc.items())
+                if nonzero:
+                    val = (PathVector(f, {words[x]: c for x, c in nonzero.items()}) if n == 1
+                           else BimoduleElement(f, n - 2, {(words[x], k, words[y]): c
+                                                           for (x, k, y), c in nonzero.items()}))
                     failures.append(("d*d=0", n, i, val.format(self.quiver)))
         checked.append("d*d=0")
 
@@ -334,7 +328,7 @@ class KoszulComplex:
     def _check_dg_compat(self, N, view, checked, failures):
         """Both sides keyed (dl, u, p, w, q, v) for u . eps^dl_p . w ox
         eps^{n-1-dl}_q . v, with u, w, v int letters (Paths in the witness)."""
-        cb, diagonal, (letters, diff, _) = self.cobasis, self.diagonal, view
+        cb, diagonal, (letters, diff, _, _) = self.cobasis, self.diagonal, view
 
         def sides(n, r, lhs, rhs, sign):
             for dl, p, q, coeff in diagonal(n, r):

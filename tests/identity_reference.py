@@ -1,13 +1,16 @@
 """Three resolution identities as the package checked them on Path keys.
 
 Kept as the reference for `KoszulComplex`'s checks on int letters: here
-d^2 = 0, (d ox 1 + 1 ox d)Delta = Delta d and coassociativity build both
-sides keyed by shared vertex and arrow Paths, as two SparseVectors each,
-and compare them.  `reference_failures` returns the failures in the order
-verify_resolution reports them: identity by identity, then by (n, r).
+d^2 = 0 is the Path-level augmentation (`augment`) of d in degree 1 and the
+differential of d above, and (d ox 1 + 1 ox d)Delta = Delta d and
+coassociativity build both sides keyed by shared vertex and arrow Paths, as
+two SparseVectors each, and compare them.  `reference_failures` returns the
+failures in the order verify_resolution reports them: identity by identity,
+then by (n, r).
 """
 
 from koszulgerst.linalg import SparseVector
+from koszulgerst.quiver import PathVector
 from koszulgerst.resolution import _diff_witness
 
 D_SQUARED = "d*d=0"
@@ -15,9 +18,18 @@ DG_COMPAT = "(d ox 1 + 1 ox d)Delta = Delta d"
 COASSOC = "(Delta ox 1)Delta = (1 ox Delta)Delta"
 
 
+def augment(kx, x):
+    """d_0: K_0 -> A, the multiplication map u . e_i . v -> u.v."""
+    acc = {}
+    for (u, _, v), coeff in x.terms.items():
+        for w, c in kx.rs.word_product(u, v).terms.items():
+            acc[w] = acc.get(w, 0) + c * coeff
+    return PathVector(kx.field, acc)
+
+
 def check_d_squared(kx, N, failures):
     for i in range(kx.count(1)):
-        val = kx.augment(kx._diff_eps(1, i))
+        val = augment(kx, kx._diff_eps(1, i))
         if not val.is_zero():
             failures.append((D_SQUARED, 1, i, val.format(kx.quiver)))
     for n in range(2, N + 1):

@@ -13,7 +13,7 @@ cocycle's derivation operator acts on K.
 from koszulgerst.lifting import derivation_on_word
 from koszulgerst.quiver import PathVector
 from koszulgerst.resolution import BimoduleElement
-from linalg_reference import add
+from linalg_reference import add, mul
 
 
 def reference_sandwich_words(kx, u, x, v):
@@ -27,7 +27,7 @@ def reference_sandwich_words(kx, u, x, v):
         for up, uc in new_u.items():
             for vp, vc in new_v.items():
                 key = (up, i, vp)
-                out[key] = add(f, out.get(key, f.zero), f.mul(coeff, f.mul(uc, vc)))
+                out[key] = add(f, out.get(key, f.zero), mul(f, coeff, mul(f, uc, vc)))
     return BimoduleElement(f, x.degree, out)
 
 
@@ -36,9 +36,9 @@ def reference_sandwich(kx, left, x, right):
     out = {}
     for u, uc in left.terms.items():
         for v, vc in right.terms.items():
-            scale = f.mul(uc, vc)
+            scale = mul(f, uc, vc)
             for key, c in reference_sandwich_words(kx, u, x, v).terms.items():
-                out[key] = add(f, out.get(key, f.zero), f.mul(scale, c))
+                out[key] = add(f, out.get(key, f.zero), mul(f, scale, c))
     return BimoduleElement(f, x.degree, out)
 
 
@@ -47,7 +47,7 @@ def reference_differential(kx, x):
     out = {}
     for (u, i, v), coeff in x.terms.items():
         for key, c in reference_sandwich_words(kx, u, kx._diff_eps(x.degree, i), v).terms.items():
-            out[key] = add(f, out.get(key, f.zero), f.mul(coeff, c))
+            out[key] = add(f, out.get(key, f.zero), mul(f, coeff, c))
     return BimoduleElement(f, x.degree - 1, out)
 
 
@@ -58,7 +58,7 @@ def reference_apply(psi, x):
     for (u, i, v), coeff in x.terms.items():
         img = psi.image(x.degree, i)
         for key, c in reference_sandwich_words(kx, u, img, v).terms.items():
-            out[key] = add(f, out.get(key, f.zero), f.mul(c, coeff))
+            out[key] = add(f, out.get(key, f.zero), mul(f, c, coeff))
     return BimoduleElement(f, max(x.degree - psi.n + 1, 0), out)
 
 
@@ -72,7 +72,7 @@ def reference_lifting_rhs(kx, eta, m, r):
 
     def add_scaled(x, coeff):
         for key, c in x.terms.items():
-            out[key] = add(f, out.get(key, f.zero), f.mul(c, coeff))
+            out[key] = add(f, out.get(key, f.zero), mul(f, c, coeff))
 
     for (p, q), c in kx.c(m, r, n).items():
         add_scaled(reference_sandwich(kx, eta.values[p], kx.eps(m - n, q),
@@ -80,7 +80,7 @@ def reference_lifting_rhs(kx, eta, m, r):
     sign = f.one if (n * (m - n)) % 2 == 0 else f.neg(f.one)
     for (p, q), c in kx.c(m, r, m - n).items():
         add_scaled(reference_sandwich(kx, unit(kx.cobasis.origin(m - n, p)), kx.eps(m - n, p),
-                                      eta.values[q]), f.neg(f.mul(sign, c)))
+                                      eta.values[q]), f.neg(mul(f, sign, c)))
     return BimoduleElement(f, m - n, out)
 
 
@@ -103,5 +103,5 @@ def reference_derivation_apply(kx, gamma, psi, x):
                                  (uvec, psi.image(x.degree, i), vvec),
                                  (uvec, eps, derivation_on_word(kx, gamma, v))):
             for key, c in reference_sandwich(kx, left, mid, right).terms.items():
-                out[key] = add(f, out.get(key, f.zero), f.mul(c, coeff))
+                out[key] = add(f, out.get(key, f.zero), mul(f, c, coeff))
     return BimoduleElement(f, x.degree, out)

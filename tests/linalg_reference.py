@@ -1,9 +1,10 @@
 """Eager field arithmetic and eager Gauss-Jordan elimination.
 
-Kept as the reference for the package's native arithmetic: `add` and `sub`
-reduce every sum and difference at once (the package itself accumulates
-with the native + and - and reduces in field.canon), and `rref` is the
-elimination that updates rows through the field's sub, mul and inv, where
+Kept as the reference for the package's native arithmetic: `add`, `sub` and
+`mul` reduce every sum, difference and product at once (the package itself
+accumulates with the native +, - and * and reduces in field.canon), and
+`rref` is the elimination that updates rows through `sub`, `mul` and the
+field's inv, where
 `linalg._rref` uses the native - and * with one % p per step.
 `solve_affine_reference` solves A x = b by eliminating [A | b] afresh,
 where `linalg.solve_affine_system` and `solve_many` eliminate A once,
@@ -26,6 +27,11 @@ def sub(field, a, b):
     return (a - b) % field.p if field.characteristic else a - b
 
 
+def mul(field, a, b):
+    """a * b in the field, reduced."""
+    return (a * b) % field.p if field.characteristic else a * b
+
+
 def rref(rows, ncols, field, naug=0):
     """In-place RREF on sparse row dicts; the last naug columns never pivot.
 
@@ -46,7 +52,7 @@ def rref(rows, ncols, field, naug=0):
         inv = field.inv(row[col])
         if inv != field.one:
             for c in list(row):
-                row[c] = field.mul(row[c], inv)
+                row[c] = mul(field, row[c], inv)
         for i in range(len(rows)):
             if i == pivot_row:
                 continue
@@ -56,7 +62,7 @@ def rref(rows, ncols, field, naug=0):
             other = rows[i]
             for c, v in row.items():
                 cur = other.get(c, field.zero)
-                new = sub(field, cur, field.mul(factor, v))
+                new = sub(field, cur, mul(field, factor, v))
                 if new == field.zero:
                     other.pop(c, None)
                 else:

@@ -23,7 +23,7 @@ from koszulgerst.resolution import BimoduleElement
 from family_goldens import family_psi_chi, family_psi_chibar, family_psi_eta, family_psi_etabar
 from test_generic_algebra import zigzag_complex
 import bracket_reference
-from linalg_reference import add
+from linalg_reference import add, mul
 
 
 def golden_liftings(kx):
@@ -333,7 +333,7 @@ def _evaluate_tuple(kx, values, words):
     f = kx.field
     stack = [((), f.one)]
     for vec in words:
-        stack = [(prefix + (path,), f.mul(coeff, c))
+        stack = [(prefix + (path,), mul(f, coeff, c))
                  for prefix, coeff in stack for path, c in vec.terms.items()]
     acc = PathVector.zero(f)
     for key, coeff in stack:

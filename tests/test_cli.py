@@ -536,6 +536,12 @@ def test_cli_non_prime_field_exits_2(capsys):
     assert err.startswith("error: ") and "too large" in err
 
 
+def test_cli_field_literal_without_residue_exits_2(capsys):
+    # 1/5 has no residue mod 5
+    assert main(["basis", "--preset", "family", "--q", "1/5", "--field", "F5", "-N", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: bad field literal '1/5' for F5\n")
+
+
 def test_cli_algebra_file_over_non_prime_field_exits_2(tmp_path, capsys):
     path = tmp_path / "family_f4.alg"
     path.write_text(FAMILY_FILE.replace("field Q", "field F4"))

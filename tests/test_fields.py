@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from koszulgerst.errors import ParseError
 from koszulgerst.fields import QQ, PrimeField
 
-from linalg_reference import add, sub
+from linalg_reference import add, mul, sub
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -59,6 +59,12 @@ def test_prime_field_residues():
     assert F5(Fraction(-3, 1)) == 2 and F5(Fraction(1, 3)) == 2
     for text in ("1/2", "6/2", "-4/2", "3"):
         assert F5.parse(text) == F5(QQ.parse(text)) == F5(Fraction(text))
+    # a denominator divisible by p has no residue
+    for text in ("1/5", "2/10"):
+        with pytest.raises(ParseError):
+            F5.parse(text)
+    with pytest.raises(ZeroDivisionError):
+        F5(Fraction(1, 5))
 
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 1, 1, 2, 3, 4, 6]))
@@ -73,7 +79,7 @@ def test_arithmetic_ignores_the_representation(x, y):
              (Fraction(x), QQ(y))]
     results = []
     for a, b in pairs:
-        row = [add(QQ, a, b), sub(QQ, a, b), QQ.mul(a, b), QQ.neg(a)]
+        row = [add(QQ, a, b), sub(QQ, a, b), mul(QQ, a, b), QQ.neg(a)]
         if b != 0:
             row.append(QQ.inv(b))
         results.append(row)

@@ -23,7 +23,7 @@ from lifting_reference import (reference_apply, reference_derivation_apply,
                                reference_differential, reference_lifting_rhs,
                                reference_residual, reference_sandwich_words)
 from test_generic_algebra import zigzag_complex
-from linalg_reference import rref, solve_affine_reference
+from linalg_reference import mul, rref, solve_affine_reference
 
 
 def zero_lifting(kx, eta, M):
@@ -176,7 +176,7 @@ def reference_vertex_scalar_failures(kx, n, slot, vertex, m_max):
             holds = (all(left.get((slot, q), f.zero) == f.zero for q in leaves - enters)
                      and all(right.get((p, slot), f.zero) == f.zero for p in enters - leaves)
                      and all(left.get((slot, p), f.zero)
-                             == f.mul(sign, right.get((p, slot), f.zero))
+                             == mul(f, sign, right.get((p, slot), f.zero))
                              for p in leaves & enters))
             if not holds:
                 failing.append((m, r))

@@ -12,7 +12,7 @@ from koszulgerst.linalg import (GradedVector, Matrix, SparseVector, _replay, _rr
                                 echelon_basis, nullspace_basis, rank, solve_affine_system,
                                 solve_many)
 
-from linalg_reference import add, rref, solve_affine_reference
+from linalg_reference import add, mul, rref, solve_affine_reference
 
 F5 = PrimeField(5)
 
@@ -35,7 +35,7 @@ def apply(A, vec):
     f = A.field
     out = [f.zero] * A.rows
     for (r, c), v in A.entries.items():
-        out[r] = add(f, out[r], f.mul(v, vec[c]))
+        out[r] = add(f, out[r], mul(f, v, vec[c]))
     return out
 
 
@@ -242,14 +242,14 @@ def test_matrix_canonicalizes_then_rejects_out_of_range_entries():
 def test_native_accumulation_gives_the_eager_vector(field, draws):
     # the accumulate loops add a * b with native + and *, leaving the dict
     # unreduced, and the constructor's canon reduces once; eager reduction
-    # through add / field.mul must give the identical vector
+    # through add / mul must give the identical vector
     terms = [(key, field(Fraction(a, den)), field(Fraction(b, den)), minus)
              for key, a, b, den, minus in draws]
     native, eager = {}, {}
     for key, a, b, minus in terms:
         native[key] = native.get(key, 0) + (-a if minus else a) * b
         sign = field.neg(field.one) if minus else field.one
-        eager[key] = add(field, eager.get(key, field.zero), field.mul(sign, field.mul(a, b)))
+        eager[key] = add(field, eager.get(key, field.zero), mul(field, sign, mul(field, a, b)))
     got = SparseVector(field, native)
     want = [(key, c) for key, c in eager.items() if c != field.zero]
     assert list(got.terms.items()) == want
@@ -265,7 +265,7 @@ def test_native_accumulation_gives_the_eager_vector(field, draws):
 def test_native_rref_matches_the_eager_reference(field, nrows, ncols, draws):
     # _rref updates rows with native - and * (reducing % p at each step over
     # F_p) and records its row operations; the eager reference goes through
-    # the field's sub, mul and inv, on [A | I].  Pivots and A's rows must be
+    # sub, mul and the field's inv, on [A | I].  Pivots and A's rows must be
     # identical, with the same key order and value types, and replaying the
     # recorded operations on the identity must give the reference's
     # identity block, column by column

@@ -47,10 +47,10 @@ ALGEBRAS = {
 CASES = [(name, field) for name in ALGEBRAS for field in (QQ, F5)]
 
 
-@pytest.fixture(scope="module", params=CASES, ids=lambda case: f"{case[0]}/{case[1]}")
+@pytest.fixture(scope="module", params=CASES, ids=lambda case: f"{case[0]}/{case[1].name}")
 def complex_case(request):
     name, field = request.param
-    return ALGEBRAS[name](field, random.Random(f"{name}/{field}"))
+    return ALGEBRAS[name](field, random.Random(f"{name}/{field.name}"))
 
 
 def random_path(quiver, rng, length):

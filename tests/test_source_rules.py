@@ -878,15 +878,9 @@ NOT_RUN_ALLOWED = {
                               "solve_affine_system and solve_many",
     ("resolution", "KoszulComplex.eps"): "failure witness of the counit check, and the "
                                          "generator that the traced span iota embeds",
-    ("resolution", "KoszulComplex.augment"): "failure witness of d*d = 0 in degree 1",
     ("resolution", "_diff_witness"): "failure witness of the resolution's identity checks",
-    ("fields", "Rationals.mul"): "the field interface that the tests' eager reference "
-                                 "calls; PrimeField.mul runs",
     ("linalg", "GradedVector._like"): "+, - and scale of bar cochains and BimoduleElements, "
                                       "which no command does; Cochain has its own _like",
-    ("fields", "Rationals.__repr__"): "a field's name in test ids and seeds, such as "
-                                      "test_products_and_scalars' f\"{name}/{field}\"",
-    ("fields", "PrimeField.__repr__"): "as Rationals.__repr__",
 }
 
 

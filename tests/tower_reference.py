@@ -37,7 +37,7 @@ from koszulgerst.errors import InconsistentBasis
 from koszulgerst.linalg import Matrix, echelon_basis, nullspace_basis
 from koszulgerst.quiver import Path, PathVector, free_multiply
 
-from linalg_reference import rref
+from linalg_reference import mul, rref
 
 
 class ReferenceCobasis:
@@ -295,7 +295,7 @@ def family_cobasis(presentation, N):
         fs = [free_multiply(quiver, prev[0], a)]  # a^n
         power = field.one
         for s in range(1, n):
-            power = field.mul(power, minus_q)  # (-q)^s
+            power = mul(field, power, minus_q)  # (-q)^s
             fs.append(free_multiply(quiver, prev[s - 1], b)
                       + free_multiply(quiver, prev[s], a).scale(power))
         fs.append(free_multiply(quiver, prev[n - 1], b))  # b^n
