@@ -33,20 +33,15 @@ the dg identity places the letters of d(eps) in its 6-int keys as they are.
 
 delta o iota = iota o d is checked on codes (Quiver.code, one per word of
 f^n_i: the cobasis spells each word straight into its code and holds
-nothing else) and the letter view of d: both sides are keyed (position,
-vertex, code).  Each degree compares the two outer positions; the merges of
-two middle letters, read off a table of the normal forms of the A^2
-two-arrow words, are compared in degree 2 and then inherited, by induction
-(_iota_agrees), except above a generator that failed on codes and fell back
-to the Path vectors.  iota, iota_bimodule and restrict_along_iota read the
-letters of the same words, decoded from their codes by Quiver.decode (_letters).
+nothing else) and the letter view of d, each bar word keyed by ints
+(_check_iota).  iota, iota_bimodule and restrict_along_iota read the
+letters of the same words, decoded from their codes by Quiver.decode
+(_letters).  No check calls the Path-level maps (differential, sandwich,
+iota, iota_bimodule, bar_delta).
 
-Witnesses.  Only a generator that fails on ints is looked at again, in
-path notation: d o d by the nonzero sum itself, its word ids decoded; the dg
-identity and coassociativity by building their two sides apart
-(_check_sides), the dg keys decoded to the shared letter Paths, for
-_diff_witness; delta iota = iota d on the Path vectors (bar_delta of iota
-against iota of d).
+Witnesses.  Only a failing generator is spelled in path notation: d o d
+prints its nonzero sum, and the other two-sided identities the first term
+of lhs - rhs in repr order of the decoded key (_check_sides).
 
 Every bimodule-linear map goes through one kernel,
 sandwich_into(out, u, terms, v, scale), which adds scale . (u . x . v) for
@@ -117,7 +112,6 @@ class KoszulComplex:
         self._diff_cache = {}
         self._diag_cache = {}
         self._iota_index = {}  # n -> {arrow Paths of a word: [(i, coeff in f^n_i)]}
-        self._pair_nf = None  # built by _iota_agrees
         self._bar_tuples = {}  # n -> composable n-tuples of words (bracket.bar_tuples)
         self._lifting_systems = {}  # (k, ell, o, t) -> lifting._LiftingSystem
         self._coboundary_slices = {}  # (n, ell) -> cohomology._CoboundarySlice
@@ -126,12 +120,6 @@ class KoszulComplex:
 
     def count(self, n):
         return self.cobasis.count(n)
-
-    def eps(self, n, i):
-        q = self.quiver
-        o, t = self.cobasis.o(n, i)
-        return BimoduleElement(self.field, n,
-                               {(q.vertex_path(o), i, q.vertex_path(t)): self.field.one})
 
     def c(self, n, i, r):
         return self.comult.scalars(n, i, r)
@@ -215,8 +203,11 @@ class KoszulComplex:
                 for x, c in self.cobasis.codes(n, i).items()]
 
     def iota(self, n, r):
-        """iota(eps^n_r) = 1 ox (letterwise expansion of f^n_r) ox 1."""
-        return self.iota_bimodule(self.eps(n, r))
+        """iota(eps^n_r) = e_o ox (letterwise expansion of f^n_r) ox e_t."""
+        q, (o, t) = self.quiver, self.cobasis.o(n, r)
+        u, v = q.vertex_path(o), q.vertex_path(t)
+        return GradedVector(self.field, n, {(u,) + letters + (v,): c
+                                            for letters, c in self._letters(n, r)})
 
     def iota_bimodule(self, x):
         """iota extended to K: u . eps^n_i . v -> u ox f-letters ox v."""
@@ -308,21 +299,21 @@ class KoszulComplex:
         checked.append("d*d=0")
 
     def _check_sides(self, name, n0, N, sides, decode, checked, failures):
-        """Check lhs = rhs at each eps^n_r, n0 <= n <= N, where
-        sides(n, r, lhs, rhs, sign) adds the left side into lhs and sign times
-        the right side into rhs: once into one dict, lhs - rhs, and where that
-        is not zero again into two, keys decoded, for _diff_witness."""
-        f = self.field
+        """Check lhs = rhs at each eps^n_r, n0 <= n <= N, where sides(n, r, acc)
+        adds lhs - rhs into acc; a failing generator's witness is the first
+        nonzero term in repr order of decode(n, key), with its coefficient."""
+        f, q = self.field, self.quiver
         for n in range(n0, N + 1):
             for r in range(self.count(n)):
                 acc = {}
-                sides(n, r, acc, acc, -1)
-                if f.canon(acc.items()):
-                    lhs, rhs = {}, {}
-                    sides(n, r, lhs, rhs, 1)
-                    lhs, rhs = (SparseVector(f, {decode(key): c for key, c in side.items()})
-                                for side in (lhs, rhs))
-                    failures.append((name, n, r, _diff_witness(self.quiver, lhs, rhs)))
+                sides(n, r, acc)
+                nonzero = f.canon(acc.items())
+                if nonzero:
+                    key, c = min(((decode(n, key), c) for key, c in nonzero.items()),
+                                 key=lambda term: repr(term[0]))
+                    shown = ", ".join(q.format_path(k) if isinstance(k, Path) else str(k)
+                                      for k in key)
+                    failures.append((name, n, r, f"term ({shown}): {f.format(c)}"))
         checked.append(name)
 
     def _check_dg_compat(self, N, view, checked, failures):
@@ -330,52 +321,51 @@ class KoszulComplex:
         eps^{n-1-dl}_q . v, with u, w, v int letters (Paths in the witness)."""
         cb, diagonal, (letters, diff, _, _) = self.cobasis, self.diagonal, view
 
-        def sides(n, r, lhs, rhs, sign):
+        def sides(n, r, acc):
             for dl, p, q, coeff in diagonal(n, r):
                 if dl >= 1:  # d(eps^dl_p) ox eps_q
                     v = cb.target(n - dl, q)
                     for u2, p2, w2, c2 in diff[(dl, p)]:
                         key = (dl - 1, u2, p2, w2, q, v)
-                        lhs[key] = lhs.get(key, 0) + coeff * c2
+                        acc[key] = acc.get(key, 0) + coeff * c2
                 if dl < n:  # (-1)^dl eps_p ox d(eps^{n-dl}_q)
                     signed = -coeff if dl % 2 else coeff
                     u = cb.origin(dl, p)
                     for w2, q2, v2, c2 in diff[(n - dl, q)]:
                         key = (dl, u, p, w2, q2, v2)
-                        lhs[key] = lhs.get(key, 0) + signed * c2
+                        acc[key] = acc.get(key, 0) + signed * c2
             # Delta(u . eps^{n-1}_i . v) puts u and v around each diagonal term
             for u, i, v, coeff in diff[(n, r)]:
-                signed = sign * coeff
                 for dl, p, q, c in diagonal(n - 1, i):
                     key = (dl, u, p, cb.target(dl, p), q, v)
-                    rhs[key] = rhs.get(key, 0) + signed * c
+                    acc[key] = acc.get(key, 0) - coeff * c
 
         self._check_sides("(d ox 1 + 1 ox d)Delta = Delta d", 1, N, sides,
-                          lambda k: (k[0], letters[k[1]], k[2], letters[k[3]], k[4], letters[k[5]]),
+                          lambda n, k: (k[0], letters[k[1]], k[2], letters[k[3]], k[4],
+                                        letters[k[5]]),
                           checked, failures)
 
     def _check_coassoc(self, N, checked, failures):
         """Both sides keyed (v1, v2, p1, p2, p3) for eps^v1_p1 ox eps^v2_p2 ox eps_p3."""
         diagonal = self.diagonal
 
-        def sides(n, r, lhs, rhs, sign):
+        def sides(n, r, acc):
             for dl, p, q, coeff in diagonal(n, r):
                 for v2, p2, q2, c2 in diagonal(dl, p):  # (Delta ox 1)
                     key = (v2, dl - v2, p2, q2, q)
-                    lhs[key] = lhs.get(key, 0) + coeff * c2
-                signed = sign * coeff
+                    acc[key] = acc.get(key, 0) + coeff * c2
                 for v2, p2, q2, c2 in diagonal(n - dl, q):  # (1 ox Delta)
                     key = (dl, v2, p, p2, q2)
-                    rhs[key] = rhs.get(key, 0) + signed * c2
+                    acc[key] = acc.get(key, 0) - coeff * c2
 
         self._check_sides("(Delta ox 1)Delta = (1 ox Delta)Delta", 0, N, sides,
-                          lambda k: k, checked, failures)
+                          lambda n, k: k, checked, failures)
 
     def _check_counit(self, N, checked, failures):
         """mu sends e_p ox eps^n_q to eps^n_q when q starts at vertex p (the
         degree-0 generator p is e_p), and eps^n_p ox e_q to eps^n_p when p
         ends at q; each image must be eps^n_r."""
-        f, cb = self.field, self.cobasis
+        f, cb, vertex = self.field, self.cobasis, self.quiver.vertex_path
         for n in range(0, N + 1):
             for r in range(self.count(n)):
                 left, right = {}, {}
@@ -389,91 +379,70 @@ class KoszulComplex:
                     got = SparseVector(f, sums)
                     if got.terms != {r: f.one}:
                         image = BimoduleElement(f, n, {
-                            key: c for i, c in got.terms.items() for key in self.eps(n, i).terms})
+                            (vertex(cb.origin(n, i)), i, vertex(cb.target(n, i))): c
+                            for i, c in got.terms.items()})
                         failures.append((name, n, r, image.format(self.quiver)))
         checked.append("(mu ox 1)Delta = id = (1 ox mu)Delta")
 
     def _check_iota(self, N, view, checked, failures):
-        """delta iota = iota d on codes, passed holding the (n, r) that agree;
-        a failing generator is decided on the Path vectors, which give its witness."""
-        diff, passed = view[1], set()
-        for n in range(1, N + 1):
-            for r in range(self.count(n)):
-                if self._iota_agrees(n, r, diff, passed):
-                    passed.add((n, r))
-                    continue
-                lhs = self.bar_delta(self.iota(n, r))
-                rhs = self.iota_bimodule(self._diff_eps(n, r))
-                if lhs != rhs:
-                    failures.append(("delta iota = iota d", n, r,
-                                     _diff_witness(self.quiver, lhs, rhs)))
-        checked.append("delta iota = iota d")
+        """delta iota = iota d at each eps^n_r, on codes and the letter view.
 
-    def _iota_agrees(self, n, r, diff, passed):
-        """Whether delta(iota eps^n_r) == iota(d eps^n_r) on codes, d read
-        from diff (_letter_view), passed holding the lower (n, r) that agreed.
+        delta merges entries k and k+1 of e_o ox a_1 ox .. ox a_n ox e_t with
+        sign (-1)^k.  k = 0 gives a_1 ox .. ox a_n ox e_t, keyed (V + a_1,
+        code of a_2..a_n, t); k = n gives e_o ox .. ox a_n, keyed (o, code of
+        a_1..a_{n-1}, V + a_n); each term u . eps_j . v of d spells u ox w ox v
+        for each word w of f^{n-1}_j, keyed (u, code of w, v), the code 0 at
+        n = 1.  For 0 < k < n each word m of the normal form of a_k.a_{k+1}
+        is keyed (k, code with m's two digits in place of theirs).
 
-        Both sides are sums of bar words of n+1 letters, keyed here by
-        (position, vertex, code).  delta merges letters k and k+1 of
-        e_o ox f-letters ox e_t with sign (-1)^k: k = 0 gives the word
-        a_1 ox .. ox a_n ox e_t, keyed (0, t, code), and k = n gives
-        e_o ox a_1 ox .. ox a_n, keyed (n, o, code); for 0 < k < n letters
-        k and k+1 become each word m of the normal form of a_k.a_{k+1},
-        keyed (k, o, code with m's two digits in place of theirs).  On the
-        right, a . eps_j . e_v spells (0, v, code of a.w) and e_u . eps_j . b
-        spells (n, u, code of w.b) for each word w of f^{n-1}_j.  Any other
-        term of d, with arrows or vertices on both sides, spells a bar word
-        that matches no word on the left: the answer is False, and
-        _check_iota lets the Path vectors decide.
-
-        Middle merges are computed for n = 2, and for n >= 3 only while an
-        f^{n-1}_j named in d(eps^n_r) is not in passed; else they vanish by
-        induction: once the (0, .) keys agree, f^n_r = sum c . a ox f^{n-1}_j,
-        whose merge at k >= 2 is one inside an f^{n-1}_j, and the (n, .) keys
-        do the same for k <= n - 2.  Path-decided generators never pass.
+        Above degree 2 the middle merges are added only where the outer keys
+        fail or an f^{n-1}_j named in d(eps^n_r) failed, so a failing sum is
+        complete; else they vanish by induction: once the k = 0 keys agree,
+        f^n_r = sum c . a ox f^{n-1}_j, whose merge at k >= 2 is one inside
+        an f^{n-1}_j, and the k = n keys do the same for k <= n - 2.
         """
+        name = "delta iota = iota d"
         f, cb, q = self.field, self.cobasis, self.quiver
-        A, o, t = q.num_arrows, *cb.o(n, r)
-        if self._pair_nf is None:  # x*A + y -> {code: coeff} of the normal form of x.y
-            arrow, code, word_product = q.arrow_path, q.code, self.rs.word_product
-            self._pair_nf = [{code(m): c for m, c in word_product(arrow(x), arrow(y)).terms.items()}
-                             for x in range(A) for y in range(A)]
-        pair_nf, letters = self._pair_nf, A * A
-        inherited = n >= 3 and all((n - 1, j) in passed for _, j, _, _ in diff[(n, r)])
-        merges = [] if inherited else [(k, A ** (n - 1 - k), k % 2) for k in range(1, n)]
-        acc = {}  # left side minus right side
-        for w, c in cb.codes(n, r).items():
-            minus = -c
-            acc[(0, t, w)] = acc.get((0, t, w), 0) + c
-            acc[(n, o, w)] = acc.get((n, o, w), 0) + (minus if n % 2 else c)
-            for k, place, odd in merges:
-                pair = w // place % letters
-                rest = w - pair * place
-                signed = minus if odd else c
-                for m, cm in pair_nf[pair].items():
-                    key = (k, o, rest + m * place)
-                    acc[key] = acc.get(key, 0) + signed * cm
-        V, lead = q.num_vertices, A ** (n - 1)
-        for u, j, v, c in diff[(n, r)]:  # a letter below V is a vertex, V + a is arrow a
-            if u >= V and v < V:  # a ox f-letters ox e_v
-                position, vertex, head, digit, tail = 0, v, (u - V) * lead, 1, 0
-            elif v >= V and u < V:  # e_u ox f-letters ox b
-                position, vertex, head, digit, tail = n, u, 0, A, v - V
-            else:
-                return False
-            for w, cw in cb.codes(n - 1, j).items():
-                key = (position, vertex, head + (w * digit if n > 1 else 0) + tail)
-                acc[key] = acc.get(key, 0) - c * cw
-        return not f.canon(acc.items())
+        letters, diff, products, words = view
+        V, A, L, code, arrow = q.num_vertices, q.num_arrows, len(letters), q.code, q.arrow_path
+        # a * A + b -> [(code, coeff)] of the normal form of the two-arrow word a.b
+        pair_nf = [[(code(words[x]), c) for x, c in products[(V + a) * L + V + b]]
+                   for a in range(A) for b in range(A)]
 
+        def sides(n, r, acc):
+            o, t = cb.o(n, r)
+            lead, codes = A ** (n - 1), cb.codes(n, r)
+            for w, c in codes.items():
+                key = (V + w // lead, w % lead, t)
+                acc[key] = acc.get(key, 0) + c
+                key = (o, w // A, V + w % A)
+                acc[key] = acc.get(key, 0) + (-c if n % 2 else c)
+            for u, j, v, c in diff[(n, r)]:
+                for w, cw in cb.codes(n - 1, j).items():
+                    key = (u, w if n > 1 else 0, v)
+                    acc[key] = acc.get(key, 0) - c * cw
+            if n >= 3 and not f.canon(acc.items()) and not any(
+                    fail[:3] == (name, n - 1, j) for fail in failures for _, j, _, _ in diff[(n, r)]):
+                acc.clear()
+                return
+            merges = [(k, A ** (n - 1 - k), k % 2) for k in range(1, n)]
+            for w, c in codes.items():
+                for k, place, odd in merges:
+                    pair = w // place % (A * A)
+                    rest, signed = w - pair * place, -c if odd else c
+                    for m, cm in pair_nf[pair]:
+                        key = (k, rest + m * place)
+                        acc[key] = acc.get(key, 0) + signed * cm
 
-def _diff_witness(quiver, lhs, rhs):
-    """The first key (in repr order) where two vectors differ, paths spelled out."""
-    f = lhs.field
-    for key in sorted(set(lhs.terms) | set(rhs.terms), key=repr):
-        a, b = lhs.terms.get(key, f.zero), rhs.terms.get(key, f.zero)
-        if a != b:
-            shown = ", ".join(quiver.format_path(k) if isinstance(k, Path) else str(k)
-                              for k in key)
-            return f"term ({shown}): {f.format(a)} vs {f.format(b)}"
-    return "?"
+        def decode(n, key):
+            """The bar word that key spells, in Paths."""
+            if len(key) == 3:
+                first, x, last = key
+                return (letters[first], *map(arrow, q.decode(x, n - 1)), letters[last])
+            k, x = key
+            arrows = q.decode(x, n)
+            merged = q.decode(arrows[k - 1] * A + arrows[k], 2, q.arrow_o[arrows[k - 1]])
+            return (q.vertex_path(q.arrow_o[arrows[0]]), *map(arrow, arrows[:k - 1]), merged,
+                    *map(arrow, arrows[k + 1:]), q.vertex_path(q.arrow_t[arrows[-1]]))
+
+        self._check_sides(name, 1, N, sides, decode, checked, failures)

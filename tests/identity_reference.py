@@ -4,18 +4,39 @@ Kept as the reference for `KoszulComplex`'s checks on int letters: here
 d^2 = 0 is the Path-level augmentation (`augment`) of d in degree 1 and the
 differential of d above, and (d ox 1 + 1 ox d)Delta = Delta d and
 coassociativity build both sides keyed by shared vertex and arrow Paths, as
-two SparseVectors each, and compare them.  `reference_failures` returns the
-failures in the order verify_resolution reports them: identity by identity,
-then by (n, r).
+two SparseVectors each, and compare them; `diff_witness` names the first
+key where they differ, with the coefficient of lhs - rhs there.
+`reference_failures` returns the failures in the order verify_resolution
+reports them: identity by identity, then by (n, r).  `eps` is the generator
+eps^n_i of K_n as a BimoduleElement.
 """
 
 from koszulgerst.linalg import SparseVector
-from koszulgerst.quiver import PathVector
-from koszulgerst.resolution import _diff_witness
+from koszulgerst.quiver import Path, PathVector
+from koszulgerst.resolution import BimoduleElement
 
 D_SQUARED = "d*d=0"
 DG_COMPAT = "(d ox 1 + 1 ox d)Delta = Delta d"
 COASSOC = "(Delta ox 1)Delta = (1 ox Delta)Delta"
+
+
+def eps(kx, n, i):
+    """The generator eps^n_i = e_o . eps^n_i . e_t of K_n."""
+    q, (o, t) = kx.quiver, kx.cobasis.o(n, i)
+    return BimoduleElement(kx.field, n, {(q.vertex_path(o), i, q.vertex_path(t)): kx.field.one})
+
+
+def diff_witness(quiver, lhs, rhs):
+    """The first key (in repr order) where two vectors differ, paths spelled
+    out, with the coefficient of lhs - rhs there."""
+    f = lhs.field
+    for key in sorted(set(lhs.terms) | set(rhs.terms), key=repr):
+        a, b = lhs.terms.get(key, f.zero), rhs.terms.get(key, f.zero)
+        if a != b:
+            shown = ", ".join(quiver.format_path(k) if isinstance(k, Path) else str(k)
+                              for k in key)
+            return f"term ({shown}): {f.format(a - b)}"
+    return "?"
 
 
 def augment(kx, x):
@@ -65,7 +86,7 @@ def check_dg_compat(kx, N, failures):
                     rhs[key] = rhs.get(key, 0) + coeff * c
             lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
             if lhs != rhs:
-                failures.append((DG_COMPAT, n, r, _diff_witness(kx.quiver, lhs, rhs)))
+                failures.append((DG_COMPAT, n, r, diff_witness(kx.quiver, lhs, rhs)))
 
 
 def check_coassoc(kx, N, failures):
@@ -84,7 +105,7 @@ def check_coassoc(kx, N, failures):
                     rhs[key] = rhs.get(key, 0) + coeff * t.coeff
             lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
             if lhs != rhs:
-                failures.append((COASSOC, n, r, _diff_witness(kx.quiver, lhs, rhs)))
+                failures.append((COASSOC, n, r, diff_witness(kx.quiver, lhs, rhs)))
 
 
 def reference_failures(kx, N):

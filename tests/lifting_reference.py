@@ -13,6 +13,7 @@ cocycle's derivation operator acts on K.
 from koszulgerst.lifting import derivation_on_word
 from koszulgerst.quiver import PathVector
 from koszulgerst.resolution import BimoduleElement
+from identity_reference import eps
 from linalg_reference import add, mul
 
 
@@ -75,11 +76,11 @@ def reference_lifting_rhs(kx, eta, m, r):
             out[key] = add(f, out.get(key, f.zero), mul(f, c, coeff))
 
     for (p, q), c in kx.c(m, r, n).items():
-        add_scaled(reference_sandwich(kx, eta.values[p], kx.eps(m - n, q),
+        add_scaled(reference_sandwich(kx, eta.values[p], eps(kx, m - n, q),
                                       unit(kx.cobasis.target(m - n, q))), c)
     sign = f.one if (n * (m - n)) % 2 == 0 else f.neg(f.one)
     for (p, q), c in kx.c(m, r, m - n).items():
-        add_scaled(reference_sandwich(kx, unit(kx.cobasis.origin(m - n, p)), kx.eps(m - n, p),
+        add_scaled(reference_sandwich(kx, unit(kx.cobasis.origin(m - n, p)), eps(kx, m - n, p),
                                       eta.values[q]), f.neg(mul(f, sign, c)))
     return BimoduleElement(f, m - n, out)
 
@@ -98,10 +99,10 @@ def reference_derivation_apply(kx, gamma, psi, x):
     f = kx.field
     out = {}
     for (u, i, v), coeff in x.terms.items():
-        uvec, vvec, eps = PathVector.single(f, u), PathVector.single(f, v), kx.eps(x.degree, i)
-        for left, mid, right in ((derivation_on_word(kx, gamma, u), eps, vvec),
+        uvec, vvec, gen = PathVector.single(f, u), PathVector.single(f, v), eps(kx, x.degree, i)
+        for left, mid, right in ((derivation_on_word(kx, gamma, u), gen, vvec),
                                  (uvec, psi.image(x.degree, i), vvec),
-                                 (uvec, eps, derivation_on_word(kx, gamma, v))):
+                                 (uvec, gen, derivation_on_word(kx, gamma, v))):
             for key, c in reference_sandwich(kx, left, mid, right).terms.items():
                 out[key] = add(f, out.get(key, f.zero), mul(f, c, coeff))
     return BimoduleElement(f, x.degree, out)

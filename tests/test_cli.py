@@ -19,6 +19,8 @@ from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.presets import family_table1, family_table2, load_presentation
 from koszulgerst.quiver import Quiver
 
+from identity_reference import eps
+
 FAMILY_FILE = """\
 # two loops and an exit arrow
 field Q
@@ -341,7 +343,7 @@ def test_cli_derivation_bracket_checks_its_lifting(monkeypatch, capsys):
     def bumped(kx, gamma, M):
         op = lift(kx, gamma, M)
         img = op.maps[2][1]
-        op.maps[2][1] = img + kx.eps(img.degree, 0)
+        op.maps[2][1] = img + eps(kx, img.degree, 0)
         return op
 
     monkeypatch.setattr(cli, "derivation_lift", bumped)

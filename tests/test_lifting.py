@@ -18,6 +18,7 @@ from koszulgerst.presets import (family_named_cocycles, family_table1, family_ta
                                  load_complex, short_goldens)
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver
 from koszulgerst.resolution import BimoduleElement, KoszulComplex
+from identity_reference import eps
 from family_goldens import family_psi_chi, family_psi_chibar, family_psi_eta, family_psi_etabar
 from lifting_reference import (reference_apply, reference_derivation_apply,
                                reference_differential, reference_lifting_rhs,
@@ -109,7 +110,7 @@ def test_perturbed_lifting_reports_single_residual(family8):
     lift = family_psi_eta(family8, 4)
     top = {m: list(images) for m, images in lift.maps.items()}
     # bump one top-degree image; only its own equation can notice
-    bump = family8.eps(4, 0)
+    bump = eps(family8, 4, 0)
     top[4] = list(top[4])
     top[4][0] = top[4][0] + bump
     from koszulgerst.lifting import HomotopyLifting
@@ -265,7 +266,7 @@ def test_derivation_operators_golden(family8):
     assert chain_map_failures(family8, g["chi"], family_psi_chi(family8, 6), 6) == []
     # a bumped image breaks the chain-map equation in its degree and the next
     psi = family_psi_eta(family8, 4)
-    psi.maps[3] = [psi.maps[3][0] + family8.eps(3, 0), *psi.maps[3][1:]]
+    psi.maps[3] = [psi.maps[3][0] + eps(family8, 3, 0), *psi.maps[3][1:]]
     assert {n for n, _ in chain_map_failures(family8, g["eta"], psi, 4)} == {3, 4}
 
 
@@ -609,7 +610,7 @@ def test_kernel_matches_the_sandwich_references(case, data):
             assert BimoduleElement(f, m - n, out) == reference_lifting_rhs(kx, eta, m, r)
     psi = solve_lifting(kx, eta, KERNEL_N)
     # every image moved by a generator, so the residual has all three parts
-    moved = HomotopyLifting(kx, eta, {m: [img + kx.eps(img.degree, 0) for img in images]
+    moved = HomotopyLifting(kx, eta, {m: [img + eps(kx, img.degree, 0) for img in images]
                                       for m, images in psi.maps.items()})
     for m in range(n, KERNEL_N + 1):
         for r in range(kx.count(m)):
@@ -638,7 +639,7 @@ def test_leibniz_extension_is_the_lifting_equation(case):
     assert gammas
     for gamma in gammas:
         psi = solve_lifting(kx, gamma, M)
-        moved = HomotopyLifting(kx, gamma, {m: [img + kx.eps(img.degree, 0) for img in images]
+        moved = HomotopyLifting(kx, gamma, {m: [img + eps(kx, img.degree, 0) for img in images]
                                             for m, images in psi.maps.items()})
         for lift in (psi, moved):
             for m in range(1, M + 1):

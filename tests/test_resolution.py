@@ -13,9 +13,9 @@ from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.linalg import Matrix, rank
 from koszulgerst.presets import load_complex
 from koszulgerst.quiver import Path, PathVector
-from koszulgerst.resolution import BimoduleElement, KoszulComplex, _diff_witness
+from koszulgerst.resolution import BimoduleElement, KoszulComplex
 
-from identity_reference import augment, reference_failures
+from identity_reference import augment, diff_witness, eps, reference_failures
 from linalg_reference import add, mul
 from test_generic_algebra import zigzag_complex
 from test_koszul import quantum_exterior_text
@@ -150,7 +150,7 @@ def test_differential_of_zero_and_linearity(family8, rng):
         if not us or not vs:
             continue
         u, v = rng.choice(us), rng.choice(vs)
-        x = sandwich_words(family8, u, family8.eps(n, i), v)
+        x = sandwich_words(family8, u, eps(family8, n, i), v)
         if x.is_zero():
             continue
         lhs = family8.differential(x)
@@ -180,10 +180,10 @@ def test_sandwich_into_matches_sandwich(family8, rng):
 
 def test_augment_and_underflow(family8):
     # the reference augmentation, against which d*d=0's degree-1 witness is compared
-    x = sandwich_words(family8, Path(0, (1,)), family8.eps(0, 0), Path(0, (0,)))
+    x = sandwich_words(family8, Path(0, (1,)), eps(family8, 0, 0), Path(0, (0,)))
     assert augment(family8, x) == PathVector.single(QQ, Path(0, (1, 0)))
     with pytest.raises(DegreeUnderflow):
-        family8.differential(family8.eps(0, 0))
+        family8.differential(eps(family8, 0, 0))
 
 
 def test_iota_goldens(short8, family8):
@@ -263,7 +263,7 @@ def test_verify_resolution_negative_control():
     names = {f[0] for f in report.failures}
     assert {"(d ox 1 + 1 ox d)Delta = Delta d", "delta iota = iota d"} <= names
     assert all("Path(" not in f[3] for f in report.failures)
-    assert ("delta iota = iota d", 2, 0, "term (x, x, e1): 1 vs -1") in report.failures
+    assert ("delta iota = iota d", 2, 0, "term (x, x, e1): 2") in report.failures
 
 
 D_SQUARED = "d*d=0"
@@ -288,9 +288,9 @@ def test_verify_resolution_catches_corrupt_scalar():
         (D_SQUARED, 3, 1), (DG_COMPAT, 3, 1), (COASSOC, 3, 1), (IOTA, 3, 1)]
     witnesses = {f[0]: f[3] for f in report.failures}
     assert witnesses[D_SQUARED] == "x.eps^1_0.y - y.x.eps^1_0 + x.eps^1_1.x"
-    assert witnesses[DG_COMPAT] == "term (1, e1, 0, e1, 0, y): -2 vs -1"
-    assert witnesses[COASSOC].endswith(": 1 vs 2")
-    assert witnesses[IOTA] == "term (x, x, y, e1): 1 vs 2"
+    assert witnesses[DG_COMPAT] == "term (1, e1, 0, e1, 0, y): -1"
+    assert witnesses[COASSOC].endswith(": -1")
+    assert witnesses[IOTA] == "term (x, x, y, e1): -1"
 
 
 def _corruptible(name):
@@ -466,20 +466,15 @@ def test_counit_laws_ignore_non_composable_terms():
 
 
 def _path_iota_failures(kx):
-    """The Path-keyed delta iota = iota d check, generator by generator; also
-    asserts that the code comparison, fed the generators that passed on codes
-    below as _check_iota feeds it, agrees with it at every generator."""
-    out, diff, passed = [], kx._letter_view(kx.N)[1], set()
+    """The Path-keyed delta iota = iota d check, generator by generator:
+    bar_delta of iota against iota of d."""
+    out = []
     for n in range(1, kx.N + 1):
         for r in range(kx.count(n)):
             lhs = kx.bar_delta(kx.iota(n, r))
             rhs = kx.iota_bimodule(kx._diff_eps(n, r))
-            agrees = kx._iota_agrees(n, r, diff, passed)
-            assert agrees == (lhs == rhs), (n, r)
-            if agrees:
-                passed.add((n, r))
             if lhs != rhs:
-                out.append((IOTA, n, r, _diff_witness(kx.quiver, lhs, rhs)))
+                out.append((IOTA, n, r, diff_witness(kx.quiver, lhs, rhs)))
     return out
 
 
@@ -558,7 +553,7 @@ def test_iota_check_on_codes_catches_a_generator_outside_the_relations(name):
             want = _path_iota_failures(kx)
             assert want == [(IOTA, 2, i, f"term (e{q.vertex_names[cb.origin(2, i)]}, "
                                          f"{q.format_path(word)}, "
-                                         f"e{q.vertex_names[cb.target(2, i)]}): {f.format(f(-1))} vs 0")]
+                                         f"e{q.vertex_names[cb.target(2, i)]}): {f.format(f(-1))}")]
             assert _iota_failures(kx) == want
             cases += 1
     assert cases == {"short": 4, "family": 4}[name]
@@ -598,12 +593,13 @@ def test_iota_check_inherits_the_middle_merges_beyond_the_presets(make):
     assert _iota_failures(kx) == _path_iota_failures(kx) == []
 
 
-def test_iota_check_leaves_terms_with_letters_on_both_sides_to_the_paths():
+def test_iota_check_keys_terms_with_letters_on_both_sides():
     # a term u . eps_j . v of d with arrows (or vertices) on both sides spells
-    # a bar word that no code of the left side matches, so _iota_agrees
-    # answers False and _check_iota lets the Path vectors decide: they name
-    # the word when it survives, and report nothing when two such terms
-    # cancel in the bar (here a.eps^0_0.b - a.eps^0_1.b, both spelling a ox b)
+    # a bar word u ox w ox v that no word of delta iota spells; the code
+    # check keys it (u, code of w, v) itself and names it when it survives,
+    # as the Path vectors do, and reports nothing when two such terms cancel
+    # in the bar (here a.eps^0_0.b - a.eps^0_1.b, both spelling a ox b and
+    # both keyed with the middle code 0)
     def injected(n, i, extra):
         kx = load_complex("family", PrimeField(5), 2, q=-1)
         good = kx._diff_eps(n, i)
@@ -612,15 +608,14 @@ def test_iota_check_leaves_terms_with_letters_on_both_sides_to_the_paths():
 
     q = load_complex("family", PrimeField(5), 2, q=-1).quiver
     e1, a, b, c = q.vertex_path(0), q.arrow_path(0), q.arrow_path(1), q.arrow_path(2)
-    cases = [(2, 3, {(a, 0, c): 1}, "term (a, a, c): 0 vs 1"),
-             (2, 0, {(e1, 0, e1): 1}, "term (e1, a, e1): 0 vs 1")]
+    cases = [(2, 3, {(a, 0, c): 1}, "term (a, a, c): 4"),
+             (2, 0, {(e1, 0, e1): 1}, "term (e1, a, e1): 4"),
+             (1, 0, {(a, 0, b): 1}, "term (a, b): 4")]
     for n, i, extra, witness in cases:
         kx = injected(n, i, extra)
-        assert not kx._iota_agrees(n, i, kx._letter_view(kx.N)[1], set())
         assert _iota_failures(kx) == _path_iota_failures(kx) == [(IOTA, n, i, witness)]
     kx = injected(1, 0, {(a, 0, b): 1, (a, 1, b): -1})
     assert kx.bar_delta(kx.iota(1, 0)) == kx.iota_bimodule(kx._diff_eps(1, 0))
-    assert not kx._iota_agrees(1, 0, kx._letter_view(kx.N)[1], set())
     assert _iota_failures(kx) == []
 
 
