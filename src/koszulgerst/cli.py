@@ -121,19 +121,18 @@ def emit(doc, fmt, lines):
 
 
 def _identity_lines(report):
-    """PASS or FAIL per identity checked, with each failure's witness.  A
-    failure counts against each check whose name states both sides of its
-    law: the counit check states (mu ox 1)Delta = id and (1 ox mu)Delta = id."""
+    """PASS or FAIL per identity checked, with the witness of each failure,
+    which carries the name of the check it fails."""
     lines = []
     for name in report.checked:
-        bad = [f for f in report.failures if set(f[0].split(" = ")) <= set(name.split(" = "))]
+        bad = [f for f in report.failures if f[0] == name]
         lines.append(f"{'PASS' if not bad else 'FAIL'}  {name}")
         lines += [f"      witness at degree {f[1]}, generator {f[2]}: {f[3]}"
                   for f in bad]
     return lines
 
 
-# -- command bodies ------------------------------------------------------------
+# -- command bodies: each returns (doc, lines, status) for main to emit --------
 
 
 def cmd_basis(args):
@@ -146,8 +145,7 @@ def cmd_basis(args):
         lines.append(f"degree {n}: {len(gens)} generators")
         for i, g in enumerate(gens):
             lines.append(f"  f^{n}_{i} = {g}")
-    emit(doc, args.format, lines)
-    return 0
+    return doc, lines, 0
 
 
 def cmd_comult(args):
@@ -176,8 +174,7 @@ def cmd_comult(args):
                     doc["entries"].append(
                         {"n": n, "i": i, "r": r, "p": p, "q": q, "value": value})
                     lines.append(f"c_({p},{q})({n},{i},{r}) = {value}")
-    emit(doc, args.format, lines)
-    return 0
+    return doc, lines, 0
 
 
 def cmd_resolution(args):
@@ -216,15 +213,14 @@ def cmd_resolution(args):
                     ("word", "coeff"), head, tail,
                     [(runs[x], fmt(codes[x])) for x in sorted(codes, key=keys.get)])})
     status = 0
-    if getattr(args, "verify", False):
+    if args.verify:
         report = kx.verify_resolution()
         doc["verify"] = {"ok": report.ok,
                          "checked": report.checked,
                          "failures": [list(map(str, f)) for f in report.failures]}
         lines += _identity_lines(report)
         status = 0 if report.ok else 1
-    emit(doc, args.format, lines)
-    return status
+    return doc, lines, status
 
 
 def cmd_cohomology(args):
@@ -248,8 +244,7 @@ def cmd_cohomology(args):
                      f"dim B = {len(space.coboundaries)}, dim HH = {space.hh_dim}")
         for c in cocycles:
             lines.append(f"  cocycle {c}")
-    emit(doc, args.format, lines)
-    return 0
+    return doc, lines, 0
 
 
 def cmd_cup(args):
@@ -257,9 +252,7 @@ def cmd_cup(args):
     left = algfile.parse_cochain(kx, args.left_degree, args.left)
     right = algfile.parse_cochain(kx, args.right_degree, args.right)
     result = cup_product(left, right).format()
-    doc = {"command": "cup", "result": result}
-    emit(doc, args.format, [f"cup = {result}"])
-    return 0
+    return {"command": "cup", "result": result}, [f"cup = {result}"], 0
 
 
 def cmd_lift(args):
@@ -275,8 +268,7 @@ def cmd_lift(args):
             doc["images"].append({"m": m, "r": r, "value": value})
             lines.append(f"psi(eps^{m}_{r}) = {value}")
     lines.append("verify: " + ("PASS" if not bad else "FAIL"))
-    emit(doc, args.format, lines)
-    return 0 if not bad else 1
+    return doc, lines, 0 if not bad else 1
 
 
 def cmd_bracket(args):
@@ -290,10 +282,8 @@ def cmd_bracket(args):
                "pairs": [{"left": p.left_index, "right": p.right_index,
                           "agree": p.agree} for p in report.pairs],
                "ok": report.ok}
-        emit(doc, args.format,
-             [f"bar oracle {report.degrees}: {len(report.pairs)} pairs, "
-              f"{'all agree' if report.ok else 'MISMATCH'}"])
-        return 0 if report.ok else 1
+        return doc, [f"bar oracle {report.degrees}: {len(report.pairs)} pairs, "
+                     f"{'all agree' if report.ok else 'MISMATCH'}"], 0 if report.ok else 1
     if None in (args.left_degree, args.left, args.right_degree, args.right):
         raise KoszulGerstError("bracket wants --left-degree/--left/--right-degree/--right")
     deg = args.left_degree + args.right_degree - 1
@@ -317,8 +307,7 @@ def cmd_bracket(args):
         result = bracket_via_lifting(kx, left, right, psi_left, psi_right)
     value = result.format()
     doc = {"command": "bracket", "engine": args.engine, "result": value}
-    emit(doc, args.format, [f"[left, right] = {value}"])
-    return 0
+    return doc, [f"[left, right] = {value}"], 0
 
 
 def cmd_mc(args):
@@ -332,8 +321,7 @@ def cmd_mc(args):
     lines = [f"exact: {'PASS' if report.exact else 'FAIL'}",
              f"class level: {'PASS' if report.class_level else 'FAIL'}",
              f"residual: {residual}"]
-    emit(doc, args.format, lines)
-    return 0 if report.exact else 1
+    return doc, lines, 0 if report.exact else 1
 
 
 def _check_table(kx, golden, degree):
@@ -344,18 +332,16 @@ def _check_table(kx, golden, degree):
     return ok, span_ok
 
 
-def _run_tables(args, kx):
-    """Shared body of `tables` and `verify-all`: (checks, extra doc fields,
-    lines, ok), or None for family off q = 1, where no golden table applies."""
-    lines = []
-    checks = []
-    extra = {}
+def _run_tables(args, kx, doc, lines):
+    """Shared body of `tables` and `verify-all`: adds each check to
+    doc["checks"] and lines, and returns whether all passed, or None for
+    family off q = 1, where no golden table applies."""
     ok_all = True
 
     def record(name, ok, detail=""):
         nonlocal ok_all
         ok_all = ok_all and ok
-        checks.append({"name": name, "ok": ok, "detail": detail})
+        doc["checks"].append({"name": name, "ok": ok, "detail": detail})
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
 
     if args.preset == "family":
@@ -382,7 +368,7 @@ def _run_tables(args, kx):
             record(f"bracket [{a},{b}] matches table entry (class level)", cls,
                    "exact representative" if exact else "up to coboundary")
         lines.append(f"exact-representative matches: {exact_hits}/16")
-        extra["exact_matches"] = exact_hits
+        doc["exact_matches"] = exact_hits
     elif args.preset == "short":
         goldens = presets.short_goldens(kx)
         chi, theta = goldens["chi"], goldens["theta"]
@@ -403,43 +389,33 @@ def _run_tables(args, kx):
                same_class(got2, goldens["bracket_chi_theta"]))
     else:
         raise KoszulGerstError("tables needs --preset short or --preset family")
-    return checks, extra, lines, ok_all
+    return ok_all
 
 
 def cmd_tables(args):
     kx = load_complex(args, min_n=4)
-    tables = _run_tables(args, kx)
-    if tables is None:
+    doc, lines = {"command": "tables", "checks": []}, []
+    ok = _run_tables(args, kx, doc, lines)
+    if ok is None:
         raise KoszulGerstError("the golden tables are pinned at q = 1; rerun with --q 1")
-    checks, extra, lines, ok_all = tables
-    doc = {"command": "tables", "checks": checks, **extra, "ok": ok_all}
-    emit(doc, args.format, lines)
-    return 0 if ok_all else 1
+    doc["ok"] = ok
+    return doc, lines, 0 if ok else 1
 
 
 def cmd_verify_all(args):
     kx = load_complex(args, min_n=4)
-    lines = []
-    doc = {"command": "verify-all", "checks": []}
     report = kx.verify_resolution()
-    ok_all = report.ok
-    doc["checks"].append({"name": "resolution identities", "ok": report.ok,
-                          "failures": [list(map(str, f)) for f in report.failures]})
-    lines += _identity_lines(report)
-    tables = _run_tables(args, kx) if args.preset else None
-    if tables is not None:
-        checks, extra, table_lines, tables_ok = tables
-        doc["checks"].extend(checks)
-        doc.update(extra)
-        lines.extend(table_lines)
-        ok_all = ok_all and tables_ok
-    elif args.preset:
+    doc = {"command": "verify-all", "checks": [
+        {"name": "resolution identities", "ok": report.ok,
+         "failures": [list(map(str, f)) for f in report.failures]}]}
+    lines = _identity_lines(report)
+    tables = _run_tables(args, kx, doc, lines) if args.preset else True
+    if tables is None:
         lines.append("(golden tables skipped: pinned at q = 1)")
         doc["checks"].append({"name": "golden tables", "ok": True,
                               "detail": "skipped: pinned at q = 1"})
-    doc["ok"] = ok_all
-    emit(doc, args.format, lines)
-    return 0 if ok_all else 1
+    doc["ok"] = ok = report.ok and tables is not False
+    return doc, lines, 0 if ok else 1
 
 
 COMMANDS = {
@@ -476,7 +452,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
     try:
-        status = COMMANDS[args.command](args)
+        doc, lines, status = COMMANDS[args.command](args)
+        emit(doc, args.format, lines)
         # flush here, not at interpreter exit, so a closed pipe raises below
         sys.stdout.flush()
         return status

@@ -19,7 +19,7 @@ from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.presets import family_table1, family_table2, load_presentation
 from koszulgerst.quiver import Quiver
 
-from identity_reference import eps
+from identity_reference import COUNIT, double_scalar, eps, reference_failures
 
 FAMILY_FILE = """\
 # two loops and an exit arrow
@@ -190,45 +190,43 @@ def test_cli_resolution_text_decodes_no_word(argv, lines, sha256, tmp_path, monk
     assert decoded == []
 
 
-COUNIT = "(mu ox 1)Delta = id = (1 ox mu)Delta"
-
-
 def test_cli_reports_a_failing_counit_law(monkeypatch, capsys):
-    # the counit check is one line for two laws whose failures are named
-    # apart, (mu ox 1)Delta = id and (1 ox mu)Delta = id; doubling c(2, 0, 0)
-    # of `short` breaks the first, and both commands must say FAIL.  Every
+    # the counit check is one line for two laws, and its failures carry that
+    # line's name, the witness naming the side; doubling c(2, 0, 0) of `short`
+    # breaks (mu ox 1)Delta = id, and both commands must say FAIL.  Every
     # slice is built first, so that the doubled row reaches no slice above it
-    load = cli.load_complex
+    load, built = cli.load_complex, []
 
     def corrupted(args, min_n=1):
         kx = load(args, min_n)
         for n in range(kx.N + 1):
             for r in range(n + 1):
                 kx.c(n, 0, r)
-        row = dict(kx.c(2, 0, 0))
-        key = next(iter(row))
-        row[key] = QQ(2) * row[key]
-        kx.comult._cache[(2, 0)][0] = row
-        kx._diag_cache.clear()
+        double_scalar(kx, 2, 0, 0)
+        built.append(kx)
         return kx
 
+    witness = "term (mu ox 1, eps^2_0): 1"
     monkeypatch.setattr(cli, "load_complex", corrupted)
     assert main(["resolution", "--preset", "short", "-N", "3", "--verify"]) == 1
+    assert [f for f in reference_failures(built[0], 3) if f[0] == COUNIT] == [
+        (COUNIT, 2, 0, witness)]
     lines = capsys.readouterr().out.splitlines()
     at = lines.index(f"FAIL  {COUNIT}")
-    assert lines[at + 1:at + 3] == ["      witness at degree 2, generator 0: 2*eps^2_0",
+    assert lines[at + 1:at + 3] == [f"      witness at degree 2, generator 0: {witness}",
                                     "PASS  delta iota = iota d"]
     assert main(["verify-all", "--preset", "short", "-N", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert f"PASS  {COUNIT}" not in lines
     at = lines.index(f"FAIL  {COUNIT}")
-    assert lines[at + 1] == "      witness at degree 2, generator 0: 2*eps^2_0"
-    # the structured document names the check and the failed law as before
+    assert lines[at + 1] == f"      witness at degree 2, generator 0: {witness}"
+    # the structured failure carries the name of the check it fails
     assert main(["resolution", "--preset", "short", "-N", "3", "--verify",
                  "--format", "structured"]) == 1
     verify = json.loads(capsys.readouterr().out)["verify"]
     assert COUNIT in verify["checked"]
-    assert ["(mu ox 1)Delta = id", "2", "0", "2*eps^2_0"] in verify["failures"]
+    counit = [f for f in verify["failures"] if f[0] == COUNIT]
+    assert counit == [[COUNIT, "2", "0", witness]] and "mu ox 1" in counit[0][3]
 
 
 @pytest.mark.parametrize("argv, lines, sha256", [

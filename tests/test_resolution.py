@@ -15,7 +15,8 @@ from koszulgerst.presets import load_complex
 from koszulgerst.quiver import Path, PathVector
 from koszulgerst.resolution import BimoduleElement, KoszulComplex
 
-from identity_reference import augment, diff_witness, eps, reference_failures
+from identity_reference import (COASSOC, COUNIT, D_SQUARED, DG_COMPAT, augment, diff_witness,
+                                double_scalar, eps, reference_failures)
 from linalg_reference import add, mul
 from test_generic_algebra import zigzag_complex
 from test_koszul import quantum_exterior_text
@@ -266,11 +267,6 @@ def test_verify_resolution_negative_control():
     assert ("delta iota = iota d", 2, 0, "term (x, x, e1): 2") in report.failures
 
 
-D_SQUARED = "d*d=0"
-DG_COMPAT = "(d ox 1 + 1 ox d)Delta = Delta d"
-COASSOC = "(Delta ox 1)Delta = (1 ox Delta)Delta"
-COUNIT_LEFT = "(mu ox 1)Delta = id"
-COUNIT_RIGHT = "(1 ox mu)Delta = id"
 IOTA = "delta iota = iota d"
 
 
@@ -278,19 +274,16 @@ def test_verify_resolution_catches_corrupt_scalar():
     # corrupting c(3, 1, 1) before d(eps^3_1) is built breaks the differential
     # and the diagonal of eps^3_1 together, and nothing else
     kx = load_complex("short", QQ, 3)
-    row = dict(kx.c(3, 1, 1))
-    key = next(iter(row))
-    row[key] = QQ(2) * row[key]
-    kx.comult._cache[(3, 1)][1] = row
-    kx._diag_cache.clear()
+    double_scalar(kx, 3, 1, 1)
     report = kx.verify_resolution()
     assert [f[:3] for f in report.failures] == [
         (D_SQUARED, 3, 1), (DG_COMPAT, 3, 1), (COASSOC, 3, 1), (IOTA, 3, 1)]
     witnesses = {f[0]: f[3] for f in report.failures}
-    assert witnesses[D_SQUARED] == "x.eps^1_0.y - y.x.eps^1_0 + x.eps^1_1.x"
+    assert witnesses[D_SQUARED] == "term (x, eps^1_0, y): 1"
     assert witnesses[DG_COMPAT] == "term (1, e1, 0, e1, 0, y): -1"
-    assert witnesses[COASSOC].endswith(": -1")
+    assert witnesses[COASSOC] == "term (1, 1, 0, 0, 1): -1"
     assert witnesses[IOTA] == "term (x, x, y, e1): -1"
+    assert report.failures[:3] == reference_failures(kx, kx.N)
 
 
 def _corruptible(name):
@@ -334,15 +327,14 @@ def test_delta_identities_catch_every_corrupt_scalar(name):
                     for mode in ("scale", "drop"):
                         rows[i] = _corrupted(kx.field, row, key, mode)
                         kx._diag_cache.clear()
-                        failures = kx.verify_resolution().failures
+                        report = kx.verify_resolution()
                         rows[i] = row
-                        expected = ({COASSOC, DG_COMPAT}
-                                    | ({COUNIT_LEFT} if v == 0 else set())
-                                    | ({COUNIT_RIGHT} if v == n else set()))
+                        failures = report.failures
+                        expected = {COASSOC, DG_COMPAT} | ({COUNIT} if v in (0, n) else set())
                         case = (n, v, i, key, mode)
                         assert {f[0] for f in failures} == expected, case
-                        assert all(f[1:3] == (n, i) for f in failures
-                                   if f[0] in (COUNIT_LEFT, COUNIT_RIGHT)), case
+                        assert {f[0] for f in failures} <= set(report.checked), case
+                        assert all(f[1:3] == (n, i) for f in failures if f[0] == COUNIT), case
                         assert all("Path(" not in f[3] for f in failures), case
                         cases += 1
     kx._diag_cache.clear()
@@ -363,10 +355,11 @@ def test_differential_identities_catch_every_corrupt_term(name):
                 for mode in ("scale", "drop"):
                     kx._diff_cache[(n, i)] = BimoduleElement(
                         kx.field, n - 1, _corrupted(kx.field, good.terms, key, mode))
-                    failures = kx.verify_resolution().failures
+                    report = kx.verify_resolution()
                     kx._diff_cache[(n, i)] = good
-                    case = (n, i, key, mode)
+                    failures, case = report.failures, (n, i, key, mode)
                     assert {f[0] for f in failures} == {D_SQUARED, DG_COMPAT, IOTA}, case
+                    assert {f[0] for f in failures} <= set(report.checked), case
                     assert {f[0] for f in failures if f[1:3] == (n, i)} == {
                         D_SQUARED, DG_COMPAT, IOTA}, case
                     assert all("Path(" not in f[3] for f in failures), case
@@ -381,11 +374,11 @@ def test_differential_identities_catch_every_corrupt_term(name):
 ], ids=["short", "short-F5", "family-q=2", "family-q=-1-F5"])
 def test_identity_checks_on_letters_match_the_path_reference(name, field, q):
     # scale or drop each term of each d(eps^n_i), then each c_pq of each
-    # slice, through degree 3: d*d=0, the dg identity and coassociativity
-    # on int letters report what the Path-keyed reference reports,
-    # witnesses included
+    # slice, through degree 3: d*d=0, the dg identity, coassociativity and
+    # the counit laws on int letters report what the Path-keyed reference
+    # reports, witnesses included
     kx = _cached(load_complex(name, field, 3, q=q))
-    checked = {D_SQUARED, DG_COMPAT, COASSOC}
+    checked = {D_SQUARED, DG_COMPAT, COASSOC, COUNIT}
 
     def agree(case):
         got = [f for f in kx.verify_resolution().failures if f[0] in checked]
@@ -433,9 +426,8 @@ def test_d_squared_keeps_the_generators_apart():
     kx._diff_cache[(3, 0)] = BimoduleElement(QQ, 2, {
         (e, index[Path(0, word)], e): QQ(c) for word, c in signs.items()})
     failures = kx.verify_resolution().failures
-    assert (D_SQUARED, 3, 0, "-eps^1_0.x + eps^1_0.y - x.eps^1_0 + y.eps^1_0"
-            " + eps^1_1.x - eps^1_1.y + x.eps^1_1 - y.eps^1_1") in failures
-    assert [f for f in failures if f[0] in (D_SQUARED, DG_COMPAT, COASSOC)] == (
+    assert (D_SQUARED, 3, 0, "term (e1, eps^1_0, x): -1") in failures
+    assert [f for f in failures if f[0] in (D_SQUARED, DG_COMPAT, COASSOC, COUNIT)] == (
         reference_failures(kx, kx.N))
 
 
@@ -458,7 +450,7 @@ def test_counit_laws_ignore_non_composable_terms():
                         kx._diag_cache.clear()
                         failures = kx.verify_resolution().failures
                         rows[r] = good
-                        assert not {f[0] for f in failures} & {COUNIT_LEFT, COUNIT_RIGHT}
+                        assert COUNIT not in {f[0] for f in failures}
                         cases += 1
     kx._diag_cache.clear()
     assert kx.verify_resolution().ok

@@ -520,12 +520,13 @@ def word_tuple_building(tree):
     return sorted(found)
 
 
-# the identity checks of KoszulComplex that key their terms by ints: d*d=0,
-# the dg identity and coassociativity (int letters, _letter_view) and
-# delta iota = iota d (Quiver.code)
+# the identity checks of KoszulComplex that key their terms by ints, all five
+# through _check_sides: d*d=0 and the dg identity (int letters, _letter_view),
+# coassociativity and the counit laws (generator indices) and delta iota =
+# iota d (Quiver.code)
 INT_KEYED_CHECKS = {f"KoszulComplex.{name}" for name in (
     "_letter_view", "_check_d_squared", "_check_sides", "_check_dg_compat",
-    "_check_coassoc", "_check_iota")}
+    "_check_coassoc", "_check_counit", "_check_iota")}
 
 
 def code_keyed(scope):
@@ -832,15 +833,25 @@ def profiled_run(package_dir, driver):
     return tuple({tuple(entry) for entry in found} for found in json.loads(proc.stdout))
 
 
-# every command that the structured digests pin, in text and in structured format
+# every command that the structured digests pin, in text and in structured
+# format; then verify_resolution once on a complex with one seeded fault, the
+# doubled c(3, 1, 1) of `short` that breaks delta iota = iota d (and d*d=0, the
+# dg identity and coassociativity), since a check decodes a witness key only
+# for a failing generator and no pinned command fails
 COMMANDS_RUN = f"""
 import sys, tempfile
 sys.path.insert(0, {str(ROOT / "tests")!r})
+from identity_reference import double_scalar
+from koszulgerst.fields import QQ
+from koszulgerst.presets import load_complex
 from test_structured_digests import COMMANDS, main, with_files
 with tempfile.TemporaryDirectory() as tmp:
     for argv in COMMANDS:
         for fmt in ("text", "structured"):
             main([*with_files(argv, tmp), "--format", fmt])
+kx = load_complex("short", QQ, 3)
+double_scalar(kx, 3, 1, 1)
+assert "delta iota = iota d" in {{f[0] for f in kx.verify_resolution().failures}}
 """
 
 
@@ -879,10 +890,9 @@ def test_run_spots_unrun_methods_and_unset_defaults(tmp_path):
 NOT_RUN_ALLOWED = {
     ("linalg", "_solve_all"): "the one elimination of the traced dense spans "
                               "solve_affine_system and solve_many",
-    ("resolution", "KoszulComplex._check_iota.<locals>.decode"):
-        "spells the failure witness of delta iota = iota d, which runs only on a broken complex",
     ("linalg", "GradedVector._like"): "+, - and scale of bar cochains and BimoduleElements, "
-                                      "which no command does; Cochain has its own _like",
+                                      "which only the tests' reference arithmetic does; "
+                                      "Cochain has its own _like",
 }
 
 
