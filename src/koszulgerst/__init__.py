@@ -20,7 +20,7 @@ from .lifting import (HomotopyLifting, derivation_lift, lifting_residual, solve_
                       verify_lifting)
 from .linalg import echelon_basis
 from .presets import load_complex, load_presentation
-from .quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
+from .quiver import Path, PathVector, QuadraticPresentation, Quiver
 from .resolution import BimoduleElement, DiagonalTerm, KoszulComplex
 from .rewriting import RewriteSystem, build_rewrite_system
 

@@ -45,10 +45,7 @@ def parse_presentation(text, field_override=None):
         if head == "field":
             if field is not None:
                 raise ParseError("duplicate field declaration", lineno)
-            try:
-                field = field_from_name(rest)
-            except KoszulGerstError as exc:
-                raise ParseError(str(exc), lineno) from exc
+            field = _on_line(lineno, field_from_name, rest)
         elif head == "vertex":
             if not rest or " " in rest:
                 raise ParseError("vertex wants exactly one name", lineno)
@@ -70,13 +67,12 @@ def parse_presentation(text, field_override=None):
             order_names = [b.strip() for b in rest.split(">")]
             if any(not b for b in order_names):
                 raise ParseError("bad order list", lineno)
-            order_names = [b for b in order_names if b != "1"]
             order_line = lineno
         elif head == "param":
             name, eq, value = rest.partition("=")
             if not eq:
                 raise ParseError("param wants: name = literal", lineno)
-            params[name.strip()] = value.strip()
+            params[name.strip()] = (value.strip(), lineno)
         elif head == "relation":
             relation_lines.append((lineno, rest))
         else:
@@ -98,7 +94,7 @@ def parse_presentation(text, field_override=None):
         if o not in vertices or t not in vertices:
             raise ParseError(f"arrow {name!r} has unknown endpoint", lineno)
     quiver = Quiver(vertices, arrows)
-    param_values = {name: field.parse(text) for name, text in params.items()}
+    param_values = {n: _on_line(line, field.parse, text) for n, (text, line) in params.items()}
     relations = [_parse_relation(quiver, field, param_values, text, lineno)
                  for lineno, text in relation_lines]
     order = None
@@ -151,10 +147,18 @@ def parse_value(quiver, field, params, text, lineno=None, allow_idempotents=True
             if coeff_text in params:
                 coeff = params[coeff_text]
             else:
-                coeff = field.parse(coeff_text)
+                coeff = _on_line(lineno, field.parse, coeff_text)
         path = _parse_path(quiver, path_text, lineno, allow_idempotents)
         acc[path] = acc.get(path, 0) + sign * coeff
     return PathVector(field, acc)
+
+
+def _on_line(lineno, parse, text):
+    """parse(text), a KoszulGerstError it raises becoming a ParseError on the line."""
+    try:
+        return parse(text)
+    except KoszulGerstError as exc:
+        raise ParseError(str(exc), lineno) from exc
 
 
 def _parse_path(quiver, text, lineno, allow_idempotents):

@@ -76,7 +76,6 @@ class InfiniteDimensional(KoszulGerstError):
 
 class ParseError(KoszulGerstError):
     def __init__(self, message, line=None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

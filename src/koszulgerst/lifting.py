@@ -47,7 +47,6 @@ class HomotopyLifting:
 
     def __init__(self, kx, cocycle, maps):
         self.kx = kx
-        self.cocycle = cocycle
         self.n = cocycle.degree
         self.maps = maps  # dict m -> list of BimoduleElement
 

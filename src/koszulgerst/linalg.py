@@ -46,10 +46,6 @@ class SparseVector:
     def zero(cls, field):
         return cls(field)
 
-    @classmethod
-    def single(cls, field, key):
-        return cls(field, {key: field.one})
-
     def is_zero(self):
         return not self.terms
 

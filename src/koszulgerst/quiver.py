@@ -144,18 +144,6 @@ class PathVector(SparseVector):
         return self._format_sum((quiver.format_path(p), self.terms[p]) for p in paths)
 
 
-def free_multiply(quiver, a, b):
-    """Product in the free path algebra kQ (concatenation, no relations)."""
-    out = {}
-    for p, cp in a.terms.items():
-        for q, cq in b.terms.items():
-            pq = quiver.compose(p, q)
-            if pq is None:
-                continue
-            out[pq] = out.get(pq, 0) + cp * cq
-    return PathVector(a.field, out)
-
-
 def make_order_key(arrow_rank):
     """Length-lex comparison key: key(p) < key(q) iff p > q in length-lex.
 

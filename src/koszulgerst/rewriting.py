@@ -6,19 +6,20 @@ all degree-3 overlaps certifies confluence; success doubles as the Koszulity
 certificate (a quadratic Groebner basis), which the resolution construction
 assumes throughout.  Reduction is one memoised recursion, times (a normal
 word times an arrow, on word indices), for Lambda and for the quadratic
-dual A^!.  A reducible path is folded through it letter by letter; the
-normal form of each path and of each word product u.v is memoised, and
-multiplication in Lambda is bilinear in the latter.  The normal words are
-enumerated level by level, each length once, and each level is indexed by
-(origin, target) as it grows, so basis_words reads the words between two
-vertices without filtering the level.
+dual A^!.  Every path is folded through it letter by letter from its origin
+vertex, an irreducible one to itself.  The one memo of normal forms is that
+of the word products u.v: multiplication in Lambda is bilinear in them, and
+the confluence check reduces both routes of each overlap through them.  The
+normal words are enumerated level by level, each length once, and each
+level is indexed by (origin, target) as it grows, so basis_words reads the
+words between two vertices without filtering the level.
 """
 
 from graphlib import CycleError, TopologicalSorter
 
-from .errors import NotConfluent
+from .errors import KoszulGerstError, NotConfluent
 from .linalg import echelon_basis
-from .quiver import Path, PathVector, free_multiply
+from .quiver import Path, PathVector
 
 
 class RewriteSystem:
@@ -27,7 +28,6 @@ class RewriteSystem:
         self.quiver = presentation.quiver
         self.field = presentation.field
         self.rules = rules  # (arrow, arrow) -> PathVector tail, or zero vector
-        self._nf_cache = {}
         self._products = {}  # (u, v) -> normal form of the word product u.v
         q = self.quiver
         # per length and normal word w_j, in enumeration order: w_j, (index of
@@ -39,14 +39,6 @@ class RewriteSystem:
         self._acyclic = None
 
     # -- normal forms -------------------------------------------------------
-
-    def reducible_at(self, path):
-        """Index of the leftmost reducible pair of arrows, or -1."""
-        arrows = path.arrows
-        for k in range(len(arrows) - 1):
-            if (arrows[k], arrows[k + 1]) in self.rules:
-                return k
-        return -1
 
     def times(self, m, j, a):
         """w_j . a = sum c w_k as [(k, c)], for the normal word w_j of length
@@ -70,33 +62,25 @@ class RewriteSystem:
         return got
 
     def nf_path(self, path):
-        """Normal form of a single path as a PathVector: a reducible path is
-        folded letter by letter through times, from its origin vertex."""
-        cached = self._nf_cache.get(path)
-        if cached is not None:
-            return cached
-        if self.reducible_at(path) < 0:
-            result = PathVector.single(self.field, path)
-        else:
-            arrows, field = path.arrows, self.field
-            words, terms = self._grow_words(len(arrows)), {path.o: field.one}
-            for m, a in enumerate(arrows):
-                acc = {}
-                for j, c in terms.items():
-                    for i, e in self.times(m, j, a):
-                        acc[i] = acc.get(i, 0) + c * e
-                terms = acc
-            result = PathVector(field, {words[i]: c for i, c in terms.items()})
-        self._nf_cache[path] = result
-        return result
+        """Normal form of a composable path, folded letter by letter through
+        times from its origin vertex; an irreducible path folds to itself."""
+        arrows, field = path.arrows, self.field
+        words, terms = self._grow_words(len(arrows)), {path.o: field.one}
+        for m, a in enumerate(arrows):
+            acc = {}
+            for j, c in terms.items():
+                for i, e in self.times(m, j, a):
+                    acc[i] = acc.get(i, 0) + c * e
+            terms = acc
+        return PathVector(field, {words[i]: c for i, c in terms.items()})
 
     def normal_form(self, vec):
-        """Normal form of a kQ element; idempotent and I-invariant."""
-        acc = {}
+        """Normal form of a kQ element, the sum of nf_path over its terms;
+        idempotent and I-invariant.  A non-composable path raises."""
+        q, acc = self.quiver, {}
         for path, coeff in vec.terms.items():
-            if self.reducible_at(path) < 0:
-                acc[path] = acc.get(path, 0) + coeff
-                continue
+            if not q.is_composable(path):
+                raise KoszulGerstError(f"path {q.format_path(path)!r} is not composable")
             for rpath, rcoeff in self.nf_path(path).terms.items():
                 acc[rpath] = acc.get(rpath, 0) + coeff * rcoeff
         return PathVector(self.field, acc)
@@ -189,8 +173,10 @@ def build_rewrite_system(presentation):
     The relation span is put in reduced echelon form with coordinates the
     degree-2 paths in descending length-lex order, so each row is monic with
     a distinct leading pair; rows become the rules.  Every degree-3 overlap
-    is then reduced along both routes (diamond lemma); any mismatch raises
-    NotConfluent, since Koszulity is a standing hypothesis downstream.
+    is then reduced along both routes, (a.b).c and a.(b.c), through the word
+    products of each rule's tail with the outer arrow (diamond lemma); any
+    mismatch raises NotConfluent, since Koszulity is a standing hypothesis
+    downstream.
     """
     f = presentation.field
     key = presentation.order_key
@@ -210,14 +196,16 @@ def _check_confluence(rs):
         for (b2, c), tail_bc in rs.rules.items():
             if b2 != b:
                 continue
-            # overlap word a.b.c
-            origin = q.arrow_o[a]
-            route1 = rs.normal_form(
-                free_multiply(q, tail_ab, PathVector.single(rs.field, q.arrow_path(c))))
-            route2 = rs.normal_form(
-                free_multiply(q, PathVector.single(rs.field, q.arrow_path(a)), tail_bc))
+            route1, route2 = {}, {}
+            for xy, k in tail_ab.terms.items():
+                for w, cw in rs.word_product(xy, q.arrow_path(c)).terms.items():
+                    route1[w] = route1.get(w, 0) + k * cw
+            for yz, k in tail_bc.terms.items():
+                for w, cw in rs.word_product(q.arrow_path(a), yz).terms.items():
+                    route2[w] = route2.get(w, 0) + k * cw
+            route1, route2 = PathVector(rs.field, route1), PathVector(rs.field, route2)
             if route1 != route2:
-                word = Path(origin, (a, b, c))
+                word = Path(q.arrow_o[a], (a, b, c))
                 raise NotConfluent(
                     f"overlap {q.format_path(word)} resolves to "
                     f"{route1.format(q)} and {route2.format(q)}")

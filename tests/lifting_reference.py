@@ -11,10 +11,9 @@ cocycle's derivation operator acts on K.
 """
 
 from koszulgerst.lifting import derivation_on_word
-from koszulgerst.quiver import PathVector
 from koszulgerst.resolution import BimoduleElement
 from identity_reference import eps
-from linalg_reference import add, mul
+from linalg_reference import add, mul, single
 
 
 def reference_sandwich_words(kx, u, x, v):
@@ -68,7 +67,7 @@ def reference_lifting_rhs(kx, eta, m, r):
     f = kx.field
     if m - n < 0:
         return BimoduleElement(f, m - n)
-    unit = lambda v: PathVector.single(f, kx.quiver.vertex_path(v))
+    unit = lambda v: single(f, kx.quiver.vertex_path(v))
     out = {}
 
     def add_scaled(x, coeff):
@@ -99,7 +98,7 @@ def reference_derivation_apply(kx, gamma, psi, x):
     f = kx.field
     out = {}
     for (u, i, v), coeff in x.terms.items():
-        uvec, vvec, gen = PathVector.single(f, u), PathVector.single(f, v), eps(kx, x.degree, i)
+        uvec, vvec, gen = single(f, u), single(f, v), eps(kx, x.degree, i)
         for left, mid, right in ((derivation_on_word(kx, gamma, u), gen, vvec),
                                  (uvec, psi.image(x.degree, i), vvec),
                                  (uvec, gen, derivation_on_word(kx, gamma, v))):

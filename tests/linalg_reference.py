@@ -11,10 +11,12 @@ where `linalg.solve_affine_system` and `solve_many` eliminate A once,
 recording its row operations, and replay them on each right-hand side.
 `rref` with naug > 0 also eliminates [A | I], whose identity block is the
 transform that those recorded operations multiply by.
+`single` spells the path vector 1*path, which the package never builds.
 """
 
 from koszulgerst.errors import DimensionMismatch
 from koszulgerst.linalg import AffineSolution, _nullspace_from_rref
+from koszulgerst.quiver import PathVector
 
 
 def add(field, a, b):
@@ -30,6 +32,11 @@ def sub(field, a, b):
 def mul(field, a, b):
     """a * b in the field, reduced."""
     return (a * b) % field.p if field.characteristic else a * b
+
+
+def single(field, path):
+    """The path vector 1*path."""
+    return PathVector(field, {path: field.one})
 
 
 def rref(rows, ncols, field, naug=0):

@@ -16,6 +16,7 @@ from koszulgerst.presets import (family_named_cocycles, family_table1, family_ta
                                  family_table3, load_complex, short_goldens)
 from koszulgerst.quiver import Path, PathVector
 from family_goldens import family_psi_chi, family_psi_chibar, family_psi_eta, family_psi_etabar
+from linalg_reference import single
 from test_lifting import chain_map_failures, homogeneous_solutions
 
 F5 = PrimeField(5)
@@ -88,7 +89,7 @@ def test_criterion_4_bracket_table(family8, record_criterion):
         exact_hits += got == expected
     slot = bracket_via_lifting(family8, named["etabar"], named["eta"],
                                lifts["etabar"], lifts["eta"])
-    slot_ok = (slot.values[0] == PathVector.single(QQ, Path(0, (0,)))
+    slot_ok = (slot.values[0] == single(QQ, Path(0, (0,)))
                and all(v.is_zero() for v in slot.values[1:]))
     ok = record_criterion(
         "criterion 4: all 16 bracket-table entries at class level, "

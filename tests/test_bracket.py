@@ -23,7 +23,7 @@ from koszulgerst.resolution import BimoduleElement
 from family_goldens import family_psi_chi, family_psi_chibar, family_psi_eta, family_psi_etabar
 from test_generic_algebra import zigzag_complex
 import bracket_reference
-from linalg_reference import add, mul
+from linalg_reference import add, mul, single
 
 
 def golden_liftings(kx):
@@ -56,7 +56,7 @@ def test_remark_slot_value(family8):
     lifts = golden_liftings(family8)
     got = bracket_via_lifting(family8, named["etabar"], named["eta"],
                               lifts["etabar"], lifts["eta"])
-    a = PathVector.single(QQ, Path(0, (0,)))
+    a = single(QQ, Path(0, (0,)))
     assert got.values[0] == a
     assert all(v.is_zero() for v in got.values[1:])
 
@@ -344,7 +344,7 @@ def _evaluate_tuple(kx, values, words):
 
 
 def _singles(f, words):
-    return tuple(PathVector.single(f, w) for w in words)
+    return tuple(single(f, w) for w in words)
 
 
 def bar_coboundary(kx, F):
@@ -358,16 +358,16 @@ def bar_coboundary(kx, F):
         acc = PathVector.zero(f)
         head = values.get(tup[1:])
         if head is not None:
-            acc = acc + kx.rs.multiply(PathVector.single(f, tup[0]), head)
+            acc = acc + kx.rs.multiply(single(f, tup[0]), head)
         for i in range(n):
-            merged = kx.rs.multiply(PathVector.single(f, tup[i]),
-                                    PathVector.single(f, tup[i + 1]))
+            merged = kx.rs.multiply(single(f, tup[i]),
+                                    single(f, tup[i + 1]))
             inner = _evaluate_tuple(kx, values, _singles(f, tup[:i]) + (merged,)
                                                 + _singles(f, tup[i + 2:]))
             acc = acc + inner.scale(minus if (i + 1) % 2 else f.one)
         tail = values.get(tup[:-1])
         if tail is not None:
-            acc = acc + kx.rs.multiply(tail, PathVector.single(f, tup[-1])).scale(
+            acc = acc + kx.rs.multiply(tail, single(f, tup[-1])).scale(
                 minus if (n + 1) % 2 else f.one)
         out[tup] = acc
     return _flat(kx, n + 1, out)

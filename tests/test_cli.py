@@ -749,11 +749,14 @@ def test_cli_help_matches_a_freshly_built_parser(argv, capsys):
     (["arrow x 1 1", "arrow y 1 1", "arrow x 1 1"], 5, "duplicate name 'x'"),
     (["arrow a 1 a", "vertex a"], 3, "duplicate name 'a'"),
     (["arrow x 1 1", "arrow y 1 3"], 4, "arrow 'y' has unknown endpoint"),
+    (["arrow a 1 1", "order a > 1"], 4, "order lists unknown arrows ['1']"),
+    (["arrow x 1 1", "param q = x", "relation x.x"], 4, "bad rational literal 'x'"),
+    (["arrow a 1 1", "arrow b 1 1", "relation a.b - q*b.a"], 5, "bad rational literal 'q'"),
 ], ids=["unknown", "repeated-one-arrow", "repeated-two-arrows", "missing", "zero",
         "cancelling", "idempotent-arrow", "idempotent-arrow-before-vertex", "dotted-arrow",
         "star-arrow", "minus-arrow", "comma-arrow", "numeral-arrow", "zero-arrow",
         "minus-vertex", "duplicate-vertex", "duplicate-arrow", "arrow-named-like-a-vertex",
-        "unknown-endpoint"])
+        "unknown-endpoint", "order-lists-1", "bad-param", "undeclared-coefficient"])
 def test_cli_bad_order_or_zero_relation_reports_its_line(lines, line, message, tmp_path,
                                                          capsys):
     path = tmp_path / "bad.alg"

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from koszulgerst import cohomology
 from koszulgerst.cohomology import (Cochain, coboundary, cocycle_space, cup_product,
                                     is_coboundary, same_class)
-from koszulgerst.errors import CochainError, UnboundedComputation
+from koszulgerst.errors import CochainError, KoszulGerstError, UnboundedComputation
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.presets import (family_table1, family_table2,
                                  family_named_cocycles, load_complex, short_goldens)
 from koszulgerst.quiver import Path, PathVector
 import cochain_reference
+from linalg_reference import single
 
 
 def test_short_cocycles(short8):
@@ -32,9 +33,18 @@ def test_family_degree2_cocycle(family8):
 def test_cochain_values_must_sit_between_generator_vertices(family8):
     # slot 2 of degree 1 is the arrow 1 -> 2; a loop value is rejected
     bad = [PathVector.zero(family8.field), PathVector.zero(family8.field),
-           PathVector.single(family8.field, Path(0, (0,)))]
+           single(family8.field, Path(0, (0,)))]
     with pytest.raises(ValueError):
         Cochain.from_values(family8, 1, bad)
+
+
+def test_cochain_values_must_compose(family8):
+    # c.a leaves vertex 1 by c and then reads the loop a at vertex 2; such a
+    # value used to pass through normal_form unchanged
+    f = family8.field
+    ca, zero = single(f, Path(0, (2, 0))), PathVector.zero(f)
+    with pytest.raises(KoszulGerstError, match=r"^path 'c\.a' is not composable$"):
+        Cochain.from_values(family8, 1, [ca, zero, zero])
 
 
 def test_cochains_of_other_degree_or_complex_do_not_combine(family8, family8_f5):
@@ -78,7 +88,7 @@ def test_short_requires_internal_degree(short8):
 def test_degree_zero_cocycles(short8, family8):
     # the sum-of-vertices cochain is central, hence a 0-cocycle
     for kx in (short8, family8):
-        ident = Cochain.from_values(kx, 0, [PathVector.single(QQ, kx.quiver.vertex_path(v))
+        ident = Cochain.from_values(kx, 0, [single(QQ, kx.quiver.vertex_path(v))
                                             for v in range(kx.quiver.num_vertices)])
         assert coboundary(ident).is_zero()
     z0 = cocycle_space(short8, 0, 0)
@@ -123,7 +133,7 @@ def test_same_class(family8):
 
 def test_cup_with_identity_is_identity(family8, short8):
     for kx in (family8, short8):
-        ident = Cochain.from_values(kx, 0, [PathVector.single(QQ, kx.quiver.vertex_path(v))
+        ident = Cochain.from_values(kx, 0, [single(QQ, kx.quiver.vertex_path(v))
                                             for v in range(kx.quiver.num_vertices)])
         for eta in (family_named_cocycles(kx)["eta"] if kx is family8
                     else short_goldens(kx)["chi"],):

@@ -28,23 +28,24 @@ from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.koszul import ComultTable, build_koszul_basis
 from koszulgerst.linalg import Matrix, echelon_basis, nullspace_basis
 from koszulgerst.presets import load_complex, load_presentation
-from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
+from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver
 from koszulgerst.resolution import KoszulComplex
 from koszulgerst.rewriting import RewriteSystem, build_rewrite_system
 
-from linalg_reference import add, mul, rref
+from linalg_reference import add, mul, rref, single
 import tower_reference
 from test_products_and_scalars import random_path
 from tower_reference import (PivotComultTable, ReferenceCobasis, _intersect, _split_blocks,
-                             family_cobasis, intersection_tower, leftmost_nf_path,
-                             normal_form_right_action, path_spelling, short_cobasis)
+                             family_cobasis, free_multiply, intersection_tower,
+                             leftmost_nf_path, normal_form_right_action, path_spelling,
+                             short_cobasis)
 
 
 def test_short_tower_closed_form(short8):
     cb = short8.cobasis
     assert [cb.count(n) for n in range(9)] == [1] + [2] * 8
     for n in range(1, 9):
-        assert cb.f(n, 0) == PathVector.single(QQ, Path(0, (0,) * n))
+        assert cb.f(n, 0) == single(QQ, Path(0, (0,) * n))
         expected = {Path(0, (0,) * i + (1,) + (0,) * (n - 1 - i)): QQ(1)
                     for i in range(n)}
         assert cb.f(n, 1) == PathVector(QQ, expected)
@@ -54,9 +55,9 @@ def test_family_degree3_recursion(family8):
     cb = family8.cobasis
     assert [cb.count(n) for n in range(9)] == [2, 3] + [n + 2 for n in range(2, 9)]
     q = family8.quiver
-    a = PathVector.single(QQ, Path(0, (0,)))
-    b = PathVector.single(QQ, Path(0, (1,)))
-    c = PathVector.single(QQ, Path(0, (2,)))
+    a = single(QQ, Path(0, (0,)))
+    b = single(QQ, Path(0, (1,)))
+    c = single(QQ, Path(0, (2,)))
     # q = 1: f^3_s = f^2_{s-1} b + (-1)^s f^2_s a between the pure powers
     assert cb.f(3, 0) == free_multiply(q, free_multiply(q, a, a), a)
     assert cb.f(3, 1) == free_multiply(q, cb.f(2, 0), b) - free_multiply(q, cb.f(2, 1), a)
@@ -157,7 +158,7 @@ def test_inconsistent_basis_detected(short8):
     # y^3 is not in f^1 . span(relations), so no scalar row can exist for it
     pres = short8.presentation
     levels = [list(level) for level in short8.cobasis.elements[:4]]
-    levels[3][0] = PathVector.single(QQ, Path(0, (1, 1, 1)))
+    levels[3][0] = single(QQ, Path(0, (1, 1, 1)))
     broken = ReferenceCobasis(pres.quiver, levels)
     table = PivotComultTable(pres.quiver, broken, QQ)
     with pytest.raises(InconsistentBasis):
@@ -209,7 +210,7 @@ def test_cobasis_rejects_words_that_are_not_paths(family8, n, word):
     # both words are uniform by their recorded origin, so only the path check
     # of the reference cobasis, which the negative controls here feed, catches them
     levels = [list(level) for level in family8.cobasis.elements[:3]]
-    levels[n][0] = PathVector.single(QQ, word)
+    levels[n][0] = single(QQ, word)
     with pytest.raises(InconsistentBasis, match="has a word that is not a path"):
         ReferenceCobasis(family8.quiver, levels)
 
@@ -222,7 +223,7 @@ def test_codes_spell_each_word_once():
     # y.z + 1/2 x.x, so f^2_0, dual to x.x, is x.x - 1/2 y.z, spelled x.x first
     monomials = [Path(0, (0, 1)), Path(1, (2, 0)), Path(1, (2, 1))]
     rels = [PathVector(QQ, {Path(0, (0, 0)): QQ(2), Path(0, (1, 2)): QQ(-1)}),
-            *(PathVector.single(QQ, w) for w in monomials)]
+            *(single(QQ, w) for w in monomials)]
     cb = build_koszul_basis(build_rewrite_system(QuadraticPresentation(q, rels, field=QQ)), 2)
     assert cb.words[2] == [Path(0, (0, 0)), Path(0, (0, 1)), Path(1, (2, 0)), Path(1, (2, 1))]
     assert cb.codes(0, 2) == {2: QQ(1)} and cb.codes(1, 1) == {1: QQ(1)}
@@ -340,7 +341,7 @@ def test_a_corrupted_times_entry_fails_the_sweep():
     (k, c), *rest = by_arrow[a]
     for other, b in ruled:
         del other[b]
-    by_arrow[a], rs._nf_cache = [(k, rs.field(c + c)), *rest], {}
+    by_arrow[a], rs._products = [(k, rs.field(c + c)), *rest], {}
     assert nf_path_mismatches(rs, 0) != []
 
 
@@ -378,19 +379,21 @@ def test_building_a_complex_puts_r_in_echelon_form_once(monkeypatch):
 
 def test_scalars_and_spelling_multiply_only_composable_words():
     # a slice and the spelling of f^n read the right action of the arrows on
-    # A^!, A^!'s RewriteSystem.times on word indices: no word is put in normal
-    # form after the build, and only a word and an arrow it ends at are
-    # multiplied; 56 of the 108 products w_j . a rewrite by a rule, 28 to zero
+    # A^!, A^!'s RewriteSystem.times on word indices: no word is multiplied
+    # after the build, so A^!'s word products stay those of its confluence
+    # check, and only a word and an arrow it ends at are multiplied; 56 of
+    # the 108 products w_j . a rewrite by a rule, 28 to zero
     kx = load_complex("family", QQ, 8, q=1)
     cb = kx.cobasis
     rs = build_rewrite_system(load_presentation("family", QQ, q=1))
-    built = set(build_koszul_basis(rs, 8).dual._nf_cache)
+    built = dict(build_koszul_basis(rs, 8).dual._products)
+    assert cb.dual._products == built
     for n in range(9):
         for r in range(n + 1):
             kx.c(n, 0, r)
-            assert cb.dual._products == {}
+            assert cb.dual._products == built
     assert kx.verify_resolution().ok
-    assert cb.dual._products == {} and set(cb.dual._nf_cache) == built
+    assert cb.dual._products == built
     q, rules = kx.quiver, cb.dual.rules
     products = [(w, a, images) for m, action in sorted(cb._right.items())
                 for w, by_arrow in zip(cb.words[m], action) for a, images in by_arrow.items()]
@@ -534,21 +537,21 @@ def test_comult_slices_match_reference_in_any_order():
 
 def one_arrow_presentation():
     q = Quiver(["1"], [("x", "1", "1")])
-    return QuadraticPresentation(q, [PathVector.single(QQ, Path(0, (0, 0)))], field=QQ)
+    return QuadraticPresentation(q, [single(QQ, Path(0, (0, 0)))], field=QQ)
 
 
 def isolated_vertex_presentation():
     # vertex 3 has no arrow: it is a degree-0 generator that no split meets
     q = Quiver(["1", "2", "3"], [("x", "1", "1"), ("y", "1", "2"), ("z", "2", "1")])
-    rels = [PathVector.single(QQ, Path(0, (0, 0))),
+    rels = [single(QQ, Path(0, (0, 0))),
             PathVector(QQ, {Path(0, (1, 2)): QQ(1), Path(0, (0, 0)): QQ(-1)}),
-            PathVector.single(QQ, Path(1, (2, 1)))]
+            single(QQ, Path(1, (2, 1)))]
     return QuadraticPresentation(q, rels, field=QQ)
 
 
 def zigzag_presentation():
     q = Quiver(["1", "2"], [("u", "1", "2"), ("v", "2", "1")])
-    rels = [PathVector.single(QQ, Path(0, (0, 1))), PathVector.single(QQ, Path(1, (1, 0)))]
+    rels = [single(QQ, Path(0, (0, 1))), single(QQ, Path(1, (1, 0)))]
     return QuadraticPresentation(q, rels, field=QQ)
 
 
@@ -659,8 +662,8 @@ def split_inputs(pres, N):
 def reference_tower(pres, N):
     """Levels 0..N of the tower, intersecting free_multiply extensions."""
     q, f, key = pres.quiver, pres.field, pres.order_key
-    arrows = [PathVector.single(f, q.arrow_path(a)) for a in range(q.num_arrows)]
-    levels = [[PathVector.single(f, q.vertex_path(v)) for v in range(q.num_vertices)],
+    arrows = [single(f, q.arrow_path(a)) for a in range(q.num_arrows)]
+    levels = [[single(f, q.vertex_path(v)) for v in range(q.num_vertices)],
               arrows, reference_split_blocks(q, echelon_basis(pres.relations, key), key)]
     for n in range(3, N + 1):
         prev = levels[n - 1]
@@ -862,7 +865,7 @@ def two_cycle_presentation(relations):
     """Arrows x: 1 -> 2 and y: 2 -> 1 with the given two-arrow monomial relations."""
     q = Quiver(["1", "2"], [("x", "1", "2"), ("y", "2", "1")])
     return QuadraticPresentation(
-        q, [PathVector.single(QQ, Path(q.arrow_o[w[0]], w)) for w in relations], field=QQ)
+        q, [single(QQ, Path(q.arrow_o[w[0]], w)) for w in relations], field=QQ)
 
 
 @pytest.mark.parametrize("pres, finite", [

@@ -24,7 +24,7 @@ from lifting_reference import (reference_apply, reference_derivation_apply,
                                reference_differential, reference_lifting_rhs,
                                reference_residual, reference_sandwich_words)
 from test_generic_algebra import zigzag_complex
-from linalg_reference import mul, rref, solve_affine_reference
+from linalg_reference import mul, rref, single, solve_affine_reference
 
 
 def zero_lifting(kx, eta, M):
@@ -196,7 +196,7 @@ def test_idempotent_conditions_match_the_vertex_scalar_identities():
                 if o != t:
                     continue
                 values = [PathVector.zero(f)] * kx.count(n)
-                values[slot] = PathVector.single(f, kx.quiver.vertex_path(o))
+                values[slot] = single(f, kx.quiver.vertex_path(o))
                 eta = Cochain.from_values(kx, n, values)
                 residuals = verify_lifting(kx, eta, zero_lifting(kx, eta, 6), 6)
                 failing = [key for key, _ in residuals]
@@ -212,7 +212,7 @@ def test_idempotent_conditions_match_the_vertex_scalar_identities():
 def _disjoint_loops_complex():
     """Loop x at vertex 1 with x^2 = 0; free loop z at vertex 2."""
     quiver = Quiver(["1", "2"], [("x", "1", "1"), ("z", "2", "2")])
-    xx = PathVector.single(QQ, Path(0, (0, 0)))
+    xx = single(QQ, Path(0, (0, 0)))
     pres = QuadraticPresentation(quiver, [xx], field=QQ)
     return KoszulComplex(pres, 5)
 
@@ -222,7 +222,7 @@ def test_closed_form_idempotent_vacuous():
     # the degree >= 2 generator tower is x^n only, so no generator of degree
     # >= 2 touches vertex 2, and psi = 0 lifts the e2-valued cocycle
     eta = Cochain.from_values(kx, 1, [PathVector.zero(QQ),
-                                      PathVector.single(QQ, kx.quiver.vertex_path(1))])
+                                      single(QQ, kx.quiver.vertex_path(1))])
     assert coboundary(eta).is_zero()
     assert [m for m in range(1, 6) if any(1 in pair for pair in kx.cobasis.pairs[m - 1])] == [1, 2]
     assert verify_lifting(kx, eta, zero_lifting(kx, eta, 5), 5) == []
@@ -243,10 +243,10 @@ def test_lifting_bad_input_is_a_library_error(degree, solve, message):
 def test_closed_form_idempotent_power_algebra():
     # single loop, x^2 = 0: the e1-valued degree-2 cocycle has psi = 0
     quiver = Quiver(["1"], [("x", "1", "1")])
-    xx = PathVector.single(QQ, Path(0, (0, 0)))
+    xx = single(QQ, Path(0, (0, 0)))
     pres = QuadraticPresentation(quiver, [xx], field=QQ)
     kx = KoszulComplex(pres, 5)
-    eta = Cochain.from_values(kx, 2, [PathVector.single(QQ, kx.quiver.vertex_path(0))])
+    eta = Cochain.from_values(kx, 2, [single(QQ, kx.quiver.vertex_path(0))])
     assert coboundary(eta).is_zero()
     # every generator of the tower x^n touches vertex 1, and psi = 0 lifts eta
     assert verify_lifting(kx, eta, zero_lifting(kx, eta, 5), 5) == []
@@ -286,7 +286,7 @@ def test_derivation_on_words(family8):
     g = family_named_cocycles(family8)
     ba = Path(0, (1, 0))
     # eta sends a -> a, so on the word ba the Leibniz rule gives back ba
-    assert derivation_on_word(family8, g["eta"], ba) == PathVector.single(QQ, ba)
+    assert derivation_on_word(family8, g["eta"], ba) == single(QQ, ba)
     assert derivation_on_word(family8, g["eta"], Path(0, ())).is_zero()
 
 
@@ -666,8 +666,8 @@ def reference_derivation_on_word(kx, gamma, path):
         val = gamma.values[a]
         if val.is_zero():
             continue
-        prefix = PathVector.single(f, subpath(0, k))
-        suffix = PathVector.single(f, subpath(k + 1, len(path.arrows)))
+        prefix = single(f, subpath(0, k))
+        suffix = single(f, subpath(k + 1, len(path.arrows)))
         for w, c in kx.rs.multiply(kx.rs.multiply(prefix, val), suffix).terms.items():
             acc[w] = acc.get(w, 0) + c
     return PathVector(f, acc)
@@ -721,4 +721,4 @@ def test_sandwich_into_matches_sandwich_words(scale, family8, rng):
         got = BimoduleElement(f, n, out)
         assert got == reference_sandwich_words(family8, u, x, v).scale(f(scale))
         if scale == 1:
-            assert got == family8.sandwich(PathVector.single(f, u), x, PathVector.single(f, v))
+            assert got == family8.sandwich(single(f, u), x, single(f, v))

@@ -12,7 +12,7 @@ from koszulgerst.linalg import (GradedVector, Matrix, SparseVector, _replay, _rr
                                 echelon_basis, nullspace_basis, rank, solve_affine_system,
                                 solve_many)
 
-from linalg_reference import add, mul, rref, solve_affine_reference
+from linalg_reference import add, mul, rref, single, solve_affine_reference
 
 F5 = PrimeField(5)
 
@@ -141,10 +141,10 @@ def test_prime_field_validation():
 
 def test_field_mismatch_on_vector_arithmetic():
     from koszulgerst.errors import FieldMismatch
-    from koszulgerst.quiver import Path, PathVector
+    from koszulgerst.quiver import Path
     p = Path(0, ())
     with pytest.raises(FieldMismatch):
-        PathVector.single(QQ, p) + PathVector.single(F5, p)
+        single(QQ, p) + single(F5, p)
 
 
 def test_sparse_vector_constructor_drops_zeros():

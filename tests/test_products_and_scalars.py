@@ -16,10 +16,12 @@ from koszulgerst.errors import InconsistentBasis
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.linalg import Matrix, solve_many
 from koszulgerst.presets import load_complex
-from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver, free_multiply
+from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver
 from koszulgerst.resolution import KoszulComplex
 
-from tower_reference import PivotComultTable, ReferenceCobasis, leftmost_normal_form
+from linalg_reference import single
+from tower_reference import (PivotComultTable, ReferenceCobasis, free_multiply,
+                             leftmost_normal_form)
 
 F5 = PrimeField(5)
 N = 6
@@ -28,7 +30,7 @@ N = 6
 def quantum_exterior(field, names, rng):
     """x_i^2 = 0 and x_j x_i + q_ij x_i x_j = 0 (i < j), q_ij random nonzero."""
     quiver = Quiver(["1"], [(x, "1", "1") for x in names])
-    relations = [PathVector.single(field, Path(0, (i, i))) for i in range(len(names))]
+    relations = [single(field, Path(0, (i, i))) for i in range(len(names))]
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             q = field(rng.choice([c for c in range(-9, 10) if field(c) != field.zero]))
@@ -84,8 +86,8 @@ def test_multiply_is_the_reduced_free_product(complex_case, rng):
 
 def test_scaling_a_product_leaves_the_memo_intact():
     kx = load_complex("short", QQ, 2)
-    x = PathVector.single(QQ, Path(0, (0,)))
-    y = PathVector.single(QQ, Path(0, (1,)))
+    x = single(QQ, Path(0, (0,)))
+    y = single(QQ, Path(0, (1,)))
     prod = kx.rs.multiply(x, y)
     assert prod == PathVector(QQ, {Path(0, (1, 0)): -1})  # xy = -yx
     for derived in (prod.scale(3), -prod, prod + prod, prod - prod,

@@ -5,11 +5,12 @@ import pytest
 from koszulgerst.algfile import parse_presentation
 from koszulgerst.errors import NonQuadraticRelation, NotConfluent
 from koszulgerst.fields import QQ
-from koszulgerst.presets import load_complex, load_presentation
+from koszulgerst.presets import PRESET_FILES, load_complex, load_presentation
 from koszulgerst.quiver import Path, PathVector, QuadraticPresentation, Quiver
 from koszulgerst.resolution import KoszulComplex
 from koszulgerst.rewriting import build_rewrite_system
 
+from linalg_reference import single
 from test_generic_algebra import zigzag_complex
 from test_koszul import family_shaped_text, quantum_exterior_text
 
@@ -51,6 +52,23 @@ def test_family_rules_confluent():
     assert rs.rules[(a, a)].is_zero()
 
 
+@pytest.mark.parametrize("q, route", [(1, "a.b.c"), (-1, "-a.b.c"), (2, "1/2*a.b.c")])
+@pytest.mark.parametrize("order", ["a > b > c", "a > c > b", "c > a > b",
+                                   "b > a > c", "b > c > a", "c > b > a"])
+def test_family_arrow_orders_build_or_name_their_overlap(order, q, route):
+    # with a > b the rule a.b -> q b.a leaves every overlap resolvable; with
+    # b > a the rule b.a -> 1/q a.b meets a.c -> 0 on the overlap b.a.c
+    text = PRESET_FILES["family"].replace("order a > b > c", f"order {order}")
+    pres = parse_presentation(f"{text}param q = {q}\n")
+    if order in ("a > b > c", "a > c > b", "c > a > b"):
+        kx = KoszulComplex(pres, 4)
+        assert [kx.count(n) for n in range(5)] == [2, 3, 4, 5, 6]
+    else:
+        with pytest.raises(NotConfluent) as err:
+            build_rewrite_system(pres)
+        assert str(err.value) == f"overlap b.a.c resolves to {route} and 0"
+
+
 def test_single_commutator_relation_is_confluent():
     q = two_loop_quiver()
     rel = pv(QQ, q, (1, "xy"), (-1, "yx"))
@@ -84,9 +102,9 @@ def test_normal_form_examples(short8, family8):
     qs = short8.quiver
     assert short8.rs.normal_form(pv(QQ, qs, (1, "xy"))) == pv(QQ, qs, (-1, "yx"))
     qf = family8.quiver
-    ab = PathVector.single(QQ, Path(0, (0, 1)))
-    assert family8.rs.normal_form(ab) == PathVector.single(QQ, Path(0, (1, 0)))
-    e1 = PathVector.single(QQ, Path(0, ()))
+    ab = single(QQ, Path(0, (0, 1)))
+    assert family8.rs.normal_form(ab) == single(QQ, Path(0, (1, 0)))
+    e1 = single(QQ, Path(0, ()))
     assert short8.rs.normal_form(e1) == e1
 
 
@@ -111,10 +129,10 @@ def test_multiply_examples(short8, family8):
     assert short8.rs.multiply(x, y) == pv(QQ, qs, (-1, "yx"))
     qf = family8.quiver
     a = pv(QQ, qf, (1, "a"))
-    c = PathVector.single(QQ, Path(0, (2,)))
+    c = single(QQ, Path(0, (2,)))
     assert family8.rs.multiply(a, c).is_zero()
-    e1 = PathVector.single(QQ, Path(0, ()))
-    e2 = PathVector.single(QQ, Path(1, ()))
+    e1 = single(QQ, Path(0, ()))
+    e2 = single(QQ, Path(1, ()))
     assert family8.rs.multiply(e1, a) == a
     assert family8.rs.multiply(e2, a).is_zero()
 
@@ -125,14 +143,14 @@ def test_vertex_idempotents_act_as_identity(family8):
     total = PathVector(f, {q.vertex_path(v): f.one for v in range(q.num_vertices)})
     for L in range(3):
         for w in family8.rs.basis_words(L):
-            wv = PathVector.single(f, w)
+            wv = single(f, w)
             assert family8.rs.multiply(total, wv) == wv
             assert family8.rs.multiply(wv, total) == wv
 
 
 def test_multiplication_associative_on_random_words(short8, family8, rng):
     for kx in (short8, family8):
-        words = [PathVector.single(QQ, w)
+        words = [single(QQ, w)
                  for L in range(3) for w in kx.rs.basis_words(L)]
         for _ in range(40):
             a, b, c = (rng.choice(words) for _ in range(3))

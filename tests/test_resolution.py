@@ -12,12 +12,12 @@ from koszulgerst.errors import DegreeUnderflow
 from koszulgerst.fields import QQ, PrimeField
 from koszulgerst.linalg import Matrix, rank
 from koszulgerst.presets import load_complex
-from koszulgerst.quiver import Path, PathVector
+from koszulgerst.quiver import Path
 from koszulgerst.resolution import BimoduleElement, KoszulComplex
 
 from identity_reference import (COASSOC, COUNIT, D_SQUARED, DG_COMPAT, augment, diff_witness,
                                 double_scalar, eps, reference_failures)
-from linalg_reference import add, mul
+from linalg_reference import add, mul, single
 from test_generic_algebra import zigzag_complex
 from test_koszul import quantum_exterior_text
 
@@ -175,14 +175,14 @@ def test_sandwich_into_matches_sandwich(family8, rng):
         x = family8._diff_eps(n + 1, rng.randrange(family8.count(n + 1)))
         u, v = rng.choice(words), rng.choice(words)
         got = sandwich_words(family8, u, x, v)
-        want = family8.sandwich(PathVector.single(f, u), x, PathVector.single(f, v))
+        want = family8.sandwich(single(f, u), x, single(f, v))
         assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_augment_and_underflow(family8):
     # the reference augmentation, against which d*d=0's degree-1 witness is compared
     x = sandwich_words(family8, Path(0, (1,)), eps(family8, 0, 0), Path(0, (0,)))
-    assert augment(family8, x) == PathVector.single(QQ, Path(0, (1, 0)))
+    assert augment(family8, x) == single(QQ, Path(0, (1, 0)))
     with pytest.raises(DegreeUnderflow):
         family8.differential(eps(family8, 0, 0))
 

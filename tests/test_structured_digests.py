@@ -57,8 +57,25 @@ vertex 1
 arrow a 1 2
 """
 
+# the family preset at q = 1 ordered b > a > c: the overlap b.a.c does not
+# resolve, so the rewrite system is refused with NotConfluent, exit 2
+FAMILY_BAC = """\
+field Q
+vertex 1
+vertex 2
+arrow a 1 1
+arrow b 1 1
+arrow c 1 2
+order b > a > c
+param q = 1
+relation a.a
+relation b.b
+relation a.b - q*b.a
+relation a.c
+"""
+
 # algebra files written for each run; `{name}` in an argv is its path
-FILES = {"ext3": EXT3, "unknown_endpoint": UNKNOWN_ENDPOINT}
+FILES = {"ext3": EXT3, "unknown_endpoint": UNKNOWN_ENDPOINT, "family_bac": FAMILY_BAC}
 
 FAMILY = ["--preset", "family", "--q", "1"]
 F5 = ["--field", "F5"]
@@ -100,6 +117,7 @@ COMMANDS = [
     ["verify-all", "--preset", "family", "--q", "2"],
     ["cohomology", "--preset", "short", "-N", "3", "--internal-degree", "1"],
     ["basis", "--algebra", "{unknown_endpoint}"],
+    ["basis", "--algebra", "{family_bac}"],
 ]
 
 

@@ -20,7 +20,10 @@ Kept as the reference for the dual-basis construction of `koszul`:
   it folded paths through `RewriteSystem.times`;
 * `normal_form_right_action` multiplies each normal word of A^! by each
   arrow through that leftmost rewriting, as the package did before it read
-  the right action off A^!'s rules on word indices.
+  the right action off A^!'s rules on word indices;
+* `free_multiply` is the product of the free path algebra kQ, which the
+  package's confluence check used before it reduced each overlap through
+  `RewriteSystem.word_product`.
 
 The intersection.  Because W_{n-1} arrives in reduced echelon form under
 the length-lex path order, the left extensions a.w are themselves a
@@ -35,9 +38,21 @@ Each level is listed by (origin, target) vertex pair, then by pivot.
 
 from koszulgerst.errors import InconsistentBasis
 from koszulgerst.linalg import Matrix, echelon_basis, nullspace_basis
-from koszulgerst.quiver import Path, PathVector, free_multiply
+from koszulgerst.quiver import Path, PathVector
 
-from linalg_reference import mul, rref
+from linalg_reference import mul, rref, single
+
+
+def free_multiply(quiver, a, b):
+    """Product in the free path algebra kQ (concatenation, no relations)."""
+    out = {}
+    for p, cp in a.terms.items():
+        for q, cq in b.terms.items():
+            pq = quiver.compose(p, q)
+            if pq is None:
+                continue
+            out[pq] = out.get(pq, 0) + cp * cq
+    return PathVector(a.field, out)
 
 
 class ReferenceCobasis:
@@ -95,8 +110,8 @@ def intersection_tower(presentation, N):
     q = presentation.quiver
     f = presentation.field
     key = presentation.order_key
-    levels = [[PathVector.single(f, q.vertex_path(v)) for v in range(q.num_vertices)],
-              [PathVector.single(f, q.arrow_path(a)) for a in range(q.num_arrows)]]
+    levels = [[single(f, q.vertex_path(v)) for v in range(q.num_vertices)],
+              [single(f, q.arrow_path(a)) for a in range(q.num_arrows)]]
     if N >= 2:
         levels.append(_split_blocks(q, echelon_basis(presentation.relations, key), key))
     for n in range(3, N + 1):
@@ -268,9 +283,9 @@ class PivotComultTable:
 def short_cobasis(presentation, N):
     """x^n and sum_{i+j=n-1} x^i y x^j."""
     field = presentation.field
-    levels = [[PathVector.single(field, Path(0, ()))]]
+    levels = [[single(field, Path(0, ()))]]
     for n in range(1, N + 1):
-        f0 = PathVector.single(field, Path(0, (0,) * n))
+        f0 = single(field, Path(0, (0,) * n))
         f1_terms = {}
         for i in range(n):
             f1_terms[Path(0, (0,) * i + (1,) + (0,) * (n - 1 - i))] = field.one
@@ -284,10 +299,10 @@ def family_cobasis(presentation, N):
     field = presentation.field
     q = presentation.params["q"]
     quiver = presentation.quiver
-    a = PathVector.single(field, Path(0, (0,)))
-    b = PathVector.single(field, Path(0, (1,)))
-    c = PathVector.single(field, Path(0, (2,)))
-    levels = [[PathVector.single(field, Path(0, ())), PathVector.single(field, Path(1, ()))],
+    a = single(field, Path(0, (0,)))
+    b = single(field, Path(0, (1,)))
+    c = single(field, Path(0, (2,)))
+    levels = [[single(field, Path(0, ())), single(field, Path(1, ()))],
               [a, b, c]]
     minus_q = field.neg(q)
     for n in range(2, N + 1):
@@ -302,7 +317,7 @@ def family_cobasis(presentation, N):
         if n == 2:
             fs.append(free_multiply(quiver, a, c))
         else:
-            fs.append(free_multiply(quiver, PathVector.single(field, Path(0, (0,) * (n - 1))), c))
+            fs.append(free_multiply(quiver, single(field, Path(0, (0,) * (n - 1))), c))
         levels.append(fs)
     return ReferenceCobasis(quiver, levels)
 
@@ -313,7 +328,7 @@ def path_spelling(cobasis):
     A^!_{n-1}; each dict lists its words in the order they were spelled."""
     quiver, field = cobasis.quiver, cobasis.dual.field
     compose, arrow = quiver.compose, quiver.arrow_path
-    levels = [[PathVector.single(field, w) for w in cobasis.words[0]]]
+    levels = [[single(field, w) for w in cobasis.words[0]]]
     for n in range(1, cobasis.max_degree + 1):
         acc = [{} for _ in cobasis.words[n]]
         for f_u, action in zip(levels[n - 1], cobasis.right_action(n - 1)):
@@ -337,7 +352,7 @@ def leftmost_nf_path(rules, field, path, memo):
     arrows = path.arrows
     k = next((k for k in range(len(arrows) - 1) if (arrows[k], arrows[k + 1]) in rules), -1)
     if k < 0:
-        got = PathVector.single(field, path)
+        got = single(field, path)
     else:
         acc = {}
         for tpath, tcoeff in rules[(arrows[k], arrows[k + 1])].terms.items():
