@@ -19,30 +19,43 @@ v being the int v and an arrow a the int V + a, with a table of the
 normal forms of the products of two letters.  The view is dropped when the
 call returns, so it never outlives a change to the cached d.
 
-d o d = 0 sums u.u2 . eps_k . v2.v over that table; in degree 1 it is the
-augmentation u . e_j . v -> u.v.  The three Delta identities are checked
-on the diagonal's index data.  Every decoration in
+Four checks pack each term's key into one int, by mixed radix over bounds
+fixed per call: L letters, B the largest generator count in degrees 0..N,
+N + 1 degrees, W word ids and A^(n-1) codes.  Each packs, once per call,
+the part of the key that a term of d or Delta fixes, so that sides does
+one int add and one dict accumulate per term; like the view, these lists
+are dropped on return.  The fields, most significant first:
+
+    d o d = 0        (word id, generator, word id); the word id at n = 1
+    dg identity      (dl, u, p, w, q, v) for u . eps^dl_p . w ox eps_q . v
+    coassociativity  (v1, v2, p1, p2, p3) for eps^v1_p1 ox eps^v2_p2 ox eps_p3
+    delta iota       (first letter, code of the arrows between, last letter),
+                     above those (k, code) for the merge of entries k, k + 1
+
+d o d = 0 sums u.u2 . eps_k . v2.v over the products table; in degree 1
+it is the augmentation u . e_j . v -> u.v.  The three Delta identities are
+checked on the diagonal's index data.  Every decoration in
 Delta(eps^n_r) = sum c_pq(n,r,v) eps^v_p ox eps^{n-v}_q is a generator's
 vertex idempotent, and c_pq != 0 only for composable (p, q): f^n_r, f^v_p
 and f^{n-v}_q are vertex-homogeneous, so p starts where r does, q ends
 where r does, and p ends where q starts.  A term is therefore fixed by
-(v, p, q), and products against idempotents change nothing:
-coassociativity compares (v1, v2, p1, p2, p3) keys, the counit laws sum
-c_pq(n,r,0) and c_pq(n,r,n) over the generators at the matching vertex, and
-the dg identity places the letters of d(eps) in its 6-int keys as they are.
+(v, p, q), and products against idempotents change nothing: the counit
+laws sum c_pq(n,r,0) and c_pq(n,r,n) over the generators at the matching
+vertex, keyed (side, generator), and the dg identity places the letters
+of d(eps) in its key as they are.
 
 delta o iota = iota o d is checked on codes (Quiver.code, one per word of
 f^n_i: the cobasis spells each word straight into its code and holds
-nothing else) and the letter view of d, each bar word keyed by ints
-(_check_iota).  iota, iota_bimodule and restrict_along_iota read the
-letters of the same words, decoded from their codes by Quiver.decode
-(_letters).  No check calls the Path-level maps (differential, sandwich,
-iota, iota_bimodule, bar_delta).
+nothing else) and the letter view of d (_check_iota).  iota,
+iota_bimodule and restrict_along_iota read the letters of the same words,
+decoded from their codes by Quiver.decode (_letters).  No check calls the
+Path-level maps (differential, sandwich, iota, iota_bimodule, bar_delta).
 
 Witnesses.  Only a failing generator is spelled out, in one format for all
 five identities: the first term of lhs - rhs in repr order of its decoded
 key, words in path notation, as in "term (x, eps^1_0, y): -1"; a counit
-witness names its side, as in "term (mu ox 1, eps^2_0): 1".
+witness names its side, as in "term (mu ox 1, eps^2_0): 1".  decode
+unpacks a key by divmod (_digits) into the tuple above, ids as Paths.
 
 Every bimodule-linear map goes through one kernel,
 sandwich_into(out, u, terms, v, scale), which adds scale . (u . x . v) for
@@ -65,6 +78,24 @@ from .koszul import ComultTable, build_koszul_basis
 from .linalg import GradedVector
 from .quiver import Path
 from .rewriting import build_rewrite_system
+
+
+def _places(*radices):
+    """The place values of a mixed-radix int whose digits after the first
+    have these radices, most significant first; the last is 1."""
+    places = [1]
+    for radix in reversed(radices):
+        places.append(places[-1] * radix)
+    return places[::-1]
+
+
+def _digits(key, *radices):
+    """The digits of key in that mixed radix, most significant first."""
+    digits = []
+    for radix in reversed(radices):
+        key, digit = divmod(key, radix)
+        digits.append(digit)
+    return [key, *reversed(digits)]
 
 
 class BimoduleElement(GradedVector):
@@ -271,7 +302,8 @@ class KoszulComplex:
         the augmentation of d(eps^1_i) keyed by word id; a witness spells the
         key (word, eps^{n-2}_k, word), or (word,) at n = 1."""
         letters, diff, products, words = view
-        L = len(letters)
+        L, W, B = len(letters), len(words), max(map(self.count, range(N + 1)))
+        lefts = [[(x * B * W, c) for x, c in terms] for terms in products]
 
         def sides(n, i, acc):
             if n == 1:  # u . e_j . v -> u.v
@@ -282,20 +314,23 @@ class KoszulComplex:
             # u . (u2 . eps_k . v2) . v -> (u.u2) . eps_k . (v2.v)
             for u, j, v, c in diff[(n, i)]:
                 for u2, k, v2, c2 in diff[(n - 1, j)]:
-                    left = products[u * L + u2]
+                    left = lefts[u * L + u2]
                     if not left:
                         continue
-                    right, cc = products[v2 * L + v], c * c2
+                    right, cc, kw = products[v2 * L + v], c * c2, k * W
                     for x, cx in left:
-                        cl = cc * cx
+                        cl, xk = cc * cx, x + kw
                         for y, cy in right:
-                            key = (x, k, y)
+                            key = xk + y
                             acc[key] = acc.get(key, 0) + cl * cy
 
-        self._check_sides("d*d=0", 1, N, sides,
-                          lambda n, k: (words[k],) if n == 1 else (
-                              words[k[0]], f"eps^{n - 2}_{k[1]}", words[k[2]]),
-                          checked, failures)
+        def decode(n, key):
+            if n == 1:
+                return (words[key],)
+            x, k, y = _digits(key, B, W)
+            return (words[x], f"eps^{n - 2}_{k}", words[y])
+
+        self._check_sides("d*d=0", 1, N, sides, decode, checked, failures)
 
     def _check_sides(self, name, n0, N, sides, decode, checked, failures):
         """Check lhs = rhs at each eps^n_r, n0 <= n <= N, where sides(n, r, acc)
@@ -317,48 +352,70 @@ class KoszulComplex:
 
     def _check_dg_compat(self, N, view, checked, failures):
         """Both sides keyed (dl, u, p, w, q, v) for u . eps^dl_p . w ox
-        eps^{n-1-dl}_q . v, with u, w, v int letters (Paths in the witness)."""
+        eps^{n-1-dl}_q . v, with u, w, v int letters (Paths in the witness);
+        d's terms are packed as left (dl, u, p, w) and right (w, q, v) factors."""
         cb, diagonal, (letters, diff, _, _) = self.cobasis, self.diagonal, view
+        L, B = len(letters), max(map(self.count, range(N + 1)))
+        dl_, u_, p_, w_, q_, v_ = _places(L, B, L, B, L)
+        as_left = {(m, p): [((m - 1) * dl_ + u * u_ + j * p_ + w * w_, c) for u, j, w, c in terms]
+                   for (m, p), terms in diff.items()}
+        as_right = {key: [(w * w_ + j * q_ + v, c) for w, j, v, c in terms]
+                    for key, terms in diff.items()}
+        split = {(m, i): [(dl * dl_ + p * p_ + cb.target(dl, p) * w_ + q * q_, c)
+                          for dl, p, q, c in diagonal(m, i)]
+                 for m in range(N) for i in range(self.count(m))}
 
         def sides(n, r, acc):
             for dl, p, q, coeff in diagonal(n, r):
                 if dl >= 1:  # d(eps^dl_p) ox eps_q
-                    v = cb.target(n - dl, q)
-                    for u2, p2, w2, c2 in diff[(dl, p)]:
-                        key = (dl - 1, u2, p2, w2, q, v)
+                    qv = q * q_ + cb.target(n - dl, q)
+                    for left, c2 in as_left[(dl, p)]:
+                        key = left + qv
                         acc[key] = acc.get(key, 0) + coeff * c2
                 if dl < n:  # (-1)^dl eps_p ox d(eps^{n-dl}_q)
                     signed = -coeff if dl % 2 else coeff
-                    u = cb.origin(dl, p)
-                    for w2, q2, v2, c2 in diff[(n - dl, q)]:
-                        key = (dl, u, p, w2, q2, v2)
+                    dlup = dl * dl_ + cb.origin(dl, p) * u_ + p * p_
+                    for right, c2 in as_right[(n - dl, q)]:
+                        key = dlup + right
                         acc[key] = acc.get(key, 0) + signed * c2
             # Delta(u . eps^{n-1}_i . v) puts u and v around each diagonal term
             for u, i, v, coeff in diff[(n, r)]:
-                for dl, p, q, c in diagonal(n - 1, i):
-                    key = (dl, u, p, cb.target(dl, p), q, v)
+                uv = u * u_ + v
+                for term, c in split[(n - 1, i)]:
+                    key = term + uv
                     acc[key] = acc.get(key, 0) - coeff * c
 
-        self._check_sides("(d ox 1 + 1 ox d)Delta = Delta d", 1, N, sides,
-                          lambda n, k: (k[0], letters[k[1]], k[2], letters[k[3]], k[4],
-                                        letters[k[5]]),
+        def decode(n, key):
+            dl, u, p, w, q, v = _digits(key, L, B, L, B, L)
+            return (dl, letters[u], p, letters[w], q, letters[v])
+
+        self._check_sides("(d ox 1 + 1 ox d)Delta = Delta d", 1, N, sides, decode,
                           checked, failures)
 
     def _check_coassoc(self, N, checked, failures):
-        """Both sides keyed (v1, v2, p1, p2, p3) for eps^v1_p1 ox eps^v2_p2 ox eps_p3."""
-        diagonal = self.diagonal
+        """Both sides keyed (v1, v2, p1, p2, p3) for eps^v1_p1 ox eps^v2_p2 ox
+        eps_p3; Delta's terms are packed as left and right factors."""
+        diagonal, B = self.diagonal, max(map(self.count, range(N + 1)))
+        v1_, v2_, p1_, p2_, p3_ = _places(N + 1, B, B, B)
+        deltas = {(m, p): diagonal(m, p) for m in range(N + 1) for p in range(self.count(m))}
+        as_left = {(m, p): [(v2 * v1_ + (m - v2) * v2_ + p2 * p1_ + q2 * p2_, c)
+                            for v2, p2, q2, c in delta] for (m, p), delta in deltas.items()}
+        as_right = {key: [(v2 * v2_ + p2 * p2_ + q2, c) for v2, p2, q2, c in delta]
+                    for key, delta in deltas.items()}
 
         def sides(n, r, acc):
-            for dl, p, q, coeff in diagonal(n, r):
-                for v2, p2, q2, c2 in diagonal(dl, p):  # (Delta ox 1)
-                    key = (v2, dl - v2, p2, q2, q)
+            for dl, p, q, coeff in deltas[(n, r)]:
+                for left, c2 in as_left[(dl, p)]:  # (Delta ox 1)
+                    key = left + q
                     acc[key] = acc.get(key, 0) + coeff * c2
-                for v2, p2, q2, c2 in diagonal(n - dl, q):  # (1 ox Delta)
-                    key = (dl, v2, p, p2, q2)
+                dlp = dl * v1_ + p * p1_
+                for right, c2 in as_right[(n - dl, q)]:  # (1 ox Delta)
+                    key = dlp + right
                     acc[key] = acc.get(key, 0) - coeff * c2
 
         self._check_sides("(Delta ox 1)Delta = (1 ox Delta)Delta", 0, N, sides,
-                          lambda n, k: k, checked, failures)
+                          lambda n, key: tuple(_digits(key, N + 1, B, B, B)),
+                          checked, failures)
 
     def _check_counit(self, N, checked, failures):
         """mu sends e_p ox eps^n_q to eps^n_q when q starts at vertex p (the
@@ -390,7 +447,8 @@ class KoszulComplex:
         a_1..a_{n-1}, V + a_n); each term u . eps_j . v of d spells u ox w ox v
         for each word w of f^{n-1}_j, keyed (u, code of w, v), the code 0 at
         n = 1.  For 0 < k < n each word m of the normal form of a_k.a_{k+1}
-        is keyed (k, code with m's two digits in place of theirs).
+        is keyed (k, code with m's two digits in place of theirs), packed
+        after every 3-field key.
 
         Above degree 2 the middle merges are added only where the outer keys
         fail or an f^{n-1}_j named in d(eps^n_r) failed, so a failing sum is
@@ -405,38 +463,45 @@ class KoszulComplex:
         # a * A + b -> [(code, coeff)] of the normal form of the two-arrow word a.b
         pair_nf = [[(code(words[x]), c) for x, c in products[(V + a) * L + V + b]]
                    for a in range(A) for b in range(A)]
+        # (m, j) -> [(code * L, coeff)] for the words of f^m_j, the code 0 at m = 0
+        spelled = {(m, j): [(w * L if m else 0, c) for w, c in cb.codes(m, j).items()]
+                   for m in range(N) for j in range(self.count(m))}
 
         def sides(n, r, acc):
             o, t = cb.o(n, r)
             lead, codes = A ** (n - 1), cb.codes(n, r)
+            span = lead * L  # (first, code, last) packs as first * span + code * L + last
+            first, last = V * span + t, o * span + V
             for w, c in codes.items():
-                key = (V + w // lead, w % lead, t)
+                key = w * L + first  # (V + w // lead, w % lead, t)
                 acc[key] = acc.get(key, 0) + c
-                key = (o, w // A, V + w % A)
+                hi, lo = divmod(w, A)
+                key = hi * L + last + lo  # (o, w // A, V + w % A)
                 acc[key] = acc.get(key, 0) + (-c if n % 2 else c)
             for u, j, v, c in diff[(n, r)]:
-                for w, cw in cb.codes(n - 1, j).items():
-                    key = (u, w if n > 1 else 0, v)
+                uv = u * span + v
+                for wl, cw in spelled[(n - 1, j)]:
+                    key = uv + wl
                     acc[key] = acc.get(key, 0) - c * cw
             if n >= 3 and not f.canon(acc.items()) and not any(
                     fail[:3] == (name, n - 1, j) for fail in failures for _, j, _, _ in diff[(n, r)]):
                 acc.clear()
                 return
-            merges = [(k, A ** (n - 1 - k), k % 2) for k in range(1, n)]
+            merges = [(L * span + k * A ** n, A ** (n - 1 - k), k % 2) for k in range(1, n)]
             for w, c in codes.items():
-                for k, place, odd in merges:
+                for base, place, odd in merges:
                     pair = w // place % (A * A)
-                    rest, signed = w - pair * place, -c if odd else c
+                    rest, signed = base + w - pair * place, -c if odd else c
                     for m, cm in pair_nf[pair]:
-                        key = (k, rest + m * place)
+                        key = rest + m * place
                         acc[key] = acc.get(key, 0) + signed * cm
 
         def decode(n, key):
             """The bar word that key spells, in Paths."""
-            if len(key) == 3:
-                first, x, last = key
+            if key < L * L * A ** (n - 1):
+                first, x, last = _digits(key, A ** (n - 1), L)
                 return (letters[first], *map(arrow, q.decode(x, n - 1)), letters[last])
-            k, x = key
+            k, x = _digits(key - L * L * A ** (n - 1), A ** n)
             arrows = q.decode(x, n)
             merged = q.decode(arrows[k - 1] * A + arrows[k], 2, q.arrow_o[arrows[k - 1]])
             return (q.vertex_path(q.arrow_o[arrows[0]]), *map(arrow, arrows[:k - 1]), merged,

@@ -6,11 +6,13 @@ differential of d above, (d ox 1 + 1 ox d)Delta = Delta d and
 coassociativity build both sides keyed by shared vertex and arrow Paths,
 and the counit laws scan every term of the diagonal.  Each builds lhs and
 rhs as two SparseVectors (rhs 0 for d^2), keyed as the int checks decode
-their keys, and compares them; `diff_witness` names the first key where
-they differ, with the coefficient of lhs - rhs there.  `reference_failures`
-returns the failures in the order verify_resolution reports them: identity
-by identity, then by (n, r).  `eps` is the generator eps^n_i of K_n as a
-BimoduleElement, and `double_scalar` seeds a fault in the scalar table.
+their keys, and keeps the generators where they differ.
+`reference_sides` returns those (identity, n, r, lhs, rhs) in the order
+verify_resolution reports them: identity by identity, then by (n, r).
+`reference_failures` gives each its witness: `diff_witness` names the first
+key where the sides differ, with the coefficient of lhs - rhs there.
+`eps` is the generator eps^n_i of K_n as a BimoduleElement, and
+`double_scalar` seeds a fault in the scalar table.
 """
 
 from koszulgerst.linalg import SparseVector
@@ -74,8 +76,7 @@ def check_d_squared(kx, N, failures):
                 val = {(u, f"eps^{n - 2}_{k}", v): c for (u, k, v), c
                        in kx.differential(kx._diff_eps(n, i)).terms.items()}
             if val:
-                failures.append((D_SQUARED, n, i, diff_witness(
-                    kx.quiver, SparseVector(f, val), SparseVector(f))))
+                failures.append((D_SQUARED, n, i, SparseVector(f, val), SparseVector(f)))
 
 
 def check_dg_compat(kx, N, failures):
@@ -104,7 +105,7 @@ def check_dg_compat(kx, N, failures):
                     rhs[key] = rhs.get(key, 0) + coeff * c
             lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
             if lhs != rhs:
-                failures.append((DG_COMPAT, n, r, diff_witness(kx.quiver, lhs, rhs)))
+                failures.append((DG_COMPAT, n, r, lhs, rhs))
 
 
 def check_coassoc(kx, N, failures):
@@ -123,7 +124,7 @@ def check_coassoc(kx, N, failures):
                     rhs[key] = rhs.get(key, 0) + coeff * t.coeff
             lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
             if lhs != rhs:
-                failures.append((COASSOC, n, r, diff_witness(kx.quiver, lhs, rhs)))
+                failures.append((COASSOC, n, r, lhs, rhs))
 
 
 def check_counit(kx, N, failures):
@@ -145,12 +146,19 @@ def check_counit(kx, N, failures):
             rhs = {(side, f"eps^{n}_{r}"): f.one for side in ("mu ox 1", "1 ox mu")}
             lhs, rhs = SparseVector(f, lhs), SparseVector(f, rhs)
             if lhs != rhs:
-                failures.append((COUNIT, n, r, diff_witness(kx.quiver, lhs, rhs)))
+                failures.append((COUNIT, n, r, lhs, rhs))
 
 
-def reference_failures(kx, N):
-    """The failures of the four identities through degree N, in report order."""
+def reference_sides(kx, N):
+    """(identity, n, r, lhs, rhs) at each generator through degree N where
+    one of the four identities fails, in report order."""
     failures = []
     for check in (check_d_squared, check_dg_compat, check_coassoc, check_counit):
         check(kx, N, failures)
     return failures
+
+
+def reference_failures(kx, N):
+    """The failures of the four identities through degree N, in report order."""
+    return [(name, n, r, diff_witness(kx.quiver, lhs, rhs))
+            for name, n, r, lhs, rhs in reference_sides(kx, N)]

@@ -16,7 +16,7 @@ from koszulgerst.quiver import Path
 from koszulgerst.resolution import BimoduleElement, KoszulComplex
 
 from identity_reference import (COASSOC, COUNIT, D_SQUARED, DG_COMPAT, augment, diff_witness,
-                                double_scalar, eps, reference_failures)
+                                double_scalar, eps, reference_failures, reference_sides)
 from linalg_reference import add, mul, single
 from test_generic_algebra import zigzag_complex
 from test_koszul import quantum_exterior_text
@@ -286,6 +286,63 @@ def test_verify_resolution_catches_corrupt_scalar():
     assert report.failures[:3] == reference_failures(kx, kx.N)
 
 
+def _packed_sums(kx):
+    """{(identity, n, r): {decoded key: coeff}}: each generator's nonzero
+    lhs - rhs as verify_resolution sums it on packed keys, every key read
+    back through its check's own decode."""
+    found = {}
+
+    def record(name, n0, N, sides, decode, checked, failures):
+        for n in range(n0, N + 1):
+            for r in range(kx.count(n)):
+                acc = {}
+                sides(n, r, acc)
+                nonzero = kx.field.canon(acc.items())
+                if nonzero:
+                    found[(name, n, r)] = {decode(n, key): c for key, c in nonzero.items()}
+                    failures.append((name, n, r))
+
+    kx._check_sides = record
+    kx.verify_resolution()
+    return found
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KoszulComplex(parse_presentation(quantum_exterior_text(
+        "xyzw", "F32003", [5, 77, 1234, 9, 20000, 31002])), 3),
+    lambda: load_complex("family", PrimeField(5), 6, q=-1),
+], ids=["ext4", "family"])
+@pytest.mark.parametrize("fault", ["top", "middle"])
+def test_packed_keys_keep_every_term_apart(make, fault):
+    # the checks pack each term's key fields into one int over the letters
+    # (L), the largest generator count (B), the degrees and the word ids;
+    # ext4 through degree 3 has L = 5 letters against 1 and 4 generators in
+    # degrees 0 and 1, family at N = 6 has up to B = 8 generators against
+    # L = 5 letters.  Double each scalar c(n, r, v), v = 0..n, in turn, of
+    # the top degree's last generator or of one in the middle: d*d=0, the
+    # dg identity, coassociativity and delta iota = iota d fail where the
+    # tuple-keyed references fail, with their witnesses, and each failing
+    # lhs - rhs holds the references' terms, none merged with another
+    paired, seen = {D_SQUARED, DG_COMPAT, COASSOC}, set()
+    N = make().N
+    n = N if fault == "top" else (N + 1) // 2
+    for v in range(n + 1):
+        kx = make()
+        letters = kx.quiver.num_vertices + kx.quiver.num_arrows
+        counts = [kx.count(m) for m in range(N + 1)]
+        assert (letters, counts) in [(5, [1, 4, 10, 20]), (5, [2, 3, 4, 5, 6, 7, 8])]
+        double_scalar(kx, n, kx.count(n) - 1 if fault == "top" else kx.count(n) // 2, v)
+        failures = [f for f in kx.verify_resolution().failures if f[0] != COUNIT]
+        sides = [f for f in reference_sides(kx, N) if f[0] in paired] + _path_iota_sides(kx)
+        assert failures == [(name, n2, r, diff_witness(kx.quiver, lhs, rhs))
+                            for name, n2, r, lhs, rhs in sides], v
+        sums = {key: terms for key, terms in _packed_sums(kx).items() if key[0] != COUNIT}
+        assert sums == {(name, n2, r): (lhs - rhs).terms
+                        for name, n2, r, lhs, rhs in sides}, v
+        seen |= {f[0] for f in failures}
+    assert seen == paired | {IOTA}
+
+
 def _corruptible(name):
     """A degree-4 complex with every differential and scalar slice cached,
     so that a corrupted slice reaches the diagonal and nothing else."""
@@ -457,17 +514,22 @@ def test_counit_laws_ignore_non_composable_terms():
     assert cases == 50
 
 
-def _path_iota_failures(kx):
+def _path_iota_sides(kx):
     """The Path-keyed delta iota = iota d check, generator by generator:
-    bar_delta of iota against iota of d."""
+    (IOTA, n, r, bar_delta of iota, iota of d) where the two differ."""
     out = []
     for n in range(1, kx.N + 1):
         for r in range(kx.count(n)):
             lhs = kx.bar_delta(kx.iota(n, r))
             rhs = kx.iota_bimodule(kx._diff_eps(n, r))
             if lhs != rhs:
-                out.append((IOTA, n, r, diff_witness(kx.quiver, lhs, rhs)))
+                out.append((IOTA, n, r, lhs, rhs))
     return out
+
+
+def _path_iota_failures(kx):
+    return [(name, n, r, diff_witness(kx.quiver, lhs, rhs))
+            for name, n, r, lhs, rhs in _path_iota_sides(kx)]
 
 
 def _iota_failures(kx):

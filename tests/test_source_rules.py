@@ -523,7 +523,8 @@ def word_tuple_building(tree):
 # the identity checks of KoszulComplex that key their terms by ints, all five
 # through _check_sides: d*d=0 and the dg identity (int letters, _letter_view),
 # coassociativity and the counit laws (generator indices) and delta iota =
-# iota d (Quiver.code)
+# iota d (Quiver.code); all but the counit laws pack each term's key fields
+# into one int by mixed radix, and decode unpacks a failing term's key
 INT_KEYED_CHECKS = {f"KoszulComplex.{name}" for name in (
     "_letter_view", "_check_d_squared", "_check_sides", "_check_dg_compat",
     "_check_coassoc", "_check_counit", "_check_iota")}
